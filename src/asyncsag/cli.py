@@ -233,8 +233,11 @@ def build_problem(cfg: ExperimentConfig, n: int | None = None,
 
 
 def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
+    try:
+        graph = generate_topology(cfg.topology, cfg.n, cfg.edge_list_path)
+    except ValueError as exc:
+        raise ConfigError(f"[topology] {cfg.topology}: {exc}") from None
     problem = build_problem(cfg)
-    graph = generate_topology(cfg.topology, cfg.n, cfg.edge_list_path)
     if not is_strongly_connected(graph):
         raise ConfigError(f"[topology] {cfg.topology}: graph is not strongly connected")
     z_star = mspbe.solve_problem(problem)

@@ -146,6 +146,58 @@ def test_product_of_pull_matrices_contracts_to_rank_one():
     assert np.max(np.abs(prod.sum(axis=1) - 1.0)) <= 1e-12
 
 
+def _dense_contraction(matrices):
+    """Reference for product_contraction: dense products and full SVDs."""
+    prod = np.eye(matrices[0].shape[0])
+    dists = [augmented.rank_one_distance(prod)]
+    for mat in matrices:
+        prod = mat @ prod
+        dists.append(augmented.rank_one_distance(prod))
+    return np.array(dists)
+
+
+def _assert_matches_dense(matrices):
+    got = augmented.product_contraction(matrices)
+    want = _dense_contraction(matrices)
+    assert got.shape == want.shape
+    big = want >= 1e-6
+    assert np.all(np.abs(got[big] - want[big]) <= 1e-9 * want[big])
+    assert np.all(np.abs(got[~big] - want[~big]) <= 1e-12)
+
+
+@pytest.mark.parametrize("seed,kind,batch_size", [
+    (9, "uniform_random", 1),
+    (4, "uniform_random", 3),
+    (5, "round_robin", 1),
+])
+def test_product_contraction_matches_dense_svd(seed, kind, batch_size):
+    _, trace = run_pair(seed=seed, max_events=150, kind=kind,
+                        batch_size=batch_size)
+    b = simulator.verify_assumption1b(trace)
+    consumed = augmented._consumption_index(trace)
+    mats = [augmented.build_event_matrices(trace, k, b=b, _consumed=consumed)
+            for k in range(1, trace.num_events + 1)]
+    _assert_matches_dense([m.h_row for m in mats])
+    _assert_matches_dense([m.h_col for m in mats])
+
+
+def test_product_contraction_follows_sigma1_across_blocks():
+    """P^T P of a block-diagonal product splits into blocks; when the block
+    holding sigma_1 changes, a warm start confined to the old block would
+    keep reporting that block's sigma_1."""
+    rng = np.random.default_rng(0)
+    big, small = 5, 7
+    q_a, q_b = rng.random((big, big)), rng.random((small, small))
+    size = big + small
+    first = np.zeros((size, size))
+    first[:big, :big] = q_a
+    first[big:, big:] = q_b / np.linalg.norm(q_b, 2) * np.linalg.norm(q_a, 2) / 2
+    swap = [np.diag([0.5] * big + [2.0] * small),
+            np.diag([2.0] * big + [0.5] * small)]
+    matrices = [first] + [swap[t % 2] for t in range(8)]
+    _assert_matches_dense(matrices)
+
+
 def test_push_weights_conserve_total_mass():
     _, trace = run_pair(seed=6, max_events=120)
     b = simulator.verify_assumption1b(trace)

@@ -145,6 +145,18 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     assert code == cli.EXIT_BAD_CONFIG
 
 
+def test_main_reports_bad_topology_with_exit_2(tmp_path, capsys):
+    # a grid needs a perfect-square node count; BASE_INI has n = 3
+    bad = write_ini(tmp_path, BASE_INI.replace("kind = ring", "kind = grid"))
+    for command in ("run", "verify", "constants"):
+        code = cli.main([command, "--config", str(bad), "--out", str(tmp_path)])
+        assert code == cli.EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: [topology] grid" in err
+        assert "perfect-square" in err
+        assert "Traceback" not in err
+
+
 def test_main_run_writes_outputs_and_is_reproducible(tmp_path, capsys):
     ini = write_ini(tmp_path, BASE_INI)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
