@@ -18,7 +18,7 @@ from .simulator import (ActivationSchedule, AssumptionViolation, DelayModel,
                         EventTrace, estimate_rate, metrics, run_async,
                         run_sync, verify_assumption1b, write_metrics_csv)
 from .augmented import (AugmentedState, EventMatrices, RateConstants,
-                        build_event_matrices, check_equivalence,
+                        SparseMatrix, build_event_matrices, check_equivalence,
                         evolve_weights, product_contraction, rank_one_distance,
                         rate_constants, replay, tracking_residual)
 from .baselines import centralized_gd, centralized_sag
@@ -40,7 +40,7 @@ __all__ = [
     "ActivationSchedule", "AssumptionViolation", "DelayModel", "EventTrace",
     "estimate_rate", "metrics", "run_async", "run_sync",
     "verify_assumption1b", "write_metrics_csv",
-    "AugmentedState", "EventMatrices", "RateConstants",
+    "AugmentedState", "EventMatrices", "RateConstants", "SparseMatrix",
     "build_event_matrices", "check_equivalence", "evolve_weights",
     "product_contraction", "rank_one_distance", "rate_constants", "replay",
     "tracking_residual",

@@ -32,8 +32,14 @@ Conventions fixed here (the replay-equivalence test is the arbiter):
   replay's own reconstructed pull average, which makes the replay an
   independent second implementation of the whole run.
 
-Row sums of every H_R and column sums of every H_C are exactly one, which is
-what makes the tracking identity 1^T Y^k = 1^T partial^k exact.
+Row sums of every H_R and column sums of every H_C are one up to rounding,
+which is what makes the tracking identity 1^T Y^k = 1^T partial^k exact.
+
+Storage: each H_R, H_C and I_a is a ``SparseMatrix`` of coalesced
+(row, col, weight) entries, at most deg+1 per row, so one event takes
+O(ntilde) bytes. The replay and ``product_contraction`` multiply by row
+gathers, and no ntilde x ntilde array is formed apart from the products
+whose contraction is measured.
 """
 
 from __future__ import annotations
@@ -52,14 +58,97 @@ from .simulator import AssumptionViolation, EventTrace, verify_assumption1b
 STOCHASTIC_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """Square matrix kept as its nonzeros.
+
+    The entries are coalesced (one per position) and sorted by row, then by
+    column. An event matrix has at most deg+1 nonzeros per row, so it takes
+    O(ntilde) bytes instead of the O(ntilde**2) of a dense array, and a
+    product with it costs O(nnz * columns).
+    """
+
+    rows: np.ndarray      # int32, nondecreasing
+    cols: np.ndarray      # int32, increasing within a row
+    weights: np.ndarray   # float64
+    size: int
+
+    @classmethod
+    def from_entries(cls, rows, cols, weights, size: int) -> SparseMatrix:
+        """Sort (row, col, weight) entries; sum repeated positions in order.
+
+        The sum starts at zero and adds the repeats in input order, as a
+        dense ``+=`` over the same entries would.
+        """
+        rows = np.asarray(rows, dtype=np.int32)
+        cols = np.asarray(cols, dtype=np.int32)
+        key = rows.astype(np.int64) * size + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        weights = np.asarray(weights, dtype=float)[order]
+        fresh = np.ones(key.size, dtype=bool)
+        fresh[1:] = key[1:] != key[:-1]
+        if not fresh.all():
+            weights = np.bincount(np.cumsum(fresh) - 1, weights=weights)
+        order = order[fresh]
+        return cls(rows[order], cols[order], weights, size)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, self.size)
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.weights.nbytes
+
+    def sum(self, axis: int) -> np.ndarray:
+        """Column sums (axis=0) or row sums (axis=1)."""
+        if axis not in (0, 1):
+            raise ValueError(f"axis must be 0 or 1, got {axis!r}")
+        index = self.cols if axis == 0 else self.rows
+        return np.bincount(index, weights=self.weights, minlength=self.size)
+
+    def __matmul__(self, operand) -> np.ndarray:
+        """``self @ operand`` for a dense 1-D or 2-D operand, by row gathers.
+
+        Each output row starts as its first entry's weight times that
+        entry's source row (zero for an empty row) and then adds its
+        remaining entries in column order.
+        """
+        operand = np.asarray(operand, dtype=float)
+        if operand.ndim not in (1, 2) or operand.shape[0] != self.size:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by an "
+                             f"operand of shape {operand.shape}")
+        rows, cols, weights = self.rows, self.cols, self.weights
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        source = np.zeros(self.size, dtype=np.intp)
+        scale = np.zeros(self.size)
+        source[rows[first]] = cols[first]
+        scale[rows[first]] = weights[first]
+        out = np.take(operand, source, axis=0)
+        scaled = np.flatnonzero(scale != 1.0)
+        out[scaled] *= scale[scaled].reshape((-1,) + (1,) * (operand.ndim - 1))
+        rest = ~first
+        for row, col, weight in zip(rows[rest], cols[rest], weights[rest]):
+            out[row] += weight * operand[col]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense form."""
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.cols] = self.weights
+        return dense
+
+
 @dataclass(frozen=True)
 class EventMatrices:
-    """Pull, push, and activation-indicator matrices of one event."""
+    """Pull, push, and activation-indicator matrices of one event, sparse."""
 
     k: int
-    h_row: np.ndarray   # row-stochastic pull matrix
-    h_col: np.ndarray   # column-stochastic push matrix
-    i_act: np.ndarray   # diagonal indicator of the activator's real row
+    h_row: SparseMatrix   # row-stochastic pull matrix
+    h_col: SparseMatrix   # column-stochastic push matrix
+    i_act: SparseMatrix   # diagonal indicator of the activator's real row
 
 
 @dataclass(frozen=True)
@@ -92,20 +181,17 @@ def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
     if _consumed is None:
         _consumed = _consumption_index(trace)
     n = trace.n
-    ntilde = n * (b + 1)
-
-    def idx(v: int, u: int) -> int:
-        return u * n + v
+    ntilde = n * (b + 1)  # register (v, u) has index u*n + v
 
     ev = trace.events[k - 1]
     i = ev.node
 
     # --- pull matrix -------------------------------------------------------
-    h_row = np.zeros((ntilde, ntilde))
-    for v in range(n):
-        if v != i:
-            h_row[idx(v, 0), idx(v, 0)] = 1.0
+    # The activator's row averages its receptions (a repeated reception adds
+    # its weight again); the other real rows hold, and every chain register
+    # copies the one below it. The entries come out sorted by row.
     weight = 1.0 / len(ev.result.consumed)
+    pulled: dict[int, float] = {}
     for origin, sent in ev.result.consumed:
         age = k - sent - 1
         if age > b - 1:
@@ -113,25 +199,31 @@ def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
                 f"event {k}: reception from node {origin} (event {sent}) is "
                 f"{age} events old, exceeding the window b={b}", node=origin,
             )
-        h_row[idx(i, 0), idx(origin, age)] += weight
-    for v in range(n):
-        for u in range(1, b + 1):
-            h_row[idx(v, u), idx(v, u - 1)] = 1.0
+        col = age * n + origin
+        pulled[col] = pulled.get(col, 0.0) + weight
+    sources = sorted(pulled)
+    h_row = SparseMatrix(
+        np.concatenate([np.arange(i), np.full(len(sources), i),
+                        np.arange(i + 1, ntilde)]).astype(np.int32),
+        np.concatenate([np.arange(i), sources, np.arange(i + 1, n),
+                        np.arange(ntilde - n)]).astype(np.int32),
+        np.concatenate([np.ones(i), [pulled[c] for c in sources],
+                        np.ones(ntilde - i - 1)]),
+        ntilde)
 
     # --- activation indicator ---------------------------------------------
-    i_act = np.zeros((ntilde, ntilde))
-    i_act[idx(i, 0), idx(i, 0)] = 1.0
+    i_act = SparseMatrix(np.array([i], dtype=np.int32),
+                         np.array([i], dtype=np.int32), np.ones(1), ntilde)
 
     # --- push matrix -------------------------------------------------------
     # The masses that split now are those created by the previous event (the
     # initialization broadcasts when k == 1).
-    h_col = np.zeros((ntilde, ntilde))
     if k == 1:
         splitters = [(w, 0) for w in range(n)]
     else:
         prev = trace.events[k - 2]
         splitters = [(prev.node, prev.k)]
-    split_nodes = {w for w, _ in splitters}
+    parked, origins, shares = [], [], []
     for w, sent in splitters:
         share = 1.0 / trace.graph.out_degree(w)
         for dest in trace.graph.out_neighbors(w):
@@ -146,12 +238,18 @@ def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
                         f"node {dest} rests {height} events, exceeding b={b}",
                         node=w,
                     )
-            h_col[idx(dest, height), idx(w, 0)] += share
-    for v in range(n):
-        if v not in split_nodes:
-            h_col[idx(v, 0), idx(v, 0)] = 1.0
-        for u in range(1, b + 1):
-            h_col[idx(v, u - 1), idx(v, u)] = 1.0
+            parked.append(height * n + dest)
+            origins.append(w)
+            shares.append(share)
+    # the real rows that did not split hold, and every chain register
+    # drains into the one below it
+    split = {w for w, _ in splitters}
+    holders = np.array([v for v in range(n) if v not in split], dtype=np.int32)
+    h_col = SparseMatrix.from_entries(
+        np.concatenate([holders, np.arange(ntilde - n), parked]),
+        np.concatenate([holders, np.arange(n, ntilde), origins]),
+        np.concatenate([np.ones(holders.size), np.ones(ntilde - n), shares]),
+        ntilde)
 
     return EventMatrices(k=k, h_row=h_row, h_col=h_col, i_act=i_act)
 
@@ -162,7 +260,9 @@ def replay(trace: EventTrace, problem: ProblemSpec, eta: float,
 
     Independent of the simulator's numerical path: gradients are recomputed
     at the replay's own reconstructed pull averages and the per-sample tables
-    are rebuilt from scratch. Returns states for k = 0..T.
+    are rebuilt from scratch. Each event's products with H_R and H_C are row
+    gathers over its sparse matrices. Returns states for k = 0..T; their
+    arrays are views into one (T+1, ntilde, 2d) block per field.
     """
     if problem.n != trace.n or problem.d != trace.d or problem.m_i != trace.m_i:
         raise ValueError("problem layout does not match the trace")
@@ -171,46 +271,43 @@ def replay(trace: EventTrace, problem: ProblemSpec, eta: float,
     n, d, m = trace.n, trace.d, sum(trace.m_i)
     ntilde = n * (b + 1)
 
-    z_rows = np.zeros((ntilde, 2 * d))
-    y_rows = np.zeros((ntilde, 2 * d))
-    partial = np.zeros((ntilde, 2 * d))
+    # every state is kept, so each field gets one block for all of them
+    shape = (trace.num_events + 1, ntilde, 2 * d)
+    z_all, y_all, partial_all = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     tables = []
     for v in range(n):
-        z_rows[v] = to_scaled(trace.z0[v], zeta)
+        z_all[0, v] = to_scaled(trace.z0[v], zeta)
         stats = problem.per_node[v]
         table = np.stack([saddle_gradient(trace.z0[v], st, problem.rho)
                           for st in stats])
         tables.append(table)
         # tracker-side rows carry omega times sqrt(zeta), as from_scaled does
-        partial[v] = from_scaled(table.sum(axis=0) / m, zeta)
-    y_rows[:] = partial
+        partial_all[0, v] = from_scaled(table.sum(axis=0) / m, zeta)
+    y_all[0] = partial_all[0]
 
-    states = [AugmentedState(k=0, z_rows=z_rows.copy(), y_rows=y_rows.copy(),
-                             partial=partial.copy(), zeta=zeta)]
     for ev in trace.events:
         k, i = ev.k, ev.node
         mats = build_event_matrices(trace, k, b=b, _consumed=consumed)
+        z_rows, y_rows, partial = z_all[k], y_all[k], partial_all[k]
 
-        z_pulled = mats.h_row @ z_rows
-        z_hat = from_scaled(z_pulled[i], zeta)
+        z_rows[:] = mats.h_row @ z_all[k - 1]
+        z_hat = from_scaled(z_rows[i], zeta)
         delta = np.zeros(2 * d)
         for p in ev.result.samples:
             fresh = saddle_gradient(z_hat, problem.per_node[i][p], problem.rho)
             delta += (fresh - tables[i][p]) / m
             tables[i][p] = fresh
-        new_partial = partial.copy()
-        new_partial[i] += from_scaled(delta, zeta)
+        # only the real rows carry gradient averages; the registers stay 0
+        partial[:n] = partial_all[k - 1, :n]
+        partial[i] += from_scaled(delta, zeta)
 
-        y_rows = mats.h_col @ y_rows
-        y_rows[i] += new_partial[i] - partial[i]
-        z_rows = z_pulled
+        y_rows[:] = mats.h_col @ y_all[k - 1]
+        y_rows[i] += partial[i] - partial_all[k - 1, i]
         z_rows[i] -= eta * y_rows[i]
-        partial = new_partial
 
-        states.append(AugmentedState(k=k, z_rows=z_rows.copy(),
-                                     y_rows=y_rows.copy(),
-                                     partial=partial.copy(), zeta=zeta))
-    return states
+    return [AugmentedState(k=k, z_rows=z_all[k], y_rows=y_all[k],
+                           partial=partial_all[k], zeta=zeta)
+            for k in range(trace.num_events + 1)]
 
 
 def check_equivalence(trace: EventTrace, states: Sequence[AugmentedState]) -> float:
@@ -274,28 +371,6 @@ _WARM_FLOOR = 1e-3
 _RESOLVED = 1e-12
 
 
-def _sparse_left_multiply(mat: np.ndarray, prod: np.ndarray) -> np.ndarray:
-    """mat @ prod by row gathers, in O(nnz(mat) * columns) for a sparse mat."""
-    flat = np.flatnonzero(mat != 0)
-    rows, cols = np.divmod(flat, mat.shape[1])
-    weights = mat.ravel()[flat]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    # each row starts as its first entry times its source row (zero when the
-    # row is empty), then adds its remaining entries
-    source = np.zeros(mat.shape[0], dtype=np.intp)
-    scale = np.zeros(mat.shape[0])
-    source[rows[first]] = cols[first]
-    scale[rows[first]] = weights[first]
-    out = prod[source]
-    scaled = np.flatnonzero(scale != 1.0)
-    out[scaled] *= scale[scaled, None]
-    rest = ~first
-    for row, col, weight in zip(rows[rest], cols[rest], weights[rest]):
-        out[row] += weight * prod[col]
-    return out
-
-
 def _top_right_singular_vector(mat: np.ndarray, start: np.ndarray,
                                frob2: float) -> tuple[np.ndarray, bool]:
     """Unit top right singular vector of ``mat``, and whether it converged.
@@ -337,16 +412,18 @@ def _top_right_singular_vector(mat: np.ndarray, start: np.ndarray,
     return vec / np.linalg.norm(vec), converged
 
 
-def product_contraction(matrices: Sequence[np.ndarray]) -> np.ndarray:
+def product_contraction(
+        matrices: Sequence[SparseMatrix | np.ndarray]) -> np.ndarray:
     """Rank-one distances of the forward products of a matrix sequence.
 
     Entry t is ``rank_one_distance`` of the product P_t of the first t
     matrices (t=0 is the identity). Pass the h_row or h_col matrices of
-    consecutive events. Each matrix enters only through its nonzeros (at
-    most deg+1 per row), so a step costs O(ntilde**2) instead of the
-    O(ntilde**3) of a dense product and an SVD:
+    consecutive events. A ``SparseMatrix`` enters only through its nonzeros
+    (at most deg+1 per row), so a step costs O(ntilde**2) instead of the
+    O(ntilde**3) of a dense product and an SVD; a dense array is multiplied
+    densely, which is what the tests' hand-built sequences use:
 
-    * P_t = M_t P_{t-1} is updated by row gathers;
+    * P_t = M_t P_{t-1} (row gathers for a ``SparseMatrix``);
     * the top right singular vector v of P_t comes from Lanczos on
       P_t^T P_t, warm-started from the previous step's vector. The start is
       |v_prev| plus a floor on every coordinate: P^T P is nonnegative and can
@@ -372,7 +449,7 @@ def product_contraction(matrices: Sequence[np.ndarray]) -> np.ndarray:
     out = np.empty(len(matrices) + 1)
     for t in range(len(matrices) + 1):
         if t > 0:
-            prod = _sparse_left_multiply(matrices[t - 1], prod)
+            prod = matrices[t - 1] @ prod
         frob2 = float(np.vdot(prod, prod))
         start = np.abs(vec) + _WARM_FLOOR / np.sqrt(size)
         vec, converged = _top_right_singular_vector(prod, start, frob2)
@@ -384,7 +461,8 @@ def product_contraction(matrices: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def evolve_weights(h_col_seq: Sequence[np.ndarray], n: int) -> np.ndarray:
+def evolve_weights(h_col_seq: Sequence[SparseMatrix | np.ndarray],
+                   n: int) -> np.ndarray:
     """Weight-vector recursion v^{k+1} = H_C^k v^k from v^0 = [1_n; 0].
 
     Returns the (len+1, ntilde) stack of weight vectors. Column

@@ -201,6 +201,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"[problem] proportions: need {cfg.n} entries, got {len(cfg.proportions)}"
         )
+    if cfg.n_values is not None and any(n < 1 for n in cfg.n_values):
+        raise ConfigError("[experiment] n_values: need at least one node per entry")
     if (cfg.eta1_values is not None and cfg.n_values is not None
             and len(cfg.eta1_values) != len(cfg.n_values)):
         raise ConfigError(
@@ -228,7 +230,10 @@ def build_problem(cfg: ExperimentConfig, n: int | None = None,
     policy = mdp.random_policy(cfg.num_states, cfg.num_actions, cfg.data_seed)
     traj = mdp.sample_trajectory(the_mdp, policy, cfg.m + 1, cfg.data_seed)
     features = mdp.make_feature_map(cfg.num_states, cfg.d, cfg.data_seed)
-    per_node = mdp.partition_samples(traj, features, cfg.mode, n, proportions)
+    try:
+        per_node = mdp.partition_samples(traj, features, cfg.mode, n, proportions)
+    except ValueError as exc:
+        raise ConfigError(f"[problem] {exc}") from None
     return mspbe.problem_from_samples(per_node, cfg.rho, cfg.gamma)
 
 
@@ -247,15 +252,21 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
 
 
 def _schedule(cfg: ExperimentConfig) -> ActivationSchedule:
-    return ActivationSchedule(
-        kind=cfg.schedule, n=cfg.n,
-        straggler_node=cfg.straggler_node if cfg.schedule == "straggler" else None,
-        straggler_factor=cfg.straggler_factor if cfg.schedule == "straggler" else 1.0,
-    )
+    try:
+        return ActivationSchedule(
+            kind=cfg.schedule, n=cfg.n,
+            straggler_node=cfg.straggler_node if cfg.schedule == "straggler" else None,
+            straggler_factor=cfg.straggler_factor if cfg.schedule == "straggler" else 1.0,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[schedule] {exc}") from None
 
 
 def _delays(cfg: ExperimentConfig) -> DelayModel:
-    return DelayModel(kind=cfg.delay_kind, d_max=cfg.d_max)
+    try:
+        return DelayModel(kind=cfg.delay_kind, d_max=cfg.d_max)
+    except ValueError as exc:
+        raise ConfigError(f"[schedule] {exc}") from None
 
 
 def _run_trace(bundle: ExperimentBundle, max_events: int,
@@ -407,7 +418,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path,
         worst_col = max(worst_col, float(np.max(np.abs(mats.h_col.sum(axis=0) - 1))))
         if k <= keep:
             mats_for_product.append(mats)
-    ok = worst_row <= 1e-12 and worst_col <= 1e-12
+    ok = (worst_row <= augmented.STOCHASTIC_TOL
+          and worst_col <= augmented.STOCHASTIC_TOL)
     checks.append(("stochasticity", ok,
                    f"max row-sum dev {worst_row:.2e}, max col-sum dev {worst_col:.2e}"))
 

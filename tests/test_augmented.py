@@ -6,6 +6,8 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsag import augmented, graph, mdp, mspbe, simulator
 from asyncsag.mspbe import SpectralConstants
@@ -44,14 +46,70 @@ def test_event_matrices_are_stochastic_every_event():
     b = simulator.verify_assumption1b(trace)
     for k in range(1, trace.num_events + 1):
         mats = augmented.build_event_matrices(trace, k, b=b)
-        assert np.min(mats.h_row) >= 0 and np.min(mats.h_col) >= 0
+        assert (np.min(mats.h_row.toarray()) >= 0
+                and np.min(mats.h_col.toarray()) >= 0)
         assert np.max(np.abs(mats.h_row.sum(axis=1) - 1.0)) <= 1e-12
         assert np.max(np.abs(mats.h_col.sum(axis=0) - 1.0)) <= 1e-12
         # the activation indicator selects exactly the activator's real row
         i = trace.events[k - 1].node
-        expected = np.zeros_like(mats.i_act)
+        expected = np.zeros_like(mats.i_act.toarray())
         expected[i, i] = 1.0
-        assert np.array_equal(mats.i_act, expected)
+        assert np.array_equal(mats.i_act.toarray(), expected)
+
+
+def test_event_matrices_take_linear_memory():
+    """Sparse storage: one event's three matrices take O(ntilde) bytes
+    (dense storage would take 24 * ntilde**2)."""
+    _, trace = run_pair(seed=3, max_events=60)
+    b = simulator.verify_assumption1b(trace)
+    ntilde = trace.n * (b + 1)
+    for k in range(1, trace.num_events + 1):
+        mats = augmented.build_event_matrices(trace, k, b=b)
+        total = mats.h_row.nbytes + mats.h_col.nbytes + mats.i_act.nbytes
+        assert total < 100 * ntilde
+
+
+@st.composite
+def sparse_entries(draw):
+    """Entries of a small square matrix: repeated positions, empty rows, and
+    rows whose first weight differs from 1 all occur."""
+    size = draw(st.integers(1, 6))
+    count = draw(st.integers(0, 3 * size))
+    index = st.integers(0, size - 1)
+    rows = draw(st.lists(index, min_size=count, max_size=count))
+    cols = draw(st.lists(index, min_size=count, max_size=count))
+    weights = draw(st.lists(
+        st.sampled_from([1.0, 0.5, 1.0 / 3.0, -2.0, 0.1])
+        | st.floats(-4.0, 4.0, allow_nan=False),
+        min_size=count, max_size=count))
+    return size, rows, cols, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_entries(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_sparse_matrix_matches_dense(entries, width, seed):
+    size, rows, cols, weights = entries
+    dense = np.zeros((size, size))
+    for row, col, weight in zip(rows, cols, weights):
+        dense[row, col] += weight
+    mat = augmented.SparseMatrix.from_entries(rows, cols, weights, size)
+    assert mat.shape == (size, size)
+    assert np.array_equal(mat.toarray(), dense)
+    assert np.all(np.diff(mat.rows) >= 0)
+    assert len(set(zip(mat.rows.tolist(), mat.cols.tolist()))) == mat.rows.size
+    # both sides sum at most `size` rounded terms, in different orders, so
+    # each may be off by size * eps of the sum of absolute terms
+    slack = 2 * size * np.finfo(float).eps
+    tiny = np.finfo(float).tiny
+    rng = np.random.default_rng(seed)
+    for operand in (rng.standard_normal(size),
+                    rng.standard_normal((size, width))):
+        bound = slack * (np.abs(dense) @ np.abs(operand)) + tiny
+        assert np.all(np.abs(mat @ operand - dense @ operand) <= bound)
+    for axis in (0, 1):
+        bound = slack * np.abs(dense).sum(axis=axis) + tiny
+        assert np.all(np.abs(mat.sum(axis=axis) - dense.sum(axis=axis))
+                      <= bound)
 
 
 def test_matrices_reject_out_of_range_event_and_small_window():

@@ -145,15 +145,32 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     assert code == cli.EXIT_BAD_CONFIG
 
 
-def test_main_reports_bad_topology_with_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("swap,needles", [
     # a grid needs a perfect-square node count; BASE_INI has n = 3
-    bad = write_ini(tmp_path, BASE_INI.replace("kind = ring", "kind = grid"))
+    (("kind = ring", "kind = grid"),
+     ("config error: [topology] grid", "perfect-square")),
+    (("kind = uniform_random", "kind = bogus"),
+     ("config error: [schedule]", "unknown schedule kind")),
+    (("delay = uniform", "delay = bogus"),
+     ("config error: [schedule]", "unknown delay kind")),
+    (("d_max = 2", "d_max = -1"),
+     ("config error: [schedule]", "d_max must be nonnegative")),
+    (("m = 24", "m = 2"),
+     ("config error: [problem]", "2 transitions cannot cover 3 nodes")),
+    (("seed = 5\n", "seed = 5\n\n[experiment]\nn_values = 0 2\n"),
+     ("config error: [experiment] n_values", "at least one node")),
+], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
+        "n_values"])
+def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
+    text = BASE_INI.replace(*swap)
+    assert text != BASE_INI
+    bad = write_ini(tmp_path, text)
     for command in ("run", "verify", "constants"):
         code = cli.main([command, "--config", str(bad), "--out", str(tmp_path)])
         assert code == cli.EXIT_BAD_CONFIG
         err = capsys.readouterr().err
-        assert "config error: [topology] grid" in err
-        assert "perfect-square" in err
+        for needle in needles:
+            assert needle in err
         assert "Traceback" not in err
 
 
