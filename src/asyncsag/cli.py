@@ -245,8 +245,11 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     problem = build_problem(cfg)
     if not is_strongly_connected(graph):
         raise ConfigError(f"[topology] {cfg.topology}: graph is not strongly connected")
-    z_star = mspbe.solve_problem(problem)
-    spectral = mspbe.spectral_constants(problem, cfg.zeta)
+    try:
+        z_star = mspbe.solve_problem(problem)
+        spectral = mspbe.spectral_constants(problem, cfg.zeta)
+    except ArithmeticError as exc:
+        raise ConfigError(f"[problem] {exc}") from None
     return ExperimentBundle(config=cfg, problem=problem, graph=graph,
                             z_star=z_star, spectral=spectral)
 
@@ -273,15 +276,6 @@ def _run_trace(bundle: ExperimentBundle, max_events: int,
                seed: int | None = None) -> simulator.EventTrace:
     cfg = bundle.config
     seed = cfg.run_seed if seed is None else seed
-    if cfg.schedule == "sync":
-        rounds = max(1, max_events // cfg.n)
-        straggler = None
-        if cfg.straggler_node is not None and cfg.straggler_factor > 1:
-            straggler = (cfg.straggler_node, cfg.straggler_factor)
-        return simulator.run_sync(bundle.problem, bundle.graph, rounds,
-                                  cfg.eta1, cfg.eta2, seed,
-                                  straggler=straggler,
-                                  batch_size=cfg.batch_size)
     return simulator.run_async(bundle.problem, bundle.graph, _schedule(cfg),
                                _delays(cfg), cfg.eta1, cfg.eta2, seed,
                                max_events=max_events, epsilon=cfg.epsilon,
@@ -376,7 +370,10 @@ def _cmd_run_sweep(cfg: ExperimentConfig, out_dir: Path,
         proportions = [float(i + 1) for i in range(n)]
         problem = build_problem(cfg, n=n, proportions=proportions)
         graph = generate_topology("exponential", n)
-        z_star = mspbe.solve_problem(problem)
+        try:
+            z_star = mspbe.solve_problem(problem)
+        except ArithmeticError as exc:
+            raise ConfigError(f"[problem] n={n}: {exc}") from None
         schedule = ActivationSchedule(kind="uniform_random", n=n)
         trace = simulator.run_async(
             problem, graph, schedule, _delays(cfg), eta1, eta1 * zeta,

@@ -17,8 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import DirectedGraph, is_strongly_connected, _reachable
-
 log = logging.getLogger(__name__)
 
 _PROB_TOL = 1e-12
@@ -113,6 +111,15 @@ def chain_matrix(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     return np.einsum("sa,sat->st", policy, mdp.transitions)
 
 
+def _reached_from_first(adj: np.ndarray) -> np.ndarray:
+    """Mask of the states reachable from state 0 along the boolean ``adj``."""
+    seen = frontier = np.arange(adj.shape[0]) == 0
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
+
+
 def stationary_distribution(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     """Stationary state distribution of the policy-induced chain.
 
@@ -122,12 +129,10 @@ def stationary_distribution(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     """
     p = chain_matrix(mdp, policy)
     s = p.shape[0]
-    support = [(i, j) for i in range(s) for j in range(s) if p[i, j] > 0.0 and i != j]
-    g = DirectedGraph(s, support)
-    if not is_strongly_connected(g):
-        fwd = _reachable(g, 0)
-        bwd = _reachable(g, 0, reverse=True)
-        bad = sorted((set(range(s)) - fwd) | (set(range(s)) - bwd))
+    support = p > 0.0  # self-loops never change reachability
+    both = _reached_from_first(support) & _reached_from_first(support.T)
+    if not both.all():
+        bad = np.flatnonzero(~both).tolist()
         raise ValueError(
             f"chain is not irreducible: states {bad} are unreachable from or "
             f"cannot reach state 0"

@@ -92,7 +92,7 @@ class Reception:
 
 @dataclass
 class Message:
-    """In-flight copy of a broadcast, delivered by the simulator."""
+    """In-flight broadcast, delivered by the simulator."""
 
     origin: int
     dest: int
@@ -115,7 +115,6 @@ class NodeState:
     z: np.ndarray                    # latest completed saddle vector z_i
     y: np.ndarray                    # latest tracker value y_i
     table: np.ndarray                # (m_local, 2d) stored per-sample gradients
-    eval_points: np.ndarray          # (m_local, 2d) z at which each entry was taken
     stats: tuple[SampleStats, ...]   # local sample statistics
     rho: float
     m_global: int
@@ -130,11 +129,13 @@ class NodeState:
 
 @dataclass(frozen=True)
 class ActivationResult:
-    """Everything one activation produced (the trace record's payload)."""
+    """Everything one activation produced (the trace record's payload).
+
+    The arrays are never written after the activation returns, so the node
+    state, the buffers and the messages share them instead of copying.
+    """
 
     samples: tuple[int, ...]
-    z_pre: np.ndarray
-    y_pre: np.ndarray
     z_hat: np.ndarray                # post-pull average
     y_new: np.ndarray                # tracker after the table correction
     z_tilde: np.ndarray              # broadcast value (also the node's new z)
@@ -159,15 +160,13 @@ def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...]
     y = table.sum(axis=0) / m_global
     y_tilde = y / out_degree
     node = NodeState(
-        node_id=node_id, z=z0.copy(), y=y.copy(), table=table,
-        eval_points=np.tile(z0, (len(stats), 1)), stats=stats, rho=rho,
+        node_id=node_id, z=z0, y=y, table=table, stats=stats, rho=rho,
         m_global=m_global, out_degree=out_degree, selector=selector,
     )
     node.buffer.append(
-        Reception(z_tilde=z0.copy(), y_tilde=y_tilde.copy(),
-                  origin=node_id, sent_event=0)
+        Reception(z_tilde=z0, y_tilde=y_tilde, origin=node_id, sent_event=0)
     )
-    return node, (z0.copy(), y_tilde.copy())
+    return node, (z0, y_tilde)
 
 
 def on_receive(node: NodeState, msg: Message) -> None:
@@ -181,7 +180,7 @@ def on_receive(node: NodeState, msg: Message) -> None:
             f"message for node {msg.dest} delivered to node {node.node_id}"
         )
     node.buffer.append(
-        Reception(z_tilde=msg.z_tilde.copy(), y_tilde=msg.y_tilde.copy(),
+        Reception(z_tilde=msg.z_tilde, y_tilde=msg.y_tilde,
                   origin=msg.origin, sent_event=msg.sent_at)
     )
 
@@ -194,7 +193,6 @@ def activate(node: NodeState, eta1: float, eta2: float, current_event: int,
             f"node {node.node_id} activated with an empty buffer; the "
             f"self-copy invariant was broken"
         )
-    z_pre, y_pre = node.z.copy(), node.y.copy()
     consumed = tuple((r.origin, r.sent_event) for r in node.buffer)
     z_hat = np.mean([r.z_tilde for r in node.buffer], axis=0)
     y_new = np.sum([r.y_tilde for r in node.buffer], axis=0)
@@ -204,7 +202,6 @@ def activate(node: NodeState, eta1: float, eta2: float, current_event: int,
         fresh = saddle_gradient(z_hat, node.stats[p], node.rho)
         y_new += (fresh - node.table[p]) / node.m_global
         node.table[p] = fresh
-        node.eval_points[p] = z_hat
 
     d = z_hat.shape[0] // 2
     z_tilde = z_hat.copy()
@@ -212,16 +209,15 @@ def activate(node: NodeState, eta1: float, eta2: float, current_event: int,
     z_tilde[d:] -= eta2 * y_new[d:]
     y_tilde = y_new / node.out_degree
 
-    node.z = z_tilde.copy()
-    node.y = y_new.copy()
+    node.z = z_tilde
+    node.y = y_new
     node.buffer = [
-        Reception(z_tilde=z_tilde.copy(), y_tilde=y_tilde.copy(),
-                  origin=node.node_id, sent_event=current_event)
+        Reception(z_tilde=z_tilde, y_tilde=y_tilde, origin=node.node_id,
+                  sent_event=current_event)
     ]
     return ActivationResult(
-        samples=tuple(picks), z_pre=z_pre, y_pre=y_pre, z_hat=z_hat,
-        y_new=y_new.copy(), z_tilde=z_tilde.copy(), y_tilde=y_tilde.copy(),
-        consumed=consumed,
+        samples=tuple(picks), z_hat=z_hat, y_new=y_new, z_tilde=z_tilde,
+        y_tilde=y_tilde, consumed=consumed,
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +88,9 @@ class DelayModel:
     """Transmission delays in event counts, bounded by d_max.
 
     kinds: zero, uniform (integer uniform on [0, d_max]), per_edge (fixed
-    delay per directed edge from a table).
+    delay per directed edge from a table), round_barrier (every message is
+    held to the next multiple of d_max + 1, the end of its round when a round
+    is d_max + 1 events long).
     """
 
     kind: str = "zero"
@@ -96,7 +98,7 @@ class DelayModel:
     table: dict | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "uniform", "per_edge"):
+        if self.kind not in ("zero", "uniform", "per_edge", "round_barrier"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
         if self.d_max < 0:
             raise ValueError("d_max must be nonnegative")
@@ -106,11 +108,14 @@ class DelayModel:
             if any(v < 0 or v > self.d_max for v in self.table.values()):
                 raise ValueError("per_edge delays must lie in [0, d_max]")
 
-    def draw(self, rng: np.random.Generator, origin: int, dest: int) -> int:
+    def draw(self, rng: np.random.Generator, origin: int, dest: int,
+             sent_at: int) -> int:
         if self.kind == "zero":
             return 0
         if self.kind == "uniform":
             return int(rng.integers(0, self.d_max + 1))
+        if self.kind == "round_barrier":
+            return (-sent_at) % (self.d_max + 1)
         return int(self.table.get((origin, dest), 0))
 
 
@@ -152,28 +157,6 @@ class EventTrace:
         return len(self.events)
 
 
-def _build_nodes(problem: ProblemSpec, graph: DirectedGraph, seed: int,
-                 z0: np.ndarray | None):
-    d = problem.d
-    if z0 is None:
-        z0 = np.zeros((problem.n, 2 * d))
-    else:
-        z0 = np.asarray(z0, dtype=float)
-        if z0.shape == (2 * d,):
-            z0 = np.tile(z0, (problem.n, 1))
-    nodes = []
-    payloads = []
-    for i in range(problem.n):
-        selector = SampleSelector(problem.m_i[i], selector_rng(seed, i))
-        node, payload = init_node(
-            i, problem.per_node[i], z0[i], graph.out_degree(i), problem.m,
-            problem.rho, selector,
-        )
-        nodes.append(node)
-        payloads.append(payload)
-    return nodes, payloads, z0
-
-
 def run_async(problem: ProblemSpec, graph: DirectedGraph,
               schedule: ActivationSchedule, delays: DelayModel,
               eta1: float, eta2: float, seed: int, max_events: int,
@@ -196,8 +179,10 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
 
     rng_sched = derived_rng(seed, STREAM_SCHEDULE)
     rng_delay = derived_rng(seed, STREAM_DELAY)
-    nodes, payloads, z0_rows = _build_nodes(problem, graph, seed, z0)
-    y0_rows = np.stack([node.y for node in nodes])
+    z0_rows = (np.zeros((problem.n, 2 * problem.d)) if z0 is None
+               else np.asarray(z0, dtype=float))
+    if z0_rows.shape == (2 * problem.d,):
+        z0_rows = np.tile(z0_rows, (problem.n, 1))
 
     # Per-destination delivery queues ordered by (slot, sent, origin, seq);
     # a message in slot t is consumable by activations with k > t.
@@ -210,16 +195,23 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         for dest in graph.out_neighbors(origin):
             if dest == origin:
                 continue  # self-copy already buffered by the protocol
-            delay = delays.draw(rng_delay, origin, dest)
-            msg = Message(origin=origin, dest=dest, z_tilde=z_t.copy(),
-                          y_tilde=y_t.copy(), sent_at=sent_at,
-                          deliver_at=sent_at + delay)
+            delay = delays.draw(rng_delay, origin, dest, sent_at)
+            msg = Message(origin=origin, dest=dest, z_tilde=z_t, y_tilde=y_t,
+                          sent_at=sent_at, deliver_at=sent_at + delay)
             all_messages.append(msg)
             heapq.heappush(pending[dest], (msg.deliver_at, msg.sent_at, origin, seq, msg))
             seq += 1
 
-    for i, (z_t, y_t) in enumerate(payloads):
+    nodes: list[NodeState] = []
+    for i in range(problem.n):
+        selector = SampleSelector(problem.m_i[i], selector_rng(seed, i))
+        node, (z_t, y_t) = init_node(
+            i, problem.per_node[i], z0_rows[i], graph.out_degree(i), problem.m,
+            problem.rho, selector,
+        )
+        nodes.append(node)
         send(i, z_t, y_t, sent_at=0)
+    y0_rows = np.stack([node.y for node in nodes])
 
     events: list[ActivationRecord] = []
     last_activation = [0] * graph.n
@@ -233,15 +225,12 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
                         f"node {v} has not activated in the last {b_max} "
                         f"events (event {k})", node=v,
                     )
-        fresh: list[Message] = []
         while pending[i] and pending[i][0][0] < k:
-            fresh.append(heapq.heappop(pending[i])[4])
-        for msg in fresh:
+            msg = heapq.heappop(pending[i])[4]
             on_receive(nodes[i], msg)
+            msg.consumed_at = k
         result = activate(nodes[i], eta1, eta2, current_event=k,
                           batch_size=batch_size)
-        for msg in fresh:
-            msg.consumed_at = k
         send(i, result.z_tilde, result.y_tilde, sent_at=k)
         last_activation[i] = k
         events.append(ActivationRecord(k=k, node=i, result=result))
@@ -265,63 +254,27 @@ def run_sync(problem: ProblemSpec, graph: DirectedGraph, rounds: int,
              straggler: tuple[int, float] | None = None,
              z0: np.ndarray | None = None, batch_size: int = 1) -> EventTrace:
     """Synchronous push-pull baseline: per round, every node activates on the
-    previous round's broadcasts (zero transmission delay, lockstep).
+    previous round's broadcasts.
 
-    Events are serialized by ascending node id within a round for trace
-    purposes only; the mathematics is simultaneous. The wall-clock model
+    This is ``run_async`` with round-robin activation (a round is n events,
+    node i acting at event i + 1 of it) and round-barrier delivery, which
+    holds each broadcast to the end of its round. The wall-clock model
     charges each round the slowest node's time (1 per round, or the slowdown
     factor when a straggler is configured), which is how a straggler stalls
-    the whole synchronous system.
+    the whole synchronous system; the mathematics does not depend on it.
     """
-    if not is_strongly_connected(graph):
-        raise ValueError("communication graph must be strongly connected")
-    if graph.n != problem.n:
-        raise ValueError(f"graph has {graph.n} nodes, problem has {problem.n}")
-    nodes, payloads, z0_rows = _build_nodes(problem, graph, seed, z0)
-    y0_rows = np.stack([node.y for node in nodes])
     n = graph.n
-
-    # prev[j] = (z_tilde, y_tilde, sent_event) from node j's latest update.
-    prev = [(z_t, y_t, 0) for (z_t, y_t) in payloads]
     round_cost = 1.0
     if straggler is not None:
         target, factor = straggler
         if not (0 <= target < n) or factor < 1.0:
             raise ValueError("straggler must be (valid node, factor >= 1)")
         round_cost = float(factor)
-
-    events: list[ActivationRecord] = []
-    all_messages: list[Message] = []
-    wall: list[float] = []
-    for r in range(1, rounds + 1):
-        new_prev = list(prev)
-        for i in range(n):
-            k = (r - 1) * n + i + 1
-            for j in graph.in_neighbors(i):
-                if j == i:
-                    continue  # self-copy is already in the buffer
-                z_t, y_t, sent = prev[j]
-                msg = Message(origin=j, dest=i, z_tilde=z_t.copy(),
-                              y_tilde=y_t.copy(), sent_at=sent,
-                              deliver_at=max(sent, k - 1), consumed_at=k)
-                all_messages.append(msg)
-                on_receive(nodes[i], msg)
-            result = activate(nodes[i], eta1, eta2, current_event=k,
-                              batch_size=batch_size)
-            new_prev[i] = (result.z_tilde, result.y_tilde, k)
-            events.append(ActivationRecord(k=k, node=i, result=result))
-        prev = new_prev
-        wall.append(round_cost)
-
-    return EventTrace(
-        n=n, d=problem.d, m_i=problem.m_i, rho=problem.rho,
-        gamma=problem.gamma, eta1=eta1, eta2=eta2, batch_size=batch_size,
-        seed=seed, schedule_kind="sync", graph=graph, z0=z0_rows, y0=y0_rows,
-        events=events, messages=all_messages, stop_reason="rounds",
-        final_z=np.stack([nd.z for nd in nodes]),
-        final_y=np.stack([nd.y for nd in nodes]),
-        wall_time_per_round=wall,
-    )
+    trace = run_async(problem, graph, ActivationSchedule("round_robin", n),
+                      DelayModel("round_barrier", d_max=n - 1), eta1, eta2,
+                      seed, max_events=rounds * n, z0=z0, batch_size=batch_size)
+    trace.wall_time_per_round = [round_cost] * rounds
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +473,6 @@ def dump_trace(trace: EventTrace, path: str | Path) -> None:
                 "type": "event", "k": ev.k, "node": ev.node,
                 "samples": list(r.samples),
                 "consumed": [list(c) for c in r.consumed],
-                "z_pre": vec(r.z_pre), "y_pre": vec(r.y_pre),
                 "z_hat": vec(r.z_hat), "y_new": vec(r.y_new),
                 "z_tilde": vec(r.z_tilde), "y_tilde": vec(r.y_tilde),
             }) + "\n")
@@ -552,8 +504,6 @@ def load_trace(path: str | Path) -> EventTrace:
                     k=obj["k"], node=obj["node"],
                     result=ActivationResult(
                         samples=tuple(obj["samples"]),
-                        z_pre=np.array(obj["z_pre"]),
-                        y_pre=np.array(obj["y_pre"]),
                         z_hat=np.array(obj["z_hat"]),
                         y_new=np.array(obj["y_new"]),
                         z_tilde=np.array(obj["z_tilde"]),

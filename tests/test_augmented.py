@@ -6,7 +6,7 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from asyncsag import augmented, graph, mdp, mspbe, simulator
@@ -141,6 +141,34 @@ def test_replay_matches_with_batches_and_round_robin():
     states = augmented.replay(trace, prob, eta=trace.eta1,
                               zeta=trace.eta2 / trace.eta1)
     assert augmented.check_equivalence(trace, states) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), topology=st.sampled_from(["ring", "exponential"]),
+       kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
+       delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
+       d_max=st.integers(0, 3), batch_size=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_replay_matches_simulator_with_shared_payloads(
+        n, topology, kind, delay_kind, d_max, batch_size, seed):
+    """An activation's arrays are shared, not copied, by the node state, the
+    receive buffers, the messages and the trace. The replay shares nothing,
+    so an in-place write to any of them shows up as a deviation."""
+    prob = build_problem(n=n)
+    straggler = kind == "straggler"
+    sched = simulator.ActivationSchedule(
+        kind=kind, n=n, straggler_node=0 if straggler else None,
+        straggler_factor=2.0 if straggler else 1.0)
+    delays = simulator.DelayModel(kind=delay_kind, d_max=d_max)
+    trace = simulator.run_async(prob, graph.generate_topology(topology, n),
+                                sched, delays, 0.01, 0.1, seed=seed,
+                                max_events=40, batch_size=batch_size)
+    try:
+        states = augmented.replay(trace, prob, eta=0.01, zeta=10.0)
+    except simulator.AssumptionViolation:
+        reject()  # some node's update was never delivered within 40 events
+    assert augmented.check_equivalence(trace, states) <= 1e-9
+    assert np.max(augmented.tracking_residual(states)) <= 1e-9
 
 
 def test_replay_initial_state():

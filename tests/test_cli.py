@@ -159,8 +159,17 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [problem]", "2 transitions cannot cover 3 nodes")),
     (("seed = 5\n", "seed = 5\n\n[experiment]\nn_values = 0 2\n"),
      ("config error: [experiment] n_values", "at least one node")),
+    # synchronous runs are a library call (simulator.run_sync), not a kind
+    (("kind = uniform_random", "kind = sync"),
+     ("config error: [schedule]", "unknown schedule kind 'sync'")),
+    # too few samples: an aggregate C that is not positive-definite, or a
+    # singular saddle system
+    (("n = 3\nd = 3\nm = 24", "n = 1\nd = 3\nm = 2"),
+     ("config error: [problem]", "C is not positive-definite")),
+    (("n = 3\nd = 3\nm = 24", "n = 1\nd = 3\nm = 1"),
+     ("config error: [problem]", "saddle system is singular")),
 ], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
-        "n_values"])
+        "n_values", "sync-kind", "c-not-positive-definite", "singular-saddle"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI

@@ -4,11 +4,12 @@ and sample partitioning."""
 from __future__ import annotations
 
 import logging
+import re
 
 import numpy as np
 import pytest
 
-from asyncsag import mdp
+from asyncsag import graph, mdp
 
 
 def small_mdp(seed=0, num_states=8, num_actions=3, streams=2):
@@ -68,7 +69,32 @@ def test_stationary_distribution_rejects_reducible_chain_naming_states():
     policy = np.ones((4, 1))
     with pytest.raises(ValueError) as err:
         mdp.stationary_distribution(m, policy)
-    assert "state" in str(err.value).lower()
+    # state 0 is absorbing, so every other state is named
+    assert "states [1, 2, 3] " in str(err.value)
+
+
+def test_irreducibility_check_matches_graph_search():
+    """The reachability sweeps name the same states as a breadth-first
+    search over the chain's support graph, the reference implementation."""
+    rng = np.random.default_rng(4)
+    outcomes = set()
+    for _ in range(40):
+        s = int(rng.integers(2, 9))
+        support = rng.random((s, s)) < rng.uniform(0.1, 0.5)
+        np.fill_diagonal(support, True)  # every row needs some mass
+        chain = mdp.Mdp((support / support.sum(axis=1, keepdims=True))[:, None],
+                        np.zeros((1, s, 1, s)), 0.9)
+        g = graph.DirectedGraph(
+            s, [(i, j) for i, j in zip(*np.nonzero(support)) if i != j])
+        both = graph._reachable(g, 0) & graph._reachable(g, 0, reverse=True)
+        bad = sorted(set(range(s)) - both)
+        outcomes.add(bool(bad))
+        if bad:
+            with pytest.raises(ValueError, match=re.escape(f"states {bad} ")):
+                mdp.stationary_distribution(chain, np.ones((s, 1)))
+        else:
+            mdp.stationary_distribution(chain, np.ones((s, 1)))
+    assert outcomes == {True, False}
 
 
 def test_trajectory_empirical_frequencies_match_stationary():

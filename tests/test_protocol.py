@@ -160,19 +160,23 @@ def test_duplicate_receptions_are_kept():
 
 
 def test_table_soundness_against_eval_points():
-    # every table row equals the gradient of its sample at its eval point
+    # every table row equals the gradient of its sample at its eval point:
+    # the pull average z_hat of the last activation that drew it, or z0
     rng = np.random.default_rng(0)
     samples = [scalar_stats(a=float(rng.normal()), b=float(rng.normal()),
                             c=float(abs(rng.normal())))
                for _ in range(4)]
-    node, _ = make_node(samples, rng.normal(size=2), out_degree=2, seed=5)
+    z0 = rng.normal(size=2)
+    node, _ = make_node(samples, z0, out_degree=2, seed=5)
+    eval_points = np.tile(z0, (4, 1))
     for k in range(1, 30):
         node.buffer.append(Reception(rng.normal(size=2), rng.normal(size=2),
                                      1, k - 1))
-        activate(node, 0.05, 0.1, current_event=k)
+        result = activate(node, 0.05, 0.1, current_event=k)
+        for p in result.samples:
+            eval_points[p] = result.z_hat
         for p in range(4):
-            expected = mspbe.saddle_gradient(node.eval_points[p],
-                                             samples[p], 0.1)
+            expected = mspbe.saddle_gradient(eval_points[p], samples[p], 0.1)
             assert np.allclose(node.table[p], expected, atol=1e-13)
 
 

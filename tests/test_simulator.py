@@ -87,20 +87,23 @@ def test_certified_window_single_node_is_one():
 
 
 def test_messages_respect_causality_and_delay_bounds():
-    _, trace = small_run(seed=5, delay_kind="uniform", d_max=3,
-                         max_events=80)
-    consumed_any = 0
-    for msg in trace.messages:
-        assert msg.deliver_at >= msg.sent_at
-        assert msg.deliver_at - msg.sent_at <= 3
-        if msg.consumed_at is not None:
-            consumed_any += 1
-            assert msg.consumed_at > msg.deliver_at
-    assert consumed_any > 0
-    # every consumption recorded by an activation predates that event
-    for ev in trace.events:
-        for origin, sent_event in ev.result.consumed:
-            assert sent_event < ev.k
+    for delay_kind in ("uniform", "round_barrier"):
+        _, trace = small_run(seed=5, delay_kind=delay_kind, d_max=3,
+                             max_events=80)
+        consumed_any = 0
+        for msg in trace.messages:
+            assert msg.deliver_at >= msg.sent_at
+            assert msg.deliver_at - msg.sent_at <= 3
+            if delay_kind == "round_barrier":
+                assert msg.deliver_at % 4 == 0
+            if msg.consumed_at is not None:
+                consumed_any += 1
+                assert msg.consumed_at > msg.deliver_at
+        assert consumed_any > 0
+        # every consumption recorded by an activation predates that event
+        for ev in trace.events:
+            for origin, sent_event in ev.result.consumed:
+                assert sent_event < ev.k
 
 
 def test_per_edge_delay_table():
@@ -243,6 +246,14 @@ def test_sync_round_structure_and_wall_model():
     assert trace.num_events == 24
     for ev in trace.events:
         assert ev.node == (ev.k - 1) % 3
+        # each node pulls its own previous broadcast, then its in-neighbours'
+        # broadcasts of the previous round in ascending order (event 0 in
+        # round 1), and nothing from the current round
+        r = (ev.k - 1) // 3 + 1
+        last = [0] * 3 if r == 1 else [(r - 2) * 3 + v + 1 for v in range(3)]
+        peers = [j for j in g.in_neighbors(ev.node) if j != ev.node]
+        assert ev.result.consumed == tuple(
+            (v, last[v]) for v in [ev.node] + sorted(peers))
     assert trace.wall_time_per_round == [1.0] * 8
     slowed = simulator.run_sync(prob, g, rounds=8, eta1=0.01, eta2=0.1,
                                 seed=5, straggler=(1, 10.0))
