@@ -164,11 +164,11 @@ class AugmentedState:
 
 def _consumption_index(trace: EventTrace) -> dict[tuple[int, int, int], int]:
     """(origin, sent_event, receiver) -> event index that consumed it."""
-    index: dict[tuple[int, int, int], int] = {}
-    for ev in trace.events:
-        for origin, sent in ev.result.consumed:
-            index[(origin, sent, ev.node)] = ev.k
-    return index
+    per_event = np.diff(trace.consumed_ptr)
+    receiver = np.repeat(trace.node, per_event).tolist()
+    event = np.repeat(np.arange(1, trace.num_events + 1), per_event).tolist()
+    return dict(zip(zip(trace.consumed_origin.tolist(),
+                        trace.consumed_sent.tolist(), receiver), event))
 
 
 def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
@@ -183,16 +183,18 @@ def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
     n = trace.n
     ntilde = n * (b + 1)  # register (v, u) has index u*n + v
 
-    ev = trace.events[k - 1]
-    i = ev.node
+    i = int(trace.node[k - 1])
+    lo, hi = trace.consumed_ptr[k - 1], trace.consumed_ptr[k]
+    consumed = list(zip(trace.consumed_origin[lo:hi].tolist(),
+                        trace.consumed_sent[lo:hi].tolist()))
 
     # --- pull matrix -------------------------------------------------------
     # The activator's row averages its receptions (a repeated reception adds
     # its weight again); the other real rows hold, and every chain register
     # copies the one below it. The entries come out sorted by row.
-    weight = 1.0 / len(ev.result.consumed)
+    weight = 1.0 / len(consumed)
     pulled: dict[int, float] = {}
-    for origin, sent in ev.result.consumed:
+    for origin, sent in consumed:
         age = k - sent - 1
         if age > b - 1:
             raise AssumptionViolation(
@@ -221,8 +223,7 @@ def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
     if k == 1:
         splitters = [(w, 0) for w in range(n)]
     else:
-        prev = trace.events[k - 2]
-        splitters = [(prev.node, prev.k)]
+        splitters = [(int(trace.node[k - 2]), k - 1)]
     parked, origins, shares = [], [], []
     for w, sent in splitters:
         share = 1.0 / trace.graph.out_degree(w)
@@ -285,15 +286,15 @@ def replay(trace: EventTrace, problem: ProblemSpec, eta: float,
         partial_all[0, v] = from_scaled(table.sum(axis=0) / m, zeta)
     y_all[0] = partial_all[0]
 
-    for ev in trace.events:
-        k, i = ev.k, ev.node
+    for k in range(1, trace.num_events + 1):
+        i = int(trace.node[k - 1])
         mats = build_event_matrices(trace, k, b=b, _consumed=consumed)
         z_rows, y_rows, partial = z_all[k], y_all[k], partial_all[k]
 
         z_rows[:] = mats.h_row @ z_all[k - 1]
         z_hat = from_scaled(z_rows[i], zeta)
         delta = np.zeros(2 * d)
-        for p in ev.result.samples:
+        for p in trace.samples[k - 1].tolist():
             fresh = saddle_gradient(z_hat, problem.per_node[i][p], problem.rho)
             delta += (fresh - tables[i][p]) / m
             tables[i][p] = fresh
@@ -317,8 +318,7 @@ def check_equivalence(trace: EventTrace, states: Sequence[AugmentedState]) -> fl
     worst = 0.0
     for state in states:
         if state.k > 0:
-            ev = trace.events[state.k - 1]
-            z_cur[ev.node] = ev.result.z_tilde
+            z_cur[trace.node[state.k - 1]] = trace.z_tilde[state.k - 1]
         for v in range(trace.n):
             replayed = from_scaled(state.z_rows[v], zeta)
             worst = max(worst, float(np.max(np.abs(replayed - z_cur[v]))))

@@ -19,8 +19,8 @@ that a post-hoc matrix replay can reconstruct the exact information flow. The
 sign convention: y's omega block carries the negated dual gradient, so the
 single subtraction in step 4 descends on theta and ascends on omega.
 
-Nodes never share state; all interaction flows through Message values owned
-by the caller (the simulator).
+Nodes never share state; all interaction flows through payloads that the
+caller (the simulator) delivers with their Message records.
 """
 
 from __future__ import annotations
@@ -90,14 +90,13 @@ class Reception:
     sent_event: int  # virtual-counter index of the originating update (0 = init)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
-    """In-flight broadcast, delivered by the simulator."""
+    """Delivery record of one in-flight broadcast; the simulator keeps its
+    (z_tilde, y_tilde) payload beside it until delivery."""
 
     origin: int
     dest: int
-    z_tilde: np.ndarray
-    y_tilde: np.ndarray
     sent_at: int      # event index of the originating update (0 = init)
     deliver_at: int   # event slot after which the payload is visible
     consumed_at: int | None = None
@@ -129,10 +128,12 @@ class NodeState:
 
 @dataclass(frozen=True)
 class ActivationResult:
-    """Everything one activation produced (the trace record's payload).
+    """Everything one activation produced.
 
     The arrays are never written after the activation returns, so the node
-    state, the buffers and the messages share them instead of copying.
+    state, the buffers and the in-flight payloads share them instead of
+    copying. The simulator's trace copies samples, y_new, z_tilde and
+    consumed into its columns.
     """
 
     samples: tuple[int, ...]
@@ -169,7 +170,8 @@ def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...]
     return node, (z0, y_tilde)
 
 
-def on_receive(node: NodeState, msg: Message) -> None:
+def on_receive(node: NodeState, msg: Message, z_tilde: np.ndarray,
+               y_tilde: np.ndarray) -> None:
     """Append a delivered payload to the node's buffer (arrival order kept).
 
     Duplicates from the same sender are kept as separate entries; each gets
@@ -180,8 +182,8 @@ def on_receive(node: NodeState, msg: Message) -> None:
             f"message for node {msg.dest} delivered to node {node.node_id}"
         )
     node.buffer.append(
-        Reception(z_tilde=msg.z_tilde, y_tilde=msg.y_tilde,
-                  origin=msg.origin, sent_event=msg.sent_at)
+        Reception(z_tilde=z_tilde, y_tilde=y_tilde, origin=msg.origin,
+                  sent_event=msg.sent_at)
     )
 
 

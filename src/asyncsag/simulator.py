@@ -14,9 +14,9 @@ derived streams.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from .graph import DirectedGraph, is_strongly_connected
 from .mspbe import ProblemSpec
 from .protocol import (
-    ActivationResult,
     Message,
     NodeState,
     SampleSelector,
@@ -77,60 +76,55 @@ class ActivationSchedule:
             w[self.straggler_node] /= self.straggler_factor
         return w / w.sum()
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The normalized cumulative weights that ``rng.choice(n, p=w)``
+        rebuilds on every call."""
+        cdf = np.cumsum(self.weights())
+        return cdf / cdf[-1]
+
     def next(self, k: int, rng: np.random.Generator) -> int:
         if self.kind == "round_robin":
             return (k - 1) % self.n
-        return int(rng.choice(self.n, p=self.weights()))
+        # the draw and the stream are those of rng.choice(n, p=weights())
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass(frozen=True)
 class DelayModel:
     """Transmission delays in event counts, bounded by d_max.
 
-    kinds: zero, uniform (integer uniform on [0, d_max]), per_edge (fixed
-    delay per directed edge from a table), round_barrier (every message is
-    held to the next multiple of d_max + 1, the end of its round when a round
-    is d_max + 1 events long).
+    kinds: zero, uniform (integer uniform on [0, d_max]), round_barrier
+    (every message is held to the next multiple of d_max + 1, the end of its
+    round when a round is d_max + 1 events long).
     """
 
     kind: str = "zero"
     d_max: int = 0
-    table: dict | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "uniform", "per_edge", "round_barrier"):
+        if self.kind not in ("zero", "uniform", "round_barrier"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
         if self.d_max < 0:
             raise ValueError("d_max must be nonnegative")
-        if self.kind == "per_edge":
-            if self.table is None:
-                raise ValueError("per_edge delays need a table")
-            if any(v < 0 or v > self.d_max for v in self.table.values()):
-                raise ValueError("per_edge delays must lie in [0, d_max]")
 
-    def draw(self, rng: np.random.Generator, origin: int, dest: int,
-             sent_at: int) -> int:
+    def draw(self, rng: np.random.Generator, sent_at: int) -> int:
         if self.kind == "zero":
             return 0
         if self.kind == "uniform":
             return int(rng.integers(0, self.d_max + 1))
-        if self.kind == "round_barrier":
-            return (-sent_at) % (self.d_max + 1)
-        return int(self.table.get((origin, dest), 0))
-
-
-@dataclass(frozen=True)
-class ActivationRecord:
-    """One event of the trace: who activated and everything they computed."""
-
-    k: int
-    node: int
-    result: ActivationResult
+        return (-sent_at) % (self.d_max + 1)
 
 
 @dataclass
 class EventTrace:
-    """Complete log of one run, sufficient for post-hoc matrix replay."""
+    """Complete log of one run, sufficient for post-hoc matrix replay.
+
+    Event k (1-based) is row k - 1 of every per-event column. The payloads
+    that event k's pull consumed, in buffer order, are entries
+    ``consumed_ptr[k-1]:consumed_ptr[k]`` of ``consumed_origin`` and
+    ``consumed_sent``; the first is the activator's own latest broadcast.
+    """
 
     n: int
     d: int
@@ -145,7 +139,13 @@ class EventTrace:
     graph: DirectedGraph
     z0: np.ndarray                      # (n, 2d) initial saddle vectors
     y0: np.ndarray                      # (n, 2d) initial trackers
-    events: list[ActivationRecord]
+    node: np.ndarray                    # (T,) activator of each event
+    samples: np.ndarray                 # (T, batch_size) refreshed samples
+    z_tilde: np.ndarray                 # (T, 2d) broadcast, the activator's new z
+    y_new: np.ndarray                   # (T, 2d) activator's corrected tracker
+    consumed_ptr: np.ndarray            # (T+1,) offsets into the two below
+    consumed_origin: np.ndarray         # (C,) origin node of each consumed payload
+    consumed_sent: np.ndarray           # (C,) event that sent it (0 = init)
     messages: list[Message]             # all network messages, init included
     stop_reason: str
     final_z: np.ndarray
@@ -154,7 +154,15 @@ class EventTrace:
 
     @property
     def num_events(self) -> int:
-        return len(self.events)
+        return len(self.node)
+
+
+def _with_rows(column: np.ndarray, rows: int) -> np.ndarray:
+    """A copy of ``column`` cut or extended (uninitialised) to ``rows`` rows."""
+    out = np.empty((rows,) + column.shape[1:], dtype=column.dtype)
+    keep = min(rows, column.shape[0])
+    out[:keep] = column[:keep]
+    return out
 
 
 def run_async(problem: ProblemSpec, graph: DirectedGraph,
@@ -184,8 +192,9 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     if z0_rows.shape == (2 * problem.d,):
         z0_rows = np.tile(z0_rows, (problem.n, 1))
 
-    # Per-destination delivery queues ordered by (slot, sent, origin, seq);
-    # a message in slot t is consumable by activations with k > t.
+    # Per-destination delivery queues ordered by (slot, sent, origin, seq),
+    # each entry carrying its message's payload; a message in slot t is
+    # consumable by activations with k > t.
     pending: list[list] = [[] for _ in range(graph.n)]
     seq = 0
     all_messages: list[Message] = []
@@ -195,11 +204,12 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         for dest in graph.out_neighbors(origin):
             if dest == origin:
                 continue  # self-copy already buffered by the protocol
-            delay = delays.draw(rng_delay, origin, dest, sent_at)
-            msg = Message(origin=origin, dest=dest, z_tilde=z_t, y_tilde=y_t,
-                          sent_at=sent_at, deliver_at=sent_at + delay)
+            deliver_at = sent_at + delays.draw(rng_delay, sent_at)
+            msg = Message(origin=origin, dest=dest, sent_at=sent_at,
+                          deliver_at=deliver_at)
             all_messages.append(msg)
-            heapq.heappush(pending[dest], (msg.deliver_at, msg.sent_at, origin, seq, msg))
+            heapq.heappush(pending[dest],
+                           (deliver_at, sent_at, origin, seq, msg, z_t, y_t))
             seq += 1
 
     nodes: list[NodeState] = []
@@ -213,8 +223,21 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         send(i, z_t, y_t, sent_at=0)
     y0_rows = np.stack([node.y for node in nodes])
 
-    events: list[ActivationRecord] = []
+    # Per-event records: the ints go to lists, the z_tilde and y_new rows to
+    # arrays grown by doubling and cut to length at the end.
+    rows = min(max_events, 1024)
+    z_col = np.empty((rows, 2 * problem.d))
+    y_col = np.empty((rows, 2 * problem.d))
+    activators: list[int] = []
+    samples: list[int] = []
+    consumed_origin: list[int] = []
+    consumed_sent: list[int] = []
+    consumed_ptr = [0]
+
+    # Each node's tracker norm; an activation changes only the activator's.
+    residual = [local_residual(nd) for nd in nodes]
     last_activation = [0] * graph.n
+    delivered = 0
     stop_reason = "max_events"
     for k in range(1, max_events + 1):
         i = schedule.next(k, rng_sched)
@@ -225,25 +248,52 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
                         f"node {v} has not activated in the last {b_max} "
                         f"events (event {k})", node=v,
                     )
-        while pending[i] and pending[i][0][0] < k:
-            msg = heapq.heappop(pending[i])[4]
-            on_receive(nodes[i], msg)
+        queue = pending[i]
+        while queue and queue[0][0] < k:
+            msg, z_t, y_t = heapq.heappop(queue)[4:]
+            on_receive(nodes[i], msg, z_t, y_t)
             msg.consumed_at = k
+            delivered += 1
         result = activate(nodes[i], eta1, eta2, current_event=k,
                           batch_size=batch_size)
         send(i, result.z_tilde, result.y_tilde, sent_at=k)
         last_activation[i] = k
-        events.append(ActivationRecord(k=k, node=i, result=result))
-        if epsilon is not None and max(local_residual(nd) for nd in nodes) < epsilon:
-            stop_reason = "epsilon"
-            break
 
+        if k > rows:
+            rows = min(max_events, 2 * rows)
+            z_col, y_col = _with_rows(z_col, rows), _with_rows(y_col, rows)
+        z_col[k - 1] = result.z_tilde
+        y_col[k - 1] = result.y_new
+        activators.append(i)
+        samples.extend(result.samples)
+        for origin, sent in result.consumed:
+            consumed_origin.append(origin)
+            consumed_sent.append(sent)
+        consumed_ptr.append(len(consumed_origin))
+
+        if epsilon is not None:
+            residual[i] = local_residual(nodes[i])
+            if max(residual) < epsilon:
+                stop_reason = "epsilon"
+                break
+
+    num_events = len(activators)
+    if rows != num_events:
+        z_col = _with_rows(z_col, num_events)
+        y_col = _with_rows(y_col, num_events)
+    log.info("run_async: %d events, %d network messages, %d consumed, "
+             "stop %s", num_events, len(all_messages), delivered, stop_reason)
     return EventTrace(
         n=problem.n, d=problem.d, m_i=problem.m_i, rho=problem.rho,
         gamma=problem.gamma, eta1=eta1, eta2=eta2, batch_size=batch_size,
         seed=seed, schedule_kind=schedule.kind, graph=graph, z0=z0_rows,
-        y0=y0_rows, events=events, messages=all_messages,
-        stop_reason=stop_reason,
+        y0=y0_rows, node=np.array(activators, dtype=np.int64),
+        samples=np.array(samples, dtype=np.int64).reshape(-1, batch_size),
+        z_tilde=z_col, y_new=y_col,
+        consumed_ptr=np.array(consumed_ptr, dtype=np.int64),
+        consumed_origin=np.array(consumed_origin, dtype=np.int64),
+        consumed_sent=np.array(consumed_sent, dtype=np.int64),
+        messages=all_messages, stop_reason=stop_reason,
         final_z=np.stack([nd.z for nd in nodes]),
         final_y=np.stack([nd.y for nd in nodes]),
     )
@@ -294,39 +344,46 @@ def verify_assumption1b(trace: EventTrace) -> int:
     t = trace.num_events
     if t == 0:
         raise ValueError("empty trace")
-    sent_slots: dict[tuple[int, int], int] = {}
-    for msg in trace.messages:
-        key = (msg.origin, msg.sent_at)
-        sent_slots[key] = max(sent_slots.get(key, 0), msg.deliver_at)
+    events = np.arange(1, t + 1)
+    # An update is complete at its event or at its last delivery slot,
+    # whichever is later; broadcasts from event 0 are the initialization's.
+    sent = np.fromiter((msg.sent_at for msg in trace.messages), dtype=np.int64,
+                       count=len(trace.messages))
+    slot = np.fromiter((msg.deliver_at for msg in trace.messages),
+                       dtype=np.int64, count=len(trace.messages))
+    complete = events.copy()
+    own = sent > 0
+    np.maximum.at(complete, sent[own] - 1, slot[own])
+    ages = (np.repeat(events, np.diff(trace.consumed_ptr))
+            - trace.consumed_sent - 1)
+    age_max = max(0, int(ages.max(initial=0)))
 
-    per_node: list[list[tuple[int, int]]] = [[] for _ in range(trace.n)]
-    age_max = 0
-    for ev in trace.events:
-        complete = max(ev.k, sent_slots.get((ev.node, ev.k), ev.k))
-        per_node[ev.node].append((ev.k, complete))
-        for _, sent_event in ev.result.consumed:
-            age_max = max(age_max, ev.k - sent_event - 1)
-
-    for v in range(trace.n):
-        if not per_node[v]:
-            raise AssumptionViolation(
-                f"node {v} never completed an update in the trace", node=v
-            )
+    counts = np.bincount(trace.node, minlength=trace.n)
+    idle = np.flatnonzero(counts == 0)
+    if idle.size:
+        v = int(idle[0])
+        raise AssumptionViolation(
+            f"node {v} never completed an update in the trace", node=v
+        )
+    # each node's (event, completion slot) pairs, by completion slot
+    order = np.lexsort((complete, trace.node))
+    split = np.cumsum(counts)[:-1]
+    per_node = list(zip(np.split(events[order], split),
+                        np.split(complete[order], split)))
 
     def window_ok(b: int) -> bool:
         # A window starting at s (events s .. s+b-1) is served by an
         # activation (k, complete) iff s <= k and complete <= s+b-1, i.e.
         # s in [complete-b+1, k]. Every start in [1, t-b+1] must be served.
+        # Taken by their (nondecreasing) lower ends, the intervals cover
+        # [1, max k so far] until the first one that starts past it + 1.
         last_start = max(1, t - b + 1)
-        for acts in per_node:
-            ivals = sorted((max(1, c - b + 1), k) for k, c in acts)
-            covered_to = 0
-            for lo, hi in ivals:
-                if lo > covered_to + 1:
-                    break
-                covered_to = max(covered_to, hi)
-                if covered_to >= last_start:
-                    break
+        for ks, cs in per_node:
+            lo = np.maximum(1, cs - b + 1)
+            reach = np.maximum.accumulate(ks)
+            before = np.concatenate(([0], reach[:-1]))
+            gaps = np.flatnonzero(lo > before + 1)
+            covered_to = before[gaps[0]] if gaps.size else reach[-1]
             if covered_to < last_start:
                 return False
         return True
@@ -334,8 +391,8 @@ def verify_assumption1b(trace: EventTrace) -> int:
     lo, hi = 1, t
     if not window_ok(hi):
         # Even the whole-trace window misses some node's completed update.
-        for v, acts in enumerate(per_node):
-            if all(c > t for _, c in acts):
+        for v, (_, cs) in enumerate(per_node):
+            if cs[0] > t:
                 raise AssumptionViolation(
                     f"node {v} has no update delivered within the trace", node=v
                 )
@@ -371,33 +428,21 @@ def metrics(trace: EventTrace, z_star: np.ndarray) -> MetricSeries:
     Row k reflects every node's latest completed state after the first k
     events (row 0 is the initialization).
     """
-    z_cur = trace.z0.copy()
-    y_cur = trace.y0.copy()
-    rows = trace.num_events + 1
-    err_max = np.empty(rows)
-    err_mean = np.empty(rows)
-    y_norm_max = np.empty(rows)
-    ks = np.empty(rows, dtype=int)
-    nodes = np.empty(rows, dtype=int)
-    types: list[str] = []
-
-    def snapshot(idx: int, k: int, node: int, kind: str) -> None:
-        errs = np.linalg.norm(z_cur - z_star, axis=1)
-        err_max[idx] = errs.max()
-        err_mean[idx] = errs.mean()
-        y_norm_max[idx] = np.linalg.norm(y_cur, axis=1).max()
-        ks[idx] = k
-        nodes[idx] = node
-        types.append(kind)
-
-    snapshot(0, 0, -1, "init")
-    for idx, ev in enumerate(trace.events, start=1):
-        z_cur[ev.node] = ev.result.z_tilde
-        y_cur[ev.node] = ev.result.y_new
-        snapshot(idx, ev.k, ev.node, "activation")
+    t, n = trace.num_events, trace.n
+    # latest[k, v]: the row of the stacked (initial rows, event rows) that
+    # holds node v's state after the first k events
+    latest = np.zeros((t + 1, n), dtype=np.intp)
+    latest[0] = np.arange(n)
+    latest[np.arange(1, t + 1), trace.node] = np.arange(n, n + t)
+    latest = np.maximum.accumulate(latest, axis=0)
+    errs = np.linalg.norm(np.concatenate([trace.z0, trace.z_tilde]) - z_star,
+                          axis=1)[latest]
+    y_norms = np.linalg.norm(np.concatenate([trace.y0, trace.y_new]),
+                             axis=1)[latest]
     return MetricSeries(
-        k=ks, node=nodes, event_type=tuple(types), err_max=err_max,
-        err_mean=err_mean, y_norm_max=y_norm_max,
+        k=np.arange(t + 1), node=np.concatenate([[-1], trace.node]),
+        event_type=("init",) + ("activation",) * t, err_max=errs.max(axis=1),
+        err_mean=errs.mean(axis=1), y_norm_max=y_norms.max(axis=1),
     )
 
 
@@ -445,88 +490,59 @@ def estimate_rate(err: np.ndarray) -> RateFit:
 
 
 # ---------------------------------------------------------------------------
-# trace dump / load (line-oriented text)
+# trace dump / load (one .npz file)
 # ---------------------------------------------------------------------------
 
-def dump_trace(trace: EventTrace, path: str | Path) -> None:
-    """One JSON object per line: header, then events, then messages."""
-    def vec(a: np.ndarray) -> list[float]:
-        return [float(x) for x in np.ravel(a)]
+_TRACE_FORMAT = "asyncsag-trace v2"
+_HEADER = ("n", "d", "rho", "gamma", "eta1", "eta2", "batch_size", "seed",
+           "schedule_kind", "stop_reason")
+_COLUMNS = ("z0", "y0", "node", "samples", "z_tilde", "y_new", "consumed_ptr",
+            "consumed_origin", "consumed_sent", "final_z", "final_y")
 
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": "asyncsag-trace v1", "n": trace.n, "d": trace.d,
-            "m_i": list(trace.m_i), "rho": trace.rho, "gamma": trace.gamma,
-            "eta1": trace.eta1, "eta2": trace.eta2,
-            "batch_size": trace.batch_size, "seed": trace.seed,
-            "schedule_kind": trace.schedule_kind,
-            "stop_reason": trace.stop_reason,
-            "graph_edges": sorted(trace.graph.edges),
-            "z0": vec(trace.z0), "y0": vec(trace.y0),
-            "final_z": vec(trace.final_z), "final_y": vec(trace.final_y),
-            "wall_time_per_round": trace.wall_time_per_round,
-        }
-        fh.write(json.dumps(header) + "\n")
-        for ev in trace.events:
-            r = ev.result
-            fh.write(json.dumps({
-                "type": "event", "k": ev.k, "node": ev.node,
-                "samples": list(r.samples),
-                "consumed": [list(c) for c in r.consumed],
-                "z_hat": vec(r.z_hat), "y_new": vec(r.y_new),
-                "z_tilde": vec(r.z_tilde), "y_tilde": vec(r.y_tilde),
-            }) + "\n")
-        for msg in trace.messages:
-            fh.write(json.dumps({
-                "type": "message", "origin": msg.origin, "dest": msg.dest,
-                "sent_at": msg.sent_at, "deliver_at": msg.deliver_at,
-                "consumed_at": msg.consumed_at,
-                "z_tilde": vec(msg.z_tilde), "y_tilde": vec(msg.y_tilde),
-            }) + "\n")
+
+def dump_trace(trace: EventTrace, path: str | Path) -> None:
+    """Write the trace as one ``np.savez`` file, readable without pickle.
+
+    It holds the header scalars, ``m_i``, the graph's sorted edges, every
+    column, and the messages as rows (origin, dest, sent_at, deliver_at,
+    consumed_at) with -1 for a message never consumed.
+    """
+    messages = np.array(
+        [(msg.origin, msg.dest, msg.sent_at, msg.deliver_at,
+          -1 if msg.consumed_at is None else msg.consumed_at)
+         for msg in trace.messages], dtype=np.int64).reshape(-1, 5)
+    arrays = {name: getattr(trace, name) for name in _HEADER + _COLUMNS}
+    if trace.wall_time_per_round is not None:
+        arrays["wall_time_per_round"] = np.array(trace.wall_time_per_round)
+    with open(path, "wb") as fh:   # a file object keeps np.savez's name as is
+        np.savez(fh, format=_TRACE_FORMAT, m_i=np.array(trace.m_i),
+                 graph_edges=np.array(sorted(trace.graph.edges),
+                                      dtype=np.int64).reshape(-1, 2),
+                 messages=messages, **arrays)
 
 
 def load_trace(path: str | Path) -> EventTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "asyncsag-trace v1":
+    try:
+        data = np.load(path, allow_pickle=False)
+    except ValueError:
+        raise ValueError(f"{path}: not a trace dump") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a trace dump")
+    with data:
+        if "format" not in data.files or data["format"].item() != _TRACE_FORMAT:
             raise ValueError(f"{path}: not a trace dump")
-        n, d = header["n"], header["d"]
-
-        def mat(key, rows):
-            return np.array(header[key], dtype=float).reshape(rows, 2 * d)
-
-        events: list[ActivationRecord] = []
-        messages: list[Message] = []
-        for line in fh:
-            obj = json.loads(line)
-            if obj["type"] == "event":
-                events.append(ActivationRecord(
-                    k=obj["k"], node=obj["node"],
-                    result=ActivationResult(
-                        samples=tuple(obj["samples"]),
-                        z_hat=np.array(obj["z_hat"]),
-                        y_new=np.array(obj["y_new"]),
-                        z_tilde=np.array(obj["z_tilde"]),
-                        y_tilde=np.array(obj["y_tilde"]),
-                        consumed=tuple((c[0], c[1]) for c in obj["consumed"]),
-                    ),
-                ))
-            else:
-                messages.append(Message(
-                    origin=obj["origin"], dest=obj["dest"],
-                    z_tilde=np.array(obj["z_tilde"]),
-                    y_tilde=np.array(obj["y_tilde"]),
-                    sent_at=obj["sent_at"], deliver_at=obj["deliver_at"],
-                    consumed_at=obj["consumed_at"],
-                ))
-    return EventTrace(
-        n=n, d=d, m_i=tuple(header["m_i"]), rho=header["rho"],
-        gamma=header["gamma"], eta1=header["eta1"], eta2=header["eta2"],
-        batch_size=header["batch_size"], seed=header["seed"],
-        schedule_kind=header["schedule_kind"],
-        graph=DirectedGraph(n, [tuple(e) for e in header["graph_edges"]]),
-        z0=mat("z0", n), y0=mat("y0", n), events=events, messages=messages,
-        stop_reason=header["stop_reason"], final_z=mat("final_z", n),
-        final_y=mat("final_y", n),
-        wall_time_per_round=header["wall_time_per_round"],
-    )
+        header = {name: data[name].item() for name in _HEADER}
+        columns = {name: data[name] for name in _COLUMNS}
+        messages = [
+            Message(origin, dest, sent_at, deliver_at,
+                    None if consumed_at < 0 else consumed_at)
+            for origin, dest, sent_at, deliver_at, consumed_at
+            in data["messages"].tolist()
+        ]
+        wall = (data["wall_time_per_round"].tolist()
+                if "wall_time_per_round" in data.files else None)
+        return EventTrace(
+            m_i=tuple(data["m_i"].tolist()),
+            graph=DirectedGraph(header["n"], data["graph_edges"].tolist()),
+            messages=messages, wall_time_per_round=wall, **header, **columns,
+        )

@@ -302,8 +302,8 @@ def test_criterion_06_single_node_equals_centralized_sag():
         simulator.DelayModel(kind="zero"),
         eta1, eta1 * zeta, seed=13, max_events=1000)
     sag = baselines.centralized_sag(prob, eta1, eta1 * zeta, 1000, seed=13)
-    dev = max(float(np.max(np.abs(ev.result.z_tilde - sag.z_hist[ev.k])))
-              for ev in trace.events)
+    dev = max(float(np.max(np.abs(trace.z_tilde[k - 1] - sag.z_hist[k])))
+              for k in range(1, trace.num_events + 1))
     ok = dev <= 1e-12
     msg = _gate(6, ok, f"1000 shared-seed steps, max iterate deviation "
                        f"{dev!r} (tol 1e-12; sample selection is "

@@ -51,7 +51,7 @@ def test_event_matrices_are_stochastic_every_event():
         assert np.max(np.abs(mats.h_row.sum(axis=1) - 1.0)) <= 1e-12
         assert np.max(np.abs(mats.h_col.sum(axis=0) - 1.0)) <= 1e-12
         # the activation indicator selects exactly the activator's real row
-        i = trace.events[k - 1].node
+        i = trace.node[k - 1]
         expected = np.zeros_like(mats.i_act.toarray())
         expected[i, i] = 1.0
         assert np.array_equal(mats.i_act.toarray(), expected)
@@ -152,7 +152,7 @@ def test_replay_matches_with_batches_and_round_robin():
 def test_replay_matches_simulator_with_shared_payloads(
         n, topology, kind, delay_kind, d_max, batch_size, seed):
     """An activation's arrays are shared, not copied, by the node state, the
-    receive buffers, the messages and the trace. The replay shares nothing,
+    receive buffers and the in-flight payloads. The replay shares nothing,
     so an in-place write to any of them shows up as a deviation."""
     prob = build_problem(n=n)
     straggler = kind == "straggler"
@@ -196,7 +196,7 @@ def test_replay_detects_a_tampered_iterate():
     states = augmented.replay(trace, prob, eta=trace.eta1,
                               zeta=trace.eta2 / trace.eta1)
     assert augmented.check_equivalence(trace, states) <= 1e-9
-    trace.events[40].result.z_tilde[0] += 1e-3
+    trace.z_tilde[40, 0] += 1e-3
     dev = augmented.check_equivalence(trace, states)
     assert abs(dev - 1e-3) < 1e-6
 
@@ -298,7 +298,7 @@ def test_push_weights_conserve_total_mass():
     assert np.min(weights) >= -1e-15
     # once information has circulated, the activator's real row holds mass
     for k in range(40, trace.num_events):
-        i = trace.events[k].node
+        i = trace.node[k]
         assert weights[k + 1][i] > 0.0
 
 

@@ -136,26 +136,23 @@ def test_on_receive_rejects_wrong_destination():
     from asyncsag.protocol import on_receive
     samples = [scalar_stats()]
     node, _ = make_node(samples, np.zeros(2), node_id=0)
-    msg = Message(origin=1, dest=2, z_tilde=np.zeros(2), y_tilde=np.zeros(2),
-                  sent_at=1, deliver_at=1)
+    msg = Message(origin=1, dest=2, sent_at=1, deliver_at=1)
     with pytest.raises(ValueError):
-        on_receive(node, msg)
+        on_receive(node, msg, np.zeros(2), np.zeros(2))
 
 
 def test_message_rejects_delivery_before_send():
     with pytest.raises(ValueError):
-        Message(origin=0, dest=1, z_tilde=np.zeros(2), y_tilde=np.zeros(2),
-                sent_at=5, deliver_at=4)
+        Message(origin=0, dest=1, sent_at=5, deliver_at=4)
 
 
 def test_duplicate_receptions_are_kept():
     from asyncsag.protocol import on_receive
     samples = [scalar_stats()]
     node, _ = make_node(samples, np.zeros(2), node_id=0)
-    payload = Message(origin=1, dest=0, z_tilde=np.ones(2),
-                      y_tilde=np.ones(2), sent_at=1, deliver_at=1)
-    on_receive(node, payload)
-    on_receive(node, payload)
+    payload = Message(origin=1, dest=0, sent_at=1, deliver_at=1)
+    on_receive(node, payload, np.ones(2), np.ones(2))
+    on_receive(node, payload, np.ones(2), np.ones(2))
     assert len(node.buffer) == 3  # self-copy + two duplicates
 
 

@@ -3,8 +3,14 @@ the bounded-asynchrony window, metrics, and trace serialization."""
 
 from __future__ import annotations
 
+import dataclasses
+import logging
+import zipfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsag import graph, mdp, mspbe, simulator
 
@@ -35,21 +41,46 @@ def small_run(seed=7, n=3, max_events=60, kind="uniform_random",
     return prob, trace
 
 
+def consumed(trace, k):
+    """The (origin, sent_event) pairs that event k's pull consumed."""
+    lo, hi = trace.consumed_ptr[k - 1], trace.consumed_ptr[k]
+    return tuple(zip(trace.consumed_origin[lo:hi].tolist(),
+                     trace.consumed_sent[lo:hi].tolist()))
+
+
 def test_same_seed_gives_byte_identical_traces(tmp_path):
     _, a = small_run(seed=11)
     _, b = small_run(seed=11)
-    pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    pa, pb = tmp_path / "a.npz", tmp_path / "b.npz"
     simulator.dump_trace(a, pa)
     simulator.dump_trace(b, pb)
-    assert pa.read_bytes() == pb.read_bytes()
+    # every array of the dump is byte-identical (the zip entries' own
+    # timestamps are not part of the trace)
+    with zipfile.ZipFile(pa) as za, zipfile.ZipFile(pb) as zb:
+        assert za.namelist() == zb.namelist()
+        for name in za.namelist():
+            assert za.read(name) == zb.read(name)
     _, c = small_run(seed=12)
     assert not np.array_equal(a.final_z, c.final_z)
 
 
 def test_round_robin_alternates_in_node_order():
     _, trace = small_run(kind="round_robin", n=4, max_events=23)
-    for ev in trace.events:
-        assert ev.node == (ev.k - 1) % 4
+    for k in range(1, trace.num_events + 1):
+        assert trace.node[k - 1] == (k - 1) % 4
+
+
+@pytest.mark.parametrize("kind", ["uniform_random", "straggler"])
+def test_schedule_draws_match_rng_choice(kind):
+    """The CDF built once draws what rng.choice(n, p=weights) draws, from
+    the same stream."""
+    sched = simulator.ActivationSchedule(
+        kind=kind, n=5, straggler_node=3 if kind == "straggler" else None,
+        straggler_factor=10.0 if kind == "straggler" else 1.0)
+    ours, reference = np.random.default_rng(3), np.random.default_rng(3)
+    drawn = [sched.next(k, ours) for k in range(1, 5001)]
+    assert drawn == [int(reference.choice(5, p=sched.weights()))
+                     for _ in range(5000)]
 
 
 def test_straggler_weights():
@@ -101,21 +132,21 @@ def test_messages_respect_causality_and_delay_bounds():
                 assert msg.consumed_at > msg.deliver_at
         assert consumed_any > 0
         # every consumption recorded by an activation predates that event
-        for ev in trace.events:
-            for origin, sent_event in ev.result.consumed:
-                assert sent_event < ev.k
+        for k in range(1, trace.num_events + 1):
+            for origin, sent_event in consumed(trace, k):
+                assert sent_event < k
 
 
-def test_per_edge_delay_table():
+def test_round_barrier_delay_per_message():
     prob = build_problem(n=2)
     g = graph.generate_topology("ring", 2)
     sched = simulator.ActivationSchedule(kind="round_robin", n=2)
-    delays = simulator.DelayModel(kind="per_edge", d_max=4,
-                                  table={(0, 1): 3})
+    delays = simulator.DelayModel(kind="round_barrier", d_max=4)
     trace = simulator.run_async(prob, g, sched, delays, 0.01, 0.1, seed=1,
                                 max_events=30)
+    assert len(trace.messages) == 32  # 2 initial and 30 event broadcasts
     for msg in trace.messages:
-        expected = 3 if (msg.origin, msg.dest) == (0, 1) else 0
+        expected = (5 - msg.sent_at % 5) % 5  # held to the next multiple of 5
         assert msg.deliver_at - msg.sent_at == expected
 
 
@@ -124,8 +155,8 @@ def test_every_delivered_message_is_consumed_promptly():
     activation after t."""
     _, trace = small_run(seed=9, max_events=100, d_max=2)
     acts_by_node = {}
-    for ev in trace.events:
-        acts_by_node.setdefault(ev.node, []).append(ev.k)
+    for k, node in enumerate(trace.node.tolist(), start=1):
+        acts_by_node.setdefault(node, []).append(k)
     horizon = trace.num_events
     for msg in trace.messages:
         later = [k for k in acts_by_node.get(msg.dest, [])
@@ -181,8 +212,8 @@ def test_metrics_series_shape_and_initial_row():
     assert np.isclose(series.err_mean[0], init_err.mean())
     # rows track the activator's published state
     z_cur = trace.z0.copy()
-    for idx, ev in enumerate(trace.events, start=1):
-        z_cur[ev.node] = ev.result.z_tilde
+    for idx in range(1, trace.num_events + 1):
+        z_cur[trace.node[idx - 1]] = trace.z_tilde[idx - 1]
         errs = np.linalg.norm(z_cur - z_star, axis=1)
         assert np.isclose(series.err_max[idx], errs.max())
 
@@ -212,31 +243,179 @@ def test_rate_fit_recovers_synthetic_decay():
 
 
 def test_trace_round_trip(tmp_path):
-    _, trace = small_run(seed=13, max_events=35)
-    path = tmp_path / "trace.jsonl"
-    simulator.dump_trace(trace, path)
-    loaded = simulator.load_trace(path)
-    assert loaded.n == trace.n and loaded.d == trace.d
-    assert loaded.m_i == trace.m_i
-    assert loaded.seed == trace.seed
-    assert loaded.graph.edges == trace.graph.edges
-    assert np.array_equal(loaded.final_z, trace.final_z)
-    assert np.array_equal(loaded.final_y, trace.final_y)
-    assert loaded.num_events == trace.num_events
-    for a, b in zip(loaded.events, trace.events):
-        assert (a.k, a.node) == (b.k, b.node)
-        assert a.result.samples == b.result.samples
-        assert a.result.consumed == b.result.consumed
-        assert np.array_equal(a.result.z_tilde, b.result.z_tilde)
-    assert len(loaded.messages) == len(trace.messages)
-    for a, b in zip(loaded.messages, trace.messages):
-        assert (a.origin, a.dest, a.sent_at, a.deliver_at, a.consumed_at) == \
-               (b.origin, b.dest, b.sent_at, b.deliver_at, b.consumed_at)
-        assert np.array_equal(a.y_tilde, b.y_tilde)
+    prob, trace = small_run(seed=13, max_events=35)
+    sync = simulator.run_sync(prob, graph.generate_topology("ring", 3),
+                              rounds=4, eta1=0.01, eta2=0.1, seed=5,
+                              straggler=(1, 3.0))
+    for original in (trace, sync):
+        path = tmp_path / "trace.npz"
+        simulator.dump_trace(original, path)
+        loaded = simulator.load_trace(path)
+        for name in ("n", "d", "m_i", "rho", "gamma", "eta1", "eta2",
+                     "batch_size", "seed", "schedule_kind", "stop_reason",
+                     "graph", "wall_time_per_round", "num_events"):
+            assert getattr(loaded, name) == getattr(original, name), name
+        for name in ("z0", "y0", "node", "samples", "z_tilde", "y_new",
+                     "consumed_ptr", "consumed_origin", "consumed_sent",
+                     "final_z", "final_y"):
+            assert np.array_equal(getattr(loaded, name),
+                                  getattr(original, name)), name
+        assert loaded.messages == original.messages
+        assert any(msg.consumed_at is None for msg in loaded.messages)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"format": "something else"}\n')
     with pytest.raises(ValueError):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"format": "something else"}\n')
         simulator.load_trace(bad)
+    other = tmp_path / "other.npz"
+    np.savez(other, format="something else")
+    with pytest.raises(ValueError):
+        simulator.load_trace(other)
+
+
+def test_run_logs_one_summary_line(caplog):
+    with caplog.at_level(logging.INFO, logger="asyncsag.simulator"):
+        _, trace = small_run(seed=9, max_events=40)
+    lines = [rec.getMessage() for rec in caplog.records
+             if rec.name == "asyncsag.simulator"]
+    used = sum(msg.consumed_at is not None for msg in trace.messages)
+    assert lines == [f"run_async: 40 events, {len(trace.messages)} network "
+                     f"messages, {used} consumed, stop max_events"]
+
+
+# ---------------------------------------------------------------------------
+# the array code against the per-event loops it replaced
+# ---------------------------------------------------------------------------
+
+def metrics_by_event(trace, z_star):
+    """Reference for ``simulator.metrics``: replay the events one by one."""
+    z_cur = trace.z0.copy()
+    y_cur = trace.y0.copy()
+    rows = trace.num_events + 1
+    err_max = np.empty(rows)
+    err_mean = np.empty(rows)
+    y_norm_max = np.empty(rows)
+    ks = np.empty(rows, dtype=int)
+    nodes = np.empty(rows, dtype=int)
+    types = []
+
+    def snapshot(idx, k, node, kind):
+        errs = np.linalg.norm(z_cur - z_star, axis=1)
+        err_max[idx] = errs.max()
+        err_mean[idx] = errs.mean()
+        y_norm_max[idx] = np.linalg.norm(y_cur, axis=1).max()
+        ks[idx] = k
+        nodes[idx] = node
+        types.append(kind)
+
+    snapshot(0, 0, -1, "init")
+    for k in range(1, rows):
+        node = trace.node[k - 1]
+        z_cur[node] = trace.z_tilde[k - 1]
+        y_cur[node] = trace.y_new[k - 1]
+        snapshot(k, k, node, "activation")
+    return simulator.MetricSeries(
+        k=ks, node=nodes, event_type=tuple(types), err_max=err_max,
+        err_mean=err_mean, y_norm_max=y_norm_max,
+    )
+
+
+def window_by_event(trace):
+    """Reference for ``simulator.verify_assumption1b``: per-event dicts and
+    an interval sweep per node."""
+    t = trace.num_events
+    sent_slots = {}
+    for msg in trace.messages:
+        key = (msg.origin, msg.sent_at)
+        sent_slots[key] = max(sent_slots.get(key, 0), msg.deliver_at)
+    per_node = [[] for _ in range(trace.n)]
+    age_max = 0
+    for k in range(1, t + 1):
+        node = int(trace.node[k - 1])
+        complete = max(k, sent_slots.get((node, k), k))
+        per_node[node].append((k, complete))
+        for _, sent_event in consumed(trace, k):
+            age_max = max(age_max, k - sent_event - 1)
+    for v in range(trace.n):
+        if not per_node[v]:
+            raise simulator.AssumptionViolation(
+                f"node {v} never completed an update in the trace", node=v)
+
+    def window_ok(b):
+        last_start = max(1, t - b + 1)
+        for acts in per_node:
+            covered_to = 0
+            for lo, hi in sorted((max(1, c - b + 1), k) for k, c in acts):
+                if lo > covered_to + 1:
+                    break
+                covered_to = max(covered_to, hi)
+                if covered_to >= last_start:
+                    break
+            if covered_to < last_start:
+                return False
+        return True
+
+    lo, hi = 1, t
+    if not window_ok(hi):
+        for v, acts in enumerate(per_node):
+            if all(c > t for _, c in acts):
+                raise simulator.AssumptionViolation(
+                    f"node {v} has no update delivered within the trace",
+                    node=v)
+        raise simulator.AssumptionViolation(
+            "no finite window covers every node")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if window_ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(lo, age_max + 1)
+
+
+def assert_matches_event_loops(trace, z_star):
+    got, want = simulator.metrics(trace, z_star), metrics_by_event(trace, z_star)
+    for field in dataclasses.fields(simulator.MetricSeries):
+        assert np.array_equal(getattr(got, field.name),
+                              getattr(want, field.name)), field.name
+    try:
+        b = window_by_event(trace)
+    except simulator.AssumptionViolation as expected:
+        with pytest.raises(simulator.AssumptionViolation) as err:
+            simulator.verify_assumption1b(trace)
+        assert err.value.node == expected.node
+        assert str(err.value) == str(expected)
+    else:
+        assert simulator.verify_assumption1b(trace) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), topology=st.sampled_from(["ring", "exponential"]),
+       kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
+       delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
+       d_max=st.integers(0, 3), batch_size=st.integers(1, 2),
+       events=st.integers(30, 80), seed=st.integers(0, 2**32 - 1))
+def test_array_metrics_and_window_match_event_loops(
+        n, topology, kind, delay_kind, d_max, batch_size, events, seed):
+    prob = build_problem(n=n)
+    straggler = kind == "straggler"
+    sched = simulator.ActivationSchedule(
+        kind=kind, n=n, straggler_node=0 if straggler else None,
+        straggler_factor=4.0 if straggler else 1.0)
+    trace = simulator.run_async(
+        prob, graph.generate_topology(topology, n), sched,
+        simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.01, 0.1,
+        seed=seed, max_events=events, batch_size=batch_size)
+    assert_matches_event_loops(trace, mspbe.solve_problem(prob))
+
+
+def test_node_that_never_activates_is_named():
+    prob, trace = small_run(seed=3, n=4, max_events=60, kind="straggler",
+                            straggler_node=2, straggler_factor=1e15)
+    assert 2 not in trace.node
+    assert_matches_event_loops(trace, mspbe.solve_problem(prob))
+    with pytest.raises(simulator.AssumptionViolation) as err:
+        simulator.verify_assumption1b(trace)
+    assert err.value.node == 2
 
 
 def test_sync_round_structure_and_wall_model():
@@ -244,16 +423,17 @@ def test_sync_round_structure_and_wall_model():
     g = graph.generate_topology("ring", 3)
     trace = simulator.run_sync(prob, g, rounds=8, eta1=0.01, eta2=0.1, seed=5)
     assert trace.num_events == 24
-    for ev in trace.events:
-        assert ev.node == (ev.k - 1) % 3
+    for k in range(1, trace.num_events + 1):
+        node = trace.node[k - 1]
+        assert node == (k - 1) % 3
         # each node pulls its own previous broadcast, then its in-neighbours'
         # broadcasts of the previous round in ascending order (event 0 in
         # round 1), and nothing from the current round
-        r = (ev.k - 1) // 3 + 1
+        r = (k - 1) // 3 + 1
         last = [0] * 3 if r == 1 else [(r - 2) * 3 + v + 1 for v in range(3)]
-        peers = [j for j in g.in_neighbors(ev.node) if j != ev.node]
-        assert ev.result.consumed == tuple(
-            (v, last[v]) for v in [ev.node] + sorted(peers))
+        peers = [j for j in g.in_neighbors(node) if j != node]
+        assert consumed(trace, k) == tuple(
+            (v, last[v]) for v in [node] + sorted(peers))
     assert trace.wall_time_per_round == [1.0] * 8
     slowed = simulator.run_sync(prob, g, rounds=8, eta1=0.01, eta2=0.1,
                                 seed=5, straggler=(1, 10.0))
