@@ -183,6 +183,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[problem] n: need at least one node")
     if cfg.mode not in ("parallel", "marl"):
         raise ConfigError(f"[problem] mode: unknown mode {cfg.mode!r}")
+    if cfg.num_actions < 1:
+        raise ConfigError("[problem] num_actions: need at least one action")
+    if cfg.d < 1:
+        raise ConfigError("[problem] d: need at least one feature")
     if cfg.d > cfg.num_states:
         raise ConfigError("[problem] d: feature dimension exceeds state count")
     if not (0 < cfg.gamma < 1):
@@ -191,6 +195,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[problem] rho: must be positive")
     if cfg.eta1 <= 0 or cfg.eta2 <= 0:
         raise ConfigError("[algorithm] eta1/eta2: step sizes must be positive")
+    for key in ("batch_size", "max_events", "verify_events"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"[algorithm] {key}: must be at least 1")
     if cfg.topology == "edge_list" and not cfg.edge_list_path:
         raise ConfigError("[topology] path: required for edge_list topology")
     if cfg.topology == "edge_list" and not Path(cfg.edge_list_path).exists():

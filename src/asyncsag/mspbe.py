@@ -143,9 +143,17 @@ def saddle_gradient(z: np.ndarray, stats: SampleStats, rho: float) -> np.ndarray
     if z.shape != (2 * d,):
         raise ValueError(f"z must have length {2 * d}, got shape {z.shape}")
     theta, omega = z[:d], z[d:]
-    g_theta = stats.a_hat.T @ omega + rho * theta
-    g_omega = stats.a_hat @ theta - stats.c_hat @ omega - stats.b_hat
-    return np.concatenate([g_theta, -g_omega])
+    # both blocks are written into one buffer, with the operations of
+    # [A^T omega + rho theta; -(A theta - C omega - b)] in that order
+    out = np.empty(2 * d)
+    g_theta, g_omega = out[:d], out[d:]
+    stats.a_hat.T.dot(omega, out=g_theta)
+    g_theta += rho * theta
+    stats.a_hat.dot(theta, out=g_omega)
+    g_omega -= stats.c_hat.dot(omega)
+    g_omega -= stats.b_hat
+    np.negative(g_omega, out=g_omega)
+    return out
 
 
 def sample_objective(z: np.ndarray, stats: SampleStats, rho: float) -> float:

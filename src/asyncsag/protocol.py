@@ -26,6 +26,7 @@ caller (the simulator) delivers with their Message records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class SampleSelector:
         return 2 * self.m_local - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Reception:
     """One buffered payload with provenance."""
 
@@ -126,7 +127,7 @@ class NodeState:
         return len(self.stats)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ActivationResult:
     """Everything one activation produced.
 
@@ -190,14 +191,22 @@ def on_receive(node: NodeState, msg: Message, z_tilde: np.ndarray,
 def activate(node: NodeState, eta1: float, eta2: float, current_event: int,
              batch_size: int = 1) -> ActivationResult:
     """Run one full activation (pull, push, sample, step, broadcast)."""
-    if not node.buffer:
+    buffer = node.buffer
+    if not buffer:
         raise RuntimeError(
             f"node {node.node_id} activated with an empty buffer; the "
             f"self-copy invariant was broken"
         )
-    consumed = tuple((r.origin, r.sent_event) for r in node.buffer)
-    z_hat = np.mean([r.z_tilde for r in node.buffer], axis=0)
-    y_new = np.sum([r.y_tilde for r in node.buffer], axis=0)
+    # The pull mean and the push sum add the buffered payloads in buffer
+    # order, as np.mean/np.sum do over their stacked (k, 2d) block; the
+    # payloads themselves are shared and stay unwritten.
+    z_hat = buffer[0].z_tilde.copy()
+    y_new = buffer[0].y_tilde.copy()
+    for r in buffer[1:]:
+        z_hat += r.z_tilde
+        y_new += r.y_tilde
+    z_hat /= len(buffer)
+    consumed = tuple((r.origin, r.sent_event) for r in buffer)
 
     picks = node.selector.next_batch(batch_size)
     for p in picks:
@@ -205,10 +214,7 @@ def activate(node: NodeState, eta1: float, eta2: float, current_event: int,
         y_new += (fresh - node.table[p]) / node.m_global
         node.table[p] = fresh
 
-    d = z_hat.shape[0] // 2
-    z_tilde = z_hat.copy()
-    z_tilde[:d] -= eta1 * y_new[:d]
-    z_tilde[d:] -= eta2 * y_new[d:]
+    z_tilde = z_hat - _block_steps(eta1, eta2, z_hat.shape[0] // 2) * y_new
     y_tilde = y_new / node.out_degree
 
     node.z = z_tilde
@@ -221,6 +227,14 @@ def activate(node: NodeState, eta1: float, eta2: float, current_event: int,
         samples=tuple(picks), z_hat=z_hat, y_new=y_new, z_tilde=z_tilde,
         y_tilde=y_tilde, consumed=consumed,
     )
+
+
+@lru_cache(maxsize=16)
+def _block_steps(eta1: float, eta2: float, d: int) -> np.ndarray:
+    """The step diag(eta1 I_d, eta2 I_d) as a (2d,) vector (read-only)."""
+    steps = np.array([eta1] * d + [eta2] * d)
+    steps.flags.writeable = False
+    return steps
 
 
 def local_residual(node: NodeState) -> float:

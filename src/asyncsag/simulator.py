@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -198,13 +199,15 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     pending: list[list] = [[] for _ in range(graph.n)]
     seq = 0
     all_messages: list[Message] = []
+    # broadcast targets; the self-copy is already buffered by the protocol
+    targets = [tuple(v for v in graph.out_neighbors(i) if v != i)
+               for i in range(graph.n)]
+    draw = delays.draw
 
     def send(origin: int, z_t: np.ndarray, y_t: np.ndarray, sent_at: int) -> None:
         nonlocal seq
-        for dest in graph.out_neighbors(origin):
-            if dest == origin:
-                continue  # self-copy already buffered by the protocol
-            deliver_at = sent_at + delays.draw(rng_delay, sent_at)
+        for dest in targets[origin]:
+            deliver_at = sent_at + draw(rng_delay, sent_at)
             msg = Message(origin=origin, dest=dest, sent_at=sent_at,
                           deliver_at=deliver_at)
             all_messages.append(msg)
@@ -223,16 +226,16 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         send(i, z_t, y_t, sent_at=0)
     y0_rows = np.stack([node.y for node in nodes])
 
-    # Per-event records: the ints go to lists, the z_tilde and y_new rows to
-    # arrays grown by doubling and cut to length at the end.
+    # Per-event records: the ints go to int64 arrays, the z_tilde and y_new
+    # rows to float arrays grown by doubling and cut to length at the end.
     rows = min(max_events, 1024)
     z_col = np.empty((rows, 2 * problem.d))
     y_col = np.empty((rows, 2 * problem.d))
-    activators: list[int] = []
-    samples: list[int] = []
-    consumed_origin: list[int] = []
-    consumed_sent: list[int] = []
-    consumed_ptr = [0]
+    activators = array("q")
+    samples = array("q")
+    consumed_origin = array("q")
+    consumed_sent = array("q")
+    consumed_ptr = array("q", [0])
 
     # Each node's tracker norm; an activation changes only the activator's.
     residual = [local_residual(nd) for nd in nodes]
@@ -446,16 +449,28 @@ def metrics(trace: EventTrace, z_star: np.ndarray) -> MetricSeries:
     )
 
 
+# write_metrics_csv converts this many rows to Python objects at a time, so
+# that a long series never holds all its rows as Python floats at once
+_CSV_BLOCK = 4096
+
+
 def write_metrics_csv(series: MetricSeries, path: str | Path) -> None:
-    """CSV with header k,node,event_type,err_max,err_mean,y_norm_max."""
+    """CSV with header k,node,event_type,err_max,err_mean,y_norm_max.
+
+    Floats are written with ``repr``, so they read back exactly.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,node,event_type,err_max,err_mean,y_norm_max\n")
-        for idx in range(series.k.shape[0]):
-            fh.write(
-                f"{series.k[idx]},{series.node[idx]},{series.event_type[idx]},"
-                f"{float(series.err_max[idx])!r},{float(series.err_mean[idx])!r},"
-                f"{float(series.y_norm_max[idx])!r}\n"
-            )
+        for lo in range(0, series.k.shape[0], _CSV_BLOCK):
+            block = slice(lo, lo + _CSV_BLOCK)
+            fh.write("".join([
+                f"{k},{node},{kind},{e_max!r},{e_mean!r},{y_max!r}\n"
+                for k, node, kind, e_max, e_mean, y_max in zip(
+                    series.k[block].tolist(), series.node[block].tolist(),
+                    series.event_type[block], series.err_max[block].tolist(),
+                    series.err_mean[block].tolist(),
+                    series.y_norm_max[block].tolist())
+            ]))
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,23 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [problem]", "C is not positive-definite")),
     (("n = 3\nd = 3\nm = 24", "n = 1\nd = 3\nm = 1"),
      ("config error: [problem]", "saddle system is singular")),
+    # sizes that must be positive
+    (("max_events = 150", "max_events = 150\nbatch_size = 0"),
+     ("config error: [algorithm] batch_size", "at least 1")),
+    (("max_events = 150", "max_events = 150\nbatch_size = -1"),
+     ("config error: [algorithm] batch_size", "at least 1")),
+    (("max_events = 150", "max_events = 0"),
+     ("config error: [algorithm] max_events", "at least 1")),
+    (("verify_events = 100", "verify_events = 0"),
+     ("config error: [algorithm] verify_events", "at least 1")),
+    (("num_actions = 2", "num_actions = 0"),
+     ("config error: [problem] num_actions", "at least one action")),
+    (("d = 3", "d = 0"),
+     ("config error: [problem] d", "at least one feature")),
 ], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
-        "n_values", "sync-kind", "c-not-positive-definite", "singular-saddle"])
+        "n_values", "sync-kind", "c-not-positive-definite", "singular-saddle",
+        "batch-size-0", "batch-size-negative", "max-events-0",
+        "verify-events-0", "num-actions-0", "d-0"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI

@@ -1,0 +1,207 @@
+"""Contracts of the simulator's per-event path.
+
+The activation and the per-sample gradient are written for speed (in-place
+sums, one output buffer). They must give the same bits as the plain numpy
+expressions below, which are kept here as the reference: ``np.mean`` and
+``np.sum`` over the stacked buffer, a block step per half, and
+``np.concatenate`` of the two gradient blocks. The benchmark's tracer must
+also still find every name it wraps.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from asyncsag import cli, graph, mdp, mspbe, protocol, simulator
+from asyncsag.protocol import ActivationResult, Reception
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def reference_saddle_gradient(z, stats, rho):
+    d = stats.b_hat.shape[0]
+    if z.shape != (2 * d,):
+        raise ValueError(f"z must have length {2 * d}, got shape {z.shape}")
+    theta, omega = z[:d], z[d:]
+    g_theta = stats.a_hat.T @ omega + rho * theta
+    g_omega = stats.a_hat @ theta - stats.c_hat @ omega - stats.b_hat
+    return np.concatenate([g_theta, -g_omega])
+
+
+def reference_activate(node, eta1, eta2, current_event, batch_size=1):
+    if not node.buffer:
+        raise RuntimeError("empty buffer")
+    consumed = tuple((r.origin, r.sent_event) for r in node.buffer)
+    z_hat = np.mean([r.z_tilde for r in node.buffer], axis=0)
+    y_new = np.sum([r.y_tilde for r in node.buffer], axis=0)
+
+    picks = node.selector.next_batch(batch_size)
+    for p in picks:
+        fresh = reference_saddle_gradient(z_hat, node.stats[p], node.rho)
+        y_new += (fresh - node.table[p]) / node.m_global
+        node.table[p] = fresh
+
+    d = z_hat.shape[0] // 2
+    z_tilde = z_hat.copy()
+    z_tilde[:d] -= eta1 * y_new[:d]
+    z_tilde[d:] -= eta2 * y_new[d:]
+    y_tilde = y_new / node.out_degree
+
+    node.z = z_tilde
+    node.y = y_new
+    node.buffer = [
+        Reception(z_tilde=z_tilde, y_tilde=y_tilde, origin=node.node_id,
+                  sent_event=current_event)
+    ]
+    return ActivationResult(
+        samples=tuple(picks), z_hat=z_hat, y_new=y_new, z_tilde=z_tilde,
+        y_tilde=y_tilde, consumed=consumed,
+    )
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def build_problem(n, d=3, length=40, seed=0):
+    m = mdp.build_random_mdp(12, 2, 1, seed, gamma=0.9)
+    policy = mdp.random_policy(12, 2, seed)
+    traj = mdp.sample_trajectory(m, policy, length, seed)
+    feats = mdp.make_feature_map(12, d, seed)
+    per_node = mdp.partition_samples(traj, feats, "parallel", n)
+    return mspbe.problem_from_samples(per_node, 0.1, 0.9)
+
+
+def unchanged_payloads(activate):
+    """``activate`` that fails when it writes to a buffered payload."""
+    def checked(node, *args, **kwargs):
+        payloads = [(r.z_tilde, r.y_tilde) for r in node.buffer]
+        before = [(z.tobytes(), y.tobytes()) for z, y in payloads]
+        result = activate(node, *args, **kwargs)
+        after = [(z.tobytes(), y.tobytes()) for z, y in payloads]
+        assert after == before, "activate wrote to a buffered payload"
+        return result
+    return checked
+
+
+TRACE_COLUMNS = ("z0", "y0", "node", "samples", "z_tilde", "y_new",
+                 "consumed_ptr", "consumed_origin", "consumed_sent",
+                 "final_z", "final_y")
+
+
+@pytest.mark.parametrize("topology,n", [("ring", 5), ("exponential", 6),
+                                        ("grid", 9)])
+@pytest.mark.parametrize("kind", ["round_robin", "uniform_random", "straggler"])
+def test_run_async_bits_equal_reference_arithmetic(monkeypatch, topology, n,
+                                                   kind):
+    prob = build_problem(n)
+    g = graph.generate_topology(topology, n)
+    # the straggler is the node with the most in-neighbours, so its buffer
+    # fills up between its activations
+    straggler = max(range(n), key=lambda v: len(g.in_neighbors(v)))
+    sched = simulator.ActivationSchedule(
+        kind=kind, n=n, straggler_node=straggler if kind == "straggler" else None,
+        straggler_factor=4.0 if kind == "straggler" else 1.0)
+    longest = 0
+    for delay_kind, d_max in (("zero", 0), ("uniform", 3), ("round_barrier", 2)):
+        for batch_size in (1, 2):
+            args = (prob, g, sched, simulator.DelayModel(delay_kind, d_max),
+                    0.05, 0.4)
+            kwargs = dict(seed=11, max_events=150, batch_size=batch_size)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "activate",
+                              unchanged_payloads(protocol.activate))
+                fast = simulator.run_async(*args, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "activate", reference_activate)
+                patch.setattr(protocol, "saddle_gradient",
+                              reference_saddle_gradient)
+                slow = simulator.run_async(*args, **kwargs)
+            for name in TRACE_COLUMNS:
+                assert same_bits(getattr(fast, name), getattr(slow, name)), (
+                    delay_kind, batch_size, name)
+            assert fast.messages == slow.messages
+            longest = max(longest, int(np.diff(fast.consumed_ptr).max()))
+    if kind == "straggler":
+        assert longest >= 8   # the in-place sums ran over long buffers
+
+
+def test_activate_matches_reference_on_shared_payloads():
+    rng = np.random.default_rng(5)
+    d = 4
+    stats = [mspbe.SampleStats(rng.normal(size=(d, d)), rng.normal(size=d),
+                               rng.normal(size=(d, d))) for _ in range(3)]
+    for length in range(1, 10):
+        pairs = [(rng.normal(size=2 * d), rng.normal(size=2 * d))
+                 for _ in range(length)]
+        nodes = []
+        for _ in range(2):
+            selector = protocol.SampleSelector(3, protocol.selector_rng(1, 0))
+            node, _ = protocol.init_node(0, stats, np.zeros(2 * d), 3, 7, 0.1,
+                                         selector)
+            # one array may sit in several buffers, as a broadcast does
+            node.buffer += [Reception(z, y, 1, k) for k, (z, y) in
+                            enumerate(pairs, start=1)]
+            node.buffer.append(Reception(*pairs[0], 2, 1))
+            nodes.append(node)
+        fast = unchanged_payloads(protocol.activate)(nodes[0], 0.05, 0.4, 20,
+                                                     batch_size=2)
+        slow = reference_activate(nodes[1], 0.05, 0.4, 20, batch_size=2)
+        for name in ("z_hat", "y_new", "z_tilde", "y_tilde"):
+            assert same_bits(getattr(fast, name), getattr(slow, name)), name
+        assert fast.samples == slow.samples
+        assert fast.consumed == slow.consumed
+        assert same_bits(nodes[0].table, nodes[1].table)
+
+
+def test_saddle_gradient_matches_reference():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 5, 8, 17, 64):
+        for _ in range(20):
+            stats = mspbe.SampleStats(rng.normal(size=(d, d)),
+                                      rng.normal(size=d),
+                                      rng.normal(size=(d, d)))
+            z = rng.normal(size=2 * d) * 10.0 ** rng.integers(-6, 7)
+            assert same_bits(mspbe.saddle_gradient(z, stats, 0.1),
+                             reference_saddle_gradient(z, stats, 0.1))
+        with pytest.raises(ValueError):
+            mspbe.saddle_gradient(np.zeros(2 * d + 1), stats, 0.1)
+
+
+def test_bench_tracer_wraps_the_hot_path(monkeypatch, tmp_path, capsys):
+    # bench/tracer.py is imported as it is; its dataclasses need the module
+    # to be registered while it runs
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  BENCH / "tracer.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracing.install(tracer, full=True)
+    try:
+        code = cli.main(["run", "--config", str(BENCH / "tiny.ini"),
+                         "--out", str(tmp_path)])
+    finally:
+        left = tracer.restore()
+    capsys.readouterr()
+    assert left == []
+    assert code == cli.EXIT_OK
+    # each wrapper saw every call the one simulated trace implies
+    trace = tracer.observed["trace"]
+    calls = {name: span.calls for name, span in tracer.stats.items()}
+    assert calls["simulator.run_async"] == 1
+    assert calls["protocol.activate"] == trace.num_events
+    assert calls["simulator.schedule_next"] == trace.num_events
+    assert calls["simulator.delay_draw"] == len(trace.messages)
+    assert calls["protocol.on_receive"] == sum(
+        msg.consumed_at is not None for msg in trace.messages)
+    # the initial tables, then one refresh per drawn sample
+    assert calls["mspbe.saddle_gradient"] == sum(trace.m_i) + trace.samples.size
+    # the activate probe reads len(node.buffer) before each pull
+    assert tracer.observed["buffer_len_sum"] == trace.consumed_ptr[-1]

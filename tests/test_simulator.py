@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import unittest.mock
 import zipfile
 
 import numpy as np
@@ -229,6 +230,54 @@ def test_metrics_csv_header_and_row_count(tmp_path):
     # floats are repr round-trippable
     first = lines[1].split(",")
     assert float(first[3]) == series.err_max[0]
+
+
+def write_metrics_csv_by_row(series, path):
+    """Reference for ``simulator.write_metrics_csv``: one write per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("k,node,event_type,err_max,err_mean,y_norm_max\n")
+        for idx in range(series.k.shape[0]):
+            fh.write(
+                f"{series.k[idx]},{series.node[idx]},{series.event_type[idx]},"
+                f"{float(series.err_max[idx])!r},{float(series.err_mean[idx])!r},"
+                f"{float(series.y_norm_max[idx])!r}\n"
+            )
+
+
+def random_series(rows, nodes, floats):
+    return simulator.MetricSeries(
+        k=np.arange(rows), node=np.concatenate([[-1], nodes]).astype(np.int64),
+        event_type=("init",) + ("activation",) * (rows - 1),
+        err_max=np.array(floats[0::3]), err_mean=np.array(floats[1::3]),
+        y_norm_max=np.array(floats[2::3]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.integers(1, 9), data=st.data())
+def test_metrics_csv_blocks_match_row_loop(tmp_path_factory, block, data):
+    rows = data.draw(st.integers(1, 40))
+    nodes = data.draw(st.lists(st.integers(-1, 50), min_size=rows - 1,
+                               max_size=rows - 1))
+    floats = data.draw(st.lists(st.floats(width=64), min_size=3 * rows,
+                                max_size=3 * rows))
+    series = random_series(rows, nodes, floats)
+    out = tmp_path_factory.mktemp("csv")
+    with unittest.mock.patch.object(simulator, "_CSV_BLOCK", block):
+        simulator.write_metrics_csv(series, out / "blocks.csv")
+    write_metrics_csv_by_row(series, out / "rows.csv")
+    assert (out / "blocks.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+def test_metrics_csv_default_blocks_match_row_loop(tmp_path):
+    # two full blocks and a partial one
+    rows = 2 * simulator._CSV_BLOCK + 3
+    rng = np.random.default_rng(8)
+    series = random_series(rows, rng.integers(0, 6, rows - 1),
+                           rng.lognormal(-3.0, 4.0, 3 * rows).tolist())
+    simulator.write_metrics_csv(series, tmp_path / "blocks.csv")
+    write_metrics_csv_by_row(series, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_rate_fit_recovers_synthetic_decay():
