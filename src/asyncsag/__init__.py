@@ -19,8 +19,8 @@ from .simulator import (ActivationSchedule, AssumptionViolation, DelayModel,
                         run_sync, verify_assumption1b, write_metrics_csv)
 from .augmented import (AugmentedState, EventMatrices, RateConstants,
                         SparseMatrix, build_event_matrices, check_equivalence,
-                        evolve_weights, product_contraction, rank_one_distance,
-                        rate_constants, replay, tracking_residual)
+                        product_contraction, rank_one_distance, rate_constants,
+                        replay, tracking_residual)
 from .baselines import centralized_gd, centralized_sag
 
 __version__ = "0.1.0"
@@ -41,9 +41,8 @@ __all__ = [
     "estimate_rate", "metrics", "run_async", "run_sync",
     "verify_assumption1b", "write_metrics_csv",
     "AugmentedState", "EventMatrices", "RateConstants", "SparseMatrix",
-    "build_event_matrices", "check_equivalence", "evolve_weights",
-    "product_contraction", "rank_one_distance", "rate_constants", "replay",
-    "tracking_residual",
+    "build_event_matrices", "check_equivalence", "product_contraction",
+    "rank_one_distance", "rate_constants", "replay", "tracking_residual",
     "centralized_gd", "centralized_sag",
     "__version__",
 ]

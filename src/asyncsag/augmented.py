@@ -461,23 +461,6 @@ def product_contraction(
     return out
 
 
-def evolve_weights(h_col_seq: Sequence[SparseMatrix | np.ndarray],
-                   n: int) -> np.ndarray:
-    """Weight-vector recursion v^{k+1} = H_C^k v^k from v^0 = [1_n; 0].
-
-    Returns the (len+1, ntilde) stack of weight vectors. Column
-    stochasticity conserves the total weight at n exactly.
-    """
-    ntilde = h_col_seq[0].shape[0] if h_col_seq else n
-    v = np.zeros(ntilde)
-    v[:n] = 1.0
-    out = [v.copy()]
-    for h in h_col_seq:
-        v = h @ v
-        out.append(v.copy())
-    return np.stack(out)
-
-
 # ---------------------------------------------------------------------------
 # worst-case rate constants (arbitrary precision)
 # ---------------------------------------------------------------------------

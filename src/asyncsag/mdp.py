@@ -9,10 +9,8 @@ or a shared state stream with private rewards ("marl").
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -247,37 +245,3 @@ def partition_samples(traj: list[Transition], features: np.ndarray, mode: str,
         shared = traj[:per]
         return [[_featurize(tr, features, i) for tr in shared] for i in range(n)]
     raise ValueError(f"unknown partition mode {mode!r}")
-
-
-def dump_trajectory(traj: list[Transition], path: str | Path) -> None:
-    """Write transitions as CSV rows (s, a, s_next, r_0..r_{J-1})."""
-    streams = traj[0].rewards.shape[0] if traj else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "a", "s_next"] + [f"r_{j}" for j in range(streams)])
-        for tr in traj:
-            writer.writerow(
-                [tr.s, tr.a, tr.s_next] + [repr(float(r)) for r in tr.rewards]
-            )
-
-
-def load_trajectory(path: str | Path) -> list[Transition]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["s", "a", "s_next"]:
-            raise ValueError(f"{path}: not a trajectory CSV (bad header {header})")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields")
-            try:
-                out.append(
-                    Transition(
-                        int(row[0]), int(row[1]), int(row[2]),
-                        np.array([float(x) for x in row[3:]]),
-                    )
-                )
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
-    return out

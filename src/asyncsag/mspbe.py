@@ -1,13 +1,12 @@
 """Saddle-point core of the distributed policy-evaluation objective.
 
 Per sample p held by node i, with feature pair (phi_t, phi_{t+1}) and scalar
-reward R, the statistics are
+reward r, every statistic is rank one: with psi = phi_t - gamma * phi_{t+1},
 
-    A_hat = phi_t (phi_t - gamma * phi_{t+1})^T
-    b_hat = phi_t * R
-    C_hat = phi_t phi_t^T
+    A_hat = phi_t psi^T,    b_hat = phi_t * r,    C_hat = phi_t phi_t^T,
 
-and the per-sample saddle objective is
+and ``SampleStats`` keeps only (phi_t, psi, r). The per-sample saddle
+objective is
 
     J_{i,p}(theta, omega) = omega^T (A_hat theta - b_hat)
                             - 0.5 * omega^T C_hat omega
@@ -20,18 +19,17 @@ so one descent step moves theta downhill and omega uphill.
 
 Scaled coordinates: for step-size ratio zeta = eta2/eta1, the analysis
 coordinates are w = [theta; omega / sqrt(zeta)]. In these coordinates the
-gradient map is affine with linear part similar (via diag(I, -I)) to
+mean gradient map is w -> M w + [0; sqrt(zeta) b] with the block operator
 
-    G = [[rho*I, -sqrt(zeta)*A^T], [sqrt(zeta)*A, zeta*C]],
+    M = [[rho*I, sqrt(zeta)*A^T], [-sqrt(zeta)*A, zeta*C]],
 
-whose extreme eigenvalues give the contraction constant alpha = lmin(G) and,
+whose extreme eigenvalues give the contraction constant alpha = lmin(M) and,
 per sample, the Lipschitz constant beta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,18 +41,17 @@ EIG_IMAG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Matrices of one sample's quadratic saddle term."""
+    """One sample's rank-one factors: A_hat = phi psi^T, b_hat = phi r,
+    C_hat = phi phi^T."""
 
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-    c_hat: np.ndarray
+    phi: np.ndarray
+    psi: np.ndarray
+    reward: float
 
     def __post_init__(self):
-        d = self.b_hat.shape[0]
-        if self.a_hat.shape != (d, d) or self.c_hat.shape != (d, d):
+        if self.phi.ndim != 1 or self.psi.shape != self.phi.shape:
             raise ValueError(
-                f"inconsistent stat shapes {self.a_hat.shape}, "
-                f"{self.b_hat.shape}, {self.c_hat.shape}"
+                f"inconsistent stat shapes {self.phi.shape}, {self.psi.shape}"
             )
 
 
@@ -89,7 +86,7 @@ class ProblemSpec:
 
     @property
     def d(self) -> int:
-        return self.per_node[0][0].b_hat.shape[0]
+        return self.per_node[0][0].phi.shape[0]
 
     def all_stats(self):
         for node_stats in self.per_node:
@@ -105,11 +102,8 @@ def per_sample_stats(sample: TdSample, gamma: float) -> SampleStats:
             f"feature vectors must share one dimension, got "
             f"{phi_t.shape} and {phi_tp1.shape}"
         )
-    return SampleStats(
-        a_hat=np.outer(phi_t, phi_t - gamma * phi_tp1),
-        b_hat=phi_t * float(sample.reward),
-        c_hat=np.outer(phi_t, phi_t),
-    )
+    return SampleStats(phi=phi_t, psi=phi_t - gamma * phi_tp1,
+                       reward=float(sample.reward))
 
 
 def problem_from_samples(per_node_samples: list[list[TdSample]], rho: float,
@@ -125,52 +119,47 @@ def problem_from_samples(per_node_samples: list[list[TdSample]], rho: float,
 
 
 def aggregate(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Global flat means (A, b, C) over all m samples."""
-    d, m = problem.d, problem.m
-    a = np.zeros((d, d))
-    b = np.zeros(d)
-    c = np.zeros((d, d))
-    for st in problem.all_stats():
-        a += st.a_hat
-        b += st.b_hat
-        c += st.c_hat
-    return a / m, b / m, c / m
+    """Global flat means (A, b, C) = (Phi^T Psi, Phi^T r, Phi^T Phi) / m."""
+    stats = list(problem.all_stats())
+    phi = np.array([st.phi for st in stats])
+    psi = np.array([st.psi for st in stats])
+    reward = np.array([st.reward for st in stats])
+    m = len(stats)
+    return phi.T @ psi / m, phi.T @ reward / m, phi.T @ phi / m
 
 
 def saddle_gradient(z: np.ndarray, stats: SampleStats, rho: float) -> np.ndarray:
-    """Stacked per-sample gradient [grad_theta; -grad_omega] at z = [theta; omega]."""
-    d = stats.b_hat.shape[0]
+    """Stacked per-sample gradient [grad_theta; -grad_omega] at z = [theta; omega].
+
+    With the rank-one statistics, [A^T omega + rho theta; -(A theta - C omega - b)]
+    is [psi (phi.omega) + rho theta; phi (phi.omega + r - psi.theta)].
+    """
+    phi, psi = stats.phi, stats.psi
+    d = phi.shape[0]
     if z.shape != (2 * d,):
         raise ValueError(f"z must have length {2 * d}, got shape {z.shape}")
     theta, omega = z[:d], z[d:]
-    # both blocks are written into one buffer, with the operations of
-    # [A^T omega + rho theta; -(A theta - C omega - b)] in that order
+    u = phi.dot(omega)
     out = np.empty(2 * d)
-    g_theta, g_omega = out[:d], out[d:]
-    stats.a_hat.T.dot(omega, out=g_theta)
+    g_theta = out[:d]
+    np.multiply(psi, u, out=g_theta)
     g_theta += rho * theta
-    stats.a_hat.dot(theta, out=g_omega)
-    g_omega -= stats.c_hat.dot(omega)
-    g_omega -= stats.b_hat
-    np.negative(g_omega, out=g_omega)
+    np.multiply(phi, u + stats.reward - psi.dot(theta), out=out[d:])
     return out
 
 
 def sample_objective(z: np.ndarray, stats: SampleStats, rho: float) -> float:
     """Value of the per-sample saddle term (used by the derivative checks)."""
-    d = stats.b_hat.shape[0]
+    d = stats.phi.shape[0]
     theta, omega = z[:d], z[d:]
-    return float(
-        omega @ (stats.a_hat @ theta - stats.b_hat)
-        - 0.5 * omega @ (stats.c_hat @ omega)
-        + 0.5 * rho * theta @ theta
-    )
+    u = stats.phi @ omega
+    return float(u * (stats.psi @ theta - stats.reward) - 0.5 * u * u
+                 + 0.5 * rho * theta @ theta)
 
 
 def full_gradient(problem: ProblemSpec, z: np.ndarray) -> np.ndarray:
-    """Mean stacked gradient over all samples (equals the aggregate form)."""
-    a, b, c = aggregate(problem)
-    return saddle_gradient(z, SampleStats(a_hat=a, b_hat=b, c_hat=c), problem.rho)
+    """Mean stacked gradient over all samples (the scaled map at zeta = 1)."""
+    return scaled_gradient(problem, z, 1.0)
 
 
 def solve_saddle(a: np.ndarray, b: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
@@ -223,91 +212,80 @@ def from_scaled(w: np.ndarray, zeta: float) -> np.ndarray:
 
 
 def scaled_gradient(problem: ProblemSpec, w: np.ndarray, zeta: float) -> np.ndarray:
-    """Mean gradient map in scaled coordinates.
+    """Mean gradient map in scaled coordinates, M @ w + const.
 
     One step w <- w - eta * scaled_gradient(w) reproduces the unscaled block
     step (eta1 = eta on theta, eta2 = eta*zeta on omega) up to the coordinate
     change.
     """
-    g = full_gradient(problem, from_scaled(w, zeta))
-    d = w.shape[0] // 2
-    g[d:] *= np.sqrt(zeta)
-    return g
+    m_op, const = scaled_affine(problem, zeta)
+    return m_op @ w + const
 
 
-def scaled_affine(problem: ProblemSpec, zeta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affine form of the scaled gradient: scaled_gradient(w) = M @ w + const.
-
-    M is orthogonally similar to the block operator G (via diag(I, -I)), so
-    spectra and norms transfer; the explicit form lets iterative sweeps skip
-    re-aggregation.
-    """
-    a, b, c = aggregate(problem)
-    d = problem.d
-    root = np.sqrt(zeta)
-    m = np.block([
-        [problem.rho * np.eye(d), root * a.T],
-        [-root * a, zeta * c],
-    ])
-    const = np.concatenate([np.zeros(d), root * b])
-    return m, const
-
-
-def _block_operator(a: np.ndarray, c: np.ndarray, rho: float, zeta: float) -> np.ndarray:
+def _scaled_block(a: np.ndarray, c: np.ndarray, rho: float, zeta: float) -> np.ndarray:
+    """M = [[rho I, sqrt(zeta) A^T], [-sqrt(zeta) A, zeta C]]."""
     d = a.shape[0]
     root = np.sqrt(zeta)
     return np.block([
-        [rho * np.eye(d), -root * a.T],
-        [root * a, zeta * c],
+        [rho * np.eye(d), root * a.T],
+        [-root * a, zeta * c],
     ])
 
 
+def scaled_affine(problem: ProblemSpec, zeta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Affine form of the scaled gradient: scaled_gradient(w) = M @ w + const."""
+    a, b, c = aggregate(problem)
+    const = np.concatenate([np.zeros(problem.d), np.sqrt(zeta) * b])
+    return _scaled_block(a, c, problem.rho, zeta), const
+
+
 def sample_operator(stats: SampleStats, rho: float, zeta: float, m: int) -> np.ndarray:
-    """Per-sample linear block G_{i,p}; the aggregate G is their plain sum."""
-    return _block_operator(stats.a_hat, stats.c_hat, rho, zeta) / m
+    """Per-sample linear block M_{i,p}; the aggregate M is their plain sum."""
+    a_hat = np.outer(stats.phi, stats.psi)
+    c_hat = np.outer(stats.phi, stats.phi)
+    return _scaled_block(a_hat, c_hat, rho, zeta) / m
 
 
-def full_operator(problem: ProblemSpec, zeta: float) -> np.ndarray:
-    a, _, c = aggregate(problem)
-    return _block_operator(a, c, problem.rho, zeta)
+def _zeta_min(a: np.ndarray, c: np.ndarray, rho: float) -> float:
+    c_eigs = np.linalg.eigvalsh(c)
+    # a rank-deficient C shows a rounding-level lmin of either sign
+    if c_eigs[0] <= c.shape[0] * np.finfo(float).eps * c_eigs[-1]:
+        raise ArithmeticError(
+            "aggregate C is not positive-definite; draw more samples"
+        )
+    inner = np.linalg.eigvalsh(a.T @ np.linalg.solve(c, a))
+    return float((4.0 * rho + 4.0 * inner[-1]) / c_eigs[0])
 
 
 def zeta_threshold(problem: ProblemSpec) -> float:
-    """Smallest step-size ratio with a guaranteed real positive G spectrum.
+    """Smallest step-size ratio with a guaranteed real positive M spectrum.
 
     zeta_min = (4*rho + 4*lmax(A^T C^{-1} A)) / lmin(C), from the aggregate
     statistics.
     """
     a, _, c = aggregate(problem)
-    c_eigs = np.linalg.eigvalsh(c)
-    if c_eigs[0] <= 0:
-        raise ArithmeticError(
-            "aggregate C is not positive-definite; draw more samples"
-        )
-    inner = np.linalg.eigvalsh(a.T @ np.linalg.solve(c, a))
-    return float((4.0 * problem.rho + 4.0 * inner[-1]) / c_eigs[0])
+    return _zeta_min(a, c, problem.rho)
 
 
 @dataclass(frozen=True)
 class SpectralConstants:
     """Spectral quantities of the scaled gradient operator."""
 
-    alpha: float            # smallest eigenvalue of the aggregate G
-    beta: float             # largest per-sample spectral norm of G_{i,p}
+    alpha: float            # smallest eigenvalue of the aggregate M
+    beta: float             # largest per-sample spectral norm of M_{i,p}
     psi: float              # largest eigenvalue of the aggregate C
     zeta_min: float         # realness threshold for the ratio zeta
     zeta: float             # the ratio these constants were computed at
-    g_eigs_real: bool       # aggregate G spectrum real (to 1e-9) and positive
+    g_eigs_real: bool       # aggregate M spectrum real (to 1e-9) and positive
     valid: bool             # zeta > zeta_min and the spectrum checks passed
-    g_max_eig: float        # largest real part of G's spectrum (step ceiling)
+    g_max_eig: float        # largest real part of M's spectrum (step ceiling)
     eta_max_theory: float | None = None  # filled in by the rate-constant pass
 
 
 def spectral_constants(problem: ProblemSpec, zeta: float) -> SpectralConstants:
     """Compute alpha, beta, psi and the zeta threshold for a given ratio."""
     a, _, c = aggregate(problem)
-    g = full_operator(problem, zeta)
-    eigs = np.linalg.eigvals(g)
+    eigs = np.linalg.eigvals(_scaled_block(a, c, problem.rho, zeta))
     imag_max = float(np.max(np.abs(eigs.imag)))
     real = imag_max <= EIG_IMAG_TOL
     alpha = float(np.min(eigs.real))
@@ -317,7 +295,7 @@ def spectral_constants(problem: ProblemSpec, zeta: float) -> SpectralConstants:
         for st in problem.all_stats()
     )
     psi = float(np.linalg.eigvalsh(c)[-1])
-    zmin = zeta_threshold(problem)
+    zmin = _zeta_min(a, c, problem.rho)
     valid = bool(zeta > zmin and real and alpha > 0)
     return SpectralConstants(
         alpha=alpha, beta=beta, psi=psi, zeta_min=zmin, zeta=zeta,
@@ -345,68 +323,3 @@ def check_contraction(z: np.ndarray, eta: float, problem: ProblemSpec,
         raise ValueError("contraction ratio undefined at the saddle point")
     stepped = w - eta * scaled_gradient(problem, w, zeta)
     return float(np.linalg.norm(stepped - w_star) / gap)
-
-
-# ---------------------------------------------------------------------------
-# text serialization
-# ---------------------------------------------------------------------------
-
-def dump_problem(problem: ProblemSpec, path: str | Path) -> None:
-    """Write the problem as a plain-text dump (header + row-major matrices)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("asyncsag-problem v1\n")
-        fh.write(f"n {problem.n}\n")
-        fh.write(f"d {problem.d}\n")
-        fh.write(f"rho {problem.rho!r}\n")
-        fh.write(f"gamma {problem.gamma!r}\n")
-        fh.write("m_i " + " ".join(str(c) for c in problem.m_i) + "\n")
-        for i, node_stats in enumerate(problem.per_node):
-            for p, st in enumerate(node_stats):
-                fh.write(f"sample {i} {p}\n")
-                for name, mat in (("A", st.a_hat), ("b", st.b_hat), ("C", st.c_hat)):
-                    flat = " ".join(repr(float(x)) for x in np.ravel(mat))
-                    fh.write(f"{name} {flat}\n")
-
-
-def load_problem(path: str | Path) -> ProblemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "asyncsag-problem v1":
-        raise ValueError(f"{path}: not a problem dump")
-    header: dict[str, str] = {}
-    idx = 1
-    while idx < len(lines) and not lines[idx].startswith("sample "):
-        key, _, val = lines[idx].partition(" ")
-        header[key] = val
-        idx += 1
-    n, d = int(header["n"]), int(header["d"])
-    m_i = [int(x) for x in header["m_i"].split()]
-    if len(m_i) != n:
-        raise ValueError(f"{path}: m_i count {len(m_i)} does not match n={n}")
-    per_node: list[list[SampleStats]] = [[] for _ in range(n)]
-    while idx < len(lines):
-        tag = lines[idx].split()
-        if tag[0] != "sample" or len(tag) != 3:
-            raise ValueError(f"{path}: expected sample header at line {idx + 1}")
-        i = int(tag[1])
-        vals = {}
-        for off, name in enumerate(("A", "b", "C"), start=1):
-            key, _, flat = lines[idx + off].partition(" ")
-            if key != name:
-                raise ValueError(f"{path}: expected {name} row at line {idx + off + 1}")
-            vals[name] = np.array([float(x) for x in flat.split()])
-        per_node[i].append(
-            SampleStats(
-                a_hat=vals["A"].reshape(d, d),
-                b_hat=vals["b"],
-                c_hat=vals["C"].reshape(d, d),
-            )
-        )
-        idx += 4
-    if [len(s) for s in per_node] != m_i:
-        raise ValueError(f"{path}: sample counts do not match the m_i header")
-    return ProblemSpec(
-        per_node=tuple(tuple(s) for s in per_node),
-        rho=float(header["rho"]),
-        gamma=float(header["gamma"]),
-    )

@@ -291,7 +291,13 @@ def test_push_weights_conserve_total_mass():
     h_cols = [augmented.build_event_matrices(trace, k, b=b,
                                              _consumed=consumed).h_col
               for k in range(1, trace.num_events + 1)]
-    weights = augmented.evolve_weights(h_cols, trace.n)
+    # v^{k+1} = H_C^k v^k from v^0 = [1_n; 0]
+    v = np.zeros(h_cols[0].shape[0])
+    v[:trace.n] = 1.0
+    weights = [v]
+    for h in h_cols:
+        weights.append(h @ weights[-1])
+    weights = np.stack(weights)
     assert weights.shape == (trace.num_events + 1, trace.n * (b + 1))
     sums = weights.sum(axis=1)
     assert np.max(np.abs(sums - trace.n)) <= 1e-10

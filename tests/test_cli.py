@@ -166,6 +166,14 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     # singular saddle system
     (("n = 3\nd = 3\nm = 24", "n = 1\nd = 3\nm = 2"),
      ("config error: [problem]", "C is not positive-definite")),
+    # two samples in d = 3 leave C rank-deficient, with a smallest
+    # eigenvalue that is rounding noise of either sign
+    (("n = 3\nd = 3\nm = 24\ngamma = 0.9\nrho = 0.1\nmode = parallel\nseed = 3",
+      "n = 1\nd = 3\nm = 2\ngamma = 0.9\nrho = 0.1\nmode = parallel\nseed = 2"),
+     ("config error: [problem]", "C is not positive-definite")),
+    (("n = 3\nd = 3\nm = 24\ngamma = 0.9\nrho = 0.1\nmode = parallel\nseed = 3",
+      "n = 1\nd = 3\nm = 2\ngamma = 0.9\nrho = 0.1\nmode = parallel\nseed = 5"),
+     ("config error: [problem]", "C is not positive-definite")),
     (("n = 3\nd = 3\nm = 24", "n = 1\nd = 3\nm = 1"),
      ("config error: [problem]", "saddle system is singular")),
     # sizes that must be positive
@@ -182,7 +190,8 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     (("d = 3", "d = 0"),
      ("config error: [problem] d", "at least one feature")),
 ], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
-        "n_values", "sync-kind", "c-not-positive-definite", "singular-saddle",
+        "n_values", "sync-kind", "c-not-positive-definite",
+        "c-rank-deficient-seed-2", "c-rank-deficient-seed-5", "singular-saddle",
         "batch-size-0", "batch-size-negative", "max-events-0",
         "verify-events-0", "num-actions-0", "d-0"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):

@@ -24,13 +24,20 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def reference_saddle_gradient(z, stats, rho):
-    d = stats.b_hat.shape[0]
+    d = stats.phi.shape[0]
     if z.shape != (2 * d,):
         raise ValueError(f"z must have length {2 * d}, got shape {z.shape}")
     theta, omega = z[:d], z[d:]
-    g_theta = stats.a_hat.T @ omega + rho * theta
-    g_omega = stats.a_hat @ theta - stats.c_hat @ omega - stats.b_hat
-    return np.concatenate([g_theta, -g_omega])
+    u = stats.phi @ omega
+    g_theta = stats.psi * u + rho * theta
+    g_omega = stats.phi * (u + stats.reward - stats.psi @ theta)
+    return np.concatenate([g_theta, g_omega])
+
+
+def random_stats(rng, d, scale=1.0):
+    return mspbe.SampleStats(scale * rng.normal(size=d),
+                             scale * rng.normal(size=d),
+                             float(scale * rng.normal()))
 
 
 def reference_activate(node, eta1, eta2, current_event, batch_size=1):
@@ -135,8 +142,7 @@ def test_run_async_bits_equal_reference_arithmetic(monkeypatch, topology, n,
 def test_activate_matches_reference_on_shared_payloads():
     rng = np.random.default_rng(5)
     d = 4
-    stats = [mspbe.SampleStats(rng.normal(size=(d, d)), rng.normal(size=d),
-                               rng.normal(size=(d, d))) for _ in range(3)]
+    stats = [random_stats(rng, d) for _ in range(3)]
     for length in range(1, 10):
         pairs = [(rng.normal(size=2 * d), rng.normal(size=2 * d))
                  for _ in range(length)]
@@ -164,9 +170,7 @@ def test_saddle_gradient_matches_reference():
     rng = np.random.default_rng(3)
     for d in (1, 2, 3, 5, 8, 17, 64):
         for _ in range(20):
-            stats = mspbe.SampleStats(rng.normal(size=(d, d)),
-                                      rng.normal(size=d),
-                                      rng.normal(size=(d, d)))
+            stats = random_stats(rng, d, 10.0 ** rng.integers(-6, 7))
             z = rng.normal(size=2 * d) * 10.0 ** rng.integers(-6, 7)
             assert same_bits(mspbe.saddle_gradient(z, stats, 0.1),
                              reference_saddle_gradient(z, stats, 0.1))

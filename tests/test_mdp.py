@@ -202,22 +202,3 @@ def test_partition_rejects_unknown_mode():
     _, traj, feats = _pipeline()
     with pytest.raises(ValueError):
         mdp.partition_samples(traj, feats, "shard", 2)
-
-
-def test_trajectory_round_trip(tmp_path):
-    _, traj, _ = _pipeline(length=12, streams=2)
-    path = tmp_path / "traj.csv"
-    mdp.dump_trajectory(traj, path)
-    loaded = mdp.load_trajectory(path)
-    assert len(loaded) == len(traj)
-    for a, b in zip(loaded, traj):
-        assert (a.s, a.a, a.s_next) == (b.s, b.a, b.s_next)
-        assert np.array_equal(a.rewards, b.rewards)
-
-
-def test_load_trajectory_error_cites_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("s,a,s_next,r_0\n0,0,1,0.5\n1,x,2,0.25\n")
-    with pytest.raises(ValueError) as err:
-        mdp.load_trajectory(path)
-    assert "line 3" in str(err.value)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsag import mdp, mspbe
 
@@ -33,12 +35,18 @@ def test_per_sample_stats_shapes_and_rank():
     prob = random_problem()
     d = prob.d
     for stats in prob.all_stats():
-        assert stats.a_hat.shape == (d, d)
-        assert stats.b_hat.shape == (d,)
-        assert stats.c_hat.shape == (d, d)
-        # per-sample c_hat is a rank-one outer product
-        assert np.linalg.matrix_rank(stats.c_hat, tol=1e-10) == 1
-        assert np.allclose(stats.c_hat, stats.c_hat.T)
+        assert stats.phi.shape == (d,)
+        assert stats.psi.shape == (d,)
+        assert isinstance(stats.reward, float)
+    sample = mdp.TdSample(np.array([1.0, 2.0]), np.array([0.5, -1.0]), 3.0)
+    stats = mspbe.per_sample_stats(sample, gamma=0.5)
+    assert np.array_equal(stats.phi, [1.0, 2.0])
+    assert np.array_equal(stats.psi, [0.75, 2.5])
+    assert stats.reward == 3.0
+    with pytest.raises(ValueError):
+        mspbe.SampleStats(np.ones(3), np.ones(2), 0.0)
+    with pytest.raises(ValueError):
+        mspbe.SampleStats(np.ones((2, 2)), np.ones((2, 2)), 0.0)
 
 
 def test_gradient_matches_finite_differences():
@@ -85,9 +93,53 @@ def test_aggregate_means():
     prob = random_problem(seed=4)
     A, b, C = mspbe.aggregate(prob)
     stats = list(prob.all_stats())
-    assert np.allclose(A, np.mean([s.a_hat for s in stats], axis=0))
-    assert np.allclose(b, np.mean([s.b_hat for s in stats], axis=0))
-    assert np.allclose(C, np.mean([s.c_hat for s in stats], axis=0))
+    assert np.allclose(A, np.mean([np.outer(s.phi, s.psi) for s in stats], axis=0))
+    assert np.allclose(b, np.mean([s.phi * s.reward for s in stats], axis=0))
+    assert np.allclose(C, np.mean([np.outer(s.phi, s.phi) for s in stats], axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 64), m=st.integers(1, 6),
+       scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_rank_one_kernels_match_dense_definition(d, m, scale, seed):
+    """saddle_gradient and aggregate against A = phi psi^T, C = phi phi^T,
+    b = phi r built densely.
+
+    Every entry of either side is a sum of at most K = 2d + 2 (gradient) or
+    m (aggregate) products of two or three inputs, so each side is within
+    (K + 3) u sum|terms| of the exact value, u the unit roundoff; the bound
+    below doubles that for the two sides together.
+    """
+    rng = np.random.default_rng(seed)
+    rho = 0.1
+    stats = [mspbe.SampleStats(scale * rng.normal(size=d),
+                               scale * rng.normal(size=d),
+                               float(scale * rng.normal())) for _ in range(m)]
+    z = scale * rng.normal(size=2 * d)
+    theta, omega = z[:d], z[d:]
+    u = np.finfo(float).eps / 2
+    for s in stats:
+        a, c, b = np.outer(s.phi, s.psi), np.outer(s.phi, s.phi), s.phi * s.reward
+        dense = np.concatenate([a.T @ omega + rho * theta,
+                                -(a @ theta - c @ omega - b)])
+        # sum of the magnitudes of every term in each entry
+        terms = np.concatenate([
+            np.abs(a.T) @ np.abs(omega) + rho * np.abs(theta),
+            np.abs(a) @ np.abs(theta) + np.abs(c) @ np.abs(omega) + np.abs(b)])
+        bound = 2 * (2 * d + 5) * u * terms
+        got = mspbe.saddle_gradient(z, s, rho)
+        assert np.all(np.abs(got - dense) <= bound)
+    A, b, C = mspbe.aggregate(mspbe.ProblemSpec(((*stats,),), rho, 0.9))
+    loop = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d))]
+    mags = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d))]
+    for s in stats:
+        for k, term in enumerate((np.outer(s.phi, s.psi), s.phi * s.reward,
+                                  np.outer(s.phi, s.phi))):
+            loop[k] += term
+            mags[k] += np.abs(term)
+    for got, total, mag in zip((A, b, C), loop, mags):
+        assert np.all(np.abs(got - total / m) <= 2 * (m + 3) * u * mag / m)
 
 
 def test_solve_saddle_zeroes_the_gradient():
@@ -134,10 +186,15 @@ def test_scaled_round_trip_and_gradient_consistency():
 
 
 def test_zeta_threshold_pinned_identity_example():
-    # A = C = I, rho = 1 gives (4*1 + 4*1) / 1 = 8
+    # d samples phi = psi = sqrt(d) e_j, r = 0 average to A = C = I;
+    # rho = 1 gives (4*1 + 4*1) / 1 = 8
     d = 2
-    stats = mspbe.SampleStats(np.eye(d), np.zeros(d), np.eye(d))
-    prob = mspbe.ProblemSpec(per_node=((stats,),), rho=1.0, gamma=0.9)
+    basis = np.sqrt(d) * np.eye(d)
+    stats = tuple(mspbe.SampleStats(e, e.copy(), 0.0) for e in basis)
+    prob = mspbe.ProblemSpec(per_node=(stats,), rho=1.0, gamma=0.9)
+    A, _, C = mspbe.aggregate(prob)
+    assert np.allclose(A, np.eye(d), atol=1e-15)
+    assert np.allclose(C, np.eye(d), atol=1e-15)
     assert mspbe.zeta_threshold(prob) == pytest.approx(8.0, abs=1e-12)
 
 
@@ -166,8 +223,8 @@ def test_alpha_beta_are_true_extremes():
     prob = random_problem(seed=7)
     zeta = 1.5 * mspbe.zeta_threshold(prob)
     spec = mspbe.spectral_constants(prob, zeta)
-    G = mspbe.full_operator(prob, zeta)
-    eigs = np.linalg.eigvals(G)
+    M, _ = mspbe.scaled_affine(prob, zeta)
+    eigs = np.linalg.eigvals(M)
     assert spec.alpha == pytest.approx(float(eigs.real.min()), rel=1e-10)
     # beta bounds the norm of every per-sample block
     m = prob.m
@@ -184,7 +241,7 @@ def test_sample_operators_average_to_full_operator():
     for node in prob.per_node:
         for s in node:
             total += mspbe.sample_operator(s, prob.rho, zeta, prob.m)
-    assert np.allclose(total, mspbe.full_operator(prob, zeta), atol=1e-12)
+    assert np.allclose(total, mspbe.scaled_affine(prob, zeta)[0], atol=1e-12)
 
 
 def test_check_contraction_at_saddle_raises():
@@ -206,26 +263,3 @@ def test_gradient_lipschitz_within_beta_times_m():
             w1, w2 = rng.normal(size=(2, 2 * prob.d))
             diff = np.linalg.norm(op @ (w1 - w2))
             assert diff <= spec.beta * np.linalg.norm(w1 - w2) + 1e-12
-
-
-def test_problem_round_trip(tmp_path):
-    prob = random_problem(seed=11, n=2, d=3)
-    path = tmp_path / "problem.txt"
-    mspbe.dump_problem(prob, path)
-    loaded = mspbe.load_problem(path)
-    assert loaded.n == prob.n
-    assert loaded.m_i == prob.m_i
-    assert loaded.rho == prob.rho
-    assert loaded.gamma == prob.gamma
-    for node_a, node_b in zip(loaded.per_node, prob.per_node):
-        for sa, sb in zip(node_a, node_b):
-            assert np.array_equal(sa.a_hat, sb.a_hat)
-            assert np.array_equal(sa.b_hat, sb.b_hat)
-            assert np.array_equal(sa.c_hat, sb.c_hat)
-
-
-def test_load_problem_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a problem file\n")
-    with pytest.raises(ValueError):
-        mspbe.load_problem(path)

@@ -11,8 +11,9 @@ from asyncsag.protocol import (Message, Reception, SampleSelector, activate,
                                init_node, local_residual, selector_rng)
 
 
-def scalar_stats(a=0.0, b=0.0, c=0.0):
-    return mspbe.SampleStats(np.array([[a]]), np.array([b]), np.array([[c]]))
+def scalar_stats(phi=0.0, psi=0.0, r=0.0):
+    """d = 1 sample with A_hat = phi*psi, b_hat = phi*r, C_hat = phi**2."""
+    return mspbe.SampleStats(np.array([phi]), np.array([psi]), r)
 
 
 def make_node(samples, z0, out_degree=2, m_global=None, rho=0.1, seed=0,
@@ -54,7 +55,7 @@ def test_selector_deterministic_per_seed_and_node():
 
 
 def test_init_node_table_and_tracker():
-    samples = [scalar_stats(a=1.0, b=2.0, c=0.5) for _ in range(3)]
+    samples = [scalar_stats(phi=0.5, psi=2.0, r=4.0) for _ in range(3)]
     z0 = np.array([2.0, -1.0])
     node, payload = make_node(samples, z0, out_degree=2, m_global=6)
     expected_g = mspbe.saddle_gradient(z0, samples[0], 0.1)
@@ -73,11 +74,12 @@ def test_init_node_table_and_tracker():
 def test_activation_arithmetic_pinned():
     """Table-correction pin: y = 0.5 + (4 - 2)/4 = 1.0.
 
-    Stats (a=0, b=4, c=0, rho=4) make the gradient equal 4 in both
-    coordinates at z_hat = [1, 0]; the stored table entry is forced to 2 and
-    the buffered tracker share to 0.5 with m_global = 4.
+    Stats (phi=1, psi=0, r=4, rho=4) make the gradient
+    [psi*(phi*omega) + rho*theta; phi*(phi*omega + r - psi*theta)] equal
+    [0 + 4; 0 + 4 - 0] = [4; 4] at z_hat = [1, 0]; the stored table entry is
+    forced to 2 and the buffered tracker share to 0.5 with m_global = 4.
     """
-    samples = [scalar_stats(a=0.0, b=4.0, c=0.0)]
+    samples = [scalar_stats(phi=1.0, psi=0.0, r=4.0)]
     node, _ = make_node(samples, np.zeros(2), out_degree=1, m_global=4, rho=4.0)
     node.table[0] = np.array([2.0, 2.0])
     node.buffer = [Reception(z_tilde=np.array([1.0, 0.0]),
@@ -94,7 +96,7 @@ def test_activation_arithmetic_pinned():
 
 
 def test_pull_is_mean_push_is_sum():
-    samples = [scalar_stats(b=1.0)]
+    samples = [scalar_stats(phi=1.0, r=1.0)]
     node, _ = make_node(samples, np.zeros(2), out_degree=3, m_global=9)
     node.buffer = [
         Reception(np.array([1.0, 0.0]), np.array([0.3, 0.0]), 1, 0),
@@ -110,7 +112,7 @@ def test_pull_is_mean_push_is_sum():
 
 
 def test_buffer_lifecycle_and_self_copy():
-    samples = [scalar_stats(b=1.0)]
+    samples = [scalar_stats(phi=1.0, r=1.0)]
     node, _ = make_node(samples, np.zeros(2), out_degree=2)
     assert len(node.buffer) == 1
     node.buffer.append(Reception(np.ones(2), np.ones(2), 1, 2))
@@ -160,8 +162,8 @@ def test_table_soundness_against_eval_points():
     # every table row equals the gradient of its sample at its eval point:
     # the pull average z_hat of the last activation that drew it, or z0
     rng = np.random.default_rng(0)
-    samples = [scalar_stats(a=float(rng.normal()), b=float(rng.normal()),
-                            c=float(abs(rng.normal())))
+    samples = [scalar_stats(phi=float(rng.normal()), psi=float(rng.normal()),
+                            r=float(rng.normal()))
                for _ in range(4)]
     z0 = rng.normal(size=2)
     node, _ = make_node(samples, z0, out_degree=2, seed=5)
@@ -182,8 +184,9 @@ def test_mass_conservation_two_node_relay():
     event (self-copies included)."""
     rng = np.random.default_rng(2)
     all_samples = [
-        [scalar_stats(a=0.4, b=1.0, c=0.3), scalar_stats(a=-0.2, b=0.5, c=0.8)],
-        [scalar_stats(a=0.1, b=-1.0, c=0.5)],
+        [scalar_stats(phi=0.5, psi=0.8, r=2.0),
+         scalar_stats(phi=0.9, psi=-0.2, r=0.5)],
+        [scalar_stats(phi=0.7, psi=0.1, r=-1.4)],
     ]
     m = 3
     nodes = []
@@ -218,6 +221,6 @@ def test_mass_conservation_two_node_relay():
 
 
 def test_local_residual_is_tracker_norm():
-    samples = [scalar_stats(b=2.0)]
+    samples = [scalar_stats(phi=1.0, r=2.0)]
     node, _ = make_node(samples, np.zeros(2))
     assert local_residual(node) == pytest.approx(float(np.linalg.norm(node.y)))
