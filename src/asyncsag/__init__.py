@@ -9,9 +9,9 @@ from .mdp import (Mdp, TdSample, Transition, build_random_mdp,
                   make_feature_map, partition_samples, random_policy,
                   sample_trajectory, stationary_distribution)
 from .mspbe import (ProblemSpec, SampleStats, SpectralConstants, aggregate,
-                    check_contraction, full_gradient, problem_from_samples,
-                    saddle_gradient, solve_problem, solve_saddle,
-                    spectral_constants, zeta_threshold)
+                    full_gradient, problem_from_samples, saddle_gradient,
+                    solve_problem, solve_saddle, spectral_constants,
+                    zeta_threshold)
 from .protocol import (Message, NodeState, SampleSelector, activate,
                        init_node, selector_rng)
 from .simulator import (ActivationSchedule, AssumptionViolation, DelayModel,
@@ -32,7 +32,7 @@ __all__ = [
     "partition_samples", "random_policy", "sample_trajectory",
     "stationary_distribution",
     "ProblemSpec", "SampleStats", "SpectralConstants", "aggregate",
-    "check_contraction", "full_gradient", "problem_from_samples",
+    "full_gradient", "problem_from_samples",
     "saddle_gradient", "solve_problem", "solve_saddle", "spectral_constants",
     "zeta_threshold",
     "Message", "NodeState", "SampleSelector", "activate", "init_node",

@@ -45,7 +45,7 @@ whose contraction is measured.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -160,6 +160,7 @@ class AugmentedState:
     y_rows: np.ndarray        # (ntilde, 2d), scaled trackers
     partial: np.ndarray       # (ntilde, 2d), scaled per-node gradient averages
     zeta: float
+    mats: EventMatrices | None = None   # event k's matrices (None at k=0)
 
 
 def _consumption_index(trace: EventTrace) -> dict[tuple[int, int, int], int]:
@@ -256,42 +257,49 @@ def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
 
 
 def replay(trace: EventTrace, problem: ProblemSpec, eta: float,
-           zeta: float) -> list[AugmentedState]:
+           zeta: float) -> Iterator[AugmentedState]:
     """Re-run the whole trace as the augmented matrix recursion.
 
     Independent of the simulator's numerical path: gradients are recomputed
     at the replay's own reconstructed pull averages and the per-sample tables
     are rebuilt from scratch. Each event's products with H_R and H_C are row
-    gathers over its sparse matrices. Returns states for k = 0..T; their
-    arrays are views into one (T+1, ntilde, 2d) block per field.
+    gathers over its sparse matrices, built once and carried by the state.
+
+    Yields the states k = 0..T in order; each owns its arrays, and only the
+    previous one is kept. The layout check and the certification of b raise
+    at the call, before the first state is asked for.
     """
     if problem.n != trace.n or problem.d != trace.d or problem.m_i != trace.m_i:
         raise ValueError("problem layout does not match the trace")
     b = verify_assumption1b(trace)
+    return _replay_states(trace, problem, eta, zeta, b)
+
+
+def _replay_states(trace: EventTrace, problem: ProblemSpec, eta: float,
+                   zeta: float, b: int) -> Iterator[AugmentedState]:
     consumed = _consumption_index(trace)
     n, d, m = trace.n, trace.d, sum(trace.m_i)
     ntilde = n * (b + 1)
 
-    # every state is kept, so each field gets one block for all of them
-    shape = (trace.num_events + 1, ntilde, 2 * d)
-    z_all, y_all, partial_all = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    z_rows, partial = np.zeros((ntilde, 2 * d)), np.zeros((ntilde, 2 * d))
     tables = []
     for v in range(n):
-        z_all[0, v] = to_scaled(trace.z0[v], zeta)
+        z_rows[v] = to_scaled(trace.z0[v], zeta)
         stats = problem.per_node[v]
         table = np.stack([saddle_gradient(trace.z0[v], st, problem.rho)
                           for st in stats])
         tables.append(table)
         # tracker-side rows carry omega times sqrt(zeta), as from_scaled does
-        partial_all[0, v] = from_scaled(table.sum(axis=0) / m, zeta)
-    y_all[0] = partial_all[0]
+        partial[v] = from_scaled(table.sum(axis=0) / m, zeta)
+    prev = AugmentedState(k=0, z_rows=z_rows, y_rows=partial.copy(),
+                          partial=partial, zeta=zeta)
+    yield prev
 
     for k in range(1, trace.num_events + 1):
         i = int(trace.node[k - 1])
         mats = build_event_matrices(trace, k, b=b, _consumed=consumed)
-        z_rows, y_rows, partial = z_all[k], y_all[k], partial_all[k]
 
-        z_rows[:] = mats.h_row @ z_all[k - 1]
+        z_rows = mats.h_row @ prev.z_rows
         z_hat = from_scaled(z_rows[i], zeta)
         delta = np.zeros(2 * d)
         for p in trace.samples[k - 1].tolist():
@@ -299,49 +307,35 @@ def replay(trace: EventTrace, problem: ProblemSpec, eta: float,
             delta += (fresh - tables[i][p]) / m
             tables[i][p] = fresh
         # only the real rows carry gradient averages; the registers stay 0
-        partial[:n] = partial_all[k - 1, :n]
+        partial = prev.partial.copy()
         partial[i] += from_scaled(delta, zeta)
 
-        y_rows[:] = mats.h_col @ y_all[k - 1]
-        y_rows[i] += partial[i] - partial_all[k - 1, i]
+        y_rows = mats.h_col @ prev.y_rows
+        y_rows[i] += partial[i] - prev.partial[i]
         z_rows[i] -= eta * y_rows[i]
 
-    return [AugmentedState(k=k, z_rows=z_all[k], y_rows=y_all[k],
-                           partial=partial_all[k], zeta=zeta)
-            for k in range(trace.num_events + 1)]
+        prev = AugmentedState(k=k, z_rows=z_rows, y_rows=y_rows,
+                              partial=partial, zeta=zeta, mats=mats)
+        yield prev
 
 
-def check_equivalence(trace: EventTrace, states: Sequence[AugmentedState]) -> float:
-    """Max deviation between replayed real rows and the simulator's iterates."""
-    zeta = states[0].zeta
-    z_cur = trace.z0.copy()
-    worst = 0.0
-    for state in states:
-        if state.k > 0:
-            z_cur[trace.node[state.k - 1]] = trace.z_tilde[state.k - 1]
-        for v in range(trace.n):
-            replayed = from_scaled(state.z_rows[v], zeta)
-            worst = max(worst, float(np.max(np.abs(replayed - z_cur[v]))))
-    return worst
+def check_equivalence(trace: EventTrace, state: AugmentedState) -> float:
+    """Max deviation of a state's real rows from the simulator's iterates
+    after event ``state.k``."""
+    n, k = trace.n, state.k
+    # each node's latest activation at or before event k (-1: none yet)
+    latest = np.full(n, -1)
+    np.maximum.at(latest, trace.node[:k], np.arange(k))
+    simulated = trace.z0.copy()
+    simulated[latest >= 0] = trace.z_tilde[latest[latest >= 0]]
+    replayed = [from_scaled(row, state.zeta) for row in state.z_rows[:n]]
+    return float(np.max(np.abs(np.array(replayed) - simulated)))
 
 
-def tracking_residual(states: Sequence[AugmentedState],
-                      k: int | None = None) -> np.ndarray | float:
-    """Norm of 1^T Y^k - 1^T partial^k (the conserved-mass identity).
-
-    Returns the residual at one k, or the whole per-state array when k is
-    omitted.
-    """
-    def one(state: AugmentedState) -> float:
-        return float(np.linalg.norm(state.y_rows.sum(axis=0)
-                                    - state.partial.sum(axis=0)))
-
-    if k is not None:
-        for state in states:
-            if state.k == k:
-                return one(state)
-        raise ValueError(f"no replayed state with k={k}")
-    return np.array([one(s) for s in states])
+def tracking_residual(state: AugmentedState) -> float:
+    """Norm of 1^T Y^k - 1^T partial^k (the conserved-mass identity)."""
+    return float(np.linalg.norm(state.y_rows.sum(axis=0)
+                                - state.partial.sum(axis=0)))
 
 
 def rank_one_distance(mat: np.ndarray) -> float:

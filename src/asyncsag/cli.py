@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,10 +192,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[problem] d: feature dimension exceeds state count")
     if not (0 < cfg.gamma < 1):
         raise ConfigError("[problem] gamma: must lie strictly in (0, 1)")
-    if cfg.rho <= 0:
-        raise ConfigError("[problem] rho: must be positive")
-    if cfg.eta1 <= 0 or cfg.eta2 <= 0:
-        raise ConfigError("[algorithm] eta1/eta2: step sizes must be positive")
+    # the negated comparisons also reject nan
+    if not 0 < cfg.rho < math.inf:
+        raise ConfigError("[problem] rho: must be positive and finite")
+    if not (0 < cfg.eta1 < math.inf and 0 < cfg.eta2 < math.inf):
+        raise ConfigError(
+            "[algorithm] eta1/eta2: step sizes must be positive and finite")
     for key in ("batch_size", "max_events", "verify_events"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"[algorithm] {key}: must be at least 1")
@@ -204,12 +207,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[topology] path: file {cfg.edge_list_path} does not exist")
     if cfg.schedule == "straggler" and cfg.straggler_node is None:
         raise ConfigError("[schedule] straggler_node: required for straggler kind")
+    if cfg.b_max is not None and cfg.b_max < 1:
+        raise ConfigError("[schedule] b_max: must be at least 1")
     if cfg.proportions is not None and len(cfg.proportions) != cfg.n:
         raise ConfigError(
             f"[problem] proportions: need {cfg.n} entries, got {len(cfg.proportions)}"
         )
     if cfg.n_values is not None and any(n < 1 for n in cfg.n_values):
         raise ConfigError("[experiment] n_values: need at least one node per entry")
+    if cfg.eta1_values is not None and not all(
+            0 < eta < math.inf for eta in cfg.eta1_values):
+        raise ConfigError(
+            "[experiment] eta1_values: step sizes must be positive and finite")
     if (cfg.eta1_values is not None and cfg.n_values is not None
             and len(cfg.eta1_values) != len(cfg.n_values)):
         raise ConfigError(
@@ -411,34 +420,33 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path,
 
     b = simulator.verify_assumption1b(trace)
     d_g = max(1, diameter(bundle.graph))
-    consumed = augmented._consumption_index(trace)
 
-    worst_row = worst_col = 0.0
-    mats_for_product = []
-    keep = min(trace.num_events, 200)
-    for k in range(1, trace.num_events + 1):
-        mats = augmented.build_event_matrices(trace, k, b=b, _consumed=consumed)
-        worst_row = max(worst_row, float(np.max(np.abs(mats.h_row.sum(axis=1) - 1))))
-        worst_col = max(worst_col, float(np.max(np.abs(mats.h_col.sum(axis=0) - 1))))
-        if k <= keep:
-            mats_for_product.append(mats)
+    # one pass over the replayed states, each carrying its event's matrices;
+    # np.maximum keeps a nan, which fails its check
+    worst_row = worst_col = dev = res = 0.0
+    h_rows, h_cols = [], []
+    for state in augmented.replay(trace, bundle.problem, cfg.eta1, cfg.zeta):
+        dev = np.maximum(dev, augmented.check_equivalence(trace, state))
+        res = np.maximum(res, augmented.tracking_residual(state))
+        mats = state.mats
+        if mats is None:
+            continue
+        worst_row = np.maximum(worst_row, np.max(np.abs(mats.h_row.sum(axis=1) - 1)))
+        worst_col = np.maximum(worst_col, np.max(np.abs(mats.h_col.sum(axis=0) - 1)))
+        if state.k <= 200:   # the products contract the first 200 events
+            h_rows.append(mats.h_row)
+            h_cols.append(mats.h_col)
     ok = (worst_row <= augmented.STOCHASTIC_TOL
           and worst_col <= augmented.STOCHASTIC_TOL)
     checks.append(("stochasticity", ok,
                    f"max row-sum dev {worst_row:.2e}, max col-sum dev {worst_col:.2e}"))
-
-    states = augmented.replay(trace, bundle.problem, cfg.eta1, cfg.zeta)
-    dev = augmented.check_equivalence(trace, states)
     checks.append(("replay_equivalence", dev <= 1e-9, f"max deviation {dev:.2e}"))
-
-    res = augmented.tracking_residual(states)
-    checks.append(("tracking_identity", float(np.max(res)) <= 1e-9,
-                   f"max residual {float(np.max(res)):.2e}"))
+    checks.append(("tracking_identity", res <= 1e-9, f"max residual {res:.2e}"))
 
     big_k = 2 * max(bundle.problem.m_i) - 1
     rc = augmented.rate_constants(cfg.n, b, big_k, d_g, bundle.spectral)
-    dist_row = augmented.product_contraction([m.h_row for m in mats_for_product])
-    dist_col = augmented.product_contraction([m.h_col for m in mats_for_product])
+    dist_row = augmented.product_contraction(h_rows)
+    dist_col = augmented.product_contraction(h_cols)
     first_bad = None
     for t in range(dist_row.shape[0]):
         bound = 2.0 * augmented.delta_power(rc, t)

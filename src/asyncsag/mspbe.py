@@ -118,13 +118,18 @@ def problem_from_samples(per_node_samples: list[list[TdSample]], rho: float,
     )
 
 
+def _factors(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Phi, Psi, r): every sample's factors, stacked in node order."""
+    stats = list(problem.all_stats())
+    return (np.array([st.phi for st in stats]),
+            np.array([st.psi for st in stats]),
+            np.array([st.reward for st in stats]))
+
+
 def aggregate(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global flat means (A, b, C) = (Phi^T Psi, Phi^T r, Phi^T Phi) / m."""
-    stats = list(problem.all_stats())
-    phi = np.array([st.phi for st in stats])
-    psi = np.array([st.psi for st in stats])
-    reward = np.array([st.reward for st in stats])
-    m = len(stats)
+    phi, psi, reward = _factors(problem)
+    m = problem.m
     return phi.T @ psi / m, phi.T @ reward / m, phi.T @ phi / m
 
 
@@ -223,13 +228,18 @@ def scaled_gradient(problem: ProblemSpec, w: np.ndarray, zeta: float) -> np.ndar
 
 
 def _scaled_block(a: np.ndarray, c: np.ndarray, rho: float, zeta: float) -> np.ndarray:
-    """M = [[rho I, sqrt(zeta) A^T], [-sqrt(zeta) A, zeta C]]."""
-    d = a.shape[0]
+    """M = [[rho I, sqrt(zeta) A^T], [-sqrt(zeta) A, zeta C]].
+
+    ``a`` and ``c`` may carry leading stack axes; M then has the same ones.
+    """
+    d = a.shape[-1]
     root = np.sqrt(zeta)
-    return np.block([
-        [rho * np.eye(d), root * a.T],
-        [-root * a, zeta * c],
-    ])
+    out = np.zeros(a.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = rho * np.eye(d)
+    out[..., :d, d:] = root * np.swapaxes(a, -1, -2)
+    out[..., d:, :d] = -root * a
+    out[..., d:, d:] = zeta * c
+    return out
 
 
 def scaled_affine(problem: ProblemSpec, zeta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -290,10 +300,12 @@ def spectral_constants(problem: ProblemSpec, zeta: float) -> SpectralConstants:
     real = imag_max <= EIG_IMAG_TOL
     alpha = float(np.min(eigs.real))
     g_max = float(np.max(eigs.real))
-    beta = max(
-        float(np.linalg.norm(sample_operator(st, problem.rho, zeta, problem.m), 2))
-        for st in problem.all_stats()
-    )
+    # every sample_operator block at once: outer products along a stack axis
+    phi, psi, _ = _factors(problem)
+    blocks = _scaled_block(phi[:, :, None] * psi[:, None, :],
+                           phi[:, :, None] * phi[:, None, :],
+                           problem.rho, zeta) / problem.m
+    beta = float(np.linalg.norm(blocks, 2, axis=(1, 2)).max())
     psi = float(np.linalg.eigvalsh(c)[-1])
     zmin = _zeta_min(a, c, problem.rho)
     valid = bool(zeta > zmin and real and alpha > 0)
@@ -301,25 +313,3 @@ def spectral_constants(problem: ProblemSpec, zeta: float) -> SpectralConstants:
         alpha=alpha, beta=beta, psi=psi, zeta_min=zmin, zeta=zeta,
         g_eigs_real=real, valid=valid, g_max_eig=g_max,
     )
-
-
-def check_contraction(z: np.ndarray, eta: float, problem: ProblemSpec,
-                      zeta: float) -> float:
-    """One-step distance ratio ||w - eta*grad(w) - w*|| / ||w - w*||.
-
-    Operates in scaled coordinates; ``z`` is an unscaled saddle vector.
-    Raises at the saddle point itself (undefined ratio).
-
-    This Euclidean ratio is not bounded by 1 - alpha*eta: the one-step map
-    I - eta*M (M from ``scaled_affine``) is not normal, so the ratio can
-    exceed that rate at single steps. With a real spectrum and
-    eta <= 1/lmax(M), the per-step bound 1 - alpha*eta holds in the
-    eigenbasis norm ||Q^{-1}(w - w*)||, where M = Q diag(lambda) Q^{-1}.
-    """
-    w = to_scaled(z, zeta)
-    w_star = to_scaled(solve_problem(problem), zeta)
-    gap = np.linalg.norm(w - w_star)
-    if gap == 0.0:
-        raise ValueError("contraction ratio undefined at the saddle point")
-    stepped = w - eta * scaled_gradient(problem, w, zeta)
-    return float(np.linalg.norm(stepped - w_star) / gap)

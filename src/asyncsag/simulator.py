@@ -68,8 +68,9 @@ class ActivationSchedule:
         if self.kind == "straggler":
             if self.straggler_node is None or not (0 <= self.straggler_node < self.n):
                 raise ValueError("straggler schedule needs a valid target node")
-            if self.straggler_factor < 1.0:
-                raise ValueError("straggler slowdown factor must be >= 1")
+            if not 1.0 <= self.straggler_factor < np.inf:
+                raise ValueError("straggler slowdown factor must be finite "
+                                 "and >= 1")
 
     def weights(self) -> np.ndarray:
         w = np.ones(self.n)

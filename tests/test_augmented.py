@@ -3,6 +3,8 @@ simulator, mass tracking, contraction products, and rate constants."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -127,20 +129,20 @@ def test_matrices_reject_out_of_range_event_and_small_window():
 
 def test_replay_matches_simulator_to_machine_precision():
     prob, trace = run_pair(seed=11, max_events=90)
-    states = augmented.replay(trace, prob, eta=trace.eta1,
-                              zeta=trace.eta2 / trace.eta1)
-    dev = augmented.check_equivalence(trace, states)
+    states = list(augmented.replay(trace, prob, eta=trace.eta1,
+                                   zeta=trace.eta2 / trace.eta1))
+    dev = max(augmented.check_equivalence(trace, s) for s in states)
     assert dev <= 1e-9  # observed ~1e-15; the contract allows 1e-9
-    residuals = augmented.tracking_residual(states)
+    residuals = [augmented.tracking_residual(s) for s in states]
     assert np.max(residuals) <= 1e-9
 
 
 def test_replay_matches_with_batches_and_round_robin():
     prob, trace = run_pair(seed=5, max_events=60, batch_size=3,
                            kind="round_robin")
-    states = augmented.replay(trace, prob, eta=trace.eta1,
-                              zeta=trace.eta2 / trace.eta1)
-    assert augmented.check_equivalence(trace, states) <= 1e-9
+    states = list(augmented.replay(trace, prob, eta=trace.eta1,
+                                   zeta=trace.eta2 / trace.eta1))
+    assert max(augmented.check_equivalence(trace, s) for s in states) <= 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -164,17 +166,17 @@ def test_replay_matches_simulator_with_shared_payloads(
                                 sched, delays, 0.01, 0.1, seed=seed,
                                 max_events=40, batch_size=batch_size)
     try:
-        states = augmented.replay(trace, prob, eta=0.01, zeta=10.0)
+        states = list(augmented.replay(trace, prob, eta=0.01, zeta=10.0))
     except simulator.AssumptionViolation:
         reject()  # some node's update was never delivered within 40 events
-    assert augmented.check_equivalence(trace, states) <= 1e-9
-    assert np.max(augmented.tracking_residual(states)) <= 1e-9
+    assert max(augmented.check_equivalence(trace, s) for s in states) <= 1e-9
+    assert max(augmented.tracking_residual(s) for s in states) <= 1e-9
 
 
 def test_replay_initial_state():
     prob, trace = run_pair(seed=2, max_events=20)
     zeta = trace.eta2 / trace.eta1
-    states = augmented.replay(trace, prob, eta=trace.eta1, zeta=zeta)
+    states = list(augmented.replay(trace, prob, eta=trace.eta1, zeta=zeta))
     s0 = states[0]
     assert s0.k == 0
     n, d = trace.n, trace.d
@@ -186,6 +188,9 @@ def test_replay_initial_state():
     assert np.all(s0.z_rows[n:] == 0.0)
     assert np.array_equal(s0.y_rows, s0.partial)
     assert len(states) == trace.num_events + 1
+    # each later state carries its own event's matrices
+    assert s0.mats is None
+    assert all(s.mats.k == s.k for s in states[1:])
 
 
 def test_replay_detects_a_tampered_iterate():
@@ -193,12 +198,83 @@ def test_replay_detects_a_tampered_iterate():
     so corrupting one published vector must surface as a deviation of
     exactly that size."""
     prob, trace = run_pair(seed=13, max_events=70)
-    states = augmented.replay(trace, prob, eta=trace.eta1,
-                              zeta=trace.eta2 / trace.eta1)
-    assert augmented.check_equivalence(trace, states) <= 1e-9
+    states = list(augmented.replay(trace, prob, eta=trace.eta1,
+                                   zeta=trace.eta2 / trace.eta1))
+    assert max(augmented.check_equivalence(trace, s) for s in states) <= 1e-9
     trace.z_tilde[40, 0] += 1e-3
-    dev = augmented.check_equivalence(trace, states)
+    dev = max(augmented.check_equivalence(trace, s) for s in states)
     assert abs(dev - 1e-3) < 1e-6
+
+
+def _equivalence_oracle(trace, states):
+    """The whole-sequence equivalence check that the per-state one replaced:
+    a running simulator iterate, advanced event by event."""
+    zeta = states[0].zeta
+    z_cur = trace.z0.copy()
+    worst = 0.0
+    for state in states:
+        if state.k > 0:
+            z_cur[trace.node[state.k - 1]] = trace.z_tilde[state.k - 1]
+        for v in range(trace.n):
+            replayed = mspbe.from_scaled(state.z_rows[v], zeta)
+            worst = max(worst, float(np.max(np.abs(replayed - z_cur[v]))))
+    return worst
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4),
+       kind=st.sampled_from(["round_robin", "uniform_random"]),
+       d_max=st.integers(0, 2), max_events=st.integers(1, 40),
+       noise=st.sampled_from([0.0, 1e-12, 1e-3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_check_equivalence_per_state_matches_running_oracle(
+        n, kind, d_max, max_events, noise, seed):
+    """The maximum over the per-state deviations equals, bit for bit, the
+    deviation of the running-iterate loop. Noise on the published iterates
+    makes every state's deviation depend on which row it compares."""
+    prob = build_problem(n=n)
+    trace = simulator.run_async(
+        prob, graph.generate_topology("ring", n),
+        simulator.ActivationSchedule(kind=kind, n=n),
+        simulator.DelayModel(kind="uniform", d_max=d_max), 0.01, 0.1,
+        seed=seed, max_events=max_events)
+    try:
+        states = list(augmented.replay(trace, prob, eta=0.01, zeta=10.0))
+    except simulator.AssumptionViolation:
+        reject()  # some node's update was never delivered within the trace
+    rng = np.random.default_rng(seed)
+    trace.z_tilde += noise * rng.standard_normal(trace.z_tilde.shape)
+    got = max(augmented.check_equivalence(trace, s) for s in states)
+    assert got == _equivalence_oracle(trace, states)
+
+
+def test_replay_keeps_one_state_at_a_time():
+    """Consuming a 300-event replay holds a few states, not all of them."""
+    n, d = 3, 32
+    prob = build_problem(n=n, d=d, num_states=40)
+    trace = simulator.run_async(
+        prob, graph.generate_topology("ring", n),
+        simulator.ActivationSchedule(kind="uniform_random", n=n),
+        simulator.DelayModel(kind="uniform", d_max=2), 0.01, 0.1, seed=11,
+        max_events=300)
+    b = simulator.verify_assumption1b(trace)
+    state_bytes = 3 * n * (b + 1) * 2 * d * 8
+    mats_bytes = 0
+    for k in range(1, trace.num_events + 1):
+        mats = augmented.build_event_matrices(trace, k, b=b)
+        mats_bytes = max(mats_bytes, mats.h_row.nbytes + mats.h_col.nbytes
+                         + mats.i_act.nbytes)
+    count = 0
+    tracemalloc.start()
+    try:
+        for _ in augmented.replay(trace, prob, eta=0.01, zeta=10.0):
+            count += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == trace.num_events + 1 == 301
+    # about 2.7 states are live at the peak; all 301 would be 100 times more
+    assert peak <= 4 * state_bytes + mats_bytes
 
 
 def test_replay_rejects_mismatched_problem():

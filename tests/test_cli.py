@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from asyncsag import cli, graph
+from asyncsag import augmented, cli, graph
 
 
 BASE_INI = """\
@@ -189,11 +189,31 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [problem] num_actions", "at least one action")),
     (("d = 3", "d = 0"),
      ("config error: [problem] d", "at least one feature")),
+    # non-finite numbers: nan fails every comparison, so "<= 0" let it pass
+    (("eta1 = 0.01", "eta1 = nan"),
+     ("config error: [algorithm] eta1/eta2", "positive and finite")),
+    (("eta2 = 0.1", "eta2 = inf"),
+     ("config error: [algorithm] eta1/eta2", "positive and finite")),
+    (("rho = 0.1", "rho = nan"),
+     ("config error: [problem] rho", "positive and finite")),
+    (("seed = 5\n", "seed = 5\n\n[experiment]\nn_values = 1 2\n"
+                    "eta1_values = 0.01 nan\n"),
+     ("config error: [experiment] eta1_values", "positive and finite")),
+    (("kind = uniform_random",
+      "kind = straggler\nstraggler_node = 0\nstraggler_factor = nan"),
+     ("config error: [schedule]", "finite and >= 1")),
+    # a window of no events cannot hold any activation
+    (("d_max = 2", "d_max = 2\nb_max = 0"),
+     ("config error: [schedule] b_max", "at least 1")),
+    (("d_max = 2", "d_max = 2\nb_max = -3"),
+     ("config error: [schedule] b_max", "at least 1")),
 ], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
         "n_values", "sync-kind", "c-not-positive-definite",
         "c-rank-deficient-seed-2", "c-rank-deficient-seed-5", "singular-saddle",
         "batch-size-0", "batch-size-negative", "max-events-0",
-        "verify-events-0", "num-actions-0", "d-0"])
+        "verify-events-0", "num-actions-0", "d-0", "eta1-nan", "eta2-inf",
+        "rho-nan", "eta1-values-nan", "straggler-factor-nan", "b-max-0",
+        "b-max-negative"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI
@@ -205,6 +225,22 @@ def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
         for needle in needles:
             assert needle in err
         assert "Traceback" not in err
+
+
+def test_verify_builds_each_event_matrix_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    build = augmented.build_event_matrices
+
+    def counting(trace, k, *args, **kwargs):
+        calls.append(k)
+        return build(trace, k, *args, **kwargs)
+
+    monkeypatch.setattr(augmented, "build_event_matrices", counting)
+    ini = write_ini(tmp_path, BASE_INI)
+    cli.main(["verify", "--config", str(ini), "--out", str(tmp_path)])
+    assert "PASS replay_equivalence" in capsys.readouterr().out
+    # verify_events = 100 in BASE_INI
+    assert calls == list(range(1, 101))
 
 
 def test_main_run_writes_outputs_and_is_reproducible(tmp_path, capsys):

@@ -244,13 +244,6 @@ def test_sample_operators_average_to_full_operator():
     assert np.allclose(total, mspbe.scaled_affine(prob, zeta)[0], atol=1e-12)
 
 
-def test_check_contraction_at_saddle_raises():
-    prob = random_problem(seed=9)
-    z_star = mspbe.solve_problem(prob)
-    with pytest.raises(ValueError):
-        mspbe.check_contraction(z_star, 1e-3, prob, 1.2 * mspbe.zeta_threshold(prob))
-
-
 def test_gradient_lipschitz_within_beta_times_m():
     # ||grad_{i,p}(z1) - grad_{i,p}(z2)|| <= m*beta*||z1-z2|| in scaled coords
     prob = random_problem(seed=10)
