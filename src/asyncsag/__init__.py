@@ -12,8 +12,8 @@ from .mspbe import (ProblemSpec, SampleStats, SpectralConstants, aggregate,
                     full_gradient, problem_from_samples, saddle_gradient,
                     solve_problem, solve_saddle, spectral_constants,
                     zeta_threshold)
-from .protocol import (Message, NodeState, SampleSelector, activate,
-                       init_node, selector_rng)
+from .protocol import (Message, NodeState, PayloadTable, SampleSelector,
+                       activate, init_node, selector_rng)
 from .simulator import (ActivationSchedule, AssumptionViolation, DelayModel,
                         EventTrace, estimate_rate, metrics, run_async,
                         run_sync, verify_assumption1b, write_metrics_csv)
@@ -35,7 +35,8 @@ __all__ = [
     "full_gradient", "problem_from_samples",
     "saddle_gradient", "solve_problem", "solve_saddle", "spectral_constants",
     "zeta_threshold",
-    "Message", "NodeState", "SampleSelector", "activate", "init_node",
+    "Message", "NodeState", "PayloadTable", "SampleSelector", "activate",
+    "init_node",
     "selector_rng",
     "ActivationSchedule", "AssumptionViolation", "DelayModel", "EventTrace",
     "estimate_rate", "metrics", "run_async", "run_sync",

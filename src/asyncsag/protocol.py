@@ -1,26 +1,27 @@
 """Per-node state machine of the asynchronous push-pull averaged-gradient run.
 
 Each node keeps a saddle vector z, a gradient tracker y, a per-sample table of
-stored gradients, and one receive buffer of (z, y) payload pairs. An
-activation, in order:
+stored gradients, and one receive buffer of payload rows. An activation, in
+order:
 
   1. pulls z as the elementwise mean of buffered z payloads,
   2. pushes y as the elementwise sum of buffered y payloads,
-  3. draws the next sample(s) from the reshuffle selector, refreshes the
-     gradient table, and corrects y by (new - stored) / m with the *global*
-     sample count m,
+  3. refreshes the gradient table at the picked sample(s) and corrects y by
+     (new - stored) / m with the *global* sample count m,
   4. forms the outgoing pair: z_tilde = z - diag(eta1, eta2) block step along
      y, y_tilde = y / out_degree (self-inclusive out-degree),
-  5. empties the buffer and immediately re-buffers its own copy of
-     (z_tilde, y_tilde).
+  5. writes it as its row of the payload table, empties the buffer and
+     immediately re-buffers that row as its own copy.
 
-Every buffered entry carries provenance (origin node, origin event index) so
-that a post-hoc matrix replay can reconstruct the exact information flow. The
-sign convention: y's omega block carries the negated dual gradient, so the
-single subtraction in step 4 descends on theta and ascends on omega.
+A payload is a row of a ``PayloadTable``, which holds every broadcast of a
+run once; the table's row numbering (the simulator's) gives each buffered
+entry its provenance (origin node, origin event index), so that a post-hoc
+matrix replay can reconstruct the exact information flow. The sign
+convention: y's omega block carries the negated dual gradient, so the single
+subtraction in step 4 descends on theta and ascends on omega.
 
-Nodes never share state; all interaction flows through payloads that the
-caller (the simulator) delivers with their Message records.
+Nodes never share state; all interaction flows through payload rows that the
+caller (the simulator) delivers.
 """
 
 from __future__ import annotations
@@ -72,8 +73,19 @@ class SampleSelector:
         self._pos += 1
         return p
 
-    def next_batch(self, size: int) -> list[int]:
-        return [self.next() for _ in range(size)]
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` selections, as ``count`` calls of ``next``
+        make them (a new permutation is drawn only when one is needed)."""
+        parts = [np.empty(0, dtype=np.int64)]
+        while count > 0:
+            if self._pos == self.m_local:
+                self._perm = self._rng.permutation(self.m_local)
+                self._pos = 0
+            part = self._perm[self._pos:self._pos + count]
+            self._pos += part.shape[0]
+            count -= part.shape[0]
+            parts.append(part)
+        return np.concatenate(parts)
 
     @property
     def window(self) -> int:
@@ -82,19 +94,10 @@ class SampleSelector:
 
 
 @dataclass(slots=True)
-class Reception:
-    """One buffered payload with provenance."""
-
-    z_tilde: np.ndarray
-    y_tilde: np.ndarray
-    origin: int
-    sent_event: int  # virtual-counter index of the originating update (0 = init)
-
-
-@dataclass(slots=True)
 class Message:
-    """Delivery record of one in-flight broadcast; the simulator keeps its
-    (z_tilde, y_tilde) payload beside it until delivery."""
+    """Delivery record of one network message: which broadcast went from
+    where to where, when it became visible and which activation consumed
+    it."""
 
     origin: int
     dest: int
@@ -105,6 +108,26 @@ class Message:
     def __post_init__(self):
         if self.deliver_at < self.sent_at:
             raise ValueError("message cannot be delivered before it is sent")
+
+
+@dataclass(slots=True)
+class PayloadTable:
+    """Every broadcast of a run, one row each, written once by its sender.
+
+    A copy of row r carries the saddle vector ``z[r]`` and the tracker share
+    ``y[r] / degree[r]``: ``y`` holds the sender's corrected tracker y_new
+    and ``degree`` its out-degree. The share is recomputed wherever it is
+    read, which gives the bits a stored share would have.
+    """
+
+    z: np.ndarray        # (rows, 2d) broadcast z_tilde
+    y: np.ndarray        # (rows, 2d) the sender's y_new
+    degree: np.ndarray   # (rows,) the sender's out-degree, as a float
+
+    @classmethod
+    def empty(cls, rows: int, width: int) -> "PayloadTable":
+        return cls(np.empty((rows, width)), np.empty((rows, width)),
+                   np.empty(rows))
 
 
 @dataclass
@@ -120,39 +143,22 @@ class NodeState:
     m_global: int
     out_degree: int
     selector: SampleSelector
-    buffer: list[Reception] = field(default_factory=list)
+    buffer: list[int] = field(default_factory=list)   # payload rows
 
     @property
     def m_local(self) -> int:
         return len(self.stats)
 
 
-@dataclass(slots=True)
-class ActivationResult:
-    """Everything one activation produced.
-
-    The arrays are never written after the activation returns, so the node
-    state, the buffers and the in-flight payloads share them instead of
-    copying. The simulator's trace copies samples, y_new, z_tilde and
-    consumed into its columns.
-    """
-
-    samples: tuple[int, ...]
-    z_hat: np.ndarray                # post-pull average
-    y_new: np.ndarray                # tracker after the table correction
-    z_tilde: np.ndarray              # broadcast value (also the node's new z)
-    y_tilde: np.ndarray              # broadcast share y_new / out_degree
-    consumed: tuple[tuple[int, int], ...]  # (origin, sent_event) per buffered entry
-
-
 def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...],
               z0: np.ndarray, out_degree: int, m_global: int, rho: float,
-              selector: SampleSelector) -> tuple[NodeState, tuple[np.ndarray, np.ndarray]]:
+              selector: SampleSelector, payloads: PayloadTable,
+              row: int) -> NodeState:
     """Fill the gradient table at z0 and stage the initial broadcast.
 
-    Returns the node plus the (z_tilde, y_tilde) payload its out-neighbors
-    must receive; the node's own copy is already buffered (with provenance
-    event 0).
+    The broadcast (z0 and the tracker) is written to ``row`` of the payload
+    table, which the node's out-neighbors must receive; the node's own copy
+    is already buffered.
     """
     stats = tuple(samples)
     if len(stats) != selector.m_local:
@@ -160,37 +166,34 @@ def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...]
     z0 = np.asarray(z0, dtype=float).copy()
     table = np.stack([saddle_gradient(z0, st, rho) for st in stats])
     y = table.sum(axis=0) / m_global
-    y_tilde = y / out_degree
-    node = NodeState(
+    payloads.z[row] = z0
+    payloads.y[row] = y
+    payloads.degree[row] = out_degree
+    return NodeState(
         node_id=node_id, z=z0, y=y, table=table, stats=stats, rho=rho,
         m_global=m_global, out_degree=out_degree, selector=selector,
+        buffer=[row],
     )
-    node.buffer.append(
-        Reception(z_tilde=z0, y_tilde=y_tilde, origin=node_id, sent_event=0)
-    )
-    return node, (z0, y_tilde)
 
 
-def on_receive(node: NodeState, msg: Message, z_tilde: np.ndarray,
-               y_tilde: np.ndarray) -> None:
-    """Append a delivered payload to the node's buffer (arrival order kept).
+def on_receive(node: NodeState, dest: int, row: int) -> None:
+    """Append a delivered payload row to the node's buffer (arrival order
+    kept).
 
     Duplicates from the same sender are kept as separate entries; each gets
     its own averaging weight at the next activation.
     """
-    if msg.dest != node.node_id:
+    if dest != node.node_id:
         raise ValueError(
-            f"message for node {msg.dest} delivered to node {node.node_id}"
+            f"message for node {dest} delivered to node {node.node_id}"
         )
-    node.buffer.append(
-        Reception(z_tilde=z_tilde, y_tilde=y_tilde, origin=msg.origin,
-                  sent_event=msg.sent_at)
-    )
+    node.buffer.append(row)
 
 
-def activate(node: NodeState, eta1: float, eta2: float, current_event: int,
-             batch_size: int = 1) -> ActivationResult:
-    """Run one full activation (pull, push, sample, step, broadcast)."""
+def activate(node: NodeState, payloads: PayloadTable, row: int,
+             picks: list[int], eta1: float, eta2: float) -> np.ndarray:
+    """Run one full activation (pull, push, refresh the picked samples,
+    step, broadcast into ``row``). Returns the pull average z_hat."""
     buffer = node.buffer
     if not buffer:
         raise RuntimeError(
@@ -199,34 +202,31 @@ def activate(node: NodeState, eta1: float, eta2: float, current_event: int,
         )
     # The pull mean and the push sum add the buffered payloads in buffer
     # order, as np.mean/np.sum do over their stacked (k, 2d) block; the
-    # payloads themselves are shared and stay unwritten.
-    z_hat = buffer[0].z_tilde.copy()
-    y_new = buffer[0].y_tilde.copy()
+    # buffered rows are only read, and only ``row`` is written.
+    z_rows, y_rows, degree = payloads.z, payloads.y, payloads.degree
+    first = buffer[0]
+    z_hat = z_rows[first].copy()
+    y_new = y_rows[first] / degree[first]
     for r in buffer[1:]:
-        z_hat += r.z_tilde
-        y_new += r.y_tilde
-    z_hat /= len(buffer)
-    consumed = tuple((r.origin, r.sent_event) for r in buffer)
+        z_hat += z_rows[r]
+        y_new += y_rows[r] / degree[r]
+    # a float divisor rounds as the int would and skips its conversion
+    z_hat /= float(len(buffer))
 
-    picks = node.selector.next_batch(batch_size)
+    table, m_global = node.table, float(node.m_global)
     for p in picks:
         fresh = saddle_gradient(z_hat, node.stats[p], node.rho)
-        y_new += (fresh - node.table[p]) / node.m_global
-        node.table[p] = fresh
+        y_new += (fresh - table[p]) / m_global
+        table[p] = fresh
 
     z_tilde = z_hat - _block_steps(eta1, eta2, z_hat.shape[0] // 2) * y_new
-    y_tilde = y_new / node.out_degree
-
+    z_rows[row] = z_tilde
+    y_rows[row] = y_new
+    degree[row] = node.out_degree
     node.z = z_tilde
     node.y = y_new
-    node.buffer = [
-        Reception(z_tilde=z_tilde, y_tilde=y_tilde, origin=node.node_id,
-                  sent_event=current_event)
-    ]
-    return ActivationResult(
-        samples=tuple(picks), z_hat=z_hat, y_new=y_new, z_tilde=z_tilde,
-        y_tilde=y_tilde, consumed=consumed,
-    )
+    node.buffer = [row]
+    return z_hat
 
 
 @lru_cache(maxsize=16)

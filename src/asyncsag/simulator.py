@@ -9,13 +9,18 @@ Self-copies bypass the network (the protocol re-buffers them at emission).
 Everything is reproducible from one integer seed: the activation schedule,
 the per-message delays, and each node's sample selector draw from independent
 derived streams.
+
+``run_async`` works through blocks of ``_PLAN_BLOCK`` events. None of the
+bookkeeping depends on a value of z or y, so each block is first planned with
+array code: who activates, which samples each activation refreshes, every
+message's delay, and which activation consumes which message in which buffer
+order. A per-event loop then runs only the protocol's arithmetic on that plan.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import logging
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,6 +32,7 @@ from .mspbe import ProblemSpec
 from .protocol import (
     Message,
     NodeState,
+    PayloadTable,
     SampleSelector,
     STREAM_DELAY,
     STREAM_SCHEDULE,
@@ -85,11 +91,12 @@ class ActivationSchedule:
         cdf = np.cumsum(self.weights())
         return cdf / cdf[-1]
 
-    def next(self, k: int, rng: np.random.Generator) -> int:
+    def next(self, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        """The activators of events k .. k + count - 1."""
         if self.kind == "round_robin":
-            return (k - 1) % self.n
-        # the draw and the stream are those of rng.choice(n, p=weights())
-        return int(self._cdf.searchsorted(rng.random(), side="right"))
+            return np.arange(k - 1, k - 1 + count) % self.n
+        # the draws and the stream are those of count rng.choice(n, p=weights())
+        return self._cdf.searchsorted(rng.random(count), side="right")
 
 
 @dataclass(frozen=True)
@@ -107,14 +114,19 @@ class DelayModel:
     def __post_init__(self):
         if self.kind not in ("zero", "uniform", "round_barrier"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
+        if (isinstance(self.d_max, bool)
+                or not isinstance(self.d_max, (int, np.integer))):
+            raise ValueError(f"d_max must be an integer, got {self.d_max!r}")
         if self.d_max < 0:
             raise ValueError("d_max must be nonnegative")
 
-    def draw(self, rng: np.random.Generator, sent_at: int) -> int:
+    def draw(self, rng: np.random.Generator, sent_at: np.ndarray) -> np.ndarray:
+        """Delays of messages sent at events ``sent_at``, in send order; a
+        uniform draw takes one value per message from ``rng``."""
         if self.kind == "zero":
-            return 0
+            return np.zeros_like(sent_at)
         if self.kind == "uniform":
-            return int(rng.integers(0, self.d_max + 1))
+            return rng.integers(0, self.d_max + 1, size=sent_at.shape[0])
         return (-sent_at) % (self.d_max + 1)
 
 
@@ -167,6 +179,166 @@ def _with_rows(column: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+# run_async plans this many events at a time with array code
+_PLAN_BLOCK = 4096
+
+
+class _Network:
+    """The messages of one run: the log in send order (a message's index is
+    its rank in it), and the ones still in flight as int columns."""
+
+    def __init__(self, graph: DirectedGraph, delays: DelayModel,
+                 rng: np.random.Generator) -> None:
+        # broadcast targets; the self-copy is already buffered by the protocol
+        targets = [[v for v in graph.out_neighbors(i) if v != i]
+                   for i in range(graph.n)]
+        self._fanout = np.array([len(t) for t in targets], dtype=np.int64)
+        self._first = np.cumsum(self._fanout) - self._fanout
+        self._targets = np.array([v for t in targets for v in t],
+                                 dtype=np.int64)
+        self._delays, self._rng = delays, rng
+        self.messages: list[Message] = []
+        # in flight: index, origin, dest, sent, slot
+        self.pending = np.empty((5, 0), dtype=np.int64)
+
+    def send(self, origins: np.ndarray, events: np.ndarray,
+             stamps: list[int]) -> None:
+        """Broadcast from each origin at its event, one delay draw each.
+
+        ``stamps[e - stamps[0]]`` is the int object that every message sent
+        at event e shares, as a per-event loop would.
+        """
+        fanout = self._fanout[origins]
+        total = int(fanout.sum())
+        skip = np.repeat(self._first[origins] - (np.cumsum(fanout) - fanout),
+                         fanout)
+        dest = self._targets[skip + np.arange(total)]
+        origin = np.repeat(origins, fanout)
+        sent = np.repeat(events, fanout)
+        slot = sent + self._delays.draw(self._rng, sent)
+        index = np.arange(len(self.messages), len(self.messages) + total)
+        self.pending = np.concatenate(
+            [self.pending, np.stack([index, origin, dest, sent, slot])],
+            axis=1)
+        self.messages += [
+            Message(o, d, stamps[s], t) for o, d, s, t in
+            zip(origin.tolist(), dest.tolist(), (sent - stamps[0]).tolist(),
+                slot.tolist())]
+
+
+@dataclass
+class _Block:
+    """The plan of events k0 .. k0 + count - 1 (row j is event k0 + j).
+
+    Event j's buffer is entries ``pulled[j]:pulled[j+1]`` of ``origin`` and
+    ``sent``, the activator's own latest broadcast first.
+    """
+
+    node: np.ndarray
+    samples: np.ndarray
+    pulled: np.ndarray
+    origin: np.ndarray
+    sent: np.ndarray
+    violation: tuple[int, int] | None   # first (event, node) past b_max
+
+
+def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
+                rng: np.random.Generator, network: _Network,
+                last_active: np.ndarray, nodes: list[NodeState],
+                batch_size: int, b_max: int | None
+                ) -> tuple[_Block, list[int], list[int], list[int]]:
+    """Plan a block of events from the random streams and the graph alone.
+
+    ``last_active`` (each node's latest activation, 0 for none) and the
+    network's messages in flight carry from block to block. Returns the
+    block and its deliveries: event j's are entries
+    ``delivered[j]:delivered[j+1]`` of the lists ``dest`` and ``row`` (the
+    payload row), the rest of its buffer in order.
+    """
+    n = last_active.shape[0]
+    act = schedule.next(k0, count, rng)
+    events = np.arange(k0, k0 + count)
+    stamps = list(range(k0 - 1, k0 + count))   # event k0 + j is stamps[j + 1]
+    if k0 == 1:   # the initial broadcasts go first
+        network.send(np.concatenate([np.arange(n), act]),
+                     np.concatenate([np.zeros(n, dtype=np.int64), events]),
+                     stamps)
+    else:
+        network.send(act, events, stamps)
+
+    # the block's events grouped by node, each node's in event order
+    order = np.argsort(act, kind="stable")
+    by_node = act[order]
+    events_by_node = events[order]
+    fresh = np.ones(count, dtype=bool)            # a node's first in the block
+    fresh[1:] = by_node[1:] != by_node[:-1]
+    prev_by_node = np.empty(count, dtype=np.int64)
+    prev_by_node[1:] = events_by_node[:-1]
+    prev_by_node[fresh] = last_active[by_node[fresh]]
+    final = np.empty(count, dtype=bool)            # a node's last in the block
+    final[:-1] = fresh[1:]
+    final[-1:] = True
+    last_active[by_node[final]] = events_by_node[final]
+    prev = np.empty(count, dtype=np.int64)
+    prev[order] = prev_by_node
+
+    violation = None
+    if b_max is not None:
+        # a node breaks b_max at the first event more than b_max after its
+        # latest activation, if that event comes before its next one
+        late = events_by_node - prev_by_node > b_max
+        when = np.concatenate([prev_by_node[late], last_active]) + b_max + 1
+        who = np.concatenate([by_node[late], np.arange(n)])
+        inside = when < k0 + count
+        if inside.any():
+            first = when[inside].min()
+            violation = (int(first),
+                         int(who[inside][when[inside] == first].min()))
+
+    # A message is consumed at its destination's first activation after its
+    # slot: one search over the (node, event) keys of the block.
+    index, origin, dest, sent, slot = network.pending
+    keys = np.append(by_node * count + order, n * count)
+    found = keys[np.searchsorted(
+        keys, dest * count + np.clip(slot - k0 + 1, 0, count))]
+    hit = found < (dest + 1) * count
+    network.pending = network.pending[:, ~hit]
+    at = found[hit] - dest[hit] * count
+    # each buffer in delivery order: slot, sent event, origin, send rank
+    index, origin, dest, sent, slot = (col[hit] for col in
+                                       (index, origin, dest, sent, slot))
+    buffered = np.lexsort((index, origin, sent, slot, at))
+    index, origin, dest, sent, at = (col[buffered] for col in
+                                     (index, origin, dest, sent, at))
+    messages = network.messages
+    for i, j in zip(index.tolist(), (at + 1).tolist()):
+        messages[i].consumed_at = stamps[j]
+
+    received = np.bincount(at, minlength=count)
+    delivered = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(received, out=delivered[1:])
+    pulled = delivered + np.arange(count + 1)
+    own = pulled[:-1]
+    # the i-th delivery follows the self entries of events 0 .. at[i]
+    into = np.arange(at.shape[0]) + at + 1
+    buf_origin = np.empty(pulled[-1], dtype=np.int64)
+    buf_sent = np.empty(pulled[-1], dtype=np.int64)
+    buf_origin[own], buf_sent[own] = act, prev
+    buf_origin[into], buf_sent[into] = origin, sent
+
+    # each node's picks, drawn in one go from its selector
+    drawn = np.concatenate([
+        nd.selector.take(c * batch_size)
+        for nd, c in zip(nodes, np.bincount(act, minlength=n).tolist())])
+    samples = np.empty((count, batch_size), dtype=np.int64)
+    samples[order] = drawn.reshape(count, batch_size)
+
+    block = _Block(node=act, samples=samples, pulled=pulled,
+                   origin=buf_origin, sent=buf_sent, violation=violation)
+    row = np.where(sent == 0, origin, n + sent - 1)
+    return block, delivered.tolist(), dest.tolist(), row.tolist()
+
+
 def run_async(problem: ProblemSpec, graph: DirectedGraph,
               schedule: ActivationSchedule, delays: DelayModel,
               eta1: float, eta2: float, seed: int, max_events: int,
@@ -182,122 +354,109 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         raise ValueError("communication graph must be strongly connected")
     if graph.n != problem.n:
         raise ValueError(f"graph has {graph.n} nodes, problem has {problem.n}")
-    if eta1 <= 0 or eta2 <= 0:
-        raise ValueError("step sizes must be positive")
+    for name, eta in (("eta1", eta1), ("eta2", eta2)):
+        if not 0 < eta < np.inf:
+            raise ValueError(f"{name}: step sizes must be finite and "
+                             f"positive, got {eta!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
     if schedule.n != graph.n:
         raise ValueError("schedule node count does not match the graph")
 
+    n, width = problem.n, 2 * problem.d
     rng_sched = derived_rng(seed, STREAM_SCHEDULE)
-    rng_delay = derived_rng(seed, STREAM_DELAY)
-    z0_rows = (np.zeros((problem.n, 2 * problem.d)) if z0 is None
+    z0_rows = (np.zeros((n, width)) if z0 is None
                else np.asarray(z0, dtype=float))
-    if z0_rows.shape == (2 * problem.d,):
-        z0_rows = np.tile(z0_rows, (problem.n, 1))
+    if z0_rows.shape == (width,):
+        z0_rows = np.tile(z0_rows, (n, 1))
 
-    # Per-destination delivery queues ordered by (slot, sent, origin, seq),
-    # each entry carrying its message's payload; a message in slot t is
-    # consumable by activations with k > t.
-    pending: list[list] = [[] for _ in range(graph.n)]
-    seq = 0
-    all_messages: list[Message] = []
-    # broadcast targets; the self-copy is already buffered by the protocol
-    targets = [tuple(v for v in graph.out_neighbors(i) if v != i)
-               for i in range(graph.n)]
-    draw = delays.draw
-
-    def send(origin: int, z_t: np.ndarray, y_t: np.ndarray, sent_at: int) -> None:
-        nonlocal seq
-        for dest in targets[origin]:
-            deliver_at = sent_at + draw(rng_delay, sent_at)
-            msg = Message(origin=origin, dest=dest, sent_at=sent_at,
-                          deliver_at=deliver_at)
-            all_messages.append(msg)
-            heapq.heappush(pending[dest],
-                           (deliver_at, sent_at, origin, seq, msg, z_t, y_t))
-            seq += 1
-
-    nodes: list[NodeState] = []
-    for i in range(problem.n):
-        selector = SampleSelector(problem.m_i[i], selector_rng(seed, i))
-        node, (z_t, y_t) = init_node(
-            i, problem.per_node[i], z0_rows[i], graph.out_degree(i), problem.m,
-            problem.rho, selector,
-        )
-        nodes.append(node)
-        send(i, z_t, y_t, sent_at=0)
-    y0_rows = np.stack([node.y for node in nodes])
-
-    # Per-event records: the ints go to int64 arrays, the z_tilde and y_new
-    # rows to float arrays grown by doubling and cut to length at the end.
-    rows = min(max_events, 1024)
-    z_col = np.empty((rows, 2 * problem.d))
-    y_col = np.empty((rows, 2 * problem.d))
-    activators = array("q")
-    samples = array("q")
-    consumed_origin = array("q")
-    consumed_sent = array("q")
-    consumed_ptr = array("q", [0])
+    # Row v < n of the payload table is node v's initial broadcast and row
+    # n + k - 1 event k's, so rows n.. are the trace's z_tilde and y_new.
+    payloads = PayloadTable.empty(n + min(max_events, _PLAN_BLOCK), width)
+    nodes = [
+        init_node(i, problem.per_node[i], z0_rows[i], graph.out_degree(i),
+                  problem.m, problem.rho,
+                  SampleSelector(problem.m_i[i], selector_rng(seed, i)),
+                  payloads, row=i)
+        for i in range(n)
+    ]
+    y0_rows = payloads.y[:n].copy()
+    network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY))
+    last_active = np.zeros(n, dtype=np.int64)
+    blocks: list[_Block] = []
 
     # Each node's tracker norm; an activation changes only the activator's.
     residual = [local_residual(nd) for nd in nodes]
-    last_activation = [0] * graph.n
-    delivered = 0
+    num_events = 0
     stop_reason = "max_events"
-    for k in range(1, max_events + 1):
-        i = schedule.next(k, rng_sched)
-        if b_max is not None:
-            for v in range(graph.n):
-                if k - last_activation[v] > b_max:
-                    raise AssumptionViolation(
-                        f"node {v} has not activated in the last {b_max} "
-                        f"events (event {k})", node=v,
-                    )
-        queue = pending[i]
-        while queue and queue[0][0] < k:
-            msg, z_t, y_t = heapq.heappop(queue)[4:]
-            on_receive(nodes[i], msg, z_t, y_t)
-            msg.consumed_at = k
-            delivered += 1
-        result = activate(nodes[i], eta1, eta2, current_event=k,
-                          batch_size=batch_size)
-        send(i, result.z_tilde, result.y_tilde, sent_at=k)
-        last_activation[i] = k
+    for k0 in range(1, max(max_events, 1) + 1, _PLAN_BLOCK):
+        count = min(_PLAN_BLOCK, max_events + 1 - k0)
+        block, delivered, dest, row = _plan_block(
+            k0, count, schedule, rng_sched, network, last_active, nodes,
+            batch_size, b_max)
+        blocks.append(block)
+        if payloads.z.shape[0] < n + k0 + count - 1:
+            rows = min(n + max_events,
+                       max(n + k0 + count - 1, 2 * payloads.z.shape[0] - n))
+            payloads = PayloadTable(_with_rows(payloads.z, rows),
+                                    _with_rows(payloads.y, rows),
+                                    _with_rows(payloads.degree, rows))
 
-        if k > rows:
-            rows = min(max_events, 2 * rows)
-            z_col, y_col = _with_rows(z_col, rows), _with_rows(y_col, rows)
-        z_col[k - 1] = result.z_tilde
-        y_col[k - 1] = result.y_new
-        activators.append(i)
-        samples.extend(result.samples)
-        for origin, sent in result.consumed:
-            consumed_origin.append(origin)
-            consumed_sent.append(sent)
-        consumed_ptr.append(len(consumed_origin))
+        end = k0 + count if block.violation is None else block.violation[0]
+        for k, i, picks, lo, hi in zip(range(k0, end), block.node.tolist(),
+                                       block.samples.tolist(), delivered,
+                                       delivered[1:]):
+            node = nodes[i]
+            for q in range(lo, hi):
+                on_receive(node, dest[q], row[q])
+            activate(node, payloads, n + k - 1, picks, eta1, eta2)
+            num_events = k
+            if epsilon is not None:
+                residual[i] = local_residual(node)
+                if max(residual) < epsilon:
+                    stop_reason = "epsilon"
+                    break
+        if stop_reason == "epsilon":
+            break
+        if block.violation is not None:
+            k, v = block.violation
+            raise AssumptionViolation(
+                f"node {v} has not activated in the last {b_max} "
+                f"events (event {k})", node=v,
+            )
 
-        if epsilon is not None:
-            residual[i] = local_residual(nodes[i])
-            if max(residual) < epsilon:
-                stop_reason = "epsilon"
-                break
+    # the trace of the events run
+    pulled = np.concatenate([np.diff(b.pulled) for b in blocks])[:num_events]
+    consumed_ptr = np.zeros(num_events + 1, dtype=np.int64)
+    np.cumsum(pulled, out=consumed_ptr[1:])
+    entries = int(consumed_ptr[-1])
+    z_col, y_col = payloads.z[n:n + num_events], payloads.y[n:n + num_events]
+    if payloads.z.shape[0] != n + num_events:
+        z_col, y_col = z_col.copy(), y_col.copy()
 
-    num_events = len(activators)
-    if rows != num_events:
-        z_col = _with_rows(z_col, num_events)
-        y_col = _with_rows(y_col, num_events)
+    # the messages sent by the end, with the consumptions made by then
+    messages = network.messages
+    del messages[bisect.bisect_right(messages, num_events,
+                                     key=lambda msg: msg.sent_at):]
+    if stop_reason == "epsilon":
+        for msg in messages:
+            if msg.consumed_at is not None and msg.consumed_at > num_events:
+                msg.consumed_at = None
+    # each event's buffer holds its self-copy and the messages it consumed
     log.info("run_async: %d events, %d network messages, %d consumed, "
-             "stop %s", num_events, len(all_messages), delivered, stop_reason)
+             "stop %s", num_events, len(messages), entries - num_events,
+             stop_reason)
     return EventTrace(
-        n=problem.n, d=problem.d, m_i=problem.m_i, rho=problem.rho,
+        n=n, d=problem.d, m_i=problem.m_i, rho=problem.rho,
         gamma=problem.gamma, eta1=eta1, eta2=eta2, batch_size=batch_size,
         seed=seed, schedule_kind=schedule.kind, graph=graph, z0=z0_rows,
-        y0=y0_rows, node=np.array(activators, dtype=np.int64),
-        samples=np.array(samples, dtype=np.int64).reshape(-1, batch_size),
-        z_tilde=z_col, y_new=y_col,
-        consumed_ptr=np.array(consumed_ptr, dtype=np.int64),
-        consumed_origin=np.array(consumed_origin, dtype=np.int64),
-        consumed_sent=np.array(consumed_sent, dtype=np.int64),
-        messages=all_messages, stop_reason=stop_reason,
+        y0=y0_rows,
+        node=np.concatenate([b.node for b in blocks])[:num_events],
+        samples=np.concatenate([b.samples for b in blocks])[:num_events],
+        z_tilde=z_col, y_new=y_col, consumed_ptr=consumed_ptr,
+        consumed_origin=np.concatenate([b.origin for b in blocks])[:entries],
+        consumed_sent=np.concatenate([b.sent for b in blocks])[:entries],
+        messages=messages, stop_reason=stop_reason,
         final_z=np.stack([nd.z for nd in nodes]),
         final_y=np.stack([nd.y for nd in nodes]),
     )
@@ -321,8 +480,9 @@ def run_sync(problem: ProblemSpec, graph: DirectedGraph, rounds: int,
     round_cost = 1.0
     if straggler is not None:
         target, factor = straggler
-        if not (0 <= target < n) or factor < 1.0:
-            raise ValueError("straggler must be (valid node, factor >= 1)")
+        if not (0 <= target < n) or not 1.0 <= factor < np.inf:
+            raise ValueError(f"straggler must be (valid node, finite factor "
+                             f">= 1), got {straggler!r}")
         round_cost = float(factor)
     trace = run_async(problem, graph, ActivationSchedule("round_robin", n),
                       DelayModel("round_barrier", d_max=n - 1), eta1, eta2,

@@ -11,6 +11,8 @@ also still find every name it wraps.
 from __future__ import annotations
 
 import importlib.util
+import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from asyncsag import cli, graph, mdp, mspbe, protocol, simulator
-from asyncsag.protocol import ActivationResult, Reception
+from asyncsag.protocol import PayloadTable
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,14 +42,13 @@ def random_stats(rng, d, scale=1.0):
                              float(scale * rng.normal()))
 
 
-def reference_activate(node, eta1, eta2, current_event, batch_size=1):
+def reference_activate(node, payloads, row, picks, eta1, eta2):
     if not node.buffer:
         raise RuntimeError("empty buffer")
-    consumed = tuple((r.origin, r.sent_event) for r in node.buffer)
-    z_hat = np.mean([r.z_tilde for r in node.buffer], axis=0)
-    y_new = np.sum([r.y_tilde for r in node.buffer], axis=0)
+    z_hat = np.mean([payloads.z[r] for r in node.buffer], axis=0)
+    y_new = np.sum([payloads.y[r] / int(payloads.degree[r])
+                    for r in node.buffer], axis=0)
 
-    picks = node.selector.next_batch(batch_size)
     for p in picks:
         fresh = reference_saddle_gradient(z_hat, node.stats[p], node.rho)
         y_new += (fresh - node.table[p]) / node.m_global
@@ -57,18 +58,14 @@ def reference_activate(node, eta1, eta2, current_event, batch_size=1):
     z_tilde = z_hat.copy()
     z_tilde[:d] -= eta1 * y_new[:d]
     z_tilde[d:] -= eta2 * y_new[d:]
-    y_tilde = y_new / node.out_degree
 
+    payloads.z[row] = z_tilde
+    payloads.y[row] = y_new
+    payloads.degree[row] = node.out_degree
     node.z = z_tilde
     node.y = y_new
-    node.buffer = [
-        Reception(z_tilde=z_tilde, y_tilde=y_tilde, origin=node.node_id,
-                  sent_event=current_event)
-    ]
-    return ActivationResult(
-        samples=tuple(picks), z_hat=z_hat, y_new=y_new, z_tilde=z_tilde,
-        y_tilde=y_tilde, consumed=consumed,
-    )
+    node.buffer = [row]
+    return z_hat
 
 
 def same_bits(a, b) -> bool:
@@ -86,13 +83,14 @@ def build_problem(n, d=3, length=40, seed=0):
 
 
 def unchanged_payloads(activate):
-    """``activate`` that fails when it writes to a buffered payload."""
-    def checked(node, *args, **kwargs):
-        payloads = [(r.z_tilde, r.y_tilde) for r in node.buffer]
-        before = [(z.tobytes(), y.tobytes()) for z, y in payloads]
-        result = activate(node, *args, **kwargs)
-        after = [(z.tobytes(), y.tobytes()) for z, y in payloads]
-        assert after == before, "activate wrote to a buffered payload"
+    """``activate`` that fails when it writes to a payload row other than its
+    own broadcast's."""
+    def checked(node, payloads, row, *args, **kwargs):
+        columns = (payloads.z, payloads.y, payloads.degree)
+        before = [np.delete(col, row, axis=0).tobytes() for col in columns]
+        result = activate(node, payloads, row, *args, **kwargs)
+        after = [np.delete(col, row, axis=0).tobytes() for col in columns]
+        assert after == before, "activate wrote to another payload row"
         return result
     return checked
 
@@ -144,26 +142,35 @@ def test_activate_matches_reference_on_shared_payloads():
     d = 4
     stats = [random_stats(rng, d) for _ in range(3)]
     for length in range(1, 10):
-        pairs = [(rng.normal(size=2 * d), rng.normal(size=2 * d))
-                 for _ in range(length)]
-        nodes = []
+        rows = 1 + length + 1
+        z = rng.normal(size=(rows, 2 * d))
+        y = rng.normal(size=(rows, 2 * d))
+        degree = rng.integers(1, 4, size=rows).astype(float)
+        sides = []
         for _ in range(2):
+            payloads = PayloadTable.empty(rows, 2 * d)
             selector = protocol.SampleSelector(3, protocol.selector_rng(1, 0))
-            node, _ = protocol.init_node(0, stats, np.zeros(2 * d), 3, 7, 0.1,
-                                         selector)
-            # one array may sit in several buffers, as a broadcast does
-            node.buffer += [Reception(z, y, 1, k) for k, (z, y) in
-                            enumerate(pairs, start=1)]
-            node.buffer.append(Reception(*pairs[0], 2, 1))
-            nodes.append(node)
-        fast = unchanged_payloads(protocol.activate)(nodes[0], 0.05, 0.4, 20,
-                                                     batch_size=2)
-        slow = reference_activate(nodes[1], 0.05, 0.4, 20, batch_size=2)
-        for name in ("z_hat", "y_new", "z_tilde", "y_tilde"):
-            assert same_bits(getattr(fast, name), getattr(slow, name)), name
-        assert fast.samples == slow.samples
-        assert fast.consumed == slow.consumed
-        assert same_bits(nodes[0].table, nodes[1].table)
+            node = protocol.init_node(0, stats, np.zeros(2 * d), 3, 7, 0.1,
+                                      selector, payloads, row=0)
+            payloads.z[1:], payloads.y[1:] = z[1:], y[1:]
+            payloads.degree[1:] = degree[1:]
+            # one row may sit in a buffer twice, as a duplicate delivery does
+            node.buffer += list(range(1, 1 + length)) + [1]
+            picks = node.selector.take(2).tolist()
+            sides.append((node, payloads, picks))
+        (fast_node, fast_rows, picks), (slow_node, slow_rows, _) = sides
+        fast = unchanged_payloads(protocol.activate)(fast_node, fast_rows,
+                                                     rows - 1, picks, 0.05, 0.4)
+        slow = reference_activate(slow_node, slow_rows, rows - 1, picks,
+                                  0.05, 0.4)
+        assert same_bits(fast, slow)
+        for name in ("z", "y", "table"):
+            assert same_bits(getattr(fast_node, name),
+                             getattr(slow_node, name)), name
+        for name in ("z", "y", "degree"):
+            assert same_bits(getattr(fast_rows, name),
+                             getattr(slow_rows, name)), name
+        assert fast_node.buffer == slow_node.buffer == [rows - 1]
 
 
 def test_saddle_gradient_matches_reference():
@@ -186,6 +193,8 @@ def test_bench_tracer_wraps_the_hot_path(monkeypatch, tmp_path, capsys):
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    # several planned blocks, so that the per-block counts are not all 1
+    monkeypatch.setattr(simulator, "_PLAN_BLOCK", 64)
     tracer = tracing.Tracer()
     tracing.install(tracer, full=True)
     try:
@@ -201,11 +210,23 @@ def test_bench_tracer_wraps_the_hot_path(monkeypatch, tmp_path, capsys):
     calls = {name: span.calls for name, span in tracer.stats.items()}
     assert calls["simulator.run_async"] == 1
     assert calls["protocol.activate"] == trace.num_events
-    assert calls["simulator.schedule_next"] == trace.num_events
-    assert calls["simulator.delay_draw"] == len(trace.messages)
+    # the schedule and the delays are drawn once per planned block
+    blocks = math.ceil(trace.num_events / simulator._PLAN_BLOCK)
+    assert blocks > 1
+    assert calls["simulator.schedule_next"] == blocks
+    assert calls["simulator.delay_draw"] == blocks
     assert calls["protocol.on_receive"] == sum(
         msg.consumed_at is not None for msg in trace.messages)
     # the initial tables, then one refresh per drawn sample
     assert calls["mspbe.saddle_gradient"] == sum(trace.m_i) + trace.samples.size
     # the activate probe reads len(node.buffer) before each pull
     assert tracer.observed["buffer_len_sum"] == trace.consumed_ptr[-1]
+
+
+def test_bench_selftest_passes():
+    # a refactor that stops calling a name the tracer wraps fails here, not
+    # only in a traced benchmark run
+    proc = subprocess.run([sys.executable, "bench/selftest.py"],
+                          cwd=BENCH.parent, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from asyncsag import mspbe
-from asyncsag.protocol import (Message, Reception, SampleSelector, activate,
-                               init_node, local_residual, selector_rng)
+from asyncsag.protocol import (Message, PayloadTable, SampleSelector, activate,
+                               init_node, local_residual, on_receive,
+                               selector_rng)
 
 
 def scalar_stats(phi=0.0, psi=0.0, r=0.0):
@@ -17,10 +18,27 @@ def scalar_stats(phi=0.0, psi=0.0, r=0.0):
 
 
 def make_node(samples, z0, out_degree=2, m_global=None, rho=0.1, seed=0,
-              node_id=0):
+              node_id=0, payloads=None):
+    """A node whose initial broadcast is row ``node_id`` of ``payloads``
+    (a fresh 64-row table unless given)."""
     m_global = len(samples) if m_global is None else m_global
+    payloads = (PayloadTable.empty(64, 2 * samples[0].phi.shape[0])
+                if payloads is None else payloads)
     selector = SampleSelector(len(samples), selector_rng(seed, node_id))
-    return init_node(node_id, samples, z0, out_degree, m_global, rho, selector)
+    node = init_node(node_id, samples, z0, out_degree, m_global, rho,
+                     selector, payloads, row=node_id)
+    return node, payloads
+
+
+def put(payloads, row, z, y_share, degree=1):
+    """Write a broadcast whose copies carry (z, y_share) into ``row``."""
+    payloads.z[row] = z
+    payloads.y[row] = np.asarray(y_share) * degree
+    payloads.degree[row] = degree
+
+
+def share(payloads, row):
+    return payloads.y[row] / payloads.degree[row]
 
 
 def test_selector_covers_every_window():
@@ -54,21 +72,27 @@ def test_selector_deterministic_per_seed_and_node():
     assert seq_a != seq_c
 
 
+def test_selector_take_matches_successive_next():
+    for m in (1, 3, 7):
+        one, block = (SampleSelector(m, selector_rng(4, 1)) for _ in range(2))
+        drawn = [one.next() for _ in range(40)]
+        taken = np.concatenate([block.take(c) for c in (0, 1, 5, 2, 0, 13, 19)])
+        assert taken.tolist() == drawn
+
+
 def test_init_node_table_and_tracker():
     samples = [scalar_stats(phi=0.5, psi=2.0, r=4.0) for _ in range(3)]
     z0 = np.array([2.0, -1.0])
-    node, payload = make_node(samples, z0, out_degree=2, m_global=6)
+    node, payloads = make_node(samples, z0, out_degree=2, m_global=6)
     expected_g = mspbe.saddle_gradient(z0, samples[0], 0.1)
     assert np.allclose(node.table, np.tile(expected_g, (3, 1)))
     # tracker divides by the GLOBAL sample count
     assert np.allclose(node.y, 3 * expected_g / 6)
-    # payload carries z0 and the out-degree share of y
-    assert np.allclose(payload[0], z0)
-    assert np.allclose(payload[1], node.y / 2)
-    # self-copy pre-buffered with provenance event 0
-    assert len(node.buffer) == 1
-    assert node.buffer[0].origin == 0
-    assert node.buffer[0].sent_event == 0
+    # the broadcast row carries z0 and the out-degree share of y
+    assert np.allclose(payloads.z[0], z0)
+    assert np.allclose(share(payloads, 0), node.y / 2)
+    # self-copy pre-buffered: the node's own initial row
+    assert node.buffer == [0]
 
 
 def test_activation_arithmetic_pinned():
@@ -80,67 +104,64 @@ def test_activation_arithmetic_pinned():
     forced to 2 and the buffered tracker share to 0.5 with m_global = 4.
     """
     samples = [scalar_stats(phi=1.0, psi=0.0, r=4.0)]
-    node, _ = make_node(samples, np.zeros(2), out_degree=1, m_global=4, rho=4.0)
+    node, payloads = make_node(samples, np.zeros(2), out_degree=1,
+                               m_global=4, rho=4.0)
     node.table[0] = np.array([2.0, 2.0])
-    node.buffer = [Reception(z_tilde=np.array([1.0, 0.0]),
-                             y_tilde=np.array([0.5, 0.5]),
-                             origin=0, sent_event=0)]
-    res = activate(node, eta1=0.1, eta2=0.2, current_event=1)
-    assert np.allclose(res.z_hat, [1.0, 0.0])
-    assert np.allclose(res.y_new, [1.0, 1.0])
+    put(payloads, 1, [1.0, 0.0], [0.5, 0.5])
+    node.buffer = [1]
+    z_hat = activate(node, payloads, 2, [0], eta1=0.1, eta2=0.2)
+    assert np.allclose(z_hat, [1.0, 0.0])
+    assert np.allclose(node.y, [1.0, 1.0])
     assert np.allclose(node.table[0], [4.0, 4.0])
     # primal and dual blocks step with their own rates
-    assert np.allclose(res.z_tilde, [1.0 - 0.1, 0.0 - 0.2])
-    assert np.allclose(res.y_tilde, res.y_new)  # out_degree 1
-    assert np.allclose(node.z, res.z_tilde)
+    assert np.allclose(node.z, [1.0 - 0.1, 0.0 - 0.2])
+    assert np.allclose(payloads.z[2], node.z)
+    assert np.allclose(share(payloads, 2), node.y)  # out_degree 1
 
 
 def test_pull_is_mean_push_is_sum():
     samples = [scalar_stats(phi=1.0, r=1.0)]
-    node, _ = make_node(samples, np.zeros(2), out_degree=3, m_global=9)
-    node.buffer = [
-        Reception(np.array([1.0, 0.0]), np.array([0.3, 0.0]), 1, 0),
-        Reception(np.array([3.0, 2.0]), np.array([0.5, 1.0]), 2, 0),
-    ]
-    res = activate(node, 0.0, 0.0, current_event=5)
-    assert np.allclose(res.z_hat, [2.0, 1.0])  # mean of pulls
+    node, payloads = make_node(samples, np.zeros(2), out_degree=3, m_global=9)
+    put(payloads, 1, [1.0, 0.0], [0.3, 0.0])
+    put(payloads, 2, [3.0, 2.0], [0.5, 1.0], degree=2)
+    node.buffer = [1, 2]
+    z_hat = activate(node, payloads, 3, [0], 0.0, 0.0)
+    assert np.allclose(z_hat, [2.0, 1.0])  # mean of pulls
     # y starts from the SUM of shares before the table correction
     y_base = np.array([0.8, 1.0])
     g = node.table[0]  # refreshed entry equals gradient at z_hat
     expected = y_base + (g - mspbe.saddle_gradient(np.zeros(2), samples[0], 0.1)) / 9
-    assert np.allclose(res.y_new, expected)
+    assert np.allclose(node.y, expected)
 
 
 def test_buffer_lifecycle_and_self_copy():
     samples = [scalar_stats(phi=1.0, r=1.0)]
-    node, _ = make_node(samples, np.zeros(2), out_degree=2)
-    assert len(node.buffer) == 1
-    node.buffer.append(Reception(np.ones(2), np.ones(2), 1, 2))
-    res = activate(node, 0.1, 0.1, current_event=7)
-    assert res.consumed == ((0, 0), (1, 2))
-    # buffer now holds exactly the fresh self-copy
-    assert len(node.buffer) == 1
-    assert node.buffer[0].origin == 0
-    assert node.buffer[0].sent_event == 7
-    assert np.allclose(node.buffer[0].z_tilde, res.z_tilde)
-    assert np.allclose(node.buffer[0].y_tilde, res.y_tilde)
+    node, payloads = make_node(samples, np.zeros(2), out_degree=2)
+    assert node.buffer == [0]
+    put(payloads, 1, np.ones(2), np.ones(2))
+    on_receive(node, 0, 1)
+    assert node.buffer == [0, 1]
+    activate(node, payloads, 7, [0], 0.1, 0.1)
+    # buffer now holds exactly the fresh self-copy: the row just written
+    assert node.buffer == [7]
+    assert np.allclose(payloads.z[7], node.z)
+    assert np.allclose(share(payloads, 7), node.y / 2)
 
 
 def test_activate_empty_buffer_raises():
     samples = [scalar_stats()]
-    node, _ = make_node(samples, np.zeros(2))
+    node, payloads = make_node(samples, np.zeros(2))
     node.buffer = []
     with pytest.raises(RuntimeError):
-        activate(node, 0.1, 0.1, current_event=1)
+        activate(node, payloads, 1, [0], 0.1, 0.1)
 
 
 def test_on_receive_rejects_wrong_destination():
-    from asyncsag.protocol import on_receive
     samples = [scalar_stats()]
     node, _ = make_node(samples, np.zeros(2), node_id=0)
-    msg = Message(origin=1, dest=2, sent_at=1, deliver_at=1)
     with pytest.raises(ValueError):
-        on_receive(node, msg, np.zeros(2), np.zeros(2))
+        on_receive(node, 2, 1)
+    assert node.buffer == [0]
 
 
 def test_message_rejects_delivery_before_send():
@@ -149,13 +170,11 @@ def test_message_rejects_delivery_before_send():
 
 
 def test_duplicate_receptions_are_kept():
-    from asyncsag.protocol import on_receive
     samples = [scalar_stats()]
     node, _ = make_node(samples, np.zeros(2), node_id=0)
-    payload = Message(origin=1, dest=0, sent_at=1, deliver_at=1)
-    on_receive(node, payload, np.ones(2), np.ones(2))
-    on_receive(node, payload, np.ones(2), np.ones(2))
-    assert len(node.buffer) == 3  # self-copy + two duplicates
+    on_receive(node, 0, 1)
+    on_receive(node, 0, 1)
+    assert node.buffer == [0, 1, 1]  # self-copy + two duplicates
 
 
 def test_table_soundness_against_eval_points():
@@ -166,14 +185,15 @@ def test_table_soundness_against_eval_points():
                             r=float(rng.normal()))
                for _ in range(4)]
     z0 = rng.normal(size=2)
-    node, _ = make_node(samples, z0, out_degree=2, seed=5)
+    node, payloads = make_node(samples, z0, out_degree=2, seed=5)
     eval_points = np.tile(z0, (4, 1))
     for k in range(1, 30):
-        node.buffer.append(Reception(rng.normal(size=2), rng.normal(size=2),
-                                     1, k - 1))
-        result = activate(node, 0.05, 0.1, current_event=k)
-        for p in result.samples:
-            eval_points[p] = result.z_hat
+        put(payloads, 2 * k - 1, rng.normal(size=2), rng.normal(size=2))
+        on_receive(node, 0, 2 * k - 1)
+        picks = node.selector.take(1).tolist()
+        z_hat = activate(node, payloads, 2 * k, picks, 0.05, 0.1)
+        for p in picks:
+            eval_points[p] = z_hat
         for p in range(4):
             expected = mspbe.saddle_gradient(eval_points[p], samples[p], 0.1)
             assert np.allclose(node.table[p], expected, atol=1e-13)
@@ -189,34 +209,30 @@ def test_mass_conservation_two_node_relay():
         [scalar_stats(phi=0.7, psi=0.1, r=-1.4)],
     ]
     m = 3
-    nodes = []
-    shares = []   # alive (unconsumed) payload shares, one per out-edge copy
-    for i, samples in enumerate(all_samples):
-        node, payload = make_node(samples, np.zeros(2), out_degree=2,
-                                  m_global=m, node_id=i, seed=9)
-        nodes.append(node)
-        shares.append([payload[1]])        # copy sent to the peer
-        shares[i].append(node.buffer[0].y_tilde)  # self-copy
+    payloads = PayloadTable.empty(32, 2)
+    nodes = [make_node(samples, np.zeros(2), out_degree=2, m_global=m,
+                       node_id=i, seed=9, payloads=payloads)[0]
+             for i, samples in enumerate(all_samples)]
 
     def global_table_mean():
         return sum(node.table.sum(axis=0) for node in nodes) / m
 
-    inflight = {0: [], 1: []}  # payloads waiting at each destination
-    for i, node in enumerate(nodes):
-        inflight[1 - i].append(shares[i][0])
-
+    # rows waiting at each destination: the peer's initial broadcast
+    inflight = {0: [1], 1: [0]}
     for k in range(1, 25):
         i = int(rng.integers(0, 2))
         node = nodes[i]
         # deliver anything in flight
-        for y_share in inflight[i]:
-            node.buffer.append(Reception(rng.normal(size=2), y_share, 1 - i, k))
+        for row in inflight[i]:
+            on_receive(node, i, row)
         inflight[i] = []
-        res = activate(node, 0.02, 0.05, current_event=k)
+        activate(node, payloads, k + 1, node.selector.take(1).tolist(),
+                 0.02, 0.05)
         # the new mass splits into out_degree shares (peer copy + self copy)
-        inflight[1 - i].append(res.y_tilde)
-        total = sum(buf.y_tilde for nd in nodes for buf in nd.buffer)
-        total = total + sum(s for dest in inflight.values() for s in dest)
+        inflight[1 - i].append(k + 1)
+        alive = [row for nd in nodes for row in nd.buffer]
+        alive += [row for dest in inflight.values() for row in dest]
+        total = sum(share(payloads, row) for row in alive)
         assert np.allclose(total, global_table_mean(), atol=1e-12), k
 
 

@@ -74,14 +74,70 @@ def test_round_robin_alternates_in_node_order():
 @pytest.mark.parametrize("kind", ["uniform_random", "straggler"])
 def test_schedule_draws_match_rng_choice(kind):
     """The CDF built once draws what rng.choice(n, p=weights) draws, from
-    the same stream."""
+    the same stream, whatever the block sizes."""
     sched = simulator.ActivationSchedule(
         kind=kind, n=5, straggler_node=3 if kind == "straggler" else None,
         straggler_factor=10.0 if kind == "straggler" else 1.0)
     ours, reference = np.random.default_rng(3), np.random.default_rng(3)
-    drawn = [sched.next(k, ours) for k in range(1, 5001)]
+    drawn, k = [], 1
+    for count in (1, 777, 0, 2, 1500, 13, 2707):
+        drawn += sched.next(k, count, ours).tolist()
+        k += count
     assert drawn == [int(reference.choice(5, p=sched.weights()))
                      for _ in range(5000)]
+    rr = simulator.ActivationSchedule("round_robin", 3)
+    assert rr.next(5, 4, ours).tolist() == [1, 2, 0, 1]
+
+
+@pytest.mark.parametrize("kind", ["zero", "uniform", "round_barrier"])
+def test_delay_draws_match_successive_scalar_draws(kind):
+    """One draw over an array of send events gives the delays one draw per
+    message would, in send order, from the same stream."""
+    model = simulator.DelayModel(kind, d_max=3)
+    sent = np.repeat(np.arange(0, 400), np.arange(400) % 3)
+    ours, reference = np.random.default_rng(8), np.random.default_rng(8)
+    drawn = np.concatenate([model.draw(ours, part) for part in
+                            np.split(sent, [1, 2, 200, 200, 311])])
+    if kind == "zero":
+        expected = [0] * sent.shape[0]
+    elif kind == "uniform":
+        expected = [int(reference.integers(0, 4)) for _ in sent]
+    else:
+        expected = [(-s) % 4 for s in sent.tolist()]
+    assert drawn.tolist() == expected
+
+
+def test_delay_model_rejects_fractional_d_max():
+    with pytest.raises(ValueError, match="d_max"):
+        simulator.DelayModel("uniform", d_max=2.5)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+def test_run_async_rejects_non_finite_step(eta):
+    prob = build_problem(n=3)
+    sched = simulator.ActivationSchedule(kind="round_robin", n=3)
+    with pytest.raises(ValueError, match="eta1"):
+        simulator.run_async(prob, graph.generate_topology("ring", 3), sched,
+                            simulator.DelayModel(), eta, 0.1, seed=0,
+                            max_events=5)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_run_async_rejects_batch_size_below_one(batch_size):
+    prob = build_problem(n=3)
+    sched = simulator.ActivationSchedule(kind="round_robin", n=3)
+    with pytest.raises(ValueError, match="batch_size"):
+        simulator.run_async(prob, graph.generate_topology("ring", 3), sched,
+                            simulator.DelayModel(), 0.01, 0.1, seed=0,
+                            max_events=5, batch_size=batch_size)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+def test_run_sync_rejects_non_finite_straggler_factor(factor):
+    prob = build_problem(n=3)
+    with pytest.raises(ValueError, match="straggler"):
+        simulator.run_sync(prob, graph.generate_topology("ring", 3), rounds=4,
+                           eta1=0.01, eta2=0.1, seed=5, straggler=(0, factor))
 
 
 def test_straggler_weights():
