@@ -101,7 +101,10 @@ def _int_list(raw: str) -> list[int]:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path} not found or empty")
     cfg = ExperimentConfig()
@@ -184,12 +187,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[problem] n: need at least one node")
     if cfg.mode not in ("parallel", "marl"):
         raise ConfigError(f"[problem] mode: unknown mode {cfg.mode!r}")
+    if cfg.num_states < 2:
+        raise ConfigError("[problem] num_states: need at least 2 states")
     if cfg.num_actions < 1:
         raise ConfigError("[problem] num_actions: need at least one action")
     if cfg.d < 1:
         raise ConfigError("[problem] d: need at least one feature")
     if cfg.d > cfg.num_states:
         raise ConfigError("[problem] d: feature dimension exceeds state count")
+    if cfg.m < 1:
+        raise ConfigError("[problem] m: need at least one transition")
     if not (0 < cfg.gamma < 1):
         raise ConfigError("[problem] gamma: must lie strictly in (0, 1)")
     # the negated comparisons also reject nan

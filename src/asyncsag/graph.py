@@ -139,12 +139,6 @@ def load_edge_list(path: str | Path, n: int) -> DirectedGraph:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in sorted(g.edges):
-            fh.write(f"{i} {j}\n")
-
-
 def _reachable(g: DirectedGraph, start: int, reverse: bool = False) -> set[int]:
     nbrs = g.in_neighbors if reverse else g.out_neighbors
     seen = {start}

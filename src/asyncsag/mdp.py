@@ -5,6 +5,12 @@ A policy is a plain (S, A) row-stochastic array. A feature map is a plain
 tuples carrying one reward per reward stream, so the same rollout can feed
 both data layouts: disjoint slices with a shared reward function ("parallel")
 or a shared state stream with private rewards ("marl").
+
+Rewards are drawn on demand. A random MDP keeps the state of its reward
+generator, and ``Mdp.rewards_at`` reaches each requested entry of the
+(streams, S, A, S) uniform table by advancing that PCG64 stream, so the
+values are bit for bit those of a dense ``random(shape)`` draw, but only the
+entries a trajectory reads are ever made.
 """
 
 from __future__ import annotations
@@ -37,15 +43,19 @@ class TdSample(NamedTuple):
 
 @dataclass(frozen=True)
 class Mdp:
-    """Finite MDP with per-stream rewards.
+    """Finite MDP with per-stream rewards drawn on demand.
 
-    transitions: (S, A, S) tensor, transitions[s, a] a probability row.
-    rewards:     (streams, S, A, S) reward table, values in [0, 1).
-    gamma:       discount, strictly inside (0, 1).
+    transitions:  (S, A, S) tensor, transitions[s, a] a probability row.
+    reward_state: ``PCG64`` state whose next S·A·S·streams doubles are the
+                  reward table in C order, i.e. entry (k, s, a, s') of a dense
+                  (streams, S, A, S) ``random`` draw; values lie in [0, 1).
+    num_streams:  number of reward streams.
+    gamma:        discount, strictly inside (0, 1).
     """
 
     transitions: np.ndarray
-    rewards: np.ndarray
+    reward_state: dict
+    num_streams: int
     gamma: float
 
     def __post_init__(self):
@@ -54,10 +64,10 @@ class Mdp:
             raise ValueError(f"transition tensor must be (S, A, S), got {p.shape}")
         if np.any(p < 0) or np.max(np.abs(p.sum(axis=2) - 1.0)) > _PROB_TOL:
             raise ValueError("transition rows must be probability vectors")
-        if self.rewards.shape[1:] != p.shape:
-            raise ValueError(
-                f"reward table shape {self.rewards.shape} does not extend {p.shape}"
-            )
+        if self.reward_state.get("bit_generator") != "PCG64":
+            raise ValueError("reward_state must be a PCG64 bit-generator state")
+        if self.num_streams < 1:
+            raise ValueError(f"need at least one reward stream, got {self.num_streams}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie strictly in (0, 1), got {self.gamma}")
 
@@ -69,22 +79,54 @@ class Mdp:
     def num_actions(self) -> int:
         return self.transitions.shape[1]
 
-    @property
-    def num_streams(self) -> int:
-        return self.rewards.shape[0]
+    def rewards_at(self, s, a, s_next) -> np.ndarray:
+        """(len, streams) rewards of the transitions (s[i], a[i], s_next[i]).
+
+        Walks the sorted distinct table entries once on one PCG64, advancing
+        over the entries nobody reads, so repeated and unsorted indices cost
+        one draw per distinct entry.
+        """
+        ns, na = self.num_states, self.num_actions
+        cols = []
+        for name, v, size in (("s", s, ns), ("a", a, na), ("s_next", s_next, ns)):
+            v = np.asarray(v, dtype=np.int64)
+            if v.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D index array, got shape {v.shape}")
+            if v.size and (v.min() < 0 or v.max() >= size):
+                raise ValueError(f"{name} has an index outside [0, {size})")
+            cols.append(v)
+        if not cols[0].size == cols[1].size == cols[2].size:
+            raise ValueError("s, a and s_next must have the same length")
+        entry = (cols[0] * na + cols[1]) * ns + cols[2]
+        flat = entry[:, None] + np.arange(self.num_streams) * (ns * na * ns)
+        wanted, inverse = np.unique(flat, return_inverse=True)
+        bits = np.random.PCG64()
+        bits.state = self.reward_state
+        gen = np.random.Generator(bits)
+        values = np.empty(wanted.size)
+        pos = 0
+        for i, j in enumerate(wanted.tolist()):
+            bits.advance(j - pos)
+            values[i] = gen.random()
+            pos = j + 1
+        return values[inverse].reshape(flat.shape)
 
 
 def build_random_mdp(num_states: int, num_actions: int, num_streams: int,
                      seed: int, gamma: float = 0.95) -> Mdp:
-    """Seeded synthetic MDP: Dirichlet(1) transition rows, uniform rewards."""
+    """Seeded synthetic MDP: Dirichlet(1) transition rows, uniform rewards.
+
+    The rewards are the generator's next draws after the transitions; the
+    MDP keeps that generator state and draws entries on demand.
+    """
     if num_states < 2 or num_actions < 1 or num_streams < 1:
         raise ValueError("need num_states >= 2, num_actions >= 1, num_streams >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([0x4D4450, seed]))
     transitions = rng.dirichlet(
         np.ones(num_states), size=(num_states, num_actions)
     )
-    rewards = rng.random((num_streams, num_states, num_actions, num_states))
-    return Mdp(transitions=transitions, rewards=rewards, gamma=gamma)
+    return Mdp(transitions=transitions, reward_state=rng.bit_generator.state,
+               num_streams=num_streams, gamma=gamma)
 
 
 def random_policy(num_states: int, num_actions: int, seed: int) -> np.ndarray:
@@ -159,14 +201,15 @@ def sample_trajectory(mdp: Mdp, policy: np.ndarray, length: int,
     _validate_policy(mdp, policy)
     mu = stationary_distribution(mdp, policy)
     rng = np.random.default_rng(np.random.SeedSequence([0x54524A, seed]))
-    out: list[Transition] = []
+    steps: list[tuple[int, int, int]] = []
     s = int(rng.choice(mdp.num_states, p=mu))
     for _ in range(length - 1):
         a = int(rng.choice(mdp.num_actions, p=policy[s]))
         s_next = int(rng.choice(mdp.num_states, p=mdp.transitions[s, a]))
-        out.append(Transition(s, a, s_next, mdp.rewards[:, s, a, s_next].copy()))
+        steps.append((s, a, s_next))
         s = s_next
-    return out
+    rewards = mdp.rewards_at(*np.array(steps).T)
+    return [Transition(*step, row) for step, row in zip(steps, rewards)]
 
 
 def make_feature_map(num_states: int, dim: int, seed: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from asyncsag import augmented, cli, graph
+from helpers import dump_edge_list
 
 
 BASE_INI = """\
@@ -207,13 +208,25 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [schedule] b_max", "at least 1")),
     (("d_max = 2", "d_max = 2\nb_max = -3"),
      ("config error: [schedule] b_max", "at least 1")),
+    # a chain needs two states; a rollout needs one transition
+    (("num_states = 10\nnum_actions = 2\nn = 3\nd = 3",
+      "num_states = 1\nnum_actions = 2\nn = 3\nd = 1"),
+     ("config error: [problem] num_states", "at least 2 states")),
+    (("m = 24", "m = 0"),
+     ("config error: [problem] m", "at least one transition")),
+    # files that configparser cannot read
+    (("d = 3\n", "d = 3\nd = 5\n"),
+     ("config error: config file", "option 'd' in section 'problem' already exists")),
+    (("[problem]\n", "[problem\n"),
+     ("config error: config file", "File contains no section headers")),
 ], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
         "n_values", "sync-kind", "c-not-positive-definite",
         "c-rank-deficient-seed-2", "c-rank-deficient-seed-5", "singular-saddle",
         "batch-size-0", "batch-size-negative", "max-events-0",
         "verify-events-0", "num-actions-0", "d-0", "eta1-nan", "eta2-inf",
         "rho-nan", "eta1-values-nan", "straggler-factor-nan", "b-max-0",
-        "b-max-negative"])
+        "b-max-negative", "num-states-1", "m-0", "duplicate-option",
+        "broken-section-header"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI
@@ -331,7 +344,7 @@ def test_sweep_writes_speedup_table(tmp_path, capsys):
 
 def test_edge_list_topology_through_config(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
-    graph.dump_edge_list(graph.generate_topology("ring", 3), edges)
+    dump_edge_list(graph.generate_topology("ring", 3), edges)
     text = BASE_INI.replace(
         "kind = ring", f"kind = edge_list\npath = {edges}")
     ini = write_ini(tmp_path, text)

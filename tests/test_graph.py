@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from asyncsag.graph import (DirectedGraph, diameter, dump_edge_list,
-                            generate_topology, is_strongly_connected,
-                            load_edge_list)
+from asyncsag.graph import (DirectedGraph, diameter, generate_topology,
+                            is_strongly_connected, load_edge_list)
+from helpers import dump_edge_list
 
 
 def floyd_warshall_diameter(g: DirectedGraph) -> int:

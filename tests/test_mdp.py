@@ -5,15 +5,40 @@ from __future__ import annotations
 
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsag import graph, mdp
 
 
 def small_mdp(seed=0, num_states=8, num_actions=3, streams=2):
     return mdp.build_random_mdp(num_states, num_actions, streams, seed)
+
+
+def dense_rewards(num_states, num_actions, streams, seed):
+    """Oracle: the whole (streams, S, A, S) reward table, drawn densely from
+    the generator ``build_random_mdp`` seeds, right after its transitions."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x4D4450, seed]))
+    rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
+    return rng.random((streams, num_states, num_actions, num_states))
+
+
+def all_rewards(m):
+    """Every entry of ``m``'s reward table, read through ``rewards_at``."""
+    s, a, s_next = np.indices(
+        (m.num_states, m.num_actions, m.num_states)).reshape(3, -1)
+    table = m.rewards_at(s, a, s_next)
+    return table.T.reshape(m.num_streams, m.num_states, m.num_actions,
+                           m.num_states)
+
+
+def some_reward_state():
+    """A reward generator state for MDPs built by hand."""
+    return np.random.PCG64(0).state
 
 
 def test_transition_rows_are_distributions():
@@ -26,9 +51,63 @@ def test_transition_rows_are_distributions():
 def test_build_is_deterministic_in_seed():
     a, b = small_mdp(seed=5), small_mdp(seed=5)
     assert np.array_equal(a.transitions, b.transitions)
-    assert np.array_equal(a.rewards, b.rewards)
+    oracle = dense_rewards(8, 3, 2, seed=5)
+    assert all_rewards(a).tobytes() == oracle.tobytes()
+    assert all_rewards(b).tobytes() == oracle.tobytes()
     c = small_mdp(seed=6)
     assert not np.array_equal(a.transitions, c.transitions)
+    assert not np.array_equal(all_rewards(c), oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(2, 7), st.integers(1, 3), st.integers(1, 4)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_rewards_at_matches_dense_draw(shape, seed, data):
+    """Unsorted indices with repeats read the dense table's entries bitwise."""
+    num_states, num_actions, streams = shape
+    m = mdp.build_random_mdp(num_states, num_actions, streams, seed)
+    oracle = dense_rewards(num_states, num_actions, streams, seed)
+    length = data.draw(st.integers(0, 40))
+    s, a, s_next = (
+        np.array(data.draw(st.lists(st.integers(0, size - 1),
+                                    min_size=length, max_size=length)),
+                 dtype=np.int64)
+        for size in (num_states, num_actions, num_states))
+    got = m.rewards_at(s, a, s_next)
+    assert got.shape == (length, streams)
+    assert got.tobytes() == oracle[:, s, a, s_next].T.tobytes()
+
+
+def test_rewards_at_pinned_on_marl9_shape():
+    m = mdp.build_random_mdp(512, 2, 9, 23)
+    oracle = dense_rewards(512, 2, 9, 23)
+    rng = np.random.default_rng(1)
+    s, s_next = rng.integers(0, 512, (2, 450))
+    a = rng.integers(0, 2, 450)
+    assert m.rewards_at(s, a, s_next).tobytes() == \
+        oracle[:, s, a, s_next].T.tobytes()
+
+
+@pytest.mark.parametrize("name,index", [
+    ("s", (8, 0, 0)), ("s", (-1, 0, 0)), ("a", (0, 3, 0)),
+    ("s_next", (0, 0, 8)), ("s_next", (0, 0, -1)),
+])
+def test_rewards_at_rejects_out_of_range_index(name, index):
+    m = small_mdp()
+    s, a, s_next = ([v, 0] for v in index)
+    with pytest.raises(ValueError, match=f"^{name} has an index outside"):
+        m.rewards_at(s, a, s_next)
+
+
+def test_build_random_mdp_memory_is_not_a_dense_reward_table():
+    # the dense (9, 512, 2, 512) table alone is 37.7 MB
+    tracemalloc.start()
+    try:
+        mdp.build_random_mdp(512, 2, 9, 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_chain_matrix_is_policy_average():
@@ -64,8 +143,7 @@ def test_stationary_distribution_rejects_reducible_chain_naming_states():
     transitions = np.zeros((4, 1, 4))
     for s in range(4):
         transitions[s, 0, s] = 1.0
-    rewards = np.zeros((1, 4, 1, 4))
-    m = mdp.Mdp(transitions, rewards, 0.9)
+    m = mdp.Mdp(transitions, some_reward_state(), 1, 0.9)
     policy = np.ones((4, 1))
     with pytest.raises(ValueError) as err:
         mdp.stationary_distribution(m, policy)
@@ -83,7 +161,7 @@ def test_irreducibility_check_matches_graph_search():
         support = rng.random((s, s)) < rng.uniform(0.1, 0.5)
         np.fill_diagonal(support, True)  # every row needs some mass
         chain = mdp.Mdp((support / support.sum(axis=1, keepdims=True))[:, None],
-                        np.zeros((1, s, 1, s)), 0.9)
+                        some_reward_state(), 1, 0.9)
         g = graph.DirectedGraph(
             s, [(i, j) for i, j in zip(*np.nonzero(support)) if i != j])
         both = graph._reachable(g, 0) & graph._reachable(g, 0, reverse=True)
