@@ -205,6 +205,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not (0 < cfg.eta1 < math.inf and 0 < cfg.eta2 < math.inf):
         raise ConfigError(
             "[algorithm] eta1/eta2: step sizes must be positive and finite")
+    # a nan or nonpositive epsilon never stops a run, an infinite one stops
+    # it at once; a nan target is never reached
+    for section, key in (("algorithm", "epsilon"), ("experiment", "target_err")):
+        value = getattr(cfg, key)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"[{section}] {key}: must be positive and finite")
+    for section, key in (("problem", "data_seed"), ("schedule", "run_seed")):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"[{section}] seed: must be nonnegative")
     for key in ("batch_size", "max_events", "verify_events"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"[algorithm] {key}: must be at least 1")
@@ -512,6 +521,8 @@ def main(argv: list[str] | None = None) -> int:
         if not cfg_path.exists() and not cfg_path.suffix:
             cfg_path = bundled_config(args.config)
         cfg = load_config(cfg_path)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed: must be nonnegative")
         out_dir = Path(args.out)
         if args.command == "run":
             return cmd_run(cfg, out_dir, args.seed)

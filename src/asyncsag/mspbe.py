@@ -153,15 +153,6 @@ def saddle_gradient(z: np.ndarray, stats: SampleStats, rho: float) -> np.ndarray
     return out
 
 
-def sample_objective(z: np.ndarray, stats: SampleStats, rho: float) -> float:
-    """Value of the per-sample saddle term (used by the derivative checks)."""
-    d = stats.phi.shape[0]
-    theta, omega = z[:d], z[d:]
-    u = stats.phi @ omega
-    return float(u * (stats.psi @ theta - stats.reward) - 0.5 * u * u
-                 + 0.5 * rho * theta @ theta)
-
-
 def full_gradient(problem: ProblemSpec, z: np.ndarray) -> np.ndarray:
     """Mean stacked gradient over all samples (the scaled map at zeta = 1)."""
     return scaled_gradient(problem, z, 1.0)

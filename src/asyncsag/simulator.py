@@ -10,6 +10,10 @@ Everything is reproducible from one integer seed: the activation schedule,
 the per-message delays, and each node's sample selector draw from independent
 derived streams.
 
+A run's trace is array columns: one row per event, one entry per consumed
+payload, and a ``MessageLog`` of five int columns with one row per network
+message (``trace.messages[i]`` builds the ``Message`` record of row i).
+
 ``run_async`` works through blocks of ``_PLAN_BLOCK`` events. None of the
 bookkeeping depends on a value of z or y, so each block is first planned with
 array code: who activates, which samples each activation refreshes, every
@@ -19,8 +23,8 @@ order. A per-event loop then runs only the protocol's arithmetic on that plan.
 
 from __future__ import annotations
 
-import bisect
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -99,6 +103,10 @@ class ActivationSchedule:
         return self._cdf.searchsorted(rng.random(count), side="right")
 
 
+# the longest delay: a slot sent + d_max stays in int64 for 2**62 events
+_MAX_DELAY = 2**62
+
+
 @dataclass(frozen=True)
 class DelayModel:
     """Transmission delays in event counts, bounded by d_max.
@@ -119,6 +127,9 @@ class DelayModel:
             raise ValueError(f"d_max must be an integer, got {self.d_max!r}")
         if self.d_max < 0:
             raise ValueError("d_max must be nonnegative")
+        if self.d_max > _MAX_DELAY:
+            raise ValueError(f"d_max must be at most 2**62, so that a "
+                             f"delivery slot fits in int64, got {self.d_max}")
 
     def draw(self, rng: np.random.Generator, sent_at: np.ndarray) -> np.ndarray:
         """Delays of messages sent at events ``sent_at``, in send order; a
@@ -130,6 +141,53 @@ class DelayModel:
         return (-sent_at) % (self.d_max + 1)
 
 
+@dataclass(eq=False)
+class MessageLog:
+    """The network messages of a run in send order, one int64 row each.
+
+    Row i is the broadcast that went from ``origin[i]`` to ``dest[i]`` at
+    event ``sent_at[i]`` (0 = init), visible after slot ``deliver_at[i]``,
+    and consumed by the activation ``consumed_at[i]``, or -1 for none.
+    Indexing and iteration build ``Message`` records on demand, and a log
+    equals another log or a list of records with the same rows.
+    """
+
+    origin: np.ndarray
+    dest: np.ndarray
+    sent_at: np.ndarray
+    deliver_at: np.ndarray
+    consumed_at: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.deliver_at < self.sent_at):
+            raise ValueError("message cannot be delivered before it is sent")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.origin, self.dest, self.sent_at, self.deliver_at,
+                self.consumed_at)
+
+    def __len__(self) -> int:
+        return self.origin.shape[0]
+
+    def __getitem__(self, i: int) -> Message:
+        origin, dest, sent, slot, used = (int(col[i]) for col in self._columns())
+        return Message(origin, dest, sent, slot, None if used < 0 else used)
+
+    def __iter__(self) -> Iterator[Message]:
+        for origin, dest, sent, slot, used in zip(
+                *(col.tolist() for col in self._columns())):
+            yield Message(origin, dest, sent, slot, None if used < 0 else used)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MessageLog):
+            return all(np.array_equal(a, b) for a, b in
+                       zip(self._columns(), other._columns()))
+        if isinstance(other, list):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other))
+        return NotImplemented
+
+
 @dataclass
 class EventTrace:
     """Complete log of one run, sufficient for post-hoc matrix replay.
@@ -138,6 +196,8 @@ class EventTrace:
     that event k's pull consumed, in buffer order, are entries
     ``consumed_ptr[k-1]:consumed_ptr[k]`` of ``consumed_origin`` and
     ``consumed_sent``; the first is the activator's own latest broadcast.
+    ``messages`` holds every network message as int columns; its entries
+    are ``Message`` records.
     """
 
     n: int
@@ -160,7 +220,7 @@ class EventTrace:
     consumed_ptr: np.ndarray            # (T+1,) offsets into the two below
     consumed_origin: np.ndarray         # (C,) origin node of each consumed payload
     consumed_sent: np.ndarray           # (C,) event that sent it (0 = init)
-    messages: list[Message]             # all network messages, init included
+    messages: MessageLog                # all network messages, init included
     stop_reason: str
     final_z: np.ndarray
     final_y: np.ndarray
@@ -197,17 +257,15 @@ class _Network:
         self._targets = np.array([v for t in targets for v in t],
                                  dtype=np.int64)
         self._delays, self._rng = delays, rng
-        self.messages: list[Message] = []
+        # the log: one (origin, dest, sent, slot) block per send, and the
+        # consuming event of every message so far (-1 for none yet)
+        self._sent: list[np.ndarray] = []
+        self.consumed_at = np.empty(0, dtype=np.int64)
         # in flight: index, origin, dest, sent, slot
         self.pending = np.empty((5, 0), dtype=np.int64)
 
-    def send(self, origins: np.ndarray, events: np.ndarray,
-             stamps: list[int]) -> None:
-        """Broadcast from each origin at its event, one delay draw each.
-
-        ``stamps[e - stamps[0]]`` is the int object that every message sent
-        at event e shares, as a per-event loop would.
-        """
+    def send(self, origins: np.ndarray, events: np.ndarray) -> None:
+        """Broadcast from each origin at its event, one delay draw each."""
         fanout = self._fanout[origins]
         total = int(fanout.sum())
         skip = np.repeat(self._first[origins] - (np.cumsum(fanout) - fanout),
@@ -216,14 +274,25 @@ class _Network:
         origin = np.repeat(origins, fanout)
         sent = np.repeat(events, fanout)
         slot = sent + self._delays.draw(self._rng, sent)
-        index = np.arange(len(self.messages), len(self.messages) + total)
+        count = self.consumed_at.shape[0]
+        index = np.arange(count, count + total)
         self.pending = np.concatenate(
             [self.pending, np.stack([index, origin, dest, sent, slot])],
             axis=1)
-        self.messages += [
-            Message(o, d, stamps[s], t) for o, d, s, t in
-            zip(origin.tolist(), dest.tolist(), (sent - stamps[0]).tolist(),
-                slot.tolist())]
+        self._sent.append(np.stack([origin, dest, sent, slot]))
+        self.consumed_at = np.concatenate(
+            [self.consumed_at, np.full(total, -1, dtype=np.int64)])
+
+    def message_log(self, num_events: int) -> MessageLog:
+        """The messages sent by event ``num_events``, with the consumptions
+        made by then."""
+        origin, dest, sent, slot = np.concatenate(self._sent, axis=1)
+        end = sent.searchsorted(num_events, side="right")
+        consumed = self.consumed_at[:end]
+        # after an epsilon stop, the block's later events consumed nothing
+        consumed[consumed > num_events] = -1
+        return MessageLog(origin[:end], dest[:end], sent[:end], slot[:end],
+                          consumed)
 
 
 @dataclass
@@ -258,13 +327,11 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     n = last_active.shape[0]
     act = schedule.next(k0, count, rng)
     events = np.arange(k0, k0 + count)
-    stamps = list(range(k0 - 1, k0 + count))   # event k0 + j is stamps[j + 1]
     if k0 == 1:   # the initial broadcasts go first
         network.send(np.concatenate([np.arange(n), act]),
-                     np.concatenate([np.zeros(n, dtype=np.int64), events]),
-                     stamps)
+                     np.concatenate([np.zeros(n, dtype=np.int64), events]))
     else:
-        network.send(act, events, stamps)
+        network.send(act, events)
 
     # the block's events grouped by node, each node's in event order
     order = np.argsort(act, kind="stable")
@@ -310,9 +377,7 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     buffered = np.lexsort((index, origin, sent, slot, at))
     index, origin, dest, sent, at = (col[buffered] for col in
                                      (index, origin, dest, sent, at))
-    messages = network.messages
-    for i, j in zip(index.tolist(), (at + 1).tolist()):
-        messages[i].consumed_at = stamps[j]
+    network.consumed_at[index] = k0 + at
 
     received = np.bincount(at, minlength=count)
     delivered = np.zeros(count + 1, dtype=np.int64)
@@ -358,6 +423,9 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         if not 0 < eta < np.inf:
             raise ValueError(f"{name}: step sizes must be finite and "
                              f"positive, got {eta!r}")
+    if epsilon is not None and not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got "
+                         f"{epsilon!r}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
     if schedule.n != graph.n:
@@ -434,14 +502,7 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     if payloads.z.shape[0] != n + num_events:
         z_col, y_col = z_col.copy(), y_col.copy()
 
-    # the messages sent by the end, with the consumptions made by then
-    messages = network.messages
-    del messages[bisect.bisect_right(messages, num_events,
-                                     key=lambda msg: msg.sent_at):]
-    if stop_reason == "epsilon":
-        for msg in messages:
-            if msg.consumed_at is not None and msg.consumed_at > num_events:
-                msg.consumed_at = None
+    messages = network.message_log(num_events)
     # each event's buffer holds its self-copy and the messages it consumed
     log.info("run_async: %d events, %d network messages, %d consumed, "
              "stop %s", num_events, len(messages), entries - num_events,
@@ -511,10 +572,7 @@ def verify_assumption1b(trace: EventTrace) -> int:
     events = np.arange(1, t + 1)
     # An update is complete at its event or at its last delivery slot,
     # whichever is later; broadcasts from event 0 are the initialization's.
-    sent = np.fromiter((msg.sent_at for msg in trace.messages), dtype=np.int64,
-                       count=len(trace.messages))
-    slot = np.fromiter((msg.deliver_at for msg in trace.messages),
-                       dtype=np.int64, count=len(trace.messages))
+    sent, slot = trace.messages.sent_at, trace.messages.deliver_at
     complete = events.copy()
     own = sent > 0
     np.maximum.at(complete, sent[own] - 1, slot[own])
@@ -593,26 +651,38 @@ def metrics(trace: EventTrace, z_star: np.ndarray) -> MetricSeries:
     events (row 0 is the initialization).
     """
     t, n = trace.num_events, trace.n
-    # latest[k, v]: the row of the stacked (initial rows, event rows) that
-    # holds node v's state after the first k events
-    latest = np.zeros((t + 1, n), dtype=np.intp)
-    latest[0] = np.arange(n)
-    latest[np.arange(1, t + 1), trace.node] = np.arange(n, n + t)
-    latest = np.maximum.accumulate(latest, axis=0)
-    errs = np.linalg.norm(np.concatenate([trace.z0, trace.z_tilde]) - z_star,
-                          axis=1)[latest]
-    y_norms = np.linalg.norm(np.concatenate([trace.y0, trace.y_new]),
-                             axis=1)[latest]
+    err_max, err_mean, y_norm_max = np.empty((3, t + 1))
+    # each node's latest error and tracker norm, carried from block to block
+    errs = np.linalg.norm(trace.z0 - z_star, axis=1)
+    y_norms = np.linalg.norm(trace.y0, axis=1)
+    err_max[0], err_mean[0], y_norm_max[0] = (
+        errs.max(), errs.mean(), y_norms.max())
+    for lo in range(0, t, _ROW_BLOCK):
+        hi = min(t, lo + _ROW_BLOCK)
+        # latest[j, v]: the entry of (carried values, block rows) that holds
+        # node v's value after event lo + j + 1
+        latest = np.tile(np.arange(n), (hi - lo, 1))
+        latest[np.arange(hi - lo), trace.node[lo:hi]] = np.arange(n, n + hi - lo)
+        latest = np.maximum.accumulate(latest, axis=0)
+        errs = np.concatenate([
+            errs, np.linalg.norm(trace.z_tilde[lo:hi] - z_star, axis=1)])[latest]
+        y_norms = np.concatenate([
+            y_norms, np.linalg.norm(trace.y_new[lo:hi], axis=1)])[latest]
+        rows = slice(lo + 1, hi + 1)
+        err_max[rows], err_mean[rows] = errs.max(axis=1), errs.mean(axis=1)
+        y_norm_max[rows] = y_norms.max(axis=1)
+        errs, y_norms = errs[-1], y_norms[-1]
     return MetricSeries(
         k=np.arange(t + 1), node=np.concatenate([[-1], trace.node]),
-        event_type=("init",) + ("activation",) * t, err_max=errs.max(axis=1),
-        err_mean=errs.mean(axis=1), y_norm_max=y_norms.max(axis=1),
+        event_type=("init",) + ("activation",) * t, err_max=err_max,
+        err_mean=err_mean, y_norm_max=y_norm_max,
     )
 
 
-# write_metrics_csv converts this many rows to Python objects at a time, so
-# that a long series never holds all its rows as Python floats at once
-_CSV_BLOCK = 4096
+# metrics reduces, and write_metrics_csv converts to Python objects, this
+# many rows at a time, so that a long series never holds a whole-run
+# temporary, nor all its rows as Python floats, at once
+_ROW_BLOCK = 4096
 
 
 def write_metrics_csv(series: MetricSeries, path: str | Path) -> None:
@@ -622,8 +692,8 @@ def write_metrics_csv(series: MetricSeries, path: str | Path) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,node,event_type,err_max,err_mean,y_norm_max\n")
-        for lo in range(0, series.k.shape[0], _CSV_BLOCK):
-            block = slice(lo, lo + _CSV_BLOCK)
+        for lo in range(0, series.k.shape[0], _ROW_BLOCK):
+            block = slice(lo, lo + _ROW_BLOCK)
             fh.write("".join([
                 f"{k},{node},{kind},{e_max!r},{e_mean!r},{y_max!r}\n"
                 for k, node, kind, e_max, e_mean, y_max in zip(
@@ -683,10 +753,7 @@ def dump_trace(trace: EventTrace, path: str | Path) -> None:
     column, and the messages as rows (origin, dest, sent_at, deliver_at,
     consumed_at) with -1 for a message never consumed.
     """
-    messages = np.array(
-        [(msg.origin, msg.dest, msg.sent_at, msg.deliver_at,
-          -1 if msg.consumed_at is None else msg.consumed_at)
-         for msg in trace.messages], dtype=np.int64).reshape(-1, 5)
+    messages = np.stack(trace.messages._columns(), axis=1)
     arrays = {name: getattr(trace, name) for name in _HEADER + _COLUMNS}
     if trace.wall_time_per_round is not None:
         arrays["wall_time_per_round"] = np.array(trace.wall_time_per_round)
@@ -709,12 +776,14 @@ def load_trace(path: str | Path) -> EventTrace:
             raise ValueError(f"{path}: not a trace dump")
         header = {name: data[name].item() for name in _HEADER}
         columns = {name: data[name] for name in _COLUMNS}
-        messages = [
-            Message(origin, dest, sent_at, deliver_at,
-                    None if consumed_at < 0 else consumed_at)
-            for origin, dest, sent_at, deliver_at, consumed_at
-            in data["messages"].tolist()
-        ]
+        rows = data["messages"]
+        if rows.ndim != 2 or rows.shape[1] != 5 or rows.dtype != np.int64:
+            raise ValueError(f"{path}: messages must be int64 rows of 5, got "
+                             f"shape {rows.shape} and dtype {rows.dtype}")
+        try:
+            messages = MessageLog(*(col.copy() for col in rows.T))
+        except ValueError as exc:
+            raise ValueError(f"{path}: messages: {exc}") from None
         wall = (data["wall_time_per_round"].tolist()
                 if "wall_time_per_round" in data.files else None)
         return EventTrace(

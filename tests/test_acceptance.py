@@ -39,6 +39,7 @@ import mpmath as mp
 import numpy as np
 
 from asyncsag import augmented, baselines, cli, graph, mdp, mspbe, simulator
+from helpers import sample_objective
 
 RHO = 0.1
 GAMMA = 0.95
@@ -82,8 +83,8 @@ def test_criterion_01_per_sample_gradient_matches_finite_differences():
             zp, zm = z.copy(), z.copy()
             zp[j] += h
             zm[j] -= h
-            fd[j] = (mspbe.sample_objective(zp, st, prob.rho)
-                     - mspbe.sample_objective(zm, st, prob.rho)) / (2 * h)
+            fd[j] = (sample_objective(zp, st, prob.rho)
+                     - sample_objective(zm, st, prob.rho)) / (2 * h)
         fd[prob.d:] *= -1.0  # the stack carries the negated dual block
         rel = float(np.linalg.norm(fd - analytic) / np.linalg.norm(analytic))
         worst = max(worst, rel)

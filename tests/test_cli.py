@@ -214,6 +214,27 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [problem] num_states", "at least 2 states")),
     (("m = 24", "m = 0"),
      ("config error: [problem] m", "at least one transition")),
+    # SeedSequence takes no negative seed
+    (("seed = 3", "seed = -3"),
+     ("config error: [problem] seed", "nonnegative")),
+    (("seed = 5\n", "seed = -5\n"),
+     ("config error: [schedule] seed", "nonnegative")),
+    # a nan, negative or zero epsilon never stops a run; inf stops it at once
+    (("max_events = 150", "max_events = 150\nepsilon = nan"),
+     ("config error: [algorithm] epsilon", "positive and finite")),
+    (("max_events = 150", "max_events = 150\nepsilon = -1"),
+     ("config error: [algorithm] epsilon", "positive and finite")),
+    (("max_events = 150", "max_events = 150\nepsilon = 0"),
+     ("config error: [algorithm] epsilon", "positive and finite")),
+    (("max_events = 150", "max_events = 150\nepsilon = inf"),
+     ("config error: [algorithm] epsilon", "positive and finite")),
+    # a nan target is never reached
+    (("seed = 5\n", "seed = 5\n\n[experiment]\nn_values = 1 2\n"
+                    "target_err = nan\n"),
+     ("config error: [experiment] target_err", "positive and finite")),
+    # a delivery slot sent + d_max must fit in int64
+    (("d_max = 2", "d_max = 100000000000000000000"),
+     ("config error: [schedule]", "d_max must be at most 2**62")),
     # files that configparser cannot read
     (("d = 3\n", "d = 3\nd = 5\n"),
      ("config error: config file", "option 'd' in section 'problem' already exists")),
@@ -225,8 +246,10 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
         "batch-size-0", "batch-size-negative", "max-events-0",
         "verify-events-0", "num-actions-0", "d-0", "eta1-nan", "eta2-inf",
         "rho-nan", "eta1-values-nan", "straggler-factor-nan", "b-max-0",
-        "b-max-negative", "num-states-1", "m-0", "duplicate-option",
-        "broken-section-header"])
+        "b-max-negative", "num-states-1", "m-0", "problem-seed-negative",
+        "schedule-seed-negative", "epsilon-nan", "epsilon-negative",
+        "epsilon-0", "epsilon-inf", "target-err-nan", "d-max-overflow",
+        "duplicate-option", "broken-section-header"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI
@@ -237,6 +260,17 @@ def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
         err = capsys.readouterr().err
         for needle in needles:
             assert needle in err
+        assert "Traceback" not in err
+
+
+def test_main_rejects_negative_seed_option_with_exit_2(tmp_path, capsys):
+    ini = write_ini(tmp_path, BASE_INI)
+    for command in ("run", "verify", "constants"):
+        code = cli.main([command, "--config", str(ini), "--out",
+                         str(tmp_path), "--seed", "-1"])
+        assert code == cli.EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: --seed" in err and "nonnegative" in err
         assert "Traceback" not in err
 
 

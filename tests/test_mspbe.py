@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsag import mdp, mspbe
+from helpers import sample_objective
 
 
 def random_problem(seed=0, n=3, d=4, length=41, rho=0.1, gamma=0.9,
@@ -61,7 +62,7 @@ def test_gradient_matches_finite_differences():
     flip = np.concatenate([np.ones(d), -np.ones(d)])
     for stats in prob.per_node[0][:5]:
         z = rng.normal(size=2 * d)
-        fun = lambda w: mspbe.sample_objective(w, stats, prob.rho)
+        fun = lambda w: sample_objective(w, stats, prob.rho)
         expected = flip * numeric_gradient(fun, z)
         got = mspbe.saddle_gradient(z, stats, prob.rho)
         assert np.max(np.abs(got - expected)) < 1e-6 * max(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from asyncsag import graph, mdp, mspbe, simulator
 from asyncsag.protocol import (STREAM_DELAY, STREAM_SCHEDULE, Message,
                                SampleSelector, derived_rng, selector_rng)
+from helpers import tracker_bounds
 
 
 def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
@@ -118,6 +119,9 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
                 break
 
     rows = len(node_col)
+    log = np.array([(msg.origin, msg.dest, msg.sent_at, msg.deliver_at,
+                     -1 if msg.consumed_at is None else msg.consumed_at)
+                    for msg in messages], dtype=np.int64).reshape(-1, 5)
     return simulator.EventTrace(
         n=n, d=d, m_i=problem.m_i, rho=rho, gamma=problem.gamma, eta1=eta1,
         eta2=eta2, batch_size=batch_size, seed=seed,
@@ -129,8 +133,8 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         consumed_ptr=np.array(consumed_ptr, dtype=np.int64),
         consumed_origin=np.array(consumed_origin, dtype=np.int64),
         consumed_sent=np.array(consumed_sent, dtype=np.int64),
-        messages=messages, stop_reason=stop_reason,
-        final_z=np.stack(zs), final_y=np.stack(ys),
+        messages=simulator.MessageLog(*(col.copy() for col in log.T)),
+        stop_reason=stop_reason, final_z=np.stack(zs), final_y=np.stack(ys),
     )
 
 
@@ -166,18 +170,6 @@ def assert_same_outcome(got, want):
         assert a.tobytes() == b.tobytes(), name
     assert got.messages == want.messages
     assert got.stop_reason == want.stop_reason
-
-
-def tracker_bounds(trace):
-    """After each event, a little above the largest latest tracker norm of
-    the nodes: the smallest of the first k is an epsilon that stops the run
-    by event k."""
-    latest = [float(np.linalg.norm(y)) for y in trace.y0]
-    bounds = []
-    for v, y in zip(trace.node.tolist(), trace.y_new):
-        latest[v] = float(np.linalg.norm(y))
-        bounds.append(max(latest) * 1.000001)
-    return bounds
 
 
 SIZES = {"ring": (1, 2, 3, 5), "exponential": (2, 4, 6), "grid": (4, 9)}

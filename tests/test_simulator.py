@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import tracemalloc
 import unittest.mock
 import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncsag import graph, mdp, mspbe, simulator
+from asyncsag import cli, graph, mdp, mspbe, simulator
+from helpers import tracker_bounds
 
 
 def build_problem(seed=0, n=3, d=3, length=31, rho=0.1, gamma=0.9,
@@ -110,6 +112,28 @@ def test_delay_draws_match_successive_scalar_draws(kind):
 def test_delay_model_rejects_fractional_d_max():
     with pytest.raises(ValueError, match="d_max"):
         simulator.DelayModel("uniform", d_max=2.5)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "round_barrier"])
+def test_delay_model_keeps_slots_in_int64(kind):
+    # sent + d_max stays below 2**63 for any run shorter than 2**62 events
+    drawn = simulator.DelayModel(kind, d_max=2**62).draw(
+        np.random.default_rng(0), np.arange(1, 50, dtype=np.int64))
+    assert drawn.dtype == np.int64 and drawn.min() >= 0
+    with pytest.raises(ValueError, match="d_max"):
+        simulator.DelayModel(kind, d_max=2**62 + 1)
+    with pytest.raises(ValueError, match="d_max"):
+        simulator.DelayModel(kind, d_max=10**20)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), -1.0, 0.0, float("inf")])
+def test_run_async_rejects_epsilon_that_cannot_stop_a_run(epsilon):
+    prob = build_problem(n=3)
+    sched = simulator.ActivationSchedule(kind="round_robin", n=3)
+    with pytest.raises(ValueError, match="epsilon"):
+        simulator.run_async(prob, graph.generate_topology("ring", 3), sched,
+                            simulator.DelayModel(), 0.01, 0.1, seed=0,
+                            max_events=5, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
@@ -319,7 +343,7 @@ def test_metrics_csv_blocks_match_row_loop(tmp_path_factory, block, data):
                                 max_size=3 * rows))
     series = random_series(rows, nodes, floats)
     out = tmp_path_factory.mktemp("csv")
-    with unittest.mock.patch.object(simulator, "_CSV_BLOCK", block):
+    with unittest.mock.patch.object(simulator, "_ROW_BLOCK", block):
         simulator.write_metrics_csv(series, out / "blocks.csv")
     write_metrics_csv_by_row(series, out / "rows.csv")
     assert (out / "blocks.csv").read_bytes() == (out / "rows.csv").read_bytes()
@@ -327,7 +351,7 @@ def test_metrics_csv_blocks_match_row_loop(tmp_path_factory, block, data):
 
 def test_metrics_csv_default_blocks_match_row_loop(tmp_path):
     # two full blocks and a partial one
-    rows = 2 * simulator._CSV_BLOCK + 3
+    rows = 2 * simulator._ROW_BLOCK + 3
     rng = np.random.default_rng(8)
     series = random_series(rows, rng.integers(0, 6, rows - 1),
                            rng.lognormal(-3.0, 4.0, 3 * rows).tolist())
@@ -377,6 +401,64 @@ def test_trace_round_trip(tmp_path):
         simulator.load_trace(other)
 
 
+@pytest.mark.parametrize("rows,needle", [
+    (np.zeros((3, 4), dtype=np.int64), "rows of 5"),
+    (np.zeros(5, dtype=np.int64), "rows of 5"),
+    (np.zeros((3, 5)), "dtype float64"),
+    (np.array([[0, 1, 5, 4, -1]], dtype=np.int64), "delivered before"),
+], ids=["width-4", "one-dimensional", "float", "delivered-before-sent"])
+def test_load_trace_rejects_malformed_message_log(tmp_path, rows, needle):
+    _, trace = small_run(seed=13, max_events=20)
+    path = tmp_path / "trace.npz"
+    simulator.dump_trace(trace, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["messages"] = rows
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError, match="messages") as err:
+        simulator.load_trace(path)
+    assert needle in str(err.value)
+
+
+def test_message_log_columns_mark_exactly_the_unconsumed():
+    """Five int64 columns; a message's consumed_at is the event whose pull
+    buffered it, and -1 exactly when no event of the trace did, also when
+    an epsilon stop cuts the planned block short."""
+    _, full = small_run(seed=9, max_events=120, d_max=3)
+    epsilon = min(tracker_bounds(full)[:40])
+    _, stopped = small_run(seed=9, max_events=120, d_max=3, epsilon=epsilon)
+    t = stopped.num_events
+    assert stopped.stop_reason == "epsilon" and t <= 40
+    # the plan had the later events consume messages the stopped run sent
+    late = (full.messages.sent_at <= t) & (full.messages.consumed_at > t)
+    assert late.any()
+    for trace in (full, stopped):
+        log = trace.messages
+        for column in (log.origin, log.dest, log.sent_at, log.deliver_at,
+                       log.consumed_at):
+            assert column.dtype == np.int64 and column.shape == (len(log),)
+        assert log.sent_at.max() <= trace.num_events
+        used = log.consumed_at != -1
+        assert (log.consumed_at[used] > log.deliver_at[used]).all()
+        assert (log.consumed_at[used] <= trace.num_events).all()
+        got = sorted(zip(*(column[used].tolist() for column in
+                           (log.origin, log.dest, log.sent_at,
+                            log.consumed_at))))
+        want = sorted((origin, v, sent, k) for k, v in
+                      enumerate(trace.node.tolist(), start=1)
+                      for origin, sent in consumed(trace, k)[1:])
+        assert got == want
+        # the records built on demand carry the same rows
+        records = list(log)
+        assert len(records) == len(log) and log == records
+        assert log[0] == records[0] and log[-1] == records[-1]
+        assert [msg.consumed_at is None for msg in records] == (~used).tolist()
+    assert full.messages != stopped.messages
+    with pytest.raises(ValueError, match="delivered before"):
+        simulator.MessageLog(*(np.array([v]) for v in (0, 1, 5, 4, -1)))
+
+
 def test_run_logs_one_summary_line(caplog):
     with caplog.at_level(logging.INFO, logger="asyncsag.simulator"):
         _, trace = small_run(seed=9, max_events=40)
@@ -390,6 +472,25 @@ def test_run_logs_one_summary_line(caplog):
 # ---------------------------------------------------------------------------
 # the array code against the per-event loops it replaced
 # ---------------------------------------------------------------------------
+
+def dense_metrics(trace, z_star):
+    """Reference for ``simulator.metrics``: the whole-run formula it
+    replaced, with (T+1) x n index and value arrays."""
+    t, n = trace.num_events, trace.n
+    latest = np.zeros((t + 1, n), dtype=np.intp)
+    latest[0] = np.arange(n)
+    latest[np.arange(1, t + 1), trace.node] = np.arange(n, n + t)
+    latest = np.maximum.accumulate(latest, axis=0)
+    errs = np.linalg.norm(np.concatenate([trace.z0, trace.z_tilde]) - z_star,
+                          axis=1)[latest]
+    y_norms = np.linalg.norm(np.concatenate([trace.y0, trace.y_new]),
+                             axis=1)[latest]
+    return simulator.MetricSeries(
+        k=np.arange(t + 1), node=np.concatenate([[-1], trace.node]),
+        event_type=("init",) + ("activation",) * t, err_max=errs.max(axis=1),
+        err_mean=errs.mean(axis=1), y_norm_max=y_norms.max(axis=1),
+    )
+
 
 def metrics_by_event(trace, z_star):
     """Reference for ``simulator.metrics``: replay the events one by one."""
@@ -511,6 +612,69 @@ def test_array_metrics_and_window_match_event_loops(
         simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.01, 0.1,
         seed=seed, max_events=events, batch_size=batch_size)
     assert_matches_event_loops(trace, mspbe.solve_problem(prob))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), kind=st.sampled_from(["uniform_random",
+                                                  "straggler"]),
+       events=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       stop=st.integers(0, 40))
+@example(n=3, kind="uniform_random", events=1, seed=0, stop=0)
+@example(n=4, kind="uniform_random", events=40, seed=5, stop=12)
+@example(n=5, kind="straggler", events=40, seed=1, stop=0)
+def test_blockwise_metrics_equal_dense_formula(n, kind, events, seed, stop):
+    """Row blocks of 1, 3 and 7 events give the whole-run formula's bits,
+    on one-event traces, traces stopped by epsilon (``stop`` > 0 picks the
+    event by which the threshold is crossed), and with nodes that do not
+    activate in the first block."""
+    prob = build_problem(n=n)
+    straggler = kind == "straggler"
+    sched = simulator.ActivationSchedule(
+        kind=kind, n=n, straggler_node=0 if straggler else None,
+        straggler_factor=20.0 if straggler else 1.0)
+    args = (prob, graph.generate_topology("ring", n), sched,
+            simulator.DelayModel("uniform", 2), 0.05, 0.4)
+    trace = simulator.run_async(*args, seed=seed, max_events=events)
+    if 0 < stop <= events:
+        epsilon = min(tracker_bounds(trace)[:stop])
+        trace = simulator.run_async(*args, seed=seed, max_events=events,
+                                    epsilon=epsilon)
+        assert trace.stop_reason == "epsilon"
+    z_star = mspbe.solve_problem(prob)
+    want = dense_metrics(trace, z_star)
+    for block in (1, 3, 7):
+        with unittest.mock.patch.object(simulator, "_ROW_BLOCK", block):
+            got = simulator.metrics(trace, z_star)
+        for field in dataclasses.fields(simulator.MetricSeries):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "event_type":
+                assert a == b
+            else:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                    block, field.name)
+
+
+def test_run_and_metrics_memory_follow_the_trace():
+    """On quickstart (45000 events) the trace holds its columns and no
+    per-message objects, and the error series needs no whole-run
+    temporaries: a few MB above the trace, not the size of the trace."""
+    bundle = cli.build_experiment(
+        cli.load_config(cli.bundled_config("quickstart")))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = cli._run_trace(bundle, bundle.config.max_events)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        series = simulator.metrics(trace, bundle.z_star)
+        above = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert trace.num_events == 45000 and series.err_max.shape == (45001,)
+    # 15.5 MB and 11.7 MB with a list of Message objects and dense metrics
+    assert held <= 12 * 2**20
+    assert above <= 4 * 2**20
 
 
 def test_node_that_never_activates_is_named():
