@@ -50,7 +50,6 @@ from typing import Iterator, Sequence
 import mpmath as mp
 import numpy as np
 
-from .graph import diameter
 from .mspbe import (ProblemSpec, SpectralConstants, from_scaled,
                     saddle_gradient, to_scaled)
 from .simulator import AssumptionViolation, EventTrace, verify_assumption1b
@@ -553,7 +552,3 @@ def eta2_range(m: int, spectral: SpectralConstants, eta: float) -> float:
     """Upper end of the admissible dual step: eta2 < (2*m*beta/psi) * eta."""
     return float(2.0 * m * spectral.beta / spectral.psi * eta)
 
-
-def graph_constants(trace: EventTrace) -> tuple[int, int]:
-    """(certified b, diameter) of a trace's run."""
-    return verify_assumption1b(trace), diameter(trace.graph)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import augmented, baselines, mdp, mspbe, simulator
+from . import augmented, mdp, mspbe, simulator
 from .graph import DirectedGraph, diameter, generate_topology, is_strongly_connected
 from .simulator import ActivationSchedule, AssumptionViolation, DelayModel
 
@@ -76,11 +77,12 @@ class ExperimentConfig:
         return self.eta2 / self.eta1
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, conv,
-         default=None, required: bool = False):
+def _get(parser: configparser.ConfigParser, consulted: set[tuple[str, str]],
+         section: str, key: str, conv, default=None):
+    """[section] key converted by ``conv``, or ``default`` when it is absent;
+    adds (section, key) to ``consulted``."""
+    consulted.add((section, key))
     if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] {key}: required key is missing")
         return default
     raw = parser.get(section, key)
     try:
@@ -108,76 +110,76 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file {path} not found or empty")
     cfg = ExperimentConfig()
+    consulted: set[tuple[str, str]] = set()
+    get = functools.partial(_get, parser, consulted)
 
     sec = "problem"
-    if parser.has_section(sec):
-        cfg.num_states = _get(parser, sec, "num_states", int, cfg.num_states)
-        cfg.num_actions = _get(parser, sec, "num_actions", int, cfg.num_actions)
-        cfg.n = _get(parser, sec, "n", int, cfg.n)
-        cfg.d = _get(parser, sec, "d", int, cfg.d)
-        cfg.m = _get(parser, sec, "m", int, cfg.m)
-        cfg.gamma = _get(parser, sec, "gamma", float, cfg.gamma)
-        cfg.rho = _get(parser, sec, "rho", float, cfg.rho)
-        cfg.mode = _get(parser, sec, "mode", str, cfg.mode)
-        cfg.data_seed = _get(parser, sec, "seed", int, cfg.data_seed)
-        if parser.has_option(sec, "proportions"):
-            cfg.proportions = _get(parser, sec, "proportions", _float_list)
+    cfg.num_states = get(sec, "num_states", int, cfg.num_states)
+    cfg.num_actions = get(sec, "num_actions", int, cfg.num_actions)
+    cfg.n = get(sec, "n", int, cfg.n)
+    cfg.d = get(sec, "d", int, cfg.d)
+    cfg.m = get(sec, "m", int, cfg.m)
+    cfg.gamma = get(sec, "gamma", float, cfg.gamma)
+    cfg.rho = get(sec, "rho", float, cfg.rho)
+    cfg.mode = get(sec, "mode", str, cfg.mode)
+    cfg.data_seed = get(sec, "seed", int, cfg.data_seed)
+    cfg.proportions = get(sec, "proportions", _float_list, cfg.proportions)
 
     sec = "topology"
-    if parser.has_section(sec):
-        cfg.topology = _get(parser, sec, "kind", str, cfg.topology)
-        cfg.edge_list_path = _get(parser, sec, "path", str, cfg.edge_list_path)
-        topo_n = _get(parser, sec, "n", int, None)
-        if topo_n is not None and topo_n != cfg.n:
-            raise ConfigError(
-                f"[topology] n={topo_n} conflicts with [problem] n={cfg.n}"
-            )
+    cfg.topology = get(sec, "kind", str, cfg.topology)
+    cfg.edge_list_path = get(sec, "path", str, cfg.edge_list_path)
+    topo_n = get(sec, "n", int, None)
+    if topo_n is not None and topo_n != cfg.n:
+        raise ConfigError(f"[topology] n={topo_n} conflicts with [problem] "
+                          f"n={cfg.n}")
 
     sec = "algorithm"
-    if parser.has_section(sec):
-        eta1 = _get(parser, sec, "eta1", float, None)
-        eta2 = _get(parser, sec, "eta2", float, None)
-        eta = _get(parser, sec, "eta", float, None)
-        zeta = _get(parser, sec, "zeta", float, None)
-        if eta is not None and zeta is not None:
-            cfg.eta1, cfg.eta2 = eta, eta * zeta
-            if eta1 is not None and abs(eta1 - cfg.eta1) > 1e-12 * abs(cfg.eta1):
-                raise ConfigError(f"[algorithm] eta1={eta1} conflicts with eta={eta}")
-            if eta2 is not None and abs(eta2 - cfg.eta2) > 1e-9 * abs(cfg.eta2):
-                raise ConfigError(
-                    f"[algorithm] eta2={eta2} conflicts with eta*zeta={cfg.eta2}"
-                )
-        elif eta1 is not None and eta2 is not None:
-            cfg.eta1, cfg.eta2 = eta1, eta2
-        elif any(v is not None for v in (eta1, eta2, eta, zeta)):
-            raise ConfigError(
-                "[algorithm] give both eta1 and eta2, or both eta and zeta"
-            )
-        cfg.batch_size = _get(parser, sec, "batch_size", int, cfg.batch_size)
-        cfg.epsilon = _get(parser, sec, "epsilon", float, cfg.epsilon)
-        cfg.max_events = _get(parser, sec, "max_events", int, cfg.max_events)
-        cfg.verify_events = _get(parser, sec, "verify_events", int, cfg.verify_events)
+    eta1 = get(sec, "eta1", float, None)
+    eta2 = get(sec, "eta2", float, None)
+    eta = get(sec, "eta", float, None)
+    zeta = get(sec, "zeta", float, None)
+    if eta is not None and zeta is not None:
+        cfg.eta1, cfg.eta2 = eta, eta * zeta
+        if eta1 is not None and abs(eta1 - cfg.eta1) > 1e-12 * abs(cfg.eta1):
+            raise ConfigError(f"[algorithm] eta1={eta1} conflicts with eta={eta}")
+        if eta2 is not None and abs(eta2 - cfg.eta2) > 1e-9 * abs(cfg.eta2):
+            raise ConfigError(f"[algorithm] eta2={eta2} conflicts with "
+                              f"eta*zeta={cfg.eta2}")
+    elif eta1 is not None and eta2 is not None:
+        cfg.eta1, cfg.eta2 = eta1, eta2
+    elif any(v is not None for v in (eta1, eta2, eta, zeta)):
+        raise ConfigError("[algorithm] give both eta1 and eta2, or both eta "
+                          "and zeta")
+    cfg.batch_size = get(sec, "batch_size", int, cfg.batch_size)
+    cfg.epsilon = get(sec, "epsilon", float, cfg.epsilon)
+    cfg.max_events = get(sec, "max_events", int, cfg.max_events)
+    cfg.verify_events = get(sec, "verify_events", int, cfg.verify_events)
 
     sec = "schedule"
-    if parser.has_section(sec):
-        cfg.schedule = _get(parser, sec, "kind", str, cfg.schedule)
-        cfg.delay_kind = _get(parser, sec, "delay", str, cfg.delay_kind)
-        cfg.d_max = _get(parser, sec, "d_max", int, cfg.d_max)
-        cfg.straggler_node = _get(parser, sec, "straggler_node", int,
-                                  cfg.straggler_node)
-        cfg.straggler_factor = _get(parser, sec, "straggler_factor", float,
-                                    cfg.straggler_factor)
-        cfg.run_seed = _get(parser, sec, "seed", int, cfg.run_seed)
-        cfg.b_max = _get(parser, sec, "b_max", int, cfg.b_max)
+    cfg.schedule = get(sec, "kind", str, cfg.schedule)
+    cfg.delay_kind = get(sec, "delay", str, cfg.delay_kind)
+    cfg.d_max = get(sec, "d_max", int, cfg.d_max)
+    cfg.straggler_node = get(sec, "straggler_node", int, cfg.straggler_node)
+    cfg.straggler_factor = get(sec, "straggler_factor", float,
+                               cfg.straggler_factor)
+    cfg.run_seed = get(sec, "seed", int, cfg.run_seed)
+    cfg.b_max = get(sec, "b_max", int, cfg.b_max)
 
     sec = "experiment"
-    if parser.has_section(sec):
-        if parser.has_option(sec, "n_values"):
-            cfg.n_values = _get(parser, sec, "n_values", _int_list)
-        if parser.has_option(sec, "eta1_values"):
-            cfg.eta1_values = _get(parser, sec, "eta1_values", _float_list)
-        cfg.target_err = _get(parser, sec, "target_err", float, cfg.target_err)
+    cfg.n_values = get(sec, "n_values", _int_list, cfg.n_values)
+    cfg.eta1_values = get(sec, "eta1_values", _float_list, cfg.eta1_values)
+    cfg.target_err = get(sec, "target_err", float, cfg.target_err)
 
+    # a key nothing read is misspelt or misplaced; a section key with its
+    # [DEFAULT] value is the inherited one, checked as a [DEFAULT] key
+    defaults, sections = parser.defaults(), parser.sections()
+    unknown = [(sec, key) for sec in sections for key in parser[sec]
+               if (sec, key) not in consulted
+               and parser.get(sec, key, raw=True) != defaults.get(key)]
+    unknown += [(parser.default_section, key) for key in defaults
+                if not consulted & {(sec, key) for sec in sections}]
+    if unknown:
+        raise ConfigError(f"[{unknown[0][0]}] {unknown[0][1]}: unknown key")
     validate_config(cfg)
     return cfg
 
@@ -223,8 +225,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[topology] path: file {cfg.edge_list_path} does not exist")
     if cfg.schedule == "straggler" and cfg.straggler_node is None:
         raise ConfigError("[schedule] straggler_node: required for straggler kind")
-    if cfg.b_max is not None and cfg.b_max < 1:
-        raise ConfigError("[schedule] b_max: must be at least 1")
+    # an event index + b_max must fit in int64, as sent + d_max must
+    if cfg.b_max is not None and not 1 <= cfg.b_max <= 2**62:
+        raise ConfigError("[schedule] b_max: must be at least 1 and at most "
+                          "2**62")
     if cfg.proportions is not None and len(cfg.proportions) != cfg.n:
         raise ConfigError(
             f"[problem] proportions: need {cfg.n} entries, got {len(cfg.proportions)}"
@@ -266,7 +270,12 @@ def build_problem(cfg: ExperimentConfig, n: int | None = None,
         per_node = mdp.partition_samples(traj, features, cfg.mode, n, proportions)
     except ValueError as exc:
         raise ConfigError(f"[problem] {exc}") from None
-    return mspbe.problem_from_samples(per_node, cfg.rho, cfg.gamma)
+    problem = mspbe.problem_from_samples(per_node, cfg.rho, cfg.gamma)
+    # a larger minibatch would refresh some sample twice in one activation
+    if cfg.batch_size > min(problem.m_i):
+        raise ConfigError(f"[algorithm] batch_size: must be at most the smallest "
+                          f"node's sample count {min(problem.m_i)} (n={n})")
+    return problem
 
 
 def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:

@@ -103,8 +103,8 @@ class ActivationSchedule:
         return self._cdf.searchsorted(rng.random(count), side="right")
 
 
-# the longest delay: a slot sent + d_max stays in int64 for 2**62 events
-_MAX_DELAY = 2**62
+# an event + d_max, or + b_max + 1, stays in int64 for 2**62 events
+_MAX_SPAN = 2**62
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class DelayModel:
             raise ValueError(f"d_max must be an integer, got {self.d_max!r}")
         if self.d_max < 0:
             raise ValueError("d_max must be nonnegative")
-        if self.d_max > _MAX_DELAY:
+        if self.d_max > _MAX_SPAN:
             raise ValueError(f"d_max must be at most 2**62, so that a "
                              f"delivery slot fits in int64, got {self.d_max}")
 
@@ -149,7 +149,7 @@ class MessageLog:
     event ``sent_at[i]`` (0 = init), visible after slot ``deliver_at[i]``,
     and consumed by the activation ``consumed_at[i]``, or -1 for none.
     Indexing and iteration build ``Message`` records on demand, and a log
-    equals another log or a list of records with the same rows.
+    equals another log with the same rows.
     """
 
     origin: np.ndarray
@@ -179,13 +179,10 @@ class MessageLog:
             yield Message(origin, dest, sent, slot, None if used < 0 else used)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, MessageLog):
-            return all(np.array_equal(a, b) for a, b in
-                       zip(self._columns(), other._columns()))
-        if isinstance(other, list):
-            return len(self) == len(other) and all(
-                mine == theirs for mine, theirs in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, MessageLog):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in
+                   zip(self._columns(), other._columns()))
 
 
 @dataclass
@@ -203,13 +200,8 @@ class EventTrace:
     n: int
     d: int
     m_i: tuple[int, ...]
-    rho: float
-    gamma: float
     eta1: float
     eta2: float
-    batch_size: int
-    seed: int
-    schedule_kind: str
     graph: DirectedGraph
     z0: np.ndarray                      # (n, 2d) initial saddle vectors
     y0: np.ndarray                      # (n, 2d) initial trackers
@@ -223,7 +215,6 @@ class EventTrace:
     messages: MessageLog                # all network messages, init included
     stop_reason: str
     final_z: np.ndarray
-    final_y: np.ndarray
     wall_time_per_round: list[float] | None = None
 
     @property
@@ -428,6 +419,12 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
                          f"{epsilon!r}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
+    # a larger minibatch would refresh some sample twice in one activation
+    if batch_size > min(problem.m_i):
+        raise ValueError(f"batch_size must be at most the smallest node's "
+                         f"sample count {min(problem.m_i)}, got {batch_size!r}")
+    if b_max is not None and b_max > _MAX_SPAN:
+        raise ValueError(f"b_max must be at most 2**62, got {b_max}")
     if schedule.n != graph.n:
         raise ValueError("schedule node count does not match the graph")
 
@@ -508,10 +505,8 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
              "stop %s", num_events, len(messages), entries - num_events,
              stop_reason)
     return EventTrace(
-        n=n, d=problem.d, m_i=problem.m_i, rho=problem.rho,
-        gamma=problem.gamma, eta1=eta1, eta2=eta2, batch_size=batch_size,
-        seed=seed, schedule_kind=schedule.kind, graph=graph, z0=z0_rows,
-        y0=y0_rows,
+        n=n, d=problem.d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph,
+        z0=z0_rows, y0=y0_rows,
         node=np.concatenate([b.node for b in blocks])[:num_events],
         samples=np.concatenate([b.samples for b in blocks])[:num_events],
         z_tilde=z_col, y_new=y_col, consumed_ptr=consumed_ptr,
@@ -519,7 +514,6 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         consumed_sent=np.concatenate([b.sent for b in blocks])[:entries],
         messages=messages, stop_reason=stop_reason,
         final_z=np.stack([nd.z for nd in nodes]),
-        final_y=np.stack([nd.y for nd in nodes]),
     )
 
 
@@ -733,61 +727,3 @@ def estimate_rate(err: np.ndarray) -> RateFit:
         c_hat=float(np.exp(slope)), r_squared=float(r2),
         max_window_ratio=float(ratios.max()),
     )
-
-
-# ---------------------------------------------------------------------------
-# trace dump / load (one .npz file)
-# ---------------------------------------------------------------------------
-
-_TRACE_FORMAT = "asyncsag-trace v2"
-_HEADER = ("n", "d", "rho", "gamma", "eta1", "eta2", "batch_size", "seed",
-           "schedule_kind", "stop_reason")
-_COLUMNS = ("z0", "y0", "node", "samples", "z_tilde", "y_new", "consumed_ptr",
-            "consumed_origin", "consumed_sent", "final_z", "final_y")
-
-
-def dump_trace(trace: EventTrace, path: str | Path) -> None:
-    """Write the trace as one ``np.savez`` file, readable without pickle.
-
-    It holds the header scalars, ``m_i``, the graph's sorted edges, every
-    column, and the messages as rows (origin, dest, sent_at, deliver_at,
-    consumed_at) with -1 for a message never consumed.
-    """
-    messages = np.stack(trace.messages._columns(), axis=1)
-    arrays = {name: getattr(trace, name) for name in _HEADER + _COLUMNS}
-    if trace.wall_time_per_round is not None:
-        arrays["wall_time_per_round"] = np.array(trace.wall_time_per_round)
-    with open(path, "wb") as fh:   # a file object keeps np.savez's name as is
-        np.savez(fh, format=_TRACE_FORMAT, m_i=np.array(trace.m_i),
-                 graph_edges=np.array(sorted(trace.graph.edges),
-                                      dtype=np.int64).reshape(-1, 2),
-                 messages=messages, **arrays)
-
-
-def load_trace(path: str | Path) -> EventTrace:
-    try:
-        data = np.load(path, allow_pickle=False)
-    except ValueError:
-        raise ValueError(f"{path}: not a trace dump") from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not a trace dump")
-    with data:
-        if "format" not in data.files or data["format"].item() != _TRACE_FORMAT:
-            raise ValueError(f"{path}: not a trace dump")
-        header = {name: data[name].item() for name in _HEADER}
-        columns = {name: data[name] for name in _COLUMNS}
-        rows = data["messages"]
-        if rows.ndim != 2 or rows.shape[1] != 5 or rows.dtype != np.int64:
-            raise ValueError(f"{path}: messages must be int64 rows of 5, got "
-                             f"shape {rows.shape} and dtype {rows.dtype}")
-        try:
-            messages = MessageLog(*(col.copy() for col in rows.T))
-        except ValueError as exc:
-            raise ValueError(f"{path}: messages: {exc}") from None
-        wall = (data["wall_time_per_round"].tolist()
-                if "wall_time_per_round" in data.files else None)
-        return EventTrace(
-            m_i=tuple(data["m_i"].tolist()),
-            graph=DirectedGraph(header["n"], data["graph_edges"].tolist()),
-            messages=messages, wall_time_per_round=wall, **header, **columns,
-        )

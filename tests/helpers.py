@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from asyncsag.graph import DirectedGraph
+from asyncsag.graph import DirectedGraph, diameter
 from asyncsag.mspbe import SampleStats
+from asyncsag.simulator import EventTrace, verify_assumption1b
 
 
 def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
@@ -38,3 +40,21 @@ def tracker_bounds(trace) -> list[float]:
         latest[v] = float(np.linalg.norm(y))
         bounds.append(max(latest) * 1.000001)
     return bounds
+
+
+def graph_constants(trace: EventTrace) -> tuple[int, int]:
+    """(certified b, diameter) of a trace's run."""
+    return verify_assumption1b(trace), diameter(trace.graph)
+
+
+def assert_traces_equal(got: EventTrace, want: EventTrace) -> None:
+    """Every field of ``EventTrace`` equal: arrays in dtype, shape and bytes,
+    the message log and the rest by ==."""
+    for field in dataclasses.fields(EventTrace):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), field.name
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name

@@ -39,7 +39,7 @@ import mpmath as mp
 import numpy as np
 
 from asyncsag import augmented, baselines, cli, graph, mdp, mspbe, simulator
-from helpers import sample_objective
+from helpers import graph_constants, sample_objective
 
 RHO = 0.1
 GAMMA = 0.95
@@ -218,7 +218,7 @@ def test_criterion_03_event_matrices_are_stochastic():
         simulator.ActivationSchedule(kind="uniform_random", n=5),
         simulator.DelayModel(kind="uniform", d_max=2),
         0.02, 0.2, seed=19, max_events=500)
-    b, _ = augmented.graph_constants(trace)
+    b, _ = graph_constants(trace)
     worst_row = worst_col = 0.0
     for k in range(1, trace.num_events + 1):
         mats = augmented.build_event_matrices(trace, k, b=b)
@@ -346,7 +346,7 @@ def test_criterion_07_pull_products_approach_rank_one():
         simulator.ActivationSchedule(kind="round_robin", n=3),
         simulator.DelayModel(kind="zero"),
         0.02, 0.2, seed=17, max_events=200)
-    b, d_g = augmented.graph_constants(trace)
+    b, d_g = graph_constants(trace)
     spec = mspbe.spectral_constants(prob, 10.0)
     rc = augmented.rate_constants(trace.n, b, 2 * max(prob.m_i) - 1, d_g, spec)
     window = d_g * b
@@ -518,7 +518,7 @@ def test_criterion_11_rate_constants_are_sound():
     trace = simulator.run_async(
         bundle.problem, bundle.graph, cli._schedule(cfg), cli._delays(cfg),
         cfg.eta1, cfg.eta2, cfg.run_seed, max_events=cfg.verify_events)
-    b, _ = augmented.graph_constants(trace)
+    b, _ = graph_constants(trace)
     d_g = max(1, graph.diameter(bundle.graph))
     big_k = 2 * max(bundle.problem.m_i) - 1
     rc = augmented.rate_constants(trace.n, b, big_k, d_g, bundle.spectral)

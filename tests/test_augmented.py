@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from asyncsag import augmented, graph, mdp, mspbe, simulator
 from asyncsag.mspbe import SpectralConstants
+from helpers import graph_constants
 
 
 def build_problem(seed=0, n=3, d=3, length=31, rho=0.1, gamma=0.9,
@@ -438,6 +439,6 @@ def test_eta2_range_pinned():
 def test_graph_constants_helper():
     _, trace = run_pair(seed=3, n=3, max_events=40, kind="round_robin",
                         d_max=0)
-    b, d_g = augmented.graph_constants(trace)
+    b, d_g = graph_constants(trace)
     assert b == 3
     assert d_g == graph.diameter(trace.graph)

@@ -235,6 +235,27 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     # a delivery slot sent + d_max must fit in int64
     (("d_max = 2", "d_max = 100000000000000000000"),
      ("config error: [schedule]", "d_max must be at most 2**62")),
+    # an event index + b_max must fit in int64 too
+    (("d_max = 2", "d_max = 2\nb_max = 100000000000000000000"),
+     ("config error: [schedule] b_max", "at most 2**62")),
+    # a minibatch larger than a node's samples refreshes one of them twice;
+    # the sweep builds n = 1 (24 samples) first, then n = 2 (8 and 16)
+    (("max_events = 150", "max_events = 150\nbatch_size = 9"),
+     ("config error: [algorithm] batch_size",
+      "at most the smallest node's sample count 8")),
+    (("verify_events = 100\n", "verify_events = 100\nbatch_size = 9\n"
+                                "\n[experiment]\nn_values = 1 2\n"),
+     ("config error: [algorithm] batch_size",
+      "at most the smallest node's sample count 8")),
+    # a key or section that nothing reads is a misspelling
+    (("max_events = 150", "max_event = 150"),
+     ("config error: [algorithm] max_event: unknown key",)),
+    (("[schedule]", "[schedul]"),
+     ("config error: [schedul] kind: unknown key",)),
+    (("[problem]\n", "[DEFAULT]\nsteps = 3\n\n[problem]\n"),
+     ("config error: [DEFAULT] steps: unknown key",)),
+    (("max_events = 150", "max_events = 150\nd_max = 4"),
+     ("config error: [algorithm] d_max: unknown key",)),
     # files that configparser cannot read
     (("d = 3\n", "d = 3\nd = 5\n"),
      ("config error: config file", "option 'd' in section 'problem' already exists")),
@@ -249,7 +270,10 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
         "b-max-negative", "num-states-1", "m-0", "problem-seed-negative",
         "schedule-seed-negative", "epsilon-nan", "epsilon-negative",
         "epsilon-0", "epsilon-inf", "target-err-nan", "d-max-overflow",
-        "duplicate-option", "broken-section-header"])
+        "b-max-overflow", "batch-size-above-samples",
+        "batch-size-above-samples-sweep", "unknown-key", "unknown-section",
+        "unknown-default-key", "misplaced-key", "duplicate-option",
+        "broken-section-header"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI
@@ -261,6 +285,17 @@ def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
         for needle in needles:
             assert needle in err
         assert "Traceback" not in err
+
+
+def test_default_section_key_read_through_a_section_is_known(tmp_path):
+    text = BASE_INI.replace("[problem]\n", "[DEFAULT]\nseed = 8\n\n[problem]\n")
+    text = text.replace("seed = 3\n", "").replace("seed = 5\n", "")
+    cfg = cli.load_config(write_ini(tmp_path, text))
+    assert cfg.data_seed == cfg.run_seed == 8
+    # a section that does not read seed cannot hold its own value of it
+    text = text.replace("max_events = 150", "max_events = 150\nseed = 99")
+    with pytest.raises(cli.ConfigError, match=r"\[algorithm\] seed: unknown key"):
+        cli.load_config(write_ini(tmp_path, text))
 
 
 def test_main_rejects_negative_seed_option_with_exit_2(tmp_path, capsys):

@@ -21,6 +21,7 @@ import pytest
 
 from asyncsag import cli, graph, mdp, mspbe, protocol, simulator
 from asyncsag.protocol import PayloadTable
+from helpers import assert_traces_equal
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -95,11 +96,6 @@ def unchanged_payloads(activate):
     return checked
 
 
-TRACE_COLUMNS = ("z0", "y0", "node", "samples", "z_tilde", "y_new",
-                 "consumed_ptr", "consumed_origin", "consumed_sent",
-                 "final_z", "final_y")
-
-
 @pytest.mark.parametrize("topology,n", [("ring", 5), ("exponential", 6),
                                         ("grid", 9)])
 @pytest.mark.parametrize("kind", ["round_robin", "uniform_random", "straggler"])
@@ -128,10 +124,7 @@ def test_run_async_bits_equal_reference_arithmetic(monkeypatch, topology, n,
                 patch.setattr(protocol, "saddle_gradient",
                               reference_saddle_gradient)
                 slow = simulator.run_async(*args, **kwargs)
-            for name in TRACE_COLUMNS:
-                assert same_bits(getattr(fast, name), getattr(slow, name)), (
-                    delay_kind, batch_size, name)
-            assert fast.messages == slow.messages
+            assert_traces_equal(fast, slow)
             longest = max(longest, int(np.diff(fast.consumed_ptr).max()))
     if kind == "straggler":
         assert longest >= 8   # the in-place sums ran over long buffers
