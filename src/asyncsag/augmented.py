@@ -38,8 +38,12 @@ which is what makes the tracking identity 1^T Y^k = 1^T partial^k exact.
 Storage: each H_R, H_C and I_a is a ``SparseMatrix`` of coalesced
 (row, col, weight) entries, at most deg+1 per row, so one event takes
 O(ntilde) bytes. The replay and ``product_contraction`` multiply by row
-gathers, and no ntilde x ntilde array is formed apart from the products
-whose contraction is measured.
+gathers, and no event matrix is ever dense. ``product_contraction`` keeps
+each forward product on its support box (its nonzero rows times its nonzero
+columns), so an ntilde x ntilde array is formed only for the first few
+products: on the event matrices the pull box narrows to at most n columns
+once the products span the staleness window, and the push box keeps only
+the registers that hold mass.
 """
 
 from __future__ import annotations
@@ -118,26 +122,42 @@ class SparseMatrix:
         if operand.ndim not in (1, 2) or operand.shape[0] != self.size:
             raise ValueError(f"cannot multiply a {self.shape} matrix by an "
                              f"operand of shape {operand.shape}")
-        rows, cols, weights = self.rows, self.cols, self.weights
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        source = np.zeros(self.size, dtype=np.intp)
-        scale = np.zeros(self.size)
-        source[rows[first]] = cols[first]
-        scale[rows[first]] = weights[first]
-        out = np.take(operand, source, axis=0)
-        scaled = np.flatnonzero(scale != 1.0)
-        out[scaled] *= scale[scaled].reshape((-1,) + (1,) * (operand.ndim - 1))
-        rest = ~first
-        for row, col, weight in zip(rows[rest], cols[rest], weights[rest]):
-            out[row] += weight * operand[col]
-        return out
+        return _gather(self.rows, self.cols, self.weights, operand, self.size)
 
     def toarray(self) -> np.ndarray:
         """The dense form."""
         dense = np.zeros(self.shape)
         dense[self.rows, self.cols] = self.weights
         return dense
+
+
+def _row_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the entries that open a row in a nondecreasing row array."""
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return first
+
+
+def _gather(rows: np.ndarray, sources: np.ndarray, weights: np.ndarray,
+            operand: np.ndarray, count: int) -> np.ndarray:
+    """``count`` rows of sums ``weight * operand[source]``, grouped by row.
+
+    ``rows`` is nondecreasing in [0, count). Each output row starts as its
+    first entry's weight times that entry's source row (zero for a row
+    without entries) and then adds its remaining entries in order.
+    """
+    first = _row_starts(rows)
+    source = np.zeros(count, dtype=np.intp)
+    scale = np.zeros(count)
+    source[rows[first]] = sources[first]
+    scale[rows[first]] = weights[first]
+    out = np.take(operand, source, axis=0)
+    scaled = np.flatnonzero(scale != 1.0)
+    out[scaled] *= scale[scaled].reshape((-1,) + (1,) * (operand.ndim - 1))
+    rest = ~first
+    for row, col, weight in zip(rows[rest], sources[rest], weights[rest]):
+        out[row] += weight * operand[col]
+    return out
 
 
 @dataclass(frozen=True)
@@ -405,25 +425,99 @@ def _top_right_singular_vector(mat: np.ndarray, start: np.ndarray,
     return vec / np.linalg.norm(vec), converged
 
 
+class _SupportBox:
+    """A forward product kept on its support box.
+
+    ``block`` is the dense (len(rows), len(cols)) submatrix of the product
+    at the given rows and columns; every entry outside the box is zero. The
+    product starts as the identity.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.rows = np.arange(size)
+        self.cols = np.arange(size)
+        self.block = np.eye(size)
+
+    def step(self, mat: SparseMatrix) -> np.ndarray:
+        """Replace the product P by ``mat @ P``; return the mask of the old
+        columns that stay in the box.
+
+        Only the entries of ``mat`` whose source row is in the box are
+        gathered, so every entry inside the new box is bit for bit the
+        ``mat @ P`` of ``SparseMatrix.__matmul__``: the entries dropped
+        there multiply a zero row. A column that turns all zero leaves the
+        box.
+        """
+        position = np.full(mat.size, -1, dtype=np.intp)
+        position[self.rows] = np.arange(self.rows.size)
+        sources = position[mat.cols]
+        live = sources >= 0
+        targets = mat.rows[live]
+        first = _row_starts(targets)
+        self.rows = targets[first]
+        self.block = _gather(np.cumsum(first) - 1, sources[live],
+                             mat.weights[live], self.block, self.rows.size)
+        keep = self.block.any(axis=0)
+        if not keep.all():
+            self.cols = self.cols[keep]
+            self.block = np.compress(keep, self.block, axis=1)
+        return keep
+
+
+def _as_sparse(mat: SparseMatrix | np.ndarray) -> SparseMatrix:
+    """A dense square matrix as the ``SparseMatrix`` of its nonzeros."""
+    if isinstance(mat, SparseMatrix):
+        return mat
+    mat = np.asarray(mat, dtype=float)
+    rows, cols = np.nonzero(mat)
+    return SparseMatrix.from_entries(rows, cols, mat[rows, cols], mat.shape[0])
+
+
+def _rank_one_residual(mat: np.ndarray,
+                       start: np.ndarray) -> tuple[float, np.ndarray]:
+    """Rank-one distance of ``mat`` by Lanczos from ``start``, or by the SVD
+    when Lanczos does not converge or the residual is at rounding level;
+    and the unit top right singular vector it used. The residual array is
+    freed on return, before the next product is gathered."""
+    frob2 = float(np.vdot(mat, mat))
+    vec, converged = _top_right_singular_vector(mat, start, frob2)
+    resid = np.outer(mat @ vec, vec)
+    resid -= mat
+    dist = float(np.linalg.norm(resid))
+    if not converged or dist <= _RESOLVED * np.sqrt(frob2):
+        dist = rank_one_distance(mat)
+    return dist, vec
+
+
 def product_contraction(
         matrices: Sequence[SparseMatrix | np.ndarray]) -> np.ndarray:
     """Rank-one distances of the forward products of a matrix sequence.
 
     Entry t is ``rank_one_distance`` of the product P_t of the first t
     matrices (t=0 is the identity). Pass the h_row or h_col matrices of
-    consecutive events. A ``SparseMatrix`` enters only through its nonzeros
-    (at most deg+1 per row), so a step costs O(ntilde**2) instead of the
-    O(ntilde**3) of a dense product and an SVD; a dense array is multiplied
-    densely, which is what the tests' hand-built sequences use:
+    consecutive events. Every matrix enters through its nonzeros (a dense
+    array is converted to a ``SparseMatrix`` first), and each product is
+    kept only on its support box: its nonzero rows times its nonzero
+    columns, stored densely with the row and column indices beside it.
 
-    * P_t = M_t P_{t-1} (row gathers for a ``SparseMatrix``);
-    * the top right singular vector v of P_t comes from Lanczos on
-      P_t^T P_t, warm-started from the previous step's vector. The start is
-      |v_prev| plus a floor on every coordinate: P^T P is nonnegative and can
-      split into disconnected blocks, and a start confined to one block would
-      miss sigma_1, whose Perron vector is nonnegative (a strictly positive
-      start always has a component along it);
-    * the distance is the residual ||P_t - (P_t v) v^T||_F, whose error is
+    * P_t = M_t P_{t-1}, gathering only the entries of M_t whose source row
+      is in the box. A zero column of P_{t-1} stays zero in M_t P_{t-1},
+      since every entry of that column is a weighted sum of zeros, so the
+      columns only shrink; the columns that turn all zero leave the box.
+      The entries inside the box are bit for bit those of the full product
+      ``M_t @ P_{t-1}``. On the event matrices the pull box keeps the
+      columns of the registers whose initial content still reaches some
+      row, at most n once t > b, and the push box the rows that hold mass.
+    * The singular values of P_t are those of its box, and its top right
+      singular vector is supported on the box's columns. So the steps below
+      run on the (rows x cols) box instead of the ntilde x ntilde product.
+    * The top right singular vector v comes from Lanczos on P_t^T P_t,
+      warm-started from the previous step's vector. The start is |v_prev|
+      plus a floor on every coordinate: P^T P is nonnegative and can split
+      into disconnected blocks, and a start confined to one block would miss
+      sigma_1, whose Perron vector is nonnegative (a strictly positive start
+      always has a component along it).
+    * The distance is the residual ||P_t - (P_t v) v^T||_F, whose error is
       second order in the error of v and free of cancellation, unlike
       sqrt(||P_t||_F**2 - sigma_1**2).
 
@@ -433,24 +527,32 @@ def product_contraction(
     SVD's: the distance starts at sqrt(ntilde - 1), above the 2*delta**t
     envelope whenever ntilde >= 6, which is why multi-node ``verify`` still
     reports ``FAIL product_contraction_bound`` at t=0.
+
+    Raises ``ValueError`` for an empty sequence, and for a matrix that is
+    not square or not the size of the first.
     """
     if not matrices:
         raise ValueError("need at least one matrix")
-    size = matrices[0].shape[0]
-    prod = np.eye(size)
+    for index, mat in enumerate(matrices):
+        shape = np.shape(mat)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"matrix {index} has shape {shape}, which is "
+                             f"not square")
+        if shape != np.shape(matrices[0]):
+            raise ValueError(f"matrix {index} has shape {shape}, but matrix "
+                             f"0 has shape {np.shape(matrices[0])}")
+    size = np.shape(matrices[0])[0]
+    box = _SupportBox(size)
     vec = np.full(size, 1.0 / np.sqrt(size))
     out = np.empty(len(matrices) + 1)
     for t in range(len(matrices) + 1):
         if t > 0:
-            prod = matrices[t - 1] @ prod
-        frob2 = float(np.vdot(prod, prod))
-        start = np.abs(vec) + _WARM_FLOOR / np.sqrt(size)
-        vec, converged = _top_right_singular_vector(prod, start, frob2)
-        resid = np.outer(prod @ vec, vec)
-        resid -= prod
-        out[t] = np.linalg.norm(resid)
-        if not converged or out[t] <= _RESOLVED * np.sqrt(frob2):
-            out[t] = rank_one_distance(prod)
+            vec = vec[box.step(_as_sparse(matrices[t - 1]))]
+        if not box.block.size:
+            out[t] = 0.0   # the product is zero
+            continue
+        start = np.abs(vec) + _WARM_FLOOR / np.sqrt(vec.size)
+        out[t], vec = _rank_one_residual(box.block, start)
     return out
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from asyncsag import augmented, graph, mdp, mspbe, simulator
+from asyncsag import augmented, cli, graph, mdp, mspbe, simulator
 from asyncsag.mspbe import SpectralConstants
 from helpers import graph_constants
 
@@ -328,20 +328,134 @@ def _assert_matches_dense(matrices):
     assert np.all(np.abs(got[~big] - want[~big]) <= 1e-12)
 
 
+def _assert_boxes_hold_products(matrices):
+    """Step a support box beside the full products of ``__matmul__``: the
+    box holds their entries bit for bit, and every entry outside it is
+    zero. Returns the last box."""
+    size = matrices[0].shape[0]
+    box = augmented._SupportBox(size)
+    prod = np.eye(size)
+    for mat in matrices:
+        box.step(mat)
+        prod = mat @ prod
+        inside = np.ix_(box.rows, box.cols)
+        assert prod[inside].tobytes() == box.block.tobytes()
+        outside = prod.copy()
+        outside[inside] = 0.0
+        assert not outside.any()
+    return box
+
+
+def _event_matrices(trace):
+    b = simulator.verify_assumption1b(trace)
+    consumed = augmented._consumption_index(trace)
+    return b, [augmented.build_event_matrices(trace, k, b=b, _consumed=consumed)
+               for k in range(1, trace.num_events + 1)]
+
+
 @pytest.mark.parametrize("seed,kind,batch_size", [
     (9, "uniform_random", 1),
     (4, "uniform_random", 3),
     (5, "round_robin", 1),
+    (2, "round_robin", 2),
 ])
 def test_product_contraction_matches_dense_svd(seed, kind, batch_size):
     _, trace = run_pair(seed=seed, max_events=150, kind=kind,
                         batch_size=batch_size)
-    b = simulator.verify_assumption1b(trace)
-    consumed = augmented._consumption_index(trace)
-    mats = [augmented.build_event_matrices(trace, k, b=b, _consumed=consumed)
-            for k in range(1, trace.num_events + 1)]
-    _assert_matches_dense([m.h_row for m in mats])
-    _assert_matches_dense([m.h_col for m in mats])
+    b, mats = _event_matrices(trace)
+    h_rows, h_cols = [m.h_row for m in mats], [m.h_col for m in mats]
+    _assert_matches_dense(h_rows)
+    _assert_matches_dense(h_cols)
+    # past the window the boxes are small: the pull product reads only the
+    # initial real rows, and the push product's mass has left some registers
+    assert trace.num_events > b + 1
+    ntilde = trace.n * (b + 1)
+    pull, push = (_assert_boxes_hold_products(h_rows),
+                  _assert_boxes_hold_products(h_cols))
+    assert pull.cols.size <= trace.n and pull.rows.size == ntilde
+    assert push.rows.size < ntilde and push.cols.size == ntilde
+
+
+def test_product_contraction_matches_dense_with_structural_zeros():
+    """Dense inputs enter through their nonzeros. Zero rows and columns
+    leave the box, and a product that turns zero has distance zero."""
+    rng = np.random.default_rng(3)
+    size = 9
+    matrices = []
+    for _ in range(12):
+        mat = rng.random((size, size)) * (rng.random((size, size)) < 0.35)
+        mat[rng.integers(size)] = 0.0
+        mat[:, rng.integers(size)] = 0.0
+        matrices.append(mat)
+    _assert_matches_dense(matrices)
+    box = _assert_boxes_hold_products(
+        [augmented._as_sparse(mat) for mat in matrices])
+    assert box.rows.size < size and box.cols.size < size
+    # a shift is nilpotent: its powers lose one rank per step down to zero
+    shift = np.eye(size, k=-1)
+    _assert_matches_dense([shift] * (size + 2))
+    assert augmented.product_contraction([shift] * size)[-1] == 0.0
+
+
+@pytest.mark.parametrize("matrices,message", [
+    ([], r"need at least one matrix"),
+    ([np.ones((2, 3))], r"matrix 0 has shape \(2, 3\), which is not square"),
+    ([np.eye(3), np.eye(3), np.ones(3)],
+     r"matrix 2 has shape \(3,\), which is not square"),
+    ([np.eye(3), np.eye(4)],
+     r"matrix 1 has shape \(4, 4\), but matrix 0 has shape \(3, 3\)"),
+    ([np.eye(3), augmented.SparseMatrix.from_entries([0], [0], [1.0], 2)],
+     r"matrix 1 has shape \(2, 2\), but matrix 0 has shape \(3, 3\)"),
+], ids=["empty", "first-not-square", "one-dimensional", "dense-size",
+        "sparse-size"])
+def test_product_contraction_rejects_bad_input(matrices, message):
+    with pytest.raises(ValueError, match=message):
+        augmented.product_contraction(matrices)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 4),
+       kind=st.sampled_from(["round_robin", "uniform_random"]),
+       batch_size=st.integers(1, 3), max_events=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_products_conserve_mass(n, kind, batch_size, max_events,
+                                        seed):
+    """Pull products stay row-stochastic and push products column-
+    stochastic, and their distances match the dense oracle."""
+    _, trace = run_pair(seed=seed, n=n, max_events=max_events, kind=kind,
+                        batch_size=batch_size)
+    try:
+        b, mats = _event_matrices(trace)
+    except simulator.AssumptionViolation:
+        reject()  # some node's update was never delivered within the trace
+    ntilde = n * (b + 1)
+    for side, axis in (("h_row", 1), ("h_col", 0)):
+        matrices = [getattr(m, side) for m in mats]
+        prod = np.eye(ntilde)
+        for mat in matrices:
+            prod = mat @ prod
+            assert np.max(np.abs(prod.sum(axis=axis) - 1.0)) <= 1e-12
+        _assert_matches_dense(matrices)
+
+
+def test_product_contraction_working_set():
+    """On quickstart's 200 pull matrices the working set stays within three
+    ntilde x ntilde arrays (the parent product, its successor and the
+    residual) plus the Lanczos basis of 64 vectors."""
+    cfg = cli.load_config(cli.bundled_config("quickstart"))
+    bundle = cli.build_experiment(cfg)
+    trace = cli._run_trace(bundle, min(cfg.verify_events, cfg.max_events),
+                           None)
+    h_rows = [m.h_row for m in _event_matrices(trace)[1][:200]]
+    ntilde = h_rows[0].size
+    tracemalloc.start()
+    try:
+        augmented.product_contraction(h_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(h_rows) == 200
+    assert peak <= 3 * ntilde ** 2 * 8 + 64 * ntilde * 8
 
 
 def test_product_contraction_follows_sigma1_across_blocks():
