@@ -587,7 +587,6 @@ class RateConstants:
     eta_within_theory: bool
     c: mp.mpf             # max of the two root terms
     one_minus_c: mp.mpf
-    ln_c: mp.mpf
     valid: bool           # c in (0,1) and eta within the theoretical range
 
 
@@ -639,7 +638,7 @@ def rate_constants(n: int, b: int, big_k: int, d_g: int,
         delta=delta, one_minus_delta=one_minus_delta, mu=mu,
         mu_over_kappa_times_n=0.25, t_tilde=t_tilde, eta_max_theory=eta_max,
         eta_used=eta_used, eta_within_theory=within, c=c,
-        one_minus_c=one_minus_c, ln_c=ln_c, valid=valid,
+        one_minus_c=one_minus_c, valid=valid,
     )
 
 

@@ -17,9 +17,10 @@ import configparser
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 
 from . import augmented, mdp, mspbe, simulator
@@ -136,20 +137,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     sec = "algorithm"
     eta1 = get(sec, "eta1", float, None)
     eta2 = get(sec, "eta2", float, None)
-    eta = get(sec, "eta", float, None)
-    zeta = get(sec, "zeta", float, None)
-    if eta is not None and zeta is not None:
-        cfg.eta1, cfg.eta2 = eta, eta * zeta
-        if eta1 is not None and abs(eta1 - cfg.eta1) > 1e-12 * abs(cfg.eta1):
-            raise ConfigError(f"[algorithm] eta1={eta1} conflicts with eta={eta}")
-        if eta2 is not None and abs(eta2 - cfg.eta2) > 1e-9 * abs(cfg.eta2):
-            raise ConfigError(f"[algorithm] eta2={eta2} conflicts with "
-                              f"eta*zeta={cfg.eta2}")
-    elif eta1 is not None and eta2 is not None:
+    if (eta1 is None) != (eta2 is None):
+        raise ConfigError("[algorithm] give both eta1 and eta2")
+    if eta1 is not None:
         cfg.eta1, cfg.eta2 = eta1, eta2
-    elif any(v is not None for v in (eta1, eta2, eta, zeta)):
-        raise ConfigError("[algorithm] give both eta1 and eta2, or both eta "
-                          "and zeta")
     cfg.batch_size = get(sec, "batch_size", int, cfg.batch_size)
     cfg.epsilon = get(sec, "epsilon", float, cfg.epsilon)
     cfg.max_events = get(sec, "max_events", int, cfg.max_events)
@@ -235,6 +226,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         )
     if cfg.n_values is not None and any(n < 1 for n in cfg.n_values):
         raise ConfigError("[experiment] n_values: need at least one node per entry")
+    if not cfg.n_values:
+        for key in ("eta1_values", "target_err"):
+            if getattr(cfg, key) is not None:
+                raise ConfigError(f"[experiment] {key}: only a sweep reads "
+                                  f"it; give n_values")
     if cfg.eta1_values is not None and not all(
             0 < eta < math.inf for eta in cfg.eta1_values):
         raise ConfigError(
@@ -255,26 +251,24 @@ class ExperimentBundle:
     spectral: mspbe.SpectralConstants
 
 
-def build_problem(cfg: ExperimentConfig, n: int | None = None,
-                  proportions: list[float] | None = None) -> mspbe.ProblemSpec:
-    """Generate the data pipeline for ``n`` nodes (defaults to the config's)."""
-    n = cfg.n if n is None else n
-    proportions = cfg.proportions if proportions is None else proportions
-    streams = n if cfg.mode == "marl" else 1
+def build_problem(cfg: ExperimentConfig) -> mspbe.ProblemSpec:
+    """Generate the data pipeline for the config's nodes."""
+    streams = cfg.n if cfg.mode == "marl" else 1
     the_mdp = mdp.build_random_mdp(cfg.num_states, cfg.num_actions, streams,
                                    cfg.data_seed, gamma=cfg.gamma)
     policy = mdp.random_policy(cfg.num_states, cfg.num_actions, cfg.data_seed)
     traj = mdp.sample_trajectory(the_mdp, policy, cfg.m + 1, cfg.data_seed)
     features = mdp.make_feature_map(cfg.num_states, cfg.d, cfg.data_seed)
     try:
-        per_node = mdp.partition_samples(traj, features, cfg.mode, n, proportions)
+        per_node = mdp.partition_samples(traj, features, cfg.mode, cfg.n,
+                                         cfg.proportions)
     except ValueError as exc:
         raise ConfigError(f"[problem] {exc}") from None
     problem = mspbe.problem_from_samples(per_node, cfg.rho, cfg.gamma)
     # a larger minibatch would refresh some sample twice in one activation
     if cfg.batch_size > min(problem.m_i):
         raise ConfigError(f"[algorithm] batch_size: must be at most the smallest "
-                          f"node's sample count {min(problem.m_i)} (n={n})")
+                          f"node's sample count {min(problem.m_i)} (n={cfg.n})")
     return problem
 
 
@@ -290,7 +284,7 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
         z_star = mspbe.solve_problem(problem)
         spectral = mspbe.spectral_constants(problem, cfg.zeta)
     except ArithmeticError as exc:
-        raise ConfigError(f"[problem] {exc}") from None
+        raise ConfigError(f"[problem] {exc} (n={cfg.n})") from None
     return ExperimentBundle(config=cfg, problem=problem, graph=graph,
                             z_star=z_star, spectral=spectral)
 
@@ -323,34 +317,37 @@ def _run_trace(bundle: ExperimentBundle, max_events: int,
                                batch_size=cfg.batch_size, b_max=cfg.b_max)
 
 
-def _mp_str(x) -> str:
-    try:
-        import mpmath as mp
-        if x == 0:
-            return "0"
-        exp = mp.floor(mp.log10(abs(x)))
-        mant = x / mp.power(10, exp)
-        return mp.nstr(mant, 8) + "e" + str(int(exp))
-    except Exception:
-        return str(x)
+def _mp_str(x: mp.mpf) -> str:
+    if x == 0:
+        return "0"
+    exp = mp.floor(mp.log10(abs(x)))
+    mant = x / mp.power(10, exp)
+    return mp.nstr(mant, 8) + "e" + str(int(exp))
+
+
+def _window_constants(bundle: ExperimentBundle,
+                      trace: simulator.EventTrace) -> augmented.RateConstants:
+    """The worst-case rate constants at the window b certified on ``trace``."""
+    b = simulator.verify_assumption1b(trace)
+    # a single node has diameter 0; the worst-case bound needs one hop
+    d_g = max(1, diameter(bundle.graph))
+    big_k = 2 * max(bundle.problem.m_i) - 1
+    return augmented.rate_constants(bundle.config.n, b, big_k, d_g,
+                                    bundle.spectral)
 
 
 def constants_report(bundle: ExperimentBundle, trace: simulator.EventTrace) -> str:
     cfg = bundle.config
     spectral = bundle.spectral
-    b = simulator.verify_assumption1b(trace)
-    # a single node has diameter 0; the worst-case bound needs one hop
-    d_g = max(1, diameter(bundle.graph))
-    big_k = 2 * max(bundle.problem.m_i) - 1
-    rc = augmented.rate_constants(cfg.n, b, big_k, d_g, spectral)
+    rc = _window_constants(bundle, trace)
     lines = [
         "constants report",
         f"n {cfg.n}",
         f"d {bundle.problem.d}",
         f"m {bundle.problem.m}",
-        f"b_certified {b}",
-        f"diameter {d_g}",
-        f"K_selection {big_k}",
+        f"b_certified {rc.b}",
+        f"diameter {rc.d_g}",
+        f"K_selection {rc.big_k}",
         f"ntilde {rc.ntilde}",
         f"alpha {spectral.alpha!r}",
         f"beta {spectral.beta!r}",
@@ -401,27 +398,20 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path,
 
 def _cmd_run_sweep(cfg: ExperimentConfig, out_dir: Path,
                    seed: int | None) -> int:
-    """Speedup sweep: same total data, growing node counts."""
+    """Speedup sweep: the same total data split 1:2:...:n over growing node
+    counts; each n is an ordinary run of the config with n, the proportions
+    and the steps (eta1 from eta1_values, eta2 at the config's ratio)
+    replaced."""
     target = cfg.target_err if cfg.target_err is not None else 1e-4
-    zeta = cfg.zeta
+    steps = cfg.eta1_values or [cfg.eta1] * len(cfg.n_values)
     rows = []
-    for idx, n in enumerate(cfg.n_values):
-        eta1 = (cfg.eta1_values[idx] if cfg.eta1_values is not None
-                else cfg.eta1)
-        proportions = [float(i + 1) for i in range(n)]
-        problem = build_problem(cfg, n=n, proportions=proportions)
-        graph = generate_topology("exponential", n)
-        try:
-            z_star = mspbe.solve_problem(problem)
-        except ArithmeticError as exc:
-            raise ConfigError(f"[problem] n={n}: {exc}") from None
-        schedule = ActivationSchedule(kind="uniform_random", n=n)
-        trace = simulator.run_async(
-            problem, graph, schedule, _delays(cfg), eta1, eta1 * zeta,
-            cfg.run_seed if seed is None else seed,
-            max_events=cfg.max_events, batch_size=cfg.batch_size,
-        )
-        series = simulator.metrics(trace, z_star)
+    for n, eta1 in zip(cfg.n_values, steps):
+        sized = replace(
+            cfg, n=n, proportions=[float(i + 1) for i in range(n)],
+            eta1=eta1, eta2=eta1 * cfg.zeta)
+        bundle = build_experiment(sized)
+        trace = _run_trace(bundle, cfg.max_events, seed)
+        series = simulator.metrics(trace, bundle.z_star)
         below = np.nonzero(series.err_max <= target)[0]
         hit = int(series.k[below[0]]) if below.size else -1
         rows.append((n, hit, hit * cfg.batch_size / n if hit >= 0 else -1))
@@ -442,9 +432,6 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path,
     events = min(cfg.verify_events, cfg.max_events)
     trace = _run_trace(bundle, events, seed)
     checks: list[tuple[str, bool, str]] = []
-
-    b = simulator.verify_assumption1b(trace)
-    d_g = max(1, diameter(bundle.graph))
 
     # one pass over the replayed states, each carrying its event's matrices;
     # np.maximum keeps a nan, which fails its check
@@ -468,8 +455,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path,
     checks.append(("replay_equivalence", dev <= 1e-9, f"max deviation {dev:.2e}"))
     checks.append(("tracking_identity", res <= 1e-9, f"max residual {res:.2e}"))
 
-    big_k = 2 * max(bundle.problem.m_i) - 1
-    rc = augmented.rate_constants(cfg.n, b, big_k, d_g, bundle.spectral)
+    rc = _window_constants(bundle, trace)
     dist_row = augmented.product_contraction(h_rows)
     dist_col = augmented.product_contraction(h_cols)
     first_bad = None
@@ -487,7 +473,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path,
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    print(f"certified_b {b}")
+    print(f"certified_b {rc.b}")
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 

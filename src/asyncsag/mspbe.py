@@ -280,7 +280,6 @@ class SpectralConstants:
     g_eigs_real: bool       # aggregate M spectrum real (to 1e-9) and positive
     valid: bool             # zeta > zeta_min and the spectrum checks passed
     g_max_eig: float        # largest real part of M's spectrum (step ceiling)
-    eta_max_theory: float | None = None  # filled in by the rate-constant pass
 
 
 def spectral_constants(problem: ProblemSpec, zeta: float) -> SpectralConstants:

@@ -145,10 +145,6 @@ class NodeState:
     selector: SampleSelector
     buffer: list[int] = field(default_factory=list)   # payload rows
 
-    @property
-    def m_local(self) -> int:
-        return len(self.stats)
-
 
 def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...],
               z0: np.ndarray, out_degree: int, m_global: int, rho: float,

@@ -62,22 +62,6 @@ def test_load_config_reads_all_sections(tmp_path):
     assert cfg.run_seed == 5
 
 
-def test_eta_zeta_form_sets_both_steps(tmp_path):
-    text = BASE_INI.replace("eta1 = 0.01\neta2 = 0.1",
-                            "eta = 0.02\nzeta = 16")
-    cfg = cli.load_config(write_ini(tmp_path, text))
-    assert cfg.eta1 == 0.02
-    assert cfg.eta2 == pytest.approx(0.32)
-
-
-def test_conflicting_step_forms_rejected(tmp_path):
-    text = BASE_INI.replace("eta1 = 0.01\neta2 = 0.1",
-                            "eta1 = 0.05\neta = 0.02\nzeta = 16")
-    with pytest.raises(cli.ConfigError) as err:
-        cli.load_config(write_ini(tmp_path, text))
-    assert "conflicts" in str(err.value)
-
-
 def test_half_specified_steps_rejected(tmp_path):
     text = BASE_INI.replace("eta1 = 0.01\neta2 = 0.1", "eta1 = 0.05")
     with pytest.raises(cli.ConfigError) as err:
@@ -256,6 +240,16 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [DEFAULT] steps: unknown key",)),
     (("max_events = 150", "max_events = 150\nd_max = 4"),
      ("config error: [algorithm] d_max: unknown key",)),
+    # the steps have one spelling, eta1 and eta2
+    (("eta1 = 0.01\neta2 = 0.1", "eta = 0.02\nzeta = 16"),
+     ("config error: [algorithm] eta: unknown key",)),
+    (("eta2 = 0.1", "eta2 = 0.1\nzeta = 10"),
+     ("config error: [algorithm] zeta: unknown key",)),
+    # only a sweep reads the step list and the target
+    (("seed = 5\n", "seed = 5\n\n[experiment]\neta1_values = 0.01\n"),
+     ("config error: [experiment] eta1_values:", "give n_values")),
+    (("seed = 5\n", "seed = 5\n\n[experiment]\ntarget_err = 0.1\n"),
+     ("config error: [experiment] target_err:", "give n_values")),
     # files that configparser cannot read
     (("d = 3\n", "d = 3\nd = 5\n"),
      ("config error: config file", "option 'd' in section 'problem' already exists")),
@@ -272,7 +266,9 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
         "epsilon-0", "epsilon-inf", "target-err-nan", "d-max-overflow",
         "b-max-overflow", "batch-size-above-samples",
         "batch-size-above-samples-sweep", "unknown-key", "unknown-section",
-        "unknown-default-key", "misplaced-key", "duplicate-option",
+        "unknown-default-key", "misplaced-key", "eta-zeta-form", "zeta-key",
+        "eta1-values-without-sweep", "target-err-without-sweep",
+        "duplicate-option",
         "broken-section-header"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
@@ -409,6 +405,31 @@ def test_sweep_writes_speedup_table(tmp_path, capsys):
         float(r[2])
     assert (out / "metrics_n1.csv").exists()
     assert (out / "metrics_n2.csv").exists()
+
+
+def test_sweep_runs_each_size_as_an_ordinary_run(tmp_path, capsys):
+    """Each metrics_n{n}.csv is the metrics.csv of a plain run of the same
+    config with n, proportions = 1 ... n and the steps set as the sweep sets
+    them, so the sweep honours every key a plain run reads."""
+    text = BASE_INI.replace("kind = uniform_random", "kind = round_robin")
+    sweep = write_ini(tmp_path, text + "\n[experiment]\nn_values = 1 2\n"
+                      "eta1_values = 0.01 0.02\n", name="sweep.ini")
+    assert cli.main(["run", "--config", str(sweep),
+                     "--out", str(tmp_path / "sweep")]) == 0
+    zeta = cli.load_config(sweep).zeta
+    for n, eta1 in ((1, 0.01), (2, 0.02)):
+        proportions = " ".join(str(float(i + 1)) for i in range(n))
+        plain = (text.replace("n = 3", f"n = {n}")
+                 .replace("mode = parallel",
+                          f"mode = parallel\nproportions = {proportions}")
+                 .replace("eta1 = 0.01\neta2 = 0.1",
+                          f"eta1 = {eta1!r}\neta2 = {eta1 * zeta!r}"))
+        ini = write_ini(tmp_path, plain, name=f"plain{n}.ini")
+        out = tmp_path / f"plain{n}"
+        assert cli.main(["run", "--config", str(ini), "--out", str(out)]) == 0
+        assert ((tmp_path / "sweep" / f"metrics_n{n}.csv").read_bytes()
+                == (out / "metrics.csv").read_bytes())
+    capsys.readouterr()
 
 
 def test_edge_list_topology_through_config(tmp_path, capsys):
