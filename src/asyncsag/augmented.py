@@ -178,7 +178,6 @@ class AugmentedState:
     z_rows: np.ndarray        # (ntilde, 2d), scaled saddle vectors
     y_rows: np.ndarray        # (ntilde, 2d), scaled trackers
     partial: np.ndarray       # (ntilde, 2d), scaled per-node gradient averages
-    zeta: float
     mats: EventMatrices | None = None   # event k's matrices (None at k=0)
 
 
@@ -275,9 +274,10 @@ def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
     return EventMatrices(k=k, h_row=h_row, h_col=h_col, i_act=i_act)
 
 
-def replay(trace: EventTrace, problem: ProblemSpec, eta: float,
-           zeta: float) -> Iterator[AugmentedState]:
-    """Re-run the whole trace as the augmented matrix recursion.
+def replay(trace: EventTrace,
+           problem: ProblemSpec) -> Iterator[AugmentedState]:
+    """Re-run the whole trace as the augmented matrix recursion, at the
+    trace's own steps (eta = eta1, zeta = eta2 / eta1).
 
     Independent of the simulator's numerical path: gradients are recomputed
     at the replay's own reconstructed pull averages and the per-sample tables
@@ -291,12 +291,13 @@ def replay(trace: EventTrace, problem: ProblemSpec, eta: float,
     if problem.n != trace.n or problem.d != trace.d or problem.m_i != trace.m_i:
         raise ValueError("problem layout does not match the trace")
     b = verify_assumption1b(trace)
-    return _replay_states(trace, problem, eta, zeta, b)
+    return _replay_states(trace, problem, b)
 
 
-def _replay_states(trace: EventTrace, problem: ProblemSpec, eta: float,
-                   zeta: float, b: int) -> Iterator[AugmentedState]:
+def _replay_states(trace: EventTrace, problem: ProblemSpec,
+                   b: int) -> Iterator[AugmentedState]:
     consumed = _consumption_index(trace)
+    eta, zeta = trace.eta1, trace.eta2 / trace.eta1
     n, d, m = trace.n, trace.d, sum(trace.m_i)
     ntilde = n * (b + 1)
 
@@ -311,7 +312,7 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec, eta: float,
         # tracker-side rows carry omega times sqrt(zeta), as from_scaled does
         partial[v] = from_scaled(table.sum(axis=0) / m, zeta)
     prev = AugmentedState(k=0, z_rows=z_rows, y_rows=partial.copy(),
-                          partial=partial, zeta=zeta)
+                          partial=partial)
     yield prev
 
     for k in range(1, trace.num_events + 1):
@@ -334,7 +335,7 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec, eta: float,
         z_rows[i] -= eta * y_rows[i]
 
         prev = AugmentedState(k=k, z_rows=z_rows, y_rows=y_rows,
-                              partial=partial, zeta=zeta, mats=mats)
+                              partial=partial, mats=mats)
         yield prev
 
 
@@ -347,7 +348,8 @@ def check_equivalence(trace: EventTrace, state: AugmentedState) -> float:
     np.maximum.at(latest, trace.node[:k], np.arange(k))
     simulated = trace.z0.copy()
     simulated[latest >= 0] = trace.z_tilde[latest[latest >= 0]]
-    replayed = [from_scaled(row, state.zeta) for row in state.z_rows[:n]]
+    zeta = trace.eta2 / trace.eta1
+    replayed = [from_scaled(row, zeta) for row in state.z_rows[:n]]
     return float(np.max(np.abs(np.array(replayed) - simulated)))
 
 

@@ -36,8 +36,13 @@ class CentralTrace:
     ratios: np.ndarray            # (iters,) per-step err[k+1]/err[k]
 
 
-def _flat_stats(problem: ProblemSpec):
-    return [st for node in problem.per_node for st in node]
+def _central_trace(z_hist: np.ndarray, z_star: np.ndarray,
+                   samples: tuple[int, ...]) -> CentralTrace:
+    """The trace of the iterates ``z_hist``, measured against ``z_star``."""
+    err = np.linalg.norm(z_hist - z_star, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(err[:-1] > 0, err[1:] / np.maximum(err[:-1], 1e-300), 0.0)
+    return CentralTrace(z_hist=z_hist, samples=samples, err=err, ratios=ratios)
 
 
 def centralized_sag(problem: ProblemSpec, eta1: float, eta2: float, iters: int,
@@ -50,7 +55,7 @@ def centralized_sag(problem: ProblemSpec, eta1: float, eta2: float, iters: int,
     step). With ``full_refresh`` every table entry is refreshed each step,
     which degenerates to deterministic full-gradient iteration.
     """
-    stats = _flat_stats(problem)
+    stats = list(problem.all_stats())
     m = len(stats)
     d = problem.d
     z = np.zeros(2 * d) if z0 is None else np.asarray(z0, dtype=float).copy()
@@ -80,11 +85,7 @@ def centralized_sag(problem: ProblemSpec, eta1: float, eta2: float, iters: int,
         z[:d] -= eta1 * y[:d]
         z[d:] -= eta2 * y[d:]
         z_hist[k] = z
-
-    err = np.linalg.norm(z_hist - z_star, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(err[:-1] > 0, err[1:] / np.maximum(err[:-1], 1e-300), 0.0)
-    return CentralTrace(z_hist=z_hist, samples=tuple(picks), err=err, ratios=ratios)
+    return _central_trace(z_hist, z_star, tuple(picks))
 
 
 def centralized_gd(problem: ProblemSpec, eta: float, zeta: float, iters: int,
@@ -110,7 +111,4 @@ def centralized_gd(problem: ProblemSpec, eta: float, zeta: float, iters: int,
     for k in range(1, iters + 1):
         w = w - eta * (m_op @ w + const)
         z_hist[k] = w
-    err = np.linalg.norm(z_hist - w_star, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(err[:-1] > 0, err[1:] / np.maximum(err[:-1], 1e-300), 0.0)
-    return CentralTrace(z_hist=z_hist, samples=(), err=err, ratios=ratios)
+    return _central_trace(z_hist, w_star, ())

@@ -85,7 +85,10 @@ def _get(parser: configparser.ConfigParser, consulted: set[tuple[str, str]],
     consulted.add((section, key))
     if not parser.has_option(section, key):
         return default
-    raw = parser.get(section, key)
+    try:
+        raw = parser.get(section, key)
+    except configparser.InterpolationError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
     try:
         return conv(raw)
     except (TypeError, ValueError):
@@ -105,8 +108,8 @@ def _int_list(raw: str) -> list[int]:
 def load_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path} not found or empty")
@@ -224,6 +227,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"[problem] proportions: need {cfg.n} entries, got {len(cfg.proportions)}"
         )
+    if cfg.n_values == []:
+        raise ConfigError("[experiment] n_values: need at least one entry")
     if cfg.n_values is not None and any(n < 1 for n in cfg.n_values):
         raise ConfigError("[experiment] n_values: need at least one node per entry")
     if not cfg.n_values:
@@ -437,7 +442,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path,
     # np.maximum keeps a nan, which fails its check
     worst_row = worst_col = dev = res = 0.0
     h_rows, h_cols = [], []
-    for state in augmented.replay(trace, bundle.problem, cfg.eta1, cfg.zeta):
+    for state in augmented.replay(trace, bundle.problem):
         dev = np.maximum(dev, augmented.check_equivalence(trace, state))
         res = np.maximum(res, augmented.tracking_residual(state))
         mats = state.mats

@@ -139,46 +139,38 @@ def load_edge_list(path: str | Path, n: int) -> DirectedGraph:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _reachable(g: DirectedGraph, start: int, reverse: bool = False) -> set[int]:
+def _distances(g: DirectedGraph, start: int,
+               reverse: bool = False) -> dict[int, int]:
+    """Hop counts from ``start`` to every node it reaches (to every node
+    that reaches it, with ``reverse``), by breadth-first search."""
     nbrs = g.in_neighbors if reverse else g.out_neighbors
-    seen = {start}
+    dist = {start: 0}
     queue = deque([start])
     while queue:
         v = queue.popleft()
         for w in nbrs(v):
-            if w not in seen:
-                seen.add(w)
+            if w not in dist:
+                dist[w] = dist[v] + 1
                 queue.append(w)
-    return seen
+    return dist
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True iff every node reaches every other along directed edges."""
-    if g.n == 1:
-        return True
-    return (
-        len(_reachable(g, 0)) == g.n
-        and len(_reachable(g, 0, reverse=True)) == g.n
-    )
+    return (len(_distances(g, 0)) == g.n
+            and len(_distances(g, 0, reverse=True)) == g.n)
 
 
 def diameter(g: DirectedGraph) -> int:
     """Longest shortest directed path over all ordered node pairs.
 
     Raises if the graph is not strongly connected (the quantity would be
-    undefined).
+    undefined): then some search misses a node.
     """
-    if not is_strongly_connected(g):
-        raise ValueError("diameter undefined: graph is not strongly connected")
     best = 0
     for s in range(g.n):
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.out_neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+        dist = _distances(g, s)
+        if len(dist) < g.n:
+            raise ValueError("diameter undefined: graph is not strongly connected")
         best = max(best, max(dist.values()))
     return best

@@ -248,8 +248,9 @@ def partition_samples(traj: list[Transition], features: np.ndarray, mode: str,
     """Lay out the trajectory as per-node sample lists.
 
     parallel -- disjoint contiguous slices sized proportionally to
-        ``proportions`` (must have n positive entries), every node using the
-        shared reward stream 0; the slice multiset union is the trajectory.
+        ``proportions`` (n positive entries with a finite sum), every node
+        using the shared reward stream 0; the slice multiset union is the
+        trajectory.
     marl -- every node holds the same first floor(m/n) transitions (identical
         feature streams) but reads its own private reward stream; a
         non-divisible m is truncated with a logged warning.
@@ -262,8 +263,11 @@ def partition_samples(traj: list[Transition], features: np.ndarray, mode: str,
     if mode == "parallel":
         if proportions is None:
             proportions = [1.0] * n
-        if len(proportions) != n or any(p <= 0 for p in proportions):
-            raise ValueError("parallel mode needs n positive proportions")
+        # a nan entry fails "< inf" through the sum
+        if (len(proportions) != n or any(p <= 0 for p in proportions)
+                or not sum(proportions) < np.inf):
+            raise ValueError("parallel mode needs n positive proportions "
+                             "with a finite sum")
         cuts = np.round(np.cumsum(proportions) / sum(proportions) * m).astype(int)
         cuts[-1] = m
         starts = np.concatenate([[0], cuts[:-1]])

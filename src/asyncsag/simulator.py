@@ -215,7 +215,6 @@ class EventTrace:
     messages: MessageLog                # all network messages, init included
     stop_reason: str
     final_z: np.ndarray
-    wall_time_per_round: list[float] | None = None
 
     @property
     def num_events(self) -> int:
@@ -398,9 +397,10 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
 def run_async(problem: ProblemSpec, graph: DirectedGraph,
               schedule: ActivationSchedule, delays: DelayModel,
               eta1: float, eta2: float, seed: int, max_events: int,
-              epsilon: float | None = None, z0: np.ndarray | None = None,
-              batch_size: int = 1, b_max: int | None = None) -> EventTrace:
-    """Run the asynchronous protocol for up to ``max_events`` activations.
+              epsilon: float | None = None, batch_size: int = 1,
+              b_max: int | None = None) -> EventTrace:
+    """Run the asynchronous protocol for up to ``max_events`` activations,
+    every node starting at z = 0.
 
     Stops early when every node's tracker norm falls below ``epsilon`` (when
     given). Raises AssumptionViolation if some node goes more than ``b_max``
@@ -430,10 +430,7 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
 
     n, width = problem.n, 2 * problem.d
     rng_sched = derived_rng(seed, STREAM_SCHEDULE)
-    z0_rows = (np.zeros((n, width)) if z0 is None
-               else np.asarray(z0, dtype=float))
-    if z0_rows.shape == (width,):
-        z0_rows = np.tile(z0_rows, (n, 1))
+    z0_rows = np.zeros((n, width))
 
     # Row v < n of the payload table is node v's initial broadcast and row
     # n + k - 1 event k's, so rows n.. are the trace's z_tilde and y_new.
@@ -518,32 +515,18 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
 
 
 def run_sync(problem: ProblemSpec, graph: DirectedGraph, rounds: int,
-             eta1: float, eta2: float, seed: int,
-             straggler: tuple[int, float] | None = None,
-             z0: np.ndarray | None = None, batch_size: int = 1) -> EventTrace:
+             eta1: float, eta2: float, seed: int) -> EventTrace:
     """Synchronous push-pull baseline: per round, every node activates on the
     previous round's broadcasts.
 
     This is ``run_async`` with round-robin activation (a round is n events,
     node i acting at event i + 1 of it) and round-barrier delivery, which
-    holds each broadcast to the end of its round. The wall-clock model
-    charges each round the slowest node's time (1 per round, or the slowdown
-    factor when a straggler is configured), which is how a straggler stalls
-    the whole synchronous system; the mathematics does not depend on it.
+    holds each broadcast to the end of its round.
     """
     n = graph.n
-    round_cost = 1.0
-    if straggler is not None:
-        target, factor = straggler
-        if not (0 <= target < n) or not 1.0 <= factor < np.inf:
-            raise ValueError(f"straggler must be (valid node, finite factor "
-                             f">= 1), got {straggler!r}")
-        round_cost = float(factor)
-    trace = run_async(problem, graph, ActivationSchedule("round_robin", n),
-                      DelayModel("round_barrier", d_max=n - 1), eta1, eta2,
-                      seed, max_events=rounds * n, z0=z0, batch_size=batch_size)
-    trace.wall_time_per_round = [round_cost] * rounds
-    return trace
+    return run_async(problem, graph, ActivationSchedule("round_robin", n),
+                     DelayModel("round_barrier", d_max=n - 1), eta1, eta2,
+                     seed, max_events=rounds * n)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +615,6 @@ class MetricSeries:
 
     k: np.ndarray
     node: np.ndarray          # activator id; -1 for the initial row
-    event_type: tuple[str, ...]
     err_max: np.ndarray
     err_mean: np.ndarray
     y_norm_max: np.ndarray
@@ -668,8 +650,7 @@ def metrics(trace: EventTrace, z_star: np.ndarray) -> MetricSeries:
         errs, y_norms = errs[-1], y_norms[-1]
     return MetricSeries(
         k=np.arange(t + 1), node=np.concatenate([[-1], trace.node]),
-        event_type=("init",) + ("activation",) * t, err_max=err_max,
-        err_mean=err_mean, y_norm_max=y_norm_max,
+        err_max=err_max, err_mean=err_mean, y_norm_max=y_norm_max,
     )
 
 
@@ -682,17 +663,19 @@ _ROW_BLOCK = 4096
 def write_metrics_csv(series: MetricSeries, path: str | Path) -> None:
     """CSV with header k,node,event_type,err_max,err_mean,y_norm_max.
 
-    Floats are written with ``repr``, so they read back exactly.
+    The event type is "init" at k = 0 and "activation" after it. Floats are
+    written with ``repr``, so they read back exactly.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,node,event_type,err_max,err_mean,y_norm_max\n")
         for lo in range(0, series.k.shape[0], _ROW_BLOCK):
             block = slice(lo, lo + _ROW_BLOCK)
             fh.write("".join([
-                f"{k},{node},{kind},{e_max!r},{e_mean!r},{y_max!r}\n"
-                for k, node, kind, e_max, e_mean, y_max in zip(
+                f"{k},{node},{'activation' if k else 'init'},"
+                f"{e_max!r},{e_mean!r},{y_max!r}\n"
+                for k, node, e_max, e_mean, y_max in zip(
                     series.k[block].tolist(), series.node[block].tolist(),
-                    series.event_type[block], series.err_max[block].tolist(),
+                    series.err_max[block].tolist(),
                     series.err_mean[block].tolist(),
                     series.y_norm_max[block].tolist())
             ]))

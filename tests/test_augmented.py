@@ -130,8 +130,7 @@ def test_matrices_reject_out_of_range_event_and_small_window():
 
 def test_replay_matches_simulator_to_machine_precision():
     prob, trace = run_pair(seed=11, max_events=90)
-    states = list(augmented.replay(trace, prob, eta=trace.eta1,
-                                   zeta=trace.eta2 / trace.eta1))
+    states = list(augmented.replay(trace, prob))
     dev = max(augmented.check_equivalence(trace, s) for s in states)
     assert dev <= 1e-9  # observed ~1e-15; the contract allows 1e-9
     residuals = [augmented.tracking_residual(s) for s in states]
@@ -141,8 +140,7 @@ def test_replay_matches_simulator_to_machine_precision():
 def test_replay_matches_with_batches_and_round_robin():
     prob, trace = run_pair(seed=5, max_events=60, batch_size=3,
                            kind="round_robin")
-    states = list(augmented.replay(trace, prob, eta=trace.eta1,
-                                   zeta=trace.eta2 / trace.eta1))
+    states = list(augmented.replay(trace, prob))
     assert max(augmented.check_equivalence(trace, s) for s in states) <= 1e-9
 
 
@@ -167,7 +165,7 @@ def test_replay_matches_simulator_with_shared_payloads(
                                 sched, delays, 0.01, 0.1, seed=seed,
                                 max_events=40, batch_size=batch_size)
     try:
-        states = list(augmented.replay(trace, prob, eta=0.01, zeta=10.0))
+        states = list(augmented.replay(trace, prob))
     except simulator.AssumptionViolation:
         reject()  # some node's update was never delivered within 40 events
     assert max(augmented.check_equivalence(trace, s) for s in states) <= 1e-9
@@ -177,7 +175,7 @@ def test_replay_matches_simulator_with_shared_payloads(
 def test_replay_initial_state():
     prob, trace = run_pair(seed=2, max_events=20)
     zeta = trace.eta2 / trace.eta1
-    states = list(augmented.replay(trace, prob, eta=trace.eta1, zeta=zeta))
+    states = list(augmented.replay(trace, prob))
     s0 = states[0]
     assert s0.k == 0
     n, d = trace.n, trace.d
@@ -199,8 +197,7 @@ def test_replay_detects_a_tampered_iterate():
     so corrupting one published vector must surface as a deviation of
     exactly that size."""
     prob, trace = run_pair(seed=13, max_events=70)
-    states = list(augmented.replay(trace, prob, eta=trace.eta1,
-                                   zeta=trace.eta2 / trace.eta1))
+    states = list(augmented.replay(trace, prob))
     assert max(augmented.check_equivalence(trace, s) for s in states) <= 1e-9
     trace.z_tilde[40, 0] += 1e-3
     dev = max(augmented.check_equivalence(trace, s) for s in states)
@@ -210,7 +207,7 @@ def test_replay_detects_a_tampered_iterate():
 def _equivalence_oracle(trace, states):
     """The whole-sequence equivalence check that the per-state one replaced:
     a running simulator iterate, advanced event by event."""
-    zeta = states[0].zeta
+    zeta = trace.eta2 / trace.eta1
     z_cur = trace.z0.copy()
     worst = 0.0
     for state in states:
@@ -240,7 +237,7 @@ def test_check_equivalence_per_state_matches_running_oracle(
         simulator.DelayModel(kind="uniform", d_max=d_max), 0.01, 0.1,
         seed=seed, max_events=max_events)
     try:
-        states = list(augmented.replay(trace, prob, eta=0.01, zeta=10.0))
+        states = list(augmented.replay(trace, prob))
     except simulator.AssumptionViolation:
         reject()  # some node's update was never delivered within the trace
     rng = np.random.default_rng(seed)
@@ -268,7 +265,7 @@ def test_replay_keeps_one_state_at_a_time():
     count = 0
     tracemalloc.start()
     try:
-        for _ in augmented.replay(trace, prob, eta=0.01, zeta=10.0):
+        for _ in augmented.replay(trace, prob):
             count += 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -282,7 +279,7 @@ def test_replay_rejects_mismatched_problem():
     prob, trace = run_pair(seed=4, n=3, max_events=20)
     other = build_problem(n=4)
     with pytest.raises(ValueError):
-        augmented.replay(trace, other, eta=0.01, zeta=10.0)
+        augmented.replay(trace, other)
 
 
 def test_rank_one_distance_pinned():

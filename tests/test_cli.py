@@ -3,8 +3,19 @@ files, and bundled experiment definitions."""
 
 from __future__ import annotations
 
+import configparser
+import contextlib
+import functools
+import io
+import math
+import tempfile
+import unittest.mock
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsag import augmented, cli, graph
 from helpers import dump_edge_list
@@ -41,7 +52,8 @@ seed = 5
 
 def write_ini(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
-    path.write_text(text)
+    # a lone surrogate escape stands for a byte that is not UTF-8
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -255,6 +267,14 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: config file", "option 'd' in section 'problem' already exists")),
     (("[problem]\n", "[problem\n"),
      ("config error: config file", "File contains no section headers")),
+    (("seed = 3\n", "seed = 3\n# \udcff\udcfe\n"),
+     ("config error: config file", "can't decode byte 0xff")),
+    # a bare % starts an interpolation that configparser cannot resolve
+    (("mode = parallel", "mode = parallel%"),
+     ("config error: [problem] mode", "'%' must be followed")),
+    # a sweep over no sizes is not a plain run
+    (("seed = 5\n", "seed = 5\n\n[experiment]\nn_values =\n"),
+     ("config error: [experiment] n_values", "at least one entry")),
 ], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
         "n_values", "sync-kind", "c-not-positive-definite",
         "c-rank-deficient-seed-2", "c-rank-deficient-seed-5", "singular-saddle",
@@ -269,7 +289,7 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
         "unknown-default-key", "misplaced-key", "eta-zeta-form", "zeta-key",
         "eta1-values-without-sweep", "target-err-without-sweep",
         "duplicate-option",
-        "broken-section-header"])
+        "broken-section-header", "not-utf-8", "bare-percent", "n-values-empty"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI
@@ -303,6 +323,141 @@ def test_main_rejects_negative_seed_option_with_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error: --seed" in err and "nonnegative" in err
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over every key that load_config reads
+# ---------------------------------------------------------------------------
+
+# BASE_INI with the straggler schedule, so that its two keys are read
+PROPERTY_INI = BASE_INI.replace(
+    "kind = uniform_random",
+    "kind = straggler\nstraggler_node = 0\nstraggler_factor = 2")
+
+
+@functools.lru_cache(maxsize=1)
+def keys_read() -> dict[tuple[str, str], type]:
+    """(section, key) -> converter of every key that load_config reads."""
+    read = {}
+    get = cli._get
+
+    def recording(parser, consulted, section, key, conv, default=None):
+        read[(section, key)] = conv
+        return get(parser, consulted, section, key, conv, default)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            unittest.mock.patch.object(cli, "_get", recording):
+        cli.load_config(write_ini(Path(tmp), PROPERTY_INI))
+    return read
+
+
+def floats_outside(lo, hi):
+    """Floats outside the open interval (lo, hi), nan and inf included."""
+    return st.floats().filter(lambda x: not lo < x < hi)
+
+
+def ints_outside(lo, hi=None):
+    """Integers below lo, or above hi when given."""
+    out = st.integers(max_value=lo - 1)
+    return out if hi is None else out | st.integers(min_value=hi + 1)
+
+
+def as_text(value) -> str:
+    """A drawn value as config text: numbers by repr, lists space-separated."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return " ".join(map(repr, value))
+    return repr(value)
+
+
+# Values that PROPERTY_INI (n = 3, ten states, eight samples a node) accepts
+# nowhere, with the other settings such a value is read under.
+POSITIVE = st.floats(1e-3, 4.0)
+SWEEP = {("experiment", "n_values"): "1 2"}
+BAD_VALUES = {
+    ("problem", "num_states"): ints_outside(2),
+    ("problem", "num_actions"): ints_outside(1),
+    ("problem", "n"): ints_outside(1),
+    ("problem", "d"): ints_outside(1, 10),
+    ("problem", "m"): ints_outside(1),
+    ("problem", "gamma"): floats_outside(0, 1),
+    ("problem", "rho"): floats_outside(0, math.inf),
+    ("problem", "mode"): st.sampled_from(["sharded", "Parallel", "marl9"]),
+    ("problem", "seed"): ints_outside(0),
+    ("problem", "proportions"): (
+        st.lists(POSITIVE, max_size=5).filter(lambda xs: len(xs) != 3)
+        | st.tuples(POSITIVE, floats_outside(0, math.inf), POSITIVE)
+        # finite entries whose sum overflows
+        | st.lists(st.floats(7e307, 1.7e308), min_size=3, max_size=3)),
+    ("topology", "kind"): st.sampled_from(["torus", "star", "Ring"]),
+    ("topology", "path"): st.just("no-such-edge-list.txt"),
+    ("topology", "n"): st.integers().filter(lambda n: n != 3),
+    ("algorithm", "eta1"): floats_outside(0, math.inf),
+    ("algorithm", "eta2"): floats_outside(0, math.inf),
+    ("algorithm", "batch_size"): ints_outside(1, 8),
+    ("algorithm", "epsilon"): floats_outside(0, math.inf),
+    ("algorithm", "max_events"): ints_outside(1),
+    ("algorithm", "verify_events"): ints_outside(1),
+    ("schedule", "kind"): st.sampled_from(["sync", "bogus", "Round_robin"]),
+    ("schedule", "delay"): st.sampled_from(["bogus", "exponential"]),
+    ("schedule", "d_max"): ints_outside(0, 2**62),
+    ("schedule", "straggler_node"): ints_outside(0, 2),
+    ("schedule", "straggler_factor"): st.floats().filter(
+        lambda x: not 1 <= x < math.inf),
+    ("schedule", "seed"): ints_outside(0),
+    ("schedule", "b_max"): ints_outside(1, 2**62),
+    ("experiment", "n_values"): st.lists(st.integers(), max_size=3).filter(
+        lambda ns: not ns or min(ns) < 1),
+    ("experiment", "eta1_values"): (
+        st.lists(POSITIVE, max_size=4).filter(lambda xs: len(xs) != 2)
+        | st.tuples(POSITIVE, floats_outside(0, math.inf))),
+    ("experiment", "target_err"): floats_outside(0, math.inf),
+}
+CONTEXT = {
+    ("topology", "path"): {("topology", "kind"): "edge_list"},
+    ("experiment", "eta1_values"): SWEEP,
+    ("experiment", "target_err"): SWEEP,
+}
+# text that neither int nor float parses
+UNPARSEABLE = st.sampled_from(["x", "1e", "--1", "0x10", "1 2 x"])
+
+
+def test_bad_values_cover_every_key_read():
+    assert set(BAD_VALUES) == set(keys_read())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_bad_value_of_every_key_exits_2(data):
+    """A value that cannot be parsed, or that lies out of range, of any key
+    ends in exit 2 with a ``config error:`` line (an exception escaping
+    ``main`` fails the test)."""
+    key = data.draw(st.sampled_from(sorted(keys_read())), label="key")
+    # a bare % fails interpolation, whatever the key
+    values = BAD_VALUES[key] | st.just("5%")
+    if keys_read()[key] is not str:
+        values |= UNPARSEABLE
+    edits = {**CONTEXT.get(key, {}),
+             key: as_text(data.draw(values, label="value"))}
+    command = data.draw(st.sampled_from(["run", "verify", "constants"]),
+                        label="command")
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(PROPERTY_INI)
+    for (section, name), value in edits.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][name] = value
+    text = io.StringIO()
+    parser.write(text)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        ini = write_ini(Path(tmp), text.getvalue())
+        code = cli.main([command, "--config", str(ini), "--out", tmp])
+    assert code == cli.EXIT_BAD_CONFIG, (edits, err.getvalue())
+    assert err.getvalue().startswith("config error: ")
 
 
 def test_verify_builds_each_event_matrix_once(tmp_path, monkeypatch, capsys):

@@ -164,7 +164,8 @@ def test_irreducibility_check_matches_graph_search():
                         some_reward_state(), 1, 0.9)
         g = graph.DirectedGraph(
             s, [(i, j) for i, j in zip(*np.nonzero(support)) if i != j])
-        both = graph._reachable(g, 0) & graph._reachable(g, 0, reverse=True)
+        both = (graph._distances(g, 0).keys()
+                & graph._distances(g, 0, reverse=True).keys())
         bad = sorted(set(range(s)) - both)
         outcomes.add(bool(bad))
         if bad:

@@ -179,14 +179,6 @@ def test_run_async_rejects_b_max_past_int64():
             run(b_max=b_max)
 
 
-@pytest.mark.parametrize("factor", [float("nan"), float("inf")])
-def test_run_sync_rejects_non_finite_straggler_factor(factor):
-    prob = build_problem(n=3)
-    with pytest.raises(ValueError, match="straggler"):
-        simulator.run_sync(prob, graph.generate_topology("ring", 3), rounds=4,
-                           eta1=0.01, eta2=0.1, seed=5, straggler=(0, factor))
-
-
 def test_straggler_weights():
     sched = simulator.ActivationSchedule(
         kind="straggler", n=4, straggler_node=2, straggler_factor=10.0)
@@ -310,7 +302,6 @@ def test_metrics_series_shape_and_initial_row():
     series = simulator.metrics(trace, z_star)
     assert series.k.shape == (41,)
     assert series.k[0] == 0 and series.node[0] == -1
-    assert series.event_type[0] == "init"
     init_err = np.linalg.norm(trace.z0 - z_star, axis=1)
     assert np.isclose(series.err_max[0], init_err.max())
     assert np.isclose(series.err_mean[0], init_err.mean())
@@ -341,7 +332,8 @@ def write_metrics_csv_by_row(series, path):
         fh.write("k,node,event_type,err_max,err_mean,y_norm_max\n")
         for idx in range(series.k.shape[0]):
             fh.write(
-                f"{series.k[idx]},{series.node[idx]},{series.event_type[idx]},"
+                f"{series.k[idx]},{series.node[idx]},"
+                f"{'init' if idx == 0 else 'activation'},"
                 f"{float(series.err_max[idx])!r},{float(series.err_mean[idx])!r},"
                 f"{float(series.y_norm_max[idx])!r}\n"
             )
@@ -350,7 +342,6 @@ def write_metrics_csv_by_row(series, path):
 def random_series(rows, nodes, floats):
     return simulator.MetricSeries(
         k=np.arange(rows), node=np.concatenate([[-1], nodes]).astype(np.int64),
-        event_type=("init",) + ("activation",) * (rows - 1),
         err_max=np.array(floats[0::3]), err_mean=np.array(floats[1::3]),
         y_norm_max=np.array(floats[2::3]),
     )
@@ -464,8 +455,8 @@ def dense_metrics(trace, z_star):
                              axis=1)[latest]
     return simulator.MetricSeries(
         k=np.arange(t + 1), node=np.concatenate([[-1], trace.node]),
-        event_type=("init",) + ("activation",) * t, err_max=errs.max(axis=1),
-        err_mean=errs.mean(axis=1), y_norm_max=y_norms.max(axis=1),
+        err_max=errs.max(axis=1), err_mean=errs.mean(axis=1),
+        y_norm_max=y_norms.max(axis=1),
     )
 
 
@@ -479,26 +470,24 @@ def metrics_by_event(trace, z_star):
     y_norm_max = np.empty(rows)
     ks = np.empty(rows, dtype=int)
     nodes = np.empty(rows, dtype=int)
-    types = []
 
-    def snapshot(idx, k, node, kind):
+    def snapshot(idx, k, node):
         errs = np.linalg.norm(z_cur - z_star, axis=1)
         err_max[idx] = errs.max()
         err_mean[idx] = errs.mean()
         y_norm_max[idx] = np.linalg.norm(y_cur, axis=1).max()
         ks[idx] = k
         nodes[idx] = node
-        types.append(kind)
 
-    snapshot(0, 0, -1, "init")
+    snapshot(0, 0, -1)
     for k in range(1, rows):
         node = trace.node[k - 1]
         z_cur[node] = trace.z_tilde[k - 1]
         y_cur[node] = trace.y_new[k - 1]
-        snapshot(k, k, node, "activation")
+        snapshot(k, k, node)
     return simulator.MetricSeries(
-        k=ks, node=nodes, event_type=tuple(types), err_max=err_max,
-        err_mean=err_mean, y_norm_max=y_norm_max,
+        k=ks, node=nodes, err_max=err_max, err_mean=err_mean,
+        y_norm_max=y_norm_max,
     )
 
 
@@ -624,11 +613,8 @@ def test_blockwise_metrics_equal_dense_formula(n, kind, events, seed, stop):
             got = simulator.metrics(trace, z_star)
         for field in dataclasses.fields(simulator.MetricSeries):
             a, b = getattr(got, field.name), getattr(want, field.name)
-            if field.name == "event_type":
-                assert a == b
-            else:
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
-                    block, field.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                block, field.name)
 
 
 def test_run_and_metrics_memory_follow_the_trace():
@@ -664,7 +650,7 @@ def test_node_that_never_activates_is_named():
     assert err.value.node == 2
 
 
-def test_sync_round_structure_and_wall_model():
+def test_sync_round_structure():
     prob = build_problem(n=3)
     g = graph.generate_topology("ring", 3)
     trace = simulator.run_sync(prob, g, rounds=8, eta1=0.01, eta2=0.1, seed=5)
@@ -680,12 +666,3 @@ def test_sync_round_structure_and_wall_model():
         peers = [j for j in g.in_neighbors(node) if j != node]
         assert consumed(trace, k) == tuple(
             (v, last[v]) for v in [node] + sorted(peers))
-    assert trace.wall_time_per_round == [1.0] * 8
-    slowed = simulator.run_sync(prob, g, rounds=8, eta1=0.01, eta2=0.1,
-                                seed=5, straggler=(1, 10.0))
-    assert slowed.wall_time_per_round == [10.0] * 8
-    # a straggler changes the wall clock, never the mathematics
-    assert np.array_equal(slowed.final_z, trace.final_z)
-    with pytest.raises(ValueError):
-        simulator.run_sync(prob, g, rounds=4, eta1=0.01, eta2=0.1, seed=5,
-                           straggler=(7, 10.0))
