@@ -181,24 +181,11 @@ class AugmentedState:
     mats: EventMatrices | None = None   # event k's matrices (None at k=0)
 
 
-def _consumption_index(trace: EventTrace) -> dict[tuple[int, int, int], int]:
-    """(origin, sent_event, receiver) -> event index that consumed it."""
-    per_event = np.diff(trace.consumed_ptr)
-    receiver = np.repeat(trace.node, per_event).tolist()
-    event = np.repeat(np.arange(1, trace.num_events + 1), per_event).tolist()
-    return dict(zip(zip(trace.consumed_origin.tolist(),
-                        trace.consumed_sent.tolist(), receiver), event))
-
-
-def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
-                         _consumed: dict | None = None) -> EventMatrices:
-    """Construct H_R^k, H_C^k, I_a^k for event k (1-based) of the trace."""
+def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
+    """Construct H_R^k, H_C^k, I_a^k for event k (1-based) of the trace, at
+    the window b that ``verify_assumption1b`` certifies for it."""
     if not (1 <= k <= trace.num_events):
         raise ValueError(f"event index {k} outside the trace (1..{trace.num_events})")
-    if b is None:
-        b = verify_assumption1b(trace)
-    if _consumed is None:
-        _consumed = _consumption_index(trace)
     n = trace.n
     ntilde = n * (b + 1)  # register (v, u) has index u*n + v
 
@@ -238,33 +225,43 @@ def build_event_matrices(trace: EventTrace, k: int, b: int | None = None,
 
     # --- push matrix -------------------------------------------------------
     # The masses that split now are those created by the previous event (the
-    # initialization broadcasts when k == 1).
-    if k == 1:
-        splitters = [(w, 0) for w in range(n)]
-    else:
-        splitters = [(int(trace.node[k - 2]), k - 1)]
+    # initialization broadcasts when k == 1). Each share parks at the height
+    # that drains it at its consuming event, or on top when nothing in the
+    # trace consumes it. The network shares are the messages sent at event
+    # k-1 (the log is in send order); a splitter's own share is consumed at
+    # its next activation, which a certified window of b events holds.
+    sent = k - 1
+    log = trace.messages
+    lo, hi = log.sent_at.searchsorted([sent, sent + 1])
+    # (origin, receiver, consuming event or -1 for none) of each share
+    split = list(zip(log.origin[lo:hi].tolist(), log.dest[lo:hi].tolist(),
+                     log.consumed_at[lo:hi].tolist()))
+    splitters = list(range(n)) if k == 1 else [int(trace.node[k - 2])]
+    ahead = trace.node[sent:sent + b].tolist()
+    for w in splitters:
+        if w in ahead:
+            split.append((w, w, sent + 1 + ahead.index(w)))
+        elif sent + b <= trace.num_events:
+            raise AssumptionViolation(
+                f"event {k}: node {w} does not activate within the {b} "
+                f"events after event {sent}, so its own share rests past "
+                f"b={b}", node=w)
+        else:
+            split.append((w, w, -1))
     parked, origins, shares = [], [], []
-    for w, sent in splitters:
-        share = 1.0 / trace.graph.out_degree(w)
-        for dest in trace.graph.out_neighbors(w):
-            consumed_at = _consumed.get((w, sent, dest))
-            if consumed_at is None:
-                height = b  # never consumed inside the trace; park on top
-            else:
-                height = consumed_at - sent - 1
-                if height > b - 1:
-                    raise AssumptionViolation(
-                        f"event {k}: share from node {w} (event {sent}) to "
-                        f"node {dest} rests {height} events, exceeding b={b}",
-                        node=w,
-                    )
-            parked.append(height * n + dest)
-            origins.append(w)
-            shares.append(share)
+    for w, dest, used in split:
+        height = b if used < 0 else used - sent - 1
+        if height > b - 1 and used >= 0:
+            raise AssumptionViolation(
+                f"event {k}: share from node {w} (event {sent}) to "
+                f"node {dest} rests {height} events, exceeding b={b}", node=w)
+        parked.append(height * n + dest)
+        origins.append(w)
+        shares.append(1.0 / trace.graph.out_degree(w))
     # the real rows that did not split hold, and every chain register
     # drains into the one below it
-    split = {w for w, _ in splitters}
-    holders = np.array([v for v in range(n) if v not in split], dtype=np.int32)
+    holders = np.array([v for v in range(n) if v not in splitters],
+                       dtype=np.int32)
     h_col = SparseMatrix.from_entries(
         np.concatenate([holders, np.arange(ntilde - n), parked]),
         np.concatenate([holders, np.arange(n, ntilde), origins]),
@@ -296,7 +293,6 @@ def replay(trace: EventTrace,
 
 def _replay_states(trace: EventTrace, problem: ProblemSpec,
                    b: int) -> Iterator[AugmentedState]:
-    consumed = _consumption_index(trace)
     eta, zeta = trace.eta1, trace.eta2 / trace.eta1
     n, d, m = trace.n, trace.d, sum(trace.m_i)
     ntilde = n * (b + 1)
@@ -317,7 +313,7 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
 
     for k in range(1, trace.num_events + 1):
         i = int(trace.node[k - 1])
-        mats = build_event_matrices(trace, k, b=b, _consumed=consumed)
+        mats = build_event_matrices(trace, k, b)
 
         z_rows = mats.h_row @ prev.z_rows
         z_hat = from_scaled(z_rows[i], zeta)

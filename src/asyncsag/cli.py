@@ -65,7 +65,7 @@ class ExperimentConfig:
     delay_kind: str = "uniform"
     d_max: int = 2
     straggler_node: int | None = None
-    straggler_factor: float = 1.0
+    straggler_factor: float | None = None
     run_seed: int = 1
     b_max: int | None = None
     # experiments
@@ -213,6 +213,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key in ("batch_size", "max_events", "verify_events"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"[algorithm] {key}: must be at least 1")
+    for section, key, value, kind, reader in (
+            ("topology", "path", cfg.edge_list_path, cfg.topology, "edge_list"),
+            ("schedule", "straggler_node", cfg.straggler_node, cfg.schedule,
+             "straggler"),
+            ("schedule", "straggler_factor", cfg.straggler_factor,
+             cfg.schedule, "straggler")):
+        if value is not None and kind != reader:
+            raise ConfigError(f"[{section}] {key}: only kind = {reader} "
+                              f"reads it")
     if cfg.topology == "edge_list" and not cfg.edge_list_path:
         raise ConfigError("[topology] path: required for edge_list topology")
     if cfg.topology == "edge_list" and not Path(cfg.edge_list_path).exists():
@@ -296,11 +305,11 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
 
 def _schedule(cfg: ExperimentConfig) -> ActivationSchedule:
     try:
+        # only the straggler kind sets these (validate_config)
         return ActivationSchedule(
-            kind=cfg.schedule, n=cfg.n,
-            straggler_node=cfg.straggler_node if cfg.schedule == "straggler" else None,
-            straggler_factor=cfg.straggler_factor if cfg.schedule == "straggler" else 1.0,
-        )
+            kind=cfg.schedule, n=cfg.n, straggler_node=cfg.straggler_node,
+            straggler_factor=(1.0 if cfg.straggler_factor is None
+                              else cfg.straggler_factor))
     except ValueError as exc:
         raise ConfigError(f"[schedule] {exc}") from None
 
@@ -378,7 +387,11 @@ def constants_report(bundle: ExperimentBundle, trace: simulator.EventTrace) -> s
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path,
             seed: int | None = None) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot make directory {out_dir}: "
+                          f"{exc.strerror}") from None
     if cfg.n_values:
         return _cmd_run_sweep(cfg, out_dir, seed)
     bundle = build_experiment(cfg)

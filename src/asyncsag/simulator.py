@@ -214,7 +214,6 @@ class EventTrace:
     consumed_sent: np.ndarray           # (C,) event that sent it (0 = init)
     messages: MessageLog                # all network messages, init included
     stop_reason: str
-    final_z: np.ndarray
 
     @property
     def num_events(self) -> int:
@@ -510,7 +509,6 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         consumed_origin=np.concatenate([b.origin for b in blocks])[:entries],
         consumed_sent=np.concatenate([b.sent for b in blocks])[:entries],
         messages=messages, stop_reason=stop_reason,
-        final_z=np.stack([nd.z for nd in nodes]),
     )
 
 
@@ -553,9 +551,8 @@ def verify_assumption1b(trace: EventTrace) -> int:
     complete = events.copy()
     own = sent > 0
     np.maximum.at(complete, sent[own] - 1, slot[own])
-    ages = (np.repeat(events, np.diff(trace.consumed_ptr))
-            - trace.consumed_sent - 1)
-    age_max = max(0, int(ages.max(initial=0)))
+    age_max = max(0, int((np.repeat(events, np.diff(trace.consumed_ptr))
+                          - trace.consumed_sent - 1).max(initial=0)))
 
     counts = np.bincount(trace.node, minlength=trace.n)
     idle = np.flatnonzero(counts == 0)
@@ -564,45 +561,33 @@ def verify_assumption1b(trace: EventTrace) -> int:
         raise AssumptionViolation(
             f"node {v} never completed an update in the trace", node=v
         )
-    # each node's (event, completion slot) pairs, by completion slot
-    order = np.lexsort((complete, trace.node))
-    split = np.cumsum(counts)[:-1]
-    per_node = list(zip(np.split(events[order], split),
-                        np.split(complete[order], split)))
-
-    def window_ok(b: int) -> bool:
-        # A window starting at s (events s .. s+b-1) is served by an
-        # activation (k, complete) iff s <= k and complete <= s+b-1, i.e.
-        # s in [complete-b+1, k]. Every start in [1, t-b+1] must be served.
-        # Taken by their (nondecreasing) lower ends, the intervals cover
-        # [1, max k so far] until the first one that starts past it + 1.
-        last_start = max(1, t - b + 1)
-        for ks, cs in per_node:
-            lo = np.maximum(1, cs - b + 1)
-            reach = np.maximum.accumulate(ks)
-            before = np.concatenate(([0], reach[:-1]))
-            gaps = np.flatnonzero(lo > before + 1)
-            covered_to = before[gaps[0]] if gaps.size else reach[-1]
-            if covered_to < last_start:
-                return False
-        return True
-
-    lo, hi = 1, t
-    if not window_ok(hi):
-        # Even the whole-trace window misses some node's completed update.
-        for v, (_, cs) in enumerate(per_node):
-            if cs[0] > t:
-                raise AssumptionViolation(
-                    f"node {v} has no update delivered within the trace", node=v
-                )
-        raise AssumptionViolation("no finite window covers every node")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if window_ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(lo, age_max + 1)
+    # The window of b events from event s holds an update of node v that
+    # completes inside it iff b >= first_v(s) - s + 1, where first_v(s) is
+    # the earliest completion among v's activations at or after s. Row s-1
+    # of `first` is the largest first_v(s) over the nodes.
+    first = np.zeros(t, dtype=np.int64)
+    for v, at in enumerate(np.split(np.argsort(trace.node, kind="stable"),
+                                    np.cumsum(counts)[:-1])):
+        earliest = np.minimum.accumulate(complete[at][::-1])[::-1]
+        if earliest[0] > t:
+            raise AssumptionViolation(
+                f"node {v} has no update delivered within the trace", node=v
+            )
+        # starts after v's previous activation and up to this one find this
+        # one first; a start after v's last activation finds none, which
+        # counts as a completion past the trace
+        np.maximum(first[:at[-1] + 1],
+                   np.repeat(earliest, np.diff(at, prepend=-1)),
+                   out=first[:at[-1] + 1])
+        first[at[-1] + 1:] = t + 1
+    # A length b works iff every start s <= t-b+1 needs at most b, i.e.
+    # iff the running maximum of the needs plus s-1 is at most t at start
+    # t-b+1. That sum increases strictly in s, so the smallest such b is
+    # t+1 minus the number of starts where it is at most t.
+    first -= events - 1
+    np.maximum.accumulate(first, out=first)
+    first += events - 1
+    return max(t + 1 - int(first.searchsorted(t, side="right")), age_max + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from asyncsag import augmented, cli, graph, mdp, mspbe, simulator
 from asyncsag.mspbe import SpectralConstants
-from helpers import graph_constants
+from helpers import graph_constants, tracker_bounds
 
 
 def build_problem(seed=0, n=3, d=3, length=31, rho=0.1, gamma=0.9,
@@ -118,14 +118,104 @@ def test_sparse_matrix_matches_dense(entries, width, seed):
 def test_matrices_reject_out_of_range_event_and_small_window():
     _, trace = run_pair(seed=3, n=3, max_events=30, kind="round_robin",
                         d_max=0)
+    b = simulator.verify_assumption1b(trace)
     with pytest.raises(ValueError):
-        augmented.build_event_matrices(trace, 0)
+        augmented.build_event_matrices(trace, 0, b)
     with pytest.raises(ValueError):
-        augmented.build_event_matrices(trace, 31)
-    # round-robin self-copies are n-1 = 2 events old, too old for b = 1
+        augmented.build_event_matrices(trace, 31, b)
+    # b = 1 is below the certified window of 3
     with pytest.raises(simulator.AssumptionViolation):
         for k in range(1, 31):
             augmented.build_event_matrices(trace, k, b=1)
+
+
+def test_window_below_certified_names_the_idle_splitter():
+    """Round robin on 3 nodes with instant delivery certifies b = 3. At
+    b = 2 the two events after the initial split (nodes 0 and 1) hold no
+    activation of node 2, so its own share has no register to wait in."""
+    _, trace = run_pair(seed=3, n=3, max_events=30, kind="round_robin",
+                        d_max=0)
+    b = simulator.verify_assumption1b(trace)
+    assert b == 3
+    for k in range(1, trace.num_events + 1):
+        augmented.build_event_matrices(trace, k, b)
+    with pytest.raises(simulator.AssumptionViolation,
+                       match="event 1: node 2 does not activate within the "
+                             "2 events after event 0") as err:
+        augmented.build_event_matrices(trace, 1, b - 1)
+    assert err.value.node == 2
+
+
+def _consumptions(trace):
+    """(origin, sent event, receiver) -> the event that consumed it, over
+    every consumption in the trace, self-copies included."""
+    per_event = np.diff(trace.consumed_ptr)
+    receiver = np.repeat(trace.node, per_event).tolist()
+    event = np.repeat(np.arange(1, trace.num_events + 1), per_event).tolist()
+    return dict(zip(zip(trace.consumed_origin.tolist(),
+                        trace.consumed_sent.tolist(), receiver), event))
+
+
+def _push_matrix_by_dict(trace, consumed, k, b):
+    """Reference for the push matrix of ``build_event_matrices``: every
+    share that splits at event k, the splitter's own included, parks where
+    the consumption dict says it was consumed, or on top for none."""
+    n = trace.n
+    ntilde = n * (b + 1)
+    if k == 1:
+        splitters = [(w, 0) for w in range(n)]
+    else:
+        splitters = [(int(trace.node[k - 2]), k - 1)]
+    parked, origins, shares = [], [], []
+    for w, sent in splitters:
+        for dest in trace.graph.out_neighbors(w):
+            used = consumed.get((w, sent, dest))
+            parked.append((b if used is None else used - sent - 1) * n + dest)
+            origins.append(w)
+            shares.append(1.0 / trace.graph.out_degree(w))
+    holders = [v for v in range(n) if v not in {w for w, _ in splitters}]
+    return augmented.SparseMatrix.from_entries(
+        holders + list(range(ntilde - n)) + parked,
+        holders + list(range(n, ntilde)) + origins,
+        [1.0] * (len(holders) + ntilde - n) + shares, ntilde)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), topology=st.sampled_from(["ring", "exponential"]),
+       kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
+       delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
+       d_max=st.integers(0, 4), batch_size=st.integers(1, 2),
+       events=st.integers(1, 120), stop=st.integers(0, 120),
+       seed=st.integers(0, 2**32 - 1))
+def test_push_matrices_equal_the_consumption_dict(
+        n, topology, kind, delay_kind, d_max, batch_size, events, stop, seed):
+    """Reading each share's consuming event from the message log and the
+    splitter's next activation gives the dict reference's push matrices bit
+    for bit, also on traces stopped by epsilon (``stop`` > 0 picks the
+    event by which the threshold is crossed)."""
+    straggler = kind == "straggler"
+    args = (build_problem(n=n), graph.generate_topology(topology, n),
+            simulator.ActivationSchedule(
+                kind=kind, n=n, straggler_node=0 if straggler else None,
+                straggler_factor=5.0 if straggler else 1.0),
+            simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.05, 0.4)
+    trace = simulator.run_async(*args, seed=seed, max_events=events,
+                                batch_size=batch_size)
+    if 0 < stop <= events:
+        epsilon = min(tracker_bounds(trace)[:stop])
+        trace = simulator.run_async(*args, seed=seed, max_events=events,
+                                    batch_size=batch_size, epsilon=epsilon)
+    try:
+        b = simulator.verify_assumption1b(trace)
+    except simulator.AssumptionViolation:
+        reject()  # some node starves within the trace
+    consumed = _consumptions(trace)
+    for k in range(1, trace.num_events + 1):
+        got = augmented.build_event_matrices(trace, k, b).h_col
+        want = _push_matrix_by_dict(trace, consumed, k, b)
+        for name in ("rows", "cols", "weights"):
+            a, w = getattr(got, name), getattr(want, name)
+            assert a.dtype == w.dtype and a.tobytes() == w.tobytes(), (k, name)
 
 
 def test_replay_matches_simulator_to_machine_precision():
@@ -292,8 +382,7 @@ def test_rank_one_distance_pinned():
 def test_product_of_pull_matrices_contracts_to_rank_one():
     _, trace = run_pair(seed=9, max_events=250)
     b = simulator.verify_assumption1b(trace)
-    consumed = augmented._consumption_index(trace)
-    mats = [augmented.build_event_matrices(trace, k, b=b, _consumed=consumed)
+    mats = [augmented.build_event_matrices(trace, k, b)
             for k in range(1, trace.num_events + 1)]
     dists = augmented.product_contraction([m.h_row for m in mats])
     ntilde = trace.n * (b + 1)
@@ -345,8 +434,7 @@ def _assert_boxes_hold_products(matrices):
 
 def _event_matrices(trace):
     b = simulator.verify_assumption1b(trace)
-    consumed = augmented._consumption_index(trace)
-    return b, [augmented.build_event_matrices(trace, k, b=b, _consumed=consumed)
+    return b, [augmented.build_event_matrices(trace, k, b)
                for k in range(1, trace.num_events + 1)]
 
 
@@ -475,9 +563,7 @@ def test_product_contraction_follows_sigma1_across_blocks():
 def test_push_weights_conserve_total_mass():
     _, trace = run_pair(seed=6, max_events=120)
     b = simulator.verify_assumption1b(trace)
-    consumed = augmented._consumption_index(trace)
-    h_cols = [augmented.build_event_matrices(trace, k, b=b,
-                                             _consumed=consumed).h_col
+    h_cols = [augmented.build_event_matrices(trace, k, b).h_col
               for k in range(1, trace.num_events + 1)]
     # v^{k+1} = H_C^k v^k from v^0 = [1_n; 0]
     v = np.zeros(h_cols[0].shape[0])

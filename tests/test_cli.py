@@ -275,6 +275,16 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     # a sweep over no sizes is not a plain run
     (("seed = 5\n", "seed = 5\n\n[experiment]\nn_values =\n"),
      ("config error: [experiment] n_values", "at least one entry")),
+    # keys that only one kind reads
+    (("kind = uniform_random", "kind = uniform_random\nstraggler_node = 99\n"
+                               "straggler_factor = nan"),
+     ("config error: [schedule] straggler_node: only kind = straggler "
+      "reads it",)),
+    (("kind = uniform_random", "kind = round_robin\nstraggler_factor = 2"),
+     ("config error: [schedule] straggler_factor: only kind = straggler "
+      "reads it",)),
+    (("kind = ring", "kind = ring\npath = edges.txt"),
+     ("config error: [topology] path: only kind = edge_list reads it",)),
 ], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
         "n_values", "sync-kind", "c-not-positive-definite",
         "c-rank-deficient-seed-2", "c-rank-deficient-seed-5", "singular-saddle",
@@ -289,7 +299,9 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
         "unknown-default-key", "misplaced-key", "eta-zeta-form", "zeta-key",
         "eta1-values-without-sweep", "target-err-without-sweep",
         "duplicate-option",
-        "broken-section-header", "not-utf-8", "bare-percent", "n-values-empty"])
+        "broken-section-header", "not-utf-8", "bare-percent", "n-values-empty",
+        "straggler-keys-without-straggler", "straggler-factor-round-robin",
+        "path-without-edge-list"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI
@@ -323,6 +335,21 @@ def test_main_rejects_negative_seed_option_with_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error: --seed" in err and "nonnegative" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/results"])
+def test_run_rejects_out_that_is_not_a_directory_with_exit_2(tmp_path, capsys,
+                                                            out):
+    ini = write_ini(tmp_path, BASE_INI)
+    (tmp_path / "afile").write_text("kept\n")
+    code = cli.main(["run", "--config", str(ini), "--out",
+                     str(tmp_path / out)])
+    assert code == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --out: cannot make directory "
+                          f"{tmp_path / out}: ")
+    assert "Traceback" not in err
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

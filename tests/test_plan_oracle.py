@@ -55,7 +55,7 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
                            (deliver_at, sent_at, origin, seq, msg, z_t, y_t))
             seq += 1
 
-    selectors, tables, ys, zs, buffers = [], [], [], [], []
+    selectors, tables, ys, buffers = [], [], [], []
     for i in range(n):
         selectors.append(SampleSelector(problem.m_i[i], selector_rng(seed, i)))
         table = np.stack([mspbe.saddle_gradient(z0_rows[i], st_, rho)
@@ -63,9 +63,8 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         y = table.sum(axis=0) / m
         tables.append(table)
         ys.append(y)
-        zs.append(z0_rows[i].copy())
-        buffers.append([(zs[i], y / degree[i], i, 0)])
-        send(i, zs[i], y / degree[i], 0)
+        buffers.append([(z0_rows[i], y / degree[i], i, 0)])
+        send(i, z0_rows[i], y / degree[i], 0)
     y0_rows = np.stack(ys)
 
     node_col, samples, z_col, y_col = [], [], [], []
@@ -104,7 +103,6 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         consumed_sent += [sent for _, _, _, sent in buffer]
         consumed_ptr.append(len(consumed_origin))
         buffers[i] = [(z_tilde, y_tilde, i, k)]
-        zs[i] = z_tilde
         send(i, z_tilde, y_tilde, k)
         last[i] = k
         node_col.append(i)
@@ -133,7 +131,7 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         consumed_origin=np.array(consumed_origin, dtype=np.int64),
         consumed_sent=np.array(consumed_sent, dtype=np.int64),
         messages=simulator.MessageLog(*(col.copy() for col in log.T)),
-        stop_reason=stop_reason, final_z=np.stack(zs),
+        stop_reason=stop_reason,
     )
 
 

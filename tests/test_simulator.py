@@ -56,7 +56,7 @@ def test_same_seed_gives_byte_identical_traces():
     _, b = small_run(seed=11)
     assert_traces_equal(a, b)
     _, c = small_run(seed=12)
-    assert not np.array_equal(a.final_z, c.final_z)
+    assert not np.array_equal(a.z_tilde, c.z_tilde)
     # the comparison sees one ulp in one array entry
     nudged = dataclasses.replace(b, z_tilde=b.z_tilde.copy())
     nudged.z_tilde[-1, -1] = np.nextafter(nudged.z_tilde[-1, -1], np.inf)
@@ -648,6 +648,21 @@ def test_node_that_never_activates_is_named():
     with pytest.raises(simulator.AssumptionViolation) as err:
         simulator.verify_assumption1b(trace)
     assert err.value.node == 2
+
+
+def test_node_whose_only_update_lands_after_the_trace_is_named():
+    """Node 1 activates once, at the last event, and its broadcast to node
+    0 lands one slot later, so no window of the trace holds an update of
+    node 1 that completes inside it."""
+    _, trace = small_run(seed=2, n=2, kind="round_robin", d_max=1,
+                         max_events=2)
+    assert trace.node.tolist() == [0, 1]
+    assert (trace.messages.origin[-1], trace.messages.sent_at[-1],
+            trace.messages.deliver_at[-1]) == (1, 2, 3)
+    with pytest.raises(simulator.AssumptionViolation) as err:
+        simulator.verify_assumption1b(trace)
+    assert str(err.value) == "node 1 has no update delivered within the trace"
+    assert err.value.node == 1
 
 
 def test_sync_round_structure():
