@@ -55,7 +55,7 @@ import mpmath as mp
 import numpy as np
 
 from .mspbe import (ProblemSpec, SpectralConstants, from_scaled,
-                    saddle_gradient, to_scaled)
+                    saddle_gradient)
 from .simulator import AssumptionViolation, EventTrace, verify_assumption1b
 
 STOCHASTIC_TOL = 1e-12
@@ -190,9 +190,17 @@ def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
     ntilde = n * (b + 1)  # register (v, u) has index u*n + v
 
     i = int(trace.node[k - 1])
-    lo, hi = trace.consumed_ptr[k - 1], trace.consumed_ptr[k]
-    consumed = list(zip(trace.consumed_origin[lo:hi].tolist(),
-                        trace.consumed_sent[lo:hi].tolist()))
+    log = trace.messages
+    # Event k pulled the activator's own latest broadcast, looked for among
+    # the b events before k, then the log rows consumed at k.
+    behind, start = trace.node[:k - 1], max(k - 1 - b, 0)
+    seen = start + np.flatnonzero(behind[start:] == i)
+    if not seen.size:   # stale (to be named), or i's initial broadcast
+        seen = np.flatnonzero(behind == i)
+    own = int(seen[-1]) + 1 if seen.size else 0
+    rows = log.consumed_by(k)
+    consumed = [(i, own)] + list(zip(log.origin[rows].tolist(),
+                                     log.sent_at[rows].tolist()))
 
     # --- pull matrix -------------------------------------------------------
     # The activator's row averages its receptions (a repeated reception adds
@@ -231,7 +239,6 @@ def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
     # k-1 (the log is in send order); a splitter's own share is consumed at
     # its next activation, which a certified window of b events holds.
     sent = k - 1
-    log = trace.messages
     lo, hi = log.sent_at.searchsorted([sent, sent + 1])
     # (origin, receiver, consuming event or -1 for none) of each share
     split = list(zip(log.origin[lo:hi].tolist(), log.dest[lo:hi].tolist(),
@@ -297,13 +304,12 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
     n, d, m = trace.n, trace.d, sum(trace.m_i)
     ntilde = n * (b + 1)
 
+    # every node starts at z = 0, so every register does
     z_rows, partial = np.zeros((ntilde, 2 * d)), np.zeros((ntilde, 2 * d))
     tables = []
     for v in range(n):
-        z_rows[v] = to_scaled(trace.z0[v], zeta)
-        stats = problem.per_node[v]
-        table = np.stack([saddle_gradient(trace.z0[v], st, problem.rho)
-                          for st in stats])
+        table = np.stack([saddle_gradient(np.zeros(2 * d), st, problem.rho)
+                          for st in problem.per_node[v]])
         tables.append(table)
         # tracker-side rows carry omega times sqrt(zeta), as from_scaled does
         partial[v] = from_scaled(table.sum(axis=0) / m, zeta)
@@ -342,7 +348,7 @@ def check_equivalence(trace: EventTrace, state: AugmentedState) -> float:
     # each node's latest activation at or before event k (-1: none yet)
     latest = np.full(n, -1)
     np.maximum.at(latest, trace.node[:k], np.arange(k))
-    simulated = trace.z0.copy()
+    simulated = np.zeros((n, 2 * trace.d))
     simulated[latest >= 0] = trace.z_tilde[latest[latest >= 0]]
     zeta = trace.eta2 / trace.eta1
     replayed = [from_scaled(row, zeta) for row in state.z_rows[:n]]

@@ -17,6 +17,8 @@ import configparser
 import functools
 import math
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -385,20 +387,29 @@ def constants_report(bundle: ExperimentBundle, trace: simulator.EventTrace) -> s
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _out(action: str, path: Path) -> Iterator[Path]:
+    """Report a failed ``action`` on ``path`` in --out as a bad --out."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot {action} {path}: "
+                          f"{exc.strerror}") from None
+
+
 def cmd_run(cfg: ExperimentConfig, out_dir: Path,
             seed: int | None = None) -> int:
-    try:
+    with _out("make directory", out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out: cannot make directory {out_dir}: "
-                          f"{exc.strerror}") from None
     if cfg.n_values:
         return _cmd_run_sweep(cfg, out_dir, seed)
     bundle = build_experiment(cfg)
     trace = _run_trace(bundle, cfg.max_events, seed)
     series = simulator.metrics(trace, bundle.z_star)
-    simulator.write_metrics_csv(series, out_dir / "metrics.csv")
-    (out_dir / "constants.txt").write_text(constants_report(bundle, trace))
+    with _out("write", out_dir / "metrics.csv") as path:
+        simulator.write_metrics_csv(series, path)
+    with _out("write", out_dir / "constants.txt") as path:
+        path.write_text(constants_report(bundle, trace))
     fit = None
     if series.err_max.shape[0] >= 100:
         fit = simulator.estimate_rate(series.err_max)
@@ -433,11 +444,11 @@ def _cmd_run_sweep(cfg: ExperimentConfig, out_dir: Path,
         below = np.nonzero(series.err_max <= target)[0]
         hit = int(series.k[below[0]]) if below.size else -1
         rows.append((n, hit, hit * cfg.batch_size / n if hit >= 0 else -1))
-        simulator.write_metrics_csv(series, out_dir / f"metrics_n{n}.csv")
-    with open(out_dir / "speedup.csv", "w", encoding="utf-8") as fh:
-        fh.write("n,events_to_target,per_node_evals\n")
-        for n, ev, per in rows:
-            fh.write(f"{n},{ev},{per!r}\n")
+        with _out("write", out_dir / f"metrics_n{n}.csv") as path:
+            simulator.write_metrics_csv(series, path)
+    with _out("write", out_dir / "speedup.csv") as path:
+        path.write_text("n,events_to_target,per_node_evals\n" + "".join(
+            f"{n},{ev},{per!r}\n" for n, ev, per in rows), encoding="utf-8")
     for n, ev, per in rows:
         print(f"n {n}: events_to_target {ev}, per_node_evals {per!r}")
     print(f"wrote {out_dir / 'speedup.csv'}")

@@ -1,8 +1,8 @@
 """Per-node state machine of the asynchronous push-pull averaged-gradient run.
 
-Each node keeps a saddle vector z, a gradient tracker y, a per-sample table of
-stored gradients, and one receive buffer of payload rows. An activation, in
-order:
+Each node keeps a gradient tracker y, a per-sample table of stored
+gradients, and one receive buffer of payload rows; its saddle vector z is
+its latest broadcast's payload row. An activation, in order:
 
   1. pulls z as the elementwise mean of buffered z payloads,
   2. pushes y as the elementwise sum of buffered y payloads,
@@ -135,7 +135,6 @@ class NodeState:
     """One node's full protocol state. Owned by exactly one executor."""
 
     node_id: int
-    z: np.ndarray                    # latest completed saddle vector z_i
     y: np.ndarray                    # latest tracker value y_i
     table: np.ndarray                # (m_local, 2d) stored per-sample gradients
     stats: tuple[SampleStats, ...]   # local sample statistics
@@ -159,14 +158,14 @@ def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...]
     stats = tuple(samples)
     if len(stats) != selector.m_local:
         raise ValueError("selector size does not match the sample count")
-    z0 = np.asarray(z0, dtype=float).copy()
+    z0 = np.asarray(z0, dtype=float)
     table = np.stack([saddle_gradient(z0, st, rho) for st in stats])
     y = table.sum(axis=0) / m_global
     payloads.z[row] = z0
     payloads.y[row] = y
     payloads.degree[row] = out_degree
     return NodeState(
-        node_id=node_id, z=z0, y=y, table=table, stats=stats, rho=rho,
+        node_id=node_id, y=y, table=table, stats=stats, rho=rho,
         m_global=m_global, out_degree=out_degree, selector=selector,
         buffer=[row],
     )
@@ -219,7 +218,6 @@ def activate(node: NodeState, payloads: PayloadTable, row: int,
     z_rows[row] = z_tilde
     y_rows[row] = y_new
     degree[row] = node.out_degree
-    node.z = z_tilde
     node.y = y_new
     node.buffer = [row]
     return z_hat

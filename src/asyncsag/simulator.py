@@ -10,9 +10,10 @@ Everything is reproducible from one integer seed: the activation schedule,
 the per-message delays, and each node's sample selector draw from independent
 derived streams.
 
-A run's trace is array columns: one row per event, one entry per consumed
-payload, and a ``MessageLog`` of five int columns with one row per network
-message (``trace.messages[i]`` builds the ``Message`` record of row i).
+A run's trace is array columns: one row per event, and a ``MessageLog`` of
+five int columns with one row per network message (``trace.messages[i]``
+builds the ``Message`` record of row i), which with the activator column is
+the one record of who consumed what.
 
 ``run_async`` works through blocks of ``_PLAN_BLOCK`` events. None of the
 bookkeeping depends on a value of z or y, so each block is first planned with
@@ -162,6 +163,19 @@ class MessageLog:
         if np.any(self.deliver_at < self.sent_at):
             raise ValueError("message cannot be delivered before it is sent")
 
+    def consumed_by(self, k: int) -> np.ndarray:
+        """The rows that event k's pull consumed, in buffer order (slot,
+        sent event, origin, send rank)."""
+        events, rows = self._by_consumer
+        return rows[slice(*events.searchsorted([k, k + 1]))]
+
+    @cached_property
+    def _by_consumer(self) -> tuple[np.ndarray, np.ndarray]:
+        # every row, by consuming event and then in buffer order
+        rows = np.lexsort((self.origin, self.sent_at, self.deliver_at,
+                           self.consumed_at))
+        return self.consumed_at[rows], rows
+
     def _columns(self) -> tuple[np.ndarray, ...]:
         return (self.origin, self.dest, self.sent_at, self.deliver_at,
                 self.consumed_at)
@@ -189,12 +203,12 @@ class MessageLog:
 class EventTrace:
     """Complete log of one run, sufficient for post-hoc matrix replay.
 
-    Event k (1-based) is row k - 1 of every per-event column. The payloads
-    that event k's pull consumed, in buffer order, are entries
-    ``consumed_ptr[k-1]:consumed_ptr[k]`` of ``consumed_origin`` and
-    ``consumed_sent``; the first is the activator's own latest broadcast.
-    ``messages`` holds every network message as int columns; its entries
-    are ``Message`` records.
+    Every node starts at z = 0. Event k (1-based) is row k - 1 of every
+    per-event column. ``messages`` holds every network message as int
+    columns; its entries are ``Message`` records. Event k's pull consumed,
+    in buffer order, the activator's own latest broadcast (that of its
+    previous activation, or its initial one) and then the rows
+    ``messages.consumed_by(k)``.
     """
 
     n: int
@@ -203,15 +217,11 @@ class EventTrace:
     eta1: float
     eta2: float
     graph: DirectedGraph
-    z0: np.ndarray                      # (n, 2d) initial saddle vectors
     y0: np.ndarray                      # (n, 2d) initial trackers
     node: np.ndarray                    # (T,) activator of each event
     samples: np.ndarray                 # (T, batch_size) refreshed samples
     z_tilde: np.ndarray                 # (T, 2d) broadcast, the activator's new z
     y_new: np.ndarray                   # (T, 2d) activator's corrected tracker
-    consumed_ptr: np.ndarray            # (T+1,) offsets into the two below
-    consumed_origin: np.ndarray         # (C,) origin node of each consumed payload
-    consumed_sent: np.ndarray           # (C,) event that sent it (0 = init)
     messages: MessageLog                # all network messages, init included
     stop_reason: str
 
@@ -286,17 +296,10 @@ class _Network:
 
 @dataclass
 class _Block:
-    """The plan of events k0 .. k0 + count - 1 (row j is event k0 + j).
-
-    Event j's buffer is entries ``pulled[j]:pulled[j+1]`` of ``origin`` and
-    ``sent``, the activator's own latest broadcast first.
-    """
+    """The plan of events k0 .. k0 + count - 1 (row j is event k0 + j)."""
 
     node: np.ndarray
     samples: np.ndarray
-    pulled: np.ndarray
-    origin: np.ndarray
-    sent: np.ndarray
     violation: tuple[int, int] | None   # first (event, node) past b_max
 
 
@@ -335,8 +338,6 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     final[:-1] = fresh[1:]
     final[-1:] = True
     last_active[by_node[final]] = events_by_node[final]
-    prev = np.empty(count, dtype=np.int64)
-    prev[order] = prev_by_node
 
     violation = None
     if b_max is not None:
@@ -368,17 +369,7 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
                                      (index, origin, dest, sent, at))
     network.consumed_at[index] = k0 + at
 
-    received = np.bincount(at, minlength=count)
-    delivered = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(received, out=delivered[1:])
-    pulled = delivered + np.arange(count + 1)
-    own = pulled[:-1]
-    # the i-th delivery follows the self entries of events 0 .. at[i]
-    into = np.arange(at.shape[0]) + at + 1
-    buf_origin = np.empty(pulled[-1], dtype=np.int64)
-    buf_sent = np.empty(pulled[-1], dtype=np.int64)
-    buf_origin[own], buf_sent[own] = act, prev
-    buf_origin[into], buf_sent[into] = origin, sent
+    delivered = at.searchsorted(np.arange(count + 1))
 
     # each node's picks, drawn in one go from its selector
     drawn = np.concatenate([
@@ -387,8 +378,7 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     samples = np.empty((count, batch_size), dtype=np.int64)
     samples[order] = drawn.reshape(count, batch_size)
 
-    block = _Block(node=act, samples=samples, pulled=pulled,
-                   origin=buf_origin, sent=buf_sent, violation=violation)
+    block = _Block(node=act, samples=samples, violation=violation)
     row = np.where(sent == 0, origin, n + sent - 1)
     return block, delivered.tolist(), dest.tolist(), row.tolist()
 
@@ -429,13 +419,12 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
 
     n, width = problem.n, 2 * problem.d
     rng_sched = derived_rng(seed, STREAM_SCHEDULE)
-    z0_rows = np.zeros((n, width))
 
     # Row v < n of the payload table is node v's initial broadcast and row
     # n + k - 1 event k's, so rows n.. are the trace's z_tilde and y_new.
     payloads = PayloadTable.empty(n + min(max_events, _PLAN_BLOCK), width)
     nodes = [
-        init_node(i, problem.per_node[i], z0_rows[i], graph.out_degree(i),
+        init_node(i, problem.per_node[i], np.zeros(width), graph.out_degree(i),
                   problem.m, problem.rho,
                   SampleSelector(problem.m_i[i], selector_rng(seed, i)),
                   payloads, row=i)
@@ -487,28 +476,21 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
             )
 
     # the trace of the events run
-    pulled = np.concatenate([np.diff(b.pulled) for b in blocks])[:num_events]
-    consumed_ptr = np.zeros(num_events + 1, dtype=np.int64)
-    np.cumsum(pulled, out=consumed_ptr[1:])
-    entries = int(consumed_ptr[-1])
     z_col, y_col = payloads.z[n:n + num_events], payloads.y[n:n + num_events]
     if payloads.z.shape[0] != n + num_events:
         z_col, y_col = z_col.copy(), y_col.copy()
 
     messages = network.message_log(num_events)
-    # each event's buffer holds its self-copy and the messages it consumed
     log.info("run_async: %d events, %d network messages, %d consumed, "
-             "stop %s", num_events, len(messages), entries - num_events,
-             stop_reason)
+             "stop %s", num_events, len(messages),
+             np.count_nonzero(messages.consumed_at >= 0), stop_reason)
     return EventTrace(
         n=n, d=problem.d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph,
-        z0=z0_rows, y0=y0_rows,
+        y0=y0_rows,
         node=np.concatenate([b.node for b in blocks])[:num_events],
         samples=np.concatenate([b.samples for b in blocks])[:num_events],
-        z_tilde=z_col, y_new=y_col, consumed_ptr=consumed_ptr,
-        consumed_origin=np.concatenate([b.origin for b in blocks])[:entries],
-        consumed_sent=np.concatenate([b.sent for b in blocks])[:entries],
-        messages=messages, stop_reason=stop_reason,
+        z_tilde=z_col, y_new=y_col, messages=messages,
+        stop_reason=stop_reason,
     )
 
 
@@ -551,8 +533,10 @@ def verify_assumption1b(trace: EventTrace) -> int:
     complete = events.copy()
     own = sent > 0
     np.maximum.at(complete, sent[own] - 1, slot[own])
-    age_max = max(0, int((np.repeat(events, np.diff(trace.consumed_ptr))
-                          - trace.consumed_sent - 1).max(initial=0)))
+    # The oldest consumed message; an activator's own copy is younger than
+    # its activation gap, which the windows below bound by b.
+    consumed = trace.messages.consumed_at
+    age_max = int((consumed - sent - 1)[consumed >= 0].max(initial=0))
 
     counts = np.bincount(trace.node, minlength=trace.n)
     idle = np.flatnonzero(counts == 0)
@@ -614,7 +598,7 @@ def metrics(trace: EventTrace, z_star: np.ndarray) -> MetricSeries:
     t, n = trace.num_events, trace.n
     err_max, err_mean, y_norm_max = np.empty((3, t + 1))
     # each node's latest error and tracker norm, carried from block to block
-    errs = np.linalg.norm(trace.z0 - z_star, axis=1)
+    errs = np.linalg.norm(np.zeros((n, 2 * trace.d)) - z_star, axis=1)
     y_norms = np.linalg.norm(trace.y0, axis=1)
     err_max[0], err_mean[0], y_norm_max[0] = (
         errs.max(), errs.mean(), y_norms.max())

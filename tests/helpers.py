@@ -30,6 +30,12 @@ def sample_objective(z: np.ndarray, stats: SampleStats, rho: float) -> float:
                  + 0.5 * rho * theta @ theta)
 
 
+def initial_z(trace: EventTrace) -> np.ndarray:
+    """Every node's saddle vector before the first event: a run starts at
+    zero."""
+    return np.zeros((trace.n, 2 * trace.d))
+
+
 def tracker_bounds(trace) -> list[float]:
     """After each event, a little above the largest latest tracker norm of
     the nodes: the smallest of the first k is an epsilon that stops the run

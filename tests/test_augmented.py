@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from asyncsag import augmented, cli, graph, mdp, mspbe, simulator
 from asyncsag.mspbe import SpectralConstants
-from helpers import graph_constants, tracker_bounds
+from helpers import graph_constants, initial_z, tracker_bounds
+from test_plan_oracle import heap_run_async
 
 
 def build_problem(seed=0, n=3, d=3, length=31, rho=0.1, gamma=0.9,
@@ -146,14 +147,59 @@ def test_window_below_certified_names_the_idle_splitter():
     assert err.value.node == 2
 
 
-def _consumptions(trace):
+@pytest.mark.parametrize("d_max,b,k,origin,sent,age", [
+    (0, 2, 3, 2, 0, 2),   # node 2's own initial copy
+    (0, 2, 4, 0, 1, 2),   # node 0's own copy, from before the window
+    (2, 3, 4, 2, 0, 3),   # node 2's initial broadcast, received by node 0
+])
+def test_window_below_certified_names_the_stale_reception(d_max, b, k, origin,
+                                                          sent, age):
+    """Round robin on 3 nodes certifies b = 3 with instant delivery and
+    b = 5 with delays up to 2. Below it, the first payload in event k's
+    buffer older than b - 1 events is named, whether it is the activator's
+    own copy or a network reception."""
+    _, trace = run_pair(seed=3, n=3, max_events=30, kind="round_robin",
+                        d_max=d_max)
+    assert simulator.verify_assumption1b(trace) == {0: 3, 2: 5}[d_max]
+    own = origin == trace.node[k - 1]
+    assert own == (d_max == 0)
+    with pytest.raises(simulator.AssumptionViolation) as err:
+        augmented.build_event_matrices(trace, k, b)
+    assert str(err.value) == (
+        f"event {k}: reception from node {origin} (event {sent}) is {age} "
+        f"events old, exceeding the window b={b}")
+    assert err.value.node == origin
+
+
+def test_stale_receptions_are_named_in_buffer_order():
+    """A straggler's buffer at event 73 holds node 1's broadcasts of events
+    68 and 67, delivered in that order (slots 71 and 72). At b = 2 both are
+    too old, and the one buffered first is named, not the one sent first."""
+    trace = simulator.run_async(
+        build_problem(n=4), graph.generate_topology("exponential", 4),
+        simulator.ActivationSchedule("straggler", 4, straggler_node=0,
+                                     straggler_factor=4.0),
+        simulator.DelayModel("uniform", 5), 0.05, 0.4, seed=116244473,
+        max_events=90)
+    log = trace.messages
+    rows = log.consumed_by(73)
+    assert list(zip(log.origin[rows].tolist(), log.sent_at[rows].tolist(),
+                    log.deliver_at[rows].tolist())) == [(1, 68, 71),
+                                                        (1, 67, 72)]
+    with pytest.raises(simulator.AssumptionViolation) as err:
+        augmented.build_event_matrices(trace, 73, 2)
+    assert str(err.value) == ("event 73: reception from node 1 (event 68) is "
+                              "4 events old, exceeding the window b=2")
+    assert err.value.node == 1
+
+
+def _consumptions(trace, pulled):
     """(origin, sent event, receiver) -> the event that consumed it, over
-    every consumption in the trace, self-copies included."""
-    per_event = np.diff(trace.consumed_ptr)
-    receiver = np.repeat(trace.node, per_event).tolist()
-    event = np.repeat(np.arange(1, trace.num_events + 1), per_event).tolist()
-    return dict(zip(zip(trace.consumed_origin.tolist(),
-                        trace.consumed_sent.tolist(), receiver), event))
+    every consumption in the heap engine's buffers, self-copies included."""
+    return {(origin, sent, receiver): k
+            for k, (receiver, buffer) in enumerate(
+                zip(trace.node.tolist(), pulled), start=1)
+            for origin, sent in buffer}
 
 
 def _push_matrix_by_dict(trace, consumed, k, b):
@@ -180,42 +226,86 @@ def _push_matrix_by_dict(trace, consumed, k, b):
         [1.0] * (len(holders) + ntilde - n) + shares, ntilde)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 6), topology=st.sampled_from(["ring", "exponential"]),
-       kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
-       delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
-       d_max=st.integers(0, 4), batch_size=st.integers(1, 2),
-       events=st.integers(1, 120), stop=st.integers(0, 120),
-       seed=st.integers(0, 2**32 - 1))
-def test_push_matrices_equal_the_consumption_dict(
-        n, topology, kind, delay_kind, d_max, batch_size, events, stop, seed):
-    """Reading each share's consuming event from the message log and the
-    splitter's next activation gives the dict reference's push matrices bit
-    for bit, also on traces stopped by epsilon (``stop`` > 0 picks the
-    event by which the threshold is crossed)."""
+def _pull_matrix_by_buffer(trace, buffer, k, b):
+    """Reference for the pull matrix of ``build_event_matrices``: the
+    activator's row averages the registers that hold the (origin, sent)
+    payloads of its buffer, and every other row copies its source."""
+    n = trace.n
+    ntilde = n * (b + 1)
+    i = int(trace.node[k - 1])
+    others = [v for v in range(ntilde) if v != i]
+    return augmented.SparseMatrix.from_entries(
+        others + [i] * len(buffer),
+        [v if v < n else v - n for v in others]
+        + [(k - sent - 1) * n + origin for origin, sent in buffer],
+        [1.0] * len(others) + [1.0 / len(buffer)] * len(buffer), ntilde)
+
+
+def _certified_run_with_buffers(n, topology, kind, delay_kind, d_max,
+                                batch_size, events, stop, seed):
+    """A planned run, its certified b, and the heap engine's record of each
+    event's buffer for the same run; ``stop`` > 0 picks the event by which
+    an epsilon threshold is crossed. Rejects a run in which a node
+    starves."""
     straggler = kind == "straggler"
     args = (build_problem(n=n), graph.generate_topology(topology, n),
             simulator.ActivationSchedule(
                 kind=kind, n=n, straggler_node=0 if straggler else None,
                 straggler_factor=5.0 if straggler else 1.0),
             simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.05, 0.4)
-    trace = simulator.run_async(*args, seed=seed, max_events=events,
-                                batch_size=batch_size)
+    kwargs = dict(seed=seed, max_events=events, batch_size=batch_size)
+    trace = simulator.run_async(*args, **kwargs)
     if 0 < stop <= events:
-        epsilon = min(tracker_bounds(trace)[:stop])
-        trace = simulator.run_async(*args, seed=seed, max_events=events,
-                                    batch_size=batch_size, epsilon=epsilon)
+        kwargs["epsilon"] = min(tracker_bounds(trace)[:stop])
+        trace = simulator.run_async(*args, **kwargs)
     try:
         b = simulator.verify_assumption1b(trace)
     except simulator.AssumptionViolation:
         reject()  # some node starves within the trace
-    consumed = _consumptions(trace)
+    _, pulled = heap_run_async(*args, **kwargs)
+    assert len(pulled) == trace.num_events
+    return trace, b, pulled
+
+
+RUNS = dict(
+    n=st.integers(1, 6), topology=st.sampled_from(["ring", "exponential"]),
+    kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
+    delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
+    d_max=st.integers(0, 4), batch_size=st.integers(1, 2),
+    events=st.integers(1, 120), stop=st.integers(0, 120),
+    seed=st.integers(0, 2**32 - 1))
+
+
+def _assert_same_bits(got, want, k):
+    for name in ("rows", "cols", "weights"):
+        a, w = getattr(got, name), getattr(want, name)
+        assert a.dtype == w.dtype and a.tobytes() == w.tobytes(), (k, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**RUNS)
+def test_pull_matrices_equal_the_heap_engine_buffers(**run):
+    """Reading each event's pull from the message log and the activator's
+    latest activation gives, bit for bit, the pull matrix of the buffers
+    that the heap engine recorded, also on traces stopped by epsilon."""
+    trace, b, pulled = _certified_run_with_buffers(**run)
+    for k, buffer in enumerate(pulled, start=1):
+        _assert_same_bits(augmented.build_event_matrices(trace, k, b).h_row,
+                          _pull_matrix_by_buffer(trace, buffer, k, b), k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**RUNS)
+def test_push_matrices_equal_the_consumption_dict(**run):
+    """Reading each share's consuming event from the message log and the
+    splitter's next activation gives the push matrices of a dict built from
+    the heap engine's buffers, bit for bit, also on traces stopped by
+    epsilon."""
+    trace, b, pulled = _certified_run_with_buffers(**run)
+    consumed = _consumptions(trace, pulled)
     for k in range(1, trace.num_events + 1):
-        got = augmented.build_event_matrices(trace, k, b).h_col
-        want = _push_matrix_by_dict(trace, consumed, k, b)
-        for name in ("rows", "cols", "weights"):
-            a, w = getattr(got, name), getattr(want, name)
-            assert a.dtype == w.dtype and a.tobytes() == w.tobytes(), (k, name)
+        _assert_same_bits(augmented.build_event_matrices(trace, k, b).h_col,
+                          _push_matrix_by_dict(trace, consumed, k, b), k)
 
 
 def test_replay_matches_simulator_to_machine_precision():
@@ -264,17 +354,12 @@ def test_replay_matches_simulator_with_shared_payloads(
 
 def test_replay_initial_state():
     prob, trace = run_pair(seed=2, max_events=20)
-    zeta = trace.eta2 / trace.eta1
     states = list(augmented.replay(trace, prob))
     s0 = states[0]
     assert s0.k == 0
-    n, d = trace.n, trace.d
-    for v in range(n):
-        expected = trace.z0[v].copy()
-        expected[d:] /= np.sqrt(zeta)
-        assert np.allclose(s0.z_rows[v], expected, atol=1e-15)
-    # virtual registers start empty; trackers start at the partial averages
-    assert np.all(s0.z_rows[n:] == 0.0)
+    # every node starts at z = 0, and the virtual registers start empty;
+    # trackers start at the partial averages
+    assert np.all(s0.z_rows == 0.0)
     assert np.array_equal(s0.y_rows, s0.partial)
     assert len(states) == trace.num_events + 1
     # each later state carries its own event's matrices
@@ -298,7 +383,7 @@ def _equivalence_oracle(trace, states):
     """The whole-sequence equivalence check that the per-state one replaced:
     a running simulator iterate, advanced event by event."""
     zeta = trace.eta2 / trace.eta1
-    z_cur = trace.z0.copy()
+    z_cur = initial_z(trace)
     worst = 0.0
     for state in states:
         if state.k > 0:

@@ -352,6 +352,22 @@ def test_run_rejects_out_that_is_not_a_directory_with_exit_2(tmp_path, capsys,
     assert (tmp_path / "afile").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("sweep,name", [
+    (False, "metrics.csv"), (False, "constants.txt"),
+    (True, "metrics_n2.csv"), (True, "speedup.csv")])
+def test_run_rejects_output_file_that_is_a_directory_with_exit_2(
+        tmp_path, capsys, sweep, name):
+    sizes = "\n[experiment]\nn_values = 1 2\neta1_values = 0.01 0.02\n"
+    ini = write_ini(tmp_path, BASE_INI + (sizes if sweep else ""))
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = cli.main(["run", "--config", str(ini), "--out", str(out)])
+    assert code == cli.EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: --out: cannot write {out / name}: " \
+                  f"Is a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract over every key that load_config reads
 # ---------------------------------------------------------------------------

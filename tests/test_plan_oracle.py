@@ -5,7 +5,12 @@ reference: one scalar schedule draw per event, one scalar delay draw per
 message, a heap of pending messages per destination popped at each
 activation, and its own buffer of (z, y share, origin, sent) payloads and
 activation arithmetic. ``simulator.run_async`` plans blocks of events with
-array code and must give the same trace, bit for bit, for every block size.
+array code and must give the same trace, bit for bit, for every block size,
+and fill every activation's buffer in the heap engine's order.
+
+The heap engine also returns its own record of each event's buffer, apart
+from the message log, which other tests take as the reference for who
+consumed what.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsag import graph, mdp, mspbe, simulator
+from asyncsag import graph, mdp, mspbe, protocol, simulator
 from asyncsag.protocol import (STREAM_DELAY, STREAM_SCHEDULE, Message,
                                SampleSelector, derived_rng, selector_rng)
 from helpers import assert_traces_equal, tracker_bounds
@@ -25,6 +30,8 @@ from helpers import assert_traces_equal, tracker_bounds
 
 def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
                    max_events, epsilon=None, batch_size=1, b_max=None):
+    """The trace, and each event's buffer as (origin, sent event) pairs in
+    buffer order, the activator's own latest broadcast first."""
     rng_sched = derived_rng(seed, STREAM_SCHEDULE)
     rng_delay = derived_rng(seed, STREAM_DELAY)
     n, d, m, rho = problem.n, problem.d, problem.m, problem.rho
@@ -68,7 +75,7 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     y0_rows = np.stack(ys)
 
     node_col, samples, z_col, y_col = [], [], [], []
-    consumed_origin, consumed_sent, consumed_ptr = [], [], [0]
+    pulled = []
     residual = [float(np.linalg.norm(y)) for y in ys]
     last = [0] * n
     stop_reason = "max_events"
@@ -99,9 +106,7 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
             tables[i][p] = fresh
         z_tilde = z_hat - steps * y_new
         y_tilde = y_new / degree[i]
-        consumed_origin += [origin for _, _, origin, _ in buffer]
-        consumed_sent += [sent for _, _, _, sent in buffer]
-        consumed_ptr.append(len(consumed_origin))
+        pulled.append([(origin, sent) for _, _, origin, sent in buffer])
         buffers[i] = [(z_tilde, y_tilde, i, k)]
         send(i, z_tilde, y_tilde, k)
         last[i] = k
@@ -120,19 +125,17 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     log = np.array([(msg.origin, msg.dest, msg.sent_at, msg.deliver_at,
                      -1 if msg.consumed_at is None else msg.consumed_at)
                     for msg in messages], dtype=np.int64).reshape(-1, 5)
-    return simulator.EventTrace(
+    trace = simulator.EventTrace(
         n=n, d=d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph_,
-        z0=z0_rows, y0=y0_rows,
+        y0=y0_rows,
         node=np.array(node_col, dtype=np.int64),
         samples=np.array(samples, dtype=np.int64).reshape(rows, batch_size),
         z_tilde=np.array(z_col).reshape(rows, 2 * d),
         y_new=np.array(y_col).reshape(rows, 2 * d),
-        consumed_ptr=np.array(consumed_ptr, dtype=np.int64),
-        consumed_origin=np.array(consumed_origin, dtype=np.int64),
-        consumed_sent=np.array(consumed_sent, dtype=np.int64),
         messages=simulator.MessageLog(*(col.copy() for col in log.T)),
         stop_reason=stop_reason,
     )
+    return trace, pulled
 
 
 def build_problem(n, d=3, length=31, seed=0):
@@ -187,14 +190,29 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
         # a threshold the run crosses by a drawn event
         at = data.draw(st.integers(1, events), label="epsilon event")
         kwargs["epsilon"] = min(
-            tracker_bounds(heap_run_async(*args, **kwargs))[:at])
+            tracker_bounds(heap_run_async(*args, **kwargs)[0])[:at])
     elif stop == "b_max":
         kwargs["b_max"] = data.draw(st.integers(1, 4 * n + 6), label="b_max")
     want = outcome(heap_run_async, *args, **kwargs)
     for block in (1, 3, 7):
-        with unittest.mock.patch.object(simulator, "_PLAN_BLOCK", block):
+        buffers = []
+
+        def recording(node, *rest):
+            buffers.append(list(node.buffer))
+            return protocol.activate(node, *rest)
+
+        with unittest.mock.patch.object(simulator, "_PLAN_BLOCK", block), \
+                unittest.mock.patch.object(simulator, "activate", recording):
             got = outcome(simulator.run_async, *args, **kwargs)
-        assert_same_outcome(got, want)
+        if isinstance(want, Exception):
+            assert_same_outcome(got, want)
+            continue
+        trace, pulled = want
+        assert_same_outcome(got, trace)
+        # each activation's buffer holds the heap engine's payload rows, in
+        # its order: row v < n is v's initial broadcast, n + s - 1 event s's
+        assert buffers == [[v if s == 0 else n + s - 1 for v, s in buffer]
+                           for buffer in pulled]
 
 
 def test_stops_and_violations_land_in_later_blocks(monkeypatch):
@@ -211,7 +229,7 @@ def test_stops_and_violations_land_in_later_blocks(monkeypatch):
     assert want.node == 2 and "(event 47)" in str(want)
     assert_same_outcome(outcome(simulator.run_async, *args, b_max=25), want)
 
-    epsilon = min(tracker_bounds(heap_run_async(*args))[:10])
-    stopped = heap_run_async(*args, epsilon=epsilon)
+    epsilon = min(tracker_bounds(heap_run_async(*args)[0])[:10])
+    stopped, _ = heap_run_async(*args, epsilon=epsilon)
     assert stopped.stop_reason == "epsilon" and stopped.num_events == 9
     assert_same_outcome(simulator.run_async(*args, epsilon=epsilon), stopped)

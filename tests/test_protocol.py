@@ -114,8 +114,7 @@ def test_activation_arithmetic_pinned():
     assert np.allclose(node.y, [1.0, 1.0])
     assert np.allclose(node.table[0], [4.0, 4.0])
     # primal and dual blocks step with their own rates
-    assert np.allclose(node.z, [1.0 - 0.1, 0.0 - 0.2])
-    assert np.allclose(payloads.z[2], node.z)
+    assert np.allclose(payloads.z[2], [1.0 - 0.1, 0.0 - 0.2])
     assert np.allclose(share(payloads, 2), node.y)  # out_degree 1
 
 
@@ -141,10 +140,10 @@ def test_buffer_lifecycle_and_self_copy():
     put(payloads, 1, np.ones(2), np.ones(2))
     on_receive(node, 0, 1)
     assert node.buffer == [0, 1]
-    activate(node, payloads, 7, [0], 0.1, 0.1)
+    z_hat = activate(node, payloads, 7, [0], 0.1, 0.1)
     # buffer now holds exactly the fresh self-copy: the row just written
     assert node.buffer == [7]
-    assert np.allclose(payloads.z[7], node.z)
+    assert np.allclose(payloads.z[7], z_hat - 0.1 * node.y)
     assert np.allclose(share(payloads, 7), node.y / 2)
 
 

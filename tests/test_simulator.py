@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asyncsag import cli, graph, mdp, mspbe, protocol, simulator
-from helpers import assert_traces_equal, tracker_bounds
+from helpers import assert_traces_equal, initial_z, tracker_bounds
 
 
 def build_problem(seed=0, n=3, d=3, length=31, rho=0.1, gamma=0.9,
@@ -45,10 +45,18 @@ def small_run(seed=7, n=3, max_events=60, kind="uniform_random",
 
 
 def consumed(trace, k):
-    """The (origin, sent_event) pairs that event k's pull consumed."""
-    lo, hi = trace.consumed_ptr[k - 1], trace.consumed_ptr[k]
-    return tuple(zip(trace.consumed_origin[lo:hi].tolist(),
-                     trace.consumed_sent[lo:hi].tolist()))
+    """The (origin, sent_event) pairs that event k's pull consumed, in
+    buffer order: the activator's own latest broadcast, then the messages
+    consumed at k by slot, sent event, origin and send rank."""
+    node = trace.node[:k].tolist()
+    own = max((s for s, v in enumerate(node[:-1], start=1) if v == node[-1]),
+              default=0)
+    log = trace.messages
+    rows = np.flatnonzero(log.consumed_at == k)
+    rows = rows[np.lexsort((log.origin[rows], log.sent_at[rows],
+                            log.deliver_at[rows]))]
+    return ((node[-1], own),) + tuple(zip(log.origin[rows].tolist(),
+                                          log.sent_at[rows].tolist()))
 
 
 def test_same_seed_gives_byte_identical_traces():
@@ -302,11 +310,11 @@ def test_metrics_series_shape_and_initial_row():
     series = simulator.metrics(trace, z_star)
     assert series.k.shape == (41,)
     assert series.k[0] == 0 and series.node[0] == -1
-    init_err = np.linalg.norm(trace.z0 - z_star, axis=1)
+    init_err = np.linalg.norm(initial_z(trace) - z_star, axis=1)
     assert np.isclose(series.err_max[0], init_err.max())
     assert np.isclose(series.err_mean[0], init_err.mean())
     # rows track the activator's published state
-    z_cur = trace.z0.copy()
+    z_cur = initial_z(trace)
     for idx in range(1, trace.num_events + 1):
         z_cur[trace.node[idx - 1]] = trace.z_tilde[idx - 1]
         errs = np.linalg.norm(z_cur - z_star, axis=1)
@@ -449,8 +457,9 @@ def dense_metrics(trace, z_star):
     latest[0] = np.arange(n)
     latest[np.arange(1, t + 1), trace.node] = np.arange(n, n + t)
     latest = np.maximum.accumulate(latest, axis=0)
-    errs = np.linalg.norm(np.concatenate([trace.z0, trace.z_tilde]) - z_star,
-                          axis=1)[latest]
+    errs = np.linalg.norm(
+        np.concatenate([initial_z(trace), trace.z_tilde]) - z_star,
+        axis=1)[latest]
     y_norms = np.linalg.norm(np.concatenate([trace.y0, trace.y_new]),
                              axis=1)[latest]
     return simulator.MetricSeries(
@@ -462,7 +471,7 @@ def dense_metrics(trace, z_star):
 
 def metrics_by_event(trace, z_star):
     """Reference for ``simulator.metrics``: replay the events one by one."""
-    z_cur = trace.z0.copy()
+    z_cur = initial_z(trace)
     y_cur = trace.y0.copy()
     rows = trace.num_events + 1
     err_max = np.empty(rows)
