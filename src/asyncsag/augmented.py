@@ -289,11 +289,17 @@ def replay(trace: EventTrace,
     gathers over its sparse matrices, built once and carried by the state.
 
     Yields the states k = 0..T in order; each owns its arrays, and only the
-    previous one is kept. The layout check and the certification of b raise
-    at the call, before the first state is asked for.
+    previous one is kept. The layout checks and the certification of b
+    raise at the call, before the first state is asked for.
     """
     if problem.n != trace.n or problem.d != trace.d or problem.m_i != trace.m_i:
         raise ValueError("problem layout does not match the trace")
+    # a run given z_star keeps its error series, not the broadcasts
+    t = trace.num_events
+    if trace.z_tilde.shape[0] != t or trace.y_new.shape[0] != t:
+        raise ValueError(f"the trace holds the broadcasts of "
+                         f"{trace.z_tilde.shape[0]} of its {t} events; "
+                         f"replay needs a full trace")
     b = verify_assumption1b(trace)
     return _replay_states(trace, problem, b)
 

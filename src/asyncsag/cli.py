@@ -324,13 +324,15 @@ def _delays(cfg: ExperimentConfig) -> DelayModel:
 
 
 def _run_trace(bundle: ExperimentBundle, max_events: int,
-               seed: int | None = None) -> simulator.EventTrace:
+               seed: int | None = None,
+               z_star: np.ndarray | None = None) -> simulator.EventTrace:
     cfg = bundle.config
     seed = cfg.run_seed if seed is None else seed
     return simulator.run_async(bundle.problem, bundle.graph, _schedule(cfg),
                                _delays(cfg), cfg.eta1, cfg.eta2, seed,
                                max_events=max_events, epsilon=cfg.epsilon,
-                               batch_size=cfg.batch_size, b_max=cfg.b_max)
+                               batch_size=cfg.batch_size, b_max=cfg.b_max,
+                               z_star=z_star)
 
 
 def _mp_str(x: mp.mpf) -> str:
@@ -404,8 +406,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path,
     if cfg.n_values:
         return _cmd_run_sweep(cfg, out_dir, seed)
     bundle = build_experiment(cfg)
-    trace = _run_trace(bundle, cfg.max_events, seed)
-    series = simulator.metrics(trace, bundle.z_star)
+    trace = _run_trace(bundle, cfg.max_events, seed, bundle.z_star)
+    series = trace.series
     with _out("write", out_dir / "metrics.csv") as path:
         simulator.write_metrics_csv(series, path)
     with _out("write", out_dir / "constants.txt") as path:
@@ -439,8 +441,7 @@ def _cmd_run_sweep(cfg: ExperimentConfig, out_dir: Path,
             cfg, n=n, proportions=[float(i + 1) for i in range(n)],
             eta1=eta1, eta2=eta1 * cfg.zeta)
         bundle = build_experiment(sized)
-        trace = _run_trace(bundle, cfg.max_events, seed)
-        series = simulator.metrics(trace, bundle.z_star)
+        series = _run_trace(bundle, cfg.max_events, seed, bundle.z_star).series
         below = np.nonzero(series.err_max <= target)[0]
         hit = int(series.k[below[0]]) if below.size else -1
         rows.append((n, hit, hit * cfg.batch_size / n if hit >= 0 else -1))

@@ -13,12 +13,12 @@ its latest broadcast's payload row. An activation, in order:
   5. writes it as its row of the payload table, empties the buffer and
      immediately re-buffers that row as its own copy.
 
-A payload is a row of a ``PayloadTable``, which holds every broadcast of a
-run once; the table's row numbering (the simulator's) gives each buffered
-entry its provenance (origin node, origin event index), so that a post-hoc
-matrix replay can reconstruct the exact information flow. The sign
-convention: y's omega block carries the negated dual gradient, so the single
-subtraction in step 4 descends on theta and ascends on omega.
+A payload is a row of a ``PayloadTable``, which holds each broadcast of a
+run once, for as long as a buffer or a delivery can still read it; a
+buffered entry is the index of its row, which the simulator maps to its
+provenance (origin node, origin event index). The sign convention: y's
+omega block carries the negated dual gradient, so the single subtraction in
+step 4 descends on theta and ascends on omega.
 
 Nodes never share state; all interaction flows through payload rows that the
 caller (the simulator) delivers.
@@ -112,7 +112,7 @@ class Message:
 
 @dataclass(slots=True)
 class PayloadTable:
-    """Every broadcast of a run, one row each, written once by its sender.
+    """Broadcasts of a run, one row each, written once by its sender.
 
     A copy of row r carries the saddle vector ``z[r]`` and the tracker share
     ``y[r] / degree[r]``: ``y`` holds the sender's corrected tracker y_new
@@ -146,19 +146,19 @@ class NodeState:
 
 
 def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...],
-              z0: np.ndarray, out_degree: int, m_global: int, rho: float,
+              out_degree: int, m_global: int, rho: float,
               selector: SampleSelector, payloads: PayloadTable,
               row: int) -> NodeState:
-    """Fill the gradient table at z0 and stage the initial broadcast.
+    """Fill the gradient table at z = 0 and stage the initial broadcast.
 
-    The broadcast (z0 and the tracker) is written to ``row`` of the payload
-    table, which the node's out-neighbors must receive; the node's own copy
-    is already buffered.
+    The broadcast (z = 0 and the tracker) is written to ``row`` of the
+    payload table, which the node's out-neighbors must receive; the node's
+    own copy is already buffered.
     """
     stats = tuple(samples)
     if len(stats) != selector.m_local:
         raise ValueError("selector size does not match the sample count")
-    z0 = np.asarray(z0, dtype=float)
+    z0 = np.zeros(payloads.z.shape[1])
     table = np.stack([saddle_gradient(z0, st, rho) for st in stats])
     y = table.sum(axis=0) / m_global
     payloads.z[row] = z0

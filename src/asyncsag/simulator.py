@@ -20,13 +20,16 @@ bookkeeping depends on a value of z or y, so each block is first planned with
 array code: who activates, which samples each activation refreshes, every
 message's delay, and which activation consumes which message in which buffer
 order. A per-event loop then runs only the protocol's arithmetic on that plan.
+Each block that has run is recorded in one of two ways: as a copy of its
+broadcasts (the full trace, for replay), or, given the solution, as its rows
+of the error series alone.
 """
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -201,7 +204,7 @@ class MessageLog:
 
 @dataclass
 class EventTrace:
-    """Complete log of one run, sufficient for post-hoc matrix replay.
+    """Log of one run.
 
     Every node starts at z = 0. Event k (1-based) is row k - 1 of every
     per-event column. ``messages`` holds every network message as int
@@ -209,6 +212,10 @@ class EventTrace:
     in buffer order, the activator's own latest broadcast (that of its
     previous activation, or its initial one) and then the rows
     ``messages.consumed_by(k)``.
+
+    A full trace holds every event's broadcast in ``z_tilde`` and ``y_new``,
+    which post-hoc matrix replay needs. A run given the solution keeps its
+    error ``series`` instead, and those two columns have no rows.
     """
 
     n: int
@@ -224,18 +231,11 @@ class EventTrace:
     y_new: np.ndarray                   # (T, 2d) activator's corrected tracker
     messages: MessageLog                # all network messages, init included
     stop_reason: str
+    series: MetricSeries | None = None  # the error series of a streamed run
 
     @property
     def num_events(self) -> int:
         return len(self.node)
-
-
-def _with_rows(column: np.ndarray, rows: int) -> np.ndarray:
-    """A copy of ``column`` cut or extended (uninitialised) to ``rows`` rows."""
-    out = np.empty((rows,) + column.shape[1:], dtype=column.dtype)
-    keep = min(rows, column.shape[0])
-    out[:keep] = column[:keep]
-    return out
 
 
 # run_async plans this many events at a time with array code
@@ -296,11 +296,21 @@ class _Network:
 
 @dataclass
 class _Block:
-    """The plan of events k0 .. k0 + count - 1 (row j is event k0 + j)."""
+    """The plan of events k0 .. k0 + count - 1 (row j is event k0 + j) and,
+    once they have run, their broadcasts."""
 
     node: np.ndarray
     samples: np.ndarray
     violation: tuple[int, int] | None   # first (event, node) past b_max
+    oldest_read: int    # the oldest payload row read by this block or later
+    z_tilde: np.ndarray | None = None   # (events run, 2d)
+    y_new: np.ndarray | None = None
+
+
+def _payload_row(origin: np.ndarray, sent: np.ndarray, n: int) -> np.ndarray:
+    """The payload row of each broadcast: v < n is node v's initial one,
+    n + k - 1 event k's."""
+    return np.where(sent == 0, origin, n + sent - 1)
 
 
 def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
@@ -313,8 +323,8 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     ``last_active`` (each node's latest activation, 0 for none) and the
     network's messages in flight carry from block to block. Returns the
     block and its deliveries: event j's are entries
-    ``delivered[j]:delivered[j+1]`` of the lists ``dest`` and ``row`` (the
-    payload row), the rest of its buffer in order.
+    ``delivered[j]:delivered[j+1]`` of the list ``dest`` and the array
+    ``row`` (the payload row), the rest of its buffer in order.
     """
     n = last_active.shape[0]
     act = schedule.next(k0, count, rng)
@@ -378,22 +388,30 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     samples = np.empty((count, batch_size), dtype=np.int64)
     samples[order] = drawn.reshape(count, batch_size)
 
-    block = _Block(node=act, samples=samples, violation=violation)
-    row = np.where(sent == 0, origin, n + sent - 1)
-    return block, delivered.tolist(), dest.tolist(), row.tolist()
+    row = _payload_row(origin, sent, n)
+    _, origin, _, sent, _ = network.pending
+    oldest = min(row.min(initial=n + k0 - 1),
+                 _payload_row(origin, sent, n).min(initial=n + k0 - 1))
+    block = _Block(node=act, samples=samples, violation=violation,
+                   oldest_read=int(oldest))
+    return block, delivered.tolist(), dest.tolist(), row
 
 
 def run_async(problem: ProblemSpec, graph: DirectedGraph,
               schedule: ActivationSchedule, delays: DelayModel,
               eta1: float, eta2: float, seed: int, max_events: int,
               epsilon: float | None = None, batch_size: int = 1,
-              b_max: int | None = None) -> EventTrace:
+              b_max: int | None = None,
+              z_star: np.ndarray | None = None) -> EventTrace:
     """Run the asynchronous protocol for up to ``max_events`` activations,
     every node starting at z = 0.
 
     Stops early when every node's tracker norm falls below ``epsilon`` (when
     given). Raises AssumptionViolation if some node goes more than ``b_max``
-    events without activating (when given).
+    events without activating (when given). Given the solution ``z_star``,
+    each planned block is reduced to its rows of ``metrics(trace, z_star)``
+    once it has run, and the trace keeps that series in place of the
+    events' broadcasts.
     """
     if not is_strongly_connected(graph):
         raise ValueError("communication graph must be strongly connected")
@@ -420,20 +438,26 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     n, width = problem.n, 2 * problem.d
     rng_sched = derived_rng(seed, STREAM_SCHEDULE)
 
-    # Row v < n of the payload table is node v's initial broadcast and row
-    # n + k - 1 event k's, so rows n.. are the trace's z_tilde and y_new.
-    payloads = PayloadTable.empty(n + min(max_events, _PLAN_BLOCK), width)
+    # Payload row v < n is node v's initial broadcast and row n + k - 1
+    # event k's. The table holds the rows from ``base`` on, the oldest that
+    # a buffer or a planned delivery can still read, and the buffers and
+    # deliveries index it from there.
+    payloads, base = PayloadTable.empty(n, width), 0
     nodes = [
-        init_node(i, problem.per_node[i], np.zeros(width), graph.out_degree(i),
-                  problem.m, problem.rho,
+        init_node(i, problem.per_node[i], graph.out_degree(i), problem.m,
+                  problem.rho,
                   SampleSelector(problem.m_i[i], selector_rng(seed, i)),
                   payloads, row=i)
         for i in range(n)
     ]
-    y0_rows = payloads.y[:n].copy()
+    y0_rows = payloads.y.copy()
+    carry = None if z_star is None else MetricCarry.start(y0_rows, z_star)
     network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY))
     last_active = np.zeros(n, dtype=np.int64)
+    # each block run, with a copy of its broadcasts (the full trace) or with
+    # its rows of the error series
     blocks: list[_Block] = []
+    pieces: list[MetricSeries] = []
 
     # Each node's tracker norm; an activation changes only the activator's.
     residual = [local_residual(nd) for nd in nodes]
@@ -444,13 +468,19 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         block, delivered, dest, row = _plan_block(
             k0, count, schedule, rng_sched, network, last_active, nodes,
             batch_size, b_max)
-        blocks.append(block)
-        if payloads.z.shape[0] < n + k0 + count - 1:
-            rows = min(n + max_events,
-                       max(n + k0 + count - 1, 2 * payloads.z.shape[0] - n))
-            payloads = PayloadTable(_with_rows(payloads.z, rows),
-                                    _with_rows(payloads.y, rows),
-                                    _with_rows(payloads.degree, rows))
+        # drop the rows that nothing can read any more, and make room for
+        # the block's broadcasts
+        oldest = min(block.oldest_read,
+                     base + min(min(nd.buffer) for nd in nodes))
+        kept = n + k0 - 1 - oldest
+        table = PayloadTable.empty(kept + count, width)
+        table.z[:kept], table.y[:kept], table.degree[:kept] = (
+            col[oldest - base:]
+            for col in (payloads.z, payloads.y, payloads.degree))
+        for nd in nodes:
+            nd.buffer = [r - (oldest - base) for r in nd.buffer]
+        payloads, base = table, oldest
+        row = (row - base).tolist()
 
         end = k0 + count if block.violation is None else block.violation[0]
         for k, i, picks, lo, hi in zip(range(k0, end), block.node.tolist(),
@@ -459,38 +489,56 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
             node = nodes[i]
             for q in range(lo, hi):
                 on_receive(node, dest[q], row[q])
-            activate(node, payloads, n + k - 1, picks, eta1, eta2)
+            activate(node, payloads, n + k - 1 - base, picks, eta1, eta2)
             num_events = k
             if epsilon is not None:
                 residual[i] = local_residual(node)
                 if max(residual) < epsilon:
                     stop_reason = "epsilon"
                     break
-        if stop_reason == "epsilon":
-            break
-        if block.violation is not None:
+        if stop_reason != "epsilon" and block.violation is not None:
             k, v = block.violation
             raise AssumptionViolation(
                 f"node {v} has not activated in the last {b_max} "
                 f"events (event {k})", node=v,
             )
 
-    # the trace of the events run
-    z_col, y_col = payloads.z[n:n + num_events], payloads.y[n:n + num_events]
-    if payloads.z.shape[0] != n + num_events:
-        z_col, y_col = z_col.copy(), y_col.copy()
+        done = slice(num_events + 1 - k0)
+        states = slice(n + k0 - 1 - base, n + num_events - base)
+        ran = replace(block, node=block.node[done],
+                      samples=block.samples[done],
+                      z_tilde=payloads.z[states], y_new=payloads.y[states])
+        if carry is None:
+            ran.z_tilde, ran.y_new = ran.z_tilde.copy(), ran.y_new.copy()
+        else:
+            pieces.append(metrics(ran, z_star, carry))
+            ran.z_tilde = ran.y_new = None
+        blocks.append(ran)
+        if stop_reason == "epsilon":
+            break
 
+    # the pieces go before the message log is built, so that the two
+    # never take their full size at once
+    if carry is None:
+        series = None
+        node, z_col, y_col = (np.concatenate([getattr(b, name) for b in blocks])
+                              for name in ("node", "z_tilde", "y_new"))
+    else:
+        series = MetricSeries(*(
+            np.concatenate([getattr(piece, field.name) for piece in pieces])
+            for field in fields(MetricSeries)))
+        pieces.clear()
+        node, z_col, y_col = series.node[1:], *np.empty((2, 0, width))
+    samples = np.concatenate([b.samples for b in blocks])
+    blocks.clear()
     messages = network.message_log(num_events)
     log.info("run_async: %d events, %d network messages, %d consumed, "
              "stop %s", num_events, len(messages),
              np.count_nonzero(messages.consumed_at >= 0), stop_reason)
     return EventTrace(
         n=n, d=problem.d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph,
-        y0=y0_rows,
-        node=np.concatenate([b.node for b in blocks])[:num_events],
-        samples=np.concatenate([b.samples for b in blocks])[:num_events],
-        z_tilde=z_col, y_new=y_col, messages=messages,
-        stop_reason=stop_reason,
+        y0=y0_rows, node=node, samples=samples, z_tilde=z_col, y_new=y_col,
+        messages=messages, stop_reason=stop_reason, series=series,
     )
 
 
@@ -589,19 +637,49 @@ class MetricSeries:
     y_norm_max: np.ndarray
 
 
-def metrics(trace: EventTrace, z_star: np.ndarray) -> MetricSeries:
+@dataclass
+class MetricCarry:
+    """Where a reduction to the error series stands after the first ``k``
+    events of a run: each node's latest distance to z_star and tracker
+    norm."""
+
+    k: int
+    errs: np.ndarray
+    y_norms: np.ndarray
+
+    @classmethod
+    def start(cls, y0: np.ndarray, z_star: np.ndarray) -> MetricCarry:
+        """Before the first event: every node at z = 0, with tracker ``y0``."""
+        return cls(0, np.linalg.norm(np.zeros(y0.shape) - z_star, axis=1),
+                   np.linalg.norm(y0, axis=1))
+
+
+def metrics(trace: EventTrace, z_star: np.ndarray,
+            carry: MetricCarry | None = None) -> MetricSeries:
     """Distance-to-solution series over the trace.
 
     Row k reflects every node's latest completed state after the first k
     events (row 0 is the initialization).
+
+    Given a ``carry``, ``trace`` is the run's events after the carry's
+    first ``carry.k``, and only its columns node, z_tilde and y_new are
+    read. The series holds their rows, after row 0 when the carry is at the
+    start, and the carry moves past them; so pieces reduced in turn give
+    the rows of the whole run.
     """
-    t, n = trace.num_events, trace.n
-    err_max, err_mean, y_norm_max = np.empty((3, t + 1))
-    # each node's latest error and tracker norm, carried from block to block
-    errs = np.linalg.norm(np.zeros((n, 2 * trace.d)) - z_star, axis=1)
-    y_norms = np.linalg.norm(trace.y0, axis=1)
-    err_max[0], err_mean[0], y_norm_max[0] = (
-        errs.max(), errs.mean(), y_norms.max())
+    if carry is None:
+        carry = MetricCarry.start(trace.y0, z_star)
+    t, n = trace.node.shape[0], carry.errs.shape[0]
+    if trace.z_tilde.shape[0] != t or trace.y_new.shape[0] != t:
+        raise ValueError(f"the trace holds the broadcasts of "
+                         f"{trace.z_tilde.shape[0]} of its {t} events; a run "
+                         f"given z_star keeps its series instead")
+    head = int(carry.k == 0)   # row 0, the initialization's
+    err_max, err_mean, y_norm_max = np.empty((3, head + t))
+    errs, y_norms = carry.errs, carry.y_norms
+    if head:
+        err_max[0], err_mean[0], y_norm_max[0] = (
+            errs.max(), errs.mean(), y_norms.max())
     for lo in range(0, t, _ROW_BLOCK):
         hi = min(t, lo + _ROW_BLOCK)
         # latest[j, v]: the entry of (carried values, block rows) that holds
@@ -613,12 +691,15 @@ def metrics(trace: EventTrace, z_star: np.ndarray) -> MetricSeries:
             errs, np.linalg.norm(trace.z_tilde[lo:hi] - z_star, axis=1)])[latest]
         y_norms = np.concatenate([
             y_norms, np.linalg.norm(trace.y_new[lo:hi], axis=1)])[latest]
-        rows = slice(lo + 1, hi + 1)
+        rows = slice(head + lo, head + hi)
         err_max[rows], err_mean[rows] = errs.max(axis=1), errs.mean(axis=1)
         y_norm_max[rows] = y_norms.max(axis=1)
         errs, y_norms = errs[-1], y_norms[-1]
+    first = carry.k + 1 - head
+    carry.k, carry.errs, carry.y_norms = carry.k + t, errs, y_norms
     return MetricSeries(
-        k=np.arange(t + 1), node=np.concatenate([[-1], trace.node]),
+        k=np.arange(first, carry.k + 1),
+        node=np.concatenate([np.full(head, -1), trace.node]),
         err_max=err_max, err_mean=err_mean, y_norm_max=y_norm_max,
     )
 

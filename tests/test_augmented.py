@@ -3,6 +3,7 @@ simulator, mass tracking, contraction products, and rate constants."""
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import mpmath as mp
@@ -455,6 +456,23 @@ def test_replay_rejects_mismatched_problem():
     other = build_problem(n=4)
     with pytest.raises(ValueError):
         augmented.replay(trace, other)
+
+
+def test_replay_refuses_a_streamed_run_at_the_call():
+    """A run given z_star keeps its error series and no broadcasts; replay
+    refuses it before the first state is asked for, as it refuses a trace
+    whose state columns were cut."""
+    prob, trace = run_pair(seed=4, n=3, max_events=20)
+    streamed = simulator.run_async(
+        prob, trace.graph, simulator.ActivationSchedule("uniform_random", 3),
+        simulator.DelayModel("uniform", 2), trace.eta1, trace.eta2, seed=4,
+        max_events=20, z_star=mspbe.solve_problem(prob))
+    assert streamed.z_tilde.shape == (0, 2 * trace.d)
+    cut = dataclasses.replace(trace, y_new=trace.y_new[:-1])
+    for bad in (streamed, cut):
+        with pytest.raises(ValueError, match="replay needs a full trace"):
+            augmented.replay(bad, prob)
+    next(augmented.replay(trace, prob))
 
 
 def test_rank_one_distance_pinned():

@@ -144,8 +144,8 @@ def test_activate_matches_reference_on_shared_payloads():
         for _ in range(2):
             payloads = PayloadTable.empty(rows, 2 * d)
             selector = protocol.SampleSelector(3, protocol.selector_rng(1, 0))
-            node = protocol.init_node(0, stats, np.zeros(2 * d), 3, 7, 0.1,
-                                      selector, payloads, row=0)
+            node = protocol.init_node(0, stats, 3, 7, 0.1, selector,
+                                      payloads, row=0)
             payloads.z[1:], payloads.y[1:] = z[1:], y[1:]
             payloads.degree[1:] = degree[1:]
             # one row may sit in a buffer twice, as a duplicate delivery does
@@ -205,6 +205,9 @@ def test_bench_tracer_wraps_the_hot_path(monkeypatch, tmp_path, capsys):
     calls = {name: span.calls for name, span in tracer.stats.items()}
     assert calls["simulator.run_async"] == 1
     assert calls["protocol.activate"] == trace.num_events
+    # the series comes from the wrapped reduction and is written once
+    assert calls["simulator.metrics"] >= 1
+    assert calls["simulator.write_metrics_csv"] == 1
     # the schedule and the delays are drawn once per planned block
     blocks = math.ceil(trace.num_events / simulator._PLAN_BLOCK)
     assert blocks > 1

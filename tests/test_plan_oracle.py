@@ -197,9 +197,13 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
     for block in (1, 3, 7):
         buffers = []
 
-        def recording(node, *rest):
-            buffers.append(list(node.buffer))
-            return protocol.activate(node, *rest)
+        def recording(node, payloads, row, *rest):
+            # the table holds the rows from the oldest still readable on:
+            # event k writes row n + k - 1, so its table starts at the
+            # global row n + k - 1 - row
+            base = n + len(buffers) - row
+            buffers.append([r + base for r in node.buffer])
+            return protocol.activate(node, payloads, row, *rest)
 
         with unittest.mock.patch.object(simulator, "_PLAN_BLOCK", block), \
                 unittest.mock.patch.object(simulator, "activate", recording):

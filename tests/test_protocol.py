@@ -17,15 +17,15 @@ def scalar_stats(phi=0.0, psi=0.0, r=0.0):
     return mspbe.SampleStats(np.array([phi]), np.array([psi]), r)
 
 
-def make_node(samples, z0, out_degree=2, m_global=None, rho=0.1, seed=0,
+def make_node(samples, out_degree=2, m_global=None, rho=0.1, seed=0,
               node_id=0, payloads=None):
-    """A node whose initial broadcast is row ``node_id`` of ``payloads``
-    (a fresh 64-row table unless given)."""
+    """A node, at z = 0, whose initial broadcast is row ``node_id`` of
+    ``payloads`` (a fresh 64-row table unless given)."""
     m_global = len(samples) if m_global is None else m_global
     payloads = (PayloadTable.empty(64, 2 * samples[0].phi.shape[0])
                 if payloads is None else payloads)
     selector = SampleSelector(len(samples), selector_rng(seed, node_id))
-    node = init_node(node_id, samples, z0, out_degree, m_global, rho,
+    node = init_node(node_id, samples, out_degree, m_global, rho,
                      selector, payloads, row=node_id)
     return node, payloads
 
@@ -82,14 +82,15 @@ def test_selector_take_matches_successive_next():
 
 def test_init_node_table_and_tracker():
     samples = [scalar_stats(phi=0.5, psi=2.0, r=4.0) for _ in range(3)]
-    z0 = np.array([2.0, -1.0])
-    node, payloads = make_node(samples, z0, out_degree=2, m_global=6)
-    expected_g = mspbe.saddle_gradient(z0, samples[0], 0.1)
+    node, payloads = make_node(samples, out_degree=2, m_global=6)
+    # at z = 0 the gradient is [0; phi * r]: the dual block is not zero
+    expected_g = mspbe.saddle_gradient(np.zeros(2), samples[0], 0.1)
+    assert np.array_equal(expected_g, [0.0, 2.0])
     assert np.allclose(node.table, np.tile(expected_g, (3, 1)))
     # tracker divides by the GLOBAL sample count
     assert np.allclose(node.y, 3 * expected_g / 6)
-    # the broadcast row carries z0 and the out-degree share of y
-    assert np.allclose(payloads.z[0], z0)
+    # the broadcast row carries z = 0 and the out-degree share of y
+    assert np.array_equal(payloads.z[0], np.zeros(2))
     assert np.allclose(share(payloads, 0), node.y / 2)
     # self-copy pre-buffered: the node's own initial row
     assert node.buffer == [0]
@@ -104,7 +105,7 @@ def test_activation_arithmetic_pinned():
     forced to 2 and the buffered tracker share to 0.5 with m_global = 4.
     """
     samples = [scalar_stats(phi=1.0, psi=0.0, r=4.0)]
-    node, payloads = make_node(samples, np.zeros(2), out_degree=1,
+    node, payloads = make_node(samples, out_degree=1,
                                m_global=4, rho=4.0)
     node.table[0] = np.array([2.0, 2.0])
     put(payloads, 1, [1.0, 0.0], [0.5, 0.5])
@@ -120,7 +121,7 @@ def test_activation_arithmetic_pinned():
 
 def test_pull_is_mean_push_is_sum():
     samples = [scalar_stats(phi=1.0, r=1.0)]
-    node, payloads = make_node(samples, np.zeros(2), out_degree=3, m_global=9)
+    node, payloads = make_node(samples, out_degree=3, m_global=9)
     put(payloads, 1, [1.0, 0.0], [0.3, 0.0])
     put(payloads, 2, [3.0, 2.0], [0.5, 1.0], degree=2)
     node.buffer = [1, 2]
@@ -135,7 +136,7 @@ def test_pull_is_mean_push_is_sum():
 
 def test_buffer_lifecycle_and_self_copy():
     samples = [scalar_stats(phi=1.0, r=1.0)]
-    node, payloads = make_node(samples, np.zeros(2), out_degree=2)
+    node, payloads = make_node(samples, out_degree=2)
     assert node.buffer == [0]
     put(payloads, 1, np.ones(2), np.ones(2))
     on_receive(node, 0, 1)
@@ -149,7 +150,7 @@ def test_buffer_lifecycle_and_self_copy():
 
 def test_activate_empty_buffer_raises():
     samples = [scalar_stats()]
-    node, payloads = make_node(samples, np.zeros(2))
+    node, payloads = make_node(samples)
     node.buffer = []
     with pytest.raises(RuntimeError):
         activate(node, payloads, 1, [0], 0.1, 0.1)
@@ -157,7 +158,7 @@ def test_activate_empty_buffer_raises():
 
 def test_on_receive_rejects_wrong_destination():
     samples = [scalar_stats()]
-    node, _ = make_node(samples, np.zeros(2), node_id=0)
+    node, _ = make_node(samples, node_id=0)
     with pytest.raises(ValueError):
         on_receive(node, 2, 1)
     assert node.buffer == [0]
@@ -170,7 +171,7 @@ def test_message_rejects_delivery_before_send():
 
 def test_duplicate_receptions_are_kept():
     samples = [scalar_stats()]
-    node, _ = make_node(samples, np.zeros(2), node_id=0)
+    node, _ = make_node(samples, node_id=0)
     on_receive(node, 0, 1)
     on_receive(node, 0, 1)
     assert node.buffer == [0, 1, 1]  # self-copy + two duplicates
@@ -178,14 +179,13 @@ def test_duplicate_receptions_are_kept():
 
 def test_table_soundness_against_eval_points():
     # every table row equals the gradient of its sample at its eval point:
-    # the pull average z_hat of the last activation that drew it, or z0
+    # the pull average z_hat of the last activation that drew it, or 0
     rng = np.random.default_rng(0)
     samples = [scalar_stats(phi=float(rng.normal()), psi=float(rng.normal()),
                             r=float(rng.normal()))
                for _ in range(4)]
-    z0 = rng.normal(size=2)
-    node, payloads = make_node(samples, z0, out_degree=2, seed=5)
-    eval_points = np.tile(z0, (4, 1))
+    node, payloads = make_node(samples, out_degree=2, seed=5)
+    eval_points = np.zeros((4, 2))
     for k in range(1, 30):
         put(payloads, 2 * k - 1, rng.normal(size=2), rng.normal(size=2))
         on_receive(node, 0, 2 * k - 1)
@@ -209,7 +209,7 @@ def test_mass_conservation_two_node_relay():
     ]
     m = 3
     payloads = PayloadTable.empty(32, 2)
-    nodes = [make_node(samples, np.zeros(2), out_degree=2, m_global=m,
+    nodes = [make_node(samples, out_degree=2, m_global=m,
                        node_id=i, seed=9, payloads=payloads)[0]
              for i, samples in enumerate(all_samples)]
 
@@ -237,5 +237,5 @@ def test_mass_conservation_two_node_relay():
 
 def test_local_residual_is_tracker_norm():
     samples = [scalar_stats(phi=1.0, r=2.0)]
-    node, _ = make_node(samples, np.zeros(2))
+    node, _ = make_node(samples)
     assert local_residual(node) == pytest.approx(float(np.linalg.norm(node.y)))

@@ -649,6 +649,134 @@ def test_run_and_metrics_memory_follow_the_trace():
     assert above <= 4 * 2**20
 
 
+def assert_streamed_equals_full(streamed, full, z_star):
+    """The streamed run's series has the bits of ``metrics`` over the full
+    trace of the same run, and the two records agree in everything else."""
+    want = simulator.metrics(full, z_star)
+    for field in dataclasses.fields(simulator.MetricSeries):
+        a, b = getattr(streamed.series, field.name), getattr(want, field.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+        assert a.tobytes() == b.tobytes(), field.name
+    assert full.series is None
+    width = 2 * full.d
+    assert streamed.z_tilde.shape == streamed.y_new.shape == (0, width)
+    assert_traces_equal(dataclasses.replace(
+        streamed, z_tilde=full.z_tilde, y_new=full.y_new, series=None), full)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, None])
+@pytest.mark.parametrize("delay_kind,d_max", [("zero", 0), ("uniform", 3),
+                                              ("round_barrier", 2)])
+def test_streamed_series_equals_metrics_of_the_full_trace(
+        monkeypatch, block, delay_kind, d_max):
+    """Blocks of 1, 7, 64 and the default size, every delay kind, batches
+    of 1 and 2, a straggler, and an epsilon stop inside a block."""
+    if block is not None:
+        monkeypatch.setattr(simulator, "_PLAN_BLOCK", block)
+    n = 4
+    prob = build_problem(n=n)
+    z_star = mspbe.solve_problem(prob)
+    g = graph.generate_topology("ring", n)
+    delays = simulator.DelayModel(delay_kind, d_max)
+    uniform = simulator.ActivationSchedule("uniform_random", n)
+    straggler = simulator.ActivationSchedule("straggler", n, straggler_node=1,
+                                             straggler_factor=20.0)
+    for schedule, batch_size, stop in ((uniform, 1, None), (uniform, 2, None),
+                                       (straggler, 1, None), (uniform, 1, 150)):
+        args = (prob, g, schedule, delays, 0.05, 0.4)
+        kwargs = dict(seed=13, max_events=300, batch_size=batch_size)
+        if stop is not None:
+            # a threshold first crossed at event `stop`, inside a block of
+            # 7, 64 or the default size
+            bounds = tracker_bounds(simulator.run_async(*args, **kwargs))
+            kwargs["epsilon"] = min(bounds[:stop])
+        full = simulator.run_async(*args, **kwargs)
+        streamed = simulator.run_async(*args, **kwargs, z_star=z_star)
+        if stop is not None:
+            assert full.stop_reason == "epsilon" and full.num_events <= stop
+        assert_streamed_equals_full(streamed, full, z_star)
+
+
+def test_payload_table_holds_only_the_readable_rows(monkeypatch):
+    """On a uniform schedule the table stays far shorter than the run; a
+    slow node's buffer and the messages waiting for it keep older rows,
+    and the series still has the full trace's bits."""
+    monkeypatch.setattr(simulator, "_PLAN_BLOCK", 64)
+    n, events = 4, 2000
+    prob = build_problem(n=n)
+    z_star = mspbe.solve_problem(prob)
+    g = graph.generate_topology("ring", n)
+    delays = simulator.DelayModel("uniform", 3)
+    longest = {}
+    for name, schedule in (
+            ("uniform", simulator.ActivationSchedule("uniform_random", n)),
+            ("straggler", simulator.ActivationSchedule(
+                "straggler", n, straggler_node=2, straggler_factor=50.0))):
+        args = (prob, g, schedule, delays, 0.05, 0.4)
+        rows = []
+
+        def spying(node, payloads, *rest):
+            rows.append(payloads.z.shape[0])
+            return protocol.activate(node, payloads, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "activate", spying)
+            streamed = simulator.run_async(*args, seed=3, max_events=events,
+                                           z_star=z_star)
+        longest[name] = max(rows)
+        full = simulator.run_async(*args, seed=3, max_events=events)
+        assert_streamed_equals_full(streamed, full, z_star)
+    assert longest["uniform"] < events // 10
+    # the straggler's gaps run to hundreds of events
+    assert longest["straggler"] > 2 * longest["uniform"]
+
+
+def reachable_arrays(obj, seen=None):
+    """The distinct ndarray buffers reachable from a record, through
+    dataclass fields, containers and array bases."""
+    seen = {} if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        seen[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            reachable_arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            reachable_arrays(item, seen)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            reachable_arrays(getattr(obj, field.name), seen)
+    return list(seen.values())
+
+
+def test_streamed_run_memory_does_not_hold_the_states():
+    """On quickstart at 45000 and 180000 events, a run given z_star peaks
+    at well under half of a full trace plus ``metrics`` (14.8 and 57.5 MB),
+    and its record reaches no per-event float array of width 2d."""
+    bundle = cli.build_experiment(
+        cli.load_config(cli.bundled_config("quickstart")))
+    width = 2 * bundle.problem.d
+    peaks, helds = {}, {}
+    for events in (45000, 180000):
+        tracemalloc.start()
+        try:
+            trace = cli._run_trace(bundle, events, z_star=bundle.z_star)
+            helds[events], peaks[events] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.num_events == events
+        assert trace.series.err_max.shape == (events + 1,)
+        big = [a.shape for a in reachable_arrays(trace)
+               if a.dtype.kind == "f" and a.size >= events * width]
+        assert big == []
+    # the int columns and the series: about 88 B per event held
+    assert helds[180000] <= 100 * 180000
+    assert peaks[45000] <= 10 * 2**20
+    assert peaks[180000] <= 26 * 2**20
+
+
 def test_node_that_never_activates_is_named():
     prob, trace = small_run(seed=3, n=4, max_events=60, kind="straggler",
                             straggler_node=2, straggler_factor=1e15)
