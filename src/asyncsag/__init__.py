@@ -5,13 +5,12 @@ from __future__ import annotations
 
 from .graph import (DirectedGraph, diameter, generate_topology,
                     is_strongly_connected, load_edge_list)
-from .mdp import (Mdp, TdSample, Transition, build_random_mdp,
-                  make_feature_map, partition_samples, random_policy,
-                  sample_trajectory, stationary_distribution)
+from .mdp import (Mdp, Transition, build_random_mdp, make_feature_map,
+                  partition_samples, random_policy, sample_trajectory,
+                  stationary_distribution)
 from .mspbe import (ProblemSpec, SampleStats, SpectralConstants, aggregate,
-                    full_gradient, problem_from_samples, saddle_gradient,
-                    solve_problem, solve_saddle, spectral_constants,
-                    zeta_threshold)
+                    full_gradient, saddle_gradient, solve_problem,
+                    solve_saddle, spectral_constants, zeta_threshold)
 from .protocol import (Message, NodeState, PayloadTable, SampleSelector,
                        activate, init_node, selector_rng)
 from .simulator import (ActivationSchedule, AssumptionViolation, DelayModel,
@@ -28,13 +27,12 @@ __version__ = "0.1.0"
 __all__ = [
     "DirectedGraph", "diameter", "generate_topology", "is_strongly_connected",
     "load_edge_list",
-    "Mdp", "TdSample", "Transition", "build_random_mdp", "make_feature_map",
+    "Mdp", "Transition", "build_random_mdp", "make_feature_map",
     "partition_samples", "random_policy", "sample_trajectory",
     "stationary_distribution",
     "ProblemSpec", "SampleStats", "SpectralConstants", "aggregate",
-    "full_gradient", "problem_from_samples",
-    "saddle_gradient", "solve_problem", "solve_saddle", "spectral_constants",
-    "zeta_threshold",
+    "full_gradient", "saddle_gradient", "solve_problem", "solve_saddle",
+    "spectral_constants", "zeta_threshold",
     "Message", "NodeState", "PayloadTable", "SampleSelector", "activate",
     "init_node",
     "selector_rng",

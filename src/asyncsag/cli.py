@@ -271,16 +271,16 @@ def build_problem(cfg: ExperimentConfig) -> mspbe.ProblemSpec:
     """Generate the data pipeline for the config's nodes."""
     streams = cfg.n if cfg.mode == "marl" else 1
     the_mdp = mdp.build_random_mdp(cfg.num_states, cfg.num_actions, streams,
-                                   cfg.data_seed, gamma=cfg.gamma)
+                                   cfg.data_seed)
     policy = mdp.random_policy(cfg.num_states, cfg.num_actions, cfg.data_seed)
     traj = mdp.sample_trajectory(the_mdp, policy, cfg.m + 1, cfg.data_seed)
     features = mdp.make_feature_map(cfg.num_states, cfg.d, cfg.data_seed)
     try:
         per_node = mdp.partition_samples(traj, features, cfg.mode, cfg.n,
-                                         cfg.proportions)
+                                         cfg.gamma, cfg.proportions)
     except ValueError as exc:
         raise ConfigError(f"[problem] {exc}") from None
-    problem = mspbe.problem_from_samples(per_node, cfg.rho, cfg.gamma)
+    problem = mspbe.ProblemSpec(per_node, cfg.rho)
     # a larger minibatch would refresh some sample twice in one activation
     if cfg.batch_size > min(problem.m_i):
         raise ConfigError(f"[algorithm] batch_size: must be at most the smallest "
@@ -409,7 +409,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path,
     trace = _run_trace(bundle, cfg.max_events, seed, bundle.z_star)
     series = trace.series
     with _out("write", out_dir / "metrics.csv") as path:
-        simulator.write_metrics_csv(series, path)
+        simulator.write_metrics_csv(series, trace.node, path)
     with _out("write", out_dir / "constants.txt") as path:
         path.write_text(constants_report(bundle, trace))
     fit = None
@@ -441,12 +441,12 @@ def _cmd_run_sweep(cfg: ExperimentConfig, out_dir: Path,
             cfg, n=n, proportions=[float(i + 1) for i in range(n)],
             eta1=eta1, eta2=eta1 * cfg.zeta)
         bundle = build_experiment(sized)
-        series = _run_trace(bundle, cfg.max_events, seed, bundle.z_star).series
-        below = np.nonzero(series.err_max <= target)[0]
-        hit = int(series.k[below[0]]) if below.size else -1
+        trace = _run_trace(bundle, cfg.max_events, seed, bundle.z_star)
+        below = np.nonzero(trace.series.err_max <= target)[0]
+        hit = int(below[0]) if below.size else -1
         rows.append((n, hit, hit * cfg.batch_size / n if hit >= 0 else -1))
         with _out("write", out_dir / f"metrics_n{n}.csv") as path:
-            simulator.write_metrics_csv(series, path)
+            simulator.write_metrics_csv(trace.series, trace.node, path)
     with _out("write", out_dir / "speedup.csv") as path:
         path.write_text("n,events_to_target,per_node_evals\n" + "".join(
             f"{n},{ev},{per!r}\n" for n, ev, per in rows), encoding="utf-8")
@@ -456,8 +456,7 @@ def _cmd_run_sweep(cfg: ExperimentConfig, out_dir: Path,
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path,
-               seed: int | None = None) -> int:
+def cmd_verify(cfg: ExperimentConfig, seed: int | None = None) -> int:
     bundle = build_experiment(cfg)
     events = min(cfg.verify_events, cfg.max_events)
     trace = _run_trace(bundle, events, seed)
@@ -507,8 +506,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path,
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
-def cmd_constants(cfg: ExperimentConfig, out_dir: Path,
-                  seed: int | None = None) -> int:
+def cmd_constants(cfg: ExperimentConfig, seed: int | None = None) -> int:
     bundle = build_experiment(cfg)
     events = min(cfg.verify_events, cfg.max_events)
     trace = _run_trace(bundle, events, seed)
@@ -536,7 +534,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True,
                        help="path to an INI config, or a bundled name "
                             "(quickstart, marl9, straggler, speedup)")
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", default=".",
+                       help="output directory; only run writes there")
         p.add_argument("--seed", type=int, default=None,
                        help="override the run seed")
     args = parser.parse_args(argv)
@@ -548,12 +547,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(cfg_path)
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed: must be nonnegative")
-        out_dir = Path(args.out)
         if args.command == "run":
-            return cmd_run(cfg, out_dir, args.seed)
+            return cmd_run(cfg, Path(args.out), args.seed)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.seed)
-        return cmd_constants(cfg, out_dir, args.seed)
+            return cmd_verify(cfg, args.seed)
+        return cmd_constants(cfg, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

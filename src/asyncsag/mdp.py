@@ -4,7 +4,9 @@ A policy is a plain (S, A) row-stochastic array. A feature map is a plain
 (S, d) array with unit-norm rows. Trajectories are lists of ``Transition``
 tuples carrying one reward per reward stream, so the same rollout can feed
 both data layouts: disjoint slices with a shared reward function ("parallel")
-or a shared state stream with private rewards ("marl").
+or a shared state stream with private rewards ("marl"). Partitioning turns
+each transition into the ``SampleStats`` the saddle objective reads, and it
+is the one place the discount gamma enters.
 
 Rewards are drawn on demand. A random MDP keeps the state of its reward
 generator, and ``Mdp.rewards_at`` reaches each requested entry of the
@@ -21,6 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .mspbe import SampleStats
+
 log = logging.getLogger(__name__)
 
 _PROB_TOL = 1e-12
@@ -33,14 +37,6 @@ class Transition(NamedTuple):
     rewards: np.ndarray  # one entry per reward stream
 
 
-class TdSample(NamedTuple):
-    """One feature-space transition: (phi_t, phi_{t+1}, scalar reward)."""
-
-    phi_t: np.ndarray
-    phi_tp1: np.ndarray
-    reward: float
-
-
 @dataclass(frozen=True)
 class Mdp:
     """Finite MDP with per-stream rewards drawn on demand.
@@ -50,13 +46,11 @@ class Mdp:
                   reward table in C order, i.e. entry (k, s, a, s') of a dense
                   (streams, S, A, S) ``random`` draw; values lie in [0, 1).
     num_streams:  number of reward streams.
-    gamma:        discount, strictly inside (0, 1).
     """
 
     transitions: np.ndarray
     reward_state: dict
     num_streams: int
-    gamma: float
 
     def __post_init__(self):
         p = self.transitions
@@ -68,8 +62,6 @@ class Mdp:
             raise ValueError("reward_state must be a PCG64 bit-generator state")
         if self.num_streams < 1:
             raise ValueError(f"need at least one reward stream, got {self.num_streams}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must lie strictly in (0, 1), got {self.gamma}")
 
     @property
     def num_states(self) -> int:
@@ -113,7 +105,7 @@ class Mdp:
 
 
 def build_random_mdp(num_states: int, num_actions: int, num_streams: int,
-                     seed: int, gamma: float = 0.95) -> Mdp:
+                     seed: int) -> Mdp:
     """Seeded synthetic MDP: Dirichlet(1) transition rows, uniform rewards.
 
     The rewards are the generator's next draws after the transitions; the
@@ -126,7 +118,7 @@ def build_random_mdp(num_states: int, num_actions: int, num_streams: int,
         np.ones(num_states), size=(num_states, num_actions)
     )
     return Mdp(transitions=transitions, reward_state=rng.bit_generator.state,
-               num_streams=num_streams, gamma=gamma)
+               num_streams=num_streams)
 
 
 def random_policy(num_states: int, num_actions: int, seed: int) -> np.ndarray:
@@ -234,18 +226,24 @@ def make_feature_map(num_states: int, dim: int, seed: int) -> np.ndarray:
     )
 
 
-def _featurize(tr: Transition, features: np.ndarray, stream: int) -> TdSample:
-    return TdSample(
-        phi_t=features[tr.s].copy(),
-        phi_tp1=features[tr.s_next].copy(),
-        reward=float(tr.rewards[stream]),
-    )
+def _featurize(traj: list[Transition], features: np.ndarray, gamma: float,
+               stream: int) -> tuple[SampleStats, ...]:
+    """Each transition's phi = features[s], psi = phi - gamma * features[s']
+    and reward from ``stream``."""
+    stats = []
+    for tr in traj:
+        phi = features[tr.s].copy()
+        stats.append(SampleStats(phi=phi, psi=phi - gamma * features[tr.s_next],
+                                 reward=float(tr.rewards[stream])))
+    return tuple(stats)
 
 
 def partition_samples(traj: list[Transition], features: np.ndarray, mode: str,
-                      n: int, proportions: list[float] | None = None,
-                      ) -> list[list[TdSample]]:
-    """Lay out the trajectory as per-node sample lists.
+                      n: int, gamma: float,
+                      proportions: list[float] | None = None,
+                      ) -> tuple[tuple[SampleStats, ...], ...]:
+    """Lay out the trajectory as each node's sample statistics at discount
+    ``gamma``, strictly inside (0, 1).
 
     parallel -- disjoint contiguous slices sized proportionally to
         ``proportions`` (n positive entries with a finite sum), every node
@@ -256,6 +254,9 @@ def partition_samples(traj: list[Transition], features: np.ndarray, mode: str,
         non-divisible m is truncated with a logged warning.
     """
     m = len(traj)
+    # the negated comparison also rejects nan
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma}")
     if n < 1:
         raise ValueError("need at least one node")
     if m < n:
@@ -273,10 +274,8 @@ def partition_samples(traj: list[Transition], features: np.ndarray, mode: str,
         starts = np.concatenate([[0], cuts[:-1]])
         if np.any(cuts - starts < 1):
             raise ValueError("proportions leave some node without samples")
-        return [
-            [_featurize(tr, features, 0) for tr in traj[a:b]]
-            for a, b in zip(starts, cuts)
-        ]
+        return tuple(_featurize(traj[a:b], features, gamma, 0)
+                     for a, b in zip(starts, cuts))
     if mode == "marl":
         if traj[0].rewards.shape[0] < n:
             raise ValueError(
@@ -289,6 +288,6 @@ def partition_samples(traj: list[Transition], features: np.ndarray, mode: str,
                 "marl partition: %d transitions not divisible by %d nodes; "
                 "truncating to %d", m, n, per * n,
             )
-        shared = traj[:per]
-        return [[_featurize(tr, features, i) for tr in shared] for i in range(n)]
+        return tuple(_featurize(traj[:per], features, gamma, i)
+                     for i in range(n))
     raise ValueError(f"unknown partition mode {mode!r}")

@@ -5,8 +5,8 @@ reward r, every statistic is rank one: with psi = phi_t - gamma * phi_{t+1},
 
     A_hat = phi_t psi^T,    b_hat = phi_t * r,    C_hat = phi_t phi_t^T,
 
-and ``SampleStats`` keeps only (phi_t, psi, r). The per-sample saddle
-objective is
+and ``SampleStats`` keeps only (phi_t, psi, r); ``mdp.partition_samples``
+builds them. The per-sample saddle objective is
 
     J_{i,p}(theta, omega) = omega^T (A_hat theta - b_hat)
                             - 0.5 * omega^T C_hat omega
@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .mdp import TdSample
 
 SOLVE_TOL = 1e-10
 EIG_IMAG_TOL = 1e-9
@@ -64,7 +62,6 @@ class ProblemSpec:
 
     per_node: tuple[tuple[SampleStats, ...], ...]
     rho: float
-    gamma: float
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -91,31 +88,6 @@ class ProblemSpec:
     def all_stats(self):
         for node_stats in self.per_node:
             yield from node_stats
-
-
-def per_sample_stats(sample: TdSample, gamma: float) -> SampleStats:
-    """Rank-one statistics of a single feature-space transition."""
-    phi_t = np.asarray(sample.phi_t, dtype=float)
-    phi_tp1 = np.asarray(sample.phi_tp1, dtype=float)
-    if phi_t.shape != phi_tp1.shape or phi_t.ndim != 1:
-        raise ValueError(
-            f"feature vectors must share one dimension, got "
-            f"{phi_t.shape} and {phi_tp1.shape}"
-        )
-    return SampleStats(phi=phi_t, psi=phi_t - gamma * phi_tp1,
-                       reward=float(sample.reward))
-
-
-def problem_from_samples(per_node_samples: list[list[TdSample]], rho: float,
-                         gamma: float) -> ProblemSpec:
-    return ProblemSpec(
-        per_node=tuple(
-            tuple(per_sample_stats(s, gamma) for s in node)
-            for node in per_node_samples
-        ),
-        rho=rho,
-        gamma=gamma,
-    )
 
 
 def _factors(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

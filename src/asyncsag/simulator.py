@@ -517,19 +517,20 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         if stop_reason == "epsilon":
             break
 
-    # the pieces go before the message log is built, so that the two
-    # never take their full size at once
+    # the blocks and pieces go before the message log is built, so that
+    # the two never take their full size at once
+    node, samples = (np.concatenate([getattr(b, name) for b in blocks])
+                     for name in ("node", "samples"))
     if carry is None:
         series = None
-        node, z_col, y_col = (np.concatenate([getattr(b, name) for b in blocks])
-                              for name in ("node", "z_tilde", "y_new"))
+        z_col, y_col = (np.concatenate([getattr(b, name) for b in blocks])
+                        for name in ("z_tilde", "y_new"))
     else:
         series = MetricSeries(*(
             np.concatenate([getattr(piece, field.name) for piece in pieces])
             for field in fields(MetricSeries)))
         pieces.clear()
-        node, z_col, y_col = series.node[1:], *np.empty((2, 0, width))
-    samples = np.concatenate([b.samples for b in blocks])
+        z_col = y_col = np.empty((0, width))
     blocks.clear()
     messages = network.message_log(num_events)
     log.info("run_async: %d events, %d network messages, %d consumed, "
@@ -628,10 +629,9 @@ def verify_assumption1b(trace: EventTrace) -> int:
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """Per-event error series (row 0 is the initial state)."""
+    """Per-event error series: row k is the state after event k (row 0 is
+    the initial state)."""
 
-    k: np.ndarray
-    node: np.ndarray          # activator id; -1 for the initial row
     err_max: np.ndarray
     err_mean: np.ndarray
     y_norm_max: np.ndarray
@@ -695,13 +695,9 @@ def metrics(trace: EventTrace, z_star: np.ndarray,
         err_max[rows], err_mean[rows] = errs.max(axis=1), errs.mean(axis=1)
         y_norm_max[rows] = y_norms.max(axis=1)
         errs, y_norms = errs[-1], y_norms[-1]
-    first = carry.k + 1 - head
     carry.k, carry.errs, carry.y_norms = carry.k + t, errs, y_norms
-    return MetricSeries(
-        k=np.arange(first, carry.k + 1),
-        node=np.concatenate([np.full(head, -1), trace.node]),
-        err_max=err_max, err_mean=err_mean, y_norm_max=y_norm_max,
-    )
+    return MetricSeries(err_max=err_max, err_mean=err_mean,
+                        y_norm_max=y_norm_max)
 
 
 # metrics reduces, and write_metrics_csv converts to Python objects, this
@@ -710,21 +706,29 @@ def metrics(trace: EventTrace, z_star: np.ndarray,
 _ROW_BLOCK = 4096
 
 
-def write_metrics_csv(series: MetricSeries, path: str | Path) -> None:
+def write_metrics_csv(series: MetricSeries, node: np.ndarray,
+                      path: str | Path) -> None:
     """CSV with header k,node,event_type,err_max,err_mean,y_norm_max.
 
-    The event type is "init" at k = 0 and "activation" after it. Floats are
-    written with ``repr``, so they read back exactly.
+    Row k is the series' row k, with ``node[k - 1]``, the run's activator
+    of event k, as its node. The initial row has node -1 and event type
+    "init", the others "activation". Floats are written with ``repr``, so
+    they read back exactly.
     """
+    rows = series.err_max.shape[0]
+    if node.shape != (rows - 1,):
+        raise ValueError(f"a series of {rows} rows needs {rows - 1} "
+                         f"activators, got shape {node.shape}")
+    nodes = np.concatenate([[-1], node])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,node,event_type,err_max,err_mean,y_norm_max\n")
-        for lo in range(0, series.k.shape[0], _ROW_BLOCK):
+        for lo in range(0, rows, _ROW_BLOCK):
             block = slice(lo, lo + _ROW_BLOCK)
             fh.write("".join([
-                f"{k},{node},{'activation' if k else 'init'},"
+                f"{k},{v},{'activation' if k else 'init'},"
                 f"{e_max!r},{e_mean!r},{y_max!r}\n"
-                for k, node, e_max, e_mean, y_max in zip(
-                    series.k[block].tolist(), series.node[block].tolist(),
+                for k, v, e_max, e_mean, y_max in zip(
+                    range(lo, lo + _ROW_BLOCK), nodes[block].tolist(),
                     series.err_max[block].tolist(),
                     series.err_mean[block].tolist(),
                     series.y_norm_max[block].tolist())

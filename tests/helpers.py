@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
+from asyncsag import mdp
 from asyncsag.graph import DirectedGraph, diameter
-from asyncsag.mspbe import SampleStats
+from asyncsag.mspbe import ProblemSpec, SampleStats
 from asyncsag.simulator import EventTrace, verify_assumption1b
 
 
@@ -17,6 +18,19 @@ def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for i, j in sorted(g.edges):
             fh.write(f"{i} {j}\n")
+
+
+def build_problem(seed: int = 0, n: int = 3, d: int = 3, length: int = 31,
+                  num_states: int = 10, rho: float = 0.1, gamma: float = 0.9,
+                  mode: str = "parallel") -> ProblemSpec:
+    """The problem of a seeded two-action MDP: a rollout of ``length``
+    states, d features, split over n nodes as ``mode`` lays it out."""
+    streams = n if mode == "marl" else 1
+    chain = mdp.build_random_mdp(num_states, 2, streams, seed)
+    policy = mdp.random_policy(num_states, 2, seed)
+    traj = mdp.sample_trajectory(chain, policy, length, seed)
+    feats = mdp.make_feature_map(num_states, d, seed)
+    return ProblemSpec(mdp.partition_samples(traj, feats, mode, n, gamma), rho)
 
 
 def sample_objective(z: np.ndarray, stats: SampleStats, rho: float) -> float:

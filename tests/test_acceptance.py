@@ -38,8 +38,8 @@ import time
 import mpmath as mp
 import numpy as np
 
-from asyncsag import augmented, baselines, cli, graph, mdp, mspbe, simulator
-from helpers import graph_constants, sample_objective
+from asyncsag import augmented, baselines, cli, graph, mspbe, simulator
+from helpers import build_problem, graph_constants, sample_objective
 
 RHO = 0.1
 GAMMA = 0.95
@@ -54,13 +54,7 @@ def _gate(num: int, ok: bool, detail: str) -> str:
 @functools.lru_cache(maxsize=None)
 def _problem(seed: int, n: int = 2, num_states: int = 16, d: int = 6,
              m: int = 60, mode: str = "parallel") -> mspbe.ProblemSpec:
-    streams = n if mode == "marl" else 1
-    the_mdp = mdp.build_random_mdp(num_states, 2, streams, seed, gamma=GAMMA)
-    policy = mdp.random_policy(num_states, 2, seed)
-    traj = mdp.sample_trajectory(the_mdp, policy, m + 1, seed)
-    feats = mdp.make_feature_map(num_states, d, seed)
-    per_node = mdp.partition_samples(traj, feats, mode, n)
-    return mspbe.problem_from_samples(per_node, RHO, GAMMA)
+    return build_problem(seed, n, d, m + 1, num_states, RHO, GAMMA, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +401,7 @@ def test_criterion_08_quickstart_converges_linearly():
     series = simulator.metrics(trace, bundle.z_star)
     target = 1e-6 * series.err_max[0]
     below = np.nonzero(series.err_max <= target)[0]
-    hit = int(series.k[below[0]]) if below.size else -1
+    hit = int(below[0]) if below.size else -1
     fit = simulator.estimate_rate(series.err_max)
     elapsed = time.perf_counter() - start
     ok = (hit >= 0 and fit.c_hat < 1.0 and fit.r_squared >= 0.95
@@ -444,7 +438,7 @@ def test_criterion_09_straggler_slowdown_stays_local():
     def events_to_target(trace: simulator.EventTrace) -> int:
         series = simulator.metrics(trace, z_star)
         below = np.nonzero(series.err_max <= target)[0]
-        return int(series.k[below[0]]) if below.size else -1
+        return int(below[0]) if below.size else -1
 
     uniform_sched = simulator.ActivationSchedule(kind="uniform_random", n=9)
     slowed_sched = simulator.ActivationSchedule(

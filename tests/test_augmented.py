@@ -12,20 +12,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from asyncsag import augmented, cli, graph, mdp, mspbe, simulator
+from asyncsag import augmented, cli, graph, mspbe, simulator
 from asyncsag.mspbe import SpectralConstants
-from helpers import graph_constants, initial_z, tracker_bounds
+from helpers import build_problem, graph_constants, initial_z, tracker_bounds
 from test_plan_oracle import heap_run_async
-
-
-def build_problem(seed=0, n=3, d=3, length=31, rho=0.1, gamma=0.9,
-                  num_states=10):
-    m = mdp.build_random_mdp(num_states, 2, 1, seed, gamma=gamma)
-    policy = mdp.random_policy(num_states, 2, seed)
-    traj = mdp.sample_trajectory(m, policy, length, seed)
-    feats = mdp.make_feature_map(num_states, d, seed)
-    per_node = mdp.partition_samples(traj, feats, "parallel", n)
-    return mspbe.problem_from_samples(per_node, rho, gamma)
 
 
 def run_pair(seed=7, n=3, max_events=80, eta1=0.01, zeta=10.0, d_max=2,

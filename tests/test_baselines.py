@@ -3,19 +3,16 @@ deterministic descent-ascent."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from asyncsag import baselines, mdp, mspbe
+from asyncsag import baselines, mspbe
+from helpers import build_problem
 
 
-def random_problem(seed=0, n=3, d=4, length=41, rho=0.1, gamma=0.9,
-                   num_states=12):
-    m = mdp.build_random_mdp(num_states, 2, 1, seed, gamma=gamma)
-    policy = mdp.random_policy(num_states, 2, seed)
-    traj = mdp.sample_trajectory(m, policy, length, seed)
-    feats = mdp.make_feature_map(num_states, d, seed)
-    per_node = mdp.partition_samples(traj, feats, "parallel", n)
-    return mspbe.problem_from_samples(per_node, rho, gamma)
+random_problem = functools.partial(build_problem, d=4, length=41,
+                                   num_states=12)
 
 
 def test_sag_is_deterministic_per_seed():

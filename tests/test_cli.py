@@ -577,6 +577,23 @@ def test_main_constants_prints_report(tmp_path, capsys):
         assert key in out
 
 
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_verify_and_constants_ignore_out(tmp_path, capsys, monkeypatch,
+                                         command):
+    """Only run writes to --out: an --out whose parent does not exist
+    changes neither the exit code nor the output, and nothing is made."""
+    monkeypatch.chdir(tmp_path)
+    ini = write_ini(tmp_path, BASE_INI)
+    code = cli.main([command, "--config", str(ini)])
+    plain = capsys.readouterr()
+    out = tmp_path / "missing" / "out"
+    assert cli.main([command, "--config", str(ini), "--out", str(out)]) == code
+    assert capsys.readouterr() == plain
+    assert code == (cli.EXIT_CHECK_FAILED if command == "verify"
+                    else cli.EXIT_OK)
+    assert [p.name for p in tmp_path.iterdir()] == [ini.name]
+
+
 def test_main_assumption_violation_exits_3(tmp_path, capsys):
     text = BASE_INI.replace("seed = 5", "seed = 5\nb_max = 1")
     ini = write_ini(tmp_path, text)

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asyncsag import cli, graph, mdp, mspbe, protocol, simulator
+from asyncsag import cli, graph, mspbe, protocol, simulator
 from asyncsag.protocol import PayloadTable
-from helpers import assert_traces_equal
+from helpers import assert_traces_equal, build_problem
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -73,15 +73,6 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def build_problem(n, d=3, length=40, seed=0):
-    m = mdp.build_random_mdp(12, 2, 1, seed, gamma=0.9)
-    policy = mdp.random_policy(12, 2, seed)
-    traj = mdp.sample_trajectory(m, policy, length, seed)
-    feats = mdp.make_feature_map(12, d, seed)
-    per_node = mdp.partition_samples(traj, feats, "parallel", n)
-    return mspbe.problem_from_samples(per_node, 0.1, 0.9)
-
-
 def unchanged_payloads(activate):
     """``activate`` that fails when it writes to a payload row other than its
     own broadcast's."""
@@ -100,7 +91,7 @@ def unchanged_payloads(activate):
 @pytest.mark.parametrize("kind", ["round_robin", "uniform_random", "straggler"])
 def test_run_async_bits_equal_reference_arithmetic(monkeypatch, topology, n,
                                                    kind):
-    prob = build_problem(n)
+    prob = build_problem(n=n, length=40, num_states=12)
     g = graph.generate_topology(topology, n)
     # the straggler is the node with the most in-neighbours, so its buffer
     # fills up between its activations

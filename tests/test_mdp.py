@@ -143,7 +143,7 @@ def test_stationary_distribution_rejects_reducible_chain_naming_states():
     transitions = np.zeros((4, 1, 4))
     for s in range(4):
         transitions[s, 0, s] = 1.0
-    m = mdp.Mdp(transitions, some_reward_state(), 1, 0.9)
+    m = mdp.Mdp(transitions, some_reward_state(), 1)
     policy = np.ones((4, 1))
     with pytest.raises(ValueError) as err:
         mdp.stationary_distribution(m, policy)
@@ -161,7 +161,7 @@ def test_irreducibility_check_matches_graph_search():
         support = rng.random((s, s)) < rng.uniform(0.1, 0.5)
         np.fill_diagonal(support, True)  # every row needs some mass
         chain = mdp.Mdp((support / support.sum(axis=1, keepdims=True))[:, None],
-                        some_reward_state(), 1, 0.9)
+                        some_reward_state(), 1)
         g = graph.DirectedGraph(
             s, [(i, j) for i, j in zip(*np.nonzero(support)) if i != j])
         both = (graph._distances(g, 0).keys()
@@ -209,6 +209,9 @@ def test_feature_map_rejects_dim_above_states():
         mdp.make_feature_map(3, 5, seed=0)
 
 
+GAMMA = 0.9
+
+
 def _pipeline(seed=7, length=25, streams=4, num_states=10, d=3):
     m = mdp.build_random_mdp(num_states, 2, streams, seed)
     policy = mdp.random_policy(num_states, 2, seed)
@@ -217,17 +220,27 @@ def _pipeline(seed=7, length=25, streams=4, num_states=10, d=3):
     return m, traj, feats
 
 
+def assert_stats_of(stats, tr, feats, stream):
+    """Bit for bit, phi is the state's feature row, psi is
+    feats[s] - GAMMA * feats[s_next], and the reward is the stream's."""
+    assert stats.phi.dtype == stats.psi.dtype == feats.dtype
+    assert stats.phi.tobytes() == feats[tr.s].tobytes()
+    assert stats.psi.tobytes() == (
+        feats[tr.s] - GAMMA * feats[tr.s_next]).tobytes()
+    assert stats.reward == tr.rewards[stream]
+
+
 def test_parallel_partition_is_disjoint_cover():
     _, traj, feats = _pipeline(length=25)
-    per_node = mdp.partition_samples(traj, feats, "parallel", 4)
+    per_node = mdp.partition_samples(traj, feats, "parallel", 4, GAMMA)
     sizes = [len(node) for node in per_node]
     assert sum(sizes) == 24
     assert max(sizes) - min(sizes) <= 1
     flat = [s for node in per_node for s in node]
     # disjoint contiguous cover: concatenation reproduces the trajectory order
+    assert len(flat) == len(traj)
     for sample, tr in zip(flat, traj):
-        assert np.allclose(sample.phi_t, feats[tr.s])
-        assert np.allclose(sample.phi_tp1, feats[tr.s_next])
+        assert_stats_of(sample, tr, feats, 0)
 
 
 def test_parallel_partition_proportions_pinned():
@@ -236,28 +249,27 @@ def test_parallel_partition_proportions_pinned():
     policy = mdp.random_policy(6, 2, 0)
     traj = mdp.sample_trajectory(m, policy, 24001, seed=0)
     feats = mdp.make_feature_map(6, 2, 0)
-    per_node = mdp.partition_samples(traj, feats, "parallel", 4,
+    per_node = mdp.partition_samples(traj, feats, "parallel", 4, GAMMA,
                                      proportions=[1, 2, 3, 4])
     assert [len(node) for node in per_node] == [2400, 4800, 7200, 9600]
 
 
 def test_parallel_partition_uses_shared_reward_stream():
     _, traj, feats = _pipeline(streams=4, length=25)
-    per_node = mdp.partition_samples(traj, feats, "parallel", 4)
+    per_node = mdp.partition_samples(traj, feats, "parallel", 4, GAMMA)
     flat = [s for node in per_node for s in node]
     for sample, tr in zip(flat, traj):
         assert sample.reward == tr.rewards[0]
+    assert any(tr.rewards[0] != tr.rewards[1] for tr in traj)
 
 
 def test_marl_partition_shares_transitions_with_private_rewards():
     _, traj, feats = _pipeline(streams=3, length=31)
-    per_node = mdp.partition_samples(traj, feats, "marl", 3)
+    per_node = mdp.partition_samples(traj, feats, "marl", 3, GAMMA)
     assert all(len(node) == 10 for node in per_node)
     for p in range(10):
-        tr = traj[p]
         for i, node in enumerate(per_node):
-            assert np.allclose(node[p].phi_t, feats[tr.s])
-            assert node[p].reward == tr.rewards[i]
+            assert_stats_of(node[p], traj[p], feats, i)
     # private streams differ
     assert any(per_node[0][p].reward != per_node[1][p].reward
                for p in range(10))
@@ -266,7 +278,7 @@ def test_marl_partition_shares_transitions_with_private_rewards():
 def test_marl_truncation_warns(caplog):
     _, traj, feats = _pipeline(streams=3, length=32)  # 31 transitions
     with caplog.at_level(logging.WARNING):
-        per_node = mdp.partition_samples(traj, feats, "marl", 3)
+        per_node = mdp.partition_samples(traj, feats, "marl", 3, GAMMA)
     assert all(len(node) == 10 for node in per_node)
     assert any("truncat" in rec.message.lower() for rec in caplog.records)
 
@@ -274,10 +286,18 @@ def test_marl_truncation_warns(caplog):
 def test_marl_requires_enough_reward_streams():
     _, traj, feats = _pipeline(streams=2, length=25)
     with pytest.raises(ValueError):
-        mdp.partition_samples(traj, feats, "marl", 3)
+        mdp.partition_samples(traj, feats, "marl", 3, GAMMA)
 
 
 def test_partition_rejects_unknown_mode():
     _, traj, feats = _pipeline()
     with pytest.raises(ValueError):
-        mdp.partition_samples(traj, feats, "shard", 2)
+        mdp.partition_samples(traj, feats, "shard", 2, GAMMA)
+
+
+@pytest.mark.parametrize("mode", ["parallel", "marl"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, float("nan")])
+def test_partition_rejects_gamma_outside_the_open_unit_interval(mode, gamma):
+    _, traj, feats = _pipeline()
+    with pytest.raises(ValueError, match="^gamma must lie strictly in"):
+        mdp.partition_samples(traj, feats, mode, 2, gamma)

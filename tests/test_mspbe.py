@@ -3,23 +3,19 @@ scaled coordinates, and spectral constants."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsag import mdp, mspbe
-from helpers import sample_objective
+from helpers import build_problem, sample_objective
 
 
-def random_problem(seed=0, n=3, d=4, length=41, rho=0.1, gamma=0.9,
-                   num_states=12):
-    m = mdp.build_random_mdp(num_states, 2, 1, seed, gamma=gamma)
-    policy = mdp.random_policy(num_states, 2, seed)
-    traj = mdp.sample_trajectory(m, policy, length, seed)
-    feats = mdp.make_feature_map(num_states, d, seed)
-    per_node = mdp.partition_samples(traj, feats, "parallel", n)
-    return mspbe.problem_from_samples(per_node, rho, gamma)
+random_problem = functools.partial(build_problem, d=4, length=41,
+                                   num_states=12)
 
 
 def numeric_gradient(fun, z, h=1e-5):
@@ -39,8 +35,10 @@ def test_per_sample_stats_shapes_and_rank():
         assert stats.phi.shape == (d,)
         assert stats.psi.shape == (d,)
         assert isinstance(stats.reward, float)
-    sample = mdp.TdSample(np.array([1.0, 2.0]), np.array([0.5, -1.0]), 3.0)
-    stats = mspbe.per_sample_stats(sample, gamma=0.5)
+    # one transition 0 -> 1 with reward 3 at gamma 0.5
+    step = mdp.Transition(0, 0, 1, np.array([3.0]))
+    feats = np.array([[1.0, 2.0], [0.5, -1.0]])
+    (stats,), = mdp.partition_samples([step], feats, "parallel", 1, 0.5)
     assert np.array_equal(stats.phi, [1.0, 2.0])
     assert np.array_equal(stats.psi, [0.75, 2.5])
     assert stats.reward == 3.0
@@ -131,7 +129,7 @@ def test_rank_one_kernels_match_dense_definition(d, m, scale, seed):
         bound = 2 * (2 * d + 5) * u * terms
         got = mspbe.saddle_gradient(z, s, rho)
         assert np.all(np.abs(got - dense) <= bound)
-    A, b, C = mspbe.aggregate(mspbe.ProblemSpec(((*stats,),), rho, 0.9))
+    A, b, C = mspbe.aggregate(mspbe.ProblemSpec(((*stats,),), rho))
     loop = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d))]
     mags = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d))]
     for s in stats:
@@ -192,7 +190,7 @@ def test_zeta_threshold_pinned_identity_example():
     d = 2
     basis = np.sqrt(d) * np.eye(d)
     stats = tuple(mspbe.SampleStats(e, e.copy(), 0.0) for e in basis)
-    prob = mspbe.ProblemSpec(per_node=(stats,), rho=1.0, gamma=0.9)
+    prob = mspbe.ProblemSpec(per_node=(stats,), rho=1.0)
     A, _, C = mspbe.aggregate(prob)
     assert np.allclose(A, np.eye(d), atol=1e-15)
     assert np.allclose(C, np.eye(d), atol=1e-15)

@@ -22,10 +22,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsag import graph, mdp, mspbe, protocol, simulator
+from asyncsag import graph, mspbe, protocol, simulator
 from asyncsag.protocol import (STREAM_DELAY, STREAM_SCHEDULE, Message,
                                SampleSelector, derived_rng, selector_rng)
-from helpers import assert_traces_equal, tracker_bounds
+from helpers import assert_traces_equal, build_problem, tracker_bounds
 
 
 def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
@@ -138,15 +138,6 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     return trace, pulled
 
 
-def build_problem(n, d=3, length=31, seed=0):
-    chain = mdp.build_random_mdp(10, 2, 1, seed, gamma=0.9)
-    policy = mdp.random_policy(10, 2, seed)
-    traj = mdp.sample_trajectory(chain, policy, length, seed)
-    feats = mdp.make_feature_map(10, d, seed)
-    per_node = mdp.partition_samples(traj, feats, "parallel", n)
-    return mspbe.problem_from_samples(per_node, 0.1, 0.9)
-
-
 def outcome(run, *args, **kwargs):
     try:
         return run(*args, **kwargs)
@@ -177,7 +168,7 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
                                             d_max, batch_size, events, seed,
                                             stop):
     n = data.draw(st.sampled_from(SIZES[topology]), label="n")
-    prob = build_problem(n)
+    prob = build_problem(n=n)
     g = graph.generate_topology(topology, n)
     straggler = kind == "straggler"
     sched = simulator.ActivationSchedule(
@@ -222,7 +213,7 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
 def test_stops_and_violations_land_in_later_blocks(monkeypatch):
     """An epsilon stop and a b_max violation past the first planned block
     end the run at the event where the heap engine ends it."""
-    prob = build_problem(6)
+    prob = build_problem(n=6)
     g = graph.generate_topology("exponential", 6)
     sched = simulator.ActivationSchedule("straggler", 6, straggler_node=2,
                                          straggler_factor=6.0)

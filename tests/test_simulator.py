@@ -14,18 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asyncsag import cli, graph, mdp, mspbe, protocol, simulator
-from helpers import assert_traces_equal, initial_z, tracker_bounds
-
-
-def build_problem(seed=0, n=3, d=3, length=31, rho=0.1, gamma=0.9,
-                  num_states=10):
-    m = mdp.build_random_mdp(num_states, 2, 1, seed, gamma=gamma)
-    policy = mdp.random_policy(num_states, 2, seed)
-    traj = mdp.sample_trajectory(m, policy, length, seed)
-    feats = mdp.make_feature_map(num_states, d, seed)
-    per_node = mdp.partition_samples(traj, feats, "parallel", n)
-    return mspbe.problem_from_samples(per_node, rho, gamma)
+from asyncsag import cli, graph, mspbe, protocol, simulator
+from helpers import (assert_traces_equal, build_problem, initial_z,
+                     tracker_bounds)
 
 
 def small_run(seed=7, n=3, max_events=60, kind="uniform_random",
@@ -308,8 +299,8 @@ def test_metrics_series_shape_and_initial_row():
     prob, trace = small_run(seed=4, max_events=40)
     z_star = mspbe.solve_problem(prob)
     series = simulator.metrics(trace, z_star)
-    assert series.k.shape == (41,)
-    assert series.k[0] == 0 and series.node[0] == -1
+    for field in dataclasses.fields(simulator.MetricSeries):
+        assert getattr(series, field.name).shape == (41,)
     init_err = np.linalg.norm(initial_z(trace) - z_star, axis=1)
     assert np.isclose(series.err_max[0], init_err.max())
     assert np.isclose(series.err_mean[0], init_err.mean())
@@ -325,31 +316,34 @@ def test_metrics_csv_header_and_row_count(tmp_path):
     prob, trace = small_run(seed=4, max_events=25)
     series = simulator.metrics(trace, mspbe.solve_problem(prob))
     path = tmp_path / "metrics.csv"
-    simulator.write_metrics_csv(series, path)
+    simulator.write_metrics_csv(series, trace.node, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,node,event_type,err_max,err_mean,y_norm_max"
     assert len(lines) == 26 + 1
+    assert lines[1].startswith("0,-1,init,")
+    assert [line.split(",")[:3] for line in lines[2:]] == [
+        [str(k), str(v), "activation"]
+        for k, v in enumerate(trace.node.tolist(), start=1)]
     # floats are repr round-trippable
     first = lines[1].split(",")
     assert float(first[3]) == series.err_max[0]
 
 
-def write_metrics_csv_by_row(series, path):
+def write_metrics_csv_by_row(series, node, path):
     """Reference for ``simulator.write_metrics_csv``: one write per row."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,node,event_type,err_max,err_mean,y_norm_max\n")
-        for idx in range(series.k.shape[0]):
+        for idx in range(series.err_max.shape[0]):
             fh.write(
-                f"{series.k[idx]},{series.node[idx]},"
+                f"{idx},{node[idx - 1] if idx else -1},"
                 f"{'init' if idx == 0 else 'activation'},"
                 f"{float(series.err_max[idx])!r},{float(series.err_mean[idx])!r},"
                 f"{float(series.y_norm_max[idx])!r}\n"
             )
 
 
-def random_series(rows, nodes, floats):
+def random_series(floats):
     return simulator.MetricSeries(
-        k=np.arange(rows), node=np.concatenate([[-1], nodes]).astype(np.int64),
         err_max=np.array(floats[0::3]), err_mean=np.array(floats[1::3]),
         y_norm_max=np.array(floats[2::3]),
     )
@@ -363,11 +357,11 @@ def test_metrics_csv_blocks_match_row_loop(tmp_path_factory, block, data):
                                max_size=rows - 1))
     floats = data.draw(st.lists(st.floats(width=64), min_size=3 * rows,
                                 max_size=3 * rows))
-    series = random_series(rows, nodes, floats)
+    series, nodes = random_series(floats), np.array(nodes, dtype=np.int64)
     out = tmp_path_factory.mktemp("csv")
     with unittest.mock.patch.object(simulator, "_ROW_BLOCK", block):
-        simulator.write_metrics_csv(series, out / "blocks.csv")
-    write_metrics_csv_by_row(series, out / "rows.csv")
+        simulator.write_metrics_csv(series, nodes, out / "blocks.csv")
+    write_metrics_csv_by_row(series, nodes, out / "rows.csv")
     assert (out / "blocks.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
@@ -375,11 +369,18 @@ def test_metrics_csv_default_blocks_match_row_loop(tmp_path):
     # two full blocks and a partial one
     rows = 2 * simulator._ROW_BLOCK + 3
     rng = np.random.default_rng(8)
-    series = random_series(rows, rng.integers(0, 6, rows - 1),
-                           rng.lognormal(-3.0, 4.0, 3 * rows).tolist())
-    simulator.write_metrics_csv(series, tmp_path / "blocks.csv")
-    write_metrics_csv_by_row(series, tmp_path / "rows.csv")
+    series = random_series(rng.lognormal(-3.0, 4.0, 3 * rows).tolist())
+    nodes = rng.integers(0, 6, rows - 1)
+    simulator.write_metrics_csv(series, nodes, tmp_path / "blocks.csv")
+    write_metrics_csv_by_row(series, nodes, tmp_path / "rows.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_metrics_csv_rejects_a_node_column_of_another_length(tmp_path):
+    series = random_series([1.0, 2.0, 3.0] * 4)
+    for nodes in (np.zeros(4, dtype=np.int64), np.zeros(2, dtype=np.int64)):
+        with pytest.raises(ValueError, match="needs 3 activators"):
+            simulator.write_metrics_csv(series, nodes, tmp_path / "m.csv")
 
 
 def test_rate_fit_recovers_synthetic_decay():
@@ -463,7 +464,6 @@ def dense_metrics(trace, z_star):
     y_norms = np.linalg.norm(np.concatenate([trace.y0, trace.y_new]),
                              axis=1)[latest]
     return simulator.MetricSeries(
-        k=np.arange(t + 1), node=np.concatenate([[-1], trace.node]),
         err_max=errs.max(axis=1), err_mean=errs.mean(axis=1),
         y_norm_max=y_norms.max(axis=1),
     )
@@ -477,26 +477,21 @@ def metrics_by_event(trace, z_star):
     err_max = np.empty(rows)
     err_mean = np.empty(rows)
     y_norm_max = np.empty(rows)
-    ks = np.empty(rows, dtype=int)
-    nodes = np.empty(rows, dtype=int)
 
-    def snapshot(idx, k, node):
+    def snapshot(k):
         errs = np.linalg.norm(z_cur - z_star, axis=1)
-        err_max[idx] = errs.max()
-        err_mean[idx] = errs.mean()
-        y_norm_max[idx] = np.linalg.norm(y_cur, axis=1).max()
-        ks[idx] = k
-        nodes[idx] = node
+        err_max[k] = errs.max()
+        err_mean[k] = errs.mean()
+        y_norm_max[k] = np.linalg.norm(y_cur, axis=1).max()
 
-    snapshot(0, 0, -1)
+    snapshot(0)
     for k in range(1, rows):
         node = trace.node[k - 1]
         z_cur[node] = trace.z_tilde[k - 1]
         y_cur[node] = trace.y_new[k - 1]
-        snapshot(k, k, node)
+        snapshot(k)
     return simulator.MetricSeries(
-        k=ks, node=nodes, err_max=err_max, err_mean=err_mean,
-        y_norm_max=y_norm_max,
+        err_max=err_max, err_mean=err_mean, y_norm_max=y_norm_max,
     )
 
 
