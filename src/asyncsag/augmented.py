@@ -39,11 +39,9 @@ Storage: each H_R, H_C and I_a is a ``SparseMatrix`` of coalesced
 (row, col, weight) entries, at most deg+1 per row, so one event takes
 O(ntilde) bytes. The replay and ``product_contraction`` multiply by row
 gathers, and no event matrix is ever dense. ``product_contraction`` keeps
-each forward product on its support box (its nonzero rows times its nonzero
-columns), so an ntilde x ntilde array is formed only for the first few
-products: on the event matrices the pull box narrows to at most n columns
-once the products span the staleness window, and the push box keeps only
-the registers that hold mass.
+each forward product sparse too and reads its distance to rank one from
+the spectra of the product's components: isolated rows and columns by
+their norms, the rest by one thin SVD. No ntilde x ntilde array is formed.
 """
 
 from __future__ import annotations
@@ -78,7 +76,8 @@ class SparseMatrix:
 
     @classmethod
     def from_entries(cls, rows, cols, weights, size: int) -> SparseMatrix:
-        """Sort (row, col, weight) entries; sum repeated positions in order.
+        """Sort (row, col, weight) entries; sum repeated positions in order
+        and drop the positions whose sum is exactly zero.
 
         The sum starts at zero and adds the repeats in input order, as a
         dense ``+=`` over the same entries would.
@@ -94,6 +93,9 @@ class SparseMatrix:
         if not fresh.all():
             weights = np.bincount(np.cumsum(fresh) - 1, weights=weights)
         order = order[fresh]
+        nonzero = weights != 0.0
+        if not nonzero.all():
+            order, weights = order[nonzero], weights[nonzero]
         return cls(rows[order], cols[order], weights, size)
 
     @property
@@ -111,53 +113,64 @@ class SparseMatrix:
         index = self.cols if axis == 0 else self.rows
         return np.bincount(index, weights=self.weights, minlength=self.size)
 
-    def __matmul__(self, operand) -> np.ndarray:
-        """``self @ operand`` for a dense 1-D or 2-D operand, by row gathers.
+    def __matmul__(self, operand) -> np.ndarray | SparseMatrix:
+        """``self @ operand``, by row gathers.
 
-        Each output row starts as its first entry's weight times that
-        entry's source row (zero for an empty row) and then adds its
-        remaining entries in column order.
+        A dense 1-D or 2-D operand gives a dense array: each output row
+        starts as its first entry's weight times that entry's source row
+        (zero for an empty row) and then adds its remaining entries in
+        column order. A ``SparseMatrix`` operand gives a ``SparseMatrix``
+        whose entries are those same sums without their zero terms, so
+        ``(self @ other).toarray()`` is ``self @ other.toarray()`` bit for
+        bit on finite weights, up to the sign of a zero.
         """
+        if isinstance(operand, SparseMatrix):
+            if operand.size != self.size:
+                raise ValueError(f"cannot multiply a {self.shape} matrix by "
+                                 f"a {operand.shape} matrix")
+            return self._times_sparse(operand)
         operand = np.asarray(operand, dtype=float)
         if operand.ndim not in (1, 2) or operand.shape[0] != self.size:
             raise ValueError(f"cannot multiply a {self.shape} matrix by an "
                              f"operand of shape {operand.shape}")
-        return _gather(self.rows, self.cols, self.weights, operand, self.size)
+        first = np.ones(self.rows.size, dtype=bool)
+        first[1:] = self.rows[1:] != self.rows[:-1]
+        source = np.zeros(self.size, dtype=np.intp)
+        scale = np.zeros(self.size)
+        source[self.rows[first]] = self.cols[first]
+        scale[self.rows[first]] = self.weights[first]
+        out = np.take(operand, source, axis=0)
+        scaled = np.flatnonzero(scale != 1.0)
+        out[scaled] *= scale[scaled].reshape((-1,) + (1,) * (operand.ndim - 1))
+        rest = ~first
+        for row, col, weight in zip(self.rows[rest], self.cols[rest],
+                                    self.weights[rest]):
+            out[row] += weight * operand[col]
+        return out
+
+    def _times_sparse(self, other: SparseMatrix) -> SparseMatrix:
+        """Each entry (r, s, w) of ``self`` meets every entry (s, c, p) of
+        ``other``'s row s in a term (r, c, w * p). The terms come out in
+        ``self``'s entry order, so ``from_entries`` sums each position in
+        ``self``'s column order, as the dense row gather does."""
+        counts = np.bincount(other.rows, minlength=self.size)
+        starts = np.cumsum(counts) - counts
+        reach = counts[self.cols]
+        left = np.repeat(np.arange(self.rows.size), reach)
+        # index into other's entries: its row start plus the rank of the
+        # term among those of the same entry of self
+        right = (np.arange(left.size)
+                 + np.repeat(starts[self.cols] - (np.cumsum(reach) - reach),
+                             reach))
+        return SparseMatrix.from_entries(
+            self.rows[left], other.cols[right],
+            self.weights[left] * other.weights[right], self.size)
 
     def toarray(self) -> np.ndarray:
         """The dense form."""
         dense = np.zeros(self.shape)
         dense[self.rows, self.cols] = self.weights
         return dense
-
-
-def _row_starts(rows: np.ndarray) -> np.ndarray:
-    """Mask of the entries that open a row in a nondecreasing row array."""
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    return first
-
-
-def _gather(rows: np.ndarray, sources: np.ndarray, weights: np.ndarray,
-            operand: np.ndarray, count: int) -> np.ndarray:
-    """``count`` rows of sums ``weight * operand[source]``, grouped by row.
-
-    ``rows`` is nondecreasing in [0, count). Each output row starts as its
-    first entry's weight times that entry's source row (zero for a row
-    without entries) and then adds its remaining entries in order.
-    """
-    first = _row_starts(rows)
-    source = np.zeros(count, dtype=np.intp)
-    scale = np.zeros(count)
-    source[rows[first]] = sources[first]
-    scale[rows[first]] = weights[first]
-    out = np.take(operand, source, axis=0)
-    scaled = np.flatnonzero(scale != 1.0)
-    out[scaled] *= scale[scaled].reshape((-1,) + (1,) * (operand.ndim - 1))
-    rest = ~first
-    for row, col, weight in zip(rows[rest], sources[rest], weights[rest]):
-        out[row] += weight * operand[col]
-    return out
 
 
 @dataclass(frozen=True)
@@ -371,107 +384,50 @@ def rank_one_distance(mat: np.ndarray) -> float:
     """Frobenius distance to the best rank-one approximation, by a full SVD.
 
     The distance is sqrt(sigma_2**2 + sigma_3**2 + ...), O(ntilde**3). It is
-    the exact reference for ``product_contraction`` and its fallback. For the
-    ntilde x ntilde identity it is sqrt(ntilde - 1), which exceeds 2 once
-    ntilde >= 6; it is therefore not the norm of the 2*delta**t envelope,
-    which bounds the l1 deviation of a stochastic product's rows (or columns)
-    from their mean.
+    the dense reference for ``product_contraction``. For the ntilde x ntilde
+    identity it is sqrt(ntilde - 1), which exceeds 2 once ntilde >= 6; it is
+    therefore not the norm of the 2*delta**t envelope, which bounds the l1
+    deviation of a stochastic product's rows (or columns) from their mean.
     """
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return float(np.sqrt(np.sum(svals[1:] ** 2)))
+    return _distance(np.linalg.svd(mat, compute_uv=False) ** 2)
 
 
-# Lanczos steps per product before falling back to the SVD, and the relative
-# accuracy asked of each squared distance.
-_LANCZOS_STEPS = 64
-_LANCZOS_RTOL = 1e-13
-# Share of the warm start spread over every coordinate, so that the start is
-# strictly positive (see product_contraction).
-_WARM_FLOOR = 1e-3
-# Below this fraction of ||P||_F the residual is rounding noise and the SVD
-# decides. An exactly rank-one product then keeps its exact zero distance,
-# which the 2*delta**t envelope needs at small ntilde, where it shrinks fast.
-_RESOLVED = 1e-12
+def _distance(squares: np.ndarray) -> float:
+    """sqrt of the sum of all squared singular values but the largest."""
+    return float(np.sqrt(np.sum(np.sort(squares)[:-1])))
 
 
-def _top_right_singular_vector(mat: np.ndarray, start: np.ndarray,
-                               frob2: float) -> tuple[np.ndarray, bool]:
-    """Unit top right singular vector of ``mat``, and whether it converged.
+def _squared_singular_values(mat: SparseMatrix) -> np.ndarray:
+    """Squared singular values of ``mat``, component by component.
 
-    Lanczos with full reorthogonalisation on mat^T mat from ``start``;
-    ``frob2`` is ||mat||_F**2. The top Ritz value theta_1 falls short of
-    sigma_1**2 by exactly the excess that the Ritz vector adds to the squared
-    rank-one distance. That excess is bounded by the Ritz residual r, and by
-    r**2 / (theta_1 - theta_2) once the top Ritz value has separated; the
-    iteration stops when the bound is below ``_LANCZOS_RTOL`` of the squared
-    distance or at rounding level.
+    The spectrum of a matrix is the union of those of the connected
+    components of its row-column graph. An isolated column (every row it
+    touches holds no other entry) is a component whose one singular value
+    is its l2 norm, and so is an isolated row; a lone entry is both and
+    counts once, as a column. The remaining core entries go into one dense
+    array, their support, and through an SVD. Zero singular values come
+    only from a rank-deficient core; an all-zero matrix gives none.
     """
-    size = mat.shape[1]
-    steps = min(size, _LANCZOS_STEPS)
-    basis = np.empty((steps, size))
-    alpha = np.empty(steps)
-    beta = np.empty(steps)
-    floor = (64 * np.finfo(float).eps) ** 2 * frob2
-    q = start / np.linalg.norm(start)
-    for j in range(steps):
-        basis[j] = q
-        w = mat.T @ (mat @ q)
-        alpha[j] = q @ w
-        for _ in range(2):
-            w -= basis[:j + 1].T @ (basis[:j + 1] @ w)
-        beta[j] = np.linalg.norm(w)
-        theta, ritz = np.linalg.eigh(np.diag(alpha[:j + 1])
-                                     + np.diag(beta[:j], 1)
-                                     + np.diag(beta[:j], -1))
-        resid = beta[j] * abs(ritz[-1, -1])
-        bound = resid
-        if j > 0 and theta[-1] > theta[-2]:
-            bound = min(resid, resid * resid / (theta[-1] - theta[-2]))
-        converged = bound <= _LANCZOS_RTOL * max(frob2 - theta[-1], 0.0) + floor
-        if converged or j == steps - 1:
-            break
-        q = w / beta[j]
-    vec = ritz[:, -1] @ basis[:j + 1]
-    return vec / np.linalg.norm(vec), converged
-
-
-class _SupportBox:
-    """A forward product kept on its support box.
-
-    ``block`` is the dense (len(rows), len(cols)) submatrix of the product
-    at the given rows and columns; every entry outside the box is zero. The
-    product starts as the identity.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.rows = np.arange(size)
-        self.cols = np.arange(size)
-        self.block = np.eye(size)
-
-    def step(self, mat: SparseMatrix) -> np.ndarray:
-        """Replace the product P by ``mat @ P``; return the mask of the old
-        columns that stay in the box.
-
-        Only the entries of ``mat`` whose source row is in the box are
-        gathered, so every entry inside the new box is bit for bit the
-        ``mat @ P`` of ``SparseMatrix.__matmul__``: the entries dropped
-        there multiply a zero row. A column that turns all zero leaves the
-        box.
-        """
-        position = np.full(mat.size, -1, dtype=np.intp)
-        position[self.rows] = np.arange(self.rows.size)
-        sources = position[mat.cols]
-        live = sources >= 0
-        targets = mat.rows[live]
-        first = _row_starts(targets)
-        self.rows = targets[first]
-        self.block = _gather(np.cumsum(first) - 1, sources[live],
-                             mat.weights[live], self.block, self.rows.size)
-        keep = self.block.any(axis=0)
-        if not keep.all():
-            self.cols = self.cols[keep]
-            self.block = np.compress(keep, self.block, axis=1)
-        return keep
+    rows, cols, squares = mat.rows, mat.cols, mat.weights ** 2
+    row_count = np.bincount(rows, minlength=mat.size)
+    col_count = np.bincount(cols, minlength=mat.size)
+    lone_col = np.ones(mat.size, dtype=bool)
+    lone_col[cols[row_count[rows] > 1]] = False
+    lone_row = np.ones(mat.size, dtype=bool)
+    lone_row[rows[col_count[cols] > 1]] = False
+    in_col, in_row = lone_col[cols], lone_row[rows]
+    core = ~(in_col | in_row)
+    core_rows, at_row = np.unique(rows[core], return_inverse=True)
+    core_cols, at_col = np.unique(cols[core], return_inverse=True)
+    block = np.zeros((core_rows.size, core_cols.size))
+    block[at_row, at_col] = mat.weights[core]
+    return np.concatenate([
+        np.bincount(cols[in_col], weights=squares[in_col],
+                    minlength=mat.size)[lone_col & (col_count > 0)],
+        # a row of one entry in a lone column was counted there
+        np.bincount(rows[in_row], weights=squares[in_row],
+                    minlength=mat.size)[lone_row & (row_count > 1)],
+        np.linalg.svd(block, compute_uv=False) ** 2 if block.size else []])
 
 
 def _as_sparse(mat: SparseMatrix | np.ndarray) -> SparseMatrix:
@@ -483,22 +439,6 @@ def _as_sparse(mat: SparseMatrix | np.ndarray) -> SparseMatrix:
     return SparseMatrix.from_entries(rows, cols, mat[rows, cols], mat.shape[0])
 
 
-def _rank_one_residual(mat: np.ndarray,
-                       start: np.ndarray) -> tuple[float, np.ndarray]:
-    """Rank-one distance of ``mat`` by Lanczos from ``start``, or by the SVD
-    when Lanczos does not converge or the residual is at rounding level;
-    and the unit top right singular vector it used. The residual array is
-    freed on return, before the next product is gathered."""
-    frob2 = float(np.vdot(mat, mat))
-    vec, converged = _top_right_singular_vector(mat, start, frob2)
-    resid = np.outer(mat @ vec, vec)
-    resid -= mat
-    dist = float(np.linalg.norm(resid))
-    if not converged or dist <= _RESOLVED * np.sqrt(frob2):
-        dist = rank_one_distance(mat)
-    return dist, vec
-
-
 def product_contraction(
         matrices: Sequence[SparseMatrix | np.ndarray]) -> np.ndarray:
     """Rank-one distances of the forward products of a matrix sequence.
@@ -506,37 +446,22 @@ def product_contraction(
     Entry t is ``rank_one_distance`` of the product P_t of the first t
     matrices (t=0 is the identity). Pass the h_row or h_col matrices of
     consecutive events. Every matrix enters through its nonzeros (a dense
-    array is converted to a ``SparseMatrix`` first), and each product is
-    kept only on its support box: its nonzero rows times its nonzero
-    columns, stored densely with the row and column indices beside it.
+    array is converted to a ``SparseMatrix`` first), and so does every
+    product: P_t = M_t @ P_{t-1} is a ``SparseMatrix``, whose entries are
+    bit for bit those of the dense row-gather product, with the exact zeros
+    dropped. On marl9 (ntilde = 693, n = 9) a product holds at most 6237
+    pull or 7600 push entries, against ntilde**2 = 480249.
 
-    * P_t = M_t P_{t-1}, gathering only the entries of M_t whose source row
-      is in the box. A zero column of P_{t-1} stays zero in M_t P_{t-1},
-      since every entry of that column is a weighted sum of zeros, so the
-      columns only shrink; the columns that turn all zero leave the box.
-      The entries inside the box are bit for bit those of the full product
-      ``M_t @ P_{t-1}``. On the event matrices the pull box keeps the
-      columns of the registers whose initial content still reaches some
-      row, at most n once t > b, and the push box the rows that hold mass.
-    * The singular values of P_t are those of its box, and its top right
-      singular vector is supported on the box's columns. So the steps below
-      run on the (rows x cols) box instead of the ntilde x ntilde product.
-    * The top right singular vector v comes from Lanczos on P_t^T P_t,
-      warm-started from the previous step's vector. The start is |v_prev|
-      plus a floor on every coordinate: P^T P is nonnegative and can split
-      into disconnected blocks, and a start confined to one block would miss
-      sigma_1, whose Perron vector is nonnegative (a strictly positive start
-      always has a component along it).
-    * The distance is the residual ||P_t - (P_t v) v^T||_F, whose error is
-      second order in the error of v and free of cancellation, unlike
-      sqrt(||P_t||_F**2 - sigma_1**2).
-
-    A step falls back to the exact SVD when Lanczos does not converge within
-    its step cap, or when the residual is at rounding level. The values
-    match the SVD's to about 1e-13 relative, so ``verify``'s verdict is the
-    SVD's: the distance starts at sqrt(ntilde - 1), above the 2*delta**t
-    envelope whenever ntilde >= 6, which is why multi-node ``verify`` still
-    reports ``FAIL product_contraction_bound`` at t=0.
+    The distance is exact, computed by ``rank_one_distance``'s formula from
+    the spectrum of P_t, which is the union of those of its components
+    (``_squared_singular_values``). Isolated rows and columns give their
+    l2 norms, and only the rest, the core, goes through a dense SVD. On the
+    bundled configs the core is thin, at most n columns for a pull product
+    and about n rows for a push product; the largest are 1431 x 9 (pull)
+    and 10 x 1431 (push), on straggler. The distance starts at
+    sqrt(ntilde - 1), above the 2*delta**t envelope whenever ntilde >= 6,
+    which is why multi-node ``verify`` reports ``FAIL
+    product_contraction_bound`` at t=0.
 
     Raises ``ValueError`` for an empty sequence, and for a matrix that is
     not square or not the size of the first.
@@ -552,17 +477,13 @@ def product_contraction(
             raise ValueError(f"matrix {index} has shape {shape}, but matrix "
                              f"0 has shape {np.shape(matrices[0])}")
     size = np.shape(matrices[0])[0]
-    box = _SupportBox(size)
-    vec = np.full(size, 1.0 / np.sqrt(size))
+    prod = SparseMatrix.from_entries(np.arange(size), np.arange(size),
+                                     np.ones(size), size)
     out = np.empty(len(matrices) + 1)
-    for t in range(len(matrices) + 1):
-        if t > 0:
-            vec = vec[box.step(_as_sparse(matrices[t - 1]))]
-        if not box.block.size:
-            out[t] = 0.0   # the product is zero
-            continue
-        start = np.abs(vec) + _WARM_FLOOR / np.sqrt(vec.size)
-        out[t], vec = _rank_one_residual(box.block, start)
+    out[0] = _distance(_squared_singular_values(prod))
+    for t, mat in enumerate(matrices, start=1):
+        prod = _as_sparse(mat) @ prod
+        out[t] = _distance(_squared_singular_values(prod))
     return out
 
 

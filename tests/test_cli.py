@@ -556,6 +556,22 @@ def test_main_verify_multinode_reports_contraction_failure(tmp_path, capsys):
     assert "certified_b" in out
 
 
+def test_main_verify_straggler_config(capsys):
+    """The bundled straggler config (b = 158, ntilde = 1431): the three
+    structural checks pass and the product bound fails at t=0, where the
+    identity is sqrt(1430) from rank one."""
+    code = cli.main(["verify", "--config", "straggler"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_CHECK_FAILED
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "PASS stochasticity", "PASS replay_equivalence",
+        "PASS tracking_identity"]
+    assert lines[3:] == [
+        "FAIL product_contraction_bound: first failure at t=0: distance "
+        "37.8153 > bound 2.0000",
+        "certified_b 158"]
+
+
 def test_main_verify_single_node_passes_everything(tmp_path, capsys):
     text = BASE_INI.replace("n = 3", "n = 1")
     ini = write_ini(tmp_path, text)
