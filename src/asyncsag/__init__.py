@@ -9,8 +9,8 @@ from .mdp import (Mdp, Transition, build_random_mdp, make_feature_map,
                   partition_samples, random_policy, sample_trajectory,
                   stationary_distribution)
 from .mspbe import (ProblemSpec, SampleStats, SpectralConstants, aggregate,
-                    full_gradient, saddle_gradient, solve_problem,
-                    solve_saddle, spectral_constants, zeta_threshold)
+                    saddle_gradient, solve_problem, solve_saddle,
+                    spectral_constants, zeta_threshold)
 from .protocol import (Message, NodeState, PayloadTable, SampleSelector,
                        activate, init_node, selector_rng)
 from .simulator import (ActivationSchedule, AssumptionViolation, DelayModel,
@@ -31,8 +31,8 @@ __all__ = [
     "partition_samples", "random_policy", "sample_trajectory",
     "stationary_distribution",
     "ProblemSpec", "SampleStats", "SpectralConstants", "aggregate",
-    "full_gradient", "saddle_gradient", "solve_problem", "solve_saddle",
-    "spectral_constants", "zeta_threshold",
+    "saddle_gradient", "solve_problem", "solve_saddle", "spectral_constants",
+    "zeta_threshold",
     "Message", "NodeState", "PayloadTable", "SampleSelector", "activate",
     "init_node",
     "selector_rng",

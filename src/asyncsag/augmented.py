@@ -309,7 +309,7 @@ def replay(trace: EventTrace,
         raise ValueError("problem layout does not match the trace")
     # a run given z_star keeps its error series, not the broadcasts
     t = trace.num_events
-    if trace.z_tilde.shape[0] != t or trace.y_new.shape[0] != t:
+    if trace.z_tilde.shape[0] != t:
         raise ValueError(f"the trace holds the broadcasts of "
                          f"{trace.z_tilde.shape[0]} of its {t} events; "
                          f"replay needs a full trace")

@@ -125,11 +125,6 @@ def saddle_gradient(z: np.ndarray, stats: SampleStats, rho: float) -> np.ndarray
     return out
 
 
-def full_gradient(problem: ProblemSpec, z: np.ndarray) -> np.ndarray:
-    """Mean stacked gradient over all samples (the scaled map at zeta = 1)."""
-    return scaled_gradient(problem, z, 1.0)
-
-
 def solve_saddle(a: np.ndarray, b: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     """Unique stationary point of the aggregate objective.
 
@@ -179,17 +174,6 @@ def from_scaled(w: np.ndarray, zeta: float) -> np.ndarray:
     return z
 
 
-def scaled_gradient(problem: ProblemSpec, w: np.ndarray, zeta: float) -> np.ndarray:
-    """Mean gradient map in scaled coordinates, M @ w + const.
-
-    One step w <- w - eta * scaled_gradient(w) reproduces the unscaled block
-    step (eta1 = eta on theta, eta2 = eta*zeta on omega) up to the coordinate
-    change.
-    """
-    m_op, const = scaled_affine(problem, zeta)
-    return m_op @ w + const
-
-
 def _scaled_block(a: np.ndarray, c: np.ndarray, rho: float, zeta: float) -> np.ndarray:
     """M = [[rho I, sqrt(zeta) A^T], [-sqrt(zeta) A, zeta C]].
 
@@ -206,7 +190,13 @@ def _scaled_block(a: np.ndarray, c: np.ndarray, rho: float, zeta: float) -> np.n
 
 
 def scaled_affine(problem: ProblemSpec, zeta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affine form of the scaled gradient: scaled_gradient(w) = M @ w + const."""
+    """The mean gradient map in scaled coordinates, M @ w + const, as
+    (M, const); at zeta = 1 it is the unscaled mean stacked gradient.
+
+    One step w <- w - eta * (M @ w + const) reproduces the unscaled block
+    step (eta1 = eta on theta, eta2 = eta*zeta on omega) up to the
+    coordinate change.
+    """
     a, b, c = aggregate(problem)
     const = np.concatenate([np.zeros(problem.d), np.sqrt(zeta) * b])
     return _scaled_block(a, c, problem.rho, zeta), const

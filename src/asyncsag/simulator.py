@@ -20,16 +20,18 @@ bookkeeping depends on a value of z or y, so each block is first planned with
 array code: who activates, which samples each activation refreshes, every
 message's delay, and which activation consumes which message in which buffer
 order. A per-event loop then runs only the protocol's arithmetic on that plan.
-Each block that has run is recorded in one of two ways: as a copy of its
-broadcasts (the full trace, for replay), or, given the solution, as its rows
-of the error series alone.
+Each block that has run is recorded in one of two ways, each holding what
+its one reader reads: as a copy of its broadcasts ``z_tilde`` (the full
+trace, which ``augmented.replay`` reads), or, given the solution, as its
+rows of the error series (the streamed trace, whose ``series`` ``asyncsag
+run`` writes).
 """
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -213,9 +215,10 @@ class EventTrace:
     previous activation, or its initial one) and then the rows
     ``messages.consumed_by(k)``.
 
-    A full trace holds every event's broadcast in ``z_tilde`` and ``y_new``,
-    which post-hoc matrix replay needs. A run given the solution keeps its
-    error ``series`` instead, and those two columns have no rows.
+    Both records hold the plan columns (``node``, ``samples``,
+    ``messages``). A full trace adds every event's broadcast in ``z_tilde``,
+    which post-hoc matrix replay reads. A run given the solution keeps its
+    error ``series`` instead, and ``z_tilde`` has no rows.
     """
 
     n: int
@@ -224,11 +227,9 @@ class EventTrace:
     eta1: float
     eta2: float
     graph: DirectedGraph
-    y0: np.ndarray                      # (n, 2d) initial trackers
     node: np.ndarray                    # (T,) activator of each event
     samples: np.ndarray                 # (T, batch_size) refreshed samples
     z_tilde: np.ndarray                 # (T, 2d) broadcast, the activator's new z
-    y_new: np.ndarray                   # (T, 2d) activator's corrected tracker
     messages: MessageLog                # all network messages, init included
     stop_reason: str
     series: MetricSeries | None = None  # the error series of a streamed run
@@ -256,10 +257,12 @@ class _Network:
         self._targets = np.array([v for t in targets for v in t],
                                  dtype=np.int64)
         self._delays, self._rng = delays, rng
-        # the log: one (origin, dest, sent, slot) block per send, and the
-        # consuming event of every message so far (-1 for none yet)
-        self._sent: list[np.ndarray] = []
-        self.consumed_at = np.empty(0, dtype=np.int64)
+        # the log: the pieces of its columns origin, dest, sent, slot and
+        # consuming event (-1 for none yet), one piece per send, and the
+        # index of each piece's first row
+        self._log: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
+        self._starts: list[int] = []
+        self._count = 0
         # in flight: index, origin, dest, sent, slot
         self.pending = np.empty((5, 0), dtype=np.int64)
 
@@ -273,21 +276,31 @@ class _Network:
         origin = np.repeat(origins, fanout)
         sent = np.repeat(events, fanout)
         slot = sent + self._delays.draw(self._rng, sent)
-        count = self.consumed_at.shape[0]
-        index = np.arange(count, count + total)
+        index = np.arange(self._count, self._count + total)
         self.pending = np.concatenate(
             [self.pending, np.stack([index, origin, dest, sent, slot])],
             axis=1)
-        self._sent.append(np.stack([origin, dest, sent, slot]))
-        self.consumed_at = np.concatenate(
-            [self.consumed_at, np.full(total, -1, dtype=np.int64)])
+        for pieces, column in zip(self._log, (
+                origin, dest, sent, slot, np.full(total, -1, dtype=np.int64))):
+            pieces.append(column)
+        self._starts.append(self._count)
+        self._count += total
+
+    def consume(self, index: np.ndarray, events: np.ndarray) -> None:
+        """Record that the messages ``index`` were consumed at ``events``."""
+        piece = np.searchsorted(self._starts, index, side="right") - 1
+        for p in np.flatnonzero(np.bincount(piece)).tolist():
+            mine = piece == p
+            self._log[4][p][index[mine] - self._starts[p]] = events[mine]
 
     def message_log(self, num_events: int) -> MessageLog:
         """The messages sent by event ``num_events``, with the consumptions
-        made by then."""
-        origin, dest, sent, slot = np.concatenate(self._sent, axis=1)
+        made by then. The network keeps no log after this."""
+        # one column at a time, so that the log is never held twice
+        origin, dest, sent, slot, consumed = (
+            _join(pieces) for pieces in self._log)
         end = sent.searchsorted(num_events, side="right")
-        consumed = self.consumed_at[:end]
+        consumed = consumed[:end]
         # after an epsilon stop, the block's later events consumed nothing
         consumed[consumed > num_events] = -1
         return MessageLog(origin[:end], dest[:end], sent[:end], slot[:end],
@@ -296,15 +309,20 @@ class _Network:
 
 @dataclass
 class _Block:
-    """The plan of events k0 .. k0 + count - 1 (row j is event k0 + j) and,
-    once they have run, their broadcasts."""
+    """The plan of events k0 .. k0 + count - 1 (row j is event k0 + j)."""
 
     node: np.ndarray
     samples: np.ndarray
     violation: tuple[int, int] | None   # first (event, node) past b_max
     oldest_read: int    # the oldest payload row read by this block or later
-    z_tilde: np.ndarray | None = None   # (events run, 2d)
-    y_new: np.ndarray | None = None
+
+
+def _join(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces end to end. The list is emptied, so that the pieces go as
+    soon as they are copied."""
+    joined = np.concatenate(pieces)
+    pieces.clear()
+    return joined
 
 
 def _payload_row(origin: np.ndarray, sent: np.ndarray, n: int) -> np.ndarray:
@@ -377,7 +395,7 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     buffered = np.lexsort((index, origin, sent, slot, at))
     index, origin, dest, sent, at = (col[buffered] for col in
                                      (index, origin, dest, sent, at))
-    network.consumed_at[index] = k0 + at
+    network.consume(index, k0 + at)
 
     delivered = at.searchsorted(np.arange(count + 1))
 
@@ -409,10 +427,15 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     Stops early when every node's tracker norm falls below ``epsilon`` (when
     given). Raises AssumptionViolation if some node goes more than ``b_max``
     events without activating (when given). Given the solution ``z_star``,
-    each planned block is reduced to its rows of ``metrics(trace, z_star)``
-    once it has run, and the trace keeps that series in place of the
-    events' broadcasts.
+    each planned block is reduced to its rows of the error series by
+    ``metrics`` once it has run, and the trace keeps that series in place of
+    the events' broadcasts.
     """
+    for name, value in (("max_events", max_events), ("seed", seed)):
+        if (isinstance(value, bool)
+                or not isinstance(value, (int, np.integer)) or value < 0):
+            raise ValueError(f"{name} must be a nonnegative integer, got "
+                             f"{value!r}")
     if not is_strongly_connected(graph):
         raise ValueError("communication graph must be strongly connected")
     if graph.n != problem.n:
@@ -450,14 +473,15 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
                   payloads, row=i)
         for i in range(n)
     ]
-    y0_rows = payloads.y.copy()
-    carry = None if z_star is None else MetricCarry.start(y0_rows, z_star)
+    carry = None if z_star is None else MetricCarry.start(payloads.y, z_star)
     network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY))
     last_active = np.zeros(n, dtype=np.int64)
-    # each block run, with a copy of its broadcasts (the full trace) or with
-    # its rows of the error series
-    blocks: list[_Block] = []
-    pieces: list[MetricSeries] = []
+    # the record's columns, one piece per block run: the plan's, and a copy
+    # of the broadcasts (the full trace) or the rows of the error series
+    series_names = [field.name for field in fields(MetricSeries)]
+    record: dict[str, list[np.ndarray]] = {
+        name: [] for name in ["node", "samples"]
+        + (["z_tilde"] if carry is None else series_names)}
 
     # Each node's tracker norm; an activation changes only the activator's.
     residual = [local_residual(nd) for nd in nodes]
@@ -505,41 +529,34 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
 
         done = slice(num_events + 1 - k0)
         states = slice(n + k0 - 1 - base, n + num_events - base)
-        ran = replace(block, node=block.node[done],
-                      samples=block.samples[done],
-                      z_tilde=payloads.z[states], y_new=payloads.y[states])
+        record["node"].append(block.node[done])
+        record["samples"].append(block.samples[done])
         if carry is None:
-            ran.z_tilde, ran.y_new = ran.z_tilde.copy(), ran.y_new.copy()
+            record["z_tilde"].append(payloads.z[states].copy())
         else:
-            pieces.append(metrics(ran, z_star, carry))
-            ran.z_tilde = ran.y_new = None
-        blocks.append(ran)
+            piece = metrics(block.node[done], payloads.z[states],
+                            payloads.y[states], z_star, carry)
+            for name in series_names:
+                record[name].append(getattr(piece, name))
         if stop_reason == "epsilon":
             break
 
-    # the blocks and pieces go before the message log is built, so that
-    # the two never take their full size at once
-    node, samples = (np.concatenate([getattr(b, name) for b in blocks])
-                     for name in ("node", "samples"))
-    if carry is None:
-        series = None
-        z_col, y_col = (np.concatenate([getattr(b, name) for b in blocks])
-                        for name in ("z_tilde", "y_new"))
-    else:
-        series = MetricSeries(*(
-            np.concatenate([getattr(piece, field.name) for piece in pieces])
-            for field in fields(MetricSeries)))
-        pieces.clear()
-        z_col = y_col = np.empty((0, width))
-    blocks.clear()
+    # one column at a time, and all before the message log is built, so
+    # that no two records take their full size at once
+    columns = {name: _join(pieces) for name, pieces in record.items()}
+    series = None
+    if carry is not None:
+        series = MetricSeries(**{name: columns.pop(name)
+                                 for name in series_names})
+        columns["z_tilde"] = np.empty((0, width))
     messages = network.message_log(num_events)
     log.info("run_async: %d events, %d network messages, %d consumed, "
              "stop %s", num_events, len(messages),
              np.count_nonzero(messages.consumed_at >= 0), stop_reason)
     return EventTrace(
         n=n, d=problem.d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph,
-        y0=y0_rows, node=node, samples=samples, z_tilde=z_col, y_new=y_col,
-        messages=messages, stop_reason=stop_reason, series=series,
+        **columns, messages=messages, stop_reason=stop_reason,
+        series=series,
     )
 
 
@@ -654,55 +671,35 @@ class MetricCarry:
                    np.linalg.norm(y0, axis=1))
 
 
-def metrics(trace: EventTrace, z_star: np.ndarray,
-            carry: MetricCarry | None = None) -> MetricSeries:
-    """Distance-to-solution series over the trace.
+def metrics(node: np.ndarray, z_tilde: np.ndarray, y_new: np.ndarray,
+            z_star: np.ndarray, carry: MetricCarry) -> MetricSeries:
+    """The error series' rows of a run's next events.
 
+    ``node``, ``z_tilde`` and ``y_new`` are the activators, broadcasts and
+    corrected trackers of the events after the carry's first ``carry.k``.
     Row k reflects every node's latest completed state after the first k
-    events (row 0 is the initialization).
-
-    Given a ``carry``, ``trace`` is the run's events after the carry's
-    first ``carry.k``, and only its columns node, z_tilde and y_new are
-    read. The series holds their rows, after row 0 when the carry is at the
-    start, and the carry moves past them; so pieces reduced in turn give
-    the rows of the whole run.
+    events of the run. The series holds the rows of these events, after row
+    0 (the initialization) when the carry is at the start, and the carry
+    moves past them; so the pieces of a run reduced in turn give its rows.
     """
-    if carry is None:
-        carry = MetricCarry.start(trace.y0, z_star)
-    t, n = trace.node.shape[0], carry.errs.shape[0]
-    if trace.z_tilde.shape[0] != t or trace.y_new.shape[0] != t:
-        raise ValueError(f"the trace holds the broadcasts of "
-                         f"{trace.z_tilde.shape[0]} of its {t} events; a run "
-                         f"given z_star keeps its series instead")
+    t, n = node.shape[0], carry.errs.shape[0]
     head = int(carry.k == 0)   # row 0, the initialization's
-    err_max, err_mean, y_norm_max = np.empty((3, head + t))
-    errs, y_norms = carry.errs, carry.y_norms
-    if head:
-        err_max[0], err_mean[0], y_norm_max[0] = (
-            errs.max(), errs.mean(), y_norms.max())
-    for lo in range(0, t, _ROW_BLOCK):
-        hi = min(t, lo + _ROW_BLOCK)
-        # latest[j, v]: the entry of (carried values, block rows) that holds
-        # node v's value after event lo + j + 1
-        latest = np.tile(np.arange(n), (hi - lo, 1))
-        latest[np.arange(hi - lo), trace.node[lo:hi]] = np.arange(n, n + hi - lo)
-        latest = np.maximum.accumulate(latest, axis=0)
-        errs = np.concatenate([
-            errs, np.linalg.norm(trace.z_tilde[lo:hi] - z_star, axis=1)])[latest]
-        y_norms = np.concatenate([
-            y_norms, np.linalg.norm(trace.y_new[lo:hi], axis=1)])[latest]
-        rows = slice(head + lo, head + hi)
-        err_max[rows], err_mean[rows] = errs.max(axis=1), errs.mean(axis=1)
-        y_norm_max[rows] = y_norms.max(axis=1)
-        errs, y_norms = errs[-1], y_norms[-1]
-    carry.k, carry.errs, carry.y_norms = carry.k + t, errs, y_norms
-    return MetricSeries(err_max=err_max, err_mean=err_mean,
-                        y_norm_max=y_norm_max)
+    # latest[j, v]: the entry of (carried values, these rows) that holds
+    # node v's value at row j of the piece
+    latest = np.tile(np.arange(n), (head + t, 1))
+    latest[np.arange(head, head + t), node] = np.arange(n, n + t)
+    latest = np.maximum.accumulate(latest, axis=0)
+    errs = np.concatenate([
+        carry.errs, np.linalg.norm(z_tilde - z_star, axis=1)])[latest]
+    y_norms = np.concatenate([
+        carry.y_norms, np.linalg.norm(y_new, axis=1)])[latest]
+    carry.k, carry.errs, carry.y_norms = carry.k + t, errs[-1], y_norms[-1]
+    return MetricSeries(err_max=errs.max(axis=1), err_mean=errs.mean(axis=1),
+                        y_norm_max=y_norms.max(axis=1))
 
 
-# metrics reduces, and write_metrics_csv converts to Python objects, this
-# many rows at a time, so that a long series never holds a whole-run
-# temporary, nor all its rows as Python floats, at once
+# write_metrics_csv converts this many rows at a time to Python objects, so
+# that a long series never holds all its rows as Python floats at once
 _ROW_BLOCK = 4096
 
 

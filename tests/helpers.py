@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
 
-from asyncsag import mdp
+from asyncsag import mdp, simulator
 from asyncsag.graph import DirectedGraph, diameter
 from asyncsag.mspbe import ProblemSpec, SampleStats
 from asyncsag.simulator import EventTrace, verify_assumption1b
@@ -50,13 +52,59 @@ def initial_z(trace: EventTrace) -> np.ndarray:
     return np.zeros((trace.n, 2 * trace.d))
 
 
-def tracker_bounds(trace) -> list[float]:
+@dataclasses.dataclass
+class NodeStates:
+    """What the nodes of a run computed: each node's initial tracker, and
+    each event's broadcast and the activator's corrected tracker, one row
+    per event in event order."""
+
+    y0: np.ndarray        # (n, 2d)
+    z_tilde: np.ndarray   # (T, 2d)
+    y_new: np.ndarray     # (T, 2d)
+
+
+@contextlib.contextmanager
+def recorded_states():
+    """Record the states of the ``simulator.run_async`` calls made inside
+    the block, through wrappers of ``simulator.init_node`` and
+    ``simulator.activate`` (of whatever they are bound to on entry). The
+    ``NodeStates`` yielded holds lists while the block runs, and arrays of
+    the last run's rows after it, also when the run raised."""
+    states = NodeStates([], [], [])
+    init, act = simulator.init_node, simulator.activate
+
+    def init_node(node_id, *args, **kwargs):
+        if node_id == 0:   # a new run
+            for rows in (states.y0, states.z_tilde, states.y_new):
+                rows.clear()
+        node = init(node_id, *args, **kwargs)
+        states.y0.append(node.y.copy())
+        return node
+
+    def activate(node, payloads, row, *args, **kwargs):
+        z_hat = act(node, payloads, row, *args, **kwargs)
+        states.z_tilde.append(payloads.z[row].copy())
+        states.y_new.append(node.y.copy())
+        return z_hat
+
+    try:
+        with unittest.mock.patch.object(simulator, "init_node", init_node), \
+                unittest.mock.patch.object(simulator, "activate", activate):
+            yield states
+    finally:
+        width = states.y0[0].shape[0] if states.y0 else 0
+        states.y0, states.z_tilde, states.y_new = (
+            np.array(rows).reshape(len(rows), width)
+            for rows in (states.y0, states.z_tilde, states.y_new))
+
+
+def tracker_bounds(node: np.ndarray, states: NodeStates) -> list[float]:
     """After each event, a little above the largest latest tracker norm of
     the nodes: the smallest of the first k is an epsilon that stops the run
     by event k."""
-    latest = [float(np.linalg.norm(y)) for y in trace.y0]
+    latest = [float(np.linalg.norm(y)) for y in states.y0]
     bounds = []
-    for v, y in zip(trace.node.tolist(), trace.y_new):
+    for v, y in zip(node.tolist(), states.y_new):
         latest[v] = float(np.linalg.norm(y))
         bounds.append(max(latest) * 1.000001)
     return bounds

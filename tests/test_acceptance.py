@@ -142,8 +142,10 @@ def test_criterion_02_saddle_solve_and_descent_contraction():
     for seed in range(10):
         prob = _problem(100 + seed)
         z_star = mspbe.solve_problem(prob)
+        # the mean stacked gradient is the scaled map at zeta = 1
+        grad_op, grad_const = mspbe.scaled_affine(prob, 1.0)
         worst_gnorm = max(worst_gnorm, float(
-            np.linalg.norm(mspbe.full_gradient(prob, z_star))))
+            np.linalg.norm(grad_op @ z_star + grad_const)))
         zeta = 2.0 * mspbe.zeta_threshold(prob)
         spec = mspbe.spectral_constants(prob, zeta)
         assert spec.g_eigs_real and spec.valid, (
@@ -395,10 +397,10 @@ def test_criterion_08_quickstart_converges_linearly():
     start = time.perf_counter()
     cfg = cli.load_config(cli.bundled_config("quickstart"))
     bundle = cli.build_experiment(cfg)
-    trace = simulator.run_async(
+    series = simulator.run_async(
         bundle.problem, bundle.graph, cli._schedule(cfg), cli._delays(cfg),
-        cfg.eta1, cfg.eta2, cfg.run_seed, max_events=cfg.max_events)
-    series = simulator.metrics(trace, bundle.z_star)
+        cfg.eta1, cfg.eta2, cfg.run_seed, max_events=cfg.max_events,
+        z_star=bundle.z_star).series
     target = 1e-6 * series.err_max[0]
     below = np.nonzero(series.err_max <= target)[0]
     hit = int(below[0]) if below.size else -1
@@ -436,17 +438,18 @@ def test_criterion_09_straggler_slowdown_stays_local():
     target = 1e-4
 
     def events_to_target(trace: simulator.EventTrace) -> int:
-        series = simulator.metrics(trace, z_star)
-        below = np.nonzero(series.err_max <= target)[0]
+        below = np.nonzero(trace.series.err_max <= target)[0]
         return int(below[0]) if below.size else -1
 
     uniform_sched = simulator.ActivationSchedule(kind="uniform_random", n=9)
     slowed_sched = simulator.ActivationSchedule(
         kind="straggler", n=9, straggler_node=0, straggler_factor=10.0)
     uniform = simulator.run_async(prob, topo, uniform_sched, delays, eta1,
-                                  eta1 * zeta, seed=29, max_events=40_000)
+                                  eta1 * zeta, seed=29, max_events=40_000,
+                                  z_star=z_star)
     slowed = simulator.run_async(prob, topo, slowed_sched, delays, eta1,
-                                 eta1 * zeta, seed=29, max_events=60_000)
+                                 eta1 * zeta, seed=29, max_events=60_000,
+                                 z_star=z_star)
     hit_uniform = events_to_target(uniform)
     hit_slowed = events_to_target(slowed)
     assert hit_uniform > 0 and hit_slowed > 0, "target err never reached"
@@ -457,9 +460,12 @@ def test_criterion_09_straggler_slowdown_stays_local():
     # A synchronous round waits for its slowest node, so with one time unit
     # per node and round (node 0 at 10) each round lasts the largest of the
     # node times. The iterates do not depend on the clocks: one run serves
-    # both sides.
-    sync = simulator.run_sync(prob, topo, rounds=6000,
-                              eta1=eta1, eta2=eta1 * zeta, seed=29)
+    # both sides. It is run_sync's run of 6000 rounds (round-robin
+    # activation, round-barrier delivery), given z_star.
+    sync = simulator.run_async(
+        prob, topo, simulator.ActivationSchedule("round_robin", 9),
+        simulator.DelayModel("round_barrier", d_max=8), eta1, eta1 * zeta,
+        seed=29, max_events=6000 * 9, z_star=z_star)
     hit_sync = events_to_target(sync)
     assert hit_sync > 0, "sync run never reached the target err"
     rounds_needed = -(-hit_sync // 9)

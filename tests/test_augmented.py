@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from asyncsag import augmented, cli, graph, mspbe, simulator
 from asyncsag.mspbe import SpectralConstants
-from helpers import build_problem, graph_constants, initial_z, tracker_bounds
+from helpers import (build_problem, graph_constants, initial_z,
+                     recorded_states, tracker_bounds)
 from test_plan_oracle import heap_run_async
 
 
@@ -245,15 +246,16 @@ def _certified_run_with_buffers(n, topology, kind, delay_kind, d_max,
                 straggler_factor=5.0 if straggler else 1.0),
             simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.05, 0.4)
     kwargs = dict(seed=seed, max_events=events, batch_size=batch_size)
-    trace = simulator.run_async(*args, **kwargs)
+    with recorded_states() as states:
+        trace = simulator.run_async(*args, **kwargs)
     if 0 < stop <= events:
-        kwargs["epsilon"] = min(tracker_bounds(trace)[:stop])
+        kwargs["epsilon"] = min(tracker_bounds(trace.node, states)[:stop])
         trace = simulator.run_async(*args, **kwargs)
     try:
         b = simulator.verify_assumption1b(trace)
     except simulator.AssumptionViolation:
         reject()  # some node starves within the trace
-    _, pulled = heap_run_async(*args, **kwargs)
+    _, _, pulled = heap_run_async(*args, **kwargs)
     assert len(pulled) == trace.num_events
     return trace, b, pulled
 
@@ -458,7 +460,7 @@ def test_replay_refuses_a_streamed_run_at_the_call():
         simulator.DelayModel("uniform", 2), trace.eta1, trace.eta2, seed=4,
         max_events=20, z_star=mspbe.solve_problem(prob))
     assert streamed.z_tilde.shape == (0, 2 * trace.d)
-    cut = dataclasses.replace(trace, y_new=trace.y_new[:-1])
+    cut = dataclasses.replace(trace, z_tilde=trace.z_tilde[:-1])
     for bad in (streamed, cut):
         with pytest.raises(ValueError, match="replay needs a full trace"):
             augmented.replay(bad, prob)

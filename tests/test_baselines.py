@@ -54,8 +54,9 @@ def test_full_refresh_reduces_to_deterministic_descent():
     # oracle: independent loop on the aggregate gradient
     d = prob.d
     z = np.zeros(2 * d)
+    m_op, const = mspbe.scaled_affine(prob, 1.0)
     for k in range(1, iters + 1):
-        g = mspbe.full_gradient(prob, z)
+        g = m_op @ z + const
         z = z - np.concatenate([eta1 * g[:d], eta1 * zeta * g[d:]])
         assert np.allclose(sag.z_hist[k], z, atol=1e-12)
     # and the same trajectory in scaled coordinates from the affine sweep

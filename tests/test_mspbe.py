@@ -84,8 +84,10 @@ def test_full_gradient_is_flat_mean_over_samples():
     z = rng.normal(size=2 * prob.d)
     per_sample = [mspbe.saddle_gradient(z, s, prob.rho)
                   for node in prob.per_node for s in node]
-    assert np.allclose(mspbe.full_gradient(prob, z),
-                       np.mean(per_sample, axis=0), atol=1e-12)
+    # the scaled map at zeta = 1 is the unscaled mean gradient
+    m_op, const = mspbe.scaled_affine(prob, 1.0)
+    assert np.allclose(m_op @ z + const, np.mean(per_sample, axis=0),
+                       atol=1e-12)
 
 
 def test_aggregate_means():
@@ -145,8 +147,8 @@ def test_solve_saddle_zeroes_the_gradient():
     for seed in range(5):
         prob = random_problem(seed=seed, d=3)
         z_star = mspbe.solve_problem(prob)
-        g = mspbe.full_gradient(prob, z_star)
-        assert np.linalg.norm(g) < 1e-10
+        m_op, const = mspbe.scaled_affine(prob, 1.0)
+        assert np.linalg.norm(m_op @ z_star + const) < 1e-10
 
 
 def test_solve_saddle_pinned_identity_example():
@@ -178,10 +180,14 @@ def test_scaled_round_trip_and_gradient_consistency():
     z = rng.normal(size=2 * prob.d)
     w = mspbe.to_scaled(z, zeta)
     assert np.allclose(mspbe.from_scaled(w, zeta), z, atol=1e-14)
-    # scaled gradient equals the affine operator applied to scaled coords
+    # the affine map in scaled coordinates is the mean gradient with its
+    # omega block scaled by sqrt(zeta), so one step of it is the unscaled
+    # block step with eta2 = eta * zeta
     M, const = mspbe.scaled_affine(prob, zeta)
-    assert np.allclose(mspbe.scaled_gradient(prob, w, zeta),
-                       M @ w + const, atol=1e-11)
+    g = np.mean([mspbe.saddle_gradient(z, s, prob.rho)
+                 for s in prob.all_stats()], axis=0)
+    g[prob.d:] *= np.sqrt(zeta)
+    assert np.allclose(M @ w + const, g, atol=1e-11)
 
 
 def test_zeta_threshold_pinned_identity_example():

@@ -8,9 +8,11 @@ activation arithmetic. ``simulator.run_async`` plans blocks of events with
 array code and must give the same trace, bit for bit, for every block size,
 and fill every activation's buffer in the heap engine's order.
 
-The heap engine also returns its own record of each event's buffer, apart
-from the message log, which other tests take as the reference for who
-consumed what.
+The heap engine also returns the states its nodes computed (each node's
+initial tracker, each event's broadcast and corrected tracker), which must
+equal those the planned engine computes, and its own record of each event's
+buffer, apart from the message log, which other tests take as the reference
+for who consumed what.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ from hypothesis import strategies as st
 from asyncsag import graph, mspbe, protocol, simulator
 from asyncsag.protocol import (STREAM_DELAY, STREAM_SCHEDULE, Message,
                                SampleSelector, derived_rng, selector_rng)
-from helpers import assert_traces_equal, build_problem, tracker_bounds
+from helpers import (NodeStates, assert_traces_equal, build_problem,
+                     recorded_states, tracker_bounds)
 
 
 def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
                    max_events, epsilon=None, batch_size=1, b_max=None):
-    """The trace, and each event's buffer as (origin, sent event) pairs in
-    buffer order, the activator's own latest broadcast first."""
+    """The trace, the nodes' states, and each event's buffer as (origin,
+    sent event) pairs in buffer order, the activator's own latest broadcast
+    first."""
     rng_sched = derived_rng(seed, STREAM_SCHEDULE)
     rng_delay = derived_rng(seed, STREAM_DELAY)
     n, d, m, rho = problem.n, problem.d, problem.m, problem.rho
@@ -127,15 +131,15 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
                     for msg in messages], dtype=np.int64).reshape(-1, 5)
     trace = simulator.EventTrace(
         n=n, d=d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph_,
-        y0=y0_rows,
         node=np.array(node_col, dtype=np.int64),
         samples=np.array(samples, dtype=np.int64).reshape(rows, batch_size),
         z_tilde=np.array(z_col).reshape(rows, 2 * d),
-        y_new=np.array(y_col).reshape(rows, 2 * d),
         messages=simulator.MessageLog(*(col.copy() for col in log.T)),
         stop_reason=stop_reason,
     )
-    return trace, pulled
+    states = NodeStates(y0=y0_rows, z_tilde=trace.z_tilde,
+                        y_new=np.array(y_col).reshape(rows, 2 * d))
+    return trace, states, pulled
 
 
 def outcome(run, *args, **kwargs):
@@ -180,8 +184,8 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
     if stop == "epsilon" and events:
         # a threshold the run crosses by a drawn event
         at = data.draw(st.integers(1, events), label="epsilon event")
-        kwargs["epsilon"] = min(
-            tracker_bounds(heap_run_async(*args, **kwargs)[0])[:at])
+        trace, states, _ = heap_run_async(*args, **kwargs)
+        kwargs["epsilon"] = min(tracker_bounds(trace.node, states)[:at])
     elif stop == "b_max":
         kwargs["b_max"] = data.draw(st.integers(1, 4 * n + 6), label="b_max")
     want = outcome(heap_run_async, *args, **kwargs)
@@ -197,13 +201,18 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
             return protocol.activate(node, payloads, row, *rest)
 
         with unittest.mock.patch.object(simulator, "_PLAN_BLOCK", block), \
-                unittest.mock.patch.object(simulator, "activate", recording):
+                unittest.mock.patch.object(simulator, "activate", recording), \
+                recorded_states() as states:
             got = outcome(simulator.run_async, *args, **kwargs)
         if isinstance(want, Exception):
             assert_same_outcome(got, want)
             continue
-        trace, pulled = want
+        trace, heap_states, pulled = want
         assert_same_outcome(got, trace)
+        # every node's tracker, initial and after each of its activations
+        for name in ("y0", "z_tilde", "y_new"):
+            a, b = getattr(states, name), getattr(heap_states, name)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
         # each activation's buffer holds the heap engine's payload rows, in
         # its order: row v < n is v's initial broadcast, n + s - 1 event s's
         assert buffers == [[v if s == 0 else n + s - 1 for v, s in buffer]
@@ -224,7 +233,8 @@ def test_stops_and_violations_land_in_later_blocks(monkeypatch):
     assert want.node == 2 and "(event 47)" in str(want)
     assert_same_outcome(outcome(simulator.run_async, *args, b_max=25), want)
 
-    epsilon = min(tracker_bounds(heap_run_async(*args)[0])[:10])
-    stopped, _ = heap_run_async(*args, epsilon=epsilon)
+    trace, states, _ = heap_run_async(*args)
+    epsilon = min(tracker_bounds(trace.node, states)[:10])
+    stopped, _, _ = heap_run_async(*args, epsilon=epsilon)
     assert stopped.stop_reason == "epsilon" and stopped.num_events == 9
     assert_same_outcome(simulator.run_async(*args, epsilon=epsilon), stopped)

@@ -11,12 +11,12 @@ import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsag import cli, graph, mspbe, protocol, simulator
 from helpers import (assert_traces_equal, build_problem, initial_z,
-                     tracker_bounds)
+                     recorded_states, tracker_bounds)
 
 
 def small_run(seed=7, n=3, max_events=60, kind="uniform_random",
@@ -165,6 +165,27 @@ def test_run_async_rejects_batch_size_above_smallest_sample_count():
         run(batch_size=smallest + 1)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("max_events", -5), ("max_events", 10.5), ("max_events", True),
+    ("max_events", None), ("seed", -1), ("seed", 2.0), ("seed", False)])
+def test_run_async_rejects_bad_max_events_or_seed(name, value):
+    prob = build_problem(n=3)
+    sched = simulator.ActivationSchedule(kind="round_robin", n=3)
+    kwargs = dict(seed=0, max_events=5)
+    run = functools.partial(simulator.run_async, prob,
+                            graph.generate_topology("ring", 3), sched,
+                            simulator.DelayModel(), 0.01, 0.1)
+    assert run(**kwargs).num_events == 5
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative "
+                                         f"integer"):
+        run(**dict(kwargs, **{name: value}))
+    # no events: the initial state alone
+    empty = run(seed=np.int64(0), max_events=0)
+    assert empty.num_events == 0 and empty.z_tilde.shape == (0, 6)
+    streamed = run(seed=0, max_events=0, z_star=mspbe.solve_problem(prob))
+    assert streamed.series.err_max.shape == (1,)
+
+
 def test_run_async_rejects_b_max_past_int64():
     prob = build_problem(n=3)
     sched = simulator.ActivationSchedule(kind="round_robin", n=3)
@@ -296,9 +317,9 @@ def test_epsilon_stop_reports_reason():
 
 
 def test_metrics_series_shape_and_initial_row():
-    prob, trace = small_run(seed=4, max_events=40)
-    z_star = mspbe.solve_problem(prob)
-    series = simulator.metrics(trace, z_star)
+    z_star = mspbe.solve_problem(build_problem(n=3))
+    _, trace = small_run(seed=4, max_events=40)
+    series = small_run(seed=4, max_events=40, z_star=z_star)[1].series
     for field in dataclasses.fields(simulator.MetricSeries):
         assert getattr(series, field.name).shape == (41,)
     init_err = np.linalg.norm(initial_z(trace) - z_star, axis=1)
@@ -313,8 +334,9 @@ def test_metrics_series_shape_and_initial_row():
 
 
 def test_metrics_csv_header_and_row_count(tmp_path):
-    prob, trace = small_run(seed=4, max_events=25)
-    series = simulator.metrics(trace, mspbe.solve_problem(prob))
+    z_star = mspbe.solve_problem(build_problem(n=3))
+    _, trace = small_run(seed=4, max_events=25, z_star=z_star)
+    series = trace.series
     path = tmp_path / "metrics.csv"
     simulator.write_metrics_csv(series, trace.node, path)
     lines = path.read_text().splitlines()
@@ -398,8 +420,9 @@ def test_message_log_columns_mark_exactly_the_unconsumed():
     """Five int64 columns; a message's consumed_at is the event whose pull
     buffered it, and -1 exactly when no event of the trace did, also when
     an epsilon stop cuts the planned block short."""
-    _, full = small_run(seed=9, max_events=120, d_max=3)
-    epsilon = min(tracker_bounds(full)[:40])
+    with recorded_states() as states:
+        _, full = small_run(seed=9, max_events=120, d_max=3)
+    epsilon = min(tracker_bounds(full.node, states)[:40])
     _, stopped = small_run(seed=9, max_events=120, d_max=3, epsilon=epsilon)
     t = stopped.num_events
     assert stopped.stop_reason == "epsilon" and t <= 40
@@ -450,18 +473,19 @@ def test_run_logs_one_summary_line(caplog):
 # the array code against the per-event loops it replaced
 # ---------------------------------------------------------------------------
 
-def dense_metrics(trace, z_star):
-    """Reference for ``simulator.metrics``: the whole-run formula it
-    replaced, with (T+1) x n index and value arrays."""
-    t, n = trace.num_events, trace.n
+def dense_metrics(node, states, z_star):
+    """The error series by the whole-run formula, with (T+1) x n index and
+    value arrays: row k from every node's latest state after event k, each
+    node starting at z = 0 with its initial tracker."""
+    n, t = states.y0.shape[0], node.shape[0]
     latest = np.zeros((t + 1, n), dtype=np.intp)
     latest[0] = np.arange(n)
-    latest[np.arange(1, t + 1), trace.node] = np.arange(n, n + t)
+    latest[np.arange(1, t + 1), node] = np.arange(n, n + t)
     latest = np.maximum.accumulate(latest, axis=0)
     errs = np.linalg.norm(
-        np.concatenate([initial_z(trace), trace.z_tilde]) - z_star,
+        np.concatenate([np.zeros(states.y0.shape), states.z_tilde]) - z_star,
         axis=1)[latest]
-    y_norms = np.linalg.norm(np.concatenate([trace.y0, trace.y_new]),
+    y_norms = np.linalg.norm(np.concatenate([states.y0, states.y_new]),
                              axis=1)[latest]
     return simulator.MetricSeries(
         err_max=errs.max(axis=1), err_mean=errs.mean(axis=1),
@@ -469,11 +493,20 @@ def dense_metrics(trace, z_star):
     )
 
 
-def metrics_by_event(trace, z_star):
-    """Reference for ``simulator.metrics``: replay the events one by one."""
-    z_cur = initial_z(trace)
-    y_cur = trace.y0.copy()
-    rows = trace.num_events + 1
+def assert_series_equal(got, want):
+    """Every column equal in dtype, shape and bytes."""
+    for field in dataclasses.fields(simulator.MetricSeries):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+        assert a.tobytes() == b.tobytes(), field.name
+
+
+def metrics_by_event(node, states, z_star):
+    """Reference for the error series: replay the recorded states event by
+    event."""
+    z_cur = np.zeros(states.y0.shape)
+    y_cur = states.y0.copy()
+    rows = node.shape[0] + 1
     err_max = np.empty(rows)
     err_mean = np.empty(rows)
     y_norm_max = np.empty(rows)
@@ -486,9 +519,8 @@ def metrics_by_event(trace, z_star):
 
     snapshot(0)
     for k in range(1, rows):
-        node = trace.node[k - 1]
-        z_cur[node] = trace.z_tilde[k - 1]
-        y_cur[node] = trace.y_new[k - 1]
+        z_cur[node[k - 1]] = states.z_tilde[k - 1]
+        y_cur[node[k - 1]] = states.y_new[k - 1]
         snapshot(k)
     return simulator.MetricSeries(
         err_max=err_max, err_mean=err_mean, y_norm_max=y_norm_max,
@@ -548,10 +580,12 @@ def window_by_event(trace):
     return max(lo, age_max + 1)
 
 
-def assert_matches_event_loops(trace, z_star):
-    got, want = simulator.metrics(trace, z_star), metrics_by_event(trace, z_star)
+def assert_matches_event_loops(trace, states, z_star):
+    """The series of a run given ``z_star`` and its certified window equal
+    the per-event loops' over its recorded states."""
+    want = metrics_by_event(trace.node, states, z_star)
     for field in dataclasses.fields(simulator.MetricSeries):
-        assert np.array_equal(getattr(got, field.name),
+        assert np.array_equal(getattr(trace.series, field.name),
                               getattr(want, field.name)), field.name
     try:
         b = window_by_event(trace)
@@ -573,58 +607,23 @@ def assert_matches_event_loops(trace, z_star):
 def test_array_metrics_and_window_match_event_loops(
         n, topology, kind, delay_kind, d_max, batch_size, events, seed):
     prob = build_problem(n=n)
+    z_star = mspbe.solve_problem(prob)
     straggler = kind == "straggler"
     sched = simulator.ActivationSchedule(
         kind=kind, n=n, straggler_node=0 if straggler else None,
         straggler_factor=4.0 if straggler else 1.0)
-    trace = simulator.run_async(
-        prob, graph.generate_topology(topology, n), sched,
-        simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.01, 0.1,
-        seed=seed, max_events=events, batch_size=batch_size)
-    assert_matches_event_loops(trace, mspbe.solve_problem(prob))
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 6), kind=st.sampled_from(["uniform_random",
-                                                  "straggler"]),
-       events=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-       stop=st.integers(0, 40))
-@example(n=3, kind="uniform_random", events=1, seed=0, stop=0)
-@example(n=4, kind="uniform_random", events=40, seed=5, stop=12)
-@example(n=5, kind="straggler", events=40, seed=1, stop=0)
-def test_blockwise_metrics_equal_dense_formula(n, kind, events, seed, stop):
-    """Row blocks of 1, 3 and 7 events give the whole-run formula's bits,
-    on one-event traces, traces stopped by epsilon (``stop`` > 0 picks the
-    event by which the threshold is crossed), and with nodes that do not
-    activate in the first block."""
-    prob = build_problem(n=n)
-    straggler = kind == "straggler"
-    sched = simulator.ActivationSchedule(
-        kind=kind, n=n, straggler_node=0 if straggler else None,
-        straggler_factor=20.0 if straggler else 1.0)
-    args = (prob, graph.generate_topology("ring", n), sched,
-            simulator.DelayModel("uniform", 2), 0.05, 0.4)
-    trace = simulator.run_async(*args, seed=seed, max_events=events)
-    if 0 < stop <= events:
-        epsilon = min(tracker_bounds(trace)[:stop])
-        trace = simulator.run_async(*args, seed=seed, max_events=events,
-                                    epsilon=epsilon)
-        assert trace.stop_reason == "epsilon"
-    z_star = mspbe.solve_problem(prob)
-    want = dense_metrics(trace, z_star)
-    for block in (1, 3, 7):
-        with unittest.mock.patch.object(simulator, "_ROW_BLOCK", block):
-            got = simulator.metrics(trace, z_star)
-        for field in dataclasses.fields(simulator.MetricSeries):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
-                block, field.name)
+    with recorded_states() as states:
+        trace = simulator.run_async(
+            prob, graph.generate_topology(topology, n), sched,
+            simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.01, 0.1,
+            seed=seed, max_events=events, batch_size=batch_size,
+            z_star=z_star)
+    assert_matches_event_loops(trace, states, z_star)
 
 
 def test_run_and_metrics_memory_follow_the_trace():
-    """On quickstart (45000 events) the trace holds its columns and no
-    per-message objects, and the error series needs no whole-run
-    temporaries: a few MB above the trace, not the size of the trace."""
+    """On quickstart (45000 events) the full trace holds its columns and no
+    per-message objects."""
     bundle = cli.build_experiment(
         cli.load_config(cli.bundled_config("quickstart")))
     tracemalloc.start()
@@ -632,40 +631,36 @@ def test_run_and_metrics_memory_follow_the_trace():
         before = tracemalloc.get_traced_memory()[0]
         trace = cli._run_trace(bundle, bundle.config.max_events)
         held = tracemalloc.get_traced_memory()[0] - before
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        series = simulator.metrics(trace, bundle.z_star)
-        above = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert trace.num_events == 45000 and series.err_max.shape == (45001,)
-    # 15.5 MB and 11.7 MB with a list of Message objects and dense metrics
+    assert trace.num_events == 45000
+    # 15.5 MB with a list of Message objects
     assert held <= 12 * 2**20
-    assert above <= 4 * 2**20
 
 
-def assert_streamed_equals_full(streamed, full, z_star):
-    """The streamed run's series has the bits of ``metrics`` over the full
-    trace of the same run, and the two records agree in everything else."""
-    want = simulator.metrics(full, z_star)
-    for field in dataclasses.fields(simulator.MetricSeries):
-        a, b = getattr(streamed.series, field.name), getattr(want, field.name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
-        assert a.tobytes() == b.tobytes(), field.name
+def assert_streamed_equals_full(streamed, states, full, z_star):
+    """The oracle of the streamed series: a run given ``z_star`` has the
+    bits of the whole-run formula over the states it computed (``states``,
+    recorded), those are the full trace's broadcasts, and the two records
+    of the same run agree in everything else."""
+    assert_series_equal(streamed.series,
+                        dense_metrics(streamed.node, states, z_star))
     assert full.series is None
-    width = 2 * full.d
-    assert streamed.z_tilde.shape == streamed.y_new.shape == (0, width)
+    assert states.z_tilde.tobytes() == full.z_tilde.tobytes()
+    assert streamed.z_tilde.shape == (0, 2 * full.d)
     assert_traces_equal(dataclasses.replace(
-        streamed, z_tilde=full.z_tilde, y_new=full.y_new, series=None), full)
+        streamed, z_tilde=full.z_tilde, series=None), full)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64, None])
+@pytest.mark.parametrize("block", [1, 3, 7, 64, None])
 @pytest.mark.parametrize("delay_kind,d_max", [("zero", 0), ("uniform", 3),
                                               ("round_barrier", 2)])
 def test_streamed_series_equals_metrics_of_the_full_trace(
         monkeypatch, block, delay_kind, d_max):
-    """Blocks of 1, 7, 64 and the default size, every delay kind, batches
-    of 1 and 2, a straggler, and an epsilon stop inside a block."""
+    """Planned blocks of 1, 3, 7, 64 and the default size, every delay
+    kind, batches of 1 and 2, a straggler (which does not activate in the
+    first blocks of 1, 3 and 7), an epsilon stop inside a block, and a
+    one-event run."""
     if block is not None:
         monkeypatch.setattr(simulator, "_PLAN_BLOCK", block)
     n = 4
@@ -676,20 +671,24 @@ def test_streamed_series_equals_metrics_of_the_full_trace(
     uniform = simulator.ActivationSchedule("uniform_random", n)
     straggler = simulator.ActivationSchedule("straggler", n, straggler_node=1,
                                              straggler_factor=20.0)
-    for schedule, batch_size, stop in ((uniform, 1, None), (uniform, 2, None),
-                                       (straggler, 1, None), (uniform, 1, 150)):
+    for schedule, batch_size, events, stop in (
+            (uniform, 1, 300, None), (uniform, 2, 300, None),
+            (straggler, 1, 300, None), (uniform, 1, 300, 150),
+            (uniform, 1, 1, None)):
         args = (prob, g, schedule, delays, 0.05, 0.4)
-        kwargs = dict(seed=13, max_events=300, batch_size=batch_size)
+        kwargs = dict(seed=13, max_events=events, batch_size=batch_size)
         if stop is not None:
             # a threshold first crossed at event `stop`, inside a block of
-            # 7, 64 or the default size
-            bounds = tracker_bounds(simulator.run_async(*args, **kwargs))
-            kwargs["epsilon"] = min(bounds[:stop])
+            # 3, 7, 64 or the default size
+            with recorded_states() as probe:
+                node = simulator.run_async(*args, **kwargs).node
+            kwargs["epsilon"] = min(tracker_bounds(node, probe)[:stop])
         full = simulator.run_async(*args, **kwargs)
-        streamed = simulator.run_async(*args, **kwargs, z_star=z_star)
+        with recorded_states() as states:
+            streamed = simulator.run_async(*args, **kwargs, z_star=z_star)
         if stop is not None:
             assert full.stop_reason == "epsilon" and full.num_events <= stop
-        assert_streamed_equals_full(streamed, full, z_star)
+        assert_streamed_equals_full(streamed, states, full, z_star)
 
 
 def test_payload_table_holds_only_the_readable_rows(monkeypatch):
@@ -716,11 +715,12 @@ def test_payload_table_holds_only_the_readable_rows(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "activate", spying)
-            streamed = simulator.run_async(*args, seed=3, max_events=events,
-                                           z_star=z_star)
+            with recorded_states() as states:
+                streamed = simulator.run_async(
+                    *args, seed=3, max_events=events, z_star=z_star)
         longest[name] = max(rows)
         full = simulator.run_async(*args, seed=3, max_events=events)
-        assert_streamed_equals_full(streamed, full, z_star)
+        assert_streamed_equals_full(streamed, states, full, z_star)
     assert longest["uniform"] < events // 10
     # the straggler's gaps run to hundreds of events
     assert longest["straggler"] > 2 * longest["uniform"]
@@ -748,8 +748,9 @@ def reachable_arrays(obj, seen=None):
 
 def test_streamed_run_memory_does_not_hold_the_states():
     """On quickstart at 45000 and 180000 events, a run given z_star peaks
-    at well under half of a full trace plus ``metrics`` (14.8 and 57.5 MB),
-    and its record reaches no per-event float array of width 2d."""
+    at well under a full trace (11.9 and 40.9 MB), its record is assembled
+    without holding any of its columns twice, and it reaches no per-event
+    float array of width 2d."""
     bundle = cli.build_experiment(
         cli.load_config(cli.bundled_config("quickstart")))
     width = 2 * bundle.problem.d
@@ -766,17 +767,22 @@ def test_streamed_run_memory_does_not_hold_the_states():
         big = [a.shape for a in reachable_arrays(trace)
                if a.dtype.kind == "f" and a.size >= events * width]
         assert big == []
-    # the int columns and the series: about 88 B per event held
+    # the int columns and the series: about 80 B per event held
     assert helds[180000] <= 100 * 180000
     assert peaks[45000] <= 10 * 2**20
-    assert peaks[180000] <= 26 * 2**20
+    # 13.8 MB held and 16.6 MB peak; 22.0 MB peak while the message log
+    # and the series were joined with their pieces alive
+    assert peaks[180000] <= 20 * 2**20
 
 
 def test_node_that_never_activates_is_named():
-    prob, trace = small_run(seed=3, n=4, max_events=60, kind="straggler",
-                            straggler_node=2, straggler_factor=1e15)
+    z_star = mspbe.solve_problem(build_problem(n=4))
+    with recorded_states() as states:
+        _, trace = small_run(seed=3, n=4, max_events=60, kind="straggler",
+                             straggler_node=2, straggler_factor=1e15,
+                             z_star=z_star)
     assert 2 not in trace.node
-    assert_matches_event_loops(trace, mspbe.solve_problem(prob))
+    assert_matches_event_loops(trace, states, z_star)
     with pytest.raises(simulator.AssumptionViolation) as err:
         simulator.verify_assumption1b(trace)
     assert err.value.node == 2
