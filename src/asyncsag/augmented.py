@@ -37,11 +37,13 @@ which is what makes the tracking identity 1^T Y^k = 1^T partial^k exact.
 
 Storage: each H_R, H_C and I_a is a ``SparseMatrix`` of coalesced
 (row, col, weight) entries, at most deg+1 per row, so one event takes
-O(ntilde) bytes. The replay and ``product_contraction`` multiply by row
-gathers, and no event matrix is ever dense. ``product_contraction`` keeps
-each forward product sparse too and reads its distance to rank one from
-the spectra of the product's components: isolated rows and columns by
-their norms, the rest by one thin SVD. No ntilde x ntilde array is formed.
+O(ntilde) bytes. The replay multiplies by row gathers, and no event matrix
+is ever dense. ``product_contraction`` keeps each forward product as pure
+rows, one entry each in a column that only pure rows touch, plus one dense
+core block holding every other nonzero row over the columns those rows
+touch. An event matrix moves, scales and mixes rows of the two parts by
+array gathers, and the distance to rank one comes from the pure columns'
+norms plus one SVD of the thin core. No ntilde x ntilde array is formed.
 """
 
 from __future__ import annotations
@@ -113,22 +115,11 @@ class SparseMatrix:
         index = self.cols if axis == 0 else self.rows
         return np.bincount(index, weights=self.weights, minlength=self.size)
 
-    def __matmul__(self, operand) -> np.ndarray | SparseMatrix:
-        """``self @ operand``, by row gathers.
-
-        A dense 1-D or 2-D operand gives a dense array: each output row
-        starts as its first entry's weight times that entry's source row
-        (zero for an empty row) and then adds its remaining entries in
-        column order. A ``SparseMatrix`` operand gives a ``SparseMatrix``
-        whose entries are those same sums without their zero terms, so
-        ``(self @ other).toarray()`` is ``self @ other.toarray()`` bit for
-        bit on finite weights, up to the sign of a zero.
-        """
-        if isinstance(operand, SparseMatrix):
-            if operand.size != self.size:
-                raise ValueError(f"cannot multiply a {self.shape} matrix by "
-                                 f"a {operand.shape} matrix")
-            return self._times_sparse(operand)
+    def __matmul__(self, operand) -> np.ndarray:
+        """``self @ operand`` for a dense 1-D or 2-D operand, by row gathers:
+        each output row starts as its first entry's weight times that
+        entry's source row (zero for an empty row) and then adds its
+        remaining entries in column order."""
         operand = np.asarray(operand, dtype=float)
         if operand.ndim not in (1, 2) or operand.shape[0] != self.size:
             raise ValueError(f"cannot multiply a {self.shape} matrix by an "
@@ -147,24 +138,6 @@ class SparseMatrix:
                                     self.weights[rest]):
             out[row] += weight * operand[col]
         return out
-
-    def _times_sparse(self, other: SparseMatrix) -> SparseMatrix:
-        """Each entry (r, s, w) of ``self`` meets every entry (s, c, p) of
-        ``other``'s row s in a term (r, c, w * p). The terms come out in
-        ``self``'s entry order, so ``from_entries`` sums each position in
-        ``self``'s column order, as the dense row gather does."""
-        counts = np.bincount(other.rows, minlength=self.size)
-        starts = np.cumsum(counts) - counts
-        reach = counts[self.cols]
-        left = np.repeat(np.arange(self.rows.size), reach)
-        # index into other's entries: its row start plus the rank of the
-        # term among those of the same entry of self
-        right = (np.arange(left.size)
-                 + np.repeat(starts[self.cols] - (np.cumsum(reach) - reach),
-                             reach))
-        return SparseMatrix.from_entries(
-            self.rows[left], other.cols[right],
-            self.weights[left] * other.weights[right], self.size)
 
     def toarray(self) -> np.ndarray:
         """The dense form."""
@@ -397,37 +370,162 @@ def _distance(squares: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.sort(squares)[:-1])))
 
 
-def _squared_singular_values(mat: SparseMatrix) -> np.ndarray:
-    """Squared singular values of ``mat``, component by component.
+class _ForwardProduct:
+    """A forward product P = M_t ... M_1, kept as pure rows plus one dense
+    core block.
 
-    The spectrum of a matrix is the union of those of the connected
-    components of its row-column graph. An isolated column (every row it
-    touches holds no other entry) is a component whose one singular value
-    is its l2 norm, and so is an isolated row; a lone entry is both and
-    counts once, as a column. The remaining core entries go into one dense
-    array, their support, and through an SVD. Zero singular values come
-    only from a rank-deficient core; an all-zero matrix gives none.
+    A pure row holds one entry, in a column that no core row touches; it is
+    stored as (column, weight) in two length-``size`` arrays, column -1 for
+    a row that is not pure, and ``pure_rows`` lists the pure rows. Every
+    other nonzero row is a core row: a row of ``block``, over the core
+    columns ``cols``. ``rows`` names the row of P that each block row is,
+    and ``core_at`` maps a row of P back to its block row (-1 for none). A
+    row that is neither is zero.
     """
-    rows, cols, squares = mat.rows, mat.cols, mat.weights ** 2
-    row_count = np.bincount(rows, minlength=mat.size)
-    col_count = np.bincount(cols, minlength=mat.size)
-    lone_col = np.ones(mat.size, dtype=bool)
-    lone_col[cols[row_count[rows] > 1]] = False
-    lone_row = np.ones(mat.size, dtype=bool)
-    lone_row[rows[col_count[cols] > 1]] = False
-    in_col, in_row = lone_col[cols], lone_row[rows]
-    core = ~(in_col | in_row)
-    core_rows, at_row = np.unique(rows[core], return_inverse=True)
-    core_cols, at_col = np.unique(cols[core], return_inverse=True)
-    block = np.zeros((core_rows.size, core_cols.size))
-    block[at_row, at_col] = mat.weights[core]
-    return np.concatenate([
-        np.bincount(cols[in_col], weights=squares[in_col],
-                    minlength=mat.size)[lone_col & (col_count > 0)],
-        # a row of one entry in a lone column was counted there
-        np.bincount(rows[in_row], weights=squares[in_row],
-                    minlength=mat.size)[lone_row & (row_count > 1)],
-        np.linalg.svd(block, compute_uv=False) ** 2 if block.size else []])
+
+    def __init__(self, size: int):
+        self.size = size
+        self.pure_rows = np.arange(size)
+        self.pure_col = np.arange(size)
+        self.pure_w = np.ones(size)
+        self.rows = np.empty(0, dtype=np.intp)
+        self.core_at = np.full(size, -1)
+        self.cols = np.empty(0, dtype=np.intp)
+        self.block = np.empty((0, 0))
+
+    def step(self, mat: SparseMatrix) -> None:
+        """P <- mat @ P, each entry bit for bit that of the dense row gather
+        ``mat @ P.toarray()`` on finite weights, up to the sign of a zero.
+
+        A row of ``mat`` with one entry copies and scales a pure or core
+        row. A row with more entries mixes its sources into a core row, in
+        ``mat``'s column order. A pure column that a mixing row reads joins
+        the core, and so does every pure row that holds it; core columns
+        that no row holds any more are dropped.
+        """
+        size, rows, src, weights = self.size, mat.rows, mat.cols, mat.weights
+        source, index, cols = self.block, self.core_at, self.cols
+        reads = np.empty(0, dtype=np.intp)   # entries reading a pure row
+        if self.pure_rows.size:
+            from_pure = self.pure_col[src]
+            reads = np.flatnonzero(from_pure >= 0)
+        if reads.size:
+            mixing = reads[np.bincount(rows, minlength=size)[rows[reads]] > 1]
+            if mixing.size:
+                # the pure columns that a row of two or more entries reads
+                # get block columns after the old ones, and the pure rows
+                # that hold them become block rows after the old ones
+                joined = np.unique(from_pure[mixing])
+                width, height = cols.size, self.rows.size
+                at = np.full(size, -1)
+                at[joined] = width + np.arange(joined.size)
+                to_col = at[self.pure_col[self.pure_rows]]
+                held = to_col >= 0
+                moving, to_col = self.pure_rows[held], to_col[held]
+                index = index.copy()
+                index[moving] = height + np.arange(moving.size)
+                source = np.zeros((height + moving.size, width + joined.size))
+                source[:height, :width] = self.block
+                source[index[moving], to_col] = self.pure_w[moving]
+                cols = np.concatenate([cols, joined])
+        from_source = index[src]
+
+        # A core row is the weighted sum of its entries' source rows, in
+        # column order, starting from the first term as the dense row
+        # gather does. An entry reading a zero row adds only a zero, so it
+        # is left out, and a row with no other entry stays zero.
+        entry = np.flatnonzero(from_source >= 0)
+        core_rows = rows[entry]
+        lead = np.ones(entry.size, dtype=bool)
+        lead[1:] = core_rows[1:] != core_rows[:-1]
+        first, core_rows = entry[lead], core_rows[lead]
+        block = np.take(source, from_source[first], axis=0)
+        scale = weights[first]
+        scaled = np.flatnonzero(scale != 1.0)   # a weight of 1 copies
+        block[scaled] *= scale[scaled, None]
+        if not lead.all():
+            # the later terms add one by one in entry order, so each row
+            # sums in column order
+            rest = entry[~lead]
+            terms = np.take(source, from_source[rest], axis=0)
+            terms *= weights[rest, None]
+            slots = (np.cumsum(lead)[~lead] - 1).tolist()
+            for slot, term in zip(slots, terms):
+                block[slot] += term
+        if not (block.size and block.all()):
+            # a boolean matrix product with ones is any() along its summed
+            # axis, and numpy runs it faster than the reduction
+            nonzero = block != 0.0
+            kept = np.ones(nonzero.shape[0], dtype=bool) @ nonzero
+            if not kept.all():
+                block, cols = block[:, kept], cols[kept]
+            kept = nonzero @ np.ones(nonzero.shape[1], dtype=bool)
+            if not kept.all():
+                block, core_rows = block[kept], core_rows[kept]
+
+        # a one-entry row reading a pure row whose column stays pure; a
+        # product without pure rows keeps its all -1 and all 0 arrays
+        copy = reads[from_source[reads] < 0]
+        if copy.size or self.pure_rows.size:
+            pure_col, pure_w = np.full(size, -1), np.zeros(size)
+            pure_col[rows[copy]] = from_pure[copy]
+            pure_w[rows[copy]] = weights[copy] * self.pure_w[src[copy]]
+            self.pure_rows, self.pure_col, self.pure_w = (rows[copy],
+                                                          pure_col, pure_w)
+        self.rows, self.cols, self.block = core_rows, cols, block
+        self.core_at = np.full(size, -1)
+        self.core_at[core_rows] = np.arange(core_rows.size)
+
+    def squared_singular_values(self) -> np.ndarray:
+        """Squared singular values of P.
+
+        The spectrum of a matrix is the union of those of the connected
+        components of its row-column graph. A column of pure rows is one,
+        whose one singular value is the l2 norm of its weights, summed in
+        row order. The core is the rest (``split_core``). Zero singular
+        values come only from a rank-deficient core; an all-zero P gives
+        none.
+        """
+        cols = self.pure_col[self.pure_rows]
+        groups = np.empty(0)
+        if cols.size:
+            sums = np.bincount(cols, weights=self.pure_w[self.pure_rows] ** 2,
+                               minlength=self.size)
+            present = np.zeros(self.size, dtype=bool)
+            present[cols] = True
+            groups = sums[present]
+        lone, block = self.split_core()
+        return np.concatenate([
+            groups, lone,
+            np.linalg.svd(block, compute_uv=False) ** 2 if block.size else []])
+
+    def split_core(self) -> tuple[np.ndarray, np.ndarray]:
+        """The core as (squared norms of its isolated rows, the rest in its
+        tall orientation, for one SVD).
+
+        An isolated row, one whose columns no other core row touches, is a
+        component of its own. Only a wide core is searched for them, which
+        on the event matrices is a push core; the many rows of a tall
+        (pull) core cost more to search than to put through the SVD.
+        """
+        block, lone = self.block, np.empty(0)
+        if block.shape[0] < block.shape[1]:
+            nonzero = block != 0.0
+            alone = ~(nonzero @ (nonzero.sum(axis=0) > 1))
+            if alone.any():
+                lone = np.sum(block[alone] ** 2, axis=1)
+                block = block[~alone]
+        # the SVD reads a Fortran-ordered array without a transposing copy
+        return lone, np.asfortranarray(
+            block.T if block.shape[0] < block.shape[1] else block)
+
+    def toarray(self) -> np.ndarray:
+        """The dense form of P."""
+        dense = np.zeros((self.size, self.size))
+        pure = self.pure_rows
+        dense[pure, self.pure_col[pure]] = self.pure_w[pure]
+        dense[np.ix_(self.rows, self.cols)] = self.block
+        return dense
 
 
 def _as_sparse(mat: SparseMatrix | np.ndarray) -> SparseMatrix:
@@ -446,22 +544,23 @@ def product_contraction(
     Entry t is ``rank_one_distance`` of the product P_t of the first t
     matrices (t=0 is the identity). Pass the h_row or h_col matrices of
     consecutive events. Every matrix enters through its nonzeros (a dense
-    array is converted to a ``SparseMatrix`` first), and so does every
-    product: P_t = M_t @ P_{t-1} is a ``SparseMatrix``, whose entries are
-    bit for bit those of the dense row-gather product, with the exact zeros
-    dropped. On marl9 (ntilde = 693, n = 9) a product holds at most 6237
-    pull or 7600 push entries, against ntilde**2 = 480249.
+    array is converted to a ``SparseMatrix`` first). Each product
+    P_t = M_t P_{t-1} is kept as pure rows plus one dense core block
+    (``_ForwardProduct``), whose entries are bit for bit those of the dense
+    row-gather product, up to the sign of a zero. A one-entry row of M_t
+    moves or scales a row, and only a row of two or more entries sums.
 
     The distance is exact, computed by ``rank_one_distance``'s formula from
-    the spectrum of P_t, which is the union of those of its components
-    (``_squared_singular_values``). Isolated rows and columns give their
-    l2 norms, and only the rest, the core, goes through a dense SVD. On the
-    bundled configs the core is thin, at most n columns for a pull product
-    and about n rows for a push product; the largest are 1431 x 9 (pull)
-    and 10 x 1431 (push), on straggler. The distance starts at
-    sqrt(ntilde - 1), above the 2*delta**t envelope whenever ntilde >= 6,
-    which is why multi-node ``verify`` reports ``FAIL
-    product_contraction_bound`` at t=0.
+    the spectrum of P_t, which is the union of those of its components.
+    Each column of pure rows gives the l2 norm of its weights, and the core
+    goes through one SVD, taken in its tall orientation, after a wide core
+    has given up its isolated rows by their norms. On the bundled configs
+    the core is thin over the first 200 events: at most n columns for a
+    pull product, and at most n + 2 rows through the SVD for a push
+    product (693 x 9 and 11 x 693 on marl9, 1431 x 9 and 11 x 1431 on
+    straggler). The distance starts at sqrt(ntilde - 1), above the
+    2*delta**t envelope whenever ntilde >= 6, which is why multi-node
+    ``verify`` reports ``FAIL product_contraction_bound`` at t=0.
 
     Raises ``ValueError`` for an empty sequence, and for a matrix that is
     not square or not the size of the first.
@@ -476,14 +575,12 @@ def product_contraction(
         if shape != np.shape(matrices[0]):
             raise ValueError(f"matrix {index} has shape {shape}, but matrix "
                              f"0 has shape {np.shape(matrices[0])}")
-    size = np.shape(matrices[0])[0]
-    prod = SparseMatrix.from_entries(np.arange(size), np.arange(size),
-                                     np.ones(size), size)
+    prod = _ForwardProduct(np.shape(matrices[0])[0])
     out = np.empty(len(matrices) + 1)
-    out[0] = _distance(_squared_singular_values(prod))
+    out[0] = _distance(prod.squared_singular_values())
     for t, mat in enumerate(matrices, start=1):
-        prod = _as_sparse(mat) @ prod
-        out[t] = _distance(_squared_singular_values(prod))
+        prod.step(_as_sparse(mat))
+        out[t] = _distance(prod.squared_singular_values())
     return out
 
 

@@ -194,14 +194,22 @@ def sample_trajectory(mdp: Mdp, policy: np.ndarray, length: int,
     mu = stationary_distribution(mdp, policy)
     rng = np.random.default_rng(np.random.SeedSequence([0x54524A, seed]))
     steps: list[tuple[int, int, int]] = []
-    s = int(rng.choice(mdp.num_states, p=mu))
+    s = _draw(mu, rng)
     for _ in range(length - 1):
-        a = int(rng.choice(mdp.num_actions, p=policy[s]))
-        s_next = int(rng.choice(mdp.num_states, p=mdp.transitions[s, a]))
+        a = _draw(policy[s], rng)
+        s_next = _draw(mdp.transitions[s, a], rng)
         steps.append((s, a, s_next))
         s = s_next
     rewards = mdp.rewards_at(*np.array(steps).T)
     return [Transition(*step, row) for step, row in zip(steps, rewards)]
+
+
+def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The index that ``rng.choice(p.size, p=p)`` draws, from the same one
+    double of the stream, without re-validating the checked row ``p``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def make_feature_map(num_states: int, dim: int, seed: int) -> np.ndarray:

@@ -460,12 +460,9 @@ def test_criterion_09_straggler_slowdown_stays_local():
     # A synchronous round waits for its slowest node, so with one time unit
     # per node and round (node 0 at 10) each round lasts the largest of the
     # node times. The iterates do not depend on the clocks: one run serves
-    # both sides. It is run_sync's run of 6000 rounds (round-robin
-    # activation, round-barrier delivery), given z_star.
-    sync = simulator.run_async(
-        prob, topo, simulator.ActivationSchedule("round_robin", 9),
-        simulator.DelayModel("round_barrier", d_max=8), eta1, eta1 * zeta,
-        seed=29, max_events=6000 * 9, z_star=z_star)
+    # both sides.
+    sync = simulator.run_sync(prob, topo, 6000, eta1, eta1 * zeta, seed=29,
+                              z_star=z_star)
     hit_sync = events_to_target(sync)
     assert hit_sync > 0, "sync run never reached the target err"
     rounds_needed = -(-hit_sync // 9)

@@ -509,24 +509,30 @@ def _assert_matches_dense(matrices):
     assert np.all(np.abs(got[~big] - want[~big]) <= 1e-12)
 
 
-def _assert_sparse_products_exact(matrices):
-    """Step the sparse forward product beside the dense one of the row
-    gather: its dense form is the dense product bit for bit, and its
-    entries are coalesced, sorted by (row, col) and nonzero. Returns the
+def _assert_products_exact(matrices):
+    """Step the forward product beside the dense one of the row gather: at
+    every step its dense form is the dense product bit for bit, up to the
+    sign of a zero; its pure columns are not core columns, no row is both
+    pure and core, and the core holds no zero row or column. Returns the
     last product's nonzero rows and columns."""
     size = matrices[0].shape[0]
-    sparse = augmented.SparseMatrix.from_entries(
-        np.arange(size), np.arange(size), np.ones(size), size)
+    forward = augmented._ForwardProduct(size)
     prod = np.eye(size)
     for mat in matrices:
-        sparse = mat @ sparse
+        forward.step(mat)
         prod = mat @ prod
-        assert isinstance(sparse, augmented.SparseMatrix)
-        assert sparse.toarray().tobytes() == prod.tobytes()
-        key = sparse.rows.astype(np.int64) * size + sparse.cols
-        assert np.all(np.diff(key) > 0)
-        assert np.all(sparse.weights != 0.0)
-    return np.unique(sparse.rows), np.unique(sparse.cols)
+        # adding 0.0 turns a -0.0 into 0.0 and leaves every other value
+        assert (forward.toarray() + 0.0).tobytes() == (prod + 0.0).tobytes()
+        pure = forward.pure_col >= 0
+        assert np.array_equal(np.flatnonzero(pure), forward.pure_rows)
+        assert not np.isin(forward.pure_col[pure], forward.cols).any()
+        assert not pure[forward.rows].any()
+        assert np.array_equal(np.flatnonzero(forward.core_at >= 0),
+                              np.sort(forward.rows))
+        assert forward.block.shape == (forward.rows.size, forward.cols.size)
+        assert forward.block.any(axis=0).all()
+        assert forward.block.any(axis=1).all()
+    return np.flatnonzero(prod.any(axis=1)), np.flatnonzero(prod.any(axis=0))
 
 
 def _event_matrices(trace):
@@ -553,8 +559,8 @@ def test_product_contraction_matches_dense_svd(seed, kind, batch_size):
     # registers
     assert trace.num_events > b + 1
     ntilde = trace.n * (b + 1)
-    pull_rows, pull_cols = _assert_sparse_products_exact(h_rows)
-    push_rows, push_cols = _assert_sparse_products_exact(h_cols)
+    pull_rows, pull_cols = _assert_products_exact(h_rows)
+    push_rows, push_cols = _assert_products_exact(h_cols)
     assert pull_cols.size <= trace.n and pull_rows.size == ntilde
     assert push_rows.size < ntilde and push_cols.size == ntilde
 
@@ -572,14 +578,27 @@ def test_product_contraction_matches_dense_with_structural_zeros():
         mat[:, rng.integers(size)] = 0.0
         matrices.append(mat)
     _assert_matches_dense(matrices)
-    rows, cols = _assert_sparse_products_exact(
+    rows, cols = _assert_products_exact(
         [augmented._as_sparse(mat) for mat in matrices])
     assert rows.size < size and cols.size < size
     # a sum that cancels exactly is not stored
     flip = np.array([[1.0, -1.0], [0.5, 0.5]])
-    rows, _ = _assert_sparse_products_exact(
+    rows, _ = _assert_products_exact(
         [augmented._as_sparse(mat) for mat in (np.ones((2, 2)), flip)])
     assert rows.tolist() == [1]
+    # a core column that no row holds any more leaves the core
+    drop = [np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),
+            np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
+    _assert_matches_dense(drop)
+    rows, cols = _assert_products_exact(
+        [augmented._as_sparse(mat) for mat in drop])
+    assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1]
+    # and a zero matrix leaves neither core rows nor core columns
+    drop.append(np.zeros((3, 3)))
+    _assert_matches_dense(drop)
+    rows, cols = _assert_products_exact(
+        [augmented._as_sparse(mat) for mat in drop])
+    assert rows.size == cols.size == 0
     # a shift is nilpotent: its powers lose one rank per step down to zero
     shift = np.eye(size, k=-1)
     _assert_matches_dense([shift] * (size + 2))
@@ -618,15 +637,18 @@ def component_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(component_matrices())
 def test_component_spectra_match_dense_svd(case):
-    """The singular values read component by component are those of the
-    dense SVD, within 1e-12 of the largest, and so is the distance that
-    ``product_contraction`` reports for the matrix times the identity.
-    An all-zero matrix gives no singular value and distance exactly 0."""
+    """The singular values of the matrix times the identity, read from its
+    pure columns, its core's isolated rows and one SVD of the rest, are
+    those of the dense SVD, within 1e-12 of the largest, and so is the
+    distance that ``product_contraction`` reports. An all-zero matrix
+    gives no singular value and distance exactly 0."""
     size, rows, cols, weights = case
     mat = augmented.SparseMatrix.from_entries(rows, cols, weights, size)
     dense = mat.toarray()
     want = np.linalg.svd(dense, compute_uv=False)
-    got = np.sqrt(np.sort(augmented._squared_singular_values(mat))[::-1])
+    prod = augmented._ForwardProduct(size)
+    prod.step(mat)
+    got = np.sqrt(np.sort(prod.squared_singular_values())[::-1])
     assert got.size <= size
     got = np.concatenate([got, np.zeros(size - got.size)])
     assert np.all(np.abs(got - want) <= 1e-12 * want[0])
@@ -713,6 +735,29 @@ def test_product_contraction_working_set():
         finally:
             tracemalloc.stop()
         assert peak <= 0.6 * 180 ** 2 * 8, side
+
+
+@pytest.mark.parametrize("name", ["quickstart", "marl9", "straggler"])
+def test_forward_product_cores_stay_thin(name):
+    """Over the first 200 events of a bundled config the pull core has at
+    most n columns, and the push core that goes through the SVD (the core
+    less its isolated rows) at most n + 2 rows: 693 x 9 and 11 x 693 on
+    marl9."""
+    cfg = cli.load_config(cli.bundled_config(name))
+    bundle = cli.build_experiment(cfg)
+    trace = cli._run_trace(bundle, min(cfg.verify_events, cfg.max_events),
+                           None)
+    mats = _event_matrices(trace)[1][:200]
+    assert len(mats) == 200
+    pull = augmented._ForwardProduct(mats[0].h_row.size)
+    push = augmented._ForwardProduct(mats[0].h_col.size)
+    widest = [0, 0]
+    for mat in mats:
+        pull.step(mat.h_row)
+        push.step(mat.h_col)
+        widest[0] = max(widest[0], pull.block.shape[1])
+        widest[1] = max(widest[1], push.split_core()[1].shape[1])
+    assert widest[0] <= trace.n and widest[1] <= trace.n + 2, widest
 
 
 def test_product_contraction_follows_sigma1_across_blocks():

@@ -819,3 +819,22 @@ def test_sync_round_structure():
         peers = [j for j in g.in_neighbors(node) if j != node]
         assert consumed(trace, k) == tuple(
             (v, last[v]) for v in [node] + sorted(peers))
+
+
+def test_run_sync_streams_the_spelled_out_series():
+    """Given z_star, run_sync keeps the error series of the round-robin,
+    round-barrier run_async it stands for, bit for bit."""
+    prob = build_problem(n=3)
+    g = graph.generate_topology("ring", 3)
+    z_star = mspbe.solve_problem(prob)
+    sync = simulator.run_sync(prob, g, rounds=30, eta1=0.01, eta2=0.1,
+                              seed=5, z_star=z_star)
+    spelled = simulator.run_async(
+        prob, g, simulator.ActivationSchedule("round_robin", 3),
+        simulator.DelayModel("round_barrier", d_max=2), 0.01, 0.1, seed=5,
+        max_events=90, z_star=z_star)
+    assert sync.series.err_max.shape == (91,)
+    assert np.array_equal(sync.node, spelled.node)
+    for name in ("err_max", "err_mean", "y_norm_max"):
+        assert (getattr(sync.series, name).tobytes()
+                == getattr(spelled.series, name).tobytes()), name
