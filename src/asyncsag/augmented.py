@@ -8,7 +8,8 @@ With ntilde = n*(b+1) rows, index (v, u) -> u*n + v, u=0 being the real row:
               vectors (omega block divided by sqrt(zeta));
   push side   Y^{k}, rows are trackers with the omega block multiplied by
               sqrt(zeta);
-  partial     per-node averaged-gradient rows (same scaling as Y).
+  partial     the n real nodes' averaged-gradient rows (same scaling as Y);
+              a register carries none.
 
 Conventions fixed here (the replay-equivalence test is the arbiter):
 
@@ -150,7 +151,6 @@ class SparseMatrix:
 class EventMatrices:
     """Pull, push, and activation-indicator matrices of one event, sparse."""
 
-    k: int
     h_row: SparseMatrix   # row-stochastic pull matrix
     h_col: SparseMatrix   # column-stochastic push matrix
     i_act: SparseMatrix   # diagonal indicator of the activator's real row
@@ -163,7 +163,7 @@ class AugmentedState:
     k: int
     z_rows: np.ndarray        # (ntilde, 2d), scaled saddle vectors
     y_rows: np.ndarray        # (ntilde, 2d), scaled trackers
-    partial: np.ndarray       # (ntilde, 2d), scaled per-node gradient averages
+    partial: np.ndarray       # (n, 2d), scaled per-node gradient averages
     mats: EventMatrices | None = None   # event k's matrices (None at k=0)
 
 
@@ -199,8 +199,7 @@ def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
         if age > b - 1:
             raise AssumptionViolation(
                 f"event {k}: reception from node {origin} (event {sent}) is "
-                f"{age} events old, exceeding the window b={b}", node=origin,
-            )
+                f"{age} events old, exceeding the window b={b}")
         col = age * n + origin
         pulled[col] = pulled.get(col, 0.0) + weight
     sources = sorted(pulled)
@@ -238,7 +237,7 @@ def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
             raise AssumptionViolation(
                 f"event {k}: node {w} does not activate within the {b} "
                 f"events after event {sent}, so its own share rests past "
-                f"b={b}", node=w)
+                f"b={b}")
         else:
             split.append((w, w, -1))
     parked, origins, shares = [], [], []
@@ -247,7 +246,7 @@ def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
         if height > b - 1 and used >= 0:
             raise AssumptionViolation(
                 f"event {k}: share from node {w} (event {sent}) to "
-                f"node {dest} rests {height} events, exceeding b={b}", node=w)
+                f"node {dest} rests {height} events, exceeding b={b}")
         parked.append(height * n + dest)
         origins.append(w)
         shares.append(1.0 / trace.graph.out_degree(w))
@@ -261,7 +260,7 @@ def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
         np.concatenate([np.ones(holders.size), np.ones(ntilde - n), shares]),
         ntilde)
 
-    return EventMatrices(k=k, h_row=h_row, h_col=h_col, i_act=i_act)
+    return EventMatrices(h_row=h_row, h_col=h_col, i_act=i_act)
 
 
 def replay(trace: EventTrace,
@@ -297,7 +296,7 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
     ntilde = n * (b + 1)
 
     # every node starts at z = 0, so every register does
-    z_rows, partial = np.zeros((ntilde, 2 * d)), np.zeros((ntilde, 2 * d))
+    z_rows, partial = np.zeros((ntilde, 2 * d)), np.empty((n, 2 * d))
     tables = []
     for v in range(n):
         table = np.stack([saddle_gradient(np.zeros(2 * d), st, problem.rho)
@@ -305,8 +304,10 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
         tables.append(table)
         # tracker-side rows carry omega times sqrt(zeta), as from_scaled does
         partial[v] = from_scaled(table.sum(axis=0) / m, zeta)
-    prev = AugmentedState(k=0, z_rows=z_rows, y_rows=partial.copy(),
-                          partial=partial)
+    # the trackers start at the partial averages, and the registers empty
+    y_rows = np.zeros((ntilde, 2 * d))
+    y_rows[:n] = partial
+    prev = AugmentedState(k=0, z_rows=z_rows, y_rows=y_rows, partial=partial)
     yield prev
 
     for k in range(1, trace.num_events + 1):
@@ -320,7 +321,6 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
             fresh = saddle_gradient(z_hat, problem.per_node[i][p], problem.rho)
             delta += (fresh - tables[i][p]) / m
             tables[i][p] = fresh
-        # only the real rows carry gradient averages; the registers stay 0
         partial = prev.partial.copy()
         partial[i] += from_scaled(delta, zeta)
 
@@ -342,9 +342,10 @@ def check_equivalence(trace: EventTrace, state: AugmentedState) -> float:
     np.maximum.at(latest, trace.node[:k], np.arange(k))
     simulated = np.zeros((n, 2 * trace.d))
     simulated[latest >= 0] = trace.z_tilde[latest[latest >= 0]]
-    zeta = trace.eta2 / trace.eta1
-    replayed = [from_scaled(row, zeta) for row in state.z_rows[:n]]
-    return float(np.max(np.abs(np.array(replayed) - simulated)))
+    # unscale the omega blocks, as from_scaled does row by row
+    replayed = state.z_rows[:n].copy()
+    replayed[:, trace.d:] *= np.sqrt(trace.eta2 / trace.eta1)
+    return float(np.max(np.abs(replayed - simulated)))
 
 
 def tracking_residual(state: AugmentedState) -> float:

@@ -81,7 +81,7 @@ class ExperimentConfig:
 
 
 def _get(parser: configparser.ConfigParser, consulted: set[tuple[str, str]],
-         section: str, key: str, conv, default=None):
+         section: str, key: str, conv, default):
     """[section] key converted by ``conv``, or ``default`` when it is absent;
     adds (section, key) to ``consulted``."""
     consulted.add((section, key))
@@ -323,8 +323,7 @@ def _delays(cfg: ExperimentConfig) -> DelayModel:
         raise ConfigError(f"[schedule] {exc}") from None
 
 
-def _run_trace(bundle: ExperimentBundle, max_events: int,
-               seed: int | None = None,
+def _run_trace(bundle: ExperimentBundle, max_events: int, seed: int | None,
                z_star: np.ndarray | None = None) -> simulator.EventTrace:
     cfg = bundle.config
     seed = cfg.run_seed if seed is None else seed
@@ -399,8 +398,7 @@ def _out(action: str, path: Path) -> Iterator[Path]:
                           f"{exc.strerror}") from None
 
 
-def cmd_run(cfg: ExperimentConfig, out_dir: Path,
-            seed: int | None = None) -> int:
+def cmd_run(cfg: ExperimentConfig, out_dir: Path, seed: int | None) -> int:
     with _out("make directory", out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.n_values:
@@ -456,7 +454,7 @@ def _cmd_run_sweep(cfg: ExperimentConfig, out_dir: Path,
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, seed: int | None = None) -> int:
+def cmd_verify(cfg: ExperimentConfig, seed: int | None) -> int:
     bundle = build_experiment(cfg)
     events = min(cfg.verify_events, cfg.max_events)
     trace = _run_trace(bundle, events, seed)
@@ -506,7 +504,7 @@ def cmd_verify(cfg: ExperimentConfig, seed: int | None = None) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
-def cmd_constants(cfg: ExperimentConfig, seed: int | None = None) -> int:
+def cmd_constants(cfg: ExperimentConfig, seed: int | None) -> int:
     bundle = build_experiment(cfg)
     events = min(cfg.verify_events, cfg.max_events)
     trace = _run_trace(bundle, events, seed)

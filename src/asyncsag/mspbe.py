@@ -238,7 +238,6 @@ class SpectralConstants:
     beta: float             # largest per-sample spectral norm of M_{i,p}
     psi: float              # largest eigenvalue of the aggregate C
     zeta_min: float         # realness threshold for the ratio zeta
-    zeta: float             # the ratio these constants were computed at
     g_eigs_real: bool       # aggregate M spectrum real (to 1e-9) and positive
     valid: bool             # zeta > zeta_min and the spectrum checks passed
     g_max_eig: float        # largest real part of M's spectrum (step ceiling)
@@ -262,6 +261,6 @@ def spectral_constants(problem: ProblemSpec, zeta: float) -> SpectralConstants:
     zmin = _zeta_min(a, c, problem.rho)
     valid = bool(zeta > zmin and real and alpha > 0)
     return SpectralConstants(
-        alpha=alpha, beta=beta, psi=psi, zeta_min=zmin, zeta=zeta,
+        alpha=alpha, beta=beta, psi=psi, zeta_min=zmin,
         g_eigs_real=real, valid=valid, g_max_eig=g_max,
     )

@@ -26,7 +26,7 @@ caller (the simulator) delivers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,17 +65,10 @@ class SampleSelector:
         self._perm = rng.permutation(m_local)
         self._pos = 0
 
-    def next(self) -> int:
-        if self._pos == self.m_local:
-            self._perm = self._rng.permutation(self.m_local)
-            self._pos = 0
-        p = int(self._perm[self._pos])
-        self._pos += 1
-        return p
-
     def take(self, count: int) -> np.ndarray:
-        """The next ``count`` selections, as ``count`` calls of ``next``
-        make them (a new permutation is drawn only when one is needed)."""
+        """The next ``count`` selections. A new permutation is drawn only
+        when the current one is used up, so the picks do not depend on how
+        a run of draws is split into calls."""
         parts = [np.empty(0, dtype=np.int64)]
         while count > 0:
             if self._pos == self.m_local:
@@ -86,11 +79,6 @@ class SampleSelector:
             count -= part.shape[0]
             parts.append(part)
         return np.concatenate(parts)
-
-    @property
-    def window(self) -> int:
-        """Selection bound K: every index appears in any K consecutive draws."""
-        return 2 * self.m_local - 1
 
 
 @dataclass(slots=True)
@@ -142,7 +130,7 @@ class NodeState:
     m_global: int
     out_degree: int
     selector: SampleSelector
-    buffer: list[int] = field(default_factory=list)   # payload rows
+    buffer: list[int]                # payload rows
 
 
 def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...],

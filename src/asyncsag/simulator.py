@@ -58,11 +58,8 @@ log = logging.getLogger(__name__)
 
 
 class AssumptionViolation(RuntimeError):
-    """A bounded-asynchrony assumption failed on a concrete trace."""
-
-    def __init__(self, message: str, node: int | None = None) -> None:
-        super().__init__(message)
-        self.node = node
+    """A bounded-asynchrony assumption failed on a concrete trace; the
+    message names the node."""
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ class DelayModel:
     round when a round is d_max + 1 events long).
     """
 
-    kind: str = "zero"
+    kind: str
     d_max: int = 0
 
     def __post_init__(self):
@@ -232,7 +229,7 @@ class EventTrace:
     z_tilde: np.ndarray                 # (T, 2d) broadcast, the activator's new z
     messages: MessageLog                # all network messages, init included
     stop_reason: str
-    series: MetricSeries | None = None  # the error series of a streamed run
+    series: MetricSeries | None         # the error series of a streamed run
 
     @property
     def num_events(self) -> int:
@@ -524,8 +521,7 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
             k, v = block.violation
             raise AssumptionViolation(
                 f"node {v} has not activated in the last {b_max} "
-                f"events (event {k})", node=v,
-            )
+                f"events (event {k})")
 
         done = slice(num_events + 1 - k0)
         states = slice(n + k0 - 1 - base, n + num_events - base)
@@ -562,7 +558,7 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
 
 def run_sync(problem: ProblemSpec, graph: DirectedGraph, rounds: int,
              eta1: float, eta2: float, seed: int,
-             z_star: np.ndarray | None = None) -> EventTrace:
+             z_star: np.ndarray | None) -> EventTrace:
     """Synchronous push-pull baseline: per round, every node activates on the
     previous round's broadcasts.
 
@@ -611,8 +607,7 @@ def verify_assumption1b(trace: EventTrace) -> int:
     if idle.size:
         v = int(idle[0])
         raise AssumptionViolation(
-            f"node {v} never completed an update in the trace", node=v
-        )
+            f"node {v} never completed an update in the trace")
     # The window of b events from event s holds an update of node v that
     # completes inside it iff b >= first_v(s) - s + 1, where first_v(s) is
     # the earliest completion among v's activations at or after s. Row s-1
@@ -623,8 +618,7 @@ def verify_assumption1b(trace: EventTrace) -> int:
         earliest = np.minimum.accumulate(complete[at][::-1])[::-1]
         if earliest[0] > t:
             raise AssumptionViolation(
-                f"node {v} has no update delivered within the trace", node=v
-            )
+                f"node {v} has no update delivered within the trace")
         # starts after v's previous activation and up to this one find this
         # one first; a start after v's last activation finds none, which
         # counts as a completion past the trace
@@ -740,7 +734,6 @@ class RateFit:
 
     c_hat: float              # exp(slope) of log(err) vs k over the tail half
     r_squared: float
-    max_window_ratio: float   # worst per-event factor over sliding windows
 
 
 def estimate_rate(err: np.ndarray) -> RateFit:
@@ -757,9 +750,4 @@ def estimate_rate(err: np.ndarray) -> RateFit:
     ss_res = float(np.sum((logs - fitted) ** 2))
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    w = max(1, tail.shape[0] // 10)
-    ratios = (tail[w:] / tail[:-w]) ** (1.0 / w)
-    return RateFit(
-        c_hat=float(np.exp(slope)), r_squared=float(r2),
-        max_window_ratio=float(ratios.max()),
-    )
+    return RateFit(c_hat=float(np.exp(slope)), r_squared=float(r2))

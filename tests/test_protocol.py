@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncsag import mspbe
 from asyncsag.protocol import (Message, PayloadTable, SampleSelector, activate,
@@ -41,22 +43,31 @@ def share(payloads, row):
     return payloads.y[row] / payloads.degree[row]
 
 
+def permutation_epochs(m, seed, node_id, count):
+    """The first ``count`` picks of a random-reshuffle selector, spelled
+    out: one ``rng.permutation(m)`` epoch after another, from the node's
+    selector stream."""
+    rng = selector_rng(seed, node_id)
+    picks = []
+    while len(picks) < count:
+        picks += rng.permutation(m).tolist()
+    return picks[:count]
+
+
 def test_selector_covers_every_window():
     # within any K = 2m-1 consecutive picks every sample index appears
     for seed in range(5):
         for m in (1, 2, 5, 8):
-            sel = SampleSelector(m, selector_rng(seed, 0))
-            K = sel.window
-            assert K == 2 * m - 1
-            picks = [sel.next() for _ in range(6 * m + 3)]
+            K = 2 * m - 1
+            picks = SampleSelector(m, selector_rng(seed, 0)).take(
+                6 * m + 3).tolist()
             for start in range(len(picks) - K + 1):
                 assert set(picks[start:start + K]) == set(range(m))
 
 
 def test_selector_epochs_are_permutations():
     sel = SampleSelector(6, selector_rng(3, 1))
-    first = [sel.next() for _ in range(6)]
-    second = [sel.next() for _ in range(6)]
+    first, second = sel.take(6).tolist(), sel.take(6).tolist()
     assert sorted(first) == list(range(6))
     assert sorted(second) == list(range(6))
 
@@ -65,19 +76,29 @@ def test_selector_deterministic_per_seed_and_node():
     a = SampleSelector(5, selector_rng(7, 2))
     b = SampleSelector(5, selector_rng(7, 2))
     c = SampleSelector(5, selector_rng(7, 3))
-    seq_a = [a.next() for _ in range(20)]
-    seq_b = [b.next() for _ in range(20)]
-    seq_c = [c.next() for _ in range(20)]
+    seq_a, seq_b, seq_c = (sel.take(20).tolist() for sel in (a, b, c))
     assert seq_a == seq_b
     assert seq_a != seq_c
 
 
-def test_selector_take_matches_successive_next():
+def test_selector_take_draws_permutation_epochs():
     for m in (1, 3, 7):
-        one, block = (SampleSelector(m, selector_rng(4, 1)) for _ in range(2))
-        drawn = [one.next() for _ in range(40)]
-        taken = np.concatenate([block.take(c) for c in (0, 1, 5, 2, 0, 13, 19)])
-        assert taken.tolist() == drawn
+        for seed, node_id in ((4, 1), (0, 0), (29, 5)):
+            taken = SampleSelector(m, selector_rng(seed, node_id)).take(40)
+            assert taken.dtype == np.int64
+            assert taken.tolist() == permutation_epochs(m, seed, node_id, 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 9), chunks=st.lists(st.integers(0, 25), max_size=12))
+def test_selector_picks_do_not_depend_on_chunking(m, chunks):
+    """The engine takes each node's picks a block at a time, and the
+    centralized baseline all at once; the single-node run equals the
+    baseline bit for bit only if the picks are the same either way."""
+    sel = SampleSelector(m, selector_rng(6, 0))
+    taken = [sel.take(count).tolist() for count in chunks]
+    assert [len(part) for part in taken] == chunks
+    assert sum(taken, []) == permutation_epochs(m, 6, 0, sum(chunks))
 
 
 def test_init_node_table_and_tracker():
