@@ -164,6 +164,7 @@ class AugmentedState:
     z_rows: np.ndarray        # (ntilde, 2d), scaled saddle vectors
     y_rows: np.ndarray        # (ntilde, 2d), scaled trackers
     partial: np.ndarray       # (n, 2d), scaled per-node gradient averages
+    latest: np.ndarray        # (n,) each node's latest event row, -1 for none
     mats: EventMatrices | None = None   # event k's matrices (None at k=0)
 
 
@@ -307,7 +308,8 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
     # the trackers start at the partial averages, and the registers empty
     y_rows = np.zeros((ntilde, 2 * d))
     y_rows[:n] = partial
-    prev = AugmentedState(k=0, z_rows=z_rows, y_rows=y_rows, partial=partial)
+    prev = AugmentedState(k=0, z_rows=z_rows, y_rows=y_rows, partial=partial,
+                          latest=np.full(n, -1))
     yield prev
 
     for k in range(1, trace.num_events + 1):
@@ -328,18 +330,17 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
         y_rows[i] += partial[i] - prev.partial[i]
         z_rows[i] -= eta * y_rows[i]
 
+        latest = prev.latest.copy()
+        latest[i] = k - 1
         prev = AugmentedState(k=k, z_rows=z_rows, y_rows=y_rows,
-                              partial=partial, mats=mats)
+                              partial=partial, latest=latest, mats=mats)
         yield prev
 
 
 def check_equivalence(trace: EventTrace, state: AugmentedState) -> float:
     """Max deviation of a state's real rows from the simulator's iterates
     after event ``state.k``."""
-    n, k = trace.n, state.k
-    # each node's latest activation at or before event k (-1: none yet)
-    latest = np.full(n, -1)
-    np.maximum.at(latest, trace.node[:k], np.arange(k))
+    n, latest = trace.n, state.latest
     simulated = np.zeros((n, 2 * trace.d))
     simulated[latest >= 0] = trace.z_tilde[latest[latest >= 0]]
     # unscale the omega blocks, as from_scaled does row by row
@@ -415,8 +416,10 @@ class _ForwardProduct:
             if mixing.size:
                 # the pure columns that a row of two or more entries reads
                 # get block columns after the old ones, and the pure rows
-                # that hold them become block rows after the old ones
-                joined = np.unique(from_pure[mixing])
+                # that hold them become block rows after the old ones; the
+                # sort and mask are np.unique's, without its numpy.ma import
+                joined = np.sort(from_pure[mixing])
+                joined = joined[np.append(True, joined[1:] != joined[:-1])]
                 width, height = cols.size, self.rows.size
                 at = np.full(size, -1)
                 at[joined] = width + np.arange(joined.size)

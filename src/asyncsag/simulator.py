@@ -20,11 +20,12 @@ bookkeeping depends on a value of z or y, so each block is first planned with
 array code: who activates, which samples each activation refreshes, every
 message's delay, and which activation consumes which message in which buffer
 order. A per-event loop then runs only the protocol's arithmetic on that plan.
-Each block that has run is recorded in one of two ways, each holding what
-its one reader reads: as a copy of its broadcasts ``z_tilde`` (the full
-trace, which ``augmented.replay`` reads), or, given the solution, as its
-rows of the error series (the streamed trace, whose ``series`` ``asyncsag
-run`` writes).
+Each block that has run writes its rows of the record, each column one array
+for the whole run, in one of two ways, each holding what its one reader
+reads: its broadcasts ``z_tilde`` (the full trace, which ``augmented.replay``
+reads), or, given the solution, its rows of the error series (the streamed
+trace, whose ``series`` ``asyncsag run`` writes). The trace holds prefix
+views of those arrays and of the message log's.
 """
 
 from __future__ import annotations
@@ -239,13 +240,30 @@ class EventTrace:
 # run_async plans this many events at a time with array code
 _PLAN_BLOCK = 4096
 
+# the record's arrays first get this many rows, which hold every bundled
+# run, or as many as the run can fill if that is fewer
+_FIRST_ROWS = 2**18
+
+
+def _grown(buffer: np.ndarray, rows: int, most: int) -> np.ndarray:
+    """``buffer`` if it has ``rows`` rows, else a copy of it with
+    ``_FIRST_ROWS``, twice its rows or ``rows``, whichever is most, but
+    never more than ``most``; the new rows are unset."""
+    have = buffer.shape[0]
+    if rows <= have:
+        return buffer
+    grown = np.empty((min(max(rows, 2 * have, _FIRST_ROWS), most),)
+                     + buffer.shape[1:], dtype=buffer.dtype)
+    grown[:have] = buffer
+    return grown
+
 
 class _Network:
     """The messages of one run: the log in send order (a message's index is
-    its rank in it), and the ones still in flight as int columns."""
+    its rank in it), and the indices of the ones still in flight."""
 
     def __init__(self, graph: DirectedGraph, delays: DelayModel,
-                 rng: np.random.Generator) -> None:
+                 rng: np.random.Generator, max_events: int) -> None:
         # broadcast targets; the self-copy is already buffered by the protocol
         targets = [[v for v in graph.out_neighbors(i) if v != i]
                    for i in range(graph.n)]
@@ -254,14 +272,14 @@ class _Network:
         self._targets = np.array([v for t in targets for v in t],
                                  dtype=np.int64)
         self._delays, self._rng = delays, rng
-        # the log: the pieces of its columns origin, dest, sent, slot and
-        # consuming event (-1 for none yet), one piece per send, and the
-        # index of each piece's first row
-        self._log: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
-        self._starts: list[int] = []
+        # the log: columns origin, dest, sent, slot and consuming event (-1
+        # for none yet), ``_count`` rows written of at most ``_most``. Each
+        # is its own buffer: numpy asks for huge pages from 4 MB on, and
+        # columns 2 MB apart in one buffer would each take one on first use.
+        self.log = [np.empty(0, dtype=np.int64) for _ in range(5)]
+        self._most = int(self._fanout.sum() + max_events * self._fanout.max())
         self._count = 0
-        # in flight: index, origin, dest, sent, slot
-        self.pending = np.empty((5, 0), dtype=np.int64)
+        self.pending = np.empty(0, dtype=np.int64)
 
     def send(self, origins: np.ndarray, events: np.ndarray) -> None:
         """Broadcast from each origin at its event, one delay draw each."""
@@ -273,35 +291,20 @@ class _Network:
         origin = np.repeat(origins, fanout)
         sent = np.repeat(events, fanout)
         slot = sent + self._delays.draw(self._rng, sent)
-        index = np.arange(self._count, self._count + total)
-        self.pending = np.concatenate(
-            [self.pending, np.stack([index, origin, dest, sent, slot])],
-            axis=1)
-        for pieces, column in zip(self._log, (
-                origin, dest, sent, slot, np.full(total, -1, dtype=np.int64))):
-            pieces.append(column)
-        self._starts.append(self._count)
-        self._count += total
-
-    def consume(self, index: np.ndarray, events: np.ndarray) -> None:
-        """Record that the messages ``index`` were consumed at ``events``."""
-        piece = np.searchsorted(self._starts, index, side="right") - 1
-        for p in np.flatnonzero(np.bincount(piece)).tolist():
-            mine = piece == p
-            self._log[4][p][index[mine] - self._starts[p]] = events[mine]
+        start, self._count = self._count, self._count + total
+        self.pending = np.append(self.pending, np.arange(start, self._count))
+        for j, rows in enumerate((origin, dest, sent, slot, -1)):
+            self.log[j] = _grown(self.log[j], self._count, self._most)
+            self.log[j][start:self._count] = rows
 
     def message_log(self, num_events: int) -> MessageLog:
         """The messages sent by event ``num_events``, with the consumptions
-        made by then. The network keeps no log after this."""
-        # one column at a time, so that the log is never held twice
-        origin, dest, sent, slot, consumed = (
-            _join(pieces) for pieces in self._log)
-        end = sent.searchsorted(num_events, side="right")
-        consumed = consumed[:end]
+        made by then, as views of the network's log."""
+        end = self.log[2][:self._count].searchsorted(num_events, side="right")
+        origin, dest, sent, slot, consumed = (col[:end] for col in self.log)
         # after an epsilon stop, the block's later events consumed nothing
         consumed[consumed > num_events] = -1
-        return MessageLog(origin[:end], dest[:end], sent[:end], slot[:end],
-                          consumed)
+        return MessageLog(origin, dest, sent, slot, consumed)
 
 
 @dataclass
@@ -312,14 +315,6 @@ class _Block:
     samples: np.ndarray
     violation: tuple[int, int] | None   # first (event, node) past b_max
     oldest_read: int    # the oldest payload row read by this block or later
-
-
-def _join(pieces: list[np.ndarray]) -> np.ndarray:
-    """The pieces end to end. The list is emptied, so that the pieces go as
-    soon as they are copied."""
-    joined = np.concatenate(pieces)
-    pieces.clear()
-    return joined
 
 
 def _payload_row(origin: np.ndarray, sent: np.ndarray, n: int) -> np.ndarray:
@@ -379,20 +374,19 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
 
     # A message is consumed at its destination's first activation after its
     # slot: one search over the (node, event) keys of the block.
-    index, origin, dest, sent, slot = network.pending
+    index = network.pending
+    origin, dest, sent, slot = (col[index] for col in network.log[:4])
     keys = np.append(by_node * count + order, n * count)
     found = keys[np.searchsorted(
         keys, dest * count + np.clip(slot - k0 + 1, 0, count))]
     hit = found < (dest + 1) * count
-    network.pending = network.pending[:, ~hit]
+    network.pending = index[~hit]
     at = found[hit] - dest[hit] * count
     # each buffer in delivery order: slot, sent event, origin, send rank
-    index, origin, dest, sent, slot = (col[hit] for col in
-                                       (index, origin, dest, sent, slot))
-    buffered = np.lexsort((index, origin, sent, slot, at))
-    index, origin, dest, sent, at = (col[buffered] for col in
-                                     (index, origin, dest, sent, at))
-    network.consume(index, k0 + at)
+    buffered = np.lexsort((index[hit], origin[hit], sent[hit], slot[hit], at))
+    index, at = index[hit][buffered], at[buffered]
+    origin, dest, sent = (col[index] for col in network.log[:3])
+    network.log[4][index] = k0 + at   # consumed at
 
     delivered = at.searchsorted(np.arange(count + 1))
 
@@ -404,9 +398,9 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     samples[order] = drawn.reshape(count, batch_size)
 
     row = _payload_row(origin, sent, n)
-    _, origin, _, sent, _ = network.pending
-    oldest = min(row.min(initial=n + k0 - 1),
-                 _payload_row(origin, sent, n).min(initial=n + k0 - 1))
+    waiting = _payload_row(network.log[0][network.pending],
+                           network.log[2][network.pending], n)
+    oldest = min(row.min(initial=n + k0 - 1), waiting.min(initial=n + k0 - 1))
     block = _Block(node=act, samples=samples, violation=violation,
                    oldest_read=int(oldest))
     return block, delivered.tolist(), dest.tolist(), row
@@ -471,14 +465,14 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         for i in range(n)
     ]
     carry = None if z_star is None else MetricCarry.start(payloads.y, z_star)
-    network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY))
+    network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY),
+                       max_events)
     last_active = np.zeros(n, dtype=np.int64)
-    # the record's columns, one piece per block run: the plan's, and a copy
-    # of the broadcasts (the full trace) or the rows of the error series
+    # the record's columns, row k - 1 event k's: the plan's, and the
+    # broadcasts (the full trace) or the rows of the error series, whose
+    # row 0 is the initialization's and row k event k's
     series_names = [field.name for field in fields(MetricSeries)]
-    record: dict[str, list[np.ndarray]] = {
-        name: [] for name in ["node", "samples"]
-        + (["z_tilde"] if carry is None else series_names)}
+    record: dict[str, np.ndarray] = {}
 
     # Each node's tracker norm; an activation changes only the activator's.
     residual = [local_residual(nd) for nd in nodes]
@@ -525,33 +519,35 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
 
         done = slice(num_events + 1 - k0)
         states = slice(n + k0 - 1 - base, n + num_events - base)
-        record["node"].append(block.node[done])
-        record["samples"].append(block.samples[done])
+        rows = {"node": block.node[done], "samples": block.samples[done]}
         if carry is None:
-            record["z_tilde"].append(payloads.z[states].copy())
+            rows["z_tilde"] = payloads.z[states]
         else:
-            piece = metrics(block.node[done], payloads.z[states],
-                            payloads.y[states], z_star, carry)
-            for name in series_names:
-                record[name].append(getattr(piece, name))
+            rows.update(vars(metrics(block.node[done], payloads.z[states],
+                                     payloads.y[states], z_star, carry)))
+        # each column starts empty, with its rows' dtype and width, and
+        # grows one at a time; its rows end at the block's last event
+        for name, value in rows.items():
+            end = num_events + (name in series_names)   # the series' row 0
+            record[name] = _grown(record.get(name, value[:0]), end,
+                                  max_events + end - num_events)
+            record[name][end - value.shape[0]:end] = value
         if stop_reason == "epsilon":
             break
 
-    # one column at a time, and all before the message log is built, so
-    # that no two records take their full size at once
-    columns = {name: _join(pieces) for name, pieces in record.items()}
     series = None
     if carry is not None:
-        series = MetricSeries(**{name: columns.pop(name)
+        series = MetricSeries(**{name: record.pop(name)[:num_events + 1]
                                  for name in series_names})
-        columns["z_tilde"] = np.empty((0, width))
+        record["z_tilde"] = np.empty((0, width))
     messages = network.message_log(num_events)
     log.info("run_async: %d events, %d network messages, %d consumed, "
              "stop %s", num_events, len(messages),
              np.count_nonzero(messages.consumed_at >= 0), stop_reason)
     return EventTrace(
         n=n, d=problem.d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph,
-        **columns, messages=messages, stop_reason=stop_reason,
+        **{name: col[:num_events] for name, col in record.items()},
+        messages=messages, stop_reason=stop_reason,
         series=series,
     )
 

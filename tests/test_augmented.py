@@ -394,6 +394,19 @@ def _equivalence_oracle(trace, states):
     return worst
 
 
+def _rebuilt_deviation(trace, state):
+    """The per-state check with each node's latest activation found anew
+    from the first k events, O(k) at state k."""
+    n, k = trace.n, state.k
+    latest = np.full(n, -1)
+    np.maximum.at(latest, trace.node[:k], np.arange(k))
+    simulated = np.zeros((n, 2 * trace.d))
+    simulated[latest >= 0] = trace.z_tilde[latest[latest >= 0]]
+    replayed = state.z_rows[:n].copy()
+    replayed[:, trace.d:] *= np.sqrt(trace.eta2 / trace.eta1)
+    return float(np.max(np.abs(replayed - simulated)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 4),
        kind=st.sampled_from(["round_robin", "uniform_random"]),
@@ -403,8 +416,10 @@ def _equivalence_oracle(trace, states):
 def test_check_equivalence_per_state_matches_running_oracle(
         n, kind, d_max, max_events, noise, seed):
     """The maximum over the per-state deviations equals, bit for bit, the
-    deviation of the running-iterate loop. Noise on the published iterates
-    makes every state's deviation depend on which row it compares."""
+    deviation of the running-iterate loop, and each equals that of the
+    check that rebuilt every node's latest activation from the trace.
+    Noise on the published iterates makes every state's deviation depend
+    on which row it compares."""
     prob = build_problem(n=n)
     trace = simulator.run_async(
         prob, graph.generate_topology("ring", n),
@@ -417,8 +432,9 @@ def test_check_equivalence_per_state_matches_running_oracle(
         reject()  # some node's update was never delivered within the trace
     rng = np.random.default_rng(seed)
     trace.z_tilde += noise * rng.standard_normal(trace.z_tilde.shape)
-    got = max(augmented.check_equivalence(trace, s) for s in states)
-    assert got == _equivalence_oracle(trace, states)
+    got = [augmented.check_equivalence(trace, s) for s in states]
+    assert max(got) == _equivalence_oracle(trace, states)
+    assert got == [_rebuilt_deviation(trace, s) for s in states]
 
 
 def test_replay_keeps_one_state_at_a_time():

@@ -8,6 +8,9 @@ import contextlib
 import functools
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import unittest.mock
 from pathlib import Path
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 from asyncsag import augmented, cli, graph
 from helpers import dump_edge_list
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 BASE_INI = """\
 [problem]
@@ -554,6 +558,35 @@ def test_main_verify_multinode_reports_contraction_failure(tmp_path, capsys):
     assert "PASS tracking_identity" in out
     assert "FAIL product_contraction_bound" in out
     assert "certified_b" in out
+
+
+def test_verify_does_not_import_numpy_ma(tmp_path):
+    """A multi-node verify, products included, in a fresh interpreter
+    leaves numpy.ma unimported (np.unique without an inverse imports it)."""
+    ini = write_ini(tmp_path, BASE_INI)
+    probe = ("import sys\n"
+             "from asyncsag import cli\n"
+             f"cli.main(['verify', '--config', {str(ini)!r}])\n"
+             "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "product_contraction" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_run_with_a_huge_max_events_stops_at_epsilon(tmp_path, capsys):
+    """The record is not sized for max_events up front: a run that may go
+    on for 10**12 events and meets epsilon at event 16 just ends there."""
+    text = (BENCH / "tiny.ini").read_text(encoding="utf-8").replace(
+        "max_events = 400", "max_events = 1000000000000\nepsilon = 0.05")
+    ini = write_ini(tmp_path, text)
+    code = cli.main(["run", "--config", str(ini), "--out",
+                     str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_OK
+    assert lines[:2] == ["events 16", "stop epsilon"]
 
 
 def test_main_verify_straggler_config(capsys):

@@ -6,8 +6,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 import unittest.mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -767,9 +771,54 @@ def test_streamed_run_memory_does_not_hold_the_states():
     # the int columns and the series: about 80 B per event held
     assert helds[180000] <= 100 * 180000
     assert peaks[45000] <= 10 * 2**20
-    # 13.8 MB held and 16.6 MB peak; 22.0 MB peak while the message log
-    # and the series were joined with their pieces alive
+    # 13.8 MB held and 16.2 MB peak; 16.6 MB peak while the columns were
+    # joined from per-block pieces, 22.0 MB while the pieces stayed alive
     assert peaks[180000] <= 20 * 2**20
+
+
+# A fresh interpreter runs quickstart for argv[1] events given z_star and
+# prints the growth of its peak RSS over the run and the bytes of the
+# record the run returns.
+_RSS_CHILD = """
+import dataclasses, sys
+from asyncsag import cli
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh
+                    if line.startswith(key))
+
+bundle = cli.build_experiment(cli.load_config(cli.bundled_config("quickstart")))
+before = status("VmRSS:")
+trace = cli._run_trace(bundle, int(sys.argv[1]), None, bundle.z_star)
+growth = status("VmHWM:") - before
+series = trace.series
+arrays = [trace.node, trace.samples, trace.z_tilde, *trace.messages._columns(),
+          *(getattr(series, f.name) for f in dataclasses.fields(series))]
+print(growth, sum(a.nbytes for a in arrays))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS and VmHWM from /proc")
+def test_streamed_run_rss_grows_with_the_record():
+    """From 45000 to 180000 quickstart events, the peak RSS of a streamed
+    run grows by at most 1.2 times what its record grows by: the columns
+    are written in place, not built from small pieces that the allocator
+    keeps after they are joined (2.1 times then)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(simulator.__file__).parents[1]))
+    children = {events: subprocess.Popen(
+        [sys.executable, "-c", _RSS_CHILD, str(events)], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for events in (45000, 180000)}
+    growth, record = {}, {}
+    for events, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        growth[events], record[events] = map(int, out.split())
+    assert record[180000] - record[45000] > 10 * 10**6
+    assert (growth[180000] - growth[45000]
+            <= 1.2 * (record[180000] - record[45000])), (growth, record)
 
 
 def test_node_that_never_activates_is_named():
