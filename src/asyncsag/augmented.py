@@ -318,13 +318,11 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
 
         z_rows = mats.h_row @ prev.z_rows
         z_hat = from_scaled(z_rows[i], zeta)
-        delta = np.zeros(2 * d)
-        for p in trace.samples[k - 1].tolist():
-            fresh = saddle_gradient(z_hat, problem.per_node[i][p], problem.rho)
-            delta += (fresh - tables[i][p]) / m
-            tables[i][p] = fresh
+        p = int(trace.samples[k - 1])
+        fresh = saddle_gradient(z_hat, problem.per_node[i][p], problem.rho)
         partial = prev.partial.copy()
-        partial[i] += from_scaled(delta, zeta)
+        partial[i] += from_scaled((fresh - tables[i][p]) / m, zeta)
+        tables[i][p] = fresh
 
         y_rows = mats.h_col @ prev.y_rows
         y_rows[i] += partial[i] - prev.partial[i]
@@ -343,9 +341,7 @@ def check_equivalence(trace: EventTrace, state: AugmentedState) -> float:
     n, latest = trace.n, state.latest
     simulated = np.zeros((n, 2 * trace.d))
     simulated[latest >= 0] = trace.z_tilde[latest[latest >= 0]]
-    # unscale the omega blocks, as from_scaled does row by row
-    replayed = state.z_rows[:n].copy()
-    replayed[:, trace.d:] *= np.sqrt(trace.eta2 / trace.eta1)
+    replayed = from_scaled(state.z_rows[:n], trace.eta2 / trace.eta1)
     return float(np.max(np.abs(replayed - simulated)))
 
 

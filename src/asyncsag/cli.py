@@ -58,7 +58,6 @@ class ExperimentConfig:
     # algorithm
     eta1: float = 0.01
     eta2: float = 0.1
-    batch_size: int = 1
     epsilon: float | None = None
     max_events: int = 2000
     verify_events: int = 300
@@ -146,7 +145,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("[algorithm] give both eta1 and eta2")
     if eta1 is not None:
         cfg.eta1, cfg.eta2 = eta1, eta2
-    cfg.batch_size = get(sec, "batch_size", int, cfg.batch_size)
     cfg.epsilon = get(sec, "epsilon", float, cfg.epsilon)
     cfg.max_events = get(sec, "max_events", int, cfg.max_events)
     cfg.verify_events = get(sec, "verify_events", int, cfg.verify_events)
@@ -212,17 +210,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for section, key in (("problem", "data_seed"), ("schedule", "run_seed")):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"[{section}] seed: must be nonnegative")
-    for key in ("batch_size", "max_events", "verify_events"):
+    for key in ("max_events", "verify_events"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"[algorithm] {key}: must be at least 1")
-    for section, key, value, kind, reader in (
-            ("topology", "path", cfg.edge_list_path, cfg.topology, "edge_list"),
-            ("schedule", "straggler_node", cfg.straggler_node, cfg.schedule,
-             "straggler"),
-            ("schedule", "straggler_factor", cfg.straggler_factor,
+    # a key that only one kind or mode reads: (section, key, value, the
+    # selecting key, its value, the one that reads the key)
+    for section, key, value, selector, kind, reader in (
+            ("problem", "proportions", cfg.proportions, "mode", cfg.mode,
+             "parallel"),
+            ("topology", "path", cfg.edge_list_path, "kind", cfg.topology,
+             "edge_list"),
+            ("schedule", "straggler_node", cfg.straggler_node, "kind",
+             cfg.schedule, "straggler"),
+            ("schedule", "straggler_factor", cfg.straggler_factor, "kind",
              cfg.schedule, "straggler")):
         if value is not None and kind != reader:
-            raise ConfigError(f"[{section}] {key}: only kind = {reader} "
+            raise ConfigError(f"[{section}] {key}: only {selector} = {reader} "
                               f"reads it")
     if cfg.topology == "edge_list" and not cfg.edge_list_path:
         raise ConfigError("[topology] path: required for edge_list topology")
@@ -280,12 +283,7 @@ def build_problem(cfg: ExperimentConfig) -> mspbe.ProblemSpec:
                                          cfg.gamma, cfg.proportions)
     except ValueError as exc:
         raise ConfigError(f"[problem] {exc}") from None
-    problem = mspbe.ProblemSpec(per_node, cfg.rho)
-    # a larger minibatch would refresh some sample twice in one activation
-    if cfg.batch_size > min(problem.m_i):
-        raise ConfigError(f"[algorithm] batch_size: must be at most the smallest "
-                          f"node's sample count {min(problem.m_i)} (n={cfg.n})")
-    return problem
+    return mspbe.ProblemSpec(per_node, cfg.rho)
 
 
 def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
@@ -330,8 +328,7 @@ def _run_trace(bundle: ExperimentBundle, max_events: int, seed: int | None,
     return simulator.run_async(bundle.problem, bundle.graph, _schedule(cfg),
                                _delays(cfg), cfg.eta1, cfg.eta2, seed,
                                max_events=max_events, epsilon=cfg.epsilon,
-                               batch_size=cfg.batch_size, b_max=cfg.b_max,
-                               z_star=z_star)
+                               b_max=cfg.b_max, z_star=z_star)
 
 
 def _mp_str(x: mp.mpf) -> str:
@@ -442,7 +439,7 @@ def _cmd_run_sweep(cfg: ExperimentConfig, out_dir: Path,
         trace = _run_trace(bundle, cfg.max_events, seed, bundle.z_star)
         below = np.nonzero(trace.series.err_max <= target)[0]
         hit = int(below[0]) if below.size else -1
-        rows.append((n, hit, hit * cfg.batch_size / n if hit >= 0 else -1))
+        rows.append((n, hit, hit / n if hit >= 0 else -1))
         with _out("write", out_dir / f"metrics_n{n}.csv") as path:
             simulator.write_metrics_csv(trace.series, trace.node, path)
     with _out("write", out_dir / "speedup.csv") as path:

@@ -160,17 +160,19 @@ def solve_problem(problem: ProblemSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def to_scaled(z: np.ndarray, zeta: float) -> np.ndarray:
-    """Map z = [theta; omega] to analysis coordinates [theta; omega/sqrt(zeta)]."""
-    d = z.shape[0] // 2
+    """Map z = [theta; omega] to analysis coordinates [theta; omega/sqrt(zeta)],
+    each row of a stack of saddle vectors alike."""
+    d = z.shape[-1] // 2
     w = z.copy()
-    w[d:] /= np.sqrt(zeta)
+    w[..., d:] /= np.sqrt(zeta)
     return w
 
 
 def from_scaled(w: np.ndarray, zeta: float) -> np.ndarray:
-    d = w.shape[0] // 2
+    """The inverse of ``to_scaled``."""
+    d = w.shape[-1] // 2
     z = w.copy()
-    z[d:] *= np.sqrt(zeta)
+    z[..., d:] *= np.sqrt(zeta)
     return z
 
 

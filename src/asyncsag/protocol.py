@@ -6,7 +6,7 @@ its latest broadcast's payload row. An activation, in order:
 
   1. pulls z as the elementwise mean of buffered z payloads,
   2. pushes y as the elementwise sum of buffered y payloads,
-  3. refreshes the gradient table at the picked sample(s) and corrects y by
+  3. refreshes the gradient table at the picked sample and corrects y by
      (new - stored) / m with the *global* sample count m,
   4. forms the outgoing pair: z_tilde = z - diag(eta1, eta2) block step along
      y, y_tilde = y / out_degree (self-inclusive out-degree),
@@ -174,8 +174,8 @@ def on_receive(node: NodeState, dest: int, row: int) -> None:
 
 
 def activate(node: NodeState, payloads: PayloadTable, row: int,
-             picks: list[int], eta1: float, eta2: float) -> np.ndarray:
-    """Run one full activation (pull, push, refresh the picked samples,
+             pick: int, eta1: float, eta2: float) -> np.ndarray:
+    """Run one full activation (pull, push, refresh the picked sample,
     step, broadcast into ``row``). Returns the pull average z_hat."""
     buffer = node.buffer
     if not buffer:
@@ -196,11 +196,9 @@ def activate(node: NodeState, payloads: PayloadTable, row: int,
     # a float divisor rounds as the int would and skips its conversion
     z_hat /= float(len(buffer))
 
-    table, m_global = node.table, float(node.m_global)
-    for p in picks:
-        fresh = saddle_gradient(z_hat, node.stats[p], node.rho)
-        y_new += (fresh - table[p]) / m_global
-        table[p] = fresh
+    fresh = saddle_gradient(z_hat, node.stats[pick], node.rho)
+    y_new += (fresh - node.table[pick]) / float(node.m_global)
+    node.table[pick] = fresh
 
     z_tilde = z_hat - _block_steps(eta1, eta2, z_hat.shape[0] // 2) * y_new
     z_rows[row] = z_tilde

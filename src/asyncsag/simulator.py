@@ -17,7 +17,7 @@ the one record of who consumed what.
 
 ``run_async`` works through blocks of ``_PLAN_BLOCK`` events. None of the
 bookkeeping depends on a value of z or y, so each block is first planned with
-array code: who activates, which samples each activation refreshes, every
+array code: who activates, which sample each activation refreshes, every
 message's delay, and which activation consumes which message in which buffer
 order. A per-event loop then runs only the protocol's arithmetic on that plan.
 Each block that has run writes its rows of the record, each column one array
@@ -226,7 +226,7 @@ class EventTrace:
     eta2: float
     graph: DirectedGraph
     node: np.ndarray                    # (T,) activator of each event
-    samples: np.ndarray                 # (T, batch_size) refreshed samples
+    samples: np.ndarray                 # (T,) refreshed sample of each event
     z_tilde: np.ndarray                 # (T, 2d) broadcast, the activator's new z
     messages: MessageLog                # all network messages, init included
     stop_reason: str
@@ -326,7 +326,7 @@ def _payload_row(origin: np.ndarray, sent: np.ndarray, n: int) -> np.ndarray:
 def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
                 rng: np.random.Generator, network: _Network,
                 last_active: np.ndarray, nodes: list[NodeState],
-                batch_size: int, b_max: int | None
+                b_max: int | None
                 ) -> tuple[_Block, list[int], list[int], list[int]]:
     """Plan a block of events from the random streams and the graph alone.
 
@@ -391,11 +391,10 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     delivered = at.searchsorted(np.arange(count + 1))
 
     # each node's picks, drawn in one go from its selector
-    drawn = np.concatenate([
-        nd.selector.take(c * batch_size)
+    samples = np.empty(count, dtype=np.int64)
+    samples[order] = np.concatenate([
+        nd.selector.take(c)
         for nd, c in zip(nodes, np.bincount(act, minlength=n).tolist())])
-    samples = np.empty((count, batch_size), dtype=np.int64)
-    samples[order] = drawn.reshape(count, batch_size)
 
     row = _payload_row(origin, sent, n)
     waiting = _payload_row(network.log[0][network.pending],
@@ -409,8 +408,7 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
 def run_async(problem: ProblemSpec, graph: DirectedGraph,
               schedule: ActivationSchedule, delays: DelayModel,
               eta1: float, eta2: float, seed: int, max_events: int,
-              epsilon: float | None = None, batch_size: int = 1,
-              b_max: int | None = None,
+              epsilon: float | None = None, b_max: int | None = None,
               z_star: np.ndarray | None = None) -> EventTrace:
     """Run the asynchronous protocol for up to ``max_events`` activations,
     every node starting at z = 0.
@@ -438,12 +436,6 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     if epsilon is not None and not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be positive and finite, got "
                          f"{epsilon!r}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
-    # a larger minibatch would refresh some sample twice in one activation
-    if batch_size > min(problem.m_i):
-        raise ValueError(f"batch_size must be at most the smallest node's "
-                         f"sample count {min(problem.m_i)}, got {batch_size!r}")
     if b_max is not None and b_max > _MAX_SPAN:
         raise ValueError(f"b_max must be at most 2**62, got {b_max}")
     if schedule.n != graph.n:
@@ -481,8 +473,7 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     for k0 in range(1, max(max_events, 1) + 1, _PLAN_BLOCK):
         count = min(_PLAN_BLOCK, max_events + 1 - k0)
         block, delivered, dest, row = _plan_block(
-            k0, count, schedule, rng_sched, network, last_active, nodes,
-            batch_size, b_max)
+            k0, count, schedule, rng_sched, network, last_active, nodes, b_max)
         # drop the rows that nothing can read any more, and make room for
         # the block's broadcasts
         oldest = min(block.oldest_read,
@@ -498,13 +489,13 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         row = (row - base).tolist()
 
         end = k0 + count if block.violation is None else block.violation[0]
-        for k, i, picks, lo, hi in zip(range(k0, end), block.node.tolist(),
+        for k, i, pick, lo, hi in zip(range(k0, end), block.node.tolist(),
                                        block.samples.tolist(), delivered,
                                        delivered[1:]):
             node = nodes[i]
             for q in range(lo, hi):
                 on_receive(node, dest[q], row[q])
-            activate(node, payloads, n + k - 1 - base, picks, eta1, eta2)
+            activate(node, payloads, n + k - 1 - base, pick, eta1, eta2)
             num_events = k
             if epsilon is not None:
                 residual[i] = local_residual(node)

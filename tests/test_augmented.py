@@ -20,14 +20,13 @@ from test_plan_oracle import heap_run_async
 
 
 def run_pair(seed=7, n=3, max_events=80, eta1=0.01, zeta=10.0, d_max=2,
-             batch_size=1, kind="uniform_random"):
+             kind="uniform_random"):
     prob = build_problem(n=n)
     g = graph.generate_topology("ring", n)
     sched = simulator.ActivationSchedule(kind=kind, n=n)
     delays = simulator.DelayModel(kind="uniform", d_max=d_max)
     trace = simulator.run_async(prob, g, sched, delays, eta1, eta1 * zeta,
-                                seed=seed, max_events=max_events,
-                                batch_size=batch_size)
+                                seed=seed, max_events=max_events)
     return prob, trace
 
 
@@ -230,7 +229,7 @@ def _pull_matrix_by_buffer(trace, buffer, k, b):
 
 
 def _certified_run_with_buffers(n, topology, kind, delay_kind, d_max,
-                                batch_size, events, stop, seed):
+                                events, stop, seed):
     """A planned run, its certified b, and the heap engine's record of each
     event's buffer for the same run; ``stop`` > 0 picks the event by which
     an epsilon threshold is crossed. Rejects a run in which a node
@@ -241,7 +240,7 @@ def _certified_run_with_buffers(n, topology, kind, delay_kind, d_max,
                 kind=kind, n=n, straggler_node=0 if straggler else None,
                 straggler_factor=5.0 if straggler else 1.0),
             simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.05, 0.4)
-    kwargs = dict(seed=seed, max_events=events, batch_size=batch_size)
+    kwargs = dict(seed=seed, max_events=events)
     with recorded_states() as states:
         trace = simulator.run_async(*args, **kwargs)
     if 0 < stop <= events:
@@ -260,8 +259,8 @@ RUNS = dict(
     n=st.integers(1, 6), topology=st.sampled_from(["ring", "exponential"]),
     kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
     delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
-    d_max=st.integers(0, 4), batch_size=st.integers(1, 2),
-    events=st.integers(1, 120), stop=st.integers(0, 120),
+    d_max=st.integers(0, 4), events=st.integers(1, 120),
+    stop=st.integers(0, 120),
     seed=st.integers(0, 2**32 - 1))
 
 
@@ -306,9 +305,8 @@ def test_replay_matches_simulator_to_machine_precision():
     assert np.max(residuals) <= 1e-9
 
 
-def test_replay_matches_with_batches_and_round_robin():
-    prob, trace = run_pair(seed=5, max_events=60, batch_size=3,
-                           kind="round_robin")
+def test_replay_matches_with_round_robin():
+    prob, trace = run_pair(seed=5, max_events=60, kind="round_robin")
     states = list(augmented.replay(trace, prob))
     assert max(augmented.check_equivalence(trace, s) for s in states) <= 1e-9
 
@@ -317,10 +315,9 @@ def test_replay_matches_with_batches_and_round_robin():
 @given(n=st.integers(1, 5), topology=st.sampled_from(["ring", "exponential"]),
        kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
        delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
-       d_max=st.integers(0, 3), batch_size=st.integers(1, 2),
-       seed=st.integers(0, 2**32 - 1))
+       d_max=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_replay_matches_simulator_with_shared_payloads(
-        n, topology, kind, delay_kind, d_max, batch_size, seed):
+        n, topology, kind, delay_kind, d_max, seed):
     """An activation's arrays are shared, not copied, by the node state, the
     receive buffers and the in-flight payloads. The replay shares nothing,
     so an in-place write to any of them shows up as a deviation."""
@@ -332,7 +329,7 @@ def test_replay_matches_simulator_with_shared_payloads(
     delays = simulator.DelayModel(kind=delay_kind, d_max=d_max)
     trace = simulator.run_async(prob, graph.generate_topology(topology, n),
                                 sched, delays, 0.01, 0.1, seed=seed,
-                                max_events=40, batch_size=batch_size)
+                                max_events=40)
     try:
         states = list(augmented.replay(trace, prob))
     except simulator.AssumptionViolation:
@@ -564,15 +561,14 @@ def _event_matrices(trace):
                for k in range(1, trace.num_events + 1)]
 
 
-@pytest.mark.parametrize("seed,kind,batch_size", [
+@pytest.mark.parametrize("seed,kind,d_max", [
     (9, "uniform_random", 1),
     (4, "uniform_random", 3),
     (5, "round_robin", 1),
     (2, "round_robin", 2),
 ])
-def test_product_contraction_matches_dense_svd(seed, kind, batch_size):
-    _, trace = run_pair(seed=seed, max_events=150, kind=kind,
-                        batch_size=batch_size)
+def test_product_contraction_matches_dense_svd(seed, kind, d_max):
+    _, trace = run_pair(seed=seed, max_events=150, kind=kind, d_max=d_max)
     b, mats = _event_matrices(trace)
     h_rows, h_cols = [m.h_row for m in mats], [m.h_col for m in mats]
     _assert_matches_dense(h_rows)
@@ -713,17 +709,14 @@ def test_product_contraction_rejects_bad_input(matrices, message):
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 4),
        kind=st.sampled_from(["round_robin", "uniform_random"]),
-       batch_size=st.integers(1, 3), max_events=st.integers(1, 40),
-       seed=st.integers(0, 2**32 - 1))
+       max_events=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 # an iterative top-singular-vector estimate once missed the dense SVD on
 # this draw by 2.2e-5 relative (push product, t = 4)
-@example(n=4, kind="uniform_random", batch_size=1, max_events=17, seed=280)
-def test_forward_products_conserve_mass(n, kind, batch_size, max_events,
-                                        seed):
+@example(n=4, kind="uniform_random", max_events=17, seed=280)
+def test_forward_products_conserve_mass(n, kind, max_events, seed):
     """Pull products stay row-stochastic and push products column-
     stochastic, and their distances match the dense oracle."""
-    _, trace = run_pair(seed=seed, n=n, max_events=max_events, kind=kind,
-                        batch_size=batch_size)
+    _, trace = run_pair(seed=seed, n=n, max_events=max_events, kind=kind)
     try:
         b, mats = _event_matrices(trace)
     except simulator.AssumptionViolation:

@@ -9,6 +9,7 @@ import functools
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -178,10 +179,6 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     (("n = 3\nd = 3\nm = 24", "n = 1\nd = 3\nm = 1"),
      ("config error: [problem]", "saddle system is singular")),
     # sizes that must be positive
-    (("max_events = 150", "max_events = 150\nbatch_size = 0"),
-     ("config error: [algorithm] batch_size", "at least 1")),
-    (("max_events = 150", "max_events = 150\nbatch_size = -1"),
-     ("config error: [algorithm] batch_size", "at least 1")),
     (("max_events = 150", "max_events = 0"),
      ("config error: [algorithm] max_events", "at least 1")),
     (("verify_events = 100", "verify_events = 0"),
@@ -238,15 +235,6 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     # an event index + b_max must fit in int64 too
     (("d_max = 2", "d_max = 2\nb_max = 100000000000000000000"),
      ("config error: [schedule] b_max", "at most 2**62")),
-    # a minibatch larger than a node's samples refreshes one of them twice;
-    # the sweep builds n = 1 (24 samples) first, then n = 2 (8 and 16)
-    (("max_events = 150", "max_events = 150\nbatch_size = 9"),
-     ("config error: [algorithm] batch_size",
-      "at most the smallest node's sample count 8")),
-    (("verify_events = 100\n", "verify_events = 100\nbatch_size = 9\n"
-                                "\n[experiment]\nn_values = 1 2\n"),
-     ("config error: [algorithm] batch_size",
-      "at most the smallest node's sample count 8")),
     # a key or section that nothing reads is a misspelling
     (("max_events = 150", "max_event = 150"),
      ("config error: [algorithm] max_event: unknown key",)),
@@ -261,6 +249,9 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [algorithm] eta: unknown key",)),
     (("eta2 = 0.1", "eta2 = 0.1\nzeta = 10"),
      ("config error: [algorithm] zeta: unknown key",)),
+    # an activation refreshes one sample; there is no minibatch size
+    (("max_events = 150", "max_events = 150\nbatch_size = 1"),
+     ("config error: [algorithm] batch_size: unknown key",)),
     # only a sweep reads the step list and the target
     (("seed = 5\n", "seed = 5\n\n[experiment]\neta1_values = 0.01\n"),
      ("config error: [experiment] eta1_values:", "give n_values")),
@@ -279,7 +270,7 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     # a sweep over no sizes is not a plain run
     (("seed = 5\n", "seed = 5\n\n[experiment]\nn_values =\n"),
      ("config error: [experiment] n_values", "at least one entry")),
-    # keys that only one kind reads
+    # keys that only one kind or mode reads
     (("kind = uniform_random", "kind = uniform_random\nstraggler_node = 99\n"
                                "straggler_factor = nan"),
      ("config error: [schedule] straggler_node: only kind = straggler "
@@ -289,23 +280,25 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
       "reads it",)),
     (("kind = ring", "kind = ring\npath = edges.txt"),
      ("config error: [topology] path: only kind = edge_list reads it",)),
+    (("mode = parallel", "mode = marl\nproportions = 1 5 1"),
+     ("config error: [problem] proportions: only mode = parallel reads it",)),
 ], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
         "n_values", "sync-kind", "c-not-positive-definite",
         "c-rank-deficient-seed-2", "c-rank-deficient-seed-5", "singular-saddle",
-        "batch-size-0", "batch-size-negative", "max-events-0",
+        "max-events-0",
         "verify-events-0", "num-actions-0", "d-0", "eta1-nan", "eta2-inf",
         "rho-nan", "eta1-values-nan", "straggler-factor-nan", "b-max-0",
         "b-max-negative", "num-states-1", "m-0", "problem-seed-negative",
         "schedule-seed-negative", "epsilon-nan", "epsilon-negative",
         "epsilon-0", "epsilon-inf", "target-err-nan", "d-max-overflow",
-        "b-max-overflow", "batch-size-above-samples",
-        "batch-size-above-samples-sweep", "unknown-key", "unknown-section",
+        "b-max-overflow", "unknown-key", "unknown-section",
         "unknown-default-key", "misplaced-key", "eta-zeta-form", "zeta-key",
+        "batch-size-unknown",
         "eta1-values-without-sweep", "target-err-without-sweep",
         "duplicate-option",
         "broken-section-header", "not-utf-8", "bare-percent", "n-values-empty",
         "straggler-keys-without-straggler", "straggler-factor-round-robin",
-        "path-without-edge-list"])
+        "path-without-edge-list", "proportions-without-parallel"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI
@@ -442,7 +435,6 @@ BAD_VALUES = {
     ("topology", "n"): st.integers().filter(lambda n: n != 3),
     ("algorithm", "eta1"): floats_outside(0, math.inf),
     ("algorithm", "eta2"): floats_outside(0, math.inf),
-    ("algorithm", "batch_size"): ints_outside(1, 8),
     ("algorithm", "epsilon"): floats_outside(0, math.inf),
     ("algorithm", "max_events"): ints_outside(1),
     ("algorithm", "verify_events"): ints_outside(1),
@@ -472,6 +464,25 @@ UNPARSEABLE = st.sampled_from(["x", "1e", "--1", "0x10", "1 2 x"])
 
 def test_bad_values_cover_every_key_read():
     assert set(BAD_VALUES) == set(keys_read())
+
+
+def test_readme_config_format_names_every_key_read():
+    """Every key that load_config reads appears, as a whole word, in its
+    section of the README's "Config format" block."""
+    text = (BENCH.parent / "README.md").read_text(encoding="utf-8")
+    block = text[text.index("\n### Config format\n"):]
+    block = block[block.index("```ini\n") + 7:block.index("\n```\n")]
+    sections: dict[str, str] = {}
+    section = None
+    for line in block.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        if header:
+            section = header.group(1)
+        sections[section] = sections.get(section, "") + line + "\n"
+    missing = [(section, key) for section, key in keys_read()
+               if not re.search(rf"(?<!\w){key}(?!\w)",
+                                sections.get(section, ""))]
+    assert missing == []
 
 
 @settings(max_examples=60, deadline=None)

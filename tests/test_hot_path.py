@@ -43,17 +43,16 @@ def random_stats(rng, d, scale=1.0):
                              float(scale * rng.normal()))
 
 
-def reference_activate(node, payloads, row, picks, eta1, eta2):
+def reference_activate(node, payloads, row, pick, eta1, eta2):
     if not node.buffer:
         raise RuntimeError("empty buffer")
     z_hat = np.mean([payloads.z[r] for r in node.buffer], axis=0)
     y_new = np.sum([payloads.y[r] / int(payloads.degree[r])
                     for r in node.buffer], axis=0)
 
-    for p in picks:
-        fresh = reference_saddle_gradient(z_hat, node.stats[p], node.rho)
-        y_new += (fresh - node.table[p]) / node.m_global
-        node.table[p] = fresh
+    fresh = reference_saddle_gradient(z_hat, node.stats[pick], node.rho)
+    y_new += (fresh - node.table[pick]) / node.m_global
+    node.table[pick] = fresh
 
     d = z_hat.shape[0] // 2
     z_tilde = z_hat.copy()
@@ -101,23 +100,22 @@ def test_run_async_bits_equal_reference_arithmetic(monkeypatch, topology, n,
         straggler_factor=4.0 if kind == "straggler" else 1.0)
     longest = 0
     for delay_kind, d_max in (("zero", 0), ("uniform", 3), ("round_barrier", 2)):
-        for batch_size in (1, 2):
-            args = (prob, g, sched, simulator.DelayModel(delay_kind, d_max),
-                    0.05, 0.4)
-            kwargs = dict(seed=11, max_events=150, batch_size=batch_size)
-            with monkeypatch.context() as patch:
-                patch.setattr(simulator, "activate",
-                              unchanged_payloads(protocol.activate))
-                fast = simulator.run_async(*args, **kwargs)
-            with monkeypatch.context() as patch:
-                patch.setattr(simulator, "activate", reference_activate)
-                patch.setattr(protocol, "saddle_gradient",
-                              reference_saddle_gradient)
-                slow = simulator.run_async(*args, **kwargs)
-            assert_traces_equal(fast, slow)
-            consumed = fast.messages.consumed_at
-            longest = max(longest, 1 + int(np.bincount(
-                consumed[consumed >= 0]).max(initial=0)))
+        args = (prob, g, sched, simulator.DelayModel(delay_kind, d_max),
+                0.05, 0.4)
+        kwargs = dict(seed=11, max_events=150)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "activate",
+                          unchanged_payloads(protocol.activate))
+            fast = simulator.run_async(*args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "activate", reference_activate)
+            patch.setattr(protocol, "saddle_gradient",
+                          reference_saddle_gradient)
+            slow = simulator.run_async(*args, **kwargs)
+        assert_traces_equal(fast, slow)
+        consumed = fast.messages.consumed_at
+        longest = max(longest, 1 + int(np.bincount(
+            consumed[consumed >= 0]).max(initial=0)))
     if kind == "straggler":
         assert longest >= 8   # the in-place sums ran over long buffers
 
@@ -141,12 +139,12 @@ def test_activate_matches_reference_on_shared_payloads():
             payloads.degree[1:] = degree[1:]
             # one row may sit in a buffer twice, as a duplicate delivery does
             node.buffer += list(range(1, 1 + length)) + [1]
-            picks = node.selector.take(2).tolist()
-            sides.append((node, payloads, picks))
-        (fast_node, fast_rows, picks), (slow_node, slow_rows, _) = sides
+            (pick,) = node.selector.take(1).tolist()
+            sides.append((node, payloads, pick))
+        (fast_node, fast_rows, pick), (slow_node, slow_rows, _) = sides
         fast = unchanged_payloads(protocol.activate)(fast_node, fast_rows,
-                                                     rows - 1, picks, 0.05, 0.4)
-        slow = reference_activate(slow_node, slow_rows, rows - 1, picks,
+                                                     rows - 1, pick, 0.05, 0.4)
+        slow = reference_activate(slow_node, slow_rows, rows - 1, pick,
                                   0.05, 0.4)
         assert same_bits(fast, slow)
         # the broadcast z is compared as the payload row below

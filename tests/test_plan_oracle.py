@@ -32,7 +32,7 @@ from helpers import (NodeStates, assert_traces_equal, build_problem,
 
 
 def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
-                   max_events, epsilon=None, batch_size=1, b_max=None):
+                   max_events, epsilon=None, b_max=None):
     """The trace, the nodes' states, and each event's buffer as (origin,
     sent event) pairs in buffer order, the activator's own latest broadcast
     first."""
@@ -103,11 +103,10 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         buffer = buffers[i]
         z_hat = np.mean([z for z, _, _, _ in buffer], axis=0)
         y_new = np.sum([y for _, y, _, _ in buffer], axis=0)
-        picks = selectors[i].take(batch_size).tolist()
-        for p in picks:
-            fresh = mspbe.saddle_gradient(z_hat, problem.per_node[i][p], rho)
-            y_new += (fresh - tables[i][p]) / m
-            tables[i][p] = fresh
+        (pick,) = selectors[i].take(1).tolist()
+        fresh = mspbe.saddle_gradient(z_hat, problem.per_node[i][pick], rho)
+        y_new += (fresh - tables[i][pick]) / m
+        tables[i][pick] = fresh
         z_tilde = z_hat - steps * y_new
         y_tilde = y_new / degree[i]
         pulled.append([(origin, sent) for _, _, origin, sent in buffer])
@@ -115,7 +114,7 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         send(i, z_tilde, y_tilde, k)
         last[i] = k
         node_col.append(i)
-        samples.append(picks)
+        samples.append(pick)
         z_col.append(z_tilde)
         y_col.append(y_new)
 
@@ -132,7 +131,7 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     trace = simulator.EventTrace(
         n=n, d=d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph_,
         node=np.array(node_col, dtype=np.int64),
-        samples=np.array(samples, dtype=np.int64).reshape(rows, batch_size),
+        samples=np.array(samples, dtype=np.int64),
         z_tilde=np.array(z_col).reshape(rows, 2 * d),
         messages=simulator.MessageLog(*(col.copy() for col in log.T)),
         stop_reason=stop_reason, series=None,
@@ -165,12 +164,11 @@ SIZES = {"ring": (1, 2, 3, 5), "exponential": (2, 4, 6), "grid": (4, 9)}
 @given(topology=st.sampled_from(sorted(SIZES)), data=st.data(),
        kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
        delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
-       d_max=st.integers(0, 3), batch_size=st.integers(1, 2),
-       events=st.integers(0, 60), seed=st.integers(0, 2**32 - 1),
+       d_max=st.integers(0, 3), events=st.integers(0, 60),
+       seed=st.integers(0, 2**32 - 1),
        stop=st.sampled_from(["none", "epsilon", "b_max"]))
 def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
-                                            d_max, batch_size, events, seed,
-                                            stop):
+                                            d_max, events, seed, stop):
     n = data.draw(st.sampled_from(SIZES[topology]), label="n")
     prob = build_problem(n=n)
     g = graph.generate_topology(topology, n)
@@ -180,7 +178,7 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
         straggler_factor=5.0 if straggler else 1.0)
     delays = simulator.DelayModel(delay_kind, d_max)
     args = (prob, g, sched, delays, 0.05, 0.4, seed, events)
-    kwargs = {"batch_size": batch_size}
+    kwargs = {}
     if stop == "epsilon" and events:
         # a threshold the run crosses by a drawn event
         at = data.draw(st.integers(1, events), label="epsilon event")

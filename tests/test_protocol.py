@@ -131,7 +131,7 @@ def test_activation_arithmetic_pinned():
     node.table[0] = np.array([2.0, 2.0])
     put(payloads, 1, [1.0, 0.0], [0.5, 0.5])
     node.buffer = [1]
-    z_hat = activate(node, payloads, 2, [0], eta1=0.1, eta2=0.2)
+    z_hat = activate(node, payloads, 2, 0, eta1=0.1, eta2=0.2)
     assert np.allclose(z_hat, [1.0, 0.0])
     assert np.allclose(node.y, [1.0, 1.0])
     assert np.allclose(node.table[0], [4.0, 4.0])
@@ -146,7 +146,7 @@ def test_pull_is_mean_push_is_sum():
     put(payloads, 1, [1.0, 0.0], [0.3, 0.0])
     put(payloads, 2, [3.0, 2.0], [0.5, 1.0], degree=2)
     node.buffer = [1, 2]
-    z_hat = activate(node, payloads, 3, [0], 0.0, 0.0)
+    z_hat = activate(node, payloads, 3, 0, 0.0, 0.0)
     assert np.allclose(z_hat, [2.0, 1.0])  # mean of pulls
     # y starts from the SUM of shares before the table correction
     y_base = np.array([0.8, 1.0])
@@ -162,7 +162,7 @@ def test_buffer_lifecycle_and_self_copy():
     put(payloads, 1, np.ones(2), np.ones(2))
     on_receive(node, 0, 1)
     assert node.buffer == [0, 1]
-    z_hat = activate(node, payloads, 7, [0], 0.1, 0.1)
+    z_hat = activate(node, payloads, 7, 0, 0.1, 0.1)
     # buffer now holds exactly the fresh self-copy: the row just written
     assert node.buffer == [7]
     assert np.allclose(payloads.z[7], z_hat - 0.1 * node.y)
@@ -174,7 +174,7 @@ def test_activate_empty_buffer_raises():
     node, payloads = make_node(samples)
     node.buffer = []
     with pytest.raises(RuntimeError):
-        activate(node, payloads, 1, [0], 0.1, 0.1)
+        activate(node, payloads, 1, 0, 0.1, 0.1)
 
 
 def test_on_receive_rejects_wrong_destination():
@@ -210,10 +210,8 @@ def test_table_soundness_against_eval_points():
     for k in range(1, 30):
         put(payloads, 2 * k - 1, rng.normal(size=2), rng.normal(size=2))
         on_receive(node, 0, 2 * k - 1)
-        picks = node.selector.take(1).tolist()
-        z_hat = activate(node, payloads, 2 * k, picks, 0.05, 0.1)
-        for p in picks:
-            eval_points[p] = z_hat
+        (pick,) = node.selector.take(1).tolist()
+        eval_points[pick] = activate(node, payloads, 2 * k, pick, 0.05, 0.1)
         for p in range(4):
             expected = mspbe.saddle_gradient(eval_points[p], samples[p], 0.1)
             assert np.allclose(node.table[p], expected, atol=1e-13)
@@ -246,8 +244,8 @@ def test_mass_conservation_two_node_relay():
         for row in inflight[i]:
             on_receive(node, i, row)
         inflight[i] = []
-        activate(node, payloads, k + 1, node.selector.take(1).tolist(),
-                 0.02, 0.05)
+        (pick,) = node.selector.take(1).tolist()
+        activate(node, payloads, k + 1, pick, 0.02, 0.05)
         # the new mass splits into out_degree shares (peer copy + self copy)
         inflight[1 - i].append(k + 1)
         alive = [row for nd in nodes for row in nd.buffer]

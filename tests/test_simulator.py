@@ -146,29 +146,6 @@ def test_run_async_rejects_non_finite_step(eta):
                             max_events=5)
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_run_async_rejects_batch_size_below_one(batch_size):
-    prob = build_problem(n=3)
-    sched = simulator.ActivationSchedule(kind="round_robin", n=3)
-    with pytest.raises(ValueError, match="batch_size"):
-        simulator.run_async(prob, graph.generate_topology("ring", 3), sched,
-                            simulator.DelayModel("zero"), 0.01, 0.1, seed=0,
-                            max_events=5, batch_size=batch_size)
-
-
-def test_run_async_rejects_batch_size_above_smallest_sample_count():
-    prob = build_problem(n=3)
-    sched = simulator.ActivationSchedule(kind="round_robin", n=3)
-    run = functools.partial(simulator.run_async, prob,
-                            graph.generate_topology("ring", 3), sched,
-                            simulator.DelayModel("zero"), 0.01, 0.1, seed=0,
-                            max_events=5)
-    smallest = min(prob.m_i)
-    assert run(batch_size=smallest).num_events == 5
-    with pytest.raises(ValueError, match="batch_size"):
-        run(batch_size=smallest + 1)
-
-
 @pytest.mark.parametrize("name,value", [
     ("max_events", -5), ("max_events", 10.5), ("max_events", True),
     ("max_events", None), ("seed", -1), ("seed", 2.0), ("seed", False)])
@@ -179,13 +156,15 @@ def test_run_async_rejects_bad_max_events_or_seed(name, value):
     run = functools.partial(simulator.run_async, prob,
                             graph.generate_topology("ring", 3), sched,
                             simulator.DelayModel("zero"), 0.01, 0.1)
-    assert run(**kwargs).num_events == 5
+    # one sample refreshed per event
+    assert run(**kwargs).samples.shape == (5,)
     with pytest.raises(ValueError, match=f"^{name} must be a nonnegative "
                                          f"integer"):
         run(**dict(kwargs, **{name: value}))
     # no events: the initial state alone
     empty = run(seed=np.int64(0), max_events=0)
     assert empty.num_events == 0 and empty.z_tilde.shape == (0, 6)
+    assert empty.samples.shape == (0,)
     streamed = run(seed=0, max_events=0, z_star=mspbe.solve_problem(prob))
     assert streamed.series.err_max.shape == (1,)
 
@@ -603,10 +582,10 @@ def assert_matches_event_loops(trace, states, z_star):
 @given(n=st.integers(1, 5), topology=st.sampled_from(["ring", "exponential"]),
        kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
        delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
-       d_max=st.integers(0, 3), batch_size=st.integers(1, 2),
-       events=st.integers(30, 80), seed=st.integers(0, 2**32 - 1))
+       d_max=st.integers(0, 3), events=st.integers(30, 80),
+       seed=st.integers(0, 2**32 - 1))
 def test_array_metrics_and_window_match_event_loops(
-        n, topology, kind, delay_kind, d_max, batch_size, events, seed):
+        n, topology, kind, delay_kind, d_max, events, seed):
     prob = build_problem(n=n)
     z_star = mspbe.solve_problem(prob)
     straggler = kind == "straggler"
@@ -617,8 +596,7 @@ def test_array_metrics_and_window_match_event_loops(
         trace = simulator.run_async(
             prob, graph.generate_topology(topology, n), sched,
             simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.01, 0.1,
-            seed=seed, max_events=events, batch_size=batch_size,
-            z_star=z_star)
+            seed=seed, max_events=events, z_star=z_star)
     assert_matches_event_loops(trace, states, z_star)
 
 
@@ -659,7 +637,7 @@ def assert_streamed_equals_full(streamed, states, full, z_star):
 def test_streamed_series_equals_metrics_of_the_full_trace(
         monkeypatch, block, delay_kind, d_max):
     """Planned blocks of 1, 3, 7, 64 and the default size, every delay
-    kind, batches of 1 and 2, a straggler (which does not activate in the
+    kind, a straggler (which does not activate in the
     first blocks of 1, 3 and 7), an epsilon stop inside a block, and a
     one-event run."""
     if block is not None:
@@ -672,12 +650,11 @@ def test_streamed_series_equals_metrics_of_the_full_trace(
     uniform = simulator.ActivationSchedule("uniform_random", n)
     straggler = simulator.ActivationSchedule("straggler", n, straggler_node=1,
                                              straggler_factor=20.0)
-    for schedule, batch_size, events, stop in (
-            (uniform, 1, 300, None), (uniform, 2, 300, None),
-            (straggler, 1, 300, None), (uniform, 1, 300, 150),
-            (uniform, 1, 1, None)):
+    for schedule, events, stop in ((uniform, 300, None),
+                                   (straggler, 300, None),
+                                   (uniform, 300, 150), (uniform, 1, None)):
         args = (prob, g, schedule, delays, 0.05, 0.4)
-        kwargs = dict(seed=13, max_events=events, batch_size=batch_size)
+        kwargs = dict(seed=13, max_events=events)
         if stop is not None:
             # a threshold first crossed at event `stop`, inside a block of
             # 3, 7, 64 or the default size
