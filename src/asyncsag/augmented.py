@@ -39,7 +39,12 @@ which is what makes the tracking identity 1^T Y^k = 1^T partial^k exact.
 Storage: each H_R, H_C and I_a is a ``SparseMatrix`` of coalesced
 (row, col, weight) entries, at most deg+1 per row, so one event takes
 O(ntilde) bytes. The replay multiplies by row gathers, and no event matrix
-is ever dense. ``product_contraction`` keeps each forward product as pure
+is ever dense. An event's matrices slice the identity and chain-shift
+entries that every event of the window shares (cached per (n, b)) and put
+the few others, taken from per-trace arrays computed once from the plan,
+at their sorted positions; they carry their row gathers, so a product is
+one gather, a reset of the rows that mix, and one ordered scatter per
+part. ``product_contraction`` keeps each forward product as pure
 rows, one entry each in a column that only pure rows touch, plus one dense
 core block holding every other nonzero row over the columns those rows
 touch. An event matrix moves, scales and mixes rows of the two parts by
@@ -49,8 +54,11 @@ norms plus one SVD of the thin core. No ntilde x ntilde array is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+import math
+import weakref
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -60,6 +68,21 @@ from .mspbe import (ProblemSpec, SpectralConstants, from_scaled,
 from .simulator import AssumptionViolation, EventTrace, verify_assumption1b
 
 STOCHASTIC_TOL = 1e-12
+
+
+class RowGather(NamedTuple):
+    """A product ``M @ X`` as row gathers. Row r starts as ``X[source[r]]``,
+    which is all of it when its first entry has weight 1; the rows
+    ``reset`` start at -0.0 instead, and an ``empty`` row at 0 times row 0.
+    Each part (rows, columns, weights) of ``added`` then adds its weighted
+    source rows in order: every entry of a reset row and the later entries
+    of the others, so each row sums in column order. As -0.0 + x is x, a
+    reset row's sum starts at its first term exactly."""
+
+    source: np.ndarray
+    reset: np.ndarray
+    empty: np.ndarray
+    added: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +99,9 @@ class SparseMatrix:
     cols: np.ndarray      # int32, increasing within a row
     weights: np.ndarray   # float64
     size: int
+    # the row gathers of ``@``, when the builder knows them; ``_row_gather``
+    # derives them from the entries otherwise
+    gather: RowGather | None = field(default=None, repr=False)
 
     @classmethod
     def from_entries(cls, rows, cols, weights, size: int) -> SparseMatrix:
@@ -116,28 +142,41 @@ class SparseMatrix:
         index = self.cols if axis == 0 else self.rows
         return np.bincount(index, weights=self.weights, minlength=self.size)
 
+    def _row_gather(self) -> RowGather:
+        """The row gathers of ``self @ X``."""
+        if self.gather is not None:
+            return self.gather
+        rows, cols, weights = self.rows, self.cols, self.weights
+        first = np.empty(rows.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        source = np.zeros(self.size, dtype=np.intp)
+        source[rows[first]] = cols[first]
+        reset = first & (weights != 1.0)
+        added = reset | ~first
+        return RowGather(source, rows[reset],
+                         (np.bincount(rows, minlength=self.size) == 0
+                          ).nonzero()[0],
+                         ((rows[added], cols[added], weights[added]),))
+
     def __matmul__(self, operand) -> np.ndarray:
-        """``self @ operand`` for a dense 1-D or 2-D operand, by row gathers:
-        each output row starts as its first entry's weight times that
-        entry's source row (zero for an empty row) and then adds its
-        remaining entries in column order."""
+        """``self @ operand`` for a dense 1-D or 2-D operand, by the row
+        gathers of ``_row_gather``; one ordered scatter per part adds the
+        entries that a gather does not copy."""
         operand = np.asarray(operand, dtype=float)
         if operand.ndim not in (1, 2) or operand.shape[0] != self.size:
             raise ValueError(f"cannot multiply a {self.shape} matrix by an "
                              f"operand of shape {operand.shape}")
-        first = np.ones(self.rows.size, dtype=bool)
-        first[1:] = self.rows[1:] != self.rows[:-1]
-        source = np.zeros(self.size, dtype=np.intp)
-        scale = np.zeros(self.size)
-        source[self.rows[first]] = self.cols[first]
-        scale[self.rows[first]] = self.weights[first]
-        out = np.take(operand, source, axis=0)
-        scaled = np.flatnonzero(scale != 1.0)
-        out[scaled] *= scale[scaled].reshape((-1,) + (1,) * (operand.ndim - 1))
-        rest = ~first
-        for row, col, weight in zip(self.rows[rest], self.cols[rest],
-                                    self.weights[rest]):
-            out[row] += weight * operand[col]
+        gather = self._row_gather()
+        out = operand.take(gather.source, axis=0)
+        out[gather.reset] = -0.0
+        if gather.empty.size:
+            out[gather.empty] = 0.0 * operand[0]
+        shape = (-1,) + (1,) * (operand.ndim - 1)
+        for rows, cols, weights in gather.added:
+            if rows.size:
+                # np.add.at adds repeated rows in entry order
+                np.add.at(out, rows, operand[cols] * weights.reshape(shape))
         return out
 
     def toarray(self) -> np.ndarray:
@@ -168,100 +207,326 @@ class AugmentedState:
     mats: EventMatrices | None = None   # event k's matrices (None at k=0)
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Read-only arrays that every event matrix of ntilde = n*(b+1) rows
+    slices, cached per (n, b)."""
+
+    index: np.ndarray       # int32, 0 .. ntilde - 1
+    pull_cols: np.ndarray   # int32, each row's pull source when it holds
+    pull_source: np.ndarray   # the same as intp, the base of its gathers
+    ones: np.ndarray        # float64, ntilde ones
+    # the push entries, sorted, of the chain alone (event 1, at which every
+    # real row splits), and for each node w, row w of these (n, ntilde - 1)
+    # arrays, of the chain and the real rows other than w holding
+    chain_rows: np.ndarray
+    chain_cols: np.ndarray
+    held_rows: np.ndarray
+    held_cols: np.ndarray
+    # the row gathers of the latter: each row's first column (n, ntilde),
+    # the top rows, all empty, and the chain entries (v, v + n) of the real
+    # rows v other than w, which follow their holding entries (n, n - 1)
+    held_source: np.ndarray
+    top: np.ndarray
+    held_added_rows: np.ndarray
+    held_added_cols: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _layout(n: int, b: int) -> _Layout:
+    """The ``_Layout`` of n nodes at window b."""
+    ntilde = n * (b + 1)
+    chain = ntilde - n
+    index = np.arange(ntilde, dtype=np.int32)
+    # a chain register reads the one below it in the pull matrix and drains
+    # into it in the push matrix: push row r holds column r + n
+    pull_cols = np.concatenate([index[:n], index[:chain]])
+    rows = np.concatenate([np.repeat(index[:n], 2), index[n:chain]])
+    cols = rows + np.int32(n)
+    cols[:2 * n:2] = index[:n]   # real row v holds (v, v) before (v, v + n)
+    # without (w, w), which is entry 2w
+    drop = np.arange(ntilde - 1)
+    drop = drop + (drop >= 2 * np.arange(n)[:, None])
+    held_source = np.tile(np.concatenate([index[:n], index[2 * n:],
+                                          np.zeros(n, dtype=np.int32)]),
+                          (n, 1)).astype(np.intp)
+    held_source[np.arange(n), np.arange(n)] += n
+    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    layout = _Layout(index, pull_cols, pull_cols.astype(np.intp),
+                     np.ones(ntilde), index[:chain], index[n:], rows[drop],
+                     cols[drop], held_source, index[chain:],
+                     index[others], index[others + n])
+    for array in vars(layout).values():
+        array.flags.writeable = False
+    return layout
+
+
+class _EventPlan:
+    """The entries of every event's matrices that ``_layout`` does not hold,
+    computed once per trace with array code from its plan columns.
+
+    Event k's pull entries are ``[pull_at[k-1]:pull_at[k]]`` of the
+    ``pull_*`` arrays: the activator's row, sorted by column. Its push
+    entries, the shares that split at k, are ``[at[k-1]:at[k]]`` of the
+    ``push_*`` arrays: each parks at row height * n + receiver, or, when
+    nothing in the trace consumes it, on the top register, whose row b * n
+    + receiver is added at the event (the last ``tops[k-1]`` entries hold
+    the receiver alone). ``push_at`` places each share among the event's
+    push entries, counted from the end for a share on top, so no array
+    depends on b. Per event, ``oldest`` is the oldest reception's age,
+    ``highest`` the highest consumed network share (-1 for none) and
+    ``latest`` the latest own share's height; ``build_event_matrices``
+    compares them with b before it reads anything else.
+    """
+
+    def __init__(self, trace: EventTrace):
+        t, n, node = trace.num_events, trace.n, trace.node
+        previous, following, first = trace.activations
+        log = trace.messages
+        events = np.arange(t)
+
+        # pull: the activator's own latest broadcast and the log rows it
+        # consumed, each read from register age * n + origin
+        used = np.flatnonzero(log.consumed_at > 0)
+        event = np.concatenate([events, log.consumed_at[used] - 1])
+        age = np.concatenate([events - 1 - previous,
+                              event[t:] - log.sent_at[used]])
+        col = age * n + np.concatenate([node, log.origin[used]])
+        order = np.lexsort((col, event))
+        event, age, col = event[order], age[order], col[order]
+        at = event.searchsorted(np.arange(t + 1))
+        counts = np.diff(at)
+        weight = np.repeat(1.0 / counts, counts)
+        fresh = np.append(True, (event[1:] != event[:-1])
+                          | (col[1:] != col[:-1]))
+        if not fresh.all():
+            # a repeated reception adds its weight again, as a sum from zero
+            weight = np.bincount(np.cumsum(fresh) - 1, weights=weight)
+            event, age, col = event[fresh], age[fresh], col[fresh]
+            at = event.searchsorted(np.arange(t + 1))
+        self.pull_at = at.tolist()
+        self.pull_row = node[event].astype(np.int32)
+        self.pull_col = col.astype(np.int32)
+        self.pull_weight = weight
+        # an event's entries sort by age, so its last is its oldest
+        self.oldest = age[at[1:] - 1].tolist()
+
+        # push: the messages sent at event k - 1, then the splitters' own
+        # shares (every node's at event 1, the previous activator's after),
+        # each consumed at the row ``used`` or never (on top)
+        sent = np.flatnonzero(log.sent_at < t)
+        shares = sent.size
+        event = np.concatenate([log.sent_at[sent], np.zeros(n, dtype=np.int64),
+                                events[1:]])
+        origin = np.concatenate([log.origin[sent], np.arange(n), node[:-1]])
+        dest = np.concatenate([log.dest[sent], np.arange(n), node[:-1]])
+        used = np.concatenate([log.consumed_at[sent] - 1, first,
+                               following[:-1]])
+        top = np.concatenate([log.consumed_at[sent] < 0,
+                              used[shares:] == t])
+        height = used - event
+        highest = np.full(t, -1, dtype=np.int64)
+        np.maximum.at(highest, event[:shares][~top[:shares]],
+                      height[:shares][~top[:shares]])
+        self.highest = highest.tolist()
+        self.latest = np.concatenate([[height[shares:shares + n].max()],
+                                      height[shares + n:]]).tolist()
+        parked = np.where(top, dest, height * n + dest)
+        order = np.lexsort((origin, parked, top, event))
+        event, origin, parked, top = (array[order] for array in
+                                      (event, origin, parked, top))
+        at = event.searchsorted(np.arange(t + 1))
+        self.at = at.tolist()
+        rank = np.arange(event.size) - at[event]
+        # a share comes after the held entries of the rows above its own and
+        # of its row's columns below its own: at event 1 the chain alone,
+        # later every real row but the splitter w holds at (v, v) too
+        w = node[np.maximum(event - 1, 0)]
+        below = np.where(parked < n, 2 * parked - (w < parked) + (parked < w),
+                         parked + n - 1)
+        below[event == 0] = parked[event == 0]
+        self.push_at = np.where(top, rank - (at[event + 1] - at[event]),
+                                below + rank)
+        self.push_rows = parked.astype(np.int32)
+        self.push_cols = origin.astype(np.int32)
+        # each node's tracker mass splits into 1/|N_out| shares
+        self.push_weight = 1.0 / np.array(
+            [trace.graph.out_degree(v) for v in range(n)], dtype=float)[origin]
+        tops = np.bincount(event[top], minlength=t)
+        repeated = np.zeros(t, dtype=bool)
+        repeated[event[1:][(event[1:] == event[:-1])
+                           & (parked[1:] == parked[:-1])
+                           & (top[1:] == top[:-1])
+                           & (origin[1:] == origin[:-1])]] = True
+        self.tops, self.repeated = tops.tolist(), repeated.tolist()
+
+        # The row gathers of the push matrix of each event after the first
+        # with no share on top and no repeated entry (``gathered``); the
+        # others derive theirs from the entries. Every row that a share of
+        # the splitter w parks in is reset and adds two entries in column
+        # order: the share and the real row's holding entry (p, p), or the
+        # share and the chain entry (p, p + n) of any other row.
+        self.gathered = ((events > 0) & (tops == 0) & ~repeated).tolist()
+        real = (parked < n) & (parked != origin)
+        lead = ~real | (origin < parked)
+        self.added_rows = np.repeat(self.push_rows, 2)
+        self.added_cols = np.stack([
+            np.where(lead, origin, parked),
+            np.where(real, np.where(lead, parked, origin), parked + n)],
+            axis=1).ravel().astype(np.int32)
+        self.added_weight = np.stack([
+            np.where(lead, self.push_weight, 1.0),
+            np.where(lead, 1.0, self.push_weight)], axis=1).ravel()
+
+
+# each live trace's plan, by id; ``build_event_matrices`` is given the
+# trace alone, once per event
+_PLANS: dict[int, _EventPlan] = {}
+
+
+def _event_plan(trace: EventTrace) -> _EventPlan:
+    """The trace's ``_EventPlan``, built at the first call and dropped with
+    the trace."""
+    plan = _PLANS.get(id(trace))
+    if plan is None:
+        plan = _PLANS[id(trace)] = _EventPlan(trace)
+        weakref.finalize(trace, _PLANS.pop, id(trace), None)
+    return plan
+
+
 def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
     """Construct H_R^k, H_C^k, I_a^k for event k (1-based) of the trace, at
-    the window b that ``verify_assumption1b`` certifies for it."""
-    if not (1 <= k <= trace.num_events):
-        raise ValueError(f"event index {k} outside the trace (1..{trace.num_events})")
+    the window b that ``verify_assumption1b`` certifies for it.
+
+    Each matrix is the identity and chain-shift entries of ``_layout`` with
+    the event's other entries, from the trace's ``_EventPlan``, put at their
+    sorted positions."""
+    t = trace.num_events
+    if not (1 <= k <= t):
+        raise ValueError(f"event index {k} outside the trace (1..{t})")
     n = trace.n
     ntilde = n * (b + 1)  # register (v, u) has index u*n + v
-
-    i = int(trace.node[k - 1])
-    log = trace.messages
-    # Event k pulled the activator's own latest broadcast, looked for among
-    # the b events before k, then the log rows consumed at k.
-    behind, start = trace.node[:k - 1], max(k - 1 - b, 0)
-    seen = start + np.flatnonzero(behind[start:] == i)
-    if not seen.size:   # stale (to be named), or i's initial broadcast
-        seen = np.flatnonzero(behind == i)
-    own = int(seen[-1]) + 1 if seen.size else 0
-    rows = log.consumed_by(k)
-    consumed = [(i, own)] + list(zip(log.origin[rows].tolist(),
-                                     log.sent_at[rows].tolist()))
+    layout = _layout(n, b)
+    index, pull_cols, ones = layout.index, layout.pull_cols, layout.ones
+    plan = _event_plan(trace)
+    if plan.oldest[k - 1] > b - 1:
+        _raise_stale_reception(trace, k, b)
+    sent = k - 1
+    if plan.latest[k - 1] > b - 1 and sent + b <= t:
+        _raise_idle_splitter(trace, k, b)
+    if plan.highest[k - 1] > b - 1:
+        _raise_late_share(trace, k, b)
 
     # --- pull matrix -------------------------------------------------------
-    # The activator's row averages its receptions (a repeated reception adds
-    # its weight again); the other real rows hold, and every chain register
-    # copies the one below it. The entries come out sorted by row.
-    weight = 1.0 / len(consumed)
-    pulled: dict[int, float] = {}
-    for origin, sent in consumed:
-        age = k - sent - 1
-        if age > b - 1:
-            raise AssumptionViolation(
-                f"event {k}: reception from node {origin} (event {sent}) is "
-                f"{age} events old, exceeding the window b={b}")
-        col = age * n + origin
-        pulled[col] = pulled.get(col, 0.0) + weight
-    sources = sorted(pulled)
+    # The activator's row averages, in column order, its own latest
+    # broadcast and the log rows consumed at k; the other real rows hold,
+    # and every chain register copies the one below it.
+    i = int(trace.node[k - 1])
+    lo, hi = plan.pull_at[k - 1], plan.pull_at[k]
+    row, col, weight = (plan.pull_row[lo:hi], plan.pull_col[lo:hi],
+                        plan.pull_weight[lo:hi])
     h_row = SparseMatrix(
-        np.concatenate([np.arange(i), np.full(len(sources), i),
-                        np.arange(i + 1, ntilde)]).astype(np.int32),
-        np.concatenate([np.arange(i), sources, np.arange(i + 1, n),
-                        np.arange(ntilde - n)]).astype(np.int32),
-        np.concatenate([np.ones(i), [pulled[c] for c in sources],
-                        np.ones(ntilde - i - 1)]),
-        ntilde)
+        np.concatenate([index[:i], row, index[i + 1:]]),
+        np.concatenate([pull_cols[:i], col, pull_cols[i + 1:]]),
+        np.concatenate([ones[:i], weight, ones[i + 1:]]),
+        ntilde,
+        RowGather(layout.pull_source, index[i:i + 1], index[:0],
+                  ((row, col, weight),)))
 
     # --- activation indicator ---------------------------------------------
-    i_act = SparseMatrix(np.array([i], dtype=np.int32),
-                         np.array([i], dtype=np.int32), np.ones(1), ntilde)
+    i_act = SparseMatrix(index[i:i + 1], index[i:i + 1], ones[:1], ntilde)
 
     # --- push matrix -------------------------------------------------------
     # The masses that split now are those created by the previous event (the
-    # initialization broadcasts when k == 1). Each share parks at the height
-    # that drains it at its consuming event, or on top when nothing in the
-    # trace consumes it. The network shares are the messages sent at event
-    # k-1 (the log is in send order); a splitter's own share is consumed at
-    # its next activation, which a certified window of b events holds.
-    sent = k - 1
-    lo, hi = log.sent_at.searchsorted([sent, sent + 1])
-    # (origin, receiver, consuming event or -1 for none) of each share
-    split = list(zip(log.origin[lo:hi].tolist(), log.dest[lo:hi].tolist(),
-                     log.consumed_at[lo:hi].tolist()))
-    splitters = list(range(n)) if k == 1 else [int(trace.node[k - 2])]
-    ahead = trace.node[sent:sent + b].tolist()
-    for w in splitters:
-        if w in ahead:
-            split.append((w, w, sent + 1 + ahead.index(w)))
-        elif sent + b <= trace.num_events:
-            raise AssumptionViolation(
-                f"event {k}: node {w} does not activate within the {b} "
-                f"events after event {sent}, so its own share rests past "
-                f"b={b}")
-        else:
-            split.append((w, w, -1))
-    parked, origins, shares = [], [], []
-    for w, dest, used in split:
-        height = b if used < 0 else used - sent - 1
-        if height > b - 1 and used >= 0:
-            raise AssumptionViolation(
-                f"event {k}: share from node {w} (event {sent}) to "
-                f"node {dest} rests {height} events, exceeding b={b}")
-        parked.append(height * n + dest)
-        origins.append(w)
-        shares.append(1.0 / trace.graph.out_degree(w))
-    # the real rows that did not split hold, and every chain register
-    # drains into the one below it
-    holders = np.array([v for v in range(n) if v not in splitters],
-                       dtype=np.int32)
-    h_col = SparseMatrix.from_entries(
-        np.concatenate([holders, np.arange(ntilde - n), parked]),
-        np.concatenate([holders, np.arange(n, ntilde), origins]),
-        np.concatenate([np.ones(holders.size), np.ones(ntilde - n), shares]),
-        ntilde)
+    # initialization broadcasts when k == 1): each share parks at the height
+    # that drains it at its consuming event, in a column below n, so before
+    # its row's chain entry. The real rows that did not split hold.
+    lo, hi = plan.at[k - 1], plan.at[k]
+    rows = plan.push_rows[lo:hi]
+    if k == 1:
+        base_rows, base_cols = layout.chain_rows, layout.chain_cols
+    else:
+        w = int(trace.node[k - 2])
+        base_rows, base_cols = layout.held_rows[w], layout.held_cols[w]
+    gather = None
+    if plan.gathered[k - 1]:
+        # the rows the shares park in are reset and add their two entries
+        # first; every real row but w then adds its chain entry (v, v + n)
+        # to its holding entry, and the top rows are empty
+        gather = RowGather(
+            layout.held_source[w], rows, layout.top,
+            ((plan.added_rows[2 * lo:2 * hi], plan.added_cols[2 * lo:2 * hi],
+              plan.added_weight[2 * lo:2 * hi]),
+             (layout.held_added_rows[w], layout.held_added_cols[w],
+              ones[:n - 1])))
+    tops = plan.tops[k - 1]
+    if tops:   # the shares on top, last, park at b * n + receiver
+        rows = rows.copy()
+        rows[-tops:] += ntilde - n
+    if plan.repeated[k - 1]:
+        # a repeated position sums, as ``from_entries`` does
+        h_col = SparseMatrix.from_entries(
+            np.concatenate([base_rows, rows]),
+            np.concatenate([base_cols, plan.push_cols[lo:hi]]),
+            np.concatenate([ones[:base_rows.size],
+                            plan.push_weight[lo:hi]]), ntilde)
+    else:
+        at = plan.push_at[lo:hi]
+        held = np.empty(base_rows.size + at.size, dtype=bool)
+        held.fill(True)
+        held[at] = False
+        h_rows = np.empty(held.size, dtype=np.int32)
+        h_rows[held] = base_rows
+        h_rows[at] = rows
+        h_cols = np.empty(held.size, dtype=np.int32)
+        h_cols[held] = base_cols
+        h_cols[at] = plan.push_cols[lo:hi]
+        weights = np.empty(held.size)
+        weights.fill(1.0)
+        weights[at] = plan.push_weight[lo:hi]
+        h_col = SparseMatrix(h_rows, h_cols, weights, ntilde, gather)
 
     return EventMatrices(h_row=h_row, h_col=h_col, i_act=i_act)
+
+
+def _raise_stale_reception(trace: EventTrace, k: int, b: int) -> None:
+    """Name the first reception of event k, in buffer order, older than the
+    window b allows."""
+    i = int(trace.node[k - 1])
+    rows = trace.messages.consumed_by(k)
+    origin = [i] + trace.messages.origin[rows].tolist()
+    sent = ([int(trace.activations[0][k - 1]) + 1]
+            + trace.messages.sent_at[rows].tolist())
+    j = next(j for j, s in enumerate(sent) if k - 1 - s > b - 1)
+    raise AssumptionViolation(
+        f"event {k}: reception from node {origin[j]} (event {sent[j]}) is "
+        f"{k - 1 - sent[j]} events old, exceeding the window b={b}")
+
+
+def _raise_idle_splitter(trace: EventTrace, k: int, b: int) -> None:
+    """Name the first node splitting at event k that does not activate
+    within the b events after event k - 1."""
+    previous, following, first = trace.activations
+    if k == 1:
+        splitters, upcoming = range(trace.n), first.tolist()
+    else:
+        splitters, upcoming = [int(trace.node[k - 2])], [following[k - 2]]
+    w = next(w for w, nxt in zip(splitters, upcoming) if nxt - (k - 1) > b - 1)
+    raise AssumptionViolation(
+        f"event {k}: node {w} does not activate within the {b} events after "
+        f"event {k - 1}, so its own share rests past b={b}")
+
+
+def _raise_late_share(trace: EventTrace, k: int, b: int) -> None:
+    """Name the first network share that splits at event k and rests longer
+    than the window b allows before it is consumed."""
+    log, sent = trace.messages, k - 1
+    lo, hi = log.sent_at.searchsorted([sent, sent + 1])
+    height = log.consumed_at[lo:hi] - sent - 1
+    j = lo + int(np.argmax(height > b - 1))
+    raise AssumptionViolation(
+        f"event {k}: share from node {log.origin[j]} (event {sent}) to node "
+        f"{log.dest[j]} rests {height[j - lo]} events, exceeding b={b}")
 
 
 def replay(trace: EventTrace,
@@ -312,16 +577,21 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
                           latest=np.full(n, -1))
     yield prev
 
-    for k in range(1, trace.num_events + 1):
-        i = int(trace.node[k - 1])
+    # from_scaled of a row is its product with from_scaled of ones: theta
+    # times 1, omega times sqrt(zeta)
+    unscale = from_scaled(np.ones(2 * d), zeta)
+    for k, i, p in zip(range(1, trace.num_events + 1), trace.node.tolist(),
+                       trace.samples.tolist()):
         mats = build_event_matrices(trace, k, b)
 
         z_rows = mats.h_row @ prev.z_rows
-        z_hat = from_scaled(z_rows[i], zeta)
-        p = int(trace.samples[k - 1])
-        fresh = saddle_gradient(z_hat, problem.per_node[i][p], problem.rho)
+        fresh = saddle_gradient(z_rows[i] * unscale, problem.per_node[i][p],
+                                problem.rho)
+        step = fresh - tables[i][p]
+        step /= m
+        step *= unscale
         partial = prev.partial.copy()
-        partial[i] += from_scaled((fresh - tables[i][p]) / m, zeta)
+        partial[i] += step
         tables[i][p] = fresh
 
         y_rows = mats.h_col @ prev.y_rows
@@ -337,18 +607,21 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
 
 def check_equivalence(trace: EventTrace, state: AugmentedState) -> float:
     """Max deviation of a state's real rows from the simulator's iterates
-    after event ``state.k``."""
-    n, latest = trace.n, state.latest
-    simulated = np.zeros((n, 2 * trace.d))
-    simulated[latest >= 0] = trace.z_tilde[latest[latest >= 0]]
-    replayed = from_scaled(state.z_rows[:n], trace.eta2 / trace.eta1)
-    return float(np.max(np.abs(replayed - simulated)))
+    after event ``state.k``; a node that has not activated is at zero."""
+    latest = state.latest
+    replayed = from_scaled(state.z_rows[:trace.n], trace.eta2 / trace.eta1)
+    seen = latest >= 0
+    replayed[seen] -= trace.z_tilde[latest[seen]]
+    np.abs(replayed, out=replayed)
+    return float(replayed.max())
 
 
 def tracking_residual(state: AugmentedState) -> float:
     """Norm of 1^T Y^k - 1^T partial^k (the conserved-mass identity)."""
-    return float(np.linalg.norm(state.y_rows.sum(axis=0)
-                                - state.partial.sum(axis=0)))
+    gap = state.y_rows.sum(axis=0)
+    gap -= state.partial.sum(axis=0)
+    # the Euclidean norm, as np.linalg.norm computes it for a vector
+    return math.sqrt(gap.dot(gap))
 
 
 def rank_one_distance(mat: np.ndarray) -> float:

@@ -214,9 +214,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if getattr(cfg, key) < 1:
             raise ConfigError(f"[algorithm] {key}: must be at least 1")
     # a key that only one kind or mode reads: (section, key, value, the
-    # selecting key, its value, the one that reads the key)
+    # selecting key, its value, the one that reads the key); a sweep splits
+    # the data 1:2:...:n through proportions, which only parallel reads
     for section, key, value, selector, kind, reader in (
             ("problem", "proportions", cfg.proportions, "mode", cfg.mode,
+             "parallel"),
+            ("experiment", "n_values", cfg.n_values, "mode", cfg.mode,
              "parallel"),
             ("topology", "path", cfg.edge_list_path, "kind", cfg.topology,
              "edge_list"),
@@ -467,8 +470,12 @@ def cmd_verify(cfg: ExperimentConfig, seed: int | None) -> int:
         mats = state.mats
         if mats is None:
             continue
-        worst_row = np.maximum(worst_row, np.max(np.abs(mats.h_row.sum(axis=1) - 1)))
-        worst_col = np.maximum(worst_col, np.max(np.abs(mats.h_col.sum(axis=0) - 1)))
+        row_sums, col_sums = mats.h_row.sum(axis=1), mats.h_col.sum(axis=0)
+        for sums in (row_sums, col_sums):
+            sums -= 1
+            np.abs(sums, out=sums)
+        worst_row = np.maximum(worst_row, row_sums.max())
+        worst_col = np.maximum(worst_col, col_sums.max())
         if state.k <= 200:   # the products contract the first 200 events
             h_rows.append(mats.h_row)
             h_cols.append(mats.h_col)

@@ -169,8 +169,10 @@ def stationary_distribution(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
             f"chain is not irreducible: states {bad} are unreachable from or "
             f"cannot reach state 0"
         )
-    # (P^T - I) mu = 0 with the last equation replaced by sum(mu) = 1.
-    a = p.T - np.eye(s)
+    # (P^T - I) mu = 0 with the last equation replaced by sum(mu) = 1; the
+    # identity is subtracted on the diagonal in place, without an s x s eye
+    a = p.T.copy()
+    a.flat[::s + 1] -= 1.0
     a[-1, :] = 1.0
     rhs = np.zeros(s)
     rhs[-1] = 1.0

@@ -236,6 +236,26 @@ class EventTrace:
     def num_events(self) -> int:
         return len(self.node)
 
+    @cached_property
+    def activations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Plan indices of the activator column, computed once: for each
+        event row, the row of its activator's previous activation (-1 for
+        none) and of its next one (T for none); and each node's first
+        activation row (T for none)."""
+        t = self.num_events
+        order = np.argsort(self.node, kind="stable")
+        by_node = self.node[order]
+        # order[j + 1] is the next activation of order[j]'s activator
+        same = np.flatnonzero(by_node[1:] == by_node[:-1])
+        previous = np.full(t, -1, dtype=np.int64)
+        previous[order[same + 1]] = order[same]
+        following = np.full(t, t, dtype=np.int64)
+        following[order[same]] = order[same + 1]
+        starts = np.flatnonzero(np.diff(by_node, prepend=-1))
+        first = np.full(self.n, t, dtype=np.int64)
+        first[by_node[starts]] = order[starts]
+        return previous, following, first
+
 
 # run_async plans this many events at a time with array code
 _PLAN_BLOCK = 4096

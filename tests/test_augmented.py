@@ -106,6 +106,65 @@ def test_sparse_matrix_matches_dense(entries, width, seed):
                       <= bound)
 
 
+def _sequential_product(mat, operand):
+    """``mat @ operand`` by a plain loop over the entries: each row starts
+    as its first entry's weight times that entry's source row (an empty row
+    as 0 times row 0), then adds w * x[c] for each later entry in order."""
+    out = 0.0 * np.repeat(operand[:1], mat.size, axis=0)
+    seen = set()
+    for row, col, weight in zip(mat.rows.tolist(), mat.cols.tolist(),
+                                mat.weights.tolist()):
+        if row in seen:
+            out[row] += weight * operand[col]
+        else:
+            out[row] = weight * operand[col]
+            seen.add(row)
+    return out
+
+
+@st.composite
+def long_rows(draw):
+    """A square matrix with rows of three or more entries, empty rows and
+    weights other than 1, and an operand with signed zeros."""
+    size = draw(st.integers(2, 7))
+    rows, cols, weights = [], [], []
+    for row in range(size):
+        cols_of_row = draw(st.lists(st.integers(0, size - 1), unique=True,
+                                    max_size=size))
+        rows += [row] * len(cols_of_row)
+        cols += sorted(cols_of_row)
+        weights += draw(st.lists(
+            st.sampled_from([1.0, 0.5, 1.0 / 3.0, -2.0, 0.1, 1e-300])
+            | st.floats(-4.0, 4.0, allow_nan=False).filter(bool),
+            min_size=len(cols_of_row), max_size=len(cols_of_row)))
+    width = draw(st.sampled_from([None, 1, 3]))
+    shape = (size,) if width is None else (size, width)
+    operand = np.array(draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0])
+        | st.floats(-1e300, 1e300, allow_nan=False),
+        min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    ).reshape(shape)
+    return augmented.SparseMatrix(np.array(rows, dtype=np.int32),
+                                  np.array(cols, dtype=np.int32),
+                                  np.array(weights), size), operand
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_rows())
+@example((augmented.SparseMatrix(np.array([0, 0, 0, 2], dtype=np.int32),
+                                 np.array([0, 1, 2, 1], dtype=np.int32),
+                                 np.array([1.0, 1e16, -1e16, 0.5]), 3),
+          np.array([[1.0, -0.0], [1.0, 2.0], [1.0, -0.0]])))
+def test_sparse_product_is_the_sequential_sum_bit_for_bit(case):
+    """Each row of ``M @ x`` is its first term, then each later term added
+    in entry order, bit for bit: the later terms are not summed apart
+    first. Empty rows are 0 times row 0."""
+    mat, operand = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = mat @ operand, _sequential_product(mat, operand)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_matrices_reject_out_of_range_event_and_small_window():
     _, trace = run_pair(seed=3, n=3, max_events=30, kind="round_robin",
                         d_max=0)
@@ -228,12 +287,9 @@ def _pull_matrix_by_buffer(trace, buffer, k, b):
         [1.0] * len(others) + [1.0 / len(buffer)] * len(buffer), ntilde)
 
 
-def _certified_run_with_buffers(n, topology, kind, delay_kind, d_max,
-                                events, stop, seed):
-    """A planned run, its certified b, and the heap engine's record of each
-    event's buffer for the same run; ``stop`` > 0 picks the event by which
-    an epsilon threshold is crossed. Rejects a run in which a node
-    starves."""
+def _planned_run(n, topology, kind, delay_kind, d_max, events, stop, seed):
+    """A planned run, with the arguments that made it; ``stop`` > 0 picks
+    the event by which an epsilon threshold is crossed."""
     straggler = kind == "straggler"
     args = (build_problem(n=n), graph.generate_topology(topology, n),
             simulator.ActivationSchedule(
@@ -246,6 +302,17 @@ def _certified_run_with_buffers(n, topology, kind, delay_kind, d_max,
     if 0 < stop <= events:
         kwargs["epsilon"] = min(tracker_bounds(trace.node, states)[:stop])
         trace = simulator.run_async(*args, **kwargs)
+    return trace, args, kwargs
+
+
+def _certified_run_with_buffers(n, topology, kind, delay_kind, d_max,
+                                events, stop, seed):
+    """A planned run, its certified b, and the heap engine's record of each
+    event's buffer for the same run; ``stop`` > 0 picks the event by which
+    an epsilon threshold is crossed. Rejects a run in which a node
+    starves."""
+    trace, args, kwargs = _planned_run(n, topology, kind, delay_kind, d_max,
+                                       events, stop, seed)
     try:
         b = simulator.verify_assumption1b(trace)
     except simulator.AssumptionViolation:
@@ -294,6 +361,54 @@ def test_push_matrices_equal_the_consumption_dict(**run):
     for k in range(1, trace.num_events + 1):
         _assert_same_bits(augmented.build_event_matrices(trace, k, b).h_col,
                           _push_matrix_by_dict(trace, consumed, k, b), k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**RUNS)
+def test_activations_equal_a_scan_of_the_activators(**run):
+    """Each event's previous and next activation of its activator (-1 and T
+    for none) and each node's first activation (T for none) are those of a
+    plain scan over ``trace.node``, also on traces stopped by epsilon and
+    with nodes that never activate (again)."""
+    trace, _, _ = _planned_run(**run)
+    node, t = trace.node.tolist(), trace.num_events
+    previous, following, first = trace.activations
+    last = {}
+    for r, v in enumerate(node):
+        assert previous[r] == last.get(v, -1), r
+        last[v] = r
+    upcoming = {}
+    for r in reversed(range(t)):
+        assert following[r] == upcoming.get(node[r], t), r
+        upcoming[node[r]] = r
+    assert first.tolist() == [upcoming.get(v, t) for v in range(trace.n)]
+    for array in (previous, following, first):
+        assert array.dtype == np.int64
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RUNS, wider=st.integers(0, 3))
+def test_event_products_equal_the_products_of_their_entries(wider, **run):
+    """The row gathers that ``build_event_matrices`` attaches give, bit for
+    bit, the product that ``SparseMatrix`` derives from the same entries,
+    for 1-D and 2-D operands with signed zeros, at the certified window
+    and wider ones."""
+    trace, _, _ = _planned_run(**run)
+    try:
+        b = simulator.verify_assumption1b(trace)
+    except simulator.AssumptionViolation:
+        reject()  # some node starves within the trace
+    rng = np.random.default_rng(run["seed"])
+    for k in range(1, trace.num_events + 1):
+        mats = augmented.build_event_matrices(trace, k, b + wider)
+        for mat in (mats.h_row, mats.h_col):
+            plain = augmented.SparseMatrix(mat.rows, mat.cols, mat.weights,
+                                           mat.size)
+            for shape in ((mat.size,), (mat.size, 3)):
+                operand = rng.standard_normal(shape)
+                operand[rng.random(shape) < 0.3] = -0.0
+                assert (mat @ operand).tobytes() == \
+                    (plain @ operand).tobytes(), k
 
 
 def test_replay_matches_simulator_to_machine_precision():

@@ -282,6 +282,10 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [topology] path: only kind = edge_list reads it",)),
     (("mode = parallel", "mode = marl\nproportions = 1 5 1"),
      ("config error: [problem] proportions: only mode = parallel reads it",)),
+    # a sweep splits the data 1:2:...:n, which marl does not read
+    (("mode = parallel\nseed = 3\n",
+      "mode = marl\nseed = 3\n\n[experiment]\nn_values = 1 2 3\n"),
+     ("config error: [experiment] n_values: only mode = parallel reads it",)),
 ], ids=["grid-topology", "schedule-kind", "delay-kind", "d_max", "m-below-n",
         "n_values", "sync-kind", "c-not-positive-definite",
         "c-rank-deficient-seed-2", "c-rank-deficient-seed-5", "singular-saddle",
@@ -298,7 +302,8 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
         "duplicate-option",
         "broken-section-header", "not-utf-8", "bare-percent", "n-values-empty",
         "straggler-keys-without-straggler", "straggler-factor-round-robin",
-        "path-without-edge-list", "proportions-without-parallel"])
+        "path-without-edge-list", "proportions-without-parallel",
+        "sweep-without-parallel"])
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
     text = BASE_INI.replace(*swap)
     assert text != BASE_INI
