@@ -54,13 +54,14 @@ norms plus one SVD of the thin core. No ntilde x ntilde array is formed.
 
 from __future__ import annotations
 
+import decimal
 import math
 import weakref
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .mspbe import (ProblemSpec, SpectralConstants, from_scaled,
@@ -529,8 +530,8 @@ def _raise_late_share(trace: EventTrace, k: int, b: int) -> None:
         f"{log.dest[j]} rests {height[j - lo]} events, exceeding b={b}")
 
 
-def replay(trace: EventTrace,
-           problem: ProblemSpec) -> Iterator[AugmentedState]:
+def replay(trace: EventTrace, problem: ProblemSpec,
+           b: int | None = None) -> Iterator[AugmentedState]:
     """Re-run the whole trace as the augmented matrix recursion, at the
     trace's own steps (eta = eta1, zeta = eta2 / eta1).
 
@@ -540,8 +541,10 @@ def replay(trace: EventTrace,
     gathers over its sparse matrices, built once and carried by the state.
 
     Yields the states k = 0..T in order; each owns its arrays, and only the
-    previous one is kept. The layout checks and the certification of b
-    raise at the call, before the first state is asked for.
+    previous one is kept. ``b`` is the window ``verify_assumption1b``
+    certified on ``trace``; it is certified here when omitted. The layout
+    checks and the certification raise at the call, before the first state
+    is asked for.
     """
     if problem.n != trace.n or problem.d != trace.d or problem.m_i != trace.m_i:
         raise ValueError("problem layout does not match the trace")
@@ -551,7 +554,8 @@ def replay(trace: EventTrace,
         raise ValueError(f"the trace holds the broadcasts of "
                          f"{trace.z_tilde.shape[0]} of its {t} events; "
                          f"replay needs a full trace")
-    b = verify_assumption1b(trace)
+    if b is None:
+        b = verify_assumption1b(trace)
     return _replay_states(trace, problem, b)
 
 
@@ -858,18 +862,68 @@ def product_contraction(
 
 
 # ---------------------------------------------------------------------------
-# worst-case rate constants (arbitrary precision)
+# worst-case rate constants (extended precision)
 # ---------------------------------------------------------------------------
+
+# below this size log1p and expm1 sum their power series: ln and exp of 1 + x
+# would lose the digits of x that 1 + x rounds away
+_SERIES_BELOW = Decimal("1e-3")
+
+
+def _context(digits: int) -> decimal.Context:
+    """``digits`` significant digits, rounded to nearest, with the widest
+    exponent range decimal has (kappa alone reaches 1e-864 on marl9)."""
+    return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN,
+                           Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+
+def _log1p(x: Decimal) -> Decimal:
+    """ln(1 + x) to the precision of the current context, for x > -1."""
+    with decimal.localcontext() as ctx:
+        ctx.prec += 5
+        if abs(x) >= _SERIES_BELOW:
+            total = (1 + x).ln()
+        else:
+            # x - x^2/2 + x^3/3 - ...
+            total, power, k = +x, +x, 1
+            while True:
+                k += 1
+                power *= -x
+                term = power / k
+                if total + term == total:
+                    break
+                total += term
+    return +total
+
+
+def _expm1(x: Decimal) -> Decimal:
+    """exp(x) - 1 to the precision of the current context."""
+    with decimal.localcontext() as ctx:
+        ctx.prec += 5
+        if abs(x) >= _SERIES_BELOW:
+            total = x.exp() - 1
+        else:
+            # x + x^2/2! + x^3/3! + ...
+            total, term, k = +x, +x, 1
+            while True:
+                k += 1
+                term = term * x / k
+                if total + term == total:
+                    break
+                total += term
+    return +total
+
 
 @dataclass(frozen=True)
 class RateConstants:
     """Network-contraction constants and the worst-case linear rate.
 
     kappa underflows double precision badly at realistic sizes (it is
-    (1/ntilde)^(d_g*b)), so every derived quantity is kept as an mpmath
-    value with enough working precision; quantities of the form 1 - tiny
-    additionally store the tiny part (one_minus_*) which is the numerically
-    meaningful number.
+    (1/ntilde)^(d_g*b)), so every derived quantity is a ``Decimal`` of 80
+    significant digits with an unbounded exponent in practice; arithmetic on
+    them needs a context of at least 80 digits (the default context keeps
+    28). Quantities of the form 1 - tiny additionally store the tiny part
+    (one_minus_*), which is the numerically meaningful number.
     """
 
     n: int
@@ -877,23 +931,23 @@ class RateConstants:
     big_k: int            # sample-selection window (2*max(m_i) - 1)
     d_g: int              # graph diameter
     ntilde: int
-    kappa: mp.mpf         # (1/ntilde)^(d_g*b)
-    delta: mp.mpf         # (1 - kappa)^(1/(d_g*b))
-    one_minus_delta: mp.mpf
-    mu: mp.mpf            # kappa / (4n), satisfying mu < kappa/(2n)
+    kappa: Decimal        # (1/ntilde)^(d_g*b)
+    delta: Decimal        # (1 - kappa)^(1/(d_g*b))
+    one_minus_delta: Decimal
+    mu: Decimal           # kappa / (4n), satisfying mu < kappa/(2n)
     mu_over_kappa_times_n: float  # exactly 1/4 by construction
-    t_tilde: mp.mpf       # smallest integer t with delta^t <= mu/2
-    eta_max_theory: mp.mpf
-    eta_used: mp.mpf
+    t_tilde: Decimal      # smallest integer t with delta^t <= mu/2
+    eta_max_theory: Decimal
+    eta_used: Decimal
     eta_within_theory: bool
-    c: mp.mpf             # max of the two root terms
-    one_minus_c: mp.mpf
+    c: Decimal            # max of the two root terms
+    one_minus_c: Decimal
     valid: bool           # c in (0,1) and eta within the theoretical range
 
 
 def rate_constants(n: int, b: int, big_k: int, d_g: int,
                    spectral: SpectralConstants,
-                   eta: float | mp.mpf | None = None) -> RateConstants:
+                   eta: float | Decimal | None = None) -> RateConstants:
     """Evaluate the worst-case constants by direct formula.
 
     With ``eta`` omitted, the step is set to half the theoretical maximum so
@@ -905,32 +959,33 @@ def rate_constants(n: int, b: int, big_k: int, d_g: int,
     ntilde = n * (b + 1)
     exponent = d_g * b
     # All formulas below are cancellation-free (1 - tiny forms go through
-    # log1p/expm1), so a fixed mantissa precision suffices; mpmath exponents
-    # are unbounded, which is what the astronomically small kappa needs.
-    with mp.workdps(80):
-        kappa = mp.power(ntilde, -exponent)
-        ln_delta = mp.log1p(-kappa) / exponent
-        one_minus_delta = -mp.expm1(ln_delta)
+    # log1p/expm1), so a fixed mantissa precision suffices; the context's
+    # exponent range is what the astronomically small kappa needs.
+    with decimal.localcontext(_context(80)):
+        kappa = Decimal(ntilde) ** -exponent
+        ln_delta = _log1p(-kappa) / exponent
+        one_minus_delta = -_expm1(ln_delta)
         delta = 1 - one_minus_delta
         mu = kappa / (4 * n)
-        t_tilde = mp.ceil(mp.log(mu / 2) / ln_delta)
-        alpha = mp.mpf(spectral.alpha)
-        beta = mp.mpf(spectral.beta)
+        t_tilde = ((mu / 2).ln() / ln_delta).to_integral_value(
+            decimal.ROUND_CEILING)
+        alpha = Decimal(spectral.alpha)
+        beta = Decimal(spectral.beta)
         eta_max = (alpha * kappa ** 4 * (1 - kappa) ** 2) / (
-            72 * beta ** 3 * n ** 3 * mp.mpf(b) ** 6 * mp.mpf(big_k) ** 3
+            72 * beta ** 3 * n ** 3 * Decimal(b) ** 6 * Decimal(big_k) ** 3
             * t_tilde ** 2
         )
-        eta_used = eta_max / 2 if eta is None else mp.mpf(eta)
+        eta_used = eta_max / 2 if eta is None else Decimal(eta)
         # first root term: (1/2 + kappa^{-1} mu n)^{1/(t_tilde+1)}; the inner
         # sum is exactly 3/4 because mu = kappa/(4n).
-        ln_c1 = mp.log(mp.mpf(3) / 4) / (t_tilde + 1)
+        ln_c1 = Decimal("0.75").ln() / (t_tilde + 1)
         x = eta_used * alpha * kappa * n / 2
         if x >= 1:
-            ln_c2 = mp.mpf("-inf")
+            ln_c2 = Decimal("-Infinity")
         else:
-            ln_c2 = mp.log1p(-x) / (b + 1)
+            ln_c2 = _log1p(-x) / (b + 1)
         ln_c = max(ln_c1, ln_c2)
-        one_minus_c = -mp.expm1(ln_c)
+        one_minus_c = -_expm1(ln_c)
         c = 1 - one_minus_c
         within = bool(eta_used < eta_max)
         valid = bool(one_minus_c > 0 and within and spectral.valid)
@@ -945,9 +1000,9 @@ def rate_constants(n: int, b: int, big_k: int, d_g: int,
 
 def delta_power(constants: RateConstants, t: int) -> float:
     """delta**t as a float (1 minus a tiny number at realistic sizes)."""
-    with mp.workdps(60):
-        ln_delta = mp.log1p(-constants.kappa) / (constants.d_g * constants.b)
-        return float(mp.exp(t * ln_delta))
+    with decimal.localcontext(_context(60)):
+        ln_delta = _log1p(-constants.kappa) / (constants.d_g * constants.b)
+        return float((t * ln_delta).exp())
 
 
 def eta2_range(m: int, spectral: SpectralConstants, eta: float) -> float:

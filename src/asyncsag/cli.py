@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import decimal
 import functools
 import math
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 
 from . import augmented, mdp, mspbe, simulator
@@ -334,18 +335,26 @@ def _run_trace(bundle: ExperimentBundle, max_events: int, seed: int | None,
                                b_max=cfg.b_max, z_star=z_star)
 
 
-def _mp_str(x: mp.mpf) -> str:
-    if x == 0:
+_EIGHT_DIGITS = decimal.Context(prec=8, rounding=decimal.ROUND_HALF_EVEN,
+                                Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+
+def _sci_str(x: Decimal) -> str:
+    """``x`` to 8 significant digits as mantissa, "e", exponent, with the
+    mantissa's trailing zeros stripped down to one after the point:
+    2.6127429e-864, 5.0e-1, 4.0e0."""
+    if not x:
         return "0"
-    exp = mp.floor(mp.log10(abs(x)))
-    mant = x / mp.power(10, exp)
-    return mp.nstr(mant, 8) + "e" + str(int(exp))
+    # rounding first carries a mantissa that rounds up to 10 into the exponent
+    x = _EIGHT_DIGITS.plus(x)
+    sign, digits, _ = x.as_tuple()
+    mantissa = "".join(map(str, digits)).rstrip("0")
+    return f"{'-' * sign}{mantissa[0]}.{mantissa[1:] or '0'}e{x.adjusted()}"
 
 
 def _window_constants(bundle: ExperimentBundle,
-                      trace: simulator.EventTrace) -> augmented.RateConstants:
-    """The worst-case rate constants at the window b certified on ``trace``."""
-    b = simulator.verify_assumption1b(trace)
+                      b: int) -> augmented.RateConstants:
+    """The worst-case rate constants at the window b certified on a trace."""
     # a single node has diameter 0; the worst-case bound needs one hop
     d_g = max(1, diameter(bundle.graph))
     big_k = 2 * max(bundle.problem.m_i) - 1
@@ -356,7 +365,7 @@ def _window_constants(bundle: ExperimentBundle,
 def constants_report(bundle: ExperimentBundle, trace: simulator.EventTrace) -> str:
     cfg = bundle.config
     spectral = bundle.spectral
-    rc = _window_constants(bundle, trace)
+    rc = _window_constants(bundle, simulator.verify_assumption1b(trace))
     lines = [
         "constants report",
         f"n {cfg.n}",
@@ -374,14 +383,14 @@ def constants_report(bundle: ExperimentBundle, trace: simulator.EventTrace) -> s
         f"zeta_above_threshold {cfg.zeta > spectral.zeta_min}",
         f"g_eigs_real {spectral.g_eigs_real}",
         f"spectral_valid {spectral.valid}",
-        f"kappa {_mp_str(rc.kappa)}",
-        f"one_minus_delta {_mp_str(rc.one_minus_delta)}",
-        f"mu {_mp_str(rc.mu)}",
+        f"kappa {_sci_str(rc.kappa)}",
+        f"one_minus_delta {_sci_str(rc.one_minus_delta)}",
+        f"mu {_sci_str(rc.mu)}",
         f"mu_times_n_over_kappa {rc.mu_over_kappa_times_n!r}",
-        f"t_tilde {_mp_str(rc.t_tilde)}",
-        f"eta_max_theory {_mp_str(rc.eta_max_theory)}",
-        f"eta_used {_mp_str(rc.eta_used)}",
-        f"one_minus_c {_mp_str(rc.one_minus_c)}",
+        f"t_tilde {_sci_str(rc.t_tilde)}",
+        f"eta_max_theory {_sci_str(rc.eta_max_theory)}",
+        f"eta_used {_sci_str(rc.eta_used)}",
+        f"one_minus_c {_sci_str(rc.one_minus_c)}",
         f"rate_valid {rc.valid}",
         f"eta2_max_for_eta1 {augmented.eta2_range(bundle.problem.m, spectral, cfg.eta1)!r}",
     ]
@@ -464,7 +473,8 @@ def cmd_verify(cfg: ExperimentConfig, seed: int | None) -> int:
     # np.maximum keeps a nan, which fails its check
     worst_row = worst_col = dev = res = 0.0
     h_rows, h_cols = [], []
-    for state in augmented.replay(trace, bundle.problem):
+    b = simulator.verify_assumption1b(trace)
+    for state in augmented.replay(trace, bundle.problem, b):
         dev = np.maximum(dev, augmented.check_equivalence(trace, state))
         res = np.maximum(res, augmented.tracking_residual(state))
         mats = state.mats
@@ -486,7 +496,7 @@ def cmd_verify(cfg: ExperimentConfig, seed: int | None) -> int:
     checks.append(("replay_equivalence", dev <= 1e-9, f"max deviation {dev:.2e}"))
     checks.append(("tracking_identity", res <= 1e-9, f"max residual {res:.2e}"))
 
-    rc = _window_constants(bundle, trace)
+    rc = _window_constants(bundle, b)
     dist_row = augmented.product_contraction(h_rows)
     dist_col = augmented.product_contraction(h_cols)
     first_bad = None

@@ -706,6 +706,17 @@ def metrics(node: np.ndarray, z_tilde: np.ndarray, y_new: np.ndarray,
 _ROW_BLOCK = 4096
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float, called once per run of equal bit patterns
+    (so -0.0 and 0.0 stay apart); an error series holds long runs."""
+    bits = values.view(np.int64)
+    starts = np.empty(bits.shape[0], dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    texts = np.array([repr(v) for v in values[starts].tolist()], dtype=object)
+    return texts[np.cumsum(starts) - 1].tolist()
+
+
 def write_metrics_csv(series: MetricSeries, node: np.ndarray,
                       path: str | Path) -> None:
     """CSV with header k,node,event_type,err_max,err_mean,y_norm_max.
@@ -726,12 +737,12 @@ def write_metrics_csv(series: MetricSeries, node: np.ndarray,
             block = slice(lo, lo + _ROW_BLOCK)
             fh.write("".join([
                 f"{k},{v},{'activation' if k else 'init'},"
-                f"{e_max!r},{e_mean!r},{y_max!r}\n"
+                f"{e_max},{e_mean},{y_max}\n"
                 for k, v, e_max, e_mean, y_max in zip(
                     range(lo, lo + _ROW_BLOCK), nodes[block].tolist(),
-                    series.err_max[block].tolist(),
-                    series.err_mean[block].tolist(),
-                    series.y_norm_max[block].tolist())
+                    _reprs(series.err_max[block]),
+                    _reprs(series.err_mean[block]),
+                    _reprs(series.y_norm_max[block]))
             ]))
 
 

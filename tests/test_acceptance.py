@@ -369,12 +369,14 @@ def test_criterion_07_pull_products_approach_rank_one():
         decay = 2.0 * (1.0 - floor) ** (steps // window)
         summary.append((side, devs, devs - envelope, devs - decay, floor,
                         decay[-1]))
-    ok = all(env.max() <= 0 and dec.max() <= 0 and floor >= rc.kappa
+    with mp.workdps(80):
+        kappa = mp.mpf(str(rc.kappa))
+    ok = all(env.max() <= 0 and dec.max() <= 0 and floor >= kappa
              for _, _, env, dec, floor, _ in summary)
     detail = "; ".join(
         f"{side}: l1 deviation {devs[0]:.3f} at t=0 -> {devs[-1]:.1e} at "
         f"t=200, window minimum m={floor:.4f} vs kappa "
-        f"{mp.nstr(rc.kappa, 4)}, worst margin to 2*(1-m)**floor(t/L) "
+        f"{mp.nstr(kappa, 4)}, worst margin to 2*(1-m)**floor(t/L) "
         f"{dec.max():.2e} (bound {last:.1e} at t=200)"
         + (f" first exceeded at t={np.argmax(dec > 0)}"
            if dec.max() > 0 else "")
@@ -528,23 +530,27 @@ def test_criterion_11_rate_constants_are_sound():
                         (spec.alpha, spec.beta, spec.psi, spec.zeta_min,
                          spec.g_max_eig))
     with mp.workdps(80):
+        # the Decimal fields, read by mpmath at their full 80 digits
+        kappa, delta, mu, t_tilde, eta_max, eta_used, c, one_minus_c = (
+            mp.mpf(str(v)) for v in
+            (rc.kappa, rc.delta, rc.mu, rc.t_tilde, rc.eta_max_theory,
+             rc.eta_used, rc.c, rc.one_minus_c))
         mp_finite = all(mp.isfinite(v) for v in
-                        (rc.kappa, rc.delta, rc.mu, rc.t_tilde,
-                         rc.eta_max_theory, rc.eta_used, rc.c))
-        mu_ratio = float(rc.mu * rc.n / rc.kappa)
-        c_interior = bool(0 < rc.one_minus_c < 1)
-        eta_positive = bool(rc.eta_max_theory > 0)
+                        (kappa, delta, mu, t_tilde, eta_max, eta_used, c))
+        mu_ratio = float(mu * rc.n / kappa)
+        c_interior = bool(0 < one_minus_c < 1)
+        eta_positive = bool(eta_max > 0)
     beta_bound = cfg.zeta * spec.psi / (2 * bundle.problem.m)
     ok = (floats_finite and mp_finite and eta_positive
           and mu_ratio < 0.5
           and spec.beta > beta_bound
           and c_interior and rc.eta_within_theory and rc.valid)
     msg = _gate(11, ok,
-                f"b={b}, kappa={mp.nstr(rc.kappa, 4)}, t_tilde="
-                f"{mp.nstr(rc.t_tilde, 6)}, eta_max="
-                f"{mp.nstr(rc.eta_max_theory, 4)}: all constants finite; "
+                f"b={b}, kappa={mp.nstr(kappa, 4)}, t_tilde="
+                f"{mp.nstr(t_tilde, 6)}, eta_max="
+                f"{mp.nstr(eta_max, 4)}: all constants finite; "
                 f"mu*n/kappa={mu_ratio} < 1/2; beta={spec.beta:.4f} > "
                 f"zeta*psi/(2m)={beta_bound:.4f}; at eta=eta_max/2 the rate "
-                f"satisfies 0 < 1-c={mp.nstr(rc.one_minus_c, 4)} < 1 "
+                f"satisfies 0 < 1-c={mp.nstr(one_minus_c, 4)} < 1 "
                 f"(valid={rc.valid})")
     assert ok, msg

@@ -4,7 +4,9 @@ simulator, mass tracking, contraction products, and rate constants."""
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import tracemalloc
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
@@ -936,14 +938,16 @@ def test_rate_constants_pinned_small_example():
     assert rc.ntilde == 6
     assert rc.mu_over_kappa_times_n == 0.25
     with mp.workdps(80):
-        assert mp.almosteq(rc.kappa, mp.mpf(1) / 1296, rel_eps=mp.mpf("1e-70"))
-        assert mp.almosteq(rc.mu * 4 * 2, rc.kappa, rel_eps=mp.mpf("1e-70"))
+        # the Decimal fields, read by mpmath at their full 80 digits
+        kappa, mu, delta, t_tilde = (mp.mpf(str(v)) for v in
+                                     (rc.kappa, rc.mu, rc.delta, rc.t_tilde))
+        assert mp.almosteq(kappa, mp.mpf(1) / 1296, rel_eps=mp.mpf("1e-70"))
+        assert mp.almosteq(mu * 4 * 2, kappa, rel_eps=mp.mpf("1e-70"))
         # delta is the (d_g*b)-th root of 1 - kappa
-        assert mp.almosteq(rc.delta ** 4, 1 - rc.kappa,
-                           rel_eps=mp.mpf("1e-70"))
+        assert mp.almosteq(delta ** 4, 1 - kappa, rel_eps=mp.mpf("1e-70"))
         # t_tilde is the crossing integer of delta^t <= mu/2
-        assert rc.delta ** rc.t_tilde <= rc.mu / 2
-        assert rc.delta ** (rc.t_tilde - 1) > rc.mu / 2
+        assert delta ** t_tilde <= mu / 2
+        assert delta ** (t_tilde - 1) > mu / 2
     assert rc.one_minus_delta > 0
     assert rc.eta_within_theory and rc.valid
     assert rc.one_minus_c > 0
@@ -974,6 +978,36 @@ def test_delta_power_monotone():
     values = [augmented.delta_power(rc, t) for t in (1, 10, 100)]
     assert all(0 < v < 1 for v in values)
     assert values[0] > values[1] > values[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.floats(-3000, -0.05), negative=st.booleans())
+# either side of the 1e-3 switch from the power series to ln and exp
+@example(e=-3.0, negative=False)
+@example(e=-3.0, negative=True)
+@example(e=-3.0000001, negative=True)
+@example(e=-2.9999999, negative=False)
+@example(e=-0.05, negative=True)
+def test_decimal_log1p_and_expm1_match_mpmath(e, negative):
+    with decimal.localcontext(augmented._context(80)):
+        x = (-1 if negative else 1) * Decimal(10) ** Decimal(e)
+        got = augmented._log1p(x), augmented._expm1(x)
+    with mp.workdps(100):
+        x_mp = mp.mpf(str(x))
+        want = mp.log1p(x_mp), mp.expm1(x_mp)
+        for g, w in zip(got, want):
+            assert abs(mp.mpf(str(g)) / w - 1) < mp.mpf("1e-75"), (x, g, w)
+
+
+def test_rate_constants_keep_the_caller_context():
+    before = decimal.getcontext().copy()
+    rc = augmented.rate_constants(9, 40, 99, 4, fake_spectral())
+    augmented.delta_power(rc, 7)
+    after = decimal.getcontext()
+    assert (after.prec, after.Emin, after.Emax, after.rounding) == (
+        before.prec, before.Emin, before.Emax, before.rounding)
+    # every field holds its 80 digits
+    assert len(rc.kappa.as_tuple().digits) == 80
 
 
 def test_eta2_range_pinned():

@@ -14,14 +14,16 @@ import subprocess
 import sys
 import tempfile
 import unittest.mock
+from decimal import Decimal
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsag import augmented, cli, graph
+from asyncsag import augmented, cli, graph, simulator
 from helpers import dump_edge_list
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -590,6 +592,78 @@ def test_verify_does_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "product_contraction" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_leaves_mpmath_unimported(tmp_path):
+    """The rate constants run on the standard library's decimal: importing
+    the CLI and printing the constants in a fresh interpreter leaves mpmath
+    out of sys.modules."""
+    ini = write_ini(tmp_path, BASE_INI)
+    probe = ("import sys\n"
+             "import asyncsag.cli\n"
+             "print('mpmath' in sys.modules)\n"
+             f"asyncsag.cli.main(['constants', '--config', {str(ini)!r}])\n"
+             "print('mpmath' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "one_minus_c" in proc.stdout
+    assert (lines[0], lines[-1]) == ("False", "False")
+
+
+def _nstr_form(value: str) -> str:
+    """The mpmath form of an 8-digit report value: mp.nstr of the mantissa
+    at 80 digits, "e", the decimal exponent."""
+    exp = Decimal(value).adjusted()
+    with mp.workdps(80):
+        return mp.nstr(mp.mpf(value) / mp.mpf(10) ** exp, 8) + "e" + str(exp)
+
+
+@pytest.mark.parametrize("value, text", [
+    ("1", "1.0e0"), ("100", "1.0e2"), ("1e-5", "1.0e-5"),
+    ("1e869", "1.0e869"), ("1e-5213", "1.0e-5213"),
+    ("0.5", "5.0e-1"), ("4", "4.0e0"), ("-0.5", "-5.0e-1"),
+    ("4.029726e-329", "4.029726e-329"),
+    ("2.61274286543e-864", "2.6127429e-864"),
+    ("7.4414459999999999999e-5213", "7.441446e-5213"),
+])
+def test_sci_str_writes_the_mpmath_form(value, text):
+    assert cli._sci_str(Decimal(value)) == text == _nstr_form(value)
+
+
+def test_sci_str_pinned_edges():
+    assert cli._sci_str(Decimal(0)) == "0"
+    assert cli._sci_str(Decimal("-0")) == "0"
+    # a mantissa that rounds up to 10 moves to the next exponent, where
+    # the mantissa form alone would read 10.0
+    assert cli._sci_str(Decimal("9.99999996e3")) == "1.0e4"
+    assert _nstr_form("9.99999996e3") == "10.0e3"
+    assert cli._sci_str(Decimal("-9.999999951e-7")) == "-1.0e-6"
+    # the eighth digit rounds half to even
+    assert cli._sci_str(Decimal("1.00000005")) == "1.0e0"
+    assert cli._sci_str(Decimal("1.00000015")) == "1.0000002e0"
+    assert cli._sci_str(Decimal("1.000000050001")) == "1.0000001e0"
+
+
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_marl9_certifies_b_once(monkeypatch, capsys, command):
+    """The replay and the rate constants share one certification of b."""
+    calls = []
+    certify = simulator.verify_assumption1b
+
+    def counting(trace):
+        calls.append(trace)
+        return certify(trace)
+
+    monkeypatch.setattr(simulator, "verify_assumption1b", counting)
+    monkeypatch.setattr(augmented, "verify_assumption1b", counting)
+    cli.main([command, "--config", "marl9"])
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert ("certified_b 76" if command == "verify"
+            else "b_certified 76") in out.splitlines()
 
 
 def test_run_with_a_huge_max_events_stops_at_epsilon(tmp_path, capsys):

@@ -347,6 +347,13 @@ def write_metrics_csv_by_row(series, node, path):
             )
 
 
+# values the writer must keep apart although they compare equal (0.0 and
+# -0.0) or write alike (nans of two payloads); drawn among random floats
+# they make the runs of equal values the writer formats once
+REPEATS = [0.0, -0.0, np.nan,
+           np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]]
+
+
 def random_series(floats):
     return simulator.MetricSeries(
         err_max=np.array(floats[0::3]), err_mean=np.array(floats[1::3]),
@@ -360,8 +367,8 @@ def test_metrics_csv_blocks_match_row_loop(tmp_path_factory, block, data):
     rows = data.draw(st.integers(1, 40))
     nodes = data.draw(st.lists(st.integers(-1, 50), min_size=rows - 1,
                                max_size=rows - 1))
-    floats = data.draw(st.lists(st.floats(width=64), min_size=3 * rows,
-                                max_size=3 * rows))
+    floats = data.draw(st.lists(st.floats(width=64) | st.sampled_from(REPEATS),
+                                min_size=3 * rows, max_size=3 * rows))
     series, nodes = random_series(floats), np.array(nodes, dtype=np.int64)
     out = tmp_path_factory.mktemp("csv")
     with unittest.mock.patch.object(simulator, "_ROW_BLOCK", block):
