@@ -6,8 +6,12 @@ Subcommands:
              product-contraction bound), pass/fail per check
   constants  print the spectral and worst-case rate constants only
 
+Every run executes exactly [algorithm] max_events events (verify_events for
+verify and constants, if fewer).
+
 Exit codes: 0 success, 1 verification check failed, 2 invalid configuration,
-3 assumption violation during a run.
+3 the certification of b found a node with no completed or delivered update
+in the trace.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ class ExperimentConfig:
     # algorithm
     eta1: float = 0.01
     eta2: float = 0.1
-    epsilon: float | None = None
     max_events: int = 2000
     verify_events: int = 300
     # schedule
@@ -69,7 +72,6 @@ class ExperimentConfig:
     straggler_node: int | None = None
     straggler_factor: float | None = None
     run_seed: int = 1
-    b_max: int | None = None
     # experiments
     n_values: list[int] | None = None   # speedup sweep
     eta1_values: list[float] | None = None
@@ -146,7 +148,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("[algorithm] give both eta1 and eta2")
     if eta1 is not None:
         cfg.eta1, cfg.eta2 = eta1, eta2
-    cfg.epsilon = get(sec, "epsilon", float, cfg.epsilon)
     cfg.max_events = get(sec, "max_events", int, cfg.max_events)
     cfg.verify_events = get(sec, "verify_events", int, cfg.verify_events)
 
@@ -158,7 +159,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     cfg.straggler_factor = get(sec, "straggler_factor", float,
                                cfg.straggler_factor)
     cfg.run_seed = get(sec, "seed", int, cfg.run_seed)
-    cfg.b_max = get(sec, "b_max", int, cfg.b_max)
 
     sec = "experiment"
     cfg.n_values = get(sec, "n_values", _int_list, cfg.n_values)
@@ -202,12 +202,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not (0 < cfg.eta1 < math.inf and 0 < cfg.eta2 < math.inf):
         raise ConfigError(
             "[algorithm] eta1/eta2: step sizes must be positive and finite")
-    # a nan or nonpositive epsilon never stops a run, an infinite one stops
-    # it at once; a nan target is never reached
-    for section, key in (("algorithm", "epsilon"), ("experiment", "target_err")):
-        value = getattr(cfg, key)
-        if value is not None and not 0 < value < math.inf:
-            raise ConfigError(f"[{section}] {key}: must be positive and finite")
+    # a nan target is never reached
+    if cfg.target_err is not None and not 0 < cfg.target_err < math.inf:
+        raise ConfigError("[experiment] target_err: must be positive and finite")
     for section, key in (("problem", "data_seed"), ("schedule", "run_seed")):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"[{section}] seed: must be nonnegative")
@@ -237,10 +234,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[topology] path: file {cfg.edge_list_path} does not exist")
     if cfg.schedule == "straggler" and cfg.straggler_node is None:
         raise ConfigError("[schedule] straggler_node: required for straggler kind")
-    # an event index + b_max must fit in int64, as sent + d_max must
-    if cfg.b_max is not None and not 1 <= cfg.b_max <= 2**62:
-        raise ConfigError("[schedule] b_max: must be at least 1 and at most "
-                          "2**62")
     if cfg.proportions is not None and len(cfg.proportions) != cfg.n:
         raise ConfigError(
             f"[problem] proportions: need {cfg.n} entries, got {len(cfg.proportions)}"
@@ -295,6 +288,9 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
         graph = generate_topology(cfg.topology, cfg.n, cfg.edge_list_path)
     except ValueError as exc:
         raise ConfigError(f"[topology] {cfg.topology}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"[topology] path: cannot read "
+                          f"{cfg.edge_list_path}: {exc.strerror}") from None
     problem = build_problem(cfg)
     if not is_strongly_connected(graph):
         raise ConfigError(f"[topology] {cfg.topology}: graph is not strongly connected")
@@ -331,8 +327,7 @@ def _run_trace(bundle: ExperimentBundle, max_events: int, seed: int | None,
     seed = cfg.run_seed if seed is None else seed
     return simulator.run_async(bundle.problem, bundle.graph, _schedule(cfg),
                                _delays(cfg), cfg.eta1, cfg.eta2, seed,
-                               max_events=max_events, epsilon=cfg.epsilon,
-                               b_max=cfg.b_max, z_star=z_star)
+                               max_events=max_events, z_star=z_star)
 
 
 _EIGHT_DIGITS = decimal.Context(prec=8, rounding=decimal.ROUND_HALF_EVEN,
@@ -423,7 +418,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, seed: int | None) -> int:
     if series.err_max.shape[0] >= 100:
         fit = simulator.estimate_rate(series.err_max)
     print(f"events {trace.num_events}")
-    print(f"stop {trace.stop_reason}")
+    print("stop max_events")
     print(f"err_max_initial {float(series.err_max[0])!r}")
     print(f"err_max_final {float(series.err_max[-1])!r}")
     if fit is not None:

@@ -215,8 +215,3 @@ def _block_steps(eta1: float, eta2: float, d: int) -> np.ndarray:
     steps = np.array([eta1] * d + [eta2] * d)
     steps.flags.writeable = False
     return steps
-
-
-def local_residual(node: NodeState) -> float:
-    """Nodes' local stopping quantity ||y_i||_2."""
-    return float(np.linalg.norm(node.y))

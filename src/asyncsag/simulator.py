@@ -50,7 +50,6 @@ from .protocol import (
     activate,
     derived_rng,
     init_node,
-    local_residual,
     on_receive,
     selector_rng,
 )
@@ -107,7 +106,7 @@ class ActivationSchedule:
         return self._cdf.searchsorted(rng.random(count), side="right")
 
 
-# an event + d_max, or + b_max + 1, stays in int64 for 2**62 events
+# an event + d_max stays in int64 for 2**62 events
 _MAX_SPAN = 2**62
 
 
@@ -229,7 +228,6 @@ class EventTrace:
     samples: np.ndarray                 # (T,) refreshed sample of each event
     z_tilde: np.ndarray                 # (T, 2d) broadcast, the activator's new z
     messages: MessageLog                # all network messages, init included
-    stop_reason: str
     series: MetricSeries | None         # the error series of a streamed run
 
     @property
@@ -317,14 +315,9 @@ class _Network:
             self.log[j] = _grown(self.log[j], self._count, self._most)
             self.log[j][start:self._count] = rows
 
-    def message_log(self, num_events: int) -> MessageLog:
-        """The messages sent by event ``num_events``, with the consumptions
-        made by then, as views of the network's log."""
-        end = self.log[2][:self._count].searchsorted(num_events, side="right")
-        origin, dest, sent, slot, consumed = (col[:end] for col in self.log)
-        # after an epsilon stop, the block's later events consumed nothing
-        consumed[consumed > num_events] = -1
-        return MessageLog(origin, dest, sent, slot, consumed)
+    def message_log(self) -> MessageLog:
+        """Every message sent, as views of the network's log."""
+        return MessageLog(*(col[:self._count] for col in self.log))
 
 
 @dataclass
@@ -333,7 +326,6 @@ class _Block:
 
     node: np.ndarray
     samples: np.ndarray
-    violation: tuple[int, int] | None   # first (event, node) past b_max
     oldest_read: int    # the oldest payload row read by this block or later
 
 
@@ -345,18 +337,16 @@ def _payload_row(origin: np.ndarray, sent: np.ndarray, n: int) -> np.ndarray:
 
 def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
                 rng: np.random.Generator, network: _Network,
-                last_active: np.ndarray, nodes: list[NodeState],
-                b_max: int | None
+                nodes: list[NodeState]
                 ) -> tuple[_Block, list[int], list[int], list[int]]:
     """Plan a block of events from the random streams and the graph alone.
 
-    ``last_active`` (each node's latest activation, 0 for none) and the
-    network's messages in flight carry from block to block. Returns the
+    The network's messages in flight carry from block to block. Returns the
     block and its deliveries: event j's are entries
     ``delivered[j]:delivered[j+1]`` of the list ``dest`` and the array
     ``row`` (the payload row), the rest of its buffer in order.
     """
-    n = last_active.shape[0]
+    n = len(nodes)
     act = schedule.next(k0, count, rng)
     events = np.arange(k0, k0 + count)
     if k0 == 1:   # the initial broadcasts go first
@@ -368,29 +358,6 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     # the block's events grouped by node, each node's in event order
     order = np.argsort(act, kind="stable")
     by_node = act[order]
-    events_by_node = events[order]
-    fresh = np.ones(count, dtype=bool)            # a node's first in the block
-    fresh[1:] = by_node[1:] != by_node[:-1]
-    prev_by_node = np.empty(count, dtype=np.int64)
-    prev_by_node[1:] = events_by_node[:-1]
-    prev_by_node[fresh] = last_active[by_node[fresh]]
-    final = np.empty(count, dtype=bool)            # a node's last in the block
-    final[:-1] = fresh[1:]
-    final[-1:] = True
-    last_active[by_node[final]] = events_by_node[final]
-
-    violation = None
-    if b_max is not None:
-        # a node breaks b_max at the first event more than b_max after its
-        # latest activation, if that event comes before its next one
-        late = events_by_node - prev_by_node > b_max
-        when = np.concatenate([prev_by_node[late], last_active]) + b_max + 1
-        who = np.concatenate([by_node[late], np.arange(n)])
-        inside = when < k0 + count
-        if inside.any():
-            first = when[inside].min()
-            violation = (int(first),
-                         int(who[inside][when[inside] == first].min()))
 
     # A message is consumed at its destination's first activation after its
     # slot: one search over the (node, event) keys of the block.
@@ -420,25 +387,20 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     waiting = _payload_row(network.log[0][network.pending],
                            network.log[2][network.pending], n)
     oldest = min(row.min(initial=n + k0 - 1), waiting.min(initial=n + k0 - 1))
-    block = _Block(node=act, samples=samples, violation=violation,
-                   oldest_read=int(oldest))
+    block = _Block(node=act, samples=samples, oldest_read=int(oldest))
     return block, delivered.tolist(), dest.tolist(), row
 
 
 def run_async(problem: ProblemSpec, graph: DirectedGraph,
               schedule: ActivationSchedule, delays: DelayModel,
               eta1: float, eta2: float, seed: int, max_events: int,
-              epsilon: float | None = None, b_max: int | None = None,
               z_star: np.ndarray | None = None) -> EventTrace:
-    """Run the asynchronous protocol for up to ``max_events`` activations,
-    every node starting at z = 0.
+    """Run the asynchronous protocol for ``max_events`` activations, every
+    node starting at z = 0.
 
-    Stops early when every node's tracker norm falls below ``epsilon`` (when
-    given). Raises AssumptionViolation if some node goes more than ``b_max``
-    events without activating (when given). Given the solution ``z_star``,
-    each planned block is reduced to its rows of the error series by
-    ``metrics`` once it has run, and the trace keeps that series in place of
-    the events' broadcasts.
+    Given the solution ``z_star``, each planned block is reduced to its rows
+    of the error series by ``metrics`` once it has run, and the trace keeps
+    that series in place of the events' broadcasts.
     """
     for name, value in (("max_events", max_events), ("seed", seed)):
         if (isinstance(value, bool)
@@ -453,11 +415,6 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         if not 0 < eta < np.inf:
             raise ValueError(f"{name}: step sizes must be finite and "
                              f"positive, got {eta!r}")
-    if epsilon is not None and not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, got "
-                         f"{epsilon!r}")
-    if b_max is not None and b_max > _MAX_SPAN:
-        raise ValueError(f"b_max must be at most 2**62, got {b_max}")
     if schedule.n != graph.n:
         raise ValueError("schedule node count does not match the graph")
 
@@ -479,21 +436,15 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     carry = None if z_star is None else MetricCarry.start(payloads.y, z_star)
     network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY),
                        max_events)
-    last_active = np.zeros(n, dtype=np.int64)
     # the record's columns, row k - 1 event k's: the plan's, and the
     # broadcasts (the full trace) or the rows of the error series, whose
     # row 0 is the initialization's and row k event k's
     series_names = [field.name for field in fields(MetricSeries)]
     record: dict[str, np.ndarray] = {}
-
-    # Each node's tracker norm; an activation changes only the activator's.
-    residual = [local_residual(nd) for nd in nodes]
-    num_events = 0
-    stop_reason = "max_events"
     for k0 in range(1, max(max_events, 1) + 1, _PLAN_BLOCK):
         count = min(_PLAN_BLOCK, max_events + 1 - k0)
         block, delivered, dest, row = _plan_block(
-            k0, count, schedule, rng_sched, network, last_active, nodes, b_max)
+            k0, count, schedule, rng_sched, network, nodes)
         # drop the rows that nothing can read any more, and make room for
         # the block's broadcasts
         oldest = min(block.oldest_read,
@@ -508,58 +459,44 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         payloads, base = table, oldest
         row = (row - base).tolist()
 
-        end = k0 + count if block.violation is None else block.violation[0]
-        for k, i, pick, lo, hi in zip(range(k0, end), block.node.tolist(),
+        for k, i, pick, lo, hi in zip(range(k0, k0 + count),
+                                       block.node.tolist(),
                                        block.samples.tolist(), delivered,
                                        delivered[1:]):
             node = nodes[i]
             for q in range(lo, hi):
                 on_receive(node, dest[q], row[q])
             activate(node, payloads, n + k - 1 - base, pick, eta1, eta2)
-            num_events = k
-            if epsilon is not None:
-                residual[i] = local_residual(node)
-                if max(residual) < epsilon:
-                    stop_reason = "epsilon"
-                    break
-        if stop_reason != "epsilon" and block.violation is not None:
-            k, v = block.violation
-            raise AssumptionViolation(
-                f"node {v} has not activated in the last {b_max} "
-                f"events (event {k})")
 
-        done = slice(num_events + 1 - k0)
-        states = slice(n + k0 - 1 - base, n + num_events - base)
-        rows = {"node": block.node[done], "samples": block.samples[done]}
+        last = k0 + count - 1
+        rows = {"node": block.node, "samples": block.samples}
+        states = slice(n + k0 - 1 - base, n + last - base)
         if carry is None:
             rows["z_tilde"] = payloads.z[states]
         else:
-            rows.update(vars(metrics(block.node[done], payloads.z[states],
+            rows.update(vars(metrics(block.node, payloads.z[states],
                                      payloads.y[states], z_star, carry)))
         # each column starts empty, with its rows' dtype and width, and
         # grows one at a time; its rows end at the block's last event
         for name, value in rows.items():
-            end = num_events + (name in series_names)   # the series' row 0
+            end = last + (name in series_names)   # the series' row 0
             record[name] = _grown(record.get(name, value[:0]), end,
-                                  max_events + end - num_events)
+                                  max_events + end - last)
             record[name][end - value.shape[0]:end] = value
-        if stop_reason == "epsilon":
-            break
 
     series = None
     if carry is not None:
-        series = MetricSeries(**{name: record.pop(name)[:num_events + 1]
+        series = MetricSeries(**{name: record.pop(name)[:max_events + 1]
                                  for name in series_names})
         record["z_tilde"] = np.empty((0, width))
-    messages = network.message_log(num_events)
-    log.info("run_async: %d events, %d network messages, %d consumed, "
-             "stop %s", num_events, len(messages),
-             np.count_nonzero(messages.consumed_at >= 0), stop_reason)
+    messages = network.message_log()
+    log.info("run_async: %d events, %d network messages, %d consumed",
+             max_events, len(messages),
+             np.count_nonzero(messages.consumed_at >= 0))
     return EventTrace(
         n=n, d=problem.d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph,
-        **{name: col[:num_events] for name, col in record.items()},
-        messages=messages, stop_reason=stop_reason,
-        series=series,
+        **{name: col[:max_events] for name, col in record.items()},
+        messages=messages, series=series,
     )
 
 

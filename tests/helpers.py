@@ -98,18 +98,6 @@ def recorded_states():
             for rows in (states.y0, states.z_tilde, states.y_new))
 
 
-def tracker_bounds(node: np.ndarray, states: NodeStates) -> list[float]:
-    """After each event, a little above the largest latest tracker norm of
-    the nodes: the smallest of the first k is an epsilon that stops the run
-    by event k."""
-    latest = [float(np.linalg.norm(y)) for y in states.y0]
-    bounds = []
-    for v, y in zip(node.tolist(), states.y_new):
-        latest[v] = float(np.linalg.norm(y))
-        bounds.append(max(latest) * 1.000001)
-    return bounds
-
-
 def graph_constants(trace: EventTrace) -> tuple[int, int]:
     """(certified b, diameter) of a trace's run."""
     return verify_assumption1b(trace), diameter(trace.graph)

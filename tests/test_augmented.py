@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from asyncsag import augmented, cli, graph, mspbe, simulator
 from asyncsag.mspbe import SpectralConstants
-from helpers import (build_problem, graph_constants, initial_z,
-                     recorded_states, tracker_bounds)
+from helpers import build_problem, graph_constants, initial_z
 from test_plan_oracle import heap_run_async
 
 
@@ -289,37 +288,28 @@ def _pull_matrix_by_buffer(trace, buffer, k, b):
         [1.0] * len(others) + [1.0 / len(buffer)] * len(buffer), ntilde)
 
 
-def _planned_run(n, topology, kind, delay_kind, d_max, events, stop, seed):
-    """A planned run, with the arguments that made it; ``stop`` > 0 picks
-    the event by which an epsilon threshold is crossed."""
+def _planned_run(n, topology, kind, delay_kind, d_max, events, seed):
+    """A planned run, with the arguments that made it."""
     straggler = kind == "straggler"
     args = (build_problem(n=n), graph.generate_topology(topology, n),
             simulator.ActivationSchedule(
                 kind=kind, n=n, straggler_node=0 if straggler else None,
                 straggler_factor=5.0 if straggler else 1.0),
-            simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.05, 0.4)
-    kwargs = dict(seed=seed, max_events=events)
-    with recorded_states() as states:
-        trace = simulator.run_async(*args, **kwargs)
-    if 0 < stop <= events:
-        kwargs["epsilon"] = min(tracker_bounds(trace.node, states)[:stop])
-        trace = simulator.run_async(*args, **kwargs)
-    return trace, args, kwargs
+            simulator.DelayModel(kind=delay_kind, d_max=d_max), 0.05, 0.4,
+            seed, events)
+    return simulator.run_async(*args), args
 
 
-def _certified_run_with_buffers(n, topology, kind, delay_kind, d_max,
-                                events, stop, seed):
+def _certified_run_with_buffers(**run):
     """A planned run, its certified b, and the heap engine's record of each
-    event's buffer for the same run; ``stop`` > 0 picks the event by which
-    an epsilon threshold is crossed. Rejects a run in which a node
+    event's buffer for the same run. Rejects a run in which a node
     starves."""
-    trace, args, kwargs = _planned_run(n, topology, kind, delay_kind, d_max,
-                                       events, stop, seed)
+    trace, args = _planned_run(**run)
     try:
         b = simulator.verify_assumption1b(trace)
     except simulator.AssumptionViolation:
         reject()  # some node starves within the trace
-    _, _, pulled = heap_run_async(*args, **kwargs)
+    _, _, pulled = heap_run_async(*args)
     assert len(pulled) == trace.num_events
     return trace, b, pulled
 
@@ -329,7 +319,6 @@ RUNS = dict(
     kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
     delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
     d_max=st.integers(0, 4), events=st.integers(1, 120),
-    stop=st.integers(0, 120),
     seed=st.integers(0, 2**32 - 1))
 
 
@@ -344,7 +333,7 @@ def _assert_same_bits(got, want, k):
 def test_pull_matrices_equal_the_heap_engine_buffers(**run):
     """Reading each event's pull from the message log and the activator's
     latest activation gives, bit for bit, the pull matrix of the buffers
-    that the heap engine recorded, also on traces stopped by epsilon."""
+    that the heap engine recorded."""
     trace, b, pulled = _certified_run_with_buffers(**run)
     for k, buffer in enumerate(pulled, start=1):
         _assert_same_bits(augmented.build_event_matrices(trace, k, b).h_row,
@@ -356,8 +345,7 @@ def test_pull_matrices_equal_the_heap_engine_buffers(**run):
 def test_push_matrices_equal_the_consumption_dict(**run):
     """Reading each share's consuming event from the message log and the
     splitter's next activation gives the push matrices of a dict built from
-    the heap engine's buffers, bit for bit, also on traces stopped by
-    epsilon."""
+    the heap engine's buffers, bit for bit."""
     trace, b, pulled = _certified_run_with_buffers(**run)
     consumed = _consumptions(trace, pulled)
     for k in range(1, trace.num_events + 1):
@@ -370,9 +358,9 @@ def test_push_matrices_equal_the_consumption_dict(**run):
 def test_activations_equal_a_scan_of_the_activators(**run):
     """Each event's previous and next activation of its activator (-1 and T
     for none) and each node's first activation (T for none) are those of a
-    plain scan over ``trace.node``, also on traces stopped by epsilon and
-    with nodes that never activate (again)."""
-    trace, _, _ = _planned_run(**run)
+    plain scan over ``trace.node``, also with nodes that never activate
+    (again)."""
+    trace, _ = _planned_run(**run)
     node, t = trace.node.tolist(), trace.num_events
     previous, following, first = trace.activations
     last = {}
@@ -395,7 +383,7 @@ def test_event_products_equal_the_products_of_their_entries(wider, **run):
     bit, the product that ``SparseMatrix`` derives from the same entries,
     for 1-D and 2-D operands with signed zeros, at the certified window
     and wider ones."""
-    trace, _, _ = _planned_run(**run)
+    trace, _ = _planned_run(**run)
     try:
         b = simulator.verify_assumption1b(trace)
     except simulator.AssumptionViolation:

@@ -202,11 +202,6 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     (("kind = uniform_random",
       "kind = straggler\nstraggler_node = 0\nstraggler_factor = nan"),
      ("config error: [schedule]", "finite and >= 1")),
-    # a window of no events cannot hold any activation
-    (("d_max = 2", "d_max = 2\nb_max = 0"),
-     ("config error: [schedule] b_max", "at least 1")),
-    (("d_max = 2", "d_max = 2\nb_max = -3"),
-     ("config error: [schedule] b_max", "at least 1")),
     # a chain needs two states; a rollout needs one transition
     (("num_states = 10\nnum_actions = 2\nn = 3\nd = 3",
       "num_states = 1\nnum_actions = 2\nn = 3\nd = 1"),
@@ -218,15 +213,6 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [problem] seed", "nonnegative")),
     (("seed = 5\n", "seed = -5\n"),
      ("config error: [schedule] seed", "nonnegative")),
-    # a nan, negative or zero epsilon never stops a run; inf stops it at once
-    (("max_events = 150", "max_events = 150\nepsilon = nan"),
-     ("config error: [algorithm] epsilon", "positive and finite")),
-    (("max_events = 150", "max_events = 150\nepsilon = -1"),
-     ("config error: [algorithm] epsilon", "positive and finite")),
-    (("max_events = 150", "max_events = 150\nepsilon = 0"),
-     ("config error: [algorithm] epsilon", "positive and finite")),
-    (("max_events = 150", "max_events = 150\nepsilon = inf"),
-     ("config error: [algorithm] epsilon", "positive and finite")),
     # a nan target is never reached
     (("seed = 5\n", "seed = 5\n\n[experiment]\nn_values = 1 2\n"
                     "target_err = nan\n"),
@@ -234,9 +220,6 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     # a delivery slot sent + d_max must fit in int64
     (("d_max = 2", "d_max = 100000000000000000000"),
      ("config error: [schedule]", "d_max must be at most 2**62")),
-    # an event index + b_max must fit in int64 too
-    (("d_max = 2", "d_max = 2\nb_max = 100000000000000000000"),
-     ("config error: [schedule] b_max", "at most 2**62")),
     # a key or section that nothing reads is a misspelling
     (("max_events = 150", "max_event = 150"),
      ("config error: [algorithm] max_event: unknown key",)),
@@ -254,6 +237,12 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     # an activation refreshes one sample; there is no minibatch size
     (("max_events = 150", "max_events = 150\nbatch_size = 1"),
      ("config error: [algorithm] batch_size: unknown key",)),
+    # a run is its max_events events: no tracker-norm stop, no starvation
+    # guard
+    (("max_events = 150", "max_events = 150\nepsilon = 0.05"),
+     ("config error: [algorithm] epsilon: unknown key",)),
+    (("d_max = 2", "d_max = 2\nb_max = 10"),
+     ("config error: [schedule] b_max: unknown key",)),
     # only a sweep reads the step list and the target
     (("seed = 5\n", "seed = 5\n\n[experiment]\neta1_values = 0.01\n"),
      ("config error: [experiment] eta1_values:", "give n_values")),
@@ -293,13 +282,12 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
         "c-rank-deficient-seed-2", "c-rank-deficient-seed-5", "singular-saddle",
         "max-events-0",
         "verify-events-0", "num-actions-0", "d-0", "eta1-nan", "eta2-inf",
-        "rho-nan", "eta1-values-nan", "straggler-factor-nan", "b-max-0",
-        "b-max-negative", "num-states-1", "m-0", "problem-seed-negative",
-        "schedule-seed-negative", "epsilon-nan", "epsilon-negative",
-        "epsilon-0", "epsilon-inf", "target-err-nan", "d-max-overflow",
-        "b-max-overflow", "unknown-key", "unknown-section",
+        "rho-nan", "eta1-values-nan", "straggler-factor-nan",
+        "num-states-1", "m-0", "problem-seed-negative",
+        "schedule-seed-negative", "target-err-nan", "d-max-overflow",
+        "unknown-key", "unknown-section",
         "unknown-default-key", "misplaced-key", "eta-zeta-form", "zeta-key",
-        "batch-size-unknown",
+        "batch-size-unknown", "epsilon-unknown", "b-max-unknown",
         "eta1-values-without-sweep", "target-err-without-sweep",
         "duplicate-option",
         "broken-section-header", "not-utf-8", "bare-percent", "n-values-empty",
@@ -438,11 +426,11 @@ BAD_VALUES = {
         # finite entries whose sum overflows
         | st.lists(st.floats(7e307, 1.7e308), min_size=3, max_size=3)),
     ("topology", "kind"): st.sampled_from(["torus", "star", "Ring"]),
-    ("topology", "path"): st.just("no-such-edge-list.txt"),
+    # a missing file, and a directory
+    ("topology", "path"): st.sampled_from(["no-such-edge-list.txt", "."]),
     ("topology", "n"): st.integers().filter(lambda n: n != 3),
     ("algorithm", "eta1"): floats_outside(0, math.inf),
     ("algorithm", "eta2"): floats_outside(0, math.inf),
-    ("algorithm", "epsilon"): floats_outside(0, math.inf),
     ("algorithm", "max_events"): ints_outside(1),
     ("algorithm", "verify_events"): ints_outside(1),
     ("schedule", "kind"): st.sampled_from(["sync", "bogus", "Round_robin"]),
@@ -452,7 +440,6 @@ BAD_VALUES = {
     ("schedule", "straggler_factor"): st.floats().filter(
         lambda x: not 1 <= x < math.inf),
     ("schedule", "seed"): ints_outside(0),
-    ("schedule", "b_max"): ints_outside(1, 2**62),
     ("experiment", "n_values"): st.lists(st.integers(), max_size=3).filter(
         lambda ns: not ns or min(ns) < 1),
     ("experiment", "eta1_values"): (
@@ -475,7 +462,8 @@ def test_bad_values_cover_every_key_read():
 
 def test_readme_config_format_names_every_key_read():
     """Every key that load_config reads appears, as a whole word, in its
-    section of the README's "Config format" block."""
+    section of the README's "Config format" block, and every ``key =`` of
+    a section there is one that load_config reads in that section."""
     text = (BENCH.parent / "README.md").read_text(encoding="utf-8")
     block = text[text.index("\n### Config format\n"):]
     block = block[block.index("```ini\n") + 7:block.index("\n```\n")]
@@ -486,10 +474,15 @@ def test_readme_config_format_names_every_key_read():
         if header:
             section = header.group(1)
         sections[section] = sections.get(section, "") + line + "\n"
-    missing = [(section, key) for section, key in keys_read()
+    read = keys_read()
+    missing = [(section, key) for section, key in read
                if not re.search(rf"(?<!\w){key}(?!\w)",
                                 sections.get(section, ""))]
     assert missing == []
+    unread = [(section, key) for section, text in sections.items()
+              for key in re.findall(r"(\w+)\s*=", text)
+              if (section, key) not in read]
+    assert unread == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -666,19 +659,6 @@ def test_marl9_certifies_b_once(monkeypatch, capsys, command):
             else "b_certified 76") in out.splitlines()
 
 
-def test_run_with_a_huge_max_events_stops_at_epsilon(tmp_path, capsys):
-    """The record is not sized for max_events up front: a run that may go
-    on for 10**12 events and meets epsilon at event 16 just ends there."""
-    text = (BENCH / "tiny.ini").read_text(encoding="utf-8").replace(
-        "max_events = 400", "max_events = 1000000000000\nepsilon = 0.05")
-    ini = write_ini(tmp_path, text)
-    code = cli.main(["run", "--config", str(ini), "--out",
-                     str(tmp_path / "out")])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == cli.EXIT_OK
-    assert lines[:2] == ["events 16", "stop epsilon"]
-
-
 def test_main_verify_straggler_config(capsys):
     """The bundled straggler config (b = 158, ntilde = 1431): the three
     structural checks pass and the product bound fails at t=0, where the
@@ -733,12 +713,20 @@ def test_verify_and_constants_ignore_out(tmp_path, capsys, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == [ini.name]
 
 
-def test_main_assumption_violation_exits_3(tmp_path, capsys):
-    text = BASE_INI.replace("seed = 5", "seed = 5\nb_max = 1")
-    ini = write_ini(tmp_path, text)
-    code = cli.main(["run", "--config", str(ini), "--out", str(tmp_path)])
+@pytest.mark.parametrize("command,swap", [
+    ("run", ("max_events = 150", "max_events = 1")),
+    ("verify", ("verify_events = 100", "verify_events = 1")),
+    ("constants", ("verify_events = 100", "verify_events = 1")),
+], ids=["run", "verify", "constants"])
+def test_main_assumption_violation_exits_3(tmp_path, capsys, command, swap):
+    """A one-event trace of three nodes holds no update of two of them, so
+    the certification of b fails."""
+    ini = write_ini(tmp_path, BASE_INI.replace(*swap))
+    code = cli.main([command, "--config", str(ini), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
     assert code == cli.EXIT_ASSUMPTION
-    assert "assumption violation" in capsys.readouterr().err
+    assert re.fullmatch(r"assumption violation: node \d never completed an "
+                        r"update in the trace\n", err)
 
 
 def test_sweep_writes_speedup_table(tmp_path, capsys):

@@ -28,11 +28,11 @@ from asyncsag import graph, mspbe, protocol, simulator
 from asyncsag.protocol import (STREAM_DELAY, STREAM_SCHEDULE, Message,
                                SampleSelector, derived_rng, selector_rng)
 from helpers import (NodeStates, assert_traces_equal, build_problem,
-                     recorded_states, tracker_bounds)
+                     recorded_states)
 
 
 def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
-                   max_events, epsilon=None, b_max=None):
+                   max_events):
     """The trace, the nodes' states, and each event's buffer as (origin,
     sent event) pairs in buffer order, the activator's own latest broadcast
     first."""
@@ -80,20 +80,11 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
 
     node_col, samples, z_col, y_col = [], [], [], []
     pulled = []
-    residual = [float(np.linalg.norm(y)) for y in ys]
-    last = [0] * n
-    stop_reason = "max_events"
     for k in range(1, max_events + 1):
         if schedule.kind == "round_robin":
             i = (k - 1) % n
         else:
             i = int(rng_sched.choice(n, p=schedule.weights()))
-        if b_max is not None:
-            for v in range(n):
-                if k - last[v] > b_max:
-                    raise simulator.AssumptionViolation(
-                        f"node {v} has not activated in the last {b_max} "
-                        f"events (event {k})")
         queue = pending[i]
         while queue and queue[0][0] < k:
             msg, z_t, y_t = heapq.heappop(queue)[4:]
@@ -112,17 +103,10 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         pulled.append([(origin, sent) for _, _, origin, sent in buffer])
         buffers[i] = [(z_tilde, y_tilde, i, k)]
         send(i, z_tilde, y_tilde, k)
-        last[i] = k
         node_col.append(i)
         samples.append(pick)
         z_col.append(z_tilde)
         y_col.append(y_new)
-
-        if epsilon is not None:
-            residual[i] = float(np.linalg.norm(y_new))
-            if max(residual) < epsilon:
-                stop_reason = "epsilon"
-                break
 
     rows = len(node_col)
     log = np.array([(msg.origin, msg.dest, msg.sent_at, msg.deliver_at,
@@ -134,27 +118,11 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         samples=np.array(samples, dtype=np.int64),
         z_tilde=np.array(z_col).reshape(rows, 2 * d),
         messages=simulator.MessageLog(*(col.copy() for col in log.T)),
-        stop_reason=stop_reason, series=None,
+        series=None,
     )
     states = NodeStates(y0=y0_rows, z_tilde=trace.z_tilde,
                         y_new=np.array(y_col).reshape(rows, 2 * d))
     return trace, states, pulled
-
-
-def outcome(run, *args, **kwargs):
-    try:
-        return run(*args, **kwargs)
-    except simulator.AssumptionViolation as exc:
-        return exc
-
-
-def assert_same_outcome(got, want):
-    if isinstance(want, simulator.AssumptionViolation):
-        assert isinstance(got, simulator.AssumptionViolation), got
-        assert str(got) == str(want)
-        return
-    assert not isinstance(got, Exception), got
-    assert_traces_equal(got, want)
 
 
 SIZES = {"ring": (1, 2, 3, 5), "exponential": (2, 4, 6), "grid": (4, 9)}
@@ -165,10 +133,9 @@ SIZES = {"ring": (1, 2, 3, 5), "exponential": (2, 4, 6), "grid": (4, 9)}
        kind=st.sampled_from(["round_robin", "uniform_random", "straggler"]),
        delay_kind=st.sampled_from(["zero", "uniform", "round_barrier"]),
        d_max=st.integers(0, 3), events=st.integers(0, 60),
-       seed=st.integers(0, 2**32 - 1),
-       stop=st.sampled_from(["none", "epsilon", "b_max"]))
+       seed=st.integers(0, 2**32 - 1))
 def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
-                                            d_max, events, seed, stop):
+                                            d_max, events, seed):
     n = data.draw(st.sampled_from(SIZES[topology]), label="n")
     prob = build_problem(n=n)
     g = graph.generate_topology(topology, n)
@@ -178,15 +145,7 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
         straggler_factor=5.0 if straggler else 1.0)
     delays = simulator.DelayModel(delay_kind, d_max)
     args = (prob, g, sched, delays, 0.05, 0.4, seed, events)
-    kwargs = {}
-    if stop == "epsilon" and events:
-        # a threshold the run crosses by a drawn event
-        at = data.draw(st.integers(1, events), label="epsilon event")
-        trace, states, _ = heap_run_async(*args, **kwargs)
-        kwargs["epsilon"] = min(tracker_bounds(trace.node, states)[:at])
-    elif stop == "b_max":
-        kwargs["b_max"] = data.draw(st.integers(1, 4 * n + 6), label="b_max")
-    want = outcome(heap_run_async, *args, **kwargs)
+    trace, heap_states, pulled = heap_run_async(*args)
     for block in (1, 3, 7):
         buffers = []
 
@@ -201,12 +160,8 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
         with unittest.mock.patch.object(simulator, "_PLAN_BLOCK", block), \
                 unittest.mock.patch.object(simulator, "activate", recording), \
                 recorded_states() as states:
-            got = outcome(simulator.run_async, *args, **kwargs)
-        if isinstance(want, Exception):
-            assert_same_outcome(got, want)
-            continue
-        trace, heap_states, pulled = want
-        assert_same_outcome(got, trace)
+            got = simulator.run_async(*args)
+        assert_traces_equal(got, trace)
         # every node's tracker, initial and after each of its activations
         for name in ("y0", "z_tilde", "y_new"):
             a, b = getattr(states, name), getattr(heap_states, name)
@@ -216,23 +171,3 @@ def test_planned_engine_matches_heap_engine(topology, data, kind, delay_kind,
         assert buffers == [[v if s == 0 else n + s - 1 for v, s in buffer]
                            for buffer in pulled]
 
-
-def test_stops_and_violations_land_in_later_blocks(monkeypatch):
-    """An epsilon stop and a b_max violation past the first planned block
-    end the run at the event where the heap engine ends it."""
-    prob = build_problem(n=6)
-    g = graph.generate_topology("exponential", 6)
-    sched = simulator.ActivationSchedule("straggler", 6, straggler_node=2,
-                                         straggler_factor=6.0)
-    args = (prob, g, sched, simulator.DelayModel("uniform", 3), 0.05, 0.4, 17,
-            400)
-    monkeypatch.setattr(simulator, "_PLAN_BLOCK", 7)
-    want = outcome(heap_run_async, *args, b_max=25)
-    assert str(want).startswith("node 2 ") and "(event 47)" in str(want)
-    assert_same_outcome(outcome(simulator.run_async, *args, b_max=25), want)
-
-    trace, states, _ = heap_run_async(*args)
-    epsilon = min(tracker_bounds(trace.node, states)[:10])
-    stopped, _, _ = heap_run_async(*args, epsilon=epsilon)
-    assert stopped.stop_reason == "epsilon" and stopped.num_events == 9
-    assert_same_outcome(simulator.run_async(*args, epsilon=epsilon), stopped)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from asyncsag import mspbe
 from asyncsag.protocol import (Message, PayloadTable, SampleSelector, activate,
-                               init_node, local_residual, on_receive,
-                               selector_rng)
+                               init_node, on_receive, selector_rng)
 
 
 def scalar_stats(phi=0.0, psi=0.0, r=0.0):
@@ -253,8 +252,3 @@ def test_mass_conservation_two_node_relay():
         total = sum(share(payloads, row) for row in alive)
         assert np.allclose(total, global_table_mean(), atol=1e-12), k
 
-
-def test_local_residual_is_tracker_norm():
-    samples = [scalar_stats(phi=1.0, r=2.0)]
-    node, _ = make_node(samples)
-    assert local_residual(node) == pytest.approx(float(np.linalg.norm(node.y)))

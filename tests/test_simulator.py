@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from asyncsag import cli, graph, mspbe, protocol, simulator
 from helpers import (assert_traces_equal, build_problem, initial_z,
-                     recorded_states, tracker_bounds)
+                     recorded_states)
 
 
 def small_run(seed=7, n=3, max_events=60, kind="uniform_random",
@@ -126,16 +126,6 @@ def test_delay_model_keeps_slots_in_int64(kind):
         simulator.DelayModel(kind, d_max=10**20)
 
 
-@pytest.mark.parametrize("epsilon", [float("nan"), -1.0, 0.0, float("inf")])
-def test_run_async_rejects_epsilon_that_cannot_stop_a_run(epsilon):
-    prob = build_problem(n=3)
-    sched = simulator.ActivationSchedule(kind="round_robin", n=3)
-    with pytest.raises(ValueError, match="epsilon"):
-        simulator.run_async(prob, graph.generate_topology("ring", 3), sched,
-                            simulator.DelayModel("zero"), 0.01, 0.1, seed=0,
-                            max_events=5, epsilon=epsilon)
-
-
 @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
 def test_run_async_rejects_non_finite_step(eta):
     prob = build_problem(n=3)
@@ -167,19 +157,6 @@ def test_run_async_rejects_bad_max_events_or_seed(name, value):
     assert empty.samples.shape == (0,)
     streamed = run(seed=0, max_events=0, z_star=mspbe.solve_problem(prob))
     assert streamed.series.err_max.shape == (1,)
-
-
-def test_run_async_rejects_b_max_past_int64():
-    prob = build_problem(n=3)
-    sched = simulator.ActivationSchedule(kind="round_robin", n=3)
-    run = functools.partial(simulator.run_async, prob,
-                            graph.generate_topology("ring", 3), sched,
-                            simulator.DelayModel("zero"), 0.01, 0.1, seed=0,
-                            max_events=5)
-    assert run(b_max=2**62).num_events == 5
-    for b_max in (2**62 + 1, 10**20):
-        with pytest.raises(ValueError, match="b_max"):
-            run(b_max=b_max)
 
 
 def test_straggler_weights():
@@ -266,17 +243,6 @@ def test_every_delivered_message_is_consumed_promptly():
             assert msg.consumed_at is None
 
 
-def test_bmax_starvation_raises_naming_node():
-    prob = build_problem(n=2)
-    g = graph.generate_topology("ring", 2)
-    sched = simulator.ActivationSchedule(kind="round_robin", n=2)
-    with pytest.raises(simulator.AssumptionViolation) as err:
-        simulator.run_async(prob, g, sched, simulator.DelayModel("zero"),
-                            0.01, 0.1, seed=1, max_events=30, b_max=1)
-    assert str(err.value) == ("node 1 has not activated in the last 1 events "
-                              "(event 2)")
-
-
 def test_rejects_disconnected_graph_and_size_mismatch():
     prob = build_problem(n=3)
     lonely = graph.DirectedGraph(3, [(0, 1), (1, 0)])  # node 2 unreachable
@@ -289,14 +255,6 @@ def test_rejects_disconnected_graph_and_size_mismatch():
                             simulator.DelayModel("zero"), 0.01, 0.1, seed=0,
                             max_events=5)
 
-
-def test_epsilon_stop_reports_reason():
-    _, trace = small_run(seed=2, max_events=50, epsilon=1e9)
-    assert trace.stop_reason == "epsilon"
-    assert trace.num_events == 1
-    _, full = small_run(seed=2, max_events=50)
-    assert full.stop_reason == "max_events"
-    assert full.num_events == 50
 
 
 def test_metrics_series_shape_and_initial_row():
@@ -405,45 +363,44 @@ def test_rate_fit_recovers_synthetic_decay():
         simulator.estimate_rate(err[:50])
 
 
-def test_message_log_columns_mark_exactly_the_unconsumed():
+def test_message_log_columns_mark_exactly_the_unconsumed(monkeypatch):
     """Five int64 columns; a message's consumed_at is the event whose pull
-    buffered it, and -1 exactly when no event of the trace did, also when
-    an epsilon stop cuts the planned block short."""
-    with recorded_states() as states:
-        _, full = small_run(seed=9, max_events=120, d_max=3)
-    epsilon = min(tracker_bounds(full.node, states)[:40])
-    _, stopped = small_run(seed=9, max_events=120, d_max=3, epsilon=epsilon)
-    t = stopped.num_events
-    assert stopped.stop_reason == "epsilon" and t <= 40
-    # the plan had the later events consume messages the stopped run sent
-    late = (full.messages.sent_at <= t) & (full.messages.consumed_at > t)
-    assert late.any()
-    for trace in (full, stopped):
-        log = trace.messages
-        for column in (log.origin, log.dest, log.sent_at, log.deliver_at,
-                       log.consumed_at):
-            assert column.dtype == np.int64 and column.shape == (len(log),)
-        assert log.sent_at.max() <= trace.num_events
-        used = log.consumed_at != -1
-        assert (log.consumed_at[used] > log.deliver_at[used]).all()
-        assert (log.consumed_at[used] <= trace.num_events).all()
-        got = sorted(zip(*(column[used].tolist() for column in
-                           (log.origin, log.dest, log.sent_at,
-                            log.consumed_at))))
-        want = sorted((origin, v, sent, k) for k, v in
-                      enumerate(trace.node.tolist(), start=1)
-                      for origin, sent in consumed(trace, k)[1:])
-        assert got == want
-        # the records built on demand carry the same rows
-        records = list(log)
-        rows = zip(*(column.tolist() for column in
-                     (log.origin, log.dest, log.sent_at, log.deliver_at,
-                      log.consumed_at)))
-        assert records == [protocol.Message(*row[:4], None if row[4] < 0
-                                            else row[4]) for row in rows]
-        assert log[0] == records[0] and log[-1] == records[-1]
-        assert [msg.consumed_at is None for msg in records] == (~used).tolist()
-    assert full.messages != stopped.messages
+    buffered it, and -1 exactly when no event of the trace did, also for
+    the messages still in flight when a run ends inside a planned block."""
+    monkeypatch.setattr(simulator, "_PLAN_BLOCK", 7)
+    _, trace = small_run(seed=9, max_events=120, d_max=3)
+    log = trace.messages
+    for column in (log.origin, log.dest, log.sent_at, log.deliver_at,
+                   log.consumed_at):
+        assert column.dtype == np.int64 and column.shape == (len(log),)
+    assert log.sent_at.max() == trace.num_events
+    used = log.consumed_at != -1
+    assert (log.consumed_at[used] > log.deliver_at[used]).all()
+    assert (log.consumed_at[used] <= trace.num_events).all()
+    # unconsumed exactly when the destination does not activate after the
+    # slot within the trace
+    last = {v: k for k, v in enumerate(trace.node.tolist(), start=1)}
+    assert (~used).tolist() == [
+        last.get(v, 0) <= slot
+        for v, slot in zip(log.dest.tolist(), log.deliver_at.tolist())]
+    assert not used.all()
+    got = sorted(zip(*(column[used].tolist() for column in
+                       (log.origin, log.dest, log.sent_at, log.consumed_at))))
+    want = sorted((origin, v, sent, k) for k, v in
+                  enumerate(trace.node.tolist(), start=1)
+                  for origin, sent in consumed(trace, k)[1:])
+    assert got == want
+    # the records built on demand carry the same rows
+    records = list(log)
+    rows = zip(*(column.tolist() for column in
+                 (log.origin, log.dest, log.sent_at, log.deliver_at,
+                  log.consumed_at)))
+    assert records == [protocol.Message(*row[:4], None if row[4] < 0
+                                        else row[4]) for row in rows]
+    assert log[0] == records[0] and log[-1] == records[-1]
+    assert [msg.consumed_at is None for msg in records] == (~used).tolist()
+    _, shorter = small_run(seed=9, max_events=119, d_max=3)
+    assert shorter.messages != log
     with pytest.raises(ValueError, match="delivered before"):
         simulator.MessageLog(*(np.array([v]) for v in (0, 1, 5, 4, -1)))
 
@@ -455,7 +412,7 @@ def test_run_logs_one_summary_line(caplog):
              if rec.name == "asyncsag.simulator"]
     used = sum(msg.consumed_at is not None for msg in trace.messages)
     assert lines == [f"run_async: 40 events, {len(trace.messages)} network "
-                     f"messages, {used} consumed, stop max_events"]
+                     f"messages, {used} consumed"]
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +601,8 @@ def assert_streamed_equals_full(streamed, states, full, z_star):
 def test_streamed_series_equals_metrics_of_the_full_trace(
         monkeypatch, block, delay_kind, d_max):
     """Planned blocks of 1, 3, 7, 64 and the default size, every delay
-    kind, a straggler (which does not activate in the
-    first blocks of 1, 3 and 7), an epsilon stop inside a block, and a
-    one-event run."""
+    kind, a straggler (which does not activate in the first blocks of 1, 3
+    and 7), a run that ends inside a block, and a one-event run."""
     if block is not None:
         monkeypatch.setattr(simulator, "_PLAN_BLOCK", block)
     n = 4
@@ -657,22 +613,12 @@ def test_streamed_series_equals_metrics_of_the_full_trace(
     uniform = simulator.ActivationSchedule("uniform_random", n)
     straggler = simulator.ActivationSchedule("straggler", n, straggler_node=1,
                                              straggler_factor=20.0)
-    for schedule, events, stop in ((uniform, 300, None),
-                                   (straggler, 300, None),
-                                   (uniform, 300, 150), (uniform, 1, None)):
+    for schedule, events in ((uniform, 300), (straggler, 300), (uniform, 1)):
         args = (prob, g, schedule, delays, 0.05, 0.4)
         kwargs = dict(seed=13, max_events=events)
-        if stop is not None:
-            # a threshold first crossed at event `stop`, inside a block of
-            # 3, 7, 64 or the default size
-            with recorded_states() as probe:
-                node = simulator.run_async(*args, **kwargs).node
-            kwargs["epsilon"] = min(tracker_bounds(node, probe)[:stop])
         full = simulator.run_async(*args, **kwargs)
         with recorded_states() as states:
             streamed = simulator.run_async(*args, **kwargs, z_star=z_star)
-        if stop is not None:
-            assert full.stop_reason == "epsilon" and full.num_events <= stop
         assert_streamed_equals_full(streamed, states, full, z_star)
 
 
