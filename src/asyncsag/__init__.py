@@ -10,17 +10,16 @@ from .mdp import (Mdp, Transition, build_random_mdp, make_feature_map,
                   stationary_distribution)
 from .mspbe import (ProblemSpec, SampleStats, SpectralConstants, aggregate,
                     saddle_gradient, solve_problem, solve_saddle,
-                    spectral_constants, zeta_threshold)
+                    spectral_constants)
 from .protocol import (Message, NodeState, PayloadTable, SampleSelector,
                        activate, init_node, selector_rng)
 from .simulator import (ActivationSchedule, AssumptionViolation, DelayModel,
                         EventTrace, estimate_rate, metrics, run_async,
-                        run_sync, verify_assumption1b, write_metrics_csv)
+                        verify_assumption1b, write_metrics_csv)
 from .augmented import (AugmentedState, EventMatrices, RateConstants,
                         SparseMatrix, build_event_matrices, check_equivalence,
-                        product_contraction, rank_one_distance, rate_constants,
-                        replay, tracking_residual)
-from .baselines import centralized_gd, centralized_sag
+                        product_contraction, rate_constants, replay,
+                        tracking_residual)
 
 __version__ = "0.1.0"
 
@@ -32,16 +31,14 @@ __all__ = [
     "stationary_distribution",
     "ProblemSpec", "SampleStats", "SpectralConstants", "aggregate",
     "saddle_gradient", "solve_problem", "solve_saddle", "spectral_constants",
-    "zeta_threshold",
     "Message", "NodeState", "PayloadTable", "SampleSelector", "activate",
     "init_node",
     "selector_rng",
     "ActivationSchedule", "AssumptionViolation", "DelayModel", "EventTrace",
-    "estimate_rate", "metrics", "run_async", "run_sync",
-    "verify_assumption1b", "write_metrics_csv",
+    "estimate_rate", "metrics", "run_async", "verify_assumption1b",
+    "write_metrics_csv",
     "AugmentedState", "EventMatrices", "RateConstants", "SparseMatrix",
     "build_event_matrices", "check_equivalence", "product_contraction",
-    "rank_one_distance", "rate_constants", "replay", "tracking_residual",
-    "centralized_gd", "centralized_sag",
+    "rate_constants", "replay", "tracking_residual",
     "__version__",
 ]

@@ -180,13 +180,6 @@ class SparseMatrix:
                 np.add.at(out, rows, operand[cols] * weights.reshape(shape))
         return out
 
-    def toarray(self) -> np.ndarray:
-        """The dense form."""
-        dense = np.zeros(self.shape)
-        dense[self.rows, self.cols] = self.weights
-        return dense
-
-
 @dataclass(frozen=True)
 class EventMatrices:
     """Pull, push, and activation-indicator matrices of one event, sparse."""
@@ -628,18 +621,6 @@ def tracking_residual(state: AugmentedState) -> float:
     return math.sqrt(gap.dot(gap))
 
 
-def rank_one_distance(mat: np.ndarray) -> float:
-    """Frobenius distance to the best rank-one approximation, by a full SVD.
-
-    The distance is sqrt(sigma_2**2 + sigma_3**2 + ...), O(ntilde**3). It is
-    the dense reference for ``product_contraction``. For the ntilde x ntilde
-    identity it is sqrt(ntilde - 1), which exceeds 2 once ntilde >= 6; it is
-    therefore not the norm of the 2*delta**t envelope, which bounds the l1
-    deviation of a stochastic product's rows (or columns) from their mean.
-    """
-    return _distance(np.linalg.svd(mat, compute_uv=False) ** 2)
-
-
 def _distance(squares: np.ndarray) -> float:
     """sqrt of the sum of all squared singular values but the largest."""
     return float(np.sqrt(np.sum(np.sort(squares)[:-1])))
@@ -670,7 +651,7 @@ class _ForwardProduct:
 
     def step(self, mat: SparseMatrix) -> None:
         """P <- mat @ P, each entry bit for bit that of the dense row gather
-        ``mat @ P.toarray()`` on finite weights, up to the sign of a zero.
+        ``mat @ P`` on finite weights, up to the sign of a zero.
 
         A row of ``mat`` with one entry copies and scales a pure or core
         row. A row with more entries mixes its sources into a core row, in
@@ -796,38 +777,20 @@ class _ForwardProduct:
         return lone, np.asfortranarray(
             block.T if block.shape[0] < block.shape[1] else block)
 
-    def toarray(self) -> np.ndarray:
-        """The dense form of P."""
-        dense = np.zeros((self.size, self.size))
-        pure = self.pure_rows
-        dense[pure, self.pure_col[pure]] = self.pure_w[pure]
-        dense[np.ix_(self.rows, self.cols)] = self.block
-        return dense
 
-
-def _as_sparse(mat: SparseMatrix | np.ndarray) -> SparseMatrix:
-    """A dense square matrix as the ``SparseMatrix`` of its nonzeros."""
-    if isinstance(mat, SparseMatrix):
-        return mat
-    mat = np.asarray(mat, dtype=float)
-    rows, cols = np.nonzero(mat)
-    return SparseMatrix.from_entries(rows, cols, mat[rows, cols], mat.shape[0])
-
-
-def product_contraction(
-        matrices: Sequence[SparseMatrix | np.ndarray]) -> np.ndarray:
+def product_contraction(matrices: Sequence[SparseMatrix]) -> np.ndarray:
     """Rank-one distances of the forward products of a matrix sequence.
 
-    Entry t is ``rank_one_distance`` of the product P_t of the first t
+    Entry t is the Frobenius distance to the nearest rank-one matrix,
+    sqrt(sigma_2**2 + sigma_3**2 + ...), of the product P_t of the first t
     matrices (t=0 is the identity). Pass the h_row or h_col matrices of
-    consecutive events. Every matrix enters through its nonzeros (a dense
-    array is converted to a ``SparseMatrix`` first). Each product
-    P_t = M_t P_{t-1} is kept as pure rows plus one dense core block
-    (``_ForwardProduct``), whose entries are bit for bit those of the dense
-    row-gather product, up to the sign of a zero. A one-entry row of M_t
-    moves or scales a row, and only a row of two or more entries sums.
+    consecutive events. Each product P_t = M_t P_{t-1} is kept as pure rows
+    plus one dense core block (``_ForwardProduct``), whose entries are bit
+    for bit those of the dense row-gather product, up to the sign of a
+    zero. A one-entry row of M_t moves or scales a row, and only a row of
+    two or more entries sums.
 
-    The distance is exact, computed by ``rank_one_distance``'s formula from
+    The distance is exact, computed by that formula from
     the spectrum of P_t, which is the union of those of its components.
     Each column of pure rows gives the l2 norm of its weights, and the core
     goes through one SVD, taken in its tall orientation, after a wide core
@@ -840,23 +803,19 @@ def product_contraction(
     ``verify`` reports ``FAIL product_contraction_bound`` at t=0.
 
     Raises ``ValueError`` for an empty sequence, and for a matrix that is
-    not square or not the size of the first.
+    not the size of the first.
     """
     if not matrices:
         raise ValueError("need at least one matrix")
     for index, mat in enumerate(matrices):
-        shape = np.shape(mat)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"matrix {index} has shape {shape}, which is "
-                             f"not square")
-        if shape != np.shape(matrices[0]):
-            raise ValueError(f"matrix {index} has shape {shape}, but matrix "
-                             f"0 has shape {np.shape(matrices[0])}")
-    prod = _ForwardProduct(np.shape(matrices[0])[0])
+        if mat.shape != matrices[0].shape:
+            raise ValueError(f"matrix {index} has shape {mat.shape}, but "
+                             f"matrix 0 has shape {matrices[0].shape}")
+    prod = _ForwardProduct(matrices[0].size)
     out = np.empty(len(matrices) + 1)
     out[0] = _distance(prod.squared_singular_values())
     for t, mat in enumerate(matrices, start=1):
-        prod.step(_as_sparse(mat))
+        prod.step(mat)
         out[t] = _distance(prod.squared_singular_values())
     return out
 
@@ -938,21 +897,20 @@ class RateConstants:
     mu_over_kappa_times_n: float  # exactly 1/4 by construction
     t_tilde: Decimal      # smallest integer t with delta^t <= mu/2
     eta_max_theory: Decimal
-    eta_used: Decimal
-    eta_within_theory: bool
+    eta_used: Decimal     # eta_max_theory / 2
     c: Decimal            # max of the two root terms
     one_minus_c: Decimal
-    valid: bool           # c in (0,1) and eta within the theoretical range
+    valid: bool           # c in (0,1) and the spectral checks passed
 
 
 def rate_constants(n: int, b: int, big_k: int, d_g: int,
-                   spectral: SpectralConstants,
-                   eta: float | Decimal | None = None) -> RateConstants:
+                   spectral: SpectralConstants) -> RateConstants:
     """Evaluate the worst-case constants by direct formula.
 
-    With ``eta`` omitted, the step is set to half the theoretical maximum so
-    the rate is guaranteed inside (0, 1). All arithmetic runs at a working
-    precision wide enough for the (astronomically small) kappa.
+    The step is half the theoretical maximum, so the rate is inside (0, 1)
+    whenever the spectral checks pass (alpha > 0 makes the maximum
+    positive). All arithmetic runs at a working precision wide enough for
+    the (astronomically small) kappa.
     """
     if min(n, b, big_k, d_g) < 1:
         raise ValueError("n, b, K, d_g must all be positive")
@@ -975,7 +933,7 @@ def rate_constants(n: int, b: int, big_k: int, d_g: int,
             72 * beta ** 3 * n ** 3 * Decimal(b) ** 6 * Decimal(big_k) ** 3
             * t_tilde ** 2
         )
-        eta_used = eta_max / 2 if eta is None else Decimal(eta)
+        eta_used = eta_max / 2
         # first root term: (1/2 + kappa^{-1} mu n)^{1/(t_tilde+1)}; the inner
         # sum is exactly 3/4 because mu = kappa/(4n).
         ln_c1 = Decimal("0.75").ln() / (t_tilde + 1)
@@ -987,14 +945,12 @@ def rate_constants(n: int, b: int, big_k: int, d_g: int,
         ln_c = max(ln_c1, ln_c2)
         one_minus_c = -_expm1(ln_c)
         c = 1 - one_minus_c
-        within = bool(eta_used < eta_max)
-        valid = bool(one_minus_c > 0 and within and spectral.valid)
+        valid = bool(one_minus_c > 0 and spectral.valid)
     return RateConstants(
         n=n, b=b, big_k=big_k, d_g=d_g, ntilde=ntilde, kappa=kappa,
         delta=delta, one_minus_delta=one_minus_delta, mu=mu,
         mu_over_kappa_times_n=0.25, t_tilde=t_tilde, eta_max_theory=eta_max,
-        eta_used=eta_used, eta_within_theory=within, c=c,
-        one_minus_c=one_minus_c, valid=valid,
+        eta_used=eta_used, c=c, one_minus_c=one_minus_c, valid=valid,
     )
 
 

@@ -263,7 +263,6 @@ class ExperimentBundle:
     config: ExperimentConfig
     problem: mspbe.ProblemSpec
     graph: DirectedGraph
-    z_star: np.ndarray
     spectral: mspbe.SpectralConstants
 
 
@@ -295,12 +294,19 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     if not is_strongly_connected(graph):
         raise ConfigError(f"[topology] {cfg.topology}: graph is not strongly connected")
     try:
-        z_star = mspbe.solve_problem(problem)
         spectral = mspbe.spectral_constants(problem, cfg.zeta)
     except ArithmeticError as exc:
         raise ConfigError(f"[problem] {exc} (n={cfg.n})") from None
     return ExperimentBundle(config=cfg, problem=problem, graph=graph,
-                            z_star=z_star, spectral=spectral)
+                            spectral=spectral)
+
+
+def _solution(bundle: ExperimentBundle) -> np.ndarray:
+    """The saddle point z*, which only ``run``'s error series reads."""
+    try:
+        return mspbe.solve_problem(bundle.problem)
+    except ArithmeticError as exc:
+        raise ConfigError(f"[problem] {exc} (n={bundle.config.n})") from None
 
 
 def _schedule(cfg: ExperimentConfig) -> ActivationSchedule:
@@ -408,7 +414,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path, seed: int | None) -> int:
     if cfg.n_values:
         return _cmd_run_sweep(cfg, out_dir, seed)
     bundle = build_experiment(cfg)
-    trace = _run_trace(bundle, cfg.max_events, seed, bundle.z_star)
+    trace = _run_trace(bundle, cfg.max_events, seed, _solution(bundle))
     series = trace.series
     with _out("write", out_dir / "metrics.csv") as path:
         simulator.write_metrics_csv(series, trace.node, path)
@@ -443,7 +449,7 @@ def _cmd_run_sweep(cfg: ExperimentConfig, out_dir: Path,
             cfg, n=n, proportions=[float(i + 1) for i in range(n)],
             eta1=eta1, eta2=eta1 * cfg.zeta)
         bundle = build_experiment(sized)
-        trace = _run_trace(bundle, cfg.max_events, seed, bundle.z_star)
+        trace = _run_trace(bundle, cfg.max_events, seed, _solution(bundle))
         below = np.nonzero(trace.series.err_max <= target)[0]
         hit = int(below[0]) if below.size else -1
         rows.append((n, hit, hit / n if hit >= 0 else -1))

@@ -31,8 +31,10 @@ _PROB_TOL = 1e-12
 
 
 class Transition(NamedTuple):
+    """A rollout step s -> s_next with its rewards, one per stream; the
+    evaluation of a fixed policy reads no action, so none is kept."""
+
     s: int
-    a: int
     s_next: int
     rewards: np.ndarray  # one entry per reward stream
 
@@ -203,7 +205,8 @@ def sample_trajectory(mdp: Mdp, policy: np.ndarray, length: int,
         steps.append((s, a, s_next))
         s = s_next
     rewards = mdp.rewards_at(*np.array(steps).T)
-    return [Transition(*step, row) for step, row in zip(steps, rewards)]
+    return [Transition(s, s_next, row)
+            for (s, _, s_next), row in zip(steps, rewards)]
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator) -> int:

@@ -159,17 +159,9 @@ def solve_problem(problem: ProblemSpec) -> np.ndarray:
 # scaled coordinates and spectral constants
 # ---------------------------------------------------------------------------
 
-def to_scaled(z: np.ndarray, zeta: float) -> np.ndarray:
-    """Map z = [theta; omega] to analysis coordinates [theta; omega/sqrt(zeta)],
-    each row of a stack of saddle vectors alike."""
-    d = z.shape[-1] // 2
-    w = z.copy()
-    w[..., d:] /= np.sqrt(zeta)
-    return w
-
-
 def from_scaled(w: np.ndarray, zeta: float) -> np.ndarray:
-    """The inverse of ``to_scaled``."""
+    """Map analysis coordinates w = [theta; omega/sqrt(zeta)] back to
+    z = [theta; omega], each row of a stack of vectors alike."""
     d = w.shape[-1] // 2
     z = w.copy()
     z[..., d:] *= np.sqrt(zeta)
@@ -191,27 +183,9 @@ def _scaled_block(a: np.ndarray, c: np.ndarray, rho: float, zeta: float) -> np.n
     return out
 
 
-def scaled_affine(problem: ProblemSpec, zeta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The mean gradient map in scaled coordinates, M @ w + const, as
-    (M, const); at zeta = 1 it is the unscaled mean stacked gradient.
-
-    One step w <- w - eta * (M @ w + const) reproduces the unscaled block
-    step (eta1 = eta on theta, eta2 = eta*zeta on omega) up to the
-    coordinate change.
-    """
-    a, b, c = aggregate(problem)
-    const = np.concatenate([np.zeros(problem.d), np.sqrt(zeta) * b])
-    return _scaled_block(a, c, problem.rho, zeta), const
-
-
-def sample_operator(stats: SampleStats, rho: float, zeta: float, m: int) -> np.ndarray:
-    """Per-sample linear block M_{i,p}; the aggregate M is their plain sum."""
-    a_hat = np.outer(stats.phi, stats.psi)
-    c_hat = np.outer(stats.phi, stats.phi)
-    return _scaled_block(a_hat, c_hat, rho, zeta) / m
-
-
 def _zeta_min(a: np.ndarray, c: np.ndarray, rho: float) -> float:
+    """Smallest step-size ratio with a guaranteed real positive M spectrum,
+    zeta_min = (4*rho + 4*lmax(A^T C^{-1} A)) / lmin(C)."""
     c_eigs = np.linalg.eigvalsh(c)
     # a rank-deficient C shows a rounding-level lmin of either sign
     if c_eigs[0] <= c.shape[0] * np.finfo(float).eps * c_eigs[-1]:
@@ -220,16 +194,6 @@ def _zeta_min(a: np.ndarray, c: np.ndarray, rho: float) -> float:
         )
     inner = np.linalg.eigvalsh(a.T @ np.linalg.solve(c, a))
     return float((4.0 * rho + 4.0 * inner[-1]) / c_eigs[0])
-
-
-def zeta_threshold(problem: ProblemSpec) -> float:
-    """Smallest step-size ratio with a guaranteed real positive M spectrum.
-
-    zeta_min = (4*rho + 4*lmax(A^T C^{-1} A)) / lmin(C), from the aggregate
-    statistics.
-    """
-    a, _, c = aggregate(problem)
-    return _zeta_min(a, c, problem.rho)
 
 
 @dataclass(frozen=True)
@@ -253,7 +217,8 @@ def spectral_constants(problem: ProblemSpec, zeta: float) -> SpectralConstants:
     real = imag_max <= EIG_IMAG_TOL
     alpha = float(np.min(eigs.real))
     g_max = float(np.max(eigs.real))
-    # every sample_operator block at once: outer products along a stack axis
+    # every per-sample block M_{i,p}, whose plain sum is M, at once: the
+    # outer products along a stack axis
     phi, psi, _ = _factors(problem)
     blocks = _scaled_block(phi[:, :, None] * psi[:, None, :],
                            phi[:, :, None] * phi[:, None, :],

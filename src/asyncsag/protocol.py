@@ -1,7 +1,7 @@
 """Per-node state machine of the asynchronous push-pull averaged-gradient run.
 
-Each node keeps a gradient tracker y, a per-sample table of stored
-gradients, and one receive buffer of payload rows; its saddle vector z is
+Each node keeps a per-sample table of stored gradients and one receive
+buffer of payload rows; its saddle vector z and its gradient tracker y are
 its latest broadcast's payload row. An activation, in order:
 
   1. pulls z as the elementwise mean of buffered z payloads,
@@ -45,8 +45,7 @@ def derived_rng(seed: int, stream: int, member: int = 0) -> np.random.Generator:
 
 
 def selector_rng(seed: int, node_id: int) -> np.random.Generator:
-    """Selector stream shared between node ``node_id`` and the centralized
-    baseline (which uses node 0's stream so the n=1 reduction is exact)."""
+    """Node ``node_id``'s sample-selector stream."""
     return derived_rng(seed, STREAM_SELECTOR, node_id)
 
 
@@ -123,7 +122,6 @@ class NodeState:
     """One node's full protocol state. Owned by exactly one executor."""
 
     node_id: int
-    y: np.ndarray                    # latest tracker value y_i
     table: np.ndarray                # (m_local, 2d) stored per-sample gradients
     stats: tuple[SampleStats, ...]   # local sample statistics
     rho: float
@@ -148,12 +146,11 @@ def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...]
         raise ValueError("selector size does not match the sample count")
     z0 = np.zeros(payloads.z.shape[1])
     table = np.stack([saddle_gradient(z0, st, rho) for st in stats])
-    y = table.sum(axis=0) / m_global
     payloads.z[row] = z0
-    payloads.y[row] = y
+    payloads.y[row] = table.sum(axis=0) / m_global
     payloads.degree[row] = out_degree
     return NodeState(
-        node_id=node_id, y=y, table=table, stats=stats, rho=rho,
+        node_id=node_id, table=table, stats=stats, rho=rho,
         m_global=m_global, out_degree=out_degree, selector=selector,
         buffer=[row],
     )
@@ -204,7 +201,6 @@ def activate(node: NodeState, payloads: PayloadTable, row: int,
     z_rows[row] = z_tilde
     y_rows[row] = y_new
     degree[row] = node.out_degree
-    node.y = y_new
     node.buffer = [row]
     return z_hat
 

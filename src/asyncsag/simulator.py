@@ -500,23 +500,6 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     )
 
 
-def run_sync(problem: ProblemSpec, graph: DirectedGraph, rounds: int,
-             eta1: float, eta2: float, seed: int,
-             z_star: np.ndarray | None) -> EventTrace:
-    """Synchronous push-pull baseline: per round, every node activates on the
-    previous round's broadcasts.
-
-    This is ``run_async`` with round-robin activation (a round is n events,
-    node i acting at event i + 1 of it) and round-barrier delivery, which
-    holds each broadcast to the end of its round. Given ``z_star``, the
-    trace keeps the streamed error series, as ``run_async``'s does.
-    """
-    n = graph.n
-    return run_async(problem, graph, ActivationSchedule("round_robin", n),
-                     DelayModel("round_barrier", d_max=n - 1), eta1, eta2,
-                     seed, max_events=rounds * n, z_star=z_star)
-
-
 # ---------------------------------------------------------------------------
 # assumption certification
 # ---------------------------------------------------------------------------

@@ -163,11 +163,13 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [problem]", "2 transitions cannot cover 3 nodes")),
     (("seed = 5\n", "seed = 5\n\n[experiment]\nn_values = 0 2\n"),
      ("config error: [experiment] n_values", "at least one node")),
-    # synchronous runs are a library call (simulator.run_sync), not a kind
+    # a synchronous run is kind = round_robin with delay = round_barrier,
+    # not a kind of its own
     (("kind = uniform_random", "kind = sync"),
      ("config error: [schedule]", "unknown schedule kind 'sync'")),
-    # too few samples: an aggregate C that is not positive-definite, or a
-    # singular saddle system
+    # too few samples: an aggregate C that is not positive-definite, which
+    # the spectral constants report before any command solves the saddle
+    # system
     (("n = 3\nd = 3\nm = 24", "n = 1\nd = 3\nm = 2"),
      ("config error: [problem]", "C is not positive-definite")),
     # two samples in d = 3 leave C rank-deficient, with a smallest
@@ -178,8 +180,9 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
     (("n = 3\nd = 3\nm = 24\ngamma = 0.9\nrho = 0.1\nmode = parallel\nseed = 3",
       "n = 1\nd = 3\nm = 2\ngamma = 0.9\nrho = 0.1\nmode = parallel\nseed = 5"),
      ("config error: [problem]", "C is not positive-definite")),
+    # one sample in d = 3 gives a rank-one C (and a singular saddle system)
     (("n = 3\nd = 3\nm = 24", "n = 1\nd = 3\nm = 1"),
-     ("config error: [problem]", "saddle system is singular")),
+     ("config error: [problem]", "C is not positive-definite")),
     # sizes that must be positive
     (("max_events = 150", "max_events = 0"),
      ("config error: [algorithm] max_events", "at least 1")),

@@ -11,11 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsag import mdp, mspbe
-from helpers import build_problem, sample_objective
+from helpers import build_problem, sample_objective, scaled_affine, to_scaled
 
 
 random_problem = functools.partial(build_problem, d=4, length=41,
                                    num_states=12)
+
+
+def sample_operator(stats: mspbe.SampleStats, rho: float, zeta: float,
+                    m: int) -> np.ndarray:
+    """Per-sample linear block M_{i,p}; the aggregate M is their plain sum."""
+    a_hat = np.outer(stats.phi, stats.psi)
+    c_hat = np.outer(stats.phi, stats.phi)
+    return mspbe._scaled_block(a_hat, c_hat, rho, zeta) / m
 
 
 def numeric_gradient(fun, z, h=1e-5):
@@ -36,7 +44,7 @@ def test_per_sample_stats_shapes_and_rank():
         assert stats.psi.shape == (d,)
         assert isinstance(stats.reward, float)
     # one transition 0 -> 1 with reward 3 at gamma 0.5
-    step = mdp.Transition(0, 0, 1, np.array([3.0]))
+    step = mdp.Transition(0, 1, np.array([3.0]))
     feats = np.array([[1.0, 2.0], [0.5, -1.0]])
     (stats,), = mdp.partition_samples([step], feats, "parallel", 1, 0.5)
     assert np.array_equal(stats.phi, [1.0, 2.0])
@@ -85,7 +93,7 @@ def test_full_gradient_is_flat_mean_over_samples():
     per_sample = [mspbe.saddle_gradient(z, s, prob.rho)
                   for node in prob.per_node for s in node]
     # the scaled map at zeta = 1 is the unscaled mean gradient
-    m_op, const = mspbe.scaled_affine(prob, 1.0)
+    m_op, const = scaled_affine(prob, 1.0)
     assert np.allclose(m_op @ z + const, np.mean(per_sample, axis=0),
                        atol=1e-12)
 
@@ -147,7 +155,7 @@ def test_solve_saddle_zeroes_the_gradient():
     for seed in range(5):
         prob = random_problem(seed=seed, d=3)
         z_star = mspbe.solve_problem(prob)
-        m_op, const = mspbe.scaled_affine(prob, 1.0)
+        m_op, const = scaled_affine(prob, 1.0)
         assert np.linalg.norm(m_op @ z_star + const) < 1e-10
 
 
@@ -178,12 +186,12 @@ def test_scaled_round_trip_and_gradient_consistency():
     zeta = 9.0
     rng = np.random.default_rng(5)
     z = rng.normal(size=2 * prob.d)
-    w = mspbe.to_scaled(z, zeta)
+    w = to_scaled(z, zeta)
     assert np.allclose(mspbe.from_scaled(w, zeta), z, atol=1e-14)
     # the affine map in scaled coordinates is the mean gradient with its
     # omega block scaled by sqrt(zeta), so one step of it is the unscaled
     # block step with eta2 = eta * zeta
-    M, const = mspbe.scaled_affine(prob, zeta)
+    M, const = scaled_affine(prob, zeta)
     g = np.mean([mspbe.saddle_gradient(z, s, prob.rho)
                  for s in prob.all_stats()], axis=0)
     g[prob.d:] *= np.sqrt(zeta)
@@ -200,13 +208,14 @@ def test_zeta_threshold_pinned_identity_example():
     A, _, C = mspbe.aggregate(prob)
     assert np.allclose(A, np.eye(d), atol=1e-15)
     assert np.allclose(C, np.eye(d), atol=1e-15)
-    assert mspbe.zeta_threshold(prob) == pytest.approx(8.0, abs=1e-12)
+    zeta_min = mspbe.spectral_constants(prob, 1.0).zeta_min
+    assert zeta_min == pytest.approx(8.0, abs=1e-12)
 
 
 def test_spectrum_real_above_threshold_complex_below():
     for seed in range(6):
         prob = random_problem(seed=seed, d=3)
-        zmin = mspbe.zeta_threshold(prob)
+        zmin = mspbe.spectral_constants(prob, 1.0).zeta_min
         above = mspbe.spectral_constants(prob, 1.05 * zmin)
         assert above.g_eigs_real
         assert above.valid
@@ -219,23 +228,23 @@ def test_spectrum_real_above_threshold_complex_below():
 def test_beta_dominates_zeta_psi_over_2m():
     for seed in range(4):
         prob = random_problem(seed=seed)
-        zeta = 1.2 * mspbe.zeta_threshold(prob)
+        zeta = 1.2 * mspbe.spectral_constants(prob, 1.0).zeta_min
         spec = mspbe.spectral_constants(prob, zeta)
         assert spec.beta > zeta * spec.psi / (2 * prob.m)
 
 
 def test_alpha_beta_are_true_extremes():
     prob = random_problem(seed=7)
-    zeta = 1.5 * mspbe.zeta_threshold(prob)
+    zeta = 1.5 * mspbe.spectral_constants(prob, 1.0).zeta_min
     spec = mspbe.spectral_constants(prob, zeta)
-    M, _ = mspbe.scaled_affine(prob, zeta)
+    M, _ = scaled_affine(prob, zeta)
     eigs = np.linalg.eigvals(M)
     assert spec.alpha == pytest.approx(float(eigs.real.min()), rel=1e-10)
     # beta bounds the norm of every per-sample block
     m = prob.m
     for node in prob.per_node:
         for s in node:
-            op = mspbe.sample_operator(s, prob.rho, zeta, m)
+            op = sample_operator(s, prob.rho, zeta, m)
             assert np.linalg.norm(op, 2) <= spec.beta + 1e-12
 
 
@@ -245,19 +254,19 @@ def test_sample_operators_average_to_full_operator():
     total = np.zeros((2 * prob.d, 2 * prob.d))
     for node in prob.per_node:
         for s in node:
-            total += mspbe.sample_operator(s, prob.rho, zeta, prob.m)
-    assert np.allclose(total, mspbe.scaled_affine(prob, zeta)[0], atol=1e-12)
+            total += sample_operator(s, prob.rho, zeta, prob.m)
+    assert np.allclose(total, scaled_affine(prob, zeta)[0], atol=1e-12)
 
 
 def test_gradient_lipschitz_within_beta_times_m():
     # ||grad_{i,p}(z1) - grad_{i,p}(z2)|| <= m*beta*||z1-z2|| in scaled coords
     prob = random_problem(seed=10)
-    zeta = 1.3 * mspbe.zeta_threshold(prob)
+    zeta = 1.3 * mspbe.spectral_constants(prob, 1.0).zeta_min
     spec = mspbe.spectral_constants(prob, zeta)
     rng = np.random.default_rng(10)
     for node in prob.per_node:
         for s in node[:3]:
-            op = mspbe.sample_operator(s, prob.rho, zeta, prob.m)
+            op = sample_operator(s, prob.rho, zeta, prob.m)
             w1, w2 = rng.normal(size=(2, 2 * prob.d))
             diff = np.linalg.norm(op @ (w1 - w2))
             assert diff <= spec.beta * np.linalg.norm(w1 - w2) + 1e-12

@@ -107,11 +107,11 @@ def test_init_node_table_and_tracker():
     expected_g = mspbe.saddle_gradient(np.zeros(2), samples[0], 0.1)
     assert np.array_equal(expected_g, [0.0, 2.0])
     assert np.allclose(node.table, np.tile(expected_g, (3, 1)))
-    # tracker divides by the GLOBAL sample count
-    assert np.allclose(node.y, 3 * expected_g / 6)
-    # the broadcast row carries z = 0 and the out-degree share of y
+    # the broadcast row carries z = 0 and the tracker, which divides by the
+    # GLOBAL sample count, and its copies the out-degree share of it
     assert np.array_equal(payloads.z[0], np.zeros(2))
-    assert np.allclose(share(payloads, 0), node.y / 2)
+    assert np.allclose(payloads.y[0], 3 * expected_g / 6)
+    assert np.allclose(share(payloads, 0), 3 * expected_g / 6 / 2)
     # self-copy pre-buffered: the node's own initial row
     assert node.buffer == [0]
 
@@ -132,11 +132,11 @@ def test_activation_arithmetic_pinned():
     node.buffer = [1]
     z_hat = activate(node, payloads, 2, 0, eta1=0.1, eta2=0.2)
     assert np.allclose(z_hat, [1.0, 0.0])
-    assert np.allclose(node.y, [1.0, 1.0])
+    assert np.allclose(payloads.y[2], [1.0, 1.0])
     assert np.allclose(node.table[0], [4.0, 4.0])
     # primal and dual blocks step with their own rates
     assert np.allclose(payloads.z[2], [1.0 - 0.1, 0.0 - 0.2])
-    assert np.allclose(share(payloads, 2), node.y)  # out_degree 1
+    assert np.allclose(share(payloads, 2), [1.0, 1.0])  # out_degree 1
 
 
 def test_pull_is_mean_push_is_sum():
@@ -151,7 +151,7 @@ def test_pull_is_mean_push_is_sum():
     y_base = np.array([0.8, 1.0])
     g = node.table[0]  # refreshed entry equals gradient at z_hat
     expected = y_base + (g - mspbe.saddle_gradient(np.zeros(2), samples[0], 0.1)) / 9
-    assert np.allclose(node.y, expected)
+    assert np.allclose(payloads.y[3], expected)
 
 
 def test_buffer_lifecycle_and_self_copy():
@@ -164,8 +164,8 @@ def test_buffer_lifecycle_and_self_copy():
     z_hat = activate(node, payloads, 7, 0, 0.1, 0.1)
     # buffer now holds exactly the fresh self-copy: the row just written
     assert node.buffer == [7]
-    assert np.allclose(payloads.z[7], z_hat - 0.1 * node.y)
-    assert np.allclose(share(payloads, 7), node.y / 2)
+    assert np.allclose(payloads.z[7], z_hat - 0.1 * payloads.y[7])
+    assert np.allclose(share(payloads, 7), payloads.y[7] / 2)
 
 
 def test_activate_empty_buffer_raises():

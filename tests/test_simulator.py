@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from asyncsag import cli, graph, mspbe, protocol, simulator
 from helpers import (assert_traces_equal, build_problem, initial_z,
-                     recorded_states)
+                     recorded_states, run_sync)
 
 
 def small_run(seed=7, n=3, max_events=60, kind="uniform_random",
@@ -684,12 +684,13 @@ def test_streamed_run_memory_does_not_hold_the_states():
     float array of width 2d."""
     bundle = cli.build_experiment(
         cli.load_config(cli.bundled_config("quickstart")))
+    z_star = cli._solution(bundle)
     width = 2 * bundle.problem.d
     peaks, helds = {}, {}
     for events in (45000, 180000):
         tracemalloc.start()
         try:
-            trace = cli._run_trace(bundle, events, None, bundle.z_star)
+            trace = cli._run_trace(bundle, events, None, z_star)
             helds[events], peaks[events] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -719,8 +720,9 @@ def status(key):
                     if line.startswith(key))
 
 bundle = cli.build_experiment(cli.load_config(cli.bundled_config("quickstart")))
+z_star = cli._solution(bundle)
 before = status("VmRSS:")
-trace = cli._run_trace(bundle, int(sys.argv[1]), None, bundle.z_star)
+trace = cli._run_trace(bundle, int(sys.argv[1]), None, z_star)
 growth = status("VmHWM:") - before
 series = trace.series
 arrays = [trace.node, trace.samples, trace.z_tilde, *trace.messages._columns(),
@@ -781,8 +783,8 @@ def test_node_whose_only_update_lands_after_the_trace_is_named():
 def test_sync_round_structure():
     prob = build_problem(n=3)
     g = graph.generate_topology("ring", 3)
-    trace = simulator.run_sync(prob, g, rounds=8, eta1=0.01, eta2=0.1, seed=5,
-                               z_star=None)
+    trace = run_sync(prob, g, rounds=8, eta1=0.01, eta2=0.1, seed=5,
+                     z_star=None)
     assert trace.num_events == 24
     for k in range(1, trace.num_events + 1):
         node = trace.node[k - 1]
@@ -803,8 +805,8 @@ def test_run_sync_streams_the_spelled_out_series():
     prob = build_problem(n=3)
     g = graph.generate_topology("ring", 3)
     z_star = mspbe.solve_problem(prob)
-    sync = simulator.run_sync(prob, g, rounds=30, eta1=0.01, eta2=0.1,
-                              seed=5, z_star=z_star)
+    sync = run_sync(prob, g, rounds=30, eta1=0.01, eta2=0.1, seed=5,
+                    z_star=z_star)
     spelled = simulator.run_async(
         prob, g, simulator.ActivationSchedule("round_robin", 3),
         simulator.DelayModel("round_barrier", d_max=2), 0.01, 0.1, seed=5,
