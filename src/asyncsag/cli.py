@@ -331,9 +331,16 @@ def _run_trace(bundle: ExperimentBundle, max_events: int, seed: int | None,
                z_star: np.ndarray | None = None) -> simulator.EventTrace:
     cfg = bundle.config
     seed = cfg.run_seed if seed is None else seed
-    return simulator.run_async(bundle.problem, bundle.graph, _schedule(cfg),
-                               _delays(cfg), cfg.eta1, cfg.eta2, seed,
-                               max_events=max_events, z_star=z_star)
+    try:
+        return simulator.run_async(bundle.problem, bundle.graph,
+                                   _schedule(cfg), _delays(cfg), cfg.eta1,
+                                   cfg.eta2, seed, max_events=max_events,
+                                   z_star=z_star)
+    except MemoryError:
+        # verify and constants run min(verify_events, max_events) events
+        key = "max_events" if max_events == cfg.max_events else "verify_events"
+        raise ConfigError(f"[algorithm] {key}: cannot allocate the record of "
+                          f"{max_events} events") from None
 
 
 _EIGHT_DIGITS = decimal.Context(prec=8, rounding=decimal.ROUND_HALF_EVEN,

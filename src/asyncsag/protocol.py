@@ -21,7 +21,8 @@ omega block carries the negated dual gradient, so the single subtraction in
 step 4 descends on theta and ascends on omega.
 
 Nodes never share state; all interaction flows through payload rows that the
-caller (the simulator) delivers.
+caller (the simulator) delivers, and the caller picks each activation's
+sample (the simulator draws a node's picks from its ``SampleSelector``).
 """
 
 from __future__ import annotations
@@ -127,14 +128,12 @@ class NodeState:
     rho: float
     m_global: int
     out_degree: int
-    selector: SampleSelector
     buffer: list[int]                # payload rows
 
 
 def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...],
               out_degree: int, m_global: int, rho: float,
-              selector: SampleSelector, payloads: PayloadTable,
-              row: int) -> NodeState:
+              payloads: PayloadTable, row: int) -> NodeState:
     """Fill the gradient table at z = 0 and stage the initial broadcast.
 
     The broadcast (z = 0 and the tracker) is written to ``row`` of the
@@ -142,8 +141,6 @@ def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...]
     own copy is already buffered.
     """
     stats = tuple(samples)
-    if len(stats) != selector.m_local:
-        raise ValueError("selector size does not match the sample count")
     z0 = np.zeros(payloads.z.shape[1])
     table = np.stack([saddle_gradient(z0, st, rho) for st in stats])
     payloads.z[row] = z0
@@ -151,8 +148,7 @@ def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...]
     payloads.degree[row] = out_degree
     return NodeState(
         node_id=node_id, table=table, stats=stats, rho=rho,
-        m_global=m_global, out_degree=out_degree, selector=selector,
-        buffer=[row],
+        m_global=m_global, out_degree=out_degree, buffer=[row],
     )
 
 

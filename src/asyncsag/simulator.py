@@ -15,17 +15,17 @@ five int columns with one row per network message (``trace.messages[i]``
 builds the ``Message`` record of row i), which with the activator column is
 the one record of who consumed what.
 
-``run_async`` works through blocks of ``_PLAN_BLOCK`` events. None of the
-bookkeeping depends on a value of z or y, so each block is first planned with
-array code: who activates, which sample each activation refreshes, every
-message's delay, and which activation consumes which message in which buffer
-order. A per-event loop then runs only the protocol's arithmetic on that plan.
-Each block that has run writes its rows of the record, each column one array
-for the whole run, in one of two ways, each holding what its one reader
-reads: its broadcasts ``z_tilde`` (the full trace, which ``augmented.replay``
-reads), or, given the solution, its rows of the error series (the streamed
-trace, whose ``series`` ``asyncsag run`` writes). The trace holds prefix
-views of those arrays and of the message log's.
+None of the bookkeeping depends on a value of z or y. ``run_async`` first
+draws the whole run's activators, which fix the length of every record
+column, and each node's sample picks, and allocates each column once, at its
+length. It then works through blocks of ``_PLAN_BLOCK`` events: array code
+draws the delays of a block's messages and plans which activation consumes
+which message in which buffer order, and a per-event loop runs only the
+protocol's arithmetic on that plan. Each block that has run writes its rows
+of the record into their slice, in one of two ways, each holding what its one
+reader reads: its broadcasts ``z_tilde`` (the full trace, which
+``augmented.replay`` reads), or, given the solution, its rows of the error
+series (the streamed trace, whose ``series`` ``asyncsag run`` writes).
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ class ActivationSchedule:
         cdf = np.cumsum(self.weights())
         return cdf / cdf[-1]
 
-    def next(self, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-        """The activators of events k .. k + count - 1."""
+    def next(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """The activators of events 1 .. count."""
         if self.kind == "round_robin":
-            return np.arange(k - 1, k - 1 + count) % self.n
+            return np.arange(count) % self.n
         # the draws and the stream are those of count rng.choice(n, p=weights())
         return self._cdf.searchsorted(rng.random(count), side="right")
 
@@ -258,30 +258,13 @@ class EventTrace:
 # run_async plans this many events at a time with array code
 _PLAN_BLOCK = 4096
 
-# the record's arrays first get this many rows, which hold every bundled
-# run, or as many as the run can fill if that is fewer
-_FIRST_ROWS = 2**18
-
-
-def _grown(buffer: np.ndarray, rows: int, most: int) -> np.ndarray:
-    """``buffer`` if it has ``rows`` rows, else a copy of it with
-    ``_FIRST_ROWS``, twice its rows or ``rows``, whichever is most, but
-    never more than ``most``; the new rows are unset."""
-    have = buffer.shape[0]
-    if rows <= have:
-        return buffer
-    grown = np.empty((min(max(rows, 2 * have, _FIRST_ROWS), most),)
-                     + buffer.shape[1:], dtype=buffer.dtype)
-    grown[:have] = buffer
-    return grown
-
 
 class _Network:
     """The messages of one run: the log in send order (a message's index is
     its rank in it), and the indices of the ones still in flight."""
 
     def __init__(self, graph: DirectedGraph, delays: DelayModel,
-                 rng: np.random.Generator, max_events: int) -> None:
+                 rng: np.random.Generator, node: np.ndarray) -> None:
         # broadcast targets; the self-copy is already buffered by the protocol
         targets = [[v for v in graph.out_neighbors(i) if v != i]
                    for i in range(graph.n)]
@@ -291,11 +274,12 @@ class _Network:
                                  dtype=np.int64)
         self._delays, self._rng = delays, rng
         # the log: columns origin, dest, sent, slot and consuming event (-1
-        # for none yet), ``_count`` rows written of at most ``_most``. Each
-        # is its own buffer: numpy asks for huge pages from 4 MB on, and
-        # columns 2 MB apart in one buffer would each take one on first use.
-        self.log = [np.empty(0, dtype=np.int64) for _ in range(5)]
-        self._most = int(self._fanout.sum() + max_events * self._fanout.max())
+        # for none yet), one row per message that the initial broadcasts and
+        # the activators ``node`` send, ``_count`` written. Each is its own
+        # buffer: numpy asks for huge pages from 4 MB on, and columns 2 MB
+        # apart in one buffer would each take one on first use.
+        rows = int(self._fanout.sum() + self._fanout[node].sum())
+        self.log = [np.empty(rows, dtype=np.int64) for _ in range(5)]
         self._count = 0
         self.pending = np.empty(0, dtype=np.int64)
 
@@ -311,22 +295,8 @@ class _Network:
         slot = sent + self._delays.draw(self._rng, sent)
         start, self._count = self._count, self._count + total
         self.pending = np.append(self.pending, np.arange(start, self._count))
-        for j, rows in enumerate((origin, dest, sent, slot, -1)):
-            self.log[j] = _grown(self.log[j], self._count, self._most)
-            self.log[j][start:self._count] = rows
-
-    def message_log(self) -> MessageLog:
-        """Every message sent, as views of the network's log."""
-        return MessageLog(*(col[:self._count] for col in self.log))
-
-
-@dataclass
-class _Block:
-    """The plan of events k0 .. k0 + count - 1 (row j is event k0 + j)."""
-
-    node: np.ndarray
-    samples: np.ndarray
-    oldest_read: int    # the oldest payload row read by this block or later
+        for column, rows in zip(self.log, (origin, dest, sent, slot, -1)):
+            column[start:self._count] = rows
 
 
 def _payload_row(origin: np.ndarray, sent: np.ndarray, n: int) -> np.ndarray:
@@ -335,19 +305,18 @@ def _payload_row(origin: np.ndarray, sent: np.ndarray, n: int) -> np.ndarray:
     return np.where(sent == 0, origin, n + sent - 1)
 
 
-def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
-                rng: np.random.Generator, network: _Network,
-                nodes: list[NodeState]
-                ) -> tuple[_Block, list[int], list[int], list[int]]:
-    """Plan a block of events from the random streams and the graph alone.
+def _plan_block(k0: int, act: np.ndarray, network: _Network, n: int
+                ) -> tuple[int, list[int], list[int], np.ndarray]:
+    """Plan the deliveries of events k0 .. k0 + len(act) - 1, whose
+    activators are ``act``, from the delay stream and the graph alone.
 
     The network's messages in flight carry from block to block. Returns the
-    block and its deliveries: event j's are entries
-    ``delivered[j]:delivered[j+1]`` of the list ``dest`` and the array
-    ``row`` (the payload row), the rest of its buffer in order.
+    oldest payload row that this block or a later one reads, and the block's
+    deliveries: event j's are entries ``delivered[j]:delivered[j+1]`` of the
+    list ``dest`` and the array ``row`` (the payload row), the rest of its
+    buffer in order.
     """
-    n = len(nodes)
-    act = schedule.next(k0, count, rng)
+    count = act.shape[0]
     events = np.arange(k0, k0 + count)
     if k0 == 1:   # the initial broadcasts go first
         network.send(np.concatenate([np.arange(n), act]),
@@ -376,19 +345,11 @@ def _plan_block(k0: int, count: int, schedule: ActivationSchedule,
     network.log[4][index] = k0 + at   # consumed at
 
     delivered = at.searchsorted(np.arange(count + 1))
-
-    # each node's picks, drawn in one go from its selector
-    samples = np.empty(count, dtype=np.int64)
-    samples[order] = np.concatenate([
-        nd.selector.take(c)
-        for nd, c in zip(nodes, np.bincount(act, minlength=n).tolist())])
-
     row = _payload_row(origin, sent, n)
     waiting = _payload_row(network.log[0][network.pending],
                            network.log[2][network.pending], n)
     oldest = min(row.min(initial=n + k0 - 1), waiting.min(initial=n + k0 - 1))
-    block = _Block(node=act, samples=samples, oldest_read=int(oldest))
-    return block, delivered.tolist(), dest.tolist(), row
+    return int(oldest), delivered.tolist(), dest.tolist(), row
 
 
 def run_async(problem: ProblemSpec, graph: DirectedGraph,
@@ -400,7 +361,8 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
 
     Given the solution ``z_star``, each planned block is reduced to its rows
     of the error series by ``metrics`` once it has run, and the trace keeps
-    that series in place of the events' broadcasts.
+    that series in place of the events' broadcasts. Raises MemoryError when
+    the record of ``max_events`` events cannot be allocated.
     """
     for name, value in (("max_events", max_events), ("seed", seed)):
         if (isinstance(value, bool)
@@ -417,39 +379,45 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
                              f"positive, got {eta!r}")
     if schedule.n != graph.n:
         raise ValueError("schedule node count does not match the graph")
+    # numpy refuses an int64 column this long outright, with a ValueError
+    if max_events > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"no record of {max_events} events fits in memory")
 
     n, width = problem.n, 2 * problem.d
-    rng_sched = derived_rng(seed, STREAM_SCHEDULE)
-
     # Payload row v < n is node v's initial broadcast and row n + k - 1
     # event k's. The table holds the rows from ``base`` on, the oldest that
     # a buffer or a planned delivery can still read, and the buffers and
     # deliveries index it from there.
     payloads, base = PayloadTable.empty(n, width), 0
-    nodes = [
-        init_node(i, problem.per_node[i], graph.out_degree(i), problem.m,
-                  problem.rho,
-                  SampleSelector(problem.m_i[i], selector_rng(seed, i)),
-                  payloads, row=i)
-        for i in range(n)
-    ]
-    carry = None if z_star is None else MetricCarry.start(payloads.y, z_star)
-    network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY),
-                       max_events)
-    # the record's columns, row k - 1 event k's: the plan's, and the
-    # broadcasts (the full trace) or the rows of the error series, whose
-    # row 0 is the initialization's and row k event k's
-    series_names = [field.name for field in fields(MetricSeries)]
-    record: dict[str, np.ndarray] = {}
+    nodes = [init_node(i, problem.per_node[i], graph.out_degree(i), problem.m,
+                       problem.rho, payloads, row=i) for i in range(n)]
+    # the whole run's activators, and each node's picks in the order of its
+    # activations, drawn at once from its selector
+    node = schedule.next(max_events, derived_rng(seed, STREAM_SCHEDULE))
+    samples = np.empty(max_events, dtype=np.int64)
+    samples[np.argsort(node, kind="stable")] = np.concatenate([
+        SampleSelector(m_local, selector_rng(seed, i)).take(c)
+        for i, (m_local, c) in enumerate(zip(
+            problem.m_i, np.bincount(node, minlength=n).tolist()))])
+    network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY), node)
+    # the rest of the record, row k - 1 event k's: the broadcasts (the full
+    # trace), or the error series, whose row 0 is the initialization's and
+    # row k event k's
+    if z_star is None:
+        z_tilde, series, carry = np.empty((max_events, width)), None, None
+    else:
+        z_tilde = np.empty((0, width))
+        series = MetricSeries(*(np.empty(max_events + 1)
+                                for _ in fields(MetricSeries)))
+        carry = MetricCarry.start(payloads.y, z_star)
     for k0 in range(1, max(max_events, 1) + 1, _PLAN_BLOCK):
-        count = min(_PLAN_BLOCK, max_events + 1 - k0)
-        block, delivered, dest, row = _plan_block(
-            k0, count, schedule, rng_sched, network, nodes)
+        block = slice(k0 - 1, min(k0 - 1 + _PLAN_BLOCK, max_events))
+        act = node[block]
+        oldest, delivered, dest, row = _plan_block(k0, act, network, n)
         # drop the rows that nothing can read any more, and make room for
         # the block's broadcasts
-        oldest = min(block.oldest_read,
-                     base + min(min(nd.buffer) for nd in nodes))
-        kept = n + k0 - 1 - oldest
+        oldest = min(oldest, base + min(min(nd.buffer) for nd in nodes))
+        kept, count = n + k0 - 1 - oldest, act.shape[0]
         table = PayloadTable.empty(kept + count, width)
         table.z[:kept], table.y[:kept], table.degree[:kept] = (
             col[oldest - base:]
@@ -459,45 +427,32 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         payloads, base = table, oldest
         row = (row - base).tolist()
 
-        for k, i, pick, lo, hi in zip(range(k0, k0 + count),
-                                       block.node.tolist(),
-                                       block.samples.tolist(), delivered,
+        for k, i, pick, lo, hi in zip(range(k0, k0 + count), act.tolist(),
+                                       samples[block].tolist(), delivered,
                                        delivered[1:]):
-            node = nodes[i]
+            active = nodes[i]
             for q in range(lo, hi):
-                on_receive(node, dest[q], row[q])
-            activate(node, payloads, n + k - 1 - base, pick, eta1, eta2)
+                on_receive(active, dest[q], row[q])
+            activate(active, payloads, n + k - 1 - base, pick, eta1, eta2)
 
-        last = k0 + count - 1
-        rows = {"node": block.node, "samples": block.samples}
-        states = slice(n + k0 - 1 - base, n + last - base)
+        states = slice(kept, kept + count)
         if carry is None:
-            rows["z_tilde"] = payloads.z[states]
+            z_tilde[block] = payloads.z[states]
         else:
-            rows.update(vars(metrics(block.node, payloads.z[states],
-                                     payloads.y[states], z_star, carry)))
-        # each column starts empty, with its rows' dtype and width, and
-        # grows one at a time; its rows end at the block's last event
-        for name, value in rows.items():
-            end = last + (name in series_names)   # the series' row 0
-            record[name] = _grown(record.get(name, value[:0]), end,
-                                  max_events + end - last)
-            record[name][end - value.shape[0]:end] = value
+            piece = metrics(act, payloads.z[states], payloads.y[states],
+                            z_star, carry)
+            # the piece's rows end at the block's last event
+            for column, rows in zip(vars(series).values(),
+                                    vars(piece).values()):
+                column[block.stop + 1 - rows.shape[0]:block.stop + 1] = rows
 
-    series = None
-    if carry is not None:
-        series = MetricSeries(**{name: record.pop(name)[:max_events + 1]
-                                 for name in series_names})
-        record["z_tilde"] = np.empty((0, width))
-    messages = network.message_log()
+    messages = MessageLog(*network.log)
     log.info("run_async: %d events, %d network messages, %d consumed",
              max_events, len(messages),
              np.count_nonzero(messages.consumed_at >= 0))
-    return EventTrace(
-        n=n, d=problem.d, m_i=problem.m_i, eta1=eta1, eta2=eta2, graph=graph,
-        **{name: col[:max_events] for name, col in record.items()},
-        messages=messages, series=series,
-    )
+    return EventTrace(n=n, d=problem.d, m_i=problem.m_i, eta1=eta1,
+                      eta2=eta2, graph=graph, node=node, samples=samples,
+                      z_tilde=z_tilde, messages=messages, series=series)
 
 
 # ---------------------------------------------------------------------------

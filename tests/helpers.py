@@ -79,13 +79,12 @@ def recorded_states():
     states = NodeStates([], [], [])
     init, act = simulator.init_node, simulator.activate
 
-    def init_node(node_id, samples, out_degree, m_global, rho, selector,
-                  payloads, row):
+    def init_node(node_id, samples, out_degree, m_global, rho, payloads, row):
         if node_id == 0:   # a new run
             for rows in (states.y0, states.z_tilde, states.y_new):
                 rows.clear()
-        node = init(node_id, samples, out_degree, m_global, rho, selector,
-                    payloads, row)
+        node = init(node_id, samples, out_degree, m_global, rho, payloads,
+                    row)
         states.y0.append(payloads.y[row].copy())
         return node
 

@@ -188,6 +188,18 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
      ("config error: [algorithm] max_events", "at least 1")),
     (("verify_events = 100", "verify_events = 0"),
      ("config error: [algorithm] verify_events", "at least 1")),
+    # a record that cannot be allocated: 8 PB per int64 column, past the
+    # address space, so the first allocation fails at once; and a length
+    # that numpy refuses outright, caught before any allocation
+    (("max_events = 150\nverify_events = 100",
+      "max_events = 1000000000000000\nverify_events = 1000000000000000"),
+     ("config error: [algorithm] max_events: cannot allocate the record of "
+      "1000000000000000 events",)),
+    (("max_events = 150\nverify_events = 100",
+      "max_events = 10000000000000000000\n"
+      "verify_events = 10000000000000000000"),
+     ("config error: [algorithm] max_events: cannot allocate the record of "
+      "10000000000000000000 events",)),
     (("num_actions = 2", "num_actions = 0"),
      ("config error: [problem] num_actions", "at least one action")),
     (("d = 3", "d = 0"),
@@ -284,7 +296,8 @@ def test_main_reports_bad_config_with_exit_2(tmp_path, capsys):
         "n_values", "sync-kind", "c-not-positive-definite",
         "c-rank-deficient-seed-2", "c-rank-deficient-seed-5", "singular-saddle",
         "max-events-0",
-        "verify-events-0", "num-actions-0", "d-0", "eta1-nan", "eta2-inf",
+        "verify-events-0", "max-events-unallocatable",
+        "max-events-past-address-space", "num-actions-0", "d-0", "eta1-nan", "eta2-inf",
         "rho-nan", "eta1-values-nan", "straggler-factor-nan",
         "num-states-1", "m-0", "problem-seed-negative",
         "schedule-seed-negative", "target-err-nan", "d-max-overflow",
@@ -308,6 +321,19 @@ def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, swap, needles):
         for needle in needles:
             assert needle in err
         assert "Traceback" not in err
+
+
+def test_unallocatable_verify_length_names_verify_events(tmp_path, capsys):
+    # verify and constants run min(verify_events, max_events) events
+    text = BASE_INI.replace("max_events = 150\nverify_events = 100",
+                            "max_events = 10000000000000000\n"
+                            "verify_events = 1000000000000000")
+    bad = write_ini(tmp_path, text)
+    for command in ("verify", "constants"):
+        assert cli.main([command, "--config", str(bad)]) == cli.EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("config error: [algorithm] verify_events: cannot "
+                       "allocate the record of 1000000000000000 events\n")
 
 
 def test_default_section_key_read_through_a_section_is_known(tmp_path):

@@ -132,13 +132,12 @@ def test_activate_matches_reference_on_shared_payloads():
         for _ in range(2):
             payloads = PayloadTable.empty(rows, 2 * d)
             selector = protocol.SampleSelector(3, protocol.selector_rng(1, 0))
-            node = protocol.init_node(0, stats, 3, 7, 0.1, selector,
-                                      payloads, row=0)
+            node = protocol.init_node(0, stats, 3, 7, 0.1, payloads, row=0)
             payloads.z[1:], payloads.y[1:] = z[1:], y[1:]
             payloads.degree[1:] = degree[1:]
             # one row may sit in a buffer twice, as a duplicate delivery does
             node.buffer += list(range(1, 1 + length)) + [1]
-            (pick,) = node.selector.take(1).tolist()
+            (pick,) = selector.take(1).tolist()
             sides.append((node, payloads, pick))
         (fast_node, fast_rows, pick), (slow_node, slow_rows, _) = sides
         fast = unchanged_payloads(protocol.activate)(fast_node, fast_rows,
@@ -194,10 +193,10 @@ def test_bench_tracer_wraps_the_hot_path(monkeypatch, tmp_path, capsys):
     # the series comes from the wrapped reduction and is written once
     assert calls["simulator.metrics"] >= 1
     assert calls["simulator.write_metrics_csv"] == 1
-    # the schedule and the delays are drawn once per planned block
+    # the schedule is drawn once per run, the delays once per planned block
     blocks = math.ceil(trace.num_events / simulator._PLAN_BLOCK)
     assert blocks > 1
-    assert calls["simulator.schedule_next"] == blocks
+    assert calls["simulator.schedule_next"] == 1
     assert calls["simulator.delay_draw"] == blocks
     received = sum(msg.consumed_at is not None for msg in trace.messages)
     assert calls["protocol.on_receive"] == received

@@ -18,16 +18,15 @@ def scalar_stats(phi=0.0, psi=0.0, r=0.0):
     return mspbe.SampleStats(np.array([phi]), np.array([psi]), r)
 
 
-def make_node(samples, out_degree=2, m_global=None, rho=0.1, seed=0,
-              node_id=0, payloads=None):
+def make_node(samples, out_degree=2, m_global=None, rho=0.1, node_id=0,
+              payloads=None):
     """A node, at z = 0, whose initial broadcast is row ``node_id`` of
     ``payloads`` (a fresh 64-row table unless given)."""
     m_global = len(samples) if m_global is None else m_global
     payloads = (PayloadTable.empty(64, 2 * samples[0].phi.shape[0])
                 if payloads is None else payloads)
-    selector = SampleSelector(len(samples), selector_rng(seed, node_id))
-    node = init_node(node_id, samples, out_degree, m_global, rho,
-                     selector, payloads, row=node_id)
+    node = init_node(node_id, samples, out_degree, m_global, rho, payloads,
+                     row=node_id)
     return node, payloads
 
 
@@ -204,12 +203,13 @@ def test_table_soundness_against_eval_points():
     samples = [scalar_stats(phi=float(rng.normal()), psi=float(rng.normal()),
                             r=float(rng.normal()))
                for _ in range(4)]
-    node, payloads = make_node(samples, out_degree=2, seed=5)
+    node, payloads = make_node(samples, out_degree=2)
+    selector = SampleSelector(4, selector_rng(5, 0))
     eval_points = np.zeros((4, 2))
     for k in range(1, 30):
         put(payloads, 2 * k - 1, rng.normal(size=2), rng.normal(size=2))
         on_receive(node, 0, 2 * k - 1)
-        (pick,) = node.selector.take(1).tolist()
+        (pick,) = selector.take(1).tolist()
         eval_points[pick] = activate(node, payloads, 2 * k, pick, 0.05, 0.1)
         for p in range(4):
             expected = mspbe.saddle_gradient(eval_points[p], samples[p], 0.1)
@@ -228,8 +228,10 @@ def test_mass_conservation_two_node_relay():
     m = 3
     payloads = PayloadTable.empty(32, 2)
     nodes = [make_node(samples, out_degree=2, m_global=m,
-                       node_id=i, seed=9, payloads=payloads)[0]
+                       node_id=i, payloads=payloads)[0]
              for i, samples in enumerate(all_samples)]
+    selectors = [SampleSelector(len(samples), selector_rng(9, i))
+                 for i, samples in enumerate(all_samples)]
 
     def global_table_mean():
         return sum(node.table.sum(axis=0) for node in nodes) / m
@@ -243,7 +245,7 @@ def test_mass_conservation_two_node_relay():
         for row in inflight[i]:
             on_receive(node, i, row)
         inflight[i] = []
-        (pick,) = node.selector.take(1).tolist()
+        (pick,) = selectors[i].take(1).tolist()
         activate(node, payloads, k + 1, pick, 0.02, 0.05)
         # the new mass splits into out_degree shares (peer copy + self copy)
         inflight[1 - i].append(k + 1)

@@ -81,14 +81,13 @@ def test_schedule_draws_match_rng_choice(kind):
         kind=kind, n=5, straggler_node=3 if kind == "straggler" else None,
         straggler_factor=10.0 if kind == "straggler" else 1.0)
     ours, reference = np.random.default_rng(3), np.random.default_rng(3)
-    drawn, k = [], 1
+    drawn = []
     for count in (1, 777, 0, 2, 1500, 13, 2707):
-        drawn += sched.next(k, count, ours).tolist()
-        k += count
+        drawn += sched.next(count, ours).tolist()
     assert drawn == [int(reference.choice(5, p=sched.weights()))
                      for _ in range(5000)]
     rr = simulator.ActivationSchedule("round_robin", 3)
-    assert rr.next(5, 4, ours).tolist() == [1, 2, 0, 1]
+    assert rr.next(5, ours).tolist() == [0, 1, 2, 0, 1]
 
 
 @pytest.mark.parametrize("kind", ["zero", "uniform", "round_barrier"])
@@ -753,6 +752,32 @@ def test_streamed_run_rss_grows_with_the_record():
             <= 1.2 * (record[180000] - record[45000])), (growth, record)
 
 
+@pytest.mark.parametrize("topology,n", [("grid", 9), ("ring", 5)])
+def test_record_holds_no_spare_capacity(monkeypatch, topology, n):
+    """Every array of a trace owns exactly its rows, for the full trace and
+    the streamed run alike: the record is allocated once, at the size the
+    run's activators give it, also for a log whose fanouts differ from node
+    to node."""
+    monkeypatch.setattr(simulator, "_PLAN_BLOCK", 64)
+    prob = build_problem(n=n)
+    g = graph.generate_topology(topology, n)
+    fanouts = {g.out_degree(i) for i in range(n)}
+    assert len(fanouts) == (3 if topology == "grid" else 1)
+    args = (prob, g, simulator.ActivationSchedule("uniform_random", n),
+            simulator.DelayModel("uniform", d_max=2), 0.01, 0.1)
+    for z_star in (None, mspbe.solve_problem(prob)):
+        trace = simulator.run_async(*args, seed=4, max_events=300,
+                                    z_star=z_star)
+        arrays = [trace.node, trace.samples, trace.z_tilde,
+                  *trace.messages._columns()]
+        if z_star is not None:
+            arrays += [getattr(trace.series, field.name)
+                       for field in dataclasses.fields(trace.series)]
+        assert len(arrays) == (8 if z_star is None else 11)
+        for a in arrays:
+            assert a.base is None or a.base.nbytes == a.nbytes, a.shape
+
+
 def test_node_that_never_activates_is_named():
     z_star = mspbe.solve_problem(build_problem(n=4))
     with recorded_states() as states:
@@ -797,22 +822,7 @@ def test_sync_round_structure():
         peers = [j for j in g.in_neighbors(node) if j != node]
         assert consumed(trace, k) == tuple(
             (v, last[v]) for v in [node] + sorted(peers))
-
-
-def test_run_sync_streams_the_spelled_out_series():
-    """Given z_star, run_sync keeps the error series of the round-robin,
-    round-barrier run_async it stands for, bit for bit."""
-    prob = build_problem(n=3)
-    g = graph.generate_topology("ring", 3)
-    z_star = mspbe.solve_problem(prob)
-    sync = run_sync(prob, g, rounds=30, eta1=0.01, eta2=0.1, seed=5,
-                    z_star=z_star)
-    spelled = simulator.run_async(
-        prob, g, simulator.ActivationSchedule("round_robin", 3),
-        simulator.DelayModel("round_barrier", d_max=2), 0.01, 0.1, seed=5,
-        max_events=90, z_star=z_star)
-    assert sync.series.err_max.shape == (91,)
-    assert np.array_equal(sync.node, spelled.node)
-    for name in ("err_max", "err_mean", "y_norm_max"):
-        assert (getattr(sync.series, name).tobytes()
-                == getattr(spelled.series, name).tobytes()), name
+    # given z_star, the series has a row per event after the initial one
+    streamed = run_sync(prob, g, rounds=8, eta1=0.01, eta2=0.1, seed=5,
+                        z_star=mspbe.solve_problem(prob))
+    assert streamed.series.err_max.shape == (8 * 3 + 1,)
