@@ -2,7 +2,10 @@
 
 Every real node v gets a chain of b virtual registers per state family, so
 bounded-delay information flow becomes a single-timescale linear recursion.
-With ntilde = n*(b+1) rows, index (v, u) -> u*n + v, u=0 being the real row:
+b is the trace's certified window, ``trace.window``: every consumed payload
+is at most b - 1 events old and every splitter acts again within b events
+unless the trace ends first, so every entry fits the chains. With ntilde =
+n*(b+1) rows, index (v, u) -> u*n + v, u=0 being the real row:
 
   pull side   Z^{k} in R^{ntilde x 2d}, rows are sqrt(zeta)-scaled saddle
               vectors (omega block divided by sqrt(zeta));
@@ -66,7 +69,10 @@ import numpy as np
 
 from .mspbe import (ProblemSpec, SpectralConstants, from_scaled,
                     saddle_gradient)
-from .simulator import AssumptionViolation, EventTrace, verify_assumption1b
+from .simulator import EventTrace
+# unused here: bench/tracer.py and bench/selftest.py patch and read this
+# binding; the window itself comes from ``EventTrace.window``
+from .simulator import verify_assumption1b
 
 STOCHASTIC_TOL = 1e-12
 
@@ -103,30 +109,6 @@ class SparseMatrix:
     # the row gathers of ``@``, when the builder knows them; ``_row_gather``
     # derives them from the entries otherwise
     gather: RowGather | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_entries(cls, rows, cols, weights, size: int) -> SparseMatrix:
-        """Sort (row, col, weight) entries; sum repeated positions in order
-        and drop the positions whose sum is exactly zero.
-
-        The sum starts at zero and adds the repeats in input order, as a
-        dense ``+=`` over the same entries would.
-        """
-        rows = np.asarray(rows, dtype=np.int32)
-        cols = np.asarray(cols, dtype=np.int32)
-        key = rows.astype(np.int64) * size + cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        weights = np.asarray(weights, dtype=float)[order]
-        fresh = np.ones(key.size, dtype=bool)
-        fresh[1:] = key[1:] != key[:-1]
-        if not fresh.all():
-            weights = np.bincount(np.cumsum(fresh) - 1, weights=weights)
-        order = order[fresh]
-        nonzero = weights != 0.0
-        if not nonzero.all():
-            order, weights = order[nonzero], weights[nonzero]
-        return cls(rows[order], cols[order], weights, size)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -267,10 +249,9 @@ class _EventPlan:
     + receiver is added at the event (the last ``tops[k-1]`` entries hold
     the receiver alone). ``push_at`` places each share among the event's
     push entries, counted from the end for a share on top, so no array
-    depends on b. Per event, ``oldest`` is the oldest reception's age,
-    ``highest`` the highest consumed network share (-1 for none) and
-    ``latest`` the latest own share's height; ``build_event_matrices``
-    compares them with b before it reads anything else.
+    depends on b. A broadcast reaches each out-neighbour once, and the own
+    copy and own share go to their origin alone, so no two entries of an
+    event's pull or push share a position.
     """
 
     def __init__(self, trace: EventTrace):
@@ -287,23 +268,13 @@ class _EventPlan:
                               event[t:] - log.sent_at[used]])
         col = age * n + np.concatenate([node, log.origin[used]])
         order = np.lexsort((col, event))
-        event, age, col = event[order], age[order], col[order]
+        event, col = event[order], col[order]
         at = event.searchsorted(np.arange(t + 1))
         counts = np.diff(at)
-        weight = np.repeat(1.0 / counts, counts)
-        fresh = np.append(True, (event[1:] != event[:-1])
-                          | (col[1:] != col[:-1]))
-        if not fresh.all():
-            # a repeated reception adds its weight again, as a sum from zero
-            weight = np.bincount(np.cumsum(fresh) - 1, weights=weight)
-            event, age, col = event[fresh], age[fresh], col[fresh]
-            at = event.searchsorted(np.arange(t + 1))
         self.pull_at = at.tolist()
         self.pull_row = node[event].astype(np.int32)
         self.pull_col = col.astype(np.int32)
-        self.pull_weight = weight
-        # an event's entries sort by age, so its last is its oldest
-        self.oldest = age[at[1:] - 1].tolist()
+        self.pull_weight = np.repeat(1.0 / counts, counts)
 
         # push: the messages sent at event k - 1, then the splitters' own
         # shares (every node's at event 1, the previous activator's after),
@@ -318,14 +289,7 @@ class _EventPlan:
                                following[:-1]])
         top = np.concatenate([log.consumed_at[sent] < 0,
                               used[shares:] == t])
-        height = used - event
-        highest = np.full(t, -1, dtype=np.int64)
-        np.maximum.at(highest, event[:shares][~top[:shares]],
-                      height[:shares][~top[:shares]])
-        self.highest = highest.tolist()
-        self.latest = np.concatenate([[height[shares:shares + n].max()],
-                                      height[shares + n:]]).tolist()
-        parked = np.where(top, dest, height * n + dest)
+        parked = np.where(top, dest, (used - event) * n + dest)
         order = np.lexsort((origin, parked, top, event))
         event, origin, parked, top = (array[order] for array in
                                       (event, origin, parked, top))
@@ -347,20 +311,15 @@ class _EventPlan:
         self.push_weight = 1.0 / np.array(
             [trace.graph.out_degree(v) for v in range(n)], dtype=float)[origin]
         tops = np.bincount(event[top], minlength=t)
-        repeated = np.zeros(t, dtype=bool)
-        repeated[event[1:][(event[1:] == event[:-1])
-                           & (parked[1:] == parked[:-1])
-                           & (top[1:] == top[:-1])
-                           & (origin[1:] == origin[:-1])]] = True
-        self.tops, self.repeated = tops.tolist(), repeated.tolist()
+        self.tops = tops.tolist()
 
         # The row gathers of the push matrix of each event after the first
-        # with no share on top and no repeated entry (``gathered``); the
-        # others derive theirs from the entries. Every row that a share of
-        # the splitter w parks in is reset and adds two entries in column
-        # order: the share and the real row's holding entry (p, p), or the
-        # share and the chain entry (p, p + n) of any other row.
-        self.gathered = ((events > 0) & (tops == 0) & ~repeated).tolist()
+        # with no share on top (``gathered``); the others derive theirs from
+        # the entries. Every row that a share of the splitter w parks in is
+        # reset and adds two entries in column order: the share and the real
+        # row's holding entry (p, p), or the share and the chain entry
+        # (p, p + n) of any other row.
+        self.gathered = ((events > 0) & (tops == 0)).tolist()
         real = (parked < n) & (parked != origin)
         lead = ~real | (origin < parked)
         self.added_rows = np.repeat(self.push_rows, 2)
@@ -388,9 +347,9 @@ def _event_plan(trace: EventTrace) -> _EventPlan:
     return plan
 
 
-def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
+def build_event_matrices(trace: EventTrace, k: int) -> EventMatrices:
     """Construct H_R^k, H_C^k, I_a^k for event k (1-based) of the trace, at
-    the window b that ``verify_assumption1b`` certifies for it.
+    its certified window ``trace.window``.
 
     Each matrix is the identity and chain-shift entries of ``_layout`` with
     the event's other entries, from the trace's ``_EventPlan``, put at their
@@ -398,18 +357,11 @@ def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
     t = trace.num_events
     if not (1 <= k <= t):
         raise ValueError(f"event index {k} outside the trace (1..{t})")
-    n = trace.n
+    n, b = trace.n, trace.window
     ntilde = n * (b + 1)  # register (v, u) has index u*n + v
     layout = _layout(n, b)
     index, pull_cols, ones = layout.index, layout.pull_cols, layout.ones
     plan = _event_plan(trace)
-    if plan.oldest[k - 1] > b - 1:
-        _raise_stale_reception(trace, k, b)
-    sent = k - 1
-    if plan.latest[k - 1] > b - 1 and sent + b <= t:
-        _raise_idle_splitter(trace, k, b)
-    if plan.highest[k - 1] > b - 1:
-        _raise_late_share(trace, k, b)
 
     # --- pull matrix -------------------------------------------------------
     # The activator's row averages, in column order, its own latest
@@ -457,76 +409,29 @@ def build_event_matrices(trace: EventTrace, k: int, b: int) -> EventMatrices:
     if tops:   # the shares on top, last, park at b * n + receiver
         rows = rows.copy()
         rows[-tops:] += ntilde - n
-    if plan.repeated[k - 1]:
-        # a repeated position sums, as ``from_entries`` does
-        h_col = SparseMatrix.from_entries(
-            np.concatenate([base_rows, rows]),
-            np.concatenate([base_cols, plan.push_cols[lo:hi]]),
-            np.concatenate([ones[:base_rows.size],
-                            plan.push_weight[lo:hi]]), ntilde)
-    else:
-        at = plan.push_at[lo:hi]
-        held = np.empty(base_rows.size + at.size, dtype=bool)
-        held.fill(True)
-        held[at] = False
-        h_rows = np.empty(held.size, dtype=np.int32)
-        h_rows[held] = base_rows
-        h_rows[at] = rows
-        h_cols = np.empty(held.size, dtype=np.int32)
-        h_cols[held] = base_cols
-        h_cols[at] = plan.push_cols[lo:hi]
-        weights = np.empty(held.size)
-        weights.fill(1.0)
-        weights[at] = plan.push_weight[lo:hi]
-        h_col = SparseMatrix(h_rows, h_cols, weights, ntilde, gather)
+    at = plan.push_at[lo:hi]
+    held = np.empty(base_rows.size + at.size, dtype=bool)
+    held.fill(True)
+    held[at] = False
+    h_rows = np.empty(held.size, dtype=np.int32)
+    h_rows[held] = base_rows
+    h_rows[at] = rows
+    h_cols = np.empty(held.size, dtype=np.int32)
+    h_cols[held] = base_cols
+    h_cols[at] = plan.push_cols[lo:hi]
+    weights = np.empty(held.size)
+    weights.fill(1.0)
+    weights[at] = plan.push_weight[lo:hi]
+    h_col = SparseMatrix(h_rows, h_cols, weights, ntilde, gather)
 
     return EventMatrices(h_row=h_row, h_col=h_col, i_act=i_act)
 
 
-def _raise_stale_reception(trace: EventTrace, k: int, b: int) -> None:
-    """Name the first reception of event k, in buffer order, older than the
-    window b allows."""
-    i = int(trace.node[k - 1])
-    rows = trace.messages.consumed_by(k)
-    origin = [i] + trace.messages.origin[rows].tolist()
-    sent = ([int(trace.activations[0][k - 1]) + 1]
-            + trace.messages.sent_at[rows].tolist())
-    j = next(j for j, s in enumerate(sent) if k - 1 - s > b - 1)
-    raise AssumptionViolation(
-        f"event {k}: reception from node {origin[j]} (event {sent[j]}) is "
-        f"{k - 1 - sent[j]} events old, exceeding the window b={b}")
-
-
-def _raise_idle_splitter(trace: EventTrace, k: int, b: int) -> None:
-    """Name the first node splitting at event k that does not activate
-    within the b events after event k - 1."""
-    previous, following, first = trace.activations
-    if k == 1:
-        splitters, upcoming = range(trace.n), first.tolist()
-    else:
-        splitters, upcoming = [int(trace.node[k - 2])], [following[k - 2]]
-    w = next(w for w, nxt in zip(splitters, upcoming) if nxt - (k - 1) > b - 1)
-    raise AssumptionViolation(
-        f"event {k}: node {w} does not activate within the {b} events after "
-        f"event {k - 1}, so its own share rests past b={b}")
-
-
-def _raise_late_share(trace: EventTrace, k: int, b: int) -> None:
-    """Name the first network share that splits at event k and rests longer
-    than the window b allows before it is consumed."""
-    log, sent = trace.messages, k - 1
-    lo, hi = log.sent_at.searchsorted([sent, sent + 1])
-    height = log.consumed_at[lo:hi] - sent - 1
-    j = lo + int(np.argmax(height > b - 1))
-    raise AssumptionViolation(
-        f"event {k}: share from node {log.origin[j]} (event {sent}) to node "
-        f"{log.dest[j]} rests {height[j - lo]} events, exceeding b={b}")
-
-
-def replay(trace: EventTrace, problem: ProblemSpec,
-           b: int | None = None) -> Iterator[AugmentedState]:
+def replay(trace: EventTrace,
+           problem: ProblemSpec) -> Iterator[AugmentedState]:
     """Re-run the whole trace as the augmented matrix recursion, at the
-    trace's own steps (eta = eta1, zeta = eta2 / eta1).
+    trace's own steps (eta = eta1, zeta = eta2 / eta1) and its certified
+    window ``trace.window``.
 
     Independent of the simulator's numerical path: gradients are recomputed
     at the replay's own reconstructed pull averages and the per-sample tables
@@ -534,10 +439,8 @@ def replay(trace: EventTrace, problem: ProblemSpec,
     gathers over its sparse matrices, built once and carried by the state.
 
     Yields the states k = 0..T in order; each owns its arrays, and only the
-    previous one is kept. ``b`` is the window ``verify_assumption1b``
-    certified on ``trace``; it is certified here when omitted. The layout
-    checks and the certification raise at the call, before the first state
-    is asked for.
+    previous one is kept. The layout checks and the certification raise at
+    the call, before the first state is asked for.
     """
     if problem.n != trace.n or problem.d != trace.d or problem.m_i != trace.m_i:
         raise ValueError("problem layout does not match the trace")
@@ -547,9 +450,7 @@ def replay(trace: EventTrace, problem: ProblemSpec,
         raise ValueError(f"the trace holds the broadcasts of "
                          f"{trace.z_tilde.shape[0]} of its {t} events; "
                          f"replay needs a full trace")
-    if b is None:
-        b = verify_assumption1b(trace)
-    return _replay_states(trace, problem, b)
+    return _replay_states(trace, problem, trace.window)
 
 
 def _replay_states(trace: EventTrace, problem: ProblemSpec,
@@ -579,7 +480,7 @@ def _replay_states(trace: EventTrace, problem: ProblemSpec,
     unscale = from_scaled(np.ones(2 * d), zeta)
     for k, i, p in zip(range(1, trace.num_events + 1), trace.node.tolist(),
                        trace.samples.tolist()):
-        mats = build_event_matrices(trace, k, b)
+        mats = build_event_matrices(trace, k)
 
         z_rows = mats.h_row @ prev.z_rows
         fresh = saddle_gradient(z_rows[i] * unscale, problem.per_node[i][p],

@@ -373,7 +373,7 @@ def _window_constants(bundle: ExperimentBundle,
 def constants_report(bundle: ExperimentBundle, trace: simulator.EventTrace) -> str:
     cfg = bundle.config
     spectral = bundle.spectral
-    rc = _window_constants(bundle, simulator.verify_assumption1b(trace))
+    rc = _window_constants(bundle, trace.window)
     lines = [
         "constants report",
         f"n {cfg.n}",
@@ -481,8 +481,7 @@ def cmd_verify(cfg: ExperimentConfig, seed: int | None) -> int:
     # np.maximum keeps a nan, which fails its check
     worst_row = worst_col = dev = res = 0.0
     h_rows, h_cols = [], []
-    b = simulator.verify_assumption1b(trace)
-    for state in augmented.replay(trace, bundle.problem, b):
+    for state in augmented.replay(trace, bundle.problem):
         dev = np.maximum(dev, augmented.check_equivalence(trace, state))
         res = np.maximum(res, augmented.tracking_residual(state))
         mats = state.mats
@@ -504,7 +503,7 @@ def cmd_verify(cfg: ExperimentConfig, seed: int | None) -> int:
     checks.append(("replay_equivalence", dev <= 1e-9, f"max deviation {dev:.2e}"))
     checks.append(("tracking_identity", res <= 1e-9, f"max residual {res:.2e}"))
 
-    rc = _window_constants(bundle, b)
+    rc = _window_constants(bundle, trace.window)
     dist_row = augmented.product_contraction(h_rows)
     dist_col = augmented.product_contraction(h_cols)
     first_bad = None

@@ -165,19 +165,6 @@ class MessageLog:
         if np.any(self.deliver_at < self.sent_at):
             raise ValueError("message cannot be delivered before it is sent")
 
-    def consumed_by(self, k: int) -> np.ndarray:
-        """The rows that event k's pull consumed, in buffer order (slot,
-        sent event, origin, send rank)."""
-        events, rows = self._by_consumer
-        return rows[slice(*events.searchsorted([k, k + 1]))]
-
-    @cached_property
-    def _by_consumer(self) -> tuple[np.ndarray, np.ndarray]:
-        # every row, by consuming event and then in buffer order
-        rows = np.lexsort((self.origin, self.sent_at, self.deliver_at,
-                           self.consumed_at))
-        return self.consumed_at[rows], rows
-
     def _columns(self) -> tuple[np.ndarray, ...]:
         return (self.origin, self.dest, self.sent_at, self.deliver_at,
                 self.consumed_at)
@@ -207,10 +194,10 @@ class EventTrace:
 
     Every node starts at z = 0. Event k (1-based) is row k - 1 of every
     per-event column. ``messages`` holds every network message as int
-    columns; its entries are ``Message`` records. Event k's pull consumed,
-    in buffer order, the activator's own latest broadcast (that of its
-    previous activation, or its initial one) and then the rows
-    ``messages.consumed_by(k)``.
+    columns; its entries are ``Message`` records. Event k's pull consumed
+    the activator's own latest broadcast (that of its previous activation,
+    or its initial one) and the rows whose ``messages.consumed_at`` is k.
+    ``window`` is the trace's bounded-asynchrony window b, certified once.
 
     Both records hold the plan columns (``node``, ``samples``,
     ``messages``). A full trace adds every event's broadcast in ``z_tilde``,
@@ -254,6 +241,13 @@ class EventTrace:
         first[by_node[starts]] = order[starts]
         return previous, following, first
 
+    @cached_property
+    def window(self) -> int:
+        """The window b that ``verify_assumption1b`` certifies for this
+        trace, computed at the first read; raises AssumptionViolation when
+        some node starves."""
+        return verify_assumption1b(self)
+
 
 # run_async plans this many events at a time with array code
 _PLAN_BLOCK = 4096
@@ -264,7 +258,7 @@ class _Network:
     its rank in it), and the indices of the ones still in flight."""
 
     def __init__(self, graph: DirectedGraph, delays: DelayModel,
-                 rng: np.random.Generator, node: np.ndarray) -> None:
+                 rng: np.random.Generator, counts: np.ndarray) -> None:
         # broadcast targets; the self-copy is already buffered by the protocol
         targets = [[v for v in graph.out_neighbors(i) if v != i]
                    for i in range(graph.n)]
@@ -275,10 +269,10 @@ class _Network:
         self._delays, self._rng = delays, rng
         # the log: columns origin, dest, sent, slot and consuming event (-1
         # for none yet), one row per message that the initial broadcasts and
-        # the activators ``node`` send, ``_count`` written. Each is its own
-        # buffer: numpy asks for huge pages from 4 MB on, and columns 2 MB
-        # apart in one buffer would each take one on first use.
-        rows = int(self._fanout.sum() + self._fanout[node].sum())
+        # activations send (``counts`` per node), ``_count`` written. Each is
+        # its own buffer: numpy asks for huge pages from 4 MB on, and columns
+        # 2 MB apart in one buffer would each take one on first use.
+        rows = int(self._fanout.sum() + counts @ self._fanout)
         self.log = [np.empty(rows, dtype=np.int64) for _ in range(5)]
         self._count = 0
         self.pending = np.empty(0, dtype=np.int64)
@@ -394,12 +388,12 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     # the whole run's activators, and each node's picks in the order of its
     # activations, drawn at once from its selector
     node = schedule.next(max_events, derived_rng(seed, STREAM_SCHEDULE))
+    counts = np.bincount(node, minlength=n)
     samples = np.empty(max_events, dtype=np.int64)
     samples[np.argsort(node, kind="stable")] = np.concatenate([
         SampleSelector(m_local, selector_rng(seed, i)).take(c)
-        for i, (m_local, c) in enumerate(zip(
-            problem.m_i, np.bincount(node, minlength=n).tolist()))])
-    network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY), node)
+        for i, (m_local, c) in enumerate(zip(problem.m_i, counts.tolist()))])
+    network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY), counts)
     # the rest of the record, row k - 1 event k's: the broadcasts (the full
     # trace), or the error series, whose row 0 is the initialization's and
     # row k event k's

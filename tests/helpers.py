@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from asyncsag import mdp, simulator
+from asyncsag.augmented import SparseMatrix
 from asyncsag.graph import DirectedGraph, diameter
 from asyncsag.mspbe import (ProblemSpec, SampleStats, _scaled_block,
                             aggregate, saddle_gradient, solve_problem)
 from asyncsag.protocol import SampleSelector, selector_rng
-from asyncsag.simulator import (ActivationSchedule, DelayModel, EventTrace,
-                                verify_assumption1b)
+from asyncsag.simulator import ActivationSchedule, DelayModel, EventTrace
 
 
 def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
@@ -107,7 +107,29 @@ def recorded_states():
 
 def graph_constants(trace: EventTrace) -> tuple[int, int]:
     """(certified b, diameter) of a trace's run."""
-    return verify_assumption1b(trace), diameter(trace.graph)
+    return trace.window, diameter(trace.graph)
+
+
+def from_entries(rows, cols, weights, size: int) -> SparseMatrix:
+    """The ``SparseMatrix`` of (row, col, weight) entries, sorted by row
+    and then column; repeated positions sum in input order, starting at
+    zero as a dense ``+=`` over the same entries would, and the positions
+    whose sum is exactly zero are dropped."""
+    rows = np.asarray(rows, dtype=np.int32)
+    cols = np.asarray(cols, dtype=np.int32)
+    key = rows.astype(np.int64) * size + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    weights = np.asarray(weights, dtype=float)[order]
+    fresh = np.ones(key.size, dtype=bool)
+    fresh[1:] = key[1:] != key[:-1]
+    if not fresh.all():
+        weights = np.bincount(np.cumsum(fresh) - 1, weights=weights)
+    order = order[fresh]
+    nonzero = weights != 0.0
+    if not nonzero.all():
+        order, weights = order[nonzero], weights[nonzero]
+    return SparseMatrix(rows[order], cols[order], weights, size)
 
 
 def assert_traces_equal(got: EventTrace, want: EventTrace) -> None:

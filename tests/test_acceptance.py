@@ -219,7 +219,7 @@ def test_criterion_03_event_matrices_are_stochastic():
     b, _ = graph_constants(trace)
     worst_row = worst_col = 0.0
     for k in range(1, trace.num_events + 1):
-        mats = augmented.build_event_matrices(trace, k, b=b)
+        mats = augmented.build_event_matrices(trace, k)
         worst_row = max(worst_row, float(
             np.max(np.abs(mats.h_row.sum(axis=1) - 1.0))))
         worst_col = max(worst_col, float(
@@ -348,7 +348,7 @@ def test_criterion_07_pull_products_approach_rank_one():
     spec = mspbe.spectral_constants(prob, 10.0)
     rc = augmented.rate_constants(trace.n, b, 2 * max(prob.m_i) - 1, d_g, spec)
     window = d_g * b
-    mats = [augmented.build_event_matrices(trace, k, b=b)
+    mats = [augmented.build_event_matrices(trace, k)
             for k in range(1, trace.num_events + 1)]
     steps = np.arange(len(mats) + 1)
     envelope = np.array([2.0 * augmented.delta_power(rc, t) for t in steps])

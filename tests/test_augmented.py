@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from asyncsag import augmented, cli, graph, mspbe, simulator
 from asyncsag.mspbe import SpectralConstants
-from helpers import build_problem, graph_constants, initial_z
+from helpers import build_problem, from_entries, graph_constants, initial_z
 from test_plan_oracle import heap_run_async
 
 
@@ -50,8 +50,7 @@ def sparse(mat) -> augmented.SparseMatrix:
         return mat
     mat = np.asarray(mat, dtype=float)
     rows, cols = np.nonzero(mat)
-    return augmented.SparseMatrix.from_entries(rows, cols, mat[rows, cols],
-                                               mat.shape[0])
+    return from_entries(rows, cols, mat[rows, cols], mat.shape[0])
 
 
 def rank_one_distance(mat: np.ndarray) -> float:
@@ -68,9 +67,8 @@ def rank_one_distance(mat: np.ndarray) -> float:
 
 def test_event_matrices_are_stochastic_every_event():
     _, trace = run_pair(seed=3, max_events=60)
-    b = simulator.verify_assumption1b(trace)
     for k in range(1, trace.num_events + 1):
-        mats = augmented.build_event_matrices(trace, k, b=b)
+        mats = augmented.build_event_matrices(trace, k)
         assert (np.min(to_dense(mats.h_row)) >= 0
                 and np.min(to_dense(mats.h_col)) >= 0)
         assert np.max(np.abs(mats.h_row.sum(axis=1) - 1.0)) <= 1e-12
@@ -86,10 +84,10 @@ def test_event_matrices_take_linear_memory():
     """Sparse storage: one event's three matrices take O(ntilde) bytes
     (dense storage would take 24 * ntilde**2)."""
     _, trace = run_pair(seed=3, max_events=60)
-    b = simulator.verify_assumption1b(trace)
+    b = trace.window
     ntilde = trace.n * (b + 1)
     for k in range(1, trace.num_events + 1):
-        mats = augmented.build_event_matrices(trace, k, b=b)
+        mats = augmented.build_event_matrices(trace, k)
         total = mats.h_row.nbytes + mats.h_col.nbytes + mats.i_act.nbytes
         assert total < 100 * ntilde
 
@@ -117,7 +115,7 @@ def test_sparse_matrix_matches_dense(entries, width, seed):
     dense = np.zeros((size, size))
     for row, col, weight in zip(rows, cols, weights):
         dense[row, col] += weight
-    mat = augmented.SparseMatrix.from_entries(rows, cols, weights, size)
+    mat = from_entries(rows, cols, weights, size)
     assert mat.shape == (size, size)
     assert np.array_equal(to_dense(mat), dense)
     assert np.all(np.diff(mat.rows) >= 0)
@@ -197,77 +195,14 @@ def test_sparse_product_is_the_sequential_sum_bit_for_bit(case):
 
 
 def test_matrices_reject_out_of_range_event_and_small_window():
+    """An event index outside 1..T is refused; no window can be asked for
+    but the certified one, ``trace.window``."""
     _, trace = run_pair(seed=3, n=3, max_events=30, kind="round_robin",
                         d_max=0)
-    b = simulator.verify_assumption1b(trace)
     with pytest.raises(ValueError):
-        augmented.build_event_matrices(trace, 0, b)
+        augmented.build_event_matrices(trace, 0)
     with pytest.raises(ValueError):
-        augmented.build_event_matrices(trace, 31, b)
-    # b = 1 is below the certified window of 3
-    with pytest.raises(simulator.AssumptionViolation):
-        for k in range(1, 31):
-            augmented.build_event_matrices(trace, k, b=1)
-
-
-def test_window_below_certified_names_the_idle_splitter():
-    """Round robin on 3 nodes with instant delivery certifies b = 3. At
-    b = 2 the two events after the initial split (nodes 0 and 1) hold no
-    activation of node 2, so its own share has no register to wait in."""
-    _, trace = run_pair(seed=3, n=3, max_events=30, kind="round_robin",
-                        d_max=0)
-    b = simulator.verify_assumption1b(trace)
-    assert b == 3
-    for k in range(1, trace.num_events + 1):
-        augmented.build_event_matrices(trace, k, b)
-    with pytest.raises(simulator.AssumptionViolation,
-                       match="event 1: node 2 does not activate within the "
-                             "2 events after event 0"):
-        augmented.build_event_matrices(trace, 1, b - 1)
-
-
-@pytest.mark.parametrize("d_max,b,k,origin,sent,age", [
-    (0, 2, 3, 2, 0, 2),   # node 2's own initial copy
-    (0, 2, 4, 0, 1, 2),   # node 0's own copy, from before the window
-    (2, 3, 4, 2, 0, 3),   # node 2's initial broadcast, received by node 0
-])
-def test_window_below_certified_names_the_stale_reception(d_max, b, k, origin,
-                                                          sent, age):
-    """Round robin on 3 nodes certifies b = 3 with instant delivery and
-    b = 5 with delays up to 2. Below it, the first payload in event k's
-    buffer older than b - 1 events is named, whether it is the activator's
-    own copy or a network reception."""
-    _, trace = run_pair(seed=3, n=3, max_events=30, kind="round_robin",
-                        d_max=d_max)
-    assert simulator.verify_assumption1b(trace) == {0: 3, 2: 5}[d_max]
-    own = origin == trace.node[k - 1]
-    assert own == (d_max == 0)
-    with pytest.raises(simulator.AssumptionViolation) as err:
-        augmented.build_event_matrices(trace, k, b)
-    assert str(err.value) == (
-        f"event {k}: reception from node {origin} (event {sent}) is {age} "
-        f"events old, exceeding the window b={b}")
-
-
-def test_stale_receptions_are_named_in_buffer_order():
-    """A straggler's buffer at event 73 holds node 1's broadcasts of events
-    68 and 67, delivered in that order (slots 71 and 72). At b = 2 both are
-    too old, and the one buffered first is named, not the one sent first."""
-    trace = simulator.run_async(
-        build_problem(n=4), graph.generate_topology("exponential", 4),
-        simulator.ActivationSchedule("straggler", 4, straggler_node=0,
-                                     straggler_factor=4.0),
-        simulator.DelayModel("uniform", 5), 0.05, 0.4, seed=116244473,
-        max_events=90)
-    log = trace.messages
-    rows = log.consumed_by(73)
-    assert list(zip(log.origin[rows].tolist(), log.sent_at[rows].tolist(),
-                    log.deliver_at[rows].tolist())) == [(1, 68, 71),
-                                                        (1, 67, 72)]
-    with pytest.raises(simulator.AssumptionViolation) as err:
-        augmented.build_event_matrices(trace, 73, 2)
-    assert str(err.value) == ("event 73: reception from node 1 (event 68) is "
-                              "4 events old, exceeding the window b=2")
+        augmented.build_event_matrices(trace, 31)
 
 
 def _consumptions(trace, pulled):
@@ -297,7 +232,7 @@ def _push_matrix_by_dict(trace, consumed, k, b):
             origins.append(w)
             shares.append(1.0 / trace.graph.out_degree(w))
     holders = [v for v in range(n) if v not in {w for w, _ in splitters}]
-    return augmented.SparseMatrix.from_entries(
+    return from_entries(
         holders + list(range(ntilde - n)) + parked,
         holders + list(range(n, ntilde)) + origins,
         [1.0] * (len(holders) + ntilde - n) + shares, ntilde)
@@ -311,7 +246,7 @@ def _pull_matrix_by_buffer(trace, buffer, k, b):
     ntilde = n * (b + 1)
     i = int(trace.node[k - 1])
     others = [v for v in range(ntilde) if v != i]
-    return augmented.SparseMatrix.from_entries(
+    return from_entries(
         others + [i] * len(buffer),
         [v if v < n else v - n for v in others]
         + [(k - sent - 1) * n + origin for origin, sent in buffer],
@@ -336,7 +271,7 @@ def _certified_run_with_buffers(**run):
     starves."""
     trace, args = _planned_run(**run)
     try:
-        b = simulator.verify_assumption1b(trace)
+        b = trace.window
     except simulator.AssumptionViolation:
         reject()  # some node starves within the trace
     _, _, pulled = heap_run_async(*args)
@@ -366,7 +301,7 @@ def test_pull_matrices_equal_the_heap_engine_buffers(**run):
     that the heap engine recorded."""
     trace, b, pulled = _certified_run_with_buffers(**run)
     for k, buffer in enumerate(pulled, start=1):
-        _assert_same_bits(augmented.build_event_matrices(trace, k, b).h_row,
+        _assert_same_bits(augmented.build_event_matrices(trace, k).h_row,
                           _pull_matrix_by_buffer(trace, buffer, k, b), k)
 
 
@@ -379,7 +314,7 @@ def test_push_matrices_equal_the_consumption_dict(**run):
     trace, b, pulled = _certified_run_with_buffers(**run)
     consumed = _consumptions(trace, pulled)
     for k in range(1, trace.num_events + 1):
-        _assert_same_bits(augmented.build_event_matrices(trace, k, b).h_col,
+        _assert_same_bits(augmented.build_event_matrices(trace, k).h_col,
                           _push_matrix_by_dict(trace, consumed, k, b), k)
 
 
@@ -407,20 +342,19 @@ def test_activations_equal_a_scan_of_the_activators(**run):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**RUNS, wider=st.integers(0, 3))
-def test_event_products_equal_the_products_of_their_entries(wider, **run):
+@given(**RUNS)
+def test_event_products_equal_the_products_of_their_entries(**run):
     """The row gathers that ``build_event_matrices`` attaches give, bit for
     bit, the product that ``SparseMatrix`` derives from the same entries,
-    for 1-D and 2-D operands with signed zeros, at the certified window
-    and wider ones."""
+    for 1-D and 2-D operands with signed zeros."""
     trace, _ = _planned_run(**run)
     try:
-        b = simulator.verify_assumption1b(trace)
+        trace.window
     except simulator.AssumptionViolation:
         reject()  # some node starves within the trace
     rng = np.random.default_rng(run["seed"])
     for k in range(1, trace.num_events + 1):
-        mats = augmented.build_event_matrices(trace, k, b + wider)
+        mats = augmented.build_event_matrices(trace, k)
         for mat in (mats.h_row, mats.h_col):
             plain = augmented.SparseMatrix(mat.rows, mat.cols, mat.weights,
                                            mat.size)
@@ -429,6 +363,40 @@ def test_event_products_equal_the_products_of_their_entries(wider, **run):
                 operand[rng.random(shape) < 0.3] = -0.0
                 assert (mat @ operand).tobytes() == \
                     (plain @ operand).tobytes(), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(**RUNS)
+def test_certified_window_fits_every_entry(**run):
+    """At b = ``trace.window``, read from the message log and the activator
+    column alone: every consumed message is at most b - 1 events old; every
+    activation comes at most b events after its activator's previous one,
+    or after event 0; and every splitter activates again within the next b
+    events whenever those b events are in the trace. So every row and
+    column of every built pull and push matrix is below ntilde."""
+    trace, _ = _planned_run(**run)
+    try:
+        b = trace.window
+    except simulator.AssumptionViolation:
+        reject()  # some node starves within the trace
+    t, log = trace.num_events, trace.messages
+    previous, following, first = trace.activations
+    used = log.consumed_at >= 0
+    assert np.all(log.consumed_at[used] - 1 - log.sent_at[used] <= b - 1)
+    # event r + 1 follows its activator's event previous[r] + 1 (0 for none)
+    assert np.all(np.arange(t) - previous <= b)
+    # a node acting at event j (0 for its initial broadcast) acts again at
+    # event j + b or before whenever j + b <= t; t + 1 stands for never
+    acted = np.concatenate([np.zeros(trace.n, dtype=np.int64),
+                            np.arange(1, t + 1)])
+    again = np.concatenate([first, following]) + 1
+    inside = acted + b <= t
+    assert np.all(again[inside] - acted[inside] <= b)
+    ntilde = trace.n * (b + 1)
+    for k in range(1, t + 1):
+        mats = augmented.build_event_matrices(trace, k)
+        for mat in (mats.h_row, mats.h_col):
+            assert max(mat.rows.max(), mat.cols.max()) < ntilde, k
 
 
 def test_replay_matches_simulator_to_machine_precision():
@@ -488,9 +456,8 @@ def test_replay_initial_state():
     assert len(states) == trace.num_events + 1
     # each later state carries its own event's matrices, entry for entry
     assert s0.mats is None
-    b = simulator.verify_assumption1b(trace)
     for s in states[1:]:
-        want = augmented.build_event_matrices(trace, s.k, b)
+        want = augmented.build_event_matrices(trace, s.k)
         for name in ("h_row", "h_col", "i_act"):
             got, ref = getattr(s.mats, name), getattr(want, name)
             assert got.size == ref.size
@@ -578,11 +545,11 @@ def test_replay_keeps_one_state_at_a_time():
         simulator.ActivationSchedule(kind="uniform_random", n=n),
         simulator.DelayModel(kind="uniform", d_max=2), 0.01, 0.1, seed=11,
         max_events=300)
-    b = simulator.verify_assumption1b(trace)
+    b = trace.window
     state_bytes = 3 * n * (b + 1) * 2 * d * 8
     mats_bytes = 0
     for k in range(1, trace.num_events + 1):
-        mats = augmented.build_event_matrices(trace, k, b=b)
+        mats = augmented.build_event_matrices(trace, k)
         mats_bytes = max(mats_bytes, mats.h_row.nbytes + mats.h_col.nbytes
                          + mats.i_act.nbytes)
     count = 0
@@ -631,8 +598,8 @@ def test_rank_one_distance_pinned():
 
 def test_product_of_pull_matrices_contracts_to_rank_one():
     _, trace = run_pair(seed=9, max_events=250)
-    b = simulator.verify_assumption1b(trace)
-    mats = [augmented.build_event_matrices(trace, k, b)
+    b = trace.window
+    mats = [augmented.build_event_matrices(trace, k)
             for k in range(1, trace.num_events + 1)]
     dists = augmented.product_contraction([m.h_row for m in mats])
     ntilde = trace.n * (b + 1)
@@ -695,8 +662,8 @@ def _assert_products_exact(matrices):
 
 
 def _event_matrices(trace):
-    b = simulator.verify_assumption1b(trace)
-    return b, [augmented.build_event_matrices(trace, k, b)
+    b = trace.window
+    return b, [augmented.build_event_matrices(trace, k)
                for k in range(1, trace.num_events + 1)]
 
 
@@ -798,7 +765,7 @@ def test_component_spectra_match_dense_svd(case):
     distance that ``product_contraction`` reports. An all-zero matrix
     gives no singular value and distance exactly 0."""
     size, rows, cols, weights = case
-    mat = augmented.SparseMatrix.from_entries(rows, cols, weights, size)
+    mat = from_entries(rows, cols, weights, size)
     dense = to_dense(mat)
     want = np.linalg.svd(dense, compute_uv=False)
     prod = augmented._ForwardProduct(size)
@@ -832,7 +799,7 @@ def test_product_contraction_of_rank_one_and_zero_products():
     ([sparse(np.eye(3)), sparse(np.eye(3)), sparse(np.eye(4))],
      r"matrix 2 has shape \(4, 4\), but matrix 0 has shape \(3, 3\)"),
     ([sparse(np.eye(3)),
-      augmented.SparseMatrix.from_entries([0], [0], [1.0], 2)],
+      from_entries([0], [0], [1.0], 2)],
      r"matrix 1 has shape \(2, 2\), but matrix 0 has shape \(3, 3\)"),
 ], ids=["empty", "dense-size", "sparse-size"])
 def test_product_contraction_rejects_bad_input(matrices, message):
@@ -929,8 +896,8 @@ def test_product_contraction_follows_sigma1_across_blocks():
 
 def test_push_weights_conserve_total_mass():
     _, trace = run_pair(seed=6, max_events=120)
-    b = simulator.verify_assumption1b(trace)
-    h_cols = [augmented.build_event_matrices(trace, k, b).h_col
+    b = trace.window
+    h_cols = [augmented.build_event_matrices(trace, k).h_col
               for k in range(1, trace.num_events + 1)]
     # v^{k+1} = H_C^k v^k from v^0 = [1_n; 0]
     v = np.zeros(h_cols[0].shape[0])
