@@ -43,16 +43,16 @@ Storage: each H_R, H_C and I_a is a ``SparseMatrix`` of coalesced
 (row, col, weight) entries, at most deg+1 per row, so one event takes
 O(ntilde) bytes. The replay multiplies by row gathers, and no event matrix
 is ever dense. An event's matrices slice the identity and chain-shift
-entries that every event of the window shares (cached per (n, b)) and put
-the few others, taken from per-trace arrays computed once from the plan,
-at their sorted positions; they carry their row gathers, so a product is
-one gather, a reset of the rows that mix, and one ordered scatter per
-part. ``product_contraction`` keeps each forward product as pure
-rows, one entry each in a column that only pure rows touch, plus one dense
-core block holding every other nonzero row over the columns those rows
-touch. An event matrix moves, scales and mixes rows of the two parts by
-array gathers, and the distance to rank one comes from the pure columns'
-norms plus one SVD of the thin core. No ntilde x ntilde array is formed.
+entries that every event shares and put its few others at their sorted
+positions, all from read-only arrays computed once per trace at its window
+(``_EventPlan``); they carry their row gathers, so a product is one gather,
+a reset of the rows that mix, and one ordered scatter per part.
+``product_contraction`` keeps each forward product as pure rows, one entry
+each in a column that only pure rows touch, plus one dense core block
+holding every other nonzero row over the columns those rows touch. An event
+matrix moves, scales and mixes rows of the two parts by array gathers, and
+the distance to rank one comes from the pure columns' norms plus one SVD of
+the thin core. No ntilde x ntilde array is formed.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -183,82 +182,61 @@ class AugmentedState:
     mats: EventMatrices | None = None   # event k's matrices (None at k=0)
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Read-only arrays that every event matrix of ntilde = n*(b+1) rows
-    slices, cached per (n, b)."""
-
-    index: np.ndarray       # int32, 0 .. ntilde - 1
-    pull_cols: np.ndarray   # int32, each row's pull source when it holds
-    pull_source: np.ndarray   # the same as intp, the base of its gathers
-    ones: np.ndarray        # float64, ntilde ones
-    # the push entries, sorted, of the chain alone (event 1, at which every
-    # real row splits), and for each node w, row w of these (n, ntilde - 1)
-    # arrays, of the chain and the real rows other than w holding
-    chain_rows: np.ndarray
-    chain_cols: np.ndarray
-    held_rows: np.ndarray
-    held_cols: np.ndarray
-    # the row gathers of the latter: each row's first column (n, ntilde),
-    # the top rows, all empty, and the chain entries (v, v + n) of the real
-    # rows v other than w, which follow their holding entries (n, n - 1)
-    held_source: np.ndarray
-    top: np.ndarray
-    held_added_rows: np.ndarray
-    held_added_cols: np.ndarray
-
-
-@lru_cache(maxsize=4)
-def _layout(n: int, b: int) -> _Layout:
-    """The ``_Layout`` of n nodes at window b."""
-    ntilde = n * (b + 1)
-    chain = ntilde - n
-    index = np.arange(ntilde, dtype=np.int32)
-    # a chain register reads the one below it in the pull matrix and drains
-    # into it in the push matrix: push row r holds column r + n
-    pull_cols = np.concatenate([index[:n], index[:chain]])
-    rows = np.concatenate([np.repeat(index[:n], 2), index[n:chain]])
-    cols = rows + np.int32(n)
-    cols[:2 * n:2] = index[:n]   # real row v holds (v, v) before (v, v + n)
-    # without (w, w), which is entry 2w
-    drop = np.arange(ntilde - 1)
-    drop = drop + (drop >= 2 * np.arange(n)[:, None])
-    held_source = np.tile(np.concatenate([index[:n], index[2 * n:],
-                                          np.zeros(n, dtype=np.int32)]),
-                          (n, 1)).astype(np.intp)
-    held_source[np.arange(n), np.arange(n)] += n
-    others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    layout = _Layout(index, pull_cols, pull_cols.astype(np.intp),
-                     np.ones(ntilde), index[:chain], index[n:], rows[drop],
-                     cols[drop], held_source, index[chain:],
-                     index[others], index[others + n])
-    for array in vars(layout).values():
-        array.flags.writeable = False
-    return layout
-
-
 class _EventPlan:
-    """The entries of every event's matrices that ``_layout`` does not hold,
-    computed once per trace with array code from its plan columns.
+    """Every array that a trace's event matrices slice, read-only, computed
+    once per trace at its window b = ``trace.window`` from its plan columns.
 
-    Event k's pull entries are ``[pull_at[k-1]:pull_at[k]]`` of the
+    ``index``, ``pull_cols``, ``chain_*``, ``held_*`` and ``top_rows`` hold
+    the identity and chain-shift entries and row gathers that every event
+    shares. Event k's pull entries are ``[pull_at[k-1]:pull_at[k]]`` of the
     ``pull_*`` arrays: the activator's row, sorted by column. Its push
     entries, the shares that split at k, are ``[at[k-1]:at[k]]`` of the
-    ``push_*`` arrays: each parks at row height * n + receiver, or, when
-    nothing in the trace consumes it, on the top register, whose row b * n
-    + receiver is added at the event (the last ``tops[k-1]`` entries hold
-    the receiver alone). ``push_at`` places each share among the event's
-    push entries, counted from the end for a share on top, so no array
-    depends on b. A broadcast reaches each out-neighbour once, and the own
-    copy and own share go to their origin alone, so no two entries of an
-    event's pull or push share a position.
+    ``push_*`` arrays: each parks at row height * n + receiver, height b
+    (the top register) when nothing in the trace consumes it, and
+    ``push_at`` places it among the event's push entries. A broadcast
+    reaches each out-neighbour once, and the own copy and own share go to
+    their origin alone, so no two entries of an event's pull or push share a
+    position.
     """
 
     def __init__(self, trace: EventTrace):
         t, n, node = trace.num_events, trace.n, trace.node
+        b = trace.window
+        ntilde = n * (b + 1)
+        chain = ntilde - n
         previous, following, first = trace.activations
         log = trace.messages
         events = np.arange(t)
+
+        # a chain register reads the one below it in the pull matrix and
+        # drains into it in the push matrix: push row r holds column r + n
+        self.index = index = np.arange(ntilde, dtype=np.int32)
+        self.pull_cols = np.concatenate([index[:n], index[:chain]])
+        self.pull_source = self.pull_cols.astype(np.intp)
+        self.ones = np.ones(ntilde)
+        # the push entries, sorted, of the chain alone (event 1, at which
+        # every real row splits), and for each node w, row w of these (n,
+        # ntilde - 1) arrays, of the chain and the real rows but w holding
+        self.chain_rows, self.chain_cols = index[:chain], index[n:]
+        rows = np.concatenate([np.repeat(index[:n], 2), index[n:chain]])
+        cols = rows + np.int32(n)
+        cols[:2 * n:2] = index[:n]   # real row v holds (v, v) before (v, v + n)
+        # without (w, w), which is entry 2w
+        drop = np.arange(ntilde - 1)
+        drop = drop + (drop >= 2 * np.arange(n)[:, None])
+        self.held_rows, self.held_cols = rows[drop], cols[drop]
+        # the row gathers of the latter: each row's first column (n, ntilde),
+        # the top rows, all empty, and the chain entries (v, v + n) of the
+        # real rows v other than w, which follow their holding entries
+        # (n, n - 1)
+        self.held_source = np.tile(np.concatenate([
+            index[:n], index[2 * n:], np.zeros(n, dtype=np.int32)]),
+            (n, 1)).astype(np.intp)
+        self.held_source[np.arange(n), np.arange(n)] += n
+        self.top_rows = index[chain:]
+        others = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+        self.held_added_rows = index[others]
+        self.held_added_cols = index[others + n]
 
         # pull: the activator's own latest broadcast and the log rows it
         # consumed, each read from register age * n + origin
@@ -289,29 +267,27 @@ class _EventPlan:
                                following[:-1]])
         top = np.concatenate([log.consumed_at[sent] < 0,
                               used[shares:] == t])
-        parked = np.where(top, dest, (used - event) * n + dest)
-        order = np.lexsort((origin, parked, top, event))
+        parked = np.where(top, b, used - event) * n + dest
+        order = np.lexsort((origin, parked, event))
         event, origin, parked, top = (array[order] for array in
                                       (event, origin, parked, top))
         at = event.searchsorted(np.arange(t + 1))
         self.at = at.tolist()
-        rank = np.arange(event.size) - at[event]
         # a share comes after the held entries of the rows above its own and
         # of its row's columns below its own: at event 1 the chain alone,
-        # later every real row but the splitter w holds at (v, v) too
+        # later every real row but the splitter w holds at (v, v) too; a
+        # share on top comes after all of them
         w = node[np.maximum(event - 1, 0)]
         below = np.where(parked < n, 2 * parked - (w < parked) + (parked < w),
                          parked + n - 1)
         below[event == 0] = parked[event == 0]
-        self.push_at = np.where(top, rank - (at[event + 1] - at[event]),
-                                below + rank)
+        below[top] = np.where(event[top] == 0, chain, ntilde - 1)
+        self.push_at = below + np.arange(event.size) - at[event]
         self.push_rows = parked.astype(np.int32)
         self.push_cols = origin.astype(np.int32)
         # each node's tracker mass splits into 1/|N_out| shares
         self.push_weight = 1.0 / np.array(
             [trace.graph.out_degree(v) for v in range(n)], dtype=float)[origin]
-        tops = np.bincount(event[top], minlength=t)
-        self.tops = tops.tolist()
 
         # The row gathers of the push matrix of each event after the first
         # with no share on top (``gathered``); the others derive theirs from
@@ -319,7 +295,7 @@ class _EventPlan:
         # reset and adds two entries in column order: the share and the real
         # row's holding entry (p, p), or the share and the chain entry
         # (p, p + n) of any other row.
-        self.gathered = ((events > 0) & (tops == 0)).tolist()
+        self.gathered = ((events > 0) & ~np.isin(events, event[top])).tolist()
         real = (parked < n) & (parked != origin)
         lead = ~real | (origin < parked)
         self.added_rows = np.repeat(self.push_rows, 2)
@@ -331,19 +307,22 @@ class _EventPlan:
             np.where(lead, self.push_weight, 1.0),
             np.where(lead, 1.0, self.push_weight)], axis=1).ravel()
 
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
-# each live trace's plan, by id; ``build_event_matrices`` is given the
-# trace alone, once per event
-_PLANS: dict[int, _EventPlan] = {}
+
+# each live trace's ``_EventPlan``, by trace; ``build_event_matrices`` is
+# given the trace alone, once per event
+_PLANS = weakref.WeakKeyDictionary()
 
 
 def _event_plan(trace: EventTrace) -> _EventPlan:
     """The trace's ``_EventPlan``, built at the first call and dropped with
     the trace."""
-    plan = _PLANS.get(id(trace))
+    plan = _PLANS.get(trace)
     if plan is None:
-        plan = _PLANS[id(trace)] = _EventPlan(trace)
-        weakref.finalize(trace, _PLANS.pop, id(trace), None)
+        plan = _PLANS[trace] = _EventPlan(trace)
     return plan
 
 
@@ -351,17 +330,15 @@ def build_event_matrices(trace: EventTrace, k: int) -> EventMatrices:
     """Construct H_R^k, H_C^k, I_a^k for event k (1-based) of the trace, at
     its certified window ``trace.window``.
 
-    Each matrix is the identity and chain-shift entries of ``_layout`` with
-    the event's other entries, from the trace's ``_EventPlan``, put at their
-    sorted positions."""
+    Each matrix is the identity and chain-shift entries of the trace's
+    ``_EventPlan`` with the event's other entries, from the same plan, put
+    at their sorted positions."""
     t = trace.num_events
     if not (1 <= k <= t):
         raise ValueError(f"event index {k} outside the trace (1..{t})")
-    n, b = trace.n, trace.window
-    ntilde = n * (b + 1)  # register (v, u) has index u*n + v
-    layout = _layout(n, b)
-    index, pull_cols, ones = layout.index, layout.pull_cols, layout.ones
     plan = _event_plan(trace)
+    index, pull_cols, ones = plan.index, plan.pull_cols, plan.ones
+    n, ntilde = trace.n, index.size  # register (v, u) has index u*n + v
 
     # --- pull matrix -------------------------------------------------------
     # The activator's row averages, in column order, its own latest
@@ -376,7 +353,7 @@ def build_event_matrices(trace: EventTrace, k: int) -> EventMatrices:
         np.concatenate([pull_cols[:i], col, pull_cols[i + 1:]]),
         np.concatenate([ones[:i], weight, ones[i + 1:]]),
         ntilde,
-        RowGather(layout.pull_source, index[i:i + 1], index[:0],
+        RowGather(plan.pull_source, index[i:i + 1], index[:0],
                   ((row, col, weight),)))
 
     # --- activation indicator ---------------------------------------------
@@ -385,33 +362,29 @@ def build_event_matrices(trace: EventTrace, k: int) -> EventMatrices:
     # --- push matrix -------------------------------------------------------
     # The masses that split now are those created by the previous event (the
     # initialization broadcasts when k == 1): each share parks at the height
-    # that drains it at its consuming event, in a column below n, so before
-    # its row's chain entry. The real rows that did not split hold.
+    # that drains it at its consuming event (the top when none does), in a
+    # column below n, so before its row's chain entry. The real rows that
+    # did not split hold.
     lo, hi = plan.at[k - 1], plan.at[k]
     rows = plan.push_rows[lo:hi]
     if k == 1:
-        base_rows, base_cols = layout.chain_rows, layout.chain_cols
+        base_rows, base_cols = plan.chain_rows, plan.chain_cols
     else:
         w = int(trace.node[k - 2])
-        base_rows, base_cols = layout.held_rows[w], layout.held_cols[w]
+        base_rows, base_cols = plan.held_rows[w], plan.held_cols[w]
     gather = None
     if plan.gathered[k - 1]:
         # the rows the shares park in are reset and add their two entries
         # first; every real row but w then adds its chain entry (v, v + n)
         # to its holding entry, and the top rows are empty
         gather = RowGather(
-            layout.held_source[w], rows, layout.top,
+            plan.held_source[w], rows, plan.top_rows,
             ((plan.added_rows[2 * lo:2 * hi], plan.added_cols[2 * lo:2 * hi],
               plan.added_weight[2 * lo:2 * hi]),
-             (layout.held_added_rows[w], layout.held_added_cols[w],
+             (plan.held_added_rows[w], plan.held_added_cols[w],
               ones[:n - 1])))
-    tops = plan.tops[k - 1]
-    if tops:   # the shares on top, last, park at b * n + receiver
-        rows = rows.copy()
-        rows[-tops:] += ntilde - n
     at = plan.push_at[lo:hi]
-    held = np.empty(base_rows.size + at.size, dtype=bool)
-    held.fill(True)
+    held = np.ones(base_rows.size + at.size, dtype=bool)
     held[at] = False
     h_rows = np.empty(held.size, dtype=np.int32)
     h_rows[held] = base_rows
@@ -419,8 +392,7 @@ def build_event_matrices(trace: EventTrace, k: int) -> EventMatrices:
     h_cols = np.empty(held.size, dtype=np.int32)
     h_cols[held] = base_cols
     h_cols[at] = plan.push_cols[lo:hi]
-    weights = np.empty(held.size)
-    weights.fill(1.0)
+    weights = np.ones(held.size)
     weights[at] = plan.push_weight[lo:hi]
     h_col = SparseMatrix(h_rows, h_cols, weights, ntilde, gather)
 
@@ -450,14 +422,15 @@ def replay(trace: EventTrace,
         raise ValueError(f"the trace holds the broadcasts of "
                          f"{trace.z_tilde.shape[0]} of its {t} events; "
                          f"replay needs a full trace")
-    return _replay_states(trace, problem, trace.window)
+    trace.window   # certified here, at the call; the states read it cached
+    return _replay_states(trace, problem)
 
 
-def _replay_states(trace: EventTrace, problem: ProblemSpec,
-                   b: int) -> Iterator[AugmentedState]:
+def _replay_states(trace: EventTrace,
+                   problem: ProblemSpec) -> Iterator[AugmentedState]:
     eta, zeta = trace.eta1, trace.eta2 / trace.eta1
     n, d, m = trace.n, trace.d, sum(trace.m_i)
-    ntilde = n * (b + 1)
+    ntilde = n * (trace.window + 1)
 
     # every node starts at z = 0, so every register does
     z_rows, partial = np.zeros((ntilde, 2 * d)), np.empty((n, 2 * d))

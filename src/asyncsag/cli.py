@@ -361,19 +361,19 @@ def _sci_str(x: Decimal) -> str:
 
 
 def _window_constants(bundle: ExperimentBundle,
-                      b: int) -> augmented.RateConstants:
-    """The worst-case rate constants at the window b certified on a trace."""
+                      trace: simulator.EventTrace) -> augmented.RateConstants:
+    """The worst-case rate constants at the trace's certified window."""
     # a single node has diameter 0; the worst-case bound needs one hop
     d_g = max(1, diameter(bundle.graph))
     big_k = 2 * max(bundle.problem.m_i) - 1
-    return augmented.rate_constants(bundle.config.n, b, big_k, d_g,
+    return augmented.rate_constants(bundle.config.n, trace.window, big_k, d_g,
                                     bundle.spectral)
 
 
 def constants_report(bundle: ExperimentBundle, trace: simulator.EventTrace) -> str:
     cfg = bundle.config
     spectral = bundle.spectral
-    rc = _window_constants(bundle, trace.window)
+    rc = _window_constants(bundle, trace)
     lines = [
         "constants report",
         f"n {cfg.n}",
@@ -503,7 +503,7 @@ def cmd_verify(cfg: ExperimentConfig, seed: int | None) -> int:
     checks.append(("replay_equivalence", dev <= 1e-9, f"max deviation {dev:.2e}"))
     checks.append(("tracking_identity", res <= 1e-9, f"max residual {res:.2e}"))
 
-    rc = _window_constants(bundle, trace.window)
+    rc = _window_constants(bundle, trace)
     dist_row = augmented.product_contraction(h_rows)
     dist_col = augmented.product_contraction(h_cols)
     first_bad = None

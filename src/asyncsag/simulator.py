@@ -188,7 +188,7 @@ class MessageLog:
                    zip(self._columns(), other._columns()))
 
 
-@dataclass
+@dataclass(eq=False)
 class EventTrace:
     """Log of one run.
 
@@ -198,6 +198,7 @@ class EventTrace:
     the activator's own latest broadcast (that of its previous activation,
     or its initial one) and the rows whose ``messages.consumed_at`` is k.
     ``window`` is the trace's bounded-asynchrony window b, certified once.
+    Traces compare and hash by identity.
 
     Both records hold the plan columns (``node``, ``samples``,
     ``messages``). A full trace adds every event's broadcast in ``z_tilde``,

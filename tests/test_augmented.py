@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import dataclasses
 import decimal
+import gc
 import tracemalloc
+import weakref
 from decimal import Decimal
 
 import mpmath as mp
@@ -203,6 +205,48 @@ def test_matrices_reject_out_of_range_event_and_small_window():
         augmented.build_event_matrices(trace, 0)
     with pytest.raises(ValueError):
         augmented.build_event_matrices(trace, 31)
+
+
+def test_event_plan_is_dropped_with_its_trace():
+    """The plan registry keeps a trace's plan as long as the trace lives
+    and holds the trace itself only weakly."""
+    _, trace = run_pair(seed=3, max_events=30)
+    gc.collect()
+    before = len(augmented._PLANS)
+    augmented.build_event_matrices(trace, 1)
+    assert len(augmented._PLANS) == before + 1
+    trace_ref = weakref.ref(trace)
+    plan_ref = weakref.ref(augmented._PLANS[trace])
+    del trace
+    gc.collect()
+    assert trace_ref() is None and plan_ref() is None
+    assert len(augmented._PLANS) == before
+
+
+def test_event_matrices_share_only_read_only_plan_arrays():
+    """Every array of an event's matrices that is a view of its trace's
+    plan refuses writes, so no caller can change a later build of the
+    event; the pull and the push row gathers both hold such views."""
+    _, trace = run_pair(seed=3, max_events=80)
+    plan = [array for array in vars(augmented._event_plan(trace)).values()
+            if isinstance(array, np.ndarray)]
+    shared = dict.fromkeys(("h_row", "h_col", "i_act"), 0)
+    for k in range(1, trace.num_events + 1):
+        mats = augmented.build_event_matrices(trace, k)
+        for name in ("h_row", "h_col", "i_act"):
+            mat = getattr(mats, name)
+            arrays = [mat.rows, mat.cols, mat.weights]
+            if mat.gather is not None:
+                arrays += [mat.gather.source, mat.gather.reset,
+                           mat.gather.empty,
+                           *(array for part in mat.gather.added
+                             for array in part)]
+            for array in arrays:
+                if any(np.shares_memory(array, held) for held in plan):
+                    shared[name] += 1
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0
+    assert shared["h_row"] and shared["h_col"], shared
 
 
 def _consumptions(trace, pulled):

@@ -677,33 +677,32 @@ def reachable_arrays(obj, seen=None):
 
 
 def test_streamed_run_memory_does_not_hold_the_states():
-    """On quickstart at 45000 and 180000 events, a run given z_star peaks
-    at well under a full trace (11.9 and 40.9 MB), its record is assembled
-    without holding any of its columns twice, and it reaches no per-event
-    float array of width 2d."""
+    """On quickstart at 45000 events a run given z_star peaks at well
+    under a full trace (11.9 MB); at 180000 events its record holds about
+    80 B per event (a full trace 40.9 MB), and at both it reaches no
+    per-event float array of width 2d. The peak at 180000 events is
+    bounded by ``test_streamed_run_rss_grows_with_the_record``."""
     bundle = cli.build_experiment(
         cli.load_config(cli.bundled_config("quickstart")))
     z_star = cli._solution(bundle)
     width = 2 * bundle.problem.d
-    peaks, helds = {}, {}
-    for events in (45000, 180000):
-        tracemalloc.start()
-        try:
-            trace = cli._run_trace(bundle, events, None, z_star)
-            helds[events], peaks[events] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        traces = {45000: cli._run_trace(bundle, 45000, None, z_star)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    traces[180000] = cli._run_trace(bundle, 180000, None, z_star)
+    for events, trace in traces.items():
         assert trace.num_events == events
         assert trace.series.err_max.shape == (events + 1,)
         big = [a.shape for a in reachable_arrays(trace)
                if a.dtype.kind == "f" and a.size >= events * width]
         assert big == []
-    # the int columns and the series: about 80 B per event held
-    assert helds[180000] <= 100 * 180000
-    assert peaks[45000] <= 10 * 2**20
-    # 13.8 MB held and 16.2 MB peak; 16.6 MB peak while the columns were
-    # joined from per-block pieces, 22.0 MB while the pieces stayed alive
-    assert peaks[180000] <= 20 * 2**20
+    # the int columns and the series: 80 B per event held
+    assert sum(a.nbytes
+               for a in reachable_arrays(traces[180000])) <= 100 * 180000
+    assert peak <= 10 * 2**20
 
 
 # A fresh interpreter runs quickstart for argv[1] events given z_star and
@@ -736,7 +735,8 @@ def test_streamed_run_rss_grows_with_the_record():
     """From 45000 to 180000 quickstart events, the peak RSS of a streamed
     run grows by at most 1.2 times what its record grows by: the columns
     are written in place, not built from small pieces that the allocator
-    keeps after they are joined (2.1 times then)."""
+    keeps after they are joined (2.1 times then). At 180000 events the run
+    grows its peak RSS by at most 20 MB over a 14.4 MB record."""
     env = dict(os.environ, PYTHONPATH=str(Path(simulator.__file__).parents[1]))
     children = {events: subprocess.Popen(
         [sys.executable, "-c", _RSS_CHILD, str(events)], env=env,
@@ -748,6 +748,9 @@ def test_streamed_run_rss_grows_with_the_record():
         assert child.returncode == 0, err
         growth[events], record[events] = map(int, out.split())
     assert record[180000] - record[45000] > 10 * 10**6
+    # 16.9 MiB; 31.0 MiB for a run that keeps the full trace and 30.3 MiB
+    # for one whose columns are joined from pieces kept alive until the end
+    assert growth[180000] <= 20 * 2**20, (growth, record)
     assert (growth[180000] - growth[45000]
             <= 1.2 * (record[180000] - record[45000])), (growth, record)
 
@@ -776,6 +779,17 @@ def test_record_holds_no_spare_capacity(monkeypatch, topology, n):
         assert len(arrays) == (8 if z_star is None else 11)
         for a in arrays:
             assert a.base is None or a.base.nbytes == a.nbytes, a.shape
+
+
+def test_traces_compare_by_identity():
+    """A trace equals itself alone, and hashes, so it can key a dict; two
+    runs compare unequal without comparing their arrays."""
+    _, one = small_run(seed=1, max_events=50)
+    _, other = small_run(seed=1, max_events=50)
+    assert one == one
+    assert one != other and not one == other
+    assert {one: "one", other: "other"}[one] == "one"
+    assert_traces_equal(one, other)
 
 
 def test_node_that_never_activates_is_named():
