@@ -11,8 +11,8 @@ from .mdp import (Mdp, Transition, build_random_mdp, make_feature_map,
 from .mspbe import (ProblemSpec, SampleStats, SpectralConstants, aggregate,
                     saddle_gradient, solve_problem, solve_saddle,
                     spectral_constants)
-from .protocol import (Message, NodeState, PayloadTable, SampleSelector,
-                       activate, init_node, selector_rng)
+from .protocol import (Message, NodeState, PayloadTable, activate,
+                       init_node, sample_picks, selector_rng)
 from .simulator import (ActivationSchedule, AssumptionViolation, DelayModel,
                         EventTrace, estimate_rate, metrics, run_async,
                         verify_assumption1b, write_metrics_csv)
@@ -31,9 +31,8 @@ __all__ = [
     "stationary_distribution",
     "ProblemSpec", "SampleStats", "SpectralConstants", "aggregate",
     "saddle_gradient", "solve_problem", "solve_saddle", "spectral_constants",
-    "Message", "NodeState", "PayloadTable", "SampleSelector", "activate",
-    "init_node",
-    "selector_rng",
+    "Message", "NodeState", "PayloadTable", "activate", "init_node",
+    "sample_picks", "selector_rng",
     "ActivationSchedule", "AssumptionViolation", "DelayModel", "EventTrace",
     "estimate_rate", "metrics", "run_async", "verify_assumption1b",
     "write_metrics_csv",

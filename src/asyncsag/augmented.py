@@ -286,8 +286,7 @@ class _EventPlan:
         self.push_rows = parked.astype(np.int32)
         self.push_cols = origin.astype(np.int32)
         # each node's tracker mass splits into 1/|N_out| shares
-        self.push_weight = 1.0 / np.array(
-            [trace.graph.out_degree(v) for v in range(n)], dtype=float)[origin]
+        self.push_weight = 1.0 / trace.graph.adj.sum(axis=1)[origin]
 
         # The row gathers of the push matrix of each event after the first
         # with no share on top (``gathered``); the others derive theirs from
@@ -768,7 +767,6 @@ class RateConstants:
     delta: Decimal        # (1 - kappa)^(1/(d_g*b))
     one_minus_delta: Decimal
     mu: Decimal           # kappa / (4n), satisfying mu < kappa/(2n)
-    mu_over_kappa_times_n: float  # exactly 1/4 by construction
     t_tilde: Decimal      # smallest integer t with delta^t <= mu/2
     eta_max_theory: Decimal
     eta_used: Decimal     # eta_max_theory / 2
@@ -823,8 +821,8 @@ def rate_constants(n: int, b: int, big_k: int, d_g: int,
     return RateConstants(
         n=n, b=b, big_k=big_k, d_g=d_g, ntilde=ntilde, kappa=kappa,
         delta=delta, one_minus_delta=one_minus_delta, mu=mu,
-        mu_over_kappa_times_n=0.25, t_tilde=t_tilde, eta_max_theory=eta_max,
-        eta_used=eta_used, c=c, one_minus_c=one_minus_c, valid=valid,
+        t_tilde=t_tilde, eta_max_theory=eta_max, eta_used=eta_used, c=c,
+        one_minus_c=one_minus_c, valid=valid,
     )
 
 

@@ -374,6 +374,9 @@ def constants_report(bundle: ExperimentBundle, trace: simulator.EventTrace) -> s
     cfg = bundle.config
     spectral = bundle.spectral
     rc = _window_constants(bundle, trace)
+    # exactly 1/4 by construction (mu = kappa / 4n), to 80 digits
+    with decimal.localcontext(augmented._context(80)):
+        mu_ratio = float(rc.mu * rc.n / rc.kappa)
     lines = [
         "constants report",
         f"n {cfg.n}",
@@ -394,7 +397,7 @@ def constants_report(bundle: ExperimentBundle, trace: simulator.EventTrace) -> s
         f"kappa {_sci_str(rc.kappa)}",
         f"one_minus_delta {_sci_str(rc.one_minus_delta)}",
         f"mu {_sci_str(rc.mu)}",
-        f"mu_times_n_over_kappa {rc.mu_over_kappa_times_n!r}",
+        f"mu_times_n_over_kappa {mu_ratio!r}",
         f"t_tilde {_sci_str(rc.t_tilde)}",
         f"eta_max_theory {_sci_str(rc.eta_max_theory)}",
         f"eta_used {_sci_str(rc.eta_used)}",

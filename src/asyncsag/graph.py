@@ -1,24 +1,26 @@
 """Directed communication topologies and connectivity analysis.
 
-Nodes are dense 0-based integers. Edges are ordered pairs ``(i, j)`` meaning
-node ``i`` can send to node ``j``. Self-loops are never stored: every node is
-implicitly its own in/out-neighbor (broadcasts include a self-copy), so the
-neighbor queries below are self-inclusive and never empty.
+Nodes are dense 0-based integers. A graph is one read-only boolean
+adjacency ``adj``: ``adj[i, j]`` is true when node ``i`` can send to node
+``j``. Every node is its own neighbor (broadcasts include a self-copy), so
+the diagonal is true; an edge list never names a self-loop. One level
+sweep, ``hop_counts``, answers every reachability question.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from pathlib import Path
+
+import numpy as np
 
 
 class DirectedGraph:
-    """Immutable directed graph with self-inclusive neighbor queries."""
+    """Immutable directed graph: ``n`` nodes and their (n, n) adjacency."""
 
     def __init__(self, n: int, edges) -> None:
         if n <= 0:
             raise ValueError(f"node count must be positive, got n={n}")
-        edge_set = set()
+        adj = np.eye(n, dtype=bool)
         for i, j in edges:
             i, j = int(i), int(j)
             if not (0 <= i < n and 0 <= j < n):
@@ -27,41 +29,20 @@ class DirectedGraph:
                 raise ValueError(
                     f"self-loop ({i}, {i}) not allowed; self-links are implicit"
                 )
-            edge_set.add((i, j))
+            adj[i, j] = True
         self.n = n
-        self.edges = frozenset(edge_set)
-        out = [{i} for i in range(n)]
-        inn = [{i} for i in range(n)]
-        for i, j in edge_set:
-            out[i].add(j)
-            inn[j].add(i)
-        self._out = [tuple(sorted(s)) for s in out]
-        self._in = [tuple(sorted(s)) for s in inn]
-
-    def out_neighbors(self, i: int) -> tuple[int, ...]:
-        """Targets of node i's broadcasts, including i itself."""
-        return self._out[i]
-
-    def in_neighbors(self, i: int) -> tuple[int, ...]:
-        """Sources node i can hear from, including i itself."""
-        return self._in[i]
-
-    def out_degree(self, i: int) -> int:
-        """Self-inclusive out-degree |N_out(i)| (push-share denominator)."""
-        return len(self._out[i])
+        # a view of immutable bytes, whose writeable flag cannot be set again
+        self.adj = np.frombuffer(adj.tobytes(), dtype=bool).reshape(n, n)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DirectedGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return (isinstance(other, DirectedGraph)
+                and np.array_equal(self.adj, other.adj))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj.tobytes())
 
     def __repr__(self) -> str:
-        return f"DirectedGraph(n={self.n}, edges={len(self.edges)})"
+        return f"DirectedGraph(n={self.n}, edges={self.adj.sum() - self.n})"
 
 
 def generate_topology(kind: str, n: int, path: str | Path | None = None) -> DirectedGraph:
@@ -139,38 +120,34 @@ def load_edge_list(path: str | Path, n: int) -> DirectedGraph:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _distances(g: DirectedGraph, start: int,
-               reverse: bool = False) -> dict[int, int]:
-    """Hop counts from ``start`` to every node it reaches (to every node
-    that reaches it, with ``reverse``), by breadth-first search."""
-    nbrs = g.in_neighbors if reverse else g.out_neighbors
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in nbrs(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+def hop_counts(adj: np.ndarray, start: int) -> np.ndarray:
+    """Hop counts from ``start`` along the boolean adjacency ``adj``
+    (``adj[i, j]`` an edge i -> j), -1 for a node it does not reach: one
+    sweep per level, the whole frontier at once."""
+    hops = np.full(adj.shape[0], -1, dtype=np.int64)
+    frontier = np.arange(adj.shape[0]) == start
+    level = 0
+    while frontier.any():
+        hops[frontier] = level
+        frontier = adj[frontier].any(axis=0) & (hops < 0)
+        level += 1
+    return hops
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every node reaches every other along directed edges."""
-    return (len(_distances(g, 0)) == g.n
-            and len(_distances(g, 0, reverse=True)) == g.n)
+    """True iff every node reaches every other along directed edges: node 0
+    reaches every node, and every node reaches node 0."""
+    return bool((hop_counts(g.adj, 0) >= 0).all()
+                and (hop_counts(g.adj.T, 0) >= 0).all())
 
 
 def diameter(g: DirectedGraph) -> int:
     """Longest shortest directed path over all ordered node pairs.
 
     Raises if the graph is not strongly connected (the quantity would be
-    undefined): then some search misses a node.
+    undefined): then some sweep misses a node.
     """
-    best = 0
-    for s in range(g.n):
-        dist = _distances(g, s)
-        if len(dist) < g.n:
-            raise ValueError("diameter undefined: graph is not strongly connected")
-        best = max(best, max(dist.values()))
-    return best
+    hops = np.array([hop_counts(g.adj, s) for s in range(g.n)])
+    if (hops < 0).any():
+        raise ValueError("diameter undefined: graph is not strongly connected")
+    return int(hops.max())

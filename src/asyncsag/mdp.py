@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .graph import hop_counts
 from .mspbe import SampleStats
 
 log = logging.getLogger(__name__)
@@ -145,15 +146,6 @@ def chain_matrix(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     return np.einsum("sa,sat->st", policy, mdp.transitions)
 
 
-def _reached_from_first(adj: np.ndarray) -> np.ndarray:
-    """Mask of the states reachable from state 0 along the boolean ``adj``."""
-    seen = frontier = np.arange(adj.shape[0]) == 0
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return seen
-
-
 def stationary_distribution(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     """Stationary state distribution of the policy-induced chain.
 
@@ -164,7 +156,7 @@ def stationary_distribution(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     p = chain_matrix(mdp, policy)
     s = p.shape[0]
     support = p > 0.0  # self-loops never change reachability
-    both = _reached_from_first(support) & _reached_from_first(support.T)
+    both = (hop_counts(support, 0) >= 0) & (hop_counts(support.T, 0) >= 0)
     if not both.all():
         bad = np.flatnonzero(~both).tolist()
         raise ValueError(

@@ -64,8 +64,10 @@ class ProblemSpec:
     rho: float
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError(f"regularizer rho must be positive, got {self.rho}")
+        # the negated comparison also rejects nan
+        if not 0 < self.rho < np.inf:
+            raise ValueError(f"regularizer rho must be finite and positive, "
+                             f"got {self.rho}")
         if not self.per_node or any(len(s) == 0 for s in self.per_node):
             raise ValueError("every node needs at least one sample")
 

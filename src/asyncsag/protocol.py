@@ -22,7 +22,7 @@ step 4 descends on theta and ascends on omega.
 
 Nodes never share state; all interaction flows through payload rows that the
 caller (the simulator) delivers, and the caller picks each activation's
-sample (the simulator draws a node's picks from its ``SampleSelector``).
+sample (the simulator draws a node's picks with ``sample_picks``).
 """
 
 from __future__ import annotations
@@ -50,35 +50,17 @@ def selector_rng(seed: int, node_id: int) -> np.random.Generator:
     return derived_rng(seed, STREAM_SELECTOR, node_id)
 
 
-class SampleSelector:
-    """Random-reshuffle sample selection over a local index set.
-
-    Draws a fresh uniform permutation per epoch, so every index appears at
-    least once in any window of 2*m_local - 1 consecutive selections.
-    """
-
-    def __init__(self, m_local: int, rng: np.random.Generator) -> None:
-        if m_local < 1:
-            raise ValueError("selector needs at least one sample")
-        self.m_local = m_local
-        self._rng = rng
-        self._perm = rng.permutation(m_local)
-        self._pos = 0
-
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` selections. A new permutation is drawn only
-        when the current one is used up, so the picks do not depend on how
-        a run of draws is split into calls."""
-        parts = [np.empty(0, dtype=np.int64)]
-        while count > 0:
-            if self._pos == self.m_local:
-                self._perm = self._rng.permutation(self.m_local)
-                self._pos = 0
-            part = self._perm[self._pos:self._pos + count]
-            self._pos += part.shape[0]
-            count -= part.shape[0]
-            parts.append(part)
-        return np.concatenate(parts)
+def sample_picks(m_local: int, rng: np.random.Generator,
+                 count: int) -> np.ndarray:
+    """The first ``count`` random-reshuffle selections over ``m_local``
+    samples: successive uniform permutations from ``rng``, at least one,
+    so every index appears at least once in any window of 2*m_local - 1
+    consecutive selections."""
+    if m_local < 1:
+        raise ValueError("selector needs at least one sample")
+    epochs = max(1, -(-count // m_local))
+    return np.concatenate([rng.permutation(m_local)
+                           for _ in range(epochs)])[:count]
 
 
 @dataclass(slots=True)

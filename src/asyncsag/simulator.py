@@ -44,13 +44,13 @@ from .protocol import (
     Message,
     NodeState,
     PayloadTable,
-    SampleSelector,
     STREAM_DELAY,
     STREAM_SCHEDULE,
     activate,
     derived_rng,
     init_node,
     on_receive,
+    sample_picks,
     selector_rng,
 )
 
@@ -260,13 +260,12 @@ class _Network:
 
     def __init__(self, graph: DirectedGraph, delays: DelayModel,
                  rng: np.random.Generator, counts: np.ndarray) -> None:
-        # broadcast targets; the self-copy is already buffered by the protocol
-        targets = [[v for v in graph.out_neighbors(i) if v != i]
-                   for i in range(graph.n)]
-        self._fanout = np.array([len(t) for t in targets], dtype=np.int64)
+        # broadcast targets, by origin; the self-copy is already buffered by
+        # the protocol
+        origin, self._targets = np.nonzero(
+            graph.adj & ~np.eye(graph.n, dtype=bool))
+        self._fanout = np.bincount(origin, minlength=graph.n)
         self._first = np.cumsum(self._fanout) - self._fanout
-        self._targets = np.array([v for t in targets for v in t],
-                                 dtype=np.int64)
         self._delays, self._rng = delays, rng
         # the log: columns origin, dest, sent, slot and consuming event (-1
         # for none yet), one row per message that the initial broadcasts and
@@ -384,15 +383,16 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     # a buffer or a planned delivery can still read, and the buffers and
     # deliveries index it from there.
     payloads, base = PayloadTable.empty(n, width), 0
-    nodes = [init_node(i, problem.per_node[i], graph.out_degree(i), problem.m,
+    degree = graph.adj.sum(axis=1).tolist()
+    nodes = [init_node(i, problem.per_node[i], degree[i], problem.m,
                        problem.rho, payloads, row=i) for i in range(n)]
     # the whole run's activators, and each node's picks in the order of its
-    # activations, drawn at once from its selector
+    # activations, drawn at once from its selector stream
     node = schedule.next(max_events, derived_rng(seed, STREAM_SCHEDULE))
     counts = np.bincount(node, minlength=n)
     samples = np.empty(max_events, dtype=np.int64)
     samples[np.argsort(node, kind="stable")] = np.concatenate([
-        SampleSelector(m_local, selector_rng(seed, i)).take(c)
+        sample_picks(m_local, selector_rng(seed, i), c)
         for i, (m_local, c) in enumerate(zip(problem.m_i, counts.tolist()))])
     network = _Network(graph, delays, derived_rng(seed, STREAM_DELAY), counts)
     # the rest of the record, row k - 1 event k's: the broadcasts (the full

@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import unittest.mock
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +17,37 @@ from asyncsag.augmented import SparseMatrix
 from asyncsag.graph import DirectedGraph, diameter
 from asyncsag.mspbe import (ProblemSpec, SampleStats, _scaled_block,
                             aggregate, saddle_gradient, solve_problem)
-from asyncsag.protocol import SampleSelector, selector_rng
+from asyncsag.protocol import sample_picks, selector_rng
 from asyncsag.simulator import ActivationSchedule, DelayModel, EventTrace
+
+
+def edges(g: DirectedGraph) -> set[tuple[int, int]]:
+    """The edges of ``g``: its adjacency's true entries off the diagonal."""
+    return {(i, j) for i, j in np.argwhere(g.adj).tolist() if i != j}
 
 
 def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
     """Write ``g`` in the format ``graph.load_edge_list`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j in sorted(g.edges):
+        for i, j in sorted(edges(g)):
             fh.write(f"{i} {j}\n")
+
+
+def bfs_distances(g: DirectedGraph, start: int,
+                  reverse: bool = False) -> dict[int, int]:
+    """Hop counts from ``start`` to every node it reaches (to every node
+    that reaches it, with ``reverse``), by breadth-first search: the
+    reference for the level sweep ``graph.hop_counts``."""
+    adj = g.adj.T if reverse else g.adj
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in np.flatnonzero(adj[v]).tolist():
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def build_problem(seed: int = 0, n: int = 3, d: int = 3, length: int = 31,
@@ -194,7 +217,7 @@ def centralized_sag(problem: ProblemSpec, eta1: float, eta2: float, iters: int,
     d = problem.d
     z = np.zeros(2 * d)
     z_star = solve_problem(problem)
-    picks = SampleSelector(m, selector_rng(seed, 0)).take(iters).tolist()
+    picks = sample_picks(m, selector_rng(seed, 0), iters).tolist()
 
     table = np.stack([saddle_gradient(z, st, problem.rho) for st in stats])
     y = table.sum(axis=0) / m

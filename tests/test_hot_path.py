@@ -93,7 +93,7 @@ def test_run_async_bits_equal_reference_arithmetic(monkeypatch, topology, n,
     g = graph.generate_topology(topology, n)
     # the straggler is the node with the most in-neighbours, so its buffer
     # fills up between its activations
-    straggler = max(range(n), key=lambda v: len(g.in_neighbors(v)))
+    straggler = int(g.adj.sum(axis=0).argmax())
     sched = simulator.ActivationSchedule(
         kind=kind, n=n, straggler_node=straggler if kind == "straggler" else None,
         straggler_factor=4.0 if kind == "straggler" else 1.0)
@@ -131,13 +131,13 @@ def test_activate_matches_reference_on_shared_payloads():
         sides = []
         for _ in range(2):
             payloads = PayloadTable.empty(rows, 2 * d)
-            selector = protocol.SampleSelector(3, protocol.selector_rng(1, 0))
             node = protocol.init_node(0, stats, 3, 7, 0.1, payloads, row=0)
             payloads.z[1:], payloads.y[1:] = z[1:], y[1:]
             payloads.degree[1:] = degree[1:]
             # one row may sit in a buffer twice, as a duplicate delivery does
             node.buffer += list(range(1, 1 + length)) + [1]
-            (pick,) = selector.take(1).tolist()
+            (pick,) = protocol.sample_picks(3, protocol.selector_rng(1, 0),
+                                            1).tolist()
             sides.append((node, payloads, pick))
         (fast_node, fast_rows, pick), (slow_node, slow_rows, _) = sides
         fast = unchanged_payloads(protocol.activate)(fast_node, fast_rows,

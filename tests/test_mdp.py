@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncsag import graph, mdp
+from helpers import bfs_distances
 
 
 def small_mdp(seed=0, num_states=8, num_actions=3, streams=2):
@@ -164,8 +165,8 @@ def test_irreducibility_check_matches_graph_search():
                         some_reward_state(), 1)
         g = graph.DirectedGraph(
             s, [(i, j) for i, j in zip(*np.nonzero(support)) if i != j])
-        both = (graph._distances(g, 0).keys()
-                & graph._distances(g, 0, reverse=True).keys())
+        both = (bfs_distances(g, 0).keys()
+                & bfs_distances(g, 0, reverse=True).keys())
         bad = sorted(set(range(s)) - both)
         outcomes.add(bool(bad))
         if bad:

@@ -56,6 +56,13 @@ def test_per_sample_stats_shapes_and_rank():
         mspbe.SampleStats(np.ones((2, 2)), np.ones((2, 2)), 0.0)
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
+def test_problem_spec_rejects_a_regularizer_outside_the_positive_reals(rho):
+    stats = mspbe.SampleStats(np.ones(2), np.ones(2), 0.0)
+    with pytest.raises(ValueError, match="rho"):
+        mspbe.ProblemSpec(((stats,),), rho)
+
+
 def test_gradient_matches_finite_differences():
     """Analytic saddle gradient against central differences.
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from asyncsag import graph, mspbe, protocol, simulator
 from asyncsag.protocol import (STREAM_DELAY, STREAM_SCHEDULE, Message,
-                               SampleSelector, derived_rng, selector_rng)
+                               derived_rng, sample_picks, selector_rng)
 from helpers import (NodeStates, assert_traces_equal, build_problem,
                      recorded_states)
 
@@ -53,8 +53,9 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     pending = [[] for _ in range(n)]
     messages = []
     seq = 0
-    targets = [[v for v in graph_.out_neighbors(i) if v != i] for i in range(n)]
-    degree = [graph_.out_degree(i) for i in range(n)]
+    targets = [[v for v in np.flatnonzero(graph_.adj[i]).tolist() if v != i]
+               for i in range(n)]
+    degree = graph_.adj.sum(axis=1).tolist()
 
     def send(origin, z_t, y_t, sent_at):
         nonlocal seq
@@ -66,9 +67,11 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
                            (deliver_at, sent_at, origin, seq, msg, z_t, y_t))
             seq += 1
 
-    selectors, tables, ys, buffers = [], [], [], []
+    # each node's picks, enough for every event: a shorter draw is a prefix
+    picks, tables, ys, buffers = [], [], [], []
     for i in range(n):
-        selectors.append(SampleSelector(problem.m_i[i], selector_rng(seed, i)))
+        picks.append(iter(sample_picks(problem.m_i[i], selector_rng(seed, i),
+                                       max_events).tolist()))
         table = np.stack([mspbe.saddle_gradient(z0_rows[i], st_, rho)
                           for st_ in problem.per_node[i]])
         y = table.sum(axis=0) / m
@@ -94,7 +97,7 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         buffer = buffers[i]
         z_hat = np.mean([z for z, _, _, _ in buffer], axis=0)
         y_new = np.sum([y for _, y, _, _ in buffer], axis=0)
-        (pick,) = selectors[i].take(1).tolist()
+        pick = next(picks[i])
         fresh = mspbe.saddle_gradient(z_hat, problem.per_node[i][pick], rho)
         y_new += (fresh - tables[i][pick]) / m
         tables[i][pick] = fresh

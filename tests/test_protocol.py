@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from asyncsag import mspbe
-from asyncsag.protocol import (Message, PayloadTable, SampleSelector, activate,
-                               init_node, on_receive, selector_rng)
+from asyncsag.protocol import (Message, PayloadTable, activate, init_node,
+                               on_receive, sample_picks, selector_rng)
 
 
 def scalar_stats(phi=0.0, psi=0.0, r=0.0):
@@ -57,46 +55,36 @@ def test_selector_covers_every_window():
     for seed in range(5):
         for m in (1, 2, 5, 8):
             K = 2 * m - 1
-            picks = SampleSelector(m, selector_rng(seed, 0)).take(
-                6 * m + 3).tolist()
+            picks = sample_picks(m, selector_rng(seed, 0), 6 * m + 3).tolist()
             for start in range(len(picks) - K + 1):
                 assert set(picks[start:start + K]) == set(range(m))
 
 
 def test_selector_epochs_are_permutations():
-    sel = SampleSelector(6, selector_rng(3, 1))
-    first, second = sel.take(6).tolist(), sel.take(6).tolist()
+    picks = sample_picks(6, selector_rng(3, 1), 12).tolist()
+    first, second = picks[:6], picks[6:]
     assert sorted(first) == list(range(6))
     assert sorted(second) == list(range(6))
 
 
 def test_selector_deterministic_per_seed_and_node():
-    a = SampleSelector(5, selector_rng(7, 2))
-    b = SampleSelector(5, selector_rng(7, 2))
-    c = SampleSelector(5, selector_rng(7, 3))
-    seq_a, seq_b, seq_c = (sel.take(20).tolist() for sel in (a, b, c))
+    seq_a, seq_b, seq_c = (sample_picks(5, rng, 20).tolist() for rng in
+                           (selector_rng(7, 2), selector_rng(7, 2),
+                            selector_rng(7, 3)))
     assert seq_a == seq_b
     assert seq_a != seq_c
 
 
-def test_selector_take_draws_permutation_epochs():
+def test_selector_picks_are_permutation_epochs():
     for m in (1, 3, 7):
         for seed, node_id in ((4, 1), (0, 0), (29, 5)):
-            taken = SampleSelector(m, selector_rng(seed, node_id)).take(40)
-            assert taken.dtype == np.int64
-            assert taken.tolist() == permutation_epochs(m, seed, node_id, 40)
-
-
-@settings(max_examples=60, deadline=None)
-@given(m=st.integers(1, 9), chunks=st.lists(st.integers(0, 25), max_size=12))
-def test_selector_picks_do_not_depend_on_chunking(m, chunks):
-    """The engine takes each node's picks a block at a time, and the
-    centralized baseline all at once; the single-node run equals the
-    baseline bit for bit only if the picks are the same either way."""
-    sel = SampleSelector(m, selector_rng(6, 0))
-    taken = [sel.take(count).tolist() for count in chunks]
-    assert [len(part) for part in taken] == chunks
-    assert sum(taken, []) == permutation_epochs(m, 6, 0, sum(chunks))
+            for count in (0, 1, m, 40):
+                picks = sample_picks(m, selector_rng(seed, node_id), count)
+                assert picks.dtype == np.int64
+                assert picks.tolist() == permutation_epochs(m, seed, node_id,
+                                                            count)
+    with pytest.raises(ValueError):
+        sample_picks(0, selector_rng(0, 0), 3)
 
 
 def test_init_node_table_and_tracker():
@@ -204,12 +192,11 @@ def test_table_soundness_against_eval_points():
                             r=float(rng.normal()))
                for _ in range(4)]
     node, payloads = make_node(samples, out_degree=2)
-    selector = SampleSelector(4, selector_rng(5, 0))
+    picks = sample_picks(4, selector_rng(5, 0), 29).tolist()
     eval_points = np.zeros((4, 2))
-    for k in range(1, 30):
+    for k, pick in enumerate(picks, start=1):
         put(payloads, 2 * k - 1, rng.normal(size=2), rng.normal(size=2))
         on_receive(node, 0, 2 * k - 1)
-        (pick,) = selector.take(1).tolist()
         eval_points[pick] = activate(node, payloads, 2 * k, pick, 0.05, 0.1)
         for p in range(4):
             expected = mspbe.saddle_gradient(eval_points[p], samples[p], 0.1)
@@ -230,8 +217,9 @@ def test_mass_conservation_two_node_relay():
     nodes = [make_node(samples, out_degree=2, m_global=m,
                        node_id=i, payloads=payloads)[0]
              for i, samples in enumerate(all_samples)]
-    selectors = [SampleSelector(len(samples), selector_rng(9, i))
-                 for i, samples in enumerate(all_samples)]
+    # each node's picks, as many as there are events
+    picks = [iter(sample_picks(len(samples), selector_rng(9, i), 24).tolist())
+             for i, samples in enumerate(all_samples)]
 
     def global_table_mean():
         return sum(node.table.sum(axis=0) for node in nodes) / m
@@ -245,7 +233,7 @@ def test_mass_conservation_two_node_relay():
         for row in inflight[i]:
             on_receive(node, i, row)
         inflight[i] = []
-        (pick,) = selectors[i].take(1).tolist()
+        pick = next(picks[i])
         activate(node, payloads, k + 1, pick, 0.02, 0.05)
         # the new mass splits into out_degree shares (peer copy + self copy)
         inflight[1 - i].append(k + 1)
