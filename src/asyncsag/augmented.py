@@ -431,15 +431,12 @@ def _replay_states(trace: EventTrace,
     n, d, m = trace.n, trace.d, sum(trace.m_i)
     ntilde = n * (trace.window + 1)
 
-    # every node starts at z = 0, so every register does
-    z_rows, partial = np.zeros((ntilde, 2 * d)), np.empty((n, 2 * d))
-    tables = []
-    for v in range(n):
-        table = np.stack([saddle_gradient(np.zeros(2 * d), st, problem.rho)
-                          for st in problem.per_node[v]])
-        tables.append(table)
-        # tracker-side rows carry omega times sqrt(zeta), as from_scaled does
-        partial[v] = from_scaled(table.sum(axis=0) / m, zeta)
+    # every node starts at z = 0, so every register does and every sample's
+    # gradient is its offset g_s; tracker rows scale omega as from_scaled does
+    z_rows = np.zeros((ntilde, 2 * d))
+    maps = [problem.node_maps(v) for v in range(n)]
+    tables = [offset.copy() for _, offset in maps]
+    partial = from_scaled(np.stack([t.sum(axis=0) for t in tables]) / m, zeta)
     # the trackers start at the partial averages, and the registers empty
     y_rows = np.zeros((ntilde, 2 * d))
     y_rows[:n] = partial
@@ -455,8 +452,8 @@ def _replay_states(trace: EventTrace,
         mats = build_event_matrices(trace, k)
 
         z_rows = mats.h_row @ prev.z_rows
-        fresh = saddle_gradient(z_rows[i] * unscale, problem.per_node[i][p],
-                                problem.rho)
+        fresh = saddle_gradient(z_rows[i] * unscale, maps[i][0][p],
+                                maps[i][1][p])
         step = fresh - tables[i][p]
         step /= m
         step *= unscale

@@ -1,24 +1,26 @@
 """Per-node state machine of the asynchronous push-pull averaged-gradient run.
 
-Each node keeps a per-sample table of stored gradients and one receive
-buffer of payload rows; its saddle vector z and its gradient tracker y are
-its latest broadcast's payload row. An activation, in order:
+Each node keeps a per-sample table of stored gradients, its samples' rows of
+the problem's gradient maps (``ProblemSpec.maps``) and one receive buffer of
+payload rows; its saddle vector z and its gradient tracker y are its latest
+broadcast's payload row. An activation, in order:
 
   1. pulls z as the elementwise mean of buffered z payloads,
-  2. pushes y as the elementwise sum of buffered y payloads,
-  3. refreshes the gradient table at the picked sample and corrects y by
-     (new - stored) / m with the *global* sample count m,
+  2. pushes y as the elementwise sum of buffered tracker shares,
+  3. refreshes the gradient table at the picked sample (its map G_s z + g_s)
+     and corrects y by (new - stored) / m with the *global* sample count m,
   4. forms the outgoing pair: z_tilde = z - diag(eta1, eta2) block step along
-     y, y_tilde = y / out_degree (self-inclusive out-degree),
+     y, and the share y / out_degree (self-inclusive out-degree),
   5. writes it as its row of the payload table, empties the buffer and
      immediately re-buffers that row as its own copy.
 
 A payload is a row of a ``PayloadTable``, which holds each broadcast of a
 run once, for as long as a buffer or a delivery can still read it; a
 buffered entry is the index of its row, which the simulator maps to its
-provenance (origin node, origin event index). The sign convention: y's
-omega block carries the negated dual gradient, so the single subtraction in
-step 4 descends on theta and ascends on omega.
+provenance (origin node, origin event index). A row is [z_tilde | share],
+so steps 1 and 2 are one in-place addition per buffered row. The sign
+convention: y's omega block carries the negated dual gradient, so the single
+subtraction in step 4 descends on theta and ascends on omega.
 
 Nodes never share state; all interaction flows through payload rows that the
 caller (the simulator) delivers, and the caller picks each activation's
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mspbe import SampleStats, saddle_gradient
+from .mspbe import saddle_gradient
 
 # Stream tags for deriving independent per-purpose generators from one seed.
 STREAM_SCHEDULE = 1
@@ -84,20 +86,17 @@ class Message:
 class PayloadTable:
     """Broadcasts of a run, one row each, written once by its sender.
 
-    A copy of row r carries the saddle vector ``z[r]`` and the tracker share
-    ``y[r] / degree[r]``: ``y`` holds the sender's corrected tracker y_new
-    and ``degree`` its out-degree. The share is recomputed wherever it is
-    read, which gives the bits a stored share would have.
+    Row r of ``rows`` is what every copy of broadcast r carries: the saddle
+    vector z_tilde and the tracker share y_new / out_degree, side by side.
+    ``y`` holds the sender's y_new, which the metrics read.
     """
 
-    z: np.ndarray        # (rows, 2d) broadcast z_tilde
+    rows: np.ndarray     # (rows, 4d) [z_tilde | y_new / out_degree]
     y: np.ndarray        # (rows, 2d) the sender's y_new
-    degree: np.ndarray   # (rows,) the sender's out-degree, as a float
 
     @classmethod
     def empty(cls, rows: int, width: int) -> "PayloadTable":
-        return cls(np.empty((rows, width)), np.empty((rows, width)),
-                   np.empty(rows))
+        return cls(np.empty((rows, 2 * width)), np.empty((rows, width)))
 
 
 @dataclass
@@ -105,31 +104,30 @@ class NodeState:
     """One node's full protocol state. Owned by exactly one executor."""
 
     node_id: int
-    table: np.ndarray                # (m_local, 2d) stored per-sample gradients
-    stats: tuple[SampleStats, ...]   # local sample statistics
-    rho: float
+    table: np.ndarray     # (m_local, 2d) stored per-sample gradients
+    linear: np.ndarray    # (m_local, 2d, 2d) the local samples' G_s
+    offset: np.ndarray    # (m_local, 2d) their g_s
     m_global: int
     out_degree: int
-    buffer: list[int]                # payload rows
+    buffer: list[int]     # payload rows
 
 
-def init_node(node_id: int, samples: list[SampleStats] | tuple[SampleStats, ...],
-              out_degree: int, m_global: int, rho: float,
-              payloads: PayloadTable, row: int) -> NodeState:
-    """Fill the gradient table at z = 0 and stage the initial broadcast.
+def init_node(node_id: int, linear: np.ndarray, offset: np.ndarray,
+              out_degree: int, m_global: int, payloads: PayloadTable,
+              row: int) -> NodeState:
+    """Fill the gradient table at z = 0, where each sample's map
+    G_s z + g_s is its offset g_s, and stage the initial broadcast.
 
     The broadcast (z = 0 and the tracker) is written to ``row`` of the
     payload table, which the node's out-neighbors must receive; the node's
     own copy is already buffered.
     """
-    stats = tuple(samples)
-    z0 = np.zeros(payloads.z.shape[1])
-    table = np.stack([saddle_gradient(z0, st, rho) for st in stats])
-    payloads.z[row] = z0
-    payloads.y[row] = table.sum(axis=0) / m_global
-    payloads.degree[row] = out_degree
+    table = offset.copy()
+    y = table.sum(axis=0) / m_global
+    payloads.rows[row] = np.concatenate([np.zeros_like(y), y / out_degree])
+    payloads.y[row] = y
     return NodeState(
-        node_id=node_id, table=table, stats=stats, rho=rho,
+        node_id=node_id, table=table, linear=linear, offset=offset,
         m_global=m_global, out_degree=out_degree, buffer=[row],
     )
 
@@ -158,27 +156,27 @@ def activate(node: NodeState, payloads: PayloadTable, row: int,
             f"node {node.node_id} activated with an empty buffer; the "
             f"self-copy invariant was broken"
         )
-    # The pull mean and the push sum add the buffered payloads in buffer
-    # order, as np.mean/np.sum do over their stacked (k, 2d) block; the
+    # The pull mean and the push sum add the buffered rows [z | share] in
+    # buffer order, as np.mean/np.sum do over the stacked (k, 4d) block; the
     # buffered rows are only read, and only ``row`` is written.
-    z_rows, y_rows, degree = payloads.z, payloads.y, payloads.degree
-    first = buffer[0]
-    z_hat = z_rows[first].copy()
-    y_new = y_rows[first] / degree[first]
+    rows = payloads.rows
+    pulled = rows[buffer[0]].copy()
     for r in buffer[1:]:
-        z_hat += z_rows[r]
-        y_new += y_rows[r] / degree[r]
+        pulled += rows[r]
+    width = pulled.shape[0] // 2
+    z_hat, y_new = pulled[:width], pulled[width:]
     # a float divisor rounds as the int would and skips its conversion
     z_hat /= float(len(buffer))
 
-    fresh = saddle_gradient(z_hat, node.stats[pick], node.rho)
+    fresh = saddle_gradient(z_hat, node.linear[pick], node.offset[pick])
     y_new += (fresh - node.table[pick]) / float(node.m_global)
     node.table[pick] = fresh
 
-    z_tilde = z_hat - _block_steps(eta1, eta2, z_hat.shape[0] // 2) * y_new
-    z_rows[row] = z_tilde
-    y_rows[row] = y_new
-    degree[row] = node.out_degree
+    z_tilde, share = rows[row, :width], rows[row, width:]
+    np.multiply(_block_steps(eta1, eta2, width // 2), y_new, out=z_tilde)
+    np.subtract(z_hat, z_tilde, out=z_tilde)
+    np.divide(y_new, float(node.out_degree), out=share)
+    payloads.y[row] = y_new
     node.buffer = [row]
     return z_hat
 

@@ -384,8 +384,8 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     # deliveries index it from there.
     payloads, base = PayloadTable.empty(n, width), 0
     degree = graph.adj.sum(axis=1).tolist()
-    nodes = [init_node(i, problem.per_node[i], degree[i], problem.m,
-                       problem.rho, payloads, row=i) for i in range(n)]
+    nodes = [init_node(i, *problem.node_maps(i), degree[i], problem.m,
+                       payloads, row=i) for i in range(n)]
     # the whole run's activators, and each node's picks in the order of its
     # activations, drawn at once from its selector stream
     node = schedule.next(max_events, derived_rng(seed, STREAM_SCHEDULE))
@@ -414,9 +414,8 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         oldest = min(oldest, base + min(min(nd.buffer) for nd in nodes))
         kept, count = n + k0 - 1 - oldest, act.shape[0]
         table = PayloadTable.empty(kept + count, width)
-        table.z[:kept], table.y[:kept], table.degree[:kept] = (
-            col[oldest - base:]
-            for col in (payloads.z, payloads.y, payloads.degree))
+        table.rows[:kept] = payloads.rows[oldest - base:]
+        table.y[:kept] = payloads.y[oldest - base:]
         for nd in nodes:
             nd.buffer = [r - (oldest - base) for r in nd.buffer]
         payloads, base = table, oldest
@@ -432,10 +431,10 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
 
         states = slice(kept, kept + count)
         if carry is None:
-            z_tilde[block] = payloads.z[states]
+            z_tilde[block] = payloads.rows[states, :width]
         else:
-            piece = metrics(act, payloads.z[states], payloads.y[states],
-                            z_star, carry)
+            piece = metrics(act, payloads.rows[states, :width],
+                            payloads.y[states], z_star, carry)
             # the piece's rows end at the block's last event
             for column, rows in zip(vars(series).values(),
                                     vars(piece).values()):

@@ -63,6 +63,25 @@ def build_problem(seed: int = 0, n: int = 3, d: int = 3, length: int = 31,
     return ProblemSpec(mdp.partition_samples(traj, feats, mode, n, gamma), rho)
 
 
+def sample_map(stats: SampleStats, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """One sample's gradient map (G_s, g_s), as ``ProblemSpec.maps`` builds
+    it."""
+    linear, offset = ProblemSpec(((stats,),), rho).maps
+    return linear[0], offset[0]
+
+
+def rank_one_gradient(z: np.ndarray, stats: SampleStats, rho: float) -> np.ndarray:
+    """The per-sample gradient from the rank-one factors: [A^T omega +
+    rho theta; -(A theta - C omega - b)] is [psi (phi.omega) + rho theta;
+    phi (phi.omega + r - psi.theta)], O(d) work; the reference that the
+    gradient map ``mspbe.saddle_gradient`` evaluates is checked against."""
+    d = stats.phi.shape[0]
+    theta, omega = z[:d], z[d:]
+    u = stats.phi @ omega
+    return np.concatenate([stats.psi * u + rho * theta,
+                           stats.phi * (u + stats.reward - stats.psi @ theta)])
+
+
 def sample_objective(z: np.ndarray, stats: SampleStats, rho: float) -> float:
     """Value of the per-sample saddle term, whose gradient (dual block
     negated) ``mspbe.saddle_gradient`` returns; the derivative checks
@@ -102,18 +121,19 @@ def recorded_states():
     states = NodeStates([], [], [])
     init, act = simulator.init_node, simulator.activate
 
-    def init_node(node_id, samples, out_degree, m_global, rho, payloads, row):
+    def init_node(node_id, linear, offset, out_degree, m_global, payloads,
+                  row):
         if node_id == 0:   # a new run
             for rows in (states.y0, states.z_tilde, states.y_new):
                 rows.clear()
-        node = init(node_id, samples, out_degree, m_global, rho, payloads,
+        node = init(node_id, linear, offset, out_degree, m_global, payloads,
                     row)
         states.y0.append(payloads.y[row].copy())
         return node
 
     def activate(node, payloads, row, *args, **kwargs):
         z_hat = act(node, payloads, row, *args, **kwargs)
-        states.z_tilde.append(payloads.z[row].copy())
+        states.z_tilde.append(payloads.rows[row, :payloads.y.shape[1]].copy())
         states.y_new.append(payloads.y[row].copy())
         return z_hat
 
@@ -212,20 +232,20 @@ def centralized_sag(problem: ProblemSpec, eta1: float, eta2: float, iters: int,
     same arithmetic order (gradient at the current z, table correction, block
     step).
     """
-    stats = list(problem.all_stats())
-    m = len(stats)
-    d = problem.d
+    linear, offset = problem.maps
+    m, d = problem.m, problem.d
     z = np.zeros(2 * d)
     z_star = solve_problem(problem)
     picks = sample_picks(m, selector_rng(seed, 0), iters).tolist()
 
-    table = np.stack([saddle_gradient(z, st, problem.rho) for st in stats])
+    # at z = 0 every sample's gradient map is its offset
+    table = offset.copy()
     y = table.sum(axis=0) / m
 
     z_hist = np.empty((iters + 1, 2 * d))
     z_hist[0] = z
     for k, p in enumerate(picks, start=1):
-        fresh = saddle_gradient(z, stats[p], problem.rho)
+        fresh = saddle_gradient(z, linear[p], offset[p])
         y += (fresh - table[p]) / m
         table[p] = fresh
         z = z.copy()

@@ -89,11 +89,12 @@ def test_sag_visits_every_sample():
     picks = rng.permutation(m).tolist() + rng.permutation(m).tolist()
     assert set(picks[:m]) == set(range(m))
     trace = centralized_sag(prob, eta1, eta2, 2 * m, seed=2)
-    stats = list(prob.all_stats())
+    linear, offset = prob.maps
     z = np.zeros(2 * d)
-    table = np.array([mspbe.saddle_gradient(z, st, prob.rho) for st in stats])
+    table = np.array([mspbe.saddle_gradient(z, g_s, o_s)
+                      for g_s, o_s in zip(linear, offset)])
     for k, p in enumerate(picks, start=1):
-        table[p] = mspbe.saddle_gradient(z, stats[p], prob.rho)
+        table[p] = mspbe.saddle_gradient(z, linear[p], offset[p])
         y = table.mean(axis=0)
         z = z - np.concatenate([eta1 * y[:d], eta2 * y[d:]])
         assert np.allclose(trace.z_hist[k], z, rtol=0.0, atol=1e-12)

@@ -1,11 +1,13 @@
 """Contracts of the simulator's per-event path.
 
 The activation and the per-sample gradient are written for speed (in-place
-sums, one output buffer). They must give the same bits as the plain numpy
-expressions below, which are kept here as the reference: ``np.mean`` and
-``np.sum`` over the stacked buffer, a block step per half, and
-``np.concatenate`` of the two gradient blocks. The benchmark's tracer must
-also still find every name it wraps.
+sums over payload rows [z | share], outputs written into their row). They
+must give the same bits as the plain numpy expressions below, which are
+kept here as the reference: ``np.mean`` of the buffered z and ``np.sum`` of
+the buffered shares over the stacked buffer, the gradient map
+``G_s @ z + g_s``, a block step per half, and the share ``y_new /
+out_degree``. The benchmark's tracer must also still find every name it
+wraps.
 """
 
 from __future__ import annotations
@@ -21,20 +23,13 @@ import pytest
 
 from asyncsag import cli, graph, mspbe, protocol, simulator
 from asyncsag.protocol import PayloadTable
-from helpers import assert_traces_equal, build_problem
+from helpers import assert_traces_equal, build_problem, sample_map
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def reference_saddle_gradient(z, stats, rho):
-    d = stats.phi.shape[0]
-    if z.shape != (2 * d,):
-        raise ValueError(f"z must have length {2 * d}, got shape {z.shape}")
-    theta, omega = z[:d], z[d:]
-    u = stats.phi @ omega
-    g_theta = stats.psi * u + rho * theta
-    g_omega = stats.phi * (u + stats.reward - stats.psi @ theta)
-    return np.concatenate([g_theta, g_omega])
+def reference_saddle_gradient(z, linear, offset):
+    return linear @ z + offset
 
 
 def random_stats(rng, d, scale=1.0):
@@ -46,22 +41,22 @@ def random_stats(rng, d, scale=1.0):
 def reference_activate(node, payloads, row, pick, eta1, eta2):
     if not node.buffer:
         raise RuntimeError("empty buffer")
-    z_hat = np.mean([payloads.z[r] for r in node.buffer], axis=0)
-    y_new = np.sum([payloads.y[r] / int(payloads.degree[r])
-                    for r in node.buffer], axis=0)
+    width = payloads.y.shape[1]
+    z_hat = np.mean([payloads.rows[r, :width] for r in node.buffer], axis=0)
+    y_new = np.sum([payloads.rows[r, width:] for r in node.buffer], axis=0)
 
-    fresh = reference_saddle_gradient(z_hat, node.stats[pick], node.rho)
+    fresh = reference_saddle_gradient(z_hat, node.linear[pick],
+                                      node.offset[pick])
     y_new += (fresh - node.table[pick]) / node.m_global
     node.table[pick] = fresh
 
-    d = z_hat.shape[0] // 2
+    d = width // 2
     z_tilde = z_hat.copy()
     z_tilde[:d] -= eta1 * y_new[:d]
     z_tilde[d:] -= eta2 * y_new[d:]
 
-    payloads.z[row] = z_tilde
+    payloads.rows[row] = np.concatenate([z_tilde, y_new / node.out_degree])
     payloads.y[row] = y_new
-    payloads.degree[row] = node.out_degree
     node.buffer = [row]
     return z_hat
 
@@ -75,7 +70,7 @@ def unchanged_payloads(activate):
     """``activate`` that fails when it writes to a payload row other than its
     own broadcast's."""
     def checked(node, payloads, row, *args, **kwargs):
-        columns = (payloads.z, payloads.y, payloads.degree)
+        columns = (payloads.rows, payloads.y)
         before = [np.delete(col, row, axis=0).tobytes() for col in columns]
         result = activate(node, payloads, row, *args, **kwargs)
         after = [np.delete(col, row, axis=0).tobytes() for col in columns]
@@ -123,17 +118,18 @@ def test_activate_matches_reference_on_shared_payloads():
     rng = np.random.default_rng(5)
     d = 4
     stats = [random_stats(rng, d) for _ in range(3)]
+    maps = mspbe.ProblemSpec((tuple(stats),), 0.1).maps
     for length in range(1, 10):
         rows = 1 + length + 1
         z = rng.normal(size=(rows, 2 * d))
         y = rng.normal(size=(rows, 2 * d))
-        degree = rng.integers(1, 4, size=rows).astype(float)
+        degree = rng.integers(1, 4, size=(rows, 1))
         sides = []
         for _ in range(2):
             payloads = PayloadTable.empty(rows, 2 * d)
-            node = protocol.init_node(0, stats, 3, 7, 0.1, payloads, row=0)
-            payloads.z[1:], payloads.y[1:] = z[1:], y[1:]
-            payloads.degree[1:] = degree[1:]
+            node = protocol.init_node(0, *maps, 3, 7, payloads, row=0)
+            payloads.rows[1:] = np.hstack([z, y / degree])[1:]
+            payloads.y[1:] = y[1:]
             # one row may sit in a buffer twice, as a duplicate delivery does
             node.buffer += list(range(1, 1 + length)) + [1]
             (pick,) = protocol.sample_picks(3, protocol.selector_rng(1, 0),
@@ -147,7 +143,7 @@ def test_activate_matches_reference_on_shared_payloads():
         assert same_bits(fast, slow)
         # the broadcast z and y are compared as the payload rows below
         assert same_bits(fast_node.table, slow_node.table)
-        for name in ("z", "y", "degree"):
+        for name in ("rows", "y"):
             assert same_bits(getattr(fast_rows, name),
                              getattr(slow_rows, name)), name
         assert fast_node.buffer == slow_node.buffer == [rows - 1]
@@ -157,12 +153,13 @@ def test_saddle_gradient_matches_reference():
     rng = np.random.default_rng(3)
     for d in (1, 2, 3, 5, 8, 17, 64):
         for _ in range(20):
-            stats = random_stats(rng, d, 10.0 ** rng.integers(-6, 7))
+            maps = sample_map(random_stats(rng, d, 10.0 ** rng.integers(-6, 7)),
+                              0.1)
             z = rng.normal(size=2 * d) * 10.0 ** rng.integers(-6, 7)
-            assert same_bits(mspbe.saddle_gradient(z, stats, 0.1),
-                             reference_saddle_gradient(z, stats, 0.1))
+            assert same_bits(mspbe.saddle_gradient(z, *maps),
+                             reference_saddle_gradient(z, *maps))
         with pytest.raises(ValueError):
-            mspbe.saddle_gradient(np.zeros(2 * d + 1), stats, 0.1)
+            mspbe.saddle_gradient(np.zeros(2 * d + 1), *maps)
 
 
 def test_bench_tracer_wraps_the_hot_path(monkeypatch, tmp_path, capsys):
@@ -200,8 +197,9 @@ def test_bench_tracer_wraps_the_hot_path(monkeypatch, tmp_path, capsys):
     assert calls["simulator.delay_draw"] == blocks
     received = sum(msg.consumed_at is not None for msg in trace.messages)
     assert calls["protocol.on_receive"] == received
-    # the initial tables, then one refresh per drawn sample
-    assert calls["mspbe.saddle_gradient"] == sum(trace.m_i) + trace.samples.size
+    # one refresh per drawn sample; the initial tables are the maps'
+    # offsets, the gradient at z = 0, and call nothing
+    assert calls["mspbe.saddle_gradient"] == trace.samples.size
     # the activate probe reads len(node.buffer) before each pull: the own
     # copy and the messages received
     assert tracer.observed["buffer_len_sum"] == trace.num_events + received

@@ -4,14 +4,16 @@ scaled coordinates, and spectral constants."""
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsag import mdp, mspbe
-from helpers import build_problem, sample_objective, scaled_affine, to_scaled
+from asyncsag import augmented, graph, mdp, mspbe, protocol, simulator
+from helpers import (build_problem, rank_one_gradient, sample_map,
+                     sample_objective, scaled_affine, to_scaled)
 
 
 random_problem = functools.partial(build_problem, d=4, length=41,
@@ -73,23 +75,24 @@ def test_gradient_matches_finite_differences():
     prob = random_problem(seed=1)
     d = prob.d
     flip = np.concatenate([np.ones(d), -np.ones(d)])
-    for stats in prob.per_node[0][:5]:
+    linear, offset = prob.node_maps(0)
+    for s, stats in enumerate(prob.per_node[0][:5]):
         z = rng.normal(size=2 * d)
         fun = lambda w: sample_objective(w, stats, prob.rho)
         expected = flip * numeric_gradient(fun, z)
-        got = mspbe.saddle_gradient(z, stats, prob.rho)
+        got = mspbe.saddle_gradient(z, linear[s], offset[s])
         assert np.max(np.abs(got - expected)) < 1e-6 * max(
             1.0, np.max(np.abs(expected)))
 
 
 def test_gradient_is_affine_in_z():
     prob = random_problem(seed=2)
-    stats = prob.per_node[1][0]
+    linear, offset = (a[0] for a in prob.node_maps(1))
     rng = np.random.default_rng(2)
     z1, z2 = rng.normal(size=(2, 2 * prob.d))
-    g1 = mspbe.saddle_gradient(z1, stats, prob.rho)
-    g2 = mspbe.saddle_gradient(z2, stats, prob.rho)
-    mid = mspbe.saddle_gradient(0.5 * (z1 + z2), stats, prob.rho)
+    g1 = mspbe.saddle_gradient(z1, linear, offset)
+    g2 = mspbe.saddle_gradient(z2, linear, offset)
+    mid = mspbe.saddle_gradient(0.5 * (z1 + z2), linear, offset)
     assert np.allclose(mid, 0.5 * (g1 + g2), atol=1e-12)
 
 
@@ -97,8 +100,8 @@ def test_full_gradient_is_flat_mean_over_samples():
     prob = random_problem(seed=3, n=3)
     rng = np.random.default_rng(3)
     z = rng.normal(size=2 * prob.d)
-    per_sample = [mspbe.saddle_gradient(z, s, prob.rho)
-                  for node in prob.per_node for s in node]
+    per_sample = [mspbe.saddle_gradient(z, g_s, o_s)
+                  for g_s, o_s in zip(*prob.maps)]
     # the scaled map at zeta = 1 is the unscaled mean gradient
     m_op, const = scaled_affine(prob, 1.0)
     assert np.allclose(m_op @ z + const, np.mean(per_sample, axis=0),
@@ -119,8 +122,8 @@ def test_aggregate_means():
        scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
        seed=st.integers(0, 2**32 - 1))
 def test_rank_one_kernels_match_dense_definition(d, m, scale, seed):
-    """saddle_gradient and aggregate against A = phi psi^T, C = phi phi^T,
-    b = phi r built densely.
+    """The gradient map, the rank-one oracle and aggregate against
+    A = phi psi^T, C = phi phi^T, b = phi r built densely.
 
     Every entry of either side is a sum of at most K = 2d + 2 (gradient) or
     m (aggregate) products of two or three inputs, so each side is within
@@ -144,8 +147,9 @@ def test_rank_one_kernels_match_dense_definition(d, m, scale, seed):
             np.abs(a.T) @ np.abs(omega) + rho * np.abs(theta),
             np.abs(a) @ np.abs(theta) + np.abs(c) @ np.abs(omega) + np.abs(b)])
         bound = 2 * (2 * d + 5) * u * terms
-        got = mspbe.saddle_gradient(z, s, rho)
-        assert np.all(np.abs(got - dense) <= bound)
+        for got in (mspbe.saddle_gradient(z, *sample_map(s, rho)),
+                    rank_one_gradient(z, s, rho)):
+            assert np.all(np.abs(got - dense) <= bound)
     A, b, C = mspbe.aggregate(mspbe.ProblemSpec(((*stats,),), rho))
     loop = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d))]
     mags = [np.zeros((d, d)), np.zeros(d), np.zeros((d, d))]
@@ -156,6 +160,100 @@ def test_rank_one_kernels_match_dense_definition(d, m, scale, seed):
             mags[k] += np.abs(term)
     for got, total, mag in zip((A, b, C), loop, mags):
         assert np.all(np.abs(got - total / m) <= 2 * (m + 3) * u * mag / m)
+
+
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative error
+    bound of k roundings (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 3.1)."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+# 0 or a magnitude in [1e-50, 1e3], so that no product of three of them
+# underflows and every rounding error is relative
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-50, 1e3), st.floats(-1e3, -1e-50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 64), data=st.data())
+def test_gradient_map_agrees_with_the_rank_one_oracle(d, data):
+    """G_s z + g_s against the rank-one evaluation, for any factors.
+
+    Every entry of G_s and g_s is one rounded product (rho and the negation
+    are exact), and an entry of G_s z + g_s sums 2d + 1 terms, so the map is
+    within gamma_{2d+2} (|G_s||z| + |g_s|) of the exact gradient. The
+    rank-one form rounds each term of an entry at most d + 3 times (a d-term
+    dot, the scalar sum, the scaling), within gamma_{d+3} of the same
+    magnitudes, and d + 3 <= 2d + 2. The bound is computed from the rounded
+    magnitudes, which one more gamma covers.
+    """
+    def vector(size):
+        return np.array(data.draw(st.lists(_ENTRY, min_size=size,
+                                           max_size=size)))
+
+    stats = mspbe.SampleStats(vector(d), vector(d), data.draw(_ENTRY))
+    rho = data.draw(st.floats(1e-6, 1e3))
+    z = vector(2 * d)
+    linear, offset = sample_map(stats, rho)
+    got = mspbe.saddle_gradient(z, linear, offset)
+    bound = 2 * gamma(2 * d + 3) * (np.abs(linear) @ np.abs(z) + np.abs(offset))
+    assert np.all(np.abs(got - rank_one_gradient(z, stats, rho)) <= bound)
+
+
+def test_map_stack_averages_to_the_mean_gradient_map():
+    """The mean of ``ProblemSpec.maps`` is ``scaled_affine`` at zeta = 1.
+
+    An entry of either side is a mean of the same m rounded products, summed
+    in some order and divided by m, so each is within gamma_{m+2} of the
+    exact mean relative to the mean of the magnitudes."""
+    for seed in range(4):
+        prob = random_problem(seed=seed, n=3)
+        m_op, const = scaled_affine(prob, 1.0)
+        for stack, mean in zip(prob.maps, (m_op, const)):
+            bound = 2 * gamma(prob.m + 3) * np.abs(stack).mean(axis=0)
+            assert np.all(np.abs(stack.mean(axis=0) - mean) <= bound)
+
+
+def test_map_stack_is_built_once_and_shared(monkeypatch):
+    """One problem holds one read-only stack of 8 m (2d)^2 bytes (and g's
+    8 m 2d), built in place, and every gradient that a run and its replay
+    evaluate reads a row of it: no rebuild per run, per node or per call."""
+    prob = build_problem(seed=11, n=3, d=16, length=301, num_states=20)
+    m, width = prob.m, 2 * prob.d
+    tracemalloc.start()
+    try:
+        linear, offset = prob.maps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert linear.nbytes == 8 * m * width ** 2
+    assert offset.nbytes == 8 * m * width
+    assert linear.base is None and offset.base is None
+    assert not (linear.flags.writeable or offset.flags.writeable)
+    # the stacks, the factors and the ufuncs' fixed buffers (about 190 kB),
+    # and no (m, d, d) temporary (600 kB here)
+    assert peak <= linear.nbytes + offset.nbytes + 4 * m * width * 8 + 2**18
+    assert all(new is old for new, old in zip(prob.maps, (linear, offset)))
+
+    read = []
+
+    def spying(z, row_linear, row_offset):
+        read.append((row_linear.base, row_offset.base))
+        return mspbe.saddle_gradient(z, row_linear, row_offset)
+
+    monkeypatch.setattr(protocol, "saddle_gradient", spying)
+    monkeypatch.setattr(augmented, "saddle_gradient", spying)
+    g = graph.generate_topology("ring", prob.n)
+    schedule = simulator.ActivationSchedule("uniform_random", prob.n)
+    delays = simulator.DelayModel("uniform", 2)
+    traces = [simulator.run_async(prob, g, schedule, delays, 0.05, 0.4,
+                                  seed=seed, max_events=60)
+              for seed in (1, 2)]
+    for state in augmented.replay(traces[0], prob):
+        pass
+    assert len(read) == 3 * 60
+    assert all(a is linear and b is offset for a, b in read)
 
 
 def test_solve_saddle_zeroes_the_gradient():
@@ -199,8 +297,8 @@ def test_scaled_round_trip_and_gradient_consistency():
     # omega block scaled by sqrt(zeta), so one step of it is the unscaled
     # block step with eta2 = eta * zeta
     M, const = scaled_affine(prob, zeta)
-    g = np.mean([mspbe.saddle_gradient(z, s, prob.rho)
-                 for s in prob.all_stats()], axis=0)
+    g = np.mean([mspbe.saddle_gradient(z, g_s, o_s)
+                 for g_s, o_s in zip(*prob.maps)], axis=0)
     g[prob.d:] *= np.sqrt(zeta)
     assert np.allclose(M @ w + const, g, atol=1e-11)
 

@@ -38,7 +38,7 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     first."""
     rng_sched = derived_rng(seed, STREAM_SCHEDULE)
     rng_delay = derived_rng(seed, STREAM_DELAY)
-    n, d, m, rho = problem.n, problem.d, problem.m, problem.rho
+    n, d, m = problem.n, problem.d, problem.m
     steps = np.array([eta1] * d + [eta2] * d)
     z0_rows = np.zeros((n, 2 * d))
 
@@ -72,8 +72,9 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     for i in range(n):
         picks.append(iter(sample_picks(problem.m_i[i], selector_rng(seed, i),
                                        max_events).tolist()))
-        table = np.stack([mspbe.saddle_gradient(z0_rows[i], st_, rho)
-                          for st_ in problem.per_node[i]])
+        linear, offset = problem.node_maps(i)
+        table = np.stack([mspbe.saddle_gradient(z0_rows[i], g_s, o_s)
+                          for g_s, o_s in zip(linear, offset)])
         y = table.sum(axis=0) / m
         tables.append(table)
         ys.append(y)
@@ -98,7 +99,8 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         z_hat = np.mean([z for z, _, _, _ in buffer], axis=0)
         y_new = np.sum([y for _, y, _, _ in buffer], axis=0)
         pick = next(picks[i])
-        fresh = mspbe.saddle_gradient(z_hat, problem.per_node[i][pick], rho)
+        linear, offset = problem.node_maps(i)
+        fresh = mspbe.saddle_gradient(z_hat, linear[pick], offset[pick])
         y_new += (fresh - tables[i][pick]) / m
         tables[i][pick] = fresh
         z_tilde = z_hat - steps * y_new

@@ -9,6 +9,7 @@ import pytest
 from asyncsag import mspbe
 from asyncsag.protocol import (Message, PayloadTable, activate, init_node,
                                on_receive, sample_picks, selector_rng)
+from helpers import sample_map
 
 
 def scalar_stats(phi=0.0, psi=0.0, r=0.0):
@@ -23,20 +24,29 @@ def make_node(samples, out_degree=2, m_global=None, rho=0.1, node_id=0,
     m_global = len(samples) if m_global is None else m_global
     payloads = (PayloadTable.empty(64, 2 * samples[0].phi.shape[0])
                 if payloads is None else payloads)
-    node = init_node(node_id, samples, out_degree, m_global, rho, payloads,
+    linear, offset = mspbe.ProblemSpec((tuple(samples),), rho).maps
+    node = init_node(node_id, linear, offset, out_degree, m_global, payloads,
                      row=node_id)
     return node, payloads
 
 
+def gradient(z, stats, rho=0.1):
+    """One sample's gradient map at ``z``."""
+    return mspbe.saddle_gradient(np.asarray(z, dtype=float),
+                                 *sample_map(stats, rho))
+
+
 def put(payloads, row, z, y_share, degree=1):
     """Write a broadcast whose copies carry (z, y_share) into ``row``."""
-    payloads.z[row] = z
+    width = payloads.y.shape[1]
+    payloads.rows[row, :width] = z
+    payloads.rows[row, width:] = y_share
     payloads.y[row] = np.asarray(y_share) * degree
-    payloads.degree[row] = degree
 
 
 def share(payloads, row):
-    return payloads.y[row] / payloads.degree[row]
+    """The tracker share that every copy of broadcast ``row`` carries."""
+    return payloads.rows[row, payloads.y.shape[1]:]
 
 
 def permutation_epochs(m, seed, node_id, count):
@@ -91,12 +101,12 @@ def test_init_node_table_and_tracker():
     samples = [scalar_stats(phi=0.5, psi=2.0, r=4.0) for _ in range(3)]
     node, payloads = make_node(samples, out_degree=2, m_global=6)
     # at z = 0 the gradient is [0; phi * r]: the dual block is not zero
-    expected_g = mspbe.saddle_gradient(np.zeros(2), samples[0], 0.1)
+    expected_g = gradient(np.zeros(2), samples[0])
     assert np.array_equal(expected_g, [0.0, 2.0])
     assert np.allclose(node.table, np.tile(expected_g, (3, 1)))
     # the broadcast row carries z = 0 and the tracker, which divides by the
     # GLOBAL sample count, and its copies the out-degree share of it
-    assert np.array_equal(payloads.z[0], np.zeros(2))
+    assert np.array_equal(payloads.rows[0, :2], np.zeros(2))
     assert np.allclose(payloads.y[0], 3 * expected_g / 6)
     assert np.allclose(share(payloads, 0), 3 * expected_g / 6 / 2)
     # self-copy pre-buffered: the node's own initial row
@@ -122,7 +132,7 @@ def test_activation_arithmetic_pinned():
     assert np.allclose(payloads.y[2], [1.0, 1.0])
     assert np.allclose(node.table[0], [4.0, 4.0])
     # primal and dual blocks step with their own rates
-    assert np.allclose(payloads.z[2], [1.0 - 0.1, 0.0 - 0.2])
+    assert np.allclose(payloads.rows[2, :2], [1.0 - 0.1, 0.0 - 0.2])
     assert np.allclose(share(payloads, 2), [1.0, 1.0])  # out_degree 1
 
 
@@ -137,7 +147,7 @@ def test_pull_is_mean_push_is_sum():
     # y starts from the SUM of shares before the table correction
     y_base = np.array([0.8, 1.0])
     g = node.table[0]  # refreshed entry equals gradient at z_hat
-    expected = y_base + (g - mspbe.saddle_gradient(np.zeros(2), samples[0], 0.1)) / 9
+    expected = y_base + (g - gradient(np.zeros(2), samples[0])) / 9
     assert np.allclose(payloads.y[3], expected)
 
 
@@ -151,8 +161,8 @@ def test_buffer_lifecycle_and_self_copy():
     z_hat = activate(node, payloads, 7, 0, 0.1, 0.1)
     # buffer now holds exactly the fresh self-copy: the row just written
     assert node.buffer == [7]
-    assert np.allclose(payloads.z[7], z_hat - 0.1 * payloads.y[7])
-    assert np.allclose(share(payloads, 7), payloads.y[7] / 2)
+    assert np.allclose(payloads.rows[7, :2], z_hat - 0.1 * payloads.y[7])
+    assert np.array_equal(share(payloads, 7), payloads.y[7] / 2)
 
 
 def test_activate_empty_buffer_raises():
@@ -199,7 +209,7 @@ def test_table_soundness_against_eval_points():
         on_receive(node, 0, 2 * k - 1)
         eval_points[pick] = activate(node, payloads, 2 * k, pick, 0.05, 0.1)
         for p in range(4):
-            expected = mspbe.saddle_gradient(eval_points[p], samples[p], 0.1)
+            expected = gradient(eval_points[p], samples[p])
             assert np.allclose(node.table[p], expected, atol=1e-13)
 
 

@@ -563,23 +563,6 @@ def test_array_metrics_and_window_match_event_loops(
     assert_matches_event_loops(trace, states, z_star)
 
 
-def test_run_and_metrics_memory_follow_the_trace():
-    """On quickstart (45000 events) the full trace holds its columns and no
-    per-message objects."""
-    bundle = cli.build_experiment(
-        cli.load_config(cli.bundled_config("quickstart")))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        trace = cli._run_trace(bundle, bundle.config.max_events, None)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert trace.num_events == 45000
-    # 15.5 MB with a list of Message objects
-    assert held <= 12 * 2**20
-
-
 def assert_streamed_equals_full(streamed, states, full, z_star):
     """The oracle of the streamed series: a run given ``z_star`` has the
     bits of the whole-run formula over the states it computed (``states``,
@@ -640,7 +623,7 @@ def test_payload_table_holds_only_the_readable_rows(monkeypatch):
         rows = []
 
         def spying(node, payloads, *rest):
-            rows.append(payloads.z.shape[0])
+            rows.append(payloads.rows.shape[0])
             return protocol.activate(node, payloads, *rest)
 
         with monkeypatch.context() as patch:
@@ -705,9 +688,9 @@ def test_streamed_run_memory_does_not_hold_the_states():
     assert peak <= 10 * 2**20
 
 
-# A fresh interpreter runs quickstart for argv[1] events given z_star and
-# prints the growth of its peak RSS over the run and the bytes of the
-# record the run returns.
+# A fresh interpreter runs quickstart for argv[1] events, given z_star when
+# argv[2] is "streamed", and prints the growth of its peak RSS over the run
+# and the bytes of the arrays of the record the run returns.
 _RSS_CHILD = """
 import dataclasses, sys
 from asyncsag import cli
@@ -718,15 +701,44 @@ def status(key):
                     if line.startswith(key))
 
 bundle = cli.build_experiment(cli.load_config(cli.bundled_config("quickstart")))
-z_star = cli._solution(bundle)
+z_star = cli._solution(bundle) if sys.argv[2] == "streamed" else None
 before = status("VmRSS:")
 trace = cli._run_trace(bundle, int(sys.argv[1]), None, z_star)
 growth = status("VmHWM:") - before
 series = trace.series
 arrays = [trace.node, trace.samples, trace.z_tilde, *trace.messages._columns(),
-          *(getattr(series, f.name) for f in dataclasses.fields(series))]
+          *(getattr(series, f.name) for f in
+            (dataclasses.fields(series) if series else ()))]
 print(growth, sum(a.nbytes for a in arrays))
 """
+
+
+def rss_children(runs):
+    """(peak RSS growth, record bytes) of a fresh interpreter per (events,
+    mode) in ``runs``, the children running side by side."""
+    env = dict(os.environ, PYTHONPATH=str(Path(simulator.__file__).parents[1]))
+    children = {run: subprocess.Popen(
+        [sys.executable, "-c", _RSS_CHILD, str(run[0]), run[1]], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for run in runs}
+    measured = {}
+    for run, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        measured[run] = tuple(map(int, out.split()))
+    return measured
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS and VmHWM from /proc")
+def test_run_and_metrics_memory_follow_the_trace():
+    """On quickstart (45000 events) the full trace holds its columns and no
+    per-message objects: the run grows its peak RSS by at most 12 MiB
+    (8.9 MiB over a 5.8 MiB record; 17.1 MiB when the trace also keeps a
+    list of ``Message`` records)."""
+    ((growth, record),) = rss_children([(45000, "full")]).values()
+    assert record > 5 * 2**20
+    assert growth <= 12 * 2**20, (growth, record)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
@@ -737,16 +749,10 @@ def test_streamed_run_rss_grows_with_the_record():
     are written in place, not built from small pieces that the allocator
     keeps after they are joined (2.1 times then). At 180000 events the run
     grows its peak RSS by at most 20 MB over a 14.4 MB record."""
-    env = dict(os.environ, PYTHONPATH=str(Path(simulator.__file__).parents[1]))
-    children = {events: subprocess.Popen(
-        [sys.executable, "-c", _RSS_CHILD, str(events)], env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for events in (45000, 180000)}
     growth, record = {}, {}
-    for events, child in children.items():
-        out, err = child.communicate(timeout=120)
-        assert child.returncode == 0, err
-        growth[events], record[events] = map(int, out.split())
+    for (events, _), measured in rss_children(
+            [(45000, "streamed"), (180000, "streamed")]).items():
+        growth[events], record[events] = measured
     assert record[180000] - record[45000] > 10 * 10**6
     # 16.9 MiB; 31.0 MiB for a run that keeps the full trace and 30.3 MiB
     # for one whose columns are joined from pieces kept alive until the end
