@@ -9,6 +9,9 @@ Subcommands:
 Every run executes exactly [algorithm] max_events events (verify_events for
 verify and constants, if fewer).
 
+Each config key is declared once, on its ``ExperimentConfig`` field, with its
+section, default and range rule.
+
 Exit codes: 0 success, 1 verification check failed, 2 invalid configuration,
 3 the certification of b found a node with no completed or delivered update
 in the trace.
@@ -19,12 +22,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import decimal
-import functools
 import math
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -44,38 +46,82 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+def _float_list(raw: str) -> list[float]:
+    return [float(x) for x in raw.replace(",", " ").split()]
+
+
+def _int_list(raw: str) -> list[int]:
+    return [int(x) for x in raw.replace(",", " ").split()]
+
+
+def _key(section: str, key: str, conv, default, rule=None, reader=None,
+         label: str | None = None):
+    """The field set by ``[section] key`` through ``conv``, ``default`` when
+    the key is absent. ``rule`` is (test, message): a value failing the test
+    is the error "[section] label: message", where label defaults to key and
+    the value fills any ``{}``. ``reader`` is (selector field, value), the one
+    setting under which the key may be given."""
+    return field(default=default, metadata={
+        "section": section, "key": key, "conv": conv, "rule": rule,
+        "reader": reader, "label": label or key})
+
+
+def _at_least(low: int, message: str):
+    return (lambda x: x >= low), message
+
+
+# the comparisons are written so that nan fails them
+_POSITIVE = (lambda x: 0 < x < math.inf), "must be positive and finite"
+_STEP = _POSITIVE[0], "step sizes must be positive and finite"
+_SEED = _at_least(0, "must be nonnegative")
+_EVENTS = _at_least(1, "must be at least 1")
+
+
 @dataclass
 class ExperimentConfig:
-    # problem
-    num_states: int = 20
-    num_actions: int = 2
-    n: int = 1
-    d: int = 5
-    m: int = 100                  # total transitions in the trajectory
-    gamma: float = 0.95
-    rho: float = 0.1
-    mode: str = "parallel"        # parallel | marl
-    proportions: list[float] | None = None
-    data_seed: int = 0
-    # topology
-    topology: str = "ring"
-    edge_list_path: str | None = None
-    # algorithm
-    eta1: float = 0.01
-    eta2: float = 0.1
-    max_events: int = 2000
-    verify_events: int = 300
-    # schedule
-    schedule: str = "uniform_random"
-    delay_kind: str = "uniform"
-    d_max: int = 2
-    straggler_node: int | None = None
-    straggler_factor: float | None = None
-    run_seed: int = 1
-    # experiments
-    n_values: list[int] | None = None   # speedup sweep
-    eta1_values: list[float] | None = None
-    target_err: float | None = None
+    """One experiment, as an INI config gives it. Each field is one key,
+    declared once here with its section, converter, default and range rule,
+    and, for a key that only one kind or mode reads, the selector value that
+    reads it; ``load_config`` and ``validate_config`` read this table."""
+
+    num_states: int = _key("problem", "num_states", int, 20,
+                           _at_least(2, "need at least 2 states"))
+    num_actions: int = _key("problem", "num_actions", int, 2,
+                            _at_least(1, "need at least one action"))
+    n: int = _key("problem", "n", int, 1, _at_least(1, "need at least one node"))
+    d: int = _key("problem", "d", int, 5, _at_least(1, "need at least one feature"))
+    # total transitions in the trajectory
+    m: int = _key("problem", "m", int, 100, _at_least(1, "need at least one transition"))
+    gamma: float = _key("problem", "gamma", float, 0.95,
+                        ((lambda x: 0 < x < 1), "must lie strictly in (0, 1)"))
+    rho: float = _key("problem", "rho", float, 0.1, _POSITIVE)
+    mode: str = _key("problem", "mode", str, "parallel",
+                     ((lambda x: x in ("parallel", "marl")), "unknown mode {!r}"))
+    proportions: list[float] | None = _key("problem", "proportions", _float_list, None,
+                                           reader=("mode", "parallel"))
+    data_seed: int = _key("problem", "seed", int, 0, _SEED)
+    topology: str = _key("topology", "kind", str, "ring")
+    edge_list_path: str | None = _key("topology", "path", str, None,
+                                      reader=("topology", "edge_list"))
+    eta1: float = _key("algorithm", "eta1", float, 0.01, _STEP, label="eta1/eta2")
+    eta2: float = _key("algorithm", "eta2", float, 0.1, _STEP, label="eta1/eta2")
+    max_events: int = _key("algorithm", "max_events", int, 2000, _EVENTS)
+    verify_events: int = _key("algorithm", "verify_events", int, 300, _EVENTS)
+    schedule: str = _key("schedule", "kind", str, "uniform_random")
+    delay_kind: str = _key("schedule", "delay", str, "uniform")
+    d_max: int = _key("schedule", "d_max", int, 2)
+    straggler_node: int | None = _key("schedule", "straggler_node", int, None,
+                                      reader=("schedule", "straggler"))
+    straggler_factor: float | None = _key("schedule", "straggler_factor", float, None,
+                                          reader=("schedule", "straggler"))
+    run_seed: int = _key("schedule", "seed", int, 1, _SEED)
+    # a speedup sweep splits the data 1:2:...:n through proportions, which
+    # only parallel reads
+    n_values: list[int] | None = _key("experiment", "n_values", _int_list, None,
+                                      reader=("mode", "parallel"))
+    eta1_values: list[float] | None = _key("experiment", "eta1_values", _float_list, None)
+    # a nan target is never reached
+    target_err: float | None = _key("experiment", "target_err", float, None, _POSITIVE)
 
     @property
     def zeta(self) -> float:
@@ -101,14 +147,6 @@ def _get(parser: configparser.ConfigParser, consulted: set[tuple[str, str]],
         ) from None
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(x) for x in raw.replace(",", " ").split()]
-
-
-def _int_list(raw: str) -> list[int]:
-    return [int(x) for x in raw.replace(",", " ").split()]
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
@@ -117,53 +155,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path} not found or empty")
-    cfg = ExperimentConfig()
     consulted: set[tuple[str, str]] = set()
-    get = functools.partial(_get, parser, consulted)
-
-    sec = "problem"
-    cfg.num_states = get(sec, "num_states", int, cfg.num_states)
-    cfg.num_actions = get(sec, "num_actions", int, cfg.num_actions)
-    cfg.n = get(sec, "n", int, cfg.n)
-    cfg.d = get(sec, "d", int, cfg.d)
-    cfg.m = get(sec, "m", int, cfg.m)
-    cfg.gamma = get(sec, "gamma", float, cfg.gamma)
-    cfg.rho = get(sec, "rho", float, cfg.rho)
-    cfg.mode = get(sec, "mode", str, cfg.mode)
-    cfg.data_seed = get(sec, "seed", int, cfg.data_seed)
-    cfg.proportions = get(sec, "proportions", _float_list, cfg.proportions)
-
-    sec = "topology"
-    cfg.topology = get(sec, "kind", str, cfg.topology)
-    cfg.edge_list_path = get(sec, "path", str, cfg.edge_list_path)
-    topo_n = get(sec, "n", int, None)
+    cfg = ExperimentConfig(**{
+        f.name: _get(parser, consulted, f.metadata["section"],
+                     f.metadata["key"], f.metadata["conv"], f.default)
+        for f in fields(ExperimentConfig)})
+    topo_n = _get(parser, consulted, "topology", "n", int, None)
     if topo_n is not None and topo_n != cfg.n:
         raise ConfigError(f"[topology] n={topo_n} conflicts with [problem] "
                           f"n={cfg.n}")
-
-    sec = "algorithm"
-    eta1 = get(sec, "eta1", float, None)
-    eta2 = get(sec, "eta2", float, None)
-    if (eta1 is None) != (eta2 is None):
+    if (parser.has_option("algorithm", "eta1")
+            != parser.has_option("algorithm", "eta2")):
         raise ConfigError("[algorithm] give both eta1 and eta2")
-    if eta1 is not None:
-        cfg.eta1, cfg.eta2 = eta1, eta2
-    cfg.max_events = get(sec, "max_events", int, cfg.max_events)
-    cfg.verify_events = get(sec, "verify_events", int, cfg.verify_events)
-
-    sec = "schedule"
-    cfg.schedule = get(sec, "kind", str, cfg.schedule)
-    cfg.delay_kind = get(sec, "delay", str, cfg.delay_kind)
-    cfg.d_max = get(sec, "d_max", int, cfg.d_max)
-    cfg.straggler_node = get(sec, "straggler_node", int, cfg.straggler_node)
-    cfg.straggler_factor = get(sec, "straggler_factor", float,
-                               cfg.straggler_factor)
-    cfg.run_seed = get(sec, "seed", int, cfg.run_seed)
-
-    sec = "experiment"
-    cfg.n_values = get(sec, "n_values", _int_list, cfg.n_values)
-    cfg.eta1_values = get(sec, "eta1_values", _float_list, cfg.eta1_values)
-    cfg.target_err = get(sec, "target_err", float, cfg.target_err)
 
     # a key nothing read is misspelt or misplaced; a section key with its
     # [DEFAULT] value is the inherited one, checked as a [DEFAULT] key
@@ -180,54 +183,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.n < 1:
-        raise ConfigError("[problem] n: need at least one node")
-    if cfg.mode not in ("parallel", "marl"):
-        raise ConfigError(f"[problem] mode: unknown mode {cfg.mode!r}")
-    if cfg.num_states < 2:
-        raise ConfigError("[problem] num_states: need at least 2 states")
-    if cfg.num_actions < 1:
-        raise ConfigError("[problem] num_actions: need at least one action")
-    if cfg.d < 1:
-        raise ConfigError("[problem] d: need at least one feature")
+    table = {f.name: f.metadata for f in fields(cfg)}
+    for name, meta in table.items():
+        value, rule, reader = getattr(cfg, name), meta["rule"], meta["reader"]
+        if value is None:
+            continue
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"[{meta['section']}] {meta['label']}: "
+                              + rule[1].format(value))
+        if reader is not None and getattr(cfg, reader[0]) != reader[1]:
+            raise ConfigError(f"[{meta['section']}] {meta['key']}: only "
+                              f"{table[reader[0]]['key']} = {reader[1]} reads it")
     if cfg.d > cfg.num_states:
         raise ConfigError("[problem] d: feature dimension exceeds state count")
-    if cfg.m < 1:
-        raise ConfigError("[problem] m: need at least one transition")
-    if not (0 < cfg.gamma < 1):
-        raise ConfigError("[problem] gamma: must lie strictly in (0, 1)")
-    # the negated comparisons also reject nan
-    if not 0 < cfg.rho < math.inf:
-        raise ConfigError("[problem] rho: must be positive and finite")
-    if not (0 < cfg.eta1 < math.inf and 0 < cfg.eta2 < math.inf):
-        raise ConfigError(
-            "[algorithm] eta1/eta2: step sizes must be positive and finite")
-    # a nan target is never reached
-    if cfg.target_err is not None and not 0 < cfg.target_err < math.inf:
-        raise ConfigError("[experiment] target_err: must be positive and finite")
-    for section, key in (("problem", "data_seed"), ("schedule", "run_seed")):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"[{section}] seed: must be nonnegative")
-    for key in ("max_events", "verify_events"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"[algorithm] {key}: must be at least 1")
-    # a key that only one kind or mode reads: (section, key, value, the
-    # selecting key, its value, the one that reads the key); a sweep splits
-    # the data 1:2:...:n through proportions, which only parallel reads
-    for section, key, value, selector, kind, reader in (
-            ("problem", "proportions", cfg.proportions, "mode", cfg.mode,
-             "parallel"),
-            ("experiment", "n_values", cfg.n_values, "mode", cfg.mode,
-             "parallel"),
-            ("topology", "path", cfg.edge_list_path, "kind", cfg.topology,
-             "edge_list"),
-            ("schedule", "straggler_node", cfg.straggler_node, "kind",
-             cfg.schedule, "straggler"),
-            ("schedule", "straggler_factor", cfg.straggler_factor, "kind",
-             cfg.schedule, "straggler")):
-        if value is not None and kind != reader:
-            raise ConfigError(f"[{section}] {key}: only {selector} = {reader} "
-                              f"reads it")
+    # the transition tensor's bytes, refused before anything is allocated
+    if cfg.num_states ** 2 * cfg.num_actions * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"[problem] num_states: cannot allocate the "
+                          f"transition tensor of {cfg.num_states} states and "
+                          f"{cfg.num_actions} actions")
     if cfg.topology == "edge_list" and not cfg.edge_list_path:
         raise ConfigError("[topology] path: required for edge_list topology")
     if cfg.topology == "edge_list" and not Path(cfg.edge_list_path).exists():
@@ -269,16 +242,19 @@ class ExperimentBundle:
 def build_problem(cfg: ExperimentConfig) -> mspbe.ProblemSpec:
     """Generate the data pipeline for the config's nodes."""
     streams = cfg.n if cfg.mode == "marl" else 1
-    the_mdp = mdp.build_random_mdp(cfg.num_states, cfg.num_actions, streams,
-                                   cfg.data_seed)
-    policy = mdp.random_policy(cfg.num_states, cfg.num_actions, cfg.data_seed)
-    traj = mdp.sample_trajectory(the_mdp, policy, cfg.m + 1, cfg.data_seed)
-    features = mdp.make_feature_map(cfg.num_states, cfg.d, cfg.data_seed)
     try:
+        the_mdp = mdp.build_random_mdp(cfg.num_states, cfg.num_actions, streams,
+                                       cfg.data_seed)
+        policy = mdp.random_policy(cfg.num_states, cfg.num_actions, cfg.data_seed)
+        traj = mdp.sample_trajectory(the_mdp, policy, cfg.m + 1, cfg.data_seed)
+        features = mdp.make_feature_map(cfg.num_states, cfg.d, cfg.data_seed)
         per_node = mdp.partition_samples(traj, features, cfg.mode, cfg.n,
                                          cfg.gamma, cfg.proportions)
     except ValueError as exc:
         raise ConfigError(f"[problem] {exc}") from None
+    except MemoryError:
+        raise ConfigError(f"[problem] cannot allocate the data of {cfg.m} "
+                          f"transitions in {cfg.num_states} states") from None
     return mspbe.ProblemSpec(per_node, cfg.rho)
 
 
@@ -290,6 +266,9 @@ def build_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     except OSError as exc:
         raise ConfigError(f"[topology] path: cannot read "
                           f"{cfg.edge_list_path}: {exc.strerror}") from None
+    except MemoryError:
+        raise ConfigError(f"[topology] {cfg.topology}: cannot allocate the graph "
+                          f"of {cfg.n} nodes") from None
     problem = build_problem(cfg)
     if not is_strongly_connected(graph):
         raise ConfigError(f"[topology] {cfg.topology}: graph is not strongly connected")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import dataclasses
 import functools
 import io
 import math
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import unittest.mock
 from decimal import Decimal
 from pathlib import Path
@@ -336,6 +338,44 @@ def test_unallocatable_verify_length_names_verify_events(tmp_path, capsys):
                        "allocate the record of 1000000000000000 events\n")
 
 
+def test_oversized_transition_tensor_exits_2_before_allocating(tmp_path, capsys):
+    """2**31 states make a transition tensor of 2**66 bytes, past the
+    address space: refused with one line, before anything is allocated."""
+    text = BASE_INI.replace("num_states = 10", f"num_states = {2**31}")
+    bad = write_ini(tmp_path, text)
+    for command in ("run", "verify", "constants"):
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--config", str(bad), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [problem] num_states: cannot allocate the transition "
+            "tensor of 2147483648 states and 2 actions\n")
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("target,message", [
+    ("asyncsag.cli.generate_topology",
+     "[topology] ring: cannot allocate the graph of 3 nodes"),
+    ("asyncsag.mdp.build_random_mdp",
+     "[problem] cannot allocate the data of 24 transitions in 10 states"),
+])
+def test_unallocatable_graph_or_data_exits_2(tmp_path, capsys, monkeypatch,
+                                             target, message):
+    """A graph or a data set too large for memory is a config error; the
+    allocation fails by a stand-in, not by exhausting memory."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, out_of_memory)
+    ini = write_ini(tmp_path, BASE_INI)
+    assert cli.main(["constants", "--config", str(ini)]) == cli.EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_default_section_key_read_through_a_section_is_known(tmp_path):
     text = BASE_INI.replace("[problem]\n", "[DEFAULT]\nseed = 8\n\n[problem]\n")
     text = text.replace("seed = 3\n", "").replace("seed = 5\n", "")
@@ -545,6 +585,32 @@ def test_every_bad_value_of_every_key_exits_2(data):
         code = cli.main([command, "--config", str(ini), "--out", tmp])
     assert code == cli.EXIT_BAD_CONFIG, (edits, err.getvalue())
     assert err.getvalue().startswith("config error: ")
+
+
+def test_config_table_declares_each_key_once_with_sound_rules(tmp_path):
+    """The key table on ExperimentConfig's fields: no two fields share a
+    (section, key); each reader names a field and a value that the field's
+    consumer accepts; each default passes its own range rule."""
+    fields = dataclasses.fields(cli.ExperimentConfig)
+    table = {f.name: f.metadata for f in fields}
+    keys = [(meta["section"], meta["key"]) for meta in table.values()]
+    assert len(set(keys)) == len(keys)
+    edges = tmp_path / "edges.txt"
+    dump_edge_list(graph.generate_topology("ring", 3), edges)
+    # each consumer raises on a value it does not know
+    accepts = {
+        "mode": table["mode"]["rule"][0],
+        "topology": lambda kind: graph.generate_topology(kind, 3, edges),
+        "schedule": lambda kind: simulator.ActivationSchedule(kind, 3, 0, 2.0),
+    }
+    for f in fields:
+        rule, reader = f.metadata["rule"], f.metadata["reader"]
+        if rule is not None and f.default is not None:
+            assert rule[0](f.default), f.name
+        if reader is not None:
+            selector, value = reader
+            assert selector in table and accepts[selector](value), f.name
+    cli.validate_config(cli.ExperimentConfig())
 
 
 def test_verify_builds_each_event_matrix_once(tmp_path, monkeypatch, capsys):
