@@ -182,18 +182,26 @@ def sample_trajectory(mdp: Mdp, policy: np.ndarray, length: int,
     """Markov rollout of ``length`` states (``length - 1`` transitions).
 
     The initial state is drawn from the stationary distribution so empirical
-    statistics agree with stationary ones at moderate sample sizes.
+    statistics agree with stationary ones at moderate sample sizes. Raises
+    MemoryError when its 2 * length - 1 uniform draws cannot be allocated
+    (numpy refuses the longest outright, with a ValueError).
     """
     if length < 2:
         raise ValueError(f"need at least 2 states in a rollout, got {length}")
+    if 2 * length - 1 > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"no rollout of {length} states fits in memory")
     _validate_policy(mdp, policy)
     mu = stationary_distribution(mdp, policy)
     rng = np.random.default_rng(np.random.SeedSequence([0x54524A, seed]))
+    uniforms = rng.random(2 * length - 1)
+    # the policy rows' normalized cumulative weights, as _draw makes them
+    actions = policy.cumsum(axis=1)
+    actions /= actions[:, -1:]
     steps: list[tuple[int, int, int]] = []
-    s = _draw(mu, rng)
-    for _ in range(length - 1):
-        a = _draw(policy[s], rng)
-        s_next = _draw(mdp.transitions[s, a], rng)
+    s = _draw(mu, uniforms[0])
+    for u_action, u_next in zip(uniforms[1::2], uniforms[2::2]):
+        a = int(actions[s].searchsorted(u_action, side="right"))
+        s_next = _draw(mdp.transitions[s, a], u_next)
         steps.append((s, a, s_next))
         s = s_next
     rewards = mdp.rewards_at(*np.array(steps).T)
@@ -201,12 +209,12 @@ def sample_trajectory(mdp: Mdp, policy: np.ndarray, length: int,
             for (s, _, s_next), row in zip(steps, rewards)]
 
 
-def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
-    """The index that ``rng.choice(p.size, p=p)`` draws, from the same one
-    double of the stream, without re-validating the checked row ``p``."""
+def _draw(p: np.ndarray, u: float) -> int:
+    """The index that ``rng.choice(p.size, p=p)`` draws with the double
+    ``u``, without re-validating the checked row ``p``."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(u, side="right"))
 
 
 def make_feature_map(num_states: int, dim: int, seed: int) -> np.ndarray:

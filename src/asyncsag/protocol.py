@@ -1,26 +1,26 @@
 """Per-node state machine of the asynchronous push-pull averaged-gradient run.
 
-Each node keeps a per-sample table of stored gradients, its samples' rows of
-the problem's gradient maps (``ProblemSpec.maps``) and one receive buffer of
-payload rows; its saddle vector z and its gradient tracker y are its latest
-broadcast's payload row. An activation, in order:
+Each node keeps a per-sample table of stored gradients and its samples' rows
+of the problem's gradient maps (``ProblemSpec.maps``), as lists of rows, and
+one receive buffer of payload rows; its saddle vector z and its gradient
+tracker y are its latest broadcast's payload row. An activation, in order:
 
-  1. pulls z as the elementwise mean of buffered z payloads,
-  2. pushes y as the elementwise sum of buffered tracker shares,
+  1-2. pulls z as the mean of the buffered z and pushes y as the sum of the
+     buffered tracker shares: it adds the buffered rows [z | share] in
+     buffer order and divides the sum once by [k ... k | 1 ... 1],
   3. refreshes the gradient table at the picked sample (its map G_s z + g_s)
      and corrects y by (new - stored) / m with the *global* sample count m,
-  4. forms the outgoing pair: z_tilde = z - diag(eta1, eta2) block step along
-     y, and the share y / out_degree (self-inclusive out-degree),
-  5. writes it as its row of the payload table, empties the buffer and
-     immediately re-buffers that row as its own copy.
+  4. writes [z | y] / [1 ... 1 | out_degree ...] (self-inclusive out-degree)
+     into its row of the payload table, and takes the diag(eta1, eta2) block
+     step along y from that row's z half, which gives z_tilde (z / 1 is z),
+  5. empties the buffer and re-buffers that row as its own copy.
 
 A payload is a row of a ``PayloadTable``, which holds each broadcast of a
 run once, for as long as a buffer or a delivery can still read it; a
 buffered entry is the index of its row, which the simulator maps to its
-provenance (origin node, origin event index). A row is [z_tilde | share],
-so steps 1 and 2 are one in-place addition per buffered row. The sign
-convention: y's omega block carries the negated dual gradient, so the single
-subtraction in step 4 descends on theta and ascends on omega.
+provenance (origin node, origin event index). The sign convention: y's
+omega block carries the negated dual gradient, so the single subtraction in
+step 4 descends on theta and ascends on omega.
 
 Nodes never share state; all interaction flows through payload rows that the
 caller (the simulator) delivers, and the caller picks each activation's
@@ -29,8 +29,7 @@ sample (the simulator draws a node's picks with ``sample_picks``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,23 +92,33 @@ class PayloadTable:
 
     rows: np.ndarray     # (rows, 4d) [z_tilde | y_new / out_degree]
     y: np.ndarray        # (rows, 2d) the sender's y_new
+    views: list[np.ndarray] = field(init=False)   # rows[r], made once
+
+    def __post_init__(self):
+        self.views = list(self.rows)
 
     @classmethod
     def empty(cls, rows: int, width: int) -> "PayloadTable":
         return cls(np.empty((rows, 2 * width)), np.empty((rows, width)))
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
-    """One node's full protocol state. Owned by exactly one executor."""
+    """One node's full protocol state. Owned by exactly one executor. The
+    per-sample entries are lists of rows, so that a pick is a list lookup."""
 
     node_id: int
-    table: np.ndarray     # (m_local, 2d) stored per-sample gradients
-    linear: np.ndarray    # (m_local, 2d, 2d) the local samples' G_s
-    offset: np.ndarray    # (m_local, 2d) their g_s
-    m_global: int
-    out_degree: int
-    buffer: list[int]     # payload rows
+    table: list[np.ndarray]     # (2d,) stored gradient of each local sample
+    linear: list[np.ndarray]    # (2d, 2d) the local samples' G_s
+    offset: list[np.ndarray]    # (2d,) their g_s
+    m_global: np.ndarray        # (2d,) m in each entry, a faster divisor
+    buffer: list[int]           # payload rows
+    divisor: np.ndarray         # (4d,) [1 ... 1 | out_degree ... out_degree]
+    # means[k] is [k ... k | 1 ... 1], the divisor of a pull of k rows, and
+    # steps diag(eta1 I_d, eta2 I_d) at the last activation's etas
+    means: list[np.ndarray] = field(default_factory=list)
+    etas: tuple[float, float] = (np.nan, np.nan)
+    steps: np.ndarray | None = None
 
 
 def init_node(node_id: int, linear: np.ndarray, offset: np.ndarray,
@@ -127,8 +136,9 @@ def init_node(node_id: int, linear: np.ndarray, offset: np.ndarray,
     payloads.rows[row] = np.concatenate([np.zeros_like(y), y / out_degree])
     payloads.y[row] = y
     return NodeState(
-        node_id=node_id, table=table, linear=linear, offset=offset,
-        m_global=m_global, out_degree=out_degree, buffer=[row],
+        node_id=node_id, table=list(table), linear=list(linear),
+        offset=list(offset), m_global=np.full(y.shape[0], float(m_global)),
+        buffer=[row], divisor=np.repeat([1.0, out_degree], y.shape[0]),
     )
 
 
@@ -150,40 +160,40 @@ def activate(node: NodeState, payloads: PayloadTable, row: int,
              pick: int, eta1: float, eta2: float) -> np.ndarray:
     """Run one full activation (pull, push, refresh the picked sample,
     step, broadcast into ``row``). Returns the pull average z_hat."""
-    buffer = node.buffer
-    if not buffer:
+    buffer, rows, means = node.buffer, payloads.views, node.means
+    # The pull mean and the push sum add the buffered rows [z | share] in
+    # buffer order, and one division by [k ... k | 1 ... 1] (exact on the
+    # shares) takes the mean; only ``row`` is written.
+    k = len(buffer)
+    if k > 1:
+        pulled = rows[buffer[0]] + rows[buffer[1]]
+        for r in buffer[2:]:
+            pulled += rows[r]
+        while len(means) <= k:
+            means.append(np.repeat([len(means), 1.0], pulled.shape[0] // 2))
+        pulled /= means[k]
+    elif k:
+        pulled = rows[buffer[0]].copy()
+    else:
         raise RuntimeError(
             f"node {node.node_id} activated with an empty buffer; the "
             f"self-copy invariant was broken"
         )
-    # The pull mean and the push sum add the buffered rows [z | share] in
-    # buffer order, as np.mean/np.sum do over the stacked (k, 4d) block; the
-    # buffered rows are only read, and only ``row`` is written.
-    rows = payloads.rows
-    pulled = rows[buffer[0]].copy()
-    for r in buffer[1:]:
-        pulled += rows[r]
     width = pulled.shape[0] // 2
     z_hat, y_new = pulled[:width], pulled[width:]
-    # a float divisor rounds as the int would and skips its conversion
-    z_hat /= float(len(buffer))
 
     fresh = saddle_gradient(z_hat, node.linear[pick], node.offset[pick])
-    y_new += (fresh - node.table[pick]) / float(node.m_global)
+    y_new += (fresh - node.table[pick]) / node.m_global
     node.table[pick] = fresh
 
-    z_tilde, share = rows[row, :width], rows[row, width:]
-    np.multiply(_block_steps(eta1, eta2, width // 2), y_new, out=z_tilde)
-    np.subtract(z_hat, z_tilde, out=z_tilde)
-    np.divide(y_new, float(node.out_degree), out=share)
+    # [z_hat | share], then z_tilde = z_hat - steps * y_new (z_hat / 1 = z_hat)
+    if (eta1, eta2) != node.etas:
+        node.etas = eta1, eta2
+        node.steps = np.repeat(node.etas, width // 2)
+    out = rows[row]
+    np.divide(pulled, node.divisor, out=out)
+    z_tilde = out[:width]
+    z_tilde -= node.steps * y_new
     payloads.y[row] = y_new
     node.buffer = [row]
     return z_hat
-
-
-@lru_cache(maxsize=16)
-def _block_steps(eta1: float, eta2: float, d: int) -> np.ndarray:
-    """The step diag(eta1 I_d, eta2 I_d) as a (2d,) vector (read-only)."""
-    steps = np.array([eta1] * d + [eta2] * d)
-    steps.flags.writeable = False
-    return steps

@@ -410,9 +410,11 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         act = node[block]
         oldest, delivered, dest, row = _plan_block(k0, act, network, n)
         # drop the rows that nothing can read any more, and make room for
-        # the block's broadcasts
+        # the block's broadcasts; the old row views go first, so that two
+        # lists of them never coexist
         oldest = min(oldest, base + min(min(nd.buffer) for nd in nodes))
         kept, count = n + k0 - 1 - oldest, act.shape[0]
+        payloads.views.clear()
         table = PayloadTable.empty(kept + count, width)
         table.rows[:kept] = payloads.rows[oldest - base:]
         table.y[:kept] = payloads.y[oldest - base:]
@@ -421,13 +423,13 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         payloads, base = table, oldest
         row = (row - base).tolist()
 
-        for k, i, pick, lo, hi in zip(range(k0, k0 + count), act.tolist(),
-                                       samples[block].tolist(), delivered,
-                                       delivered[1:]):
+        for at, i, pick, lo, hi in zip(range(kept, kept + count),
+                                        act.tolist(), samples[block].tolist(),
+                                        delivered, delivered[1:]):
             active = nodes[i]
             for q in range(lo, hi):
                 on_receive(active, dest[q], row[q])
-            activate(active, payloads, n + k - 1 - base, pick, eta1, eta2)
+            activate(active, payloads, at, pick, eta1, eta2)
 
         states = slice(kept, kept + count)
         if carry is None:

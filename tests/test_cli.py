@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import unittest.mock
 from decimal import Decimal
@@ -355,6 +356,28 @@ def test_oversized_transition_tensor_exits_2_before_allocating(tmp_path, capsys)
             "config error: [problem] num_states: cannot allocate the transition "
             "tensor of 2147483648 states and 2 actions\n")
         assert peak < 1 << 20
+
+
+def test_unrollable_trajectory_exits_2_before_allocating(tmp_path, capsys):
+    """m = 10**18 transitions take 2·10**18 + 1 uniform draws, more bytes
+    than an array can hold: refused with one line, at once, before the
+    rollout's loop or any large allocation."""
+    text = BASE_INI.replace("m = 24", f"m = {10**18}")
+    bad = write_ini(tmp_path, text)
+    for command in ("run", "verify", "constants"):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--config", str(bad), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [problem] cannot allocate the data of "
+            "1000000000000000000 transitions in 10 states\n")
+        assert peak < 1 << 20
+        assert time.perf_counter() - start < 30
 
 
 @pytest.mark.parametrize("target,message", [

@@ -1,17 +1,18 @@
 """Contracts of the simulator's per-event path.
 
 The activation and the per-sample gradient are written for speed (in-place
-sums over payload rows [z | share], outputs written into their row). They
-must give the same bits as the plain numpy expressions below, which are
-kept here as the reference: ``np.mean`` of the buffered z and ``np.sum`` of
-the buffered shares over the stacked buffer, the gradient map
-``G_s @ z + g_s``, a block step per half, and the share ``y_new /
-out_degree``. The benchmark's tracer must also still find every name it
-wraps.
+sums over payload rows [z | share], one division for the mean and one for
+the broadcast, outputs written into their row). They must give the same
+bits as the plain numpy expressions below, which are kept here as the
+reference: the mean of the buffered z and the sum of the buffered shares,
+each added in buffer order, the gradient map ``G_s @ z + g_s``, a block
+step per half, and the share ``y_new / out_degree``. The benchmark's tracer
+must also still find every name it wraps.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import subprocess
@@ -20,6 +21,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from asyncsag import cli, graph, mspbe, protocol, simulator
 from asyncsag.protocol import PayloadTable
@@ -42,8 +46,13 @@ def reference_activate(node, payloads, row, pick, eta1, eta2):
     if not node.buffer:
         raise RuntimeError("empty buffer")
     width = payloads.y.shape[1]
-    z_hat = np.mean([payloads.rows[r, :width] for r in node.buffer], axis=0)
-    y_new = np.sum([payloads.rows[r, width:] for r in node.buffer], axis=0)
+    # the buffered rows summed in buffer order, the sum of one row being
+    # that row (np.sum over the stacked rows starts at +0.0, which would
+    # turn a column of -0.0 into +0.0)
+    stacked = [payloads.rows[r] for r in node.buffer]
+    total = functools.reduce(np.add, stacked[1:], stacked[0].copy())
+    z_hat = total[:width] / len(node.buffer)
+    y_new = total[width:]
 
     fresh = reference_saddle_gradient(z_hat, node.linear[pick],
                                       node.offset[pick])
@@ -55,7 +64,8 @@ def reference_activate(node, payloads, row, pick, eta1, eta2):
     z_tilde[:d] -= eta1 * y_new[:d]
     z_tilde[d:] -= eta2 * y_new[d:]
 
-    payloads.rows[row] = np.concatenate([z_tilde, y_new / node.out_degree])
+    # the node's divisor ends in its out-degree
+    payloads.rows[row] = np.concatenate([z_tilde, y_new / node.divisor[-1]])
     payloads.y[row] = y_new
     node.buffer = [row]
     return z_hat
@@ -141,12 +151,59 @@ def test_activate_matches_reference_on_shared_payloads():
         slow = reference_activate(slow_node, slow_rows, rows - 1, pick,
                                   0.05, 0.4)
         assert same_bits(fast, slow)
-        # the broadcast z and y are compared as the payload rows below
-        assert same_bits(fast_node.table, slow_node.table)
+        # the broadcast z and y are compared as the payload rows below; the
+        # table is a list of rows, one per local sample
+        assert len(fast_node.table) == len(slow_node.table) == 3
+        for got, want in zip(fast_node.table, slow_node.table):
+            assert same_bits(got, want)
         for name in ("rows", "y"):
             assert same_bits(getattr(fast_rows, name),
                              getattr(slow_rows, name)), name
         assert fast_node.buffer == slow_node.buffer == [rows - 1]
+
+
+# payload entries: ordinary values and the IEEE cases that arithmetic can
+# reach, signed zero, infinities, nan and subnormals
+ENTRIES = st.one_of(st.floats(-1e3, 1e3),
+                    st.sampled_from([-0.0, np.inf, -np.inf, np.nan, 5e-324,
+                                     -2.5e-310, 1e-308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 3), degree=st.integers(1, 4),
+       buffer=st.lists(st.integers(0, 5), min_size=1, max_size=9),
+       etas=st.tuples(st.sampled_from([0.05, 0.07, 0.4]),
+                      st.sampled_from([0.4, 1.12, 3.0])),
+       data=st.data())
+def test_activate_matches_reference_on_any_entries(d, degree, buffer, etas,
+                                                   data):
+    # six readable rows, duplicates in the buffer included, and row 6 for
+    # the broadcast
+    entries = data.draw(hnp.arrays(np.float64, (6, 4 * d), elements=ENTRIES))
+    trackers = data.draw(hnp.arrays(np.float64, (6, 2 * d), elements=ENTRIES))
+    rng = np.random.default_rng(d)
+    maps = mspbe.ProblemSpec((tuple(random_stats(rng, d) for _ in range(3)),),
+                             0.1).maps
+    pick = data.draw(st.integers(0, 2))
+    sides = []
+    for _ in range(2):
+        payloads = PayloadTable.empty(7, 2 * d)
+        node = protocol.init_node(0, *maps, degree, 5, payloads, row=0)
+        payloads.rows[:6], payloads.y[:6] = entries, trackers
+        node.buffer = list(buffer)
+        sides.append((node, payloads))
+    (fast_node, fast_rows), (slow_node, slow_rows) = sides
+    with np.errstate(all="ignore"):
+        fast = protocol.activate(fast_node, fast_rows, 6, pick, *etas)
+        slow = reference_activate(slow_node, slow_rows, 6, pick, *etas)
+    assert same_bits(fast, slow)
+    for name in ("rows", "y"):
+        assert same_bits(getattr(fast_rows, name), getattr(slow_rows, name))
+    assert len(fast_node.table) == len(slow_node.table) == 3
+    for got, want in zip(fast_node.table, slow_node.table):
+        assert same_bits(got, want)
+    # every copy carries the tracker divided by the drawn out-degree
+    assert same_bits(fast_rows.rows[6, 2 * d:], fast_rows.y[6] / degree)
 
 
 def test_saddle_gradient_matches_reference():

@@ -232,7 +232,7 @@ def test_mass_conservation_two_node_relay():
              for i, samples in enumerate(all_samples)]
 
     def global_table_mean():
-        return sum(node.table.sum(axis=0) for node in nodes) / m
+        return sum(np.sum(node.table, axis=0) for node in nodes) / m
 
     # rows waiting at each destination: the peer's initial broadcast
     inflight = {0: [1], 1: [0]}
