@@ -1,26 +1,29 @@
 """Per-node state machine of the asynchronous push-pull averaged-gradient run.
 
-Each node keeps a per-sample table of stored gradients and its samples' rows
-of the problem's gradient maps (``ProblemSpec.maps``), as lists of rows, and
-one receive buffer of payload rows; its saddle vector z and its gradient
-tracker y are its latest broadcast's payload row. An activation, in order:
+Each node keeps a per-sample table and its samples' rows of the problem's
+gradient maps (``ProblemSpec.maps``), as lists of rows, and one receive
+buffer of payload rows; its saddle vector z and its gradient tracker, held
+as Y = m y with the *global* sample count m, are its latest broadcast's
+payload row. The table holds G_s z at each sample's last evaluation: the
+offsets g_s cancel in every change of Y, so they enter once, in Y's start.
+An activation, in order:
 
-  1-2. pulls z as the mean of the buffered z and pushes y as the sum of the
+  1-2. pulls z as the mean of the buffered z and pushes Y as the sum of the
      buffered tracker shares: it adds the buffered rows [z | share] in
      buffer order and divides the sum once by [k ... k | 1 ... 1],
-  3. refreshes the gradient table at the picked sample (its map G_s z + g_s)
-     and corrects y by (new - stored) / m with the *global* sample count m,
-  4. writes [z | y] / [1 ... 1 | out_degree ...] (self-inclusive out-degree)
-     into its row of the payload table, and takes the diag(eta1, eta2) block
-     step along y from that row's z half, which gives z_tilde (z / 1 is z),
+  3. refreshes the picked sample's entry to f = G_s z: Y += f, then Y -=
+     the stored entry,
+  4. writes M_i [z | Y] into its row of the payload table, with M_i =
+     [[I, -diag(eta1 I_d, eta2 I_d) / m], [0, I / out_degree]] fixed per
+     run (self-inclusive out-degree): z_tilde and the share,
   5. empties the buffer and re-buffers that row as its own copy.
 
 A payload is a row of a ``PayloadTable``, which holds each broadcast of a
 run once, for as long as a buffer or a delivery can still read it; a
 buffered entry is the index of its row, which the simulator maps to its
-provenance (origin node, origin event index). The sign convention: y's
-omega block carries the negated dual gradient, so the single subtraction in
-step 4 descends on theta and ascends on omega.
+provenance (origin node, origin event index). The sign convention: Y's
+omega block carries the negated dual gradient, so the single step of M_i
+descends on theta and ascends on omega.
 
 Nodes never share state; all interaction flows through payload rows that the
 caller (the simulator) delivers, and the caller picks each activation's
@@ -33,7 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mspbe import saddle_gradient
+# not called here: the run evaluates G_s z itself, but the benchmark's
+# tracer wraps this binding and its self-test needs it
+from .mspbe import saddle_gradient  # noqa: F401
 
 # Stream tags for deriving independent per-purpose generators from one seed.
 STREAM_SCHEDULE = 1
@@ -86,12 +91,13 @@ class PayloadTable:
     """Broadcasts of a run, one row each, written once by its sender.
 
     Row r of ``rows`` is what every copy of broadcast r carries: the saddle
-    vector z_tilde and the tracker share y_new / out_degree, side by side.
-    ``y`` holds the sender's y_new, which the metrics read.
+    vector z_tilde and the tracker share Y / out_degree, side by side.
+    ``y[r]`` holds the sender's tracker Y = m y, for the metrics of the
+    planned block that writes it, which divide it by m in place.
     """
 
-    rows: np.ndarray     # (rows, 4d) [z_tilde | y_new / out_degree]
-    y: np.ndarray        # (rows, 2d) the sender's y_new
+    rows: np.ndarray     # (rows, 4d) [z_tilde | Y / out_degree]
+    y: np.ndarray        # (rows, 2d) the sender's Y
     views: list[np.ndarray] = field(init=False)   # rows[r], made once
 
     def __post_init__(self):
@@ -108,38 +114,36 @@ class NodeState:
     per-sample entries are lists of rows, so that a pick is a list lookup."""
 
     node_id: int
-    table: list[np.ndarray]     # (2d,) stored gradient of each local sample
+    table: list[np.ndarray]     # (2d,) G_s z at each local sample's last z
     linear: list[np.ndarray]    # (2d, 2d) the local samples' G_s
-    offset: list[np.ndarray]    # (2d,) their g_s
-    m_global: np.ndarray        # (2d,) m in each entry, a faster divisor
     buffer: list[int]           # payload rows
-    divisor: np.ndarray         # (4d,) [1 ... 1 | out_degree ... out_degree]
-    # means[k] is [k ... k | 1 ... 1], the divisor of a pull of k rows, and
-    # steps diag(eta1 I_d, eta2 I_d) at the last activation's etas
+    push: np.ndarray            # (4d, 4d) M_i, the broadcast of a pulled row
+    # means[k] is [k ... k | 1 ... 1], the divisor of a pull of k rows
     means: list[np.ndarray] = field(default_factory=list)
-    etas: tuple[float, float] = (np.nan, np.nan)
-    steps: np.ndarray | None = None
 
 
 def init_node(node_id: int, linear: np.ndarray, offset: np.ndarray,
-              out_degree: int, m_global: int, payloads: PayloadTable,
-              row: int) -> NodeState:
-    """Fill the gradient table at z = 0, where each sample's map
-    G_s z + g_s is its offset g_s, and stage the initial broadcast.
+              out_degree: int, m_global: int, eta1: float, eta2: float,
+              payloads: PayloadTable, row: int) -> NodeState:
+    """Start the node at z = 0, where every table entry G_s z is zero and
+    the tracker Y is the sum of its samples' offsets g_s, fix the steps of
+    its broadcast map M_i, and stage the initial broadcast.
 
     The broadcast (z = 0 and the tracker) is written to ``row`` of the
     payload table, which the node's out-neighbors must receive; the node's
     own copy is already buffered.
     """
-    table = offset.copy()
-    y = table.sum(axis=0) / m_global
-    payloads.rows[row] = np.concatenate([np.zeros_like(y), y / out_degree])
+    width = offset.shape[1]
+    y = offset.sum(axis=0)
+    payloads.rows[row] = np.concatenate([np.zeros(width), y / out_degree])
     payloads.y[row] = y
-    return NodeState(
-        node_id=node_id, table=list(table), linear=list(linear),
-        offset=list(offset), m_global=np.full(y.shape[0], float(m_global)),
-        buffer=[row], divisor=np.repeat([1.0, out_degree], y.shape[0]),
-    )
+    # M_i = [[I, -diag(eta1 I_d, eta2 I_d) / m], [0, I / out_degree]]
+    push = np.eye(2 * width)
+    push[:width, width:] = np.diag(np.repeat([-eta1, -eta2], width // 2)
+                                   / m_global)
+    push[width:] /= out_degree
+    return NodeState(node_id=node_id, table=list(np.zeros_like(offset)),
+                     linear=list(linear), buffer=[row], push=push)
 
 
 def on_receive(node: NodeState, dest: int, row: int) -> None:
@@ -157,7 +161,7 @@ def on_receive(node: NodeState, dest: int, row: int) -> None:
 
 
 def activate(node: NodeState, payloads: PayloadTable, row: int,
-             pick: int, eta1: float, eta2: float) -> np.ndarray:
+             pick: int) -> np.ndarray:
     """Run one full activation (pull, push, refresh the picked sample,
     step, broadcast into ``row``). Returns the pull average z_hat."""
     buffer, rows, means = node.buffer, payloads.views, node.means
@@ -180,20 +184,14 @@ def activate(node: NodeState, payloads: PayloadTable, row: int,
             f"self-copy invariant was broken"
         )
     width = pulled.shape[0] // 2
-    z_hat, y_new = pulled[:width], pulled[width:]
+    z_hat, y = pulled[:width], pulled[width:]
 
-    fresh = saddle_gradient(z_hat, node.linear[pick], node.offset[pick])
-    y_new += (fresh - node.table[pick]) / node.m_global
+    # Y moves by the new G_s z_hat, then by the stored one, which it replaces
+    fresh = node.linear[pick].dot(z_hat)
+    y += fresh
+    y -= node.table[pick]
     node.table[pick] = fresh
-
-    # [z_hat | share], then z_tilde = z_hat - steps * y_new (z_hat / 1 = z_hat)
-    if (eta1, eta2) != node.etas:
-        node.etas = eta1, eta2
-        node.steps = np.repeat(node.etas, width // 2)
-    out = rows[row]
-    np.divide(pulled, node.divisor, out=out)
-    z_tilde = out[:width]
-    z_tilde -= node.steps * y_new
-    payloads.y[row] = y_new
+    node.push.dot(pulled, out=rows[row])   # [z_tilde | share]
+    payloads.y[row] = y
     node.buffer = [row]
     return z_hat

@@ -384,8 +384,8 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
     # deliveries index it from there.
     payloads, base = PayloadTable.empty(n, width), 0
     degree = graph.adj.sum(axis=1).tolist()
-    nodes = [init_node(i, *problem.node_maps(i), degree[i], problem.m,
-                       payloads, row=i) for i in range(n)]
+    nodes = [init_node(i, *problem.node_maps(i), degree[i], problem.m, eta1,
+                       eta2, payloads, row=i) for i in range(n)]
     # the whole run's activators, and each node's picks in the order of its
     # activations, drawn at once from its selector stream
     node = schedule.next(max_events, derived_rng(seed, STREAM_SCHEDULE))
@@ -404,7 +404,7 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         z_tilde = np.empty((0, width))
         series = MetricSeries(*(np.empty(max_events + 1)
                                 for _ in fields(MetricSeries)))
-        carry = MetricCarry.start(payloads.y, z_star)
+        carry = MetricCarry.start(payloads.y / problem.m, z_star)
     for k0 in range(1, max(max_events, 1) + 1, _PLAN_BLOCK):
         block = slice(k0 - 1, min(k0 - 1 + _PLAN_BLOCK, max_events))
         act = node[block]
@@ -417,7 +417,6 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
         payloads.views.clear()
         table = PayloadTable.empty(kept + count, width)
         table.rows[:kept] = payloads.rows[oldest - base:]
-        table.y[:kept] = payloads.y[oldest - base:]
         for nd in nodes:
             nd.buffer = [r - (oldest - base) for r in nd.buffer]
         payloads, base = table, oldest
@@ -429,14 +428,17 @@ def run_async(problem: ProblemSpec, graph: DirectedGraph,
             active = nodes[i]
             for q in range(lo, hi):
                 on_receive(active, dest[q], row[q])
-            activate(active, payloads, at, pick, eta1, eta2)
+            activate(active, payloads, at, pick)
 
         states = slice(kept, kept + count)
         if carry is None:
             z_tilde[block] = payloads.rows[states, :width]
         else:
-            piece = metrics(act, payloads.rows[states, :width],
-                            payloads.y[states], z_star, carry)
+            # the block's trackers Y / m, divided where they are
+            y_new = payloads.y[states]
+            y_new /= problem.m
+            piece = metrics(act, payloads.rows[states, :width], y_new,
+                            z_star, carry)
             # the piece's rows end at the block's last event
             for column, rows in zip(vars(series).values(),
                                     vars(piece).values()):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import unittest.mock
 from collections import deque
 from pathlib import Path
@@ -115,26 +116,29 @@ def recorded_states():
     """Record the states of the ``simulator.run_async`` calls made inside
     the block, through wrappers of ``simulator.init_node`` and
     ``simulator.activate`` (of whatever they are bound to on entry), which
-    read each broadcast's row of the payload table. The ``NodeStates``
-    yielded holds lists while the block runs, and arrays of the last run's
-    rows after it, also when the run raised."""
+    read each broadcast's row of the payload table and divide its tracker
+    by the global sample count m, as the run's metrics do. The
+    ``NodeStates`` yielded holds lists while the block runs, and arrays of
+    the last run's rows after it, also when the run raised."""
     states = NodeStates([], [], [])
     init, act = simulator.init_node, simulator.activate
+    m = [1]
 
-    def init_node(node_id, linear, offset, out_degree, m_global, payloads,
-                  row):
+    def init_node(node_id, linear, offset, out_degree, m_global, eta1, eta2,
+                  payloads, row):
         if node_id == 0:   # a new run
             for rows in (states.y0, states.z_tilde, states.y_new):
                 rows.clear()
-        node = init(node_id, linear, offset, out_degree, m_global, payloads,
-                    row)
-        states.y0.append(payloads.y[row].copy())
+            m[0] = m_global
+        node = init(node_id, linear, offset, out_degree, m_global, eta1,
+                    eta2, payloads, row)
+        states.y0.append(payloads.y[row] / m[0])
         return node
 
     def activate(node, payloads, row, *args, **kwargs):
         z_hat = act(node, payloads, row, *args, **kwargs)
         states.z_tilde.append(payloads.rows[row, :payloads.y.shape[1]].copy())
-        states.y_new.append(payloads.y[row].copy())
+        states.y_new.append(payloads.y[row] / m[0])
         return z_hat
 
     try:
@@ -146,6 +150,70 @@ def recorded_states():
         states.y0, states.z_tilde, states.y_new = (
             np.array(rows).reshape(len(rows), width)
             for rows in (states.y0, states.z_tilde, states.y_new))
+
+
+@dataclasses.dataclass
+class PaperNode:
+    """A node's state in the paper's form: the table holds each sample's
+    full gradient G_s z + g_s at its last evaluation, and the tracker y is
+    the table's contribution divided by m."""
+
+    node_id: int
+    table: np.ndarray       # (m_i, 2d)
+    linear: np.ndarray      # (m_i, 2d, 2d)
+    offset: np.ndarray      # (m_i, 2d)
+    out_degree: int
+    m_global: int
+    steps: np.ndarray       # (2d,) [eta1 ... eta1 | eta2 ... eta2]
+    buffer: list[int]
+
+
+def paper_init_node(node_id, linear, offset, out_degree, m_global, eta1,
+                    eta2, payloads, row) -> PaperNode:
+    """``protocol.init_node`` in the paper's arithmetic: at z = 0 every
+    gradient is its offset, and y is their sum over m; payload rows hold
+    [z | y / out_degree] and ``payloads.y`` holds y."""
+    table = offset.copy()
+    y = table.sum(axis=0) / m_global
+    payloads.rows[row] = np.concatenate([np.zeros_like(y), y / out_degree])
+    payloads.y[row] = y
+    d = offset.shape[1] // 2
+    return PaperNode(node_id, table, linear, offset, out_degree, m_global,
+                     np.repeat([eta1, eta2], d), [row])
+
+
+def paper_activate(node: PaperNode, payloads, row: int,
+                   pick: int) -> np.ndarray:
+    """``protocol.activate`` in the paper's arithmetic: the mean of the
+    buffered z and the sum of the buffered shares, each added in buffer
+    order, the gradient ``G_s @ z + g_s``, y corrected by (new - stored) /
+    m, a block step per half, and the share ``y / out_degree``."""
+    if not node.buffer:
+        raise RuntimeError("empty buffer")
+    width = payloads.y.shape[1]
+    stacked = [payloads.rows[r] for r in node.buffer]
+    total = functools.reduce(np.add, stacked[1:], stacked[0].copy())
+    z_hat = total[:width] / len(node.buffer)
+    y_new = total[width:]
+    fresh = node.linear[pick] @ z_hat + node.offset[pick]
+    y_new += (fresh - node.table[pick]) / node.m_global
+    node.table[pick] = fresh
+    z_tilde = z_hat - node.steps * y_new
+    payloads.rows[row] = np.concatenate([z_tilde, y_new / node.out_degree])
+    payloads.y[row] = y_new
+    node.buffer = [row]
+    return z_hat
+
+
+@contextlib.contextmanager
+def paper_arithmetic():
+    """Run ``simulator.run_async`` on the paper's arithmetic inside the
+    block: the same plan, with ``paper_init_node`` and ``paper_activate``
+    in place of the protocol's. For full traces only: a run given z_star
+    would divide the y that these write by m once more."""
+    with unittest.mock.patch.object(simulator, "init_node", paper_init_node), \
+            unittest.mock.patch.object(simulator, "activate", paper_activate):
+        yield
 
 
 def graph_constants(trace: EventTrace) -> tuple[int, int]:
@@ -228,9 +296,10 @@ def centralized_sag(problem: ProblemSpec, eta1: float, eta2: float, iters: int,
     """Single-table averaged-gradient iteration over all m samples, from
     z = 0.
 
-    Matches the n=1 distributed run exactly: same selector stream (node 0's),
-    same arithmetic order (gradient at the current z, table correction, block
-    step).
+    Matches the n=1 distributed run to rounding: same selector stream (node
+    0's), same steps (gradient at the current z, table correction, block
+    step), in the paper's arithmetic, where the run's table leaves out the
+    offsets and its tracker is m y.
     """
     linear, offset = problem.maps
     m, d = problem.m, problem.d

@@ -308,7 +308,7 @@ def test_criterion_06_single_node_equals_centralized_sag():
     ok = dev <= 1e-12
     msg = _gate(6, ok, f"1000 shared-seed steps, max iterate deviation "
                        f"{dev!r} (tol 1e-12; sample selection is "
-                       f"stream-identical, so the match is exact)")
+                       f"stream-identical, so the match is to rounding)")
     assert ok, msg
 
 

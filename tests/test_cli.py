@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsag import augmented, cli, graph, simulator
+from asyncsag import augmented, cli, graph, mspbe, protocol, simulator
 from helpers import dump_edge_list
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -687,6 +687,25 @@ def test_main_verify_multinode_reports_contraction_failure(tmp_path, capsys):
     assert "PASS tracking_identity" in out
     assert "FAIL product_contraction_bound" in out
     assert "certified_b" in out
+
+
+@pytest.mark.parametrize("config", ["quickstart", "marl9"])
+def test_verify_fails_replay_on_a_biased_gradient(config, monkeypatch,
+                                                  capsys):
+    """A +1e-3 bias in every entry of ``mspbe.saddle_gradient``, wherever
+    it is bound, shifts the fixed point. The run evaluates G_s z without
+    it and the replay with it, so replay_equivalence fails."""
+    gradient = mspbe.saddle_gradient
+    for module in (augmented, protocol):
+        monkeypatch.setattr(module, "saddle_gradient",
+                            lambda *args: gradient(*args) + 1e-3)
+    code = cli.main(["verify", "--config", config])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_CHECK_FAILED
+    (line,) = [line for line in out.splitlines()
+               if "replay_equivalence" in line]
+    assert line.startswith("FAIL replay_equivalence")
+    assert float(re.search(r"max deviation (\S+)", line).group(1)) > 1e-9
 
 
 def test_verify_does_not_import_numpy_ma(tmp_path):

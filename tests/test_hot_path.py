@@ -1,17 +1,21 @@
 """Contracts of the simulator's per-event path.
 
-The activation and the per-sample gradient are written for speed (in-place
-sums over payload rows [z | share], one division for the mean and one for
-the broadcast, outputs written into their row). They must give the same
-bits as the plain numpy expressions below, which are kept here as the
-reference: the mean of the buffered z and the sum of the buffered shares,
-each added in buffer order, the gradient map ``G_s @ z + g_s``, a block
-step per half, and the share ``y_new / out_degree``. The benchmark's tracer
-must also still find every name it wraps.
+The activation is written for speed (in-place sums over payload rows
+[z | share], one division for the mean, a tracker Y = m y kept in place,
+and one matrix-vector product for the broadcast, written into its row). It
+must give the same bits as the plain numpy expressions below, which are
+kept here as the reference: the mean of the buffered z and the sum of the
+buffered shares, each added in buffer order, the table entry ``G_s @ z``,
+Y moved by the new entry and then by the stored one, and the broadcast
+``M_i @ [z_hat | Y]`` with M_i = [[I, -diag(eta1 I_d, eta2 I_d) / m],
+[0, I / out_degree]]. The paper's form of the same step
+(``helpers.paper_activate``) agrees with it to rounding. The benchmark's
+tracer must also still find every name it wraps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.util
 import math
@@ -27,7 +31,8 @@ from hypothesis.extra import numpy as hnp
 
 from asyncsag import cli, graph, mspbe, protocol, simulator
 from asyncsag.protocol import PayloadTable
-from helpers import assert_traces_equal, build_problem, sample_map
+from helpers import (assert_traces_equal, build_problem, paper_arithmetic,
+                     sample_map)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -42,7 +47,16 @@ def random_stats(rng, d, scale=1.0):
                              float(scale * rng.normal()))
 
 
-def reference_activate(node, payloads, row, pick, eta1, eta2):
+def reference_push(eta1, eta2, m, out_degree, d):
+    """M_i = [[I, -diag(eta1 I_d, eta2 I_d) / m], [0, I / out_degree]]."""
+    eye = np.eye(2 * d)
+    steps = np.diag(np.repeat([eta1, eta2], d))
+    return np.block([[eye, -steps / m], [np.zeros((2 * d, 2 * d)),
+                                          eye / out_degree]])
+
+
+def reference_activate(node, payloads, row, pick, push):
+    """One activation of ``node`` whose broadcast map is ``push``."""
     if not node.buffer:
         raise RuntimeError("empty buffer")
     width = payloads.y.shape[1]
@@ -52,20 +66,10 @@ def reference_activate(node, payloads, row, pick, eta1, eta2):
     stacked = [payloads.rows[r] for r in node.buffer]
     total = functools.reduce(np.add, stacked[1:], stacked[0].copy())
     z_hat = total[:width] / len(node.buffer)
-    y_new = total[width:]
-
-    fresh = reference_saddle_gradient(z_hat, node.linear[pick],
-                                      node.offset[pick])
-    y_new += (fresh - node.table[pick]) / node.m_global
+    fresh = node.linear[pick] @ z_hat
+    y_new = total[width:] + fresh - node.table[pick]
     node.table[pick] = fresh
-
-    d = width // 2
-    z_tilde = z_hat.copy()
-    z_tilde[:d] -= eta1 * y_new[:d]
-    z_tilde[d:] -= eta2 * y_new[d:]
-
-    # the node's divisor ends in its out-degree
-    payloads.rows[row] = np.concatenate([z_tilde, y_new / node.divisor[-1]])
+    payloads.rows[row] = push @ np.concatenate([z_hat, y_new])
     payloads.y[row] = y_new
     node.buffer = [row]
     return z_hat
@@ -89,32 +93,48 @@ def unchanged_payloads(activate):
     return checked
 
 
-@pytest.mark.parametrize("topology,n", [("ring", 5), ("exponential", 6),
-                                        ("grid", 9)])
-@pytest.mark.parametrize("kind", ["round_robin", "uniform_random", "straggler"])
-def test_run_async_bits_equal_reference_arithmetic(monkeypatch, topology, n,
-                                                   kind):
+# the nine topology and schedule cases
+TOPOLOGIES = pytest.mark.parametrize("topology,n", [("ring", 5),
+                                                    ("exponential", 6),
+                                                    ("grid", 9)])
+SCHEDULES = pytest.mark.parametrize("kind", ["round_robin", "uniform_random",
+                                             "straggler"])
+
+
+def case_runs(topology, n, kind):
+    """The ``run_async`` arguments (problem, graph, schedule, delays,
+    steps) of one topology and schedule case, once per delay kind; the
+    straggler is the node with the most in-neighbours, so its buffer fills
+    up between its activations."""
     prob = build_problem(n=n, length=40, num_states=12)
     g = graph.generate_topology(topology, n)
-    # the straggler is the node with the most in-neighbours, so its buffer
-    # fills up between its activations
     straggler = int(g.adj.sum(axis=0).argmax())
     sched = simulator.ActivationSchedule(
         kind=kind, n=n, straggler_node=straggler if kind == "straggler" else None,
         straggler_factor=4.0 if kind == "straggler" else 1.0)
-    longest = 0
     for delay_kind, d_max in (("zero", 0), ("uniform", 3), ("round_barrier", 2)):
-        args = (prob, g, sched, simulator.DelayModel(delay_kind, d_max),
-                0.05, 0.4)
+        yield (prob, g, sched, simulator.DelayModel(delay_kind, d_max), 0.05,
+               0.4)
+
+
+@TOPOLOGIES
+@SCHEDULES
+def test_run_async_bits_equal_reference_arithmetic(monkeypatch, topology, n,
+                                                   kind):
+    longest = 0
+    for args in case_runs(topology, n, kind):
+        prob, g, *_, eta1, eta2 = args
         kwargs = dict(seed=11, max_events=150)
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "activate",
                           unchanged_payloads(protocol.activate))
             fast = simulator.run_async(*args, **kwargs)
+        push = [reference_push(eta1, eta2, prob.m, degree, prob.d)
+                for degree in g.adj.sum(axis=1).tolist()]
         with monkeypatch.context() as patch:
-            patch.setattr(simulator, "activate", reference_activate)
-            patch.setattr(protocol, "saddle_gradient",
-                          reference_saddle_gradient)
+            patch.setattr(simulator, "activate",
+                          lambda node, *rest: reference_activate(
+                              node, *rest, push[node.node_id]))
             slow = simulator.run_async(*args, **kwargs)
         assert_traces_equal(fast, slow)
         consumed = fast.messages.consumed_at
@@ -124,20 +144,63 @@ def test_run_async_bits_equal_reference_arithmetic(monkeypatch, topology, n,
         assert longest >= 8   # the in-place sums ran over long buffers
 
 
+@TOPOLOGIES
+@SCHEDULES
+def test_run_async_broadcasts_match_the_paper_arithmetic(topology, n, kind):
+    """The offset-free table and the tracker in units of m change only the
+    rounding: every broadcast is within 1e-12 max|z_tilde| of the paper's
+    form, on the same plan."""
+    for args in case_runs(topology, n, kind):
+        kwargs = dict(seed=11, max_events=150)
+        fast = simulator.run_async(*args, **kwargs)
+        with paper_arithmetic():
+            paper = simulator.run_async(*args, **kwargs)
+        assert_traces_equal(dataclasses.replace(fast, z_tilde=paper.z_tilde),
+                            paper)
+        scale = np.abs(paper.z_tilde).max()
+        assert scale > 0
+        assert np.abs(fast.z_tilde - paper.z_tilde).max() <= 1e-12 * scale
+
+
+def test_overflowing_run_ends_all_nan_in_both_forms():
+    """Steps far past the stable range (eta1 = 50, eta2 = 800) overflow
+    in both forms, on the same events: the same broadcasts hold a
+    non-finite entry, the same ones are nan in every entry, and so is the
+    last."""
+    prob = build_problem(n=5, length=40, num_states=12)
+    args = (prob, graph.generate_topology("ring", 5),
+            simulator.ActivationSchedule("uniform_random", 5),
+            simulator.DelayModel("uniform", 3), 50.0, 800.0)
+    with np.errstate(all="ignore"):
+        fast = simulator.run_async(*args, seed=11, max_events=1500)
+        with paper_arithmetic():
+            paper = simulator.run_async(*args, seed=11, max_events=1500)
+    for test in (np.isfinite, np.isnan):
+        rows = [test(trace.z_tilde).all(axis=1) for trace in (fast, paper)]
+        assert np.array_equal(*rows)
+        assert 0 < rows[0].sum() < 1500
+    assert np.isnan(fast.z_tilde[-1]).all()
+
+
 def test_activate_matches_reference_on_shared_payloads():
     rng = np.random.default_rng(5)
     d = 4
     stats = [random_stats(rng, d) for _ in range(3)]
     maps = mspbe.ProblemSpec((tuple(stats),), 0.1).maps
+    push = reference_push(0.05, 0.4, 7, 3, d)
     for length in range(1, 10):
         rows = 1 + length + 1
         z = rng.normal(size=(rows, 2 * d))
         y = rng.normal(size=(rows, 2 * d))
         degree = rng.integers(1, 4, size=(rows, 1))
+        # entries stored at earlier evaluations
+        stored = rng.normal(size=(3, 2 * d))
         sides = []
         for _ in range(2):
             payloads = PayloadTable.empty(rows, 2 * d)
-            node = protocol.init_node(0, *maps, 3, 7, payloads, row=0)
+            node = protocol.init_node(0, *maps, 3, 7, 0.05, 0.4, payloads,
+                                      row=0)
+            node.table = list(stored.copy())
             payloads.rows[1:] = np.hstack([z, y / degree])[1:]
             payloads.y[1:] = y[1:]
             # one row may sit in a buffer twice, as a duplicate delivery does
@@ -147,11 +210,10 @@ def test_activate_matches_reference_on_shared_payloads():
             sides.append((node, payloads, pick))
         (fast_node, fast_rows, pick), (slow_node, slow_rows, _) = sides
         fast = unchanged_payloads(protocol.activate)(fast_node, fast_rows,
-                                                     rows - 1, pick, 0.05, 0.4)
-        slow = reference_activate(slow_node, slow_rows, rows - 1, pick,
-                                  0.05, 0.4)
+                                                     rows - 1, pick)
+        slow = reference_activate(slow_node, slow_rows, rows - 1, pick, push)
         assert same_bits(fast, slow)
-        # the broadcast z and y are compared as the payload rows below; the
+        # the broadcast z and Y are compared as the payload rows below; the
         # table is a list of rows, one per local sample
         assert len(fast_node.table) == len(slow_node.table) == 3
         for got, want in zip(fast_node.table, slow_node.table):
@@ -181,29 +243,42 @@ def test_activate_matches_reference_on_any_entries(d, degree, buffer, etas,
     # the broadcast
     entries = data.draw(hnp.arrays(np.float64, (6, 4 * d), elements=ENTRIES))
     trackers = data.draw(hnp.arrays(np.float64, (6, 2 * d), elements=ENTRIES))
+    stored = data.draw(hnp.arrays(np.float64, (3, 2 * d), elements=ENTRIES))
     rng = np.random.default_rng(d)
     maps = mspbe.ProblemSpec((tuple(random_stats(rng, d) for _ in range(3)),),
                              0.1).maps
     pick = data.draw(st.integers(0, 2))
+    push = reference_push(*etas, 5, degree, d)
     sides = []
     for _ in range(2):
         payloads = PayloadTable.empty(7, 2 * d)
-        node = protocol.init_node(0, *maps, degree, 5, payloads, row=0)
+        node = protocol.init_node(0, *maps, degree, 5, *etas, payloads, row=0)
         payloads.rows[:6], payloads.y[:6] = entries, trackers
+        node.table = list(stored.copy())
         node.buffer = list(buffer)
         sides.append((node, payloads))
     (fast_node, fast_rows), (slow_node, slow_rows) = sides
     with np.errstate(all="ignore"):
-        fast = protocol.activate(fast_node, fast_rows, 6, pick, *etas)
-        slow = reference_activate(slow_node, slow_rows, 6, pick, *etas)
+        fast = protocol.activate(fast_node, fast_rows, 6, pick)
+        slow = reference_activate(slow_node, slow_rows, 6, pick, push)
     assert same_bits(fast, slow)
     for name in ("rows", "y"):
         assert same_bits(getattr(fast_rows, name), getattr(slow_rows, name))
     assert len(fast_node.table) == len(slow_node.table) == 3
     for got, want in zip(fast_node.table, slow_node.table):
         assert same_bits(got, want)
-    # every copy carries the tracker divided by the drawn out-degree
-    assert same_bits(fast_rows.rows[6, 2 * d:], fast_rows.y[6] / degree)
+    # IEEE: the product adds 0 * v_j for every entry v_j that M_i does not
+    # weigh, so a finite [z_hat | Y] gives every copy 1/out_degree times Y,
+    # and a non-finite v_j (0 * inf is nan) makes nan every entry whose
+    # weight on it is 0
+    pulled = np.concatenate([fast, fast_rows.y[6]])
+    broadcast = fast_rows.rows[6]
+    if np.isfinite(pulled).all():
+        with np.errstate(all="ignore"):
+            assert np.array_equal(broadcast[2 * d:],
+                                  (1 / degree) * fast_rows.y[6])
+    for j in np.flatnonzero(~np.isfinite(pulled)).tolist():
+        assert np.isnan(broadcast[push[:, j] == 0]).all()
 
 
 def test_saddle_gradient_matches_reference():
@@ -254,9 +329,10 @@ def test_bench_tracer_wraps_the_hot_path(monkeypatch, tmp_path, capsys):
     assert calls["simulator.delay_draw"] == blocks
     received = sum(msg.consumed_at is not None for msg in trace.messages)
     assert calls["protocol.on_receive"] == received
-    # one refresh per drawn sample; the initial tables are the maps'
-    # offsets, the gradient at z = 0, and call nothing
-    assert calls["mspbe.saddle_gradient"] == trace.samples.size
+    # the run refreshes each table entry as G_s z, without the offset, and
+    # calls the gradient map not once; the protocol keeps the binding that
+    # the tracer wraps
+    assert calls["mspbe.saddle_gradient"] == 0
     # the activate probe reads len(node.buffer) before each pull: the own
     # copy and the messages received
     assert tracer.observed["buffer_len_sum"] == trace.num_events + received

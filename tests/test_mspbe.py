@@ -217,8 +217,9 @@ def test_map_stack_averages_to_the_mean_gradient_map():
 
 def test_map_stack_is_built_once_and_shared(monkeypatch):
     """One problem holds one read-only stack of 8 m (2d)^2 bytes (and g's
-    8 m 2d), built in place, and every gradient that a run and its replay
-    evaluate reads a row of it: no rebuild per run, per node or per call."""
+    8 m 2d), built in place, and every table entry G_s z that a run
+    evaluates and every gradient of its replay reads a row of it: no
+    rebuild per run, per node or per call."""
     prob = build_problem(seed=11, n=3, d=16, length=301, num_states=20)
     m, width = prob.m, 2 * prob.d
     tracemalloc.start()
@@ -236,13 +237,18 @@ def test_map_stack_is_built_once_and_shared(monkeypatch):
     assert peak <= linear.nbytes + offset.nbytes + 4 * m * width * 8 + 2**18
     assert all(new is old for new, old in zip(prob.maps, (linear, offset)))
 
-    read = []
+    gradients, entries = [], []
 
     def spying(z, row_linear, row_offset):
-        read.append((row_linear.base, row_offset.base))
+        gradients.append((row_linear.base, row_offset.base))
         return mspbe.saddle_gradient(z, row_linear, row_offset)
 
-    monkeypatch.setattr(protocol, "saddle_gradient", spying)
+    def activating(node, payloads, row, pick):
+        # the run's table entry G_s z reads the node's row of G
+        entries.append(node.linear[pick].base)
+        return protocol.activate(node, payloads, row, pick)
+
+    monkeypatch.setattr(simulator, "activate", activating)
     monkeypatch.setattr(augmented, "saddle_gradient", spying)
     g = graph.generate_topology("ring", prob.n)
     schedule = simulator.ActivationSchedule("uniform_random", prob.n)
@@ -252,8 +258,9 @@ def test_map_stack_is_built_once_and_shared(monkeypatch):
               for seed in (1, 2)]
     for state in augmented.replay(traces[0], prob):
         pass
-    assert len(read) == 3 * 60
-    assert all(a is linear and b is offset for a, b in read)
+    assert len(gradients) == 60 and len(entries) == 2 * 60
+    assert all(a is linear and b is offset for a, b in gradients)
+    assert all(a is linear for a in entries)
 
 
 def test_solve_saddle_zeroes_the_gradient():

@@ -3,10 +3,12 @@
 ``heap_run_async`` below is the earlier ``simulator.run_async``, kept as the
 reference: one scalar schedule draw per event, one scalar delay draw per
 message, a heap of pending messages per destination popped at each
-activation, and its own buffer of (z, y share, origin, sent) payloads and
-activation arithmetic. ``simulator.run_async`` plans blocks of events with
-array code and must give the same trace, bit for bit, for every block size,
-and fill every activation's buffer in the heap engine's order.
+activation, and its own buffer of (z, Y share, origin, sent) payloads and
+activation arithmetic, that of ``protocol.activate``: a tracker Y = m y, a
+table of G_s z without the offsets, and the broadcast M_i [z_hat | Y].
+``simulator.run_async`` plans blocks of events with array code and must
+give the same trace, bit for bit, for every block size, and fill every
+activation's buffer in the heap engine's order.
 
 The heap engine also returns the states its nodes computed (each node's
 initial tracker, each event's broadcast and corrected tracker), which must
@@ -24,7 +26,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asyncsag import graph, mspbe, protocol, simulator
+from asyncsag import graph, protocol, simulator
 from asyncsag.protocol import (STREAM_DELAY, STREAM_SCHEDULE, Message,
                                derived_rng, sample_picks, selector_rng)
 from helpers import (NodeStates, assert_traces_equal, build_problem,
@@ -39,7 +41,7 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     rng_sched = derived_rng(seed, STREAM_SCHEDULE)
     rng_delay = derived_rng(seed, STREAM_DELAY)
     n, d, m = problem.n, problem.d, problem.m
-    steps = np.array([eta1] * d + [eta2] * d)
+    steps = np.diag([-eta1 / m] * d + [-eta2 / m] * d)
     z0_rows = np.zeros((n, 2 * d))
 
     def delay(sent_at):
@@ -56,6 +58,10 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     targets = [[v for v in np.flatnonzero(graph_.adj[i]).tolist() if v != i]
                for i in range(n)]
     degree = graph_.adj.sum(axis=1).tolist()
+    # each node's broadcast M_i [z_hat | Y] = [z_hat - eta Y / m | Y / degree]
+    push = [np.block([[np.eye(2 * d), steps],
+                      [np.zeros((2 * d, 2 * d)), np.eye(2 * d) / deg]])
+            for deg in degree]
 
     def send(origin, z_t, y_t, sent_at):
         nonlocal seq
@@ -72,12 +78,11 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
     for i in range(n):
         picks.append(iter(sample_picks(problem.m_i[i], selector_rng(seed, i),
                                        max_events).tolist()))
-        linear, offset = problem.node_maps(i)
-        table = np.stack([mspbe.saddle_gradient(z0_rows[i], g_s, o_s)
-                          for g_s, o_s in zip(linear, offset)])
-        y = table.sum(axis=0) / m
-        tables.append(table)
-        ys.append(y)
+        offset = problem.node_maps(i)[1]
+        # at z = 0 every entry G_s z is zero, and Y is the offsets' sum
+        tables.append(np.zeros_like(offset))
+        y = offset.sum(axis=0)
+        ys.append(y / m)
         buffers.append([(z0_rows[i], y / degree[i], i, 0)])
         send(i, z0_rows[i], y / degree[i], 0)
     y0_rows = np.stack(ys)
@@ -99,19 +104,19 @@ def heap_run_async(problem, graph_, schedule, delays, eta1, eta2, seed,
         z_hat = np.mean([z for z, _, _, _ in buffer], axis=0)
         y_new = np.sum([y for _, y, _, _ in buffer], axis=0)
         pick = next(picks[i])
-        linear, offset = problem.node_maps(i)
-        fresh = mspbe.saddle_gradient(z_hat, linear[pick], offset[pick])
-        y_new += (fresh - tables[i][pick]) / m
+        fresh = problem.node_maps(i)[0][pick] @ z_hat
+        y_new += fresh
+        y_new -= tables[i][pick]
         tables[i][pick] = fresh
-        z_tilde = z_hat - steps * y_new
-        y_tilde = y_new / degree[i]
+        broadcast = push[i] @ np.concatenate([z_hat, y_new])
+        z_tilde, y_tilde = broadcast[:2 * d], broadcast[2 * d:]
         pulled.append([(origin, sent) for _, _, origin, sent in buffer])
         buffers[i] = [(z_tilde, y_tilde, i, k)]
         send(i, z_tilde, y_tilde, k)
         node_col.append(i)
         samples.append(pick)
         z_col.append(z_tilde)
-        y_col.append(y_new)
+        y_col.append(y_new / m)
 
     rows = len(node_col)
     log = np.array([(msg.origin, msg.dest, msg.sent_at, msg.deliver_at,

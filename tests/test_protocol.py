@@ -1,5 +1,9 @@
 """Node-local protocol: sample selection windows, activation arithmetic,
-buffer lifecycle, and mass conservation."""
+buffer lifecycle, and mass conservation.
+
+A node's tracker is Y = m y, in units of the global sample count m, and its
+table holds G_s z without the offsets g_s, which cancel in every change of
+Y; payload rows carry [z | Y / out_degree] and ``PayloadTable.y`` holds Y."""
 
 from __future__ import annotations
 
@@ -18,15 +22,15 @@ def scalar_stats(phi=0.0, psi=0.0, r=0.0):
 
 
 def make_node(samples, out_degree=2, m_global=None, rho=0.1, node_id=0,
-              payloads=None):
-    """A node, at z = 0, whose initial broadcast is row ``node_id`` of
-    ``payloads`` (a fresh 64-row table unless given)."""
+              payloads=None, etas=(0.1, 0.1)):
+    """A node, at z = 0, with steps ``etas``, whose initial broadcast is row
+    ``node_id`` of ``payloads`` (a fresh 64-row table unless given)."""
     m_global = len(samples) if m_global is None else m_global
     payloads = (PayloadTable.empty(64, 2 * samples[0].phi.shape[0])
                 if payloads is None else payloads)
     linear, offset = mspbe.ProblemSpec((tuple(samples),), rho).maps
-    node = init_node(node_id, linear, offset, out_degree, m_global, payloads,
-                     row=node_id)
+    node = init_node(node_id, linear, offset, out_degree, m_global, *etas,
+                     payloads, row=node_id)
     return node, payloads
 
 
@@ -34,6 +38,12 @@ def gradient(z, stats, rho=0.1):
     """One sample's gradient map at ``z``."""
     return mspbe.saddle_gradient(np.asarray(z, dtype=float),
                                  *sample_map(stats, rho))
+
+
+def table_entry(z, stats, rho=0.1):
+    """What a table stores for one sample at ``z``: G_s z, its gradient
+    less the offset g_s."""
+    return gradient(z, stats, rho) - sample_map(stats, rho)[1]
 
 
 def put(payloads, row, z, y_share, degree=1):
@@ -99,56 +109,69 @@ def test_selector_picks_are_permutation_epochs():
 
 def test_init_node_table_and_tracker():
     samples = [scalar_stats(phi=0.5, psi=2.0, r=4.0) for _ in range(3)]
-    node, payloads = make_node(samples, out_degree=2, m_global=6)
+    node, payloads = make_node(samples, out_degree=2, m_global=6,
+                               etas=(0.1, 0.3))
     # at z = 0 the gradient is [0; phi * r]: the dual block is not zero
     expected_g = gradient(np.zeros(2), samples[0])
     assert np.array_equal(expected_g, [0.0, 2.0])
-    assert np.allclose(node.table, np.tile(expected_g, (3, 1)))
-    # the broadcast row carries z = 0 and the tracker, which divides by the
-    # GLOBAL sample count, and its copies the out-degree share of it
+    # the table holds G_s 0 = 0; the offsets are in the tracker
+    assert np.array_equal(node.table, np.zeros((3, 2)))
+    # the broadcast row carries z = 0 and Y = m y, the sum of the offsets,
+    # and its copies the out-degree share of it
     assert np.array_equal(payloads.rows[0, :2], np.zeros(2))
-    assert np.allclose(payloads.y[0], 3 * expected_g / 6)
-    assert np.allclose(share(payloads, 0), 3 * expected_g / 6 / 2)
+    assert np.array_equal(payloads.y[0], 3 * expected_g)
+    assert np.array_equal(share(payloads, 0), 3 * expected_g / 2)
+    # the broadcast map steps along Y / m, with the GLOBAL sample count m
+    assert np.array_equal(node.push, [[1.0, 0.0, -0.1 / 6, 0.0],
+                                      [0.0, 1.0, 0.0, -0.3 / 6],
+                                      [0.0, 0.0, 0.5, 0.0],
+                                      [0.0, 0.0, 0.0, 0.5]])
     # self-copy pre-buffered: the node's own initial row
     assert node.buffer == [0]
 
 
 def test_activation_arithmetic_pinned():
-    """Table-correction pin: y = 0.5 + (4 - 2)/4 = 1.0.
+    """Table-correction pin: Y = 2 + ([4, 0] - [2, -2]) = [4, 4], y = Y / 4
+    = 1.
 
     Stats (phi=1, psi=0, r=4, rho=4) make the gradient
     [psi*(phi*omega) + rho*theta; phi*(phi*omega + r - psi*theta)] equal
-    [0 + 4; 0 + 4 - 0] = [4; 4] at z_hat = [1, 0]; the stored table entry is
-    forced to 2 and the buffered tracker share to 0.5 with m_global = 4.
+    [0 + 4; 0 + 4 - 0] = [4; 4] at z_hat = [1, 0], so the table entry
+    G_s z_hat is [4; 0] (g_s = [0; 4]); the stored entry is forced to
+    [2; -2] (a stored gradient of [2; 2]) and the buffered tracker share to
+    2 with m_global = 4.
     """
     samples = [scalar_stats(phi=1.0, psi=0.0, r=4.0)]
     node, payloads = make_node(samples, out_degree=1,
-                               m_global=4, rho=4.0)
-    node.table[0] = np.array([2.0, 2.0])
-    put(payloads, 1, [1.0, 0.0], [0.5, 0.5])
+                               m_global=4, rho=4.0, etas=(0.1, 0.2))
+    node.table[0] = np.array([2.0, -2.0])
+    put(payloads, 1, [1.0, 0.0], [2.0, 2.0])
     node.buffer = [1]
-    z_hat = activate(node, payloads, 2, 0, eta1=0.1, eta2=0.2)
-    assert np.allclose(z_hat, [1.0, 0.0])
-    assert np.allclose(payloads.y[2], [1.0, 1.0])
-    assert np.allclose(node.table[0], [4.0, 4.0])
-    # primal and dual blocks step with their own rates
+    z_hat = activate(node, payloads, 2, 0)
+    assert np.array_equal(z_hat, [1.0, 0.0])
+    assert np.array_equal(payloads.y[2], [4.0, 4.0])
+    assert np.array_equal(node.table[0], [4.0, 0.0])
+    # primal and dual blocks step with their own rates, along Y / m = y
     assert np.allclose(payloads.rows[2, :2], [1.0 - 0.1, 0.0 - 0.2])
-    assert np.allclose(share(payloads, 2), [1.0, 1.0])  # out_degree 1
+    assert np.array_equal(share(payloads, 2), [4.0, 4.0])  # out_degree 1
 
 
 def test_pull_is_mean_push_is_sum():
     samples = [scalar_stats(phi=1.0, r=1.0)]
-    node, payloads = make_node(samples, out_degree=3, m_global=9)
+    node, payloads = make_node(samples, out_degree=3, m_global=9,
+                               etas=(0.0, 0.0))
     put(payloads, 1, [1.0, 0.0], [0.3, 0.0])
     put(payloads, 2, [3.0, 2.0], [0.5, 1.0], degree=2)
     node.buffer = [1, 2]
-    z_hat = activate(node, payloads, 3, 0, 0.0, 0.0)
+    z_hat = activate(node, payloads, 3, 0)
     assert np.allclose(z_hat, [2.0, 1.0])  # mean of pulls
-    # y starts from the SUM of shares before the table correction
+    # Y starts from the SUM of shares before the table correction, and the
+    # table entry at z = 0 was zero
     y_base = np.array([0.8, 1.0])
-    g = node.table[0]  # refreshed entry equals gradient at z_hat
-    expected = y_base + (g - gradient(np.zeros(2), samples[0])) / 9
-    assert np.allclose(payloads.y[3], expected)
+    assert np.allclose(node.table[0], table_entry(z_hat, samples[0]))
+    assert np.allclose(payloads.y[3], y_base + node.table[0])
+    # zero steps broadcast the pull mean itself
+    assert np.array_equal(payloads.rows[3, :2], z_hat)
 
 
 def test_buffer_lifecycle_and_self_copy():
@@ -158,9 +181,10 @@ def test_buffer_lifecycle_and_self_copy():
     put(payloads, 1, np.ones(2), np.ones(2))
     on_receive(node, 0, 1)
     assert node.buffer == [0, 1]
-    z_hat = activate(node, payloads, 7, 0, 0.1, 0.1)
+    z_hat = activate(node, payloads, 7, 0)
     # buffer now holds exactly the fresh self-copy: the row just written
     assert node.buffer == [7]
+    # m = 1, so the step is along Y itself
     assert np.allclose(payloads.rows[7, :2], z_hat - 0.1 * payloads.y[7])
     assert np.array_equal(share(payloads, 7), payloads.y[7] / 2)
 
@@ -170,7 +194,7 @@ def test_activate_empty_buffer_raises():
     node, payloads = make_node(samples)
     node.buffer = []
     with pytest.raises(RuntimeError):
-        activate(node, payloads, 1, 0, 0.1, 0.1)
+        activate(node, payloads, 1, 0)
 
 
 def test_on_receive_rejects_wrong_destination():
@@ -195,27 +219,28 @@ def test_duplicate_receptions_are_kept():
 
 
 def test_table_soundness_against_eval_points():
-    # every table row equals the gradient of its sample at its eval point:
-    # the pull average z_hat of the last activation that drew it, or 0
+    # every table row equals G_s at its eval point, the pull average z_hat
+    # of the last activation that drew it, or 0
     rng = np.random.default_rng(0)
     samples = [scalar_stats(phi=float(rng.normal()), psi=float(rng.normal()),
                             r=float(rng.normal()))
                for _ in range(4)]
-    node, payloads = make_node(samples, out_degree=2)
+    node, payloads = make_node(samples, out_degree=2, etas=(0.05, 0.1))
     picks = sample_picks(4, selector_rng(5, 0), 29).tolist()
     eval_points = np.zeros((4, 2))
     for k, pick in enumerate(picks, start=1):
         put(payloads, 2 * k - 1, rng.normal(size=2), rng.normal(size=2))
         on_receive(node, 0, 2 * k - 1)
-        eval_points[pick] = activate(node, payloads, 2 * k, pick, 0.05, 0.1)
+        eval_points[pick] = activate(node, payloads, 2 * k, pick)
         for p in range(4):
-            expected = gradient(eval_points[p], samples[p])
+            expected = table_entry(eval_points[p], samples[p])
             assert np.allclose(node.table[p], expected, atol=1e-13)
 
 
 def test_mass_conservation_two_node_relay():
-    """Sum over unconsumed shares equals the global table mean after every
-    event (self-copies included)."""
+    """Sum over unconsumed shares equals m times the global gradient mean,
+    the sum of every table entry and every offset, after every event
+    (self-copies included)."""
     rng = np.random.default_rng(2)
     all_samples = [
         [scalar_stats(phi=0.5, psi=0.8, r=2.0),
@@ -225,14 +250,17 @@ def test_mass_conservation_two_node_relay():
     m = 3
     payloads = PayloadTable.empty(32, 2)
     nodes = [make_node(samples, out_degree=2, m_global=m,
-                       node_id=i, payloads=payloads)[0]
+                       node_id=i, payloads=payloads, etas=(0.02, 0.05))[0]
              for i, samples in enumerate(all_samples)]
     # each node's picks, as many as there are events
     picks = [iter(sample_picks(len(samples), selector_rng(9, i), 24).tolist())
              for i, samples in enumerate(all_samples)]
 
-    def global_table_mean():
-        return sum(np.sum(node.table, axis=0) for node in nodes) / m
+    offsets = sum(mspbe.ProblemSpec((tuple(samples),), 0.1).maps[1].sum(axis=0)
+                  for samples in all_samples)
+
+    def global_gradient_sum():
+        return sum(np.sum(node.table, axis=0) for node in nodes) + offsets
 
     # rows waiting at each destination: the peer's initial broadcast
     inflight = {0: [1], 1: [0]}
@@ -244,11 +272,11 @@ def test_mass_conservation_two_node_relay():
             on_receive(node, i, row)
         inflight[i] = []
         pick = next(picks[i])
-        activate(node, payloads, k + 1, pick, 0.02, 0.05)
+        activate(node, payloads, k + 1, pick)
         # the new mass splits into out_degree shares (peer copy + self copy)
         inflight[1 - i].append(k + 1)
         alive = [row for nd in nodes for row in nd.buffer]
         alive += [row for dest in inflight.values() for row in dest]
         total = sum(share(payloads, row) for row in alive)
-        assert np.allclose(total, global_table_mean(), atol=1e-12), k
+        assert np.allclose(total, global_gradient_sum(), atol=1e-12), k
 
